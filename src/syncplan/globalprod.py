@@ -412,7 +412,7 @@ def _variant_for(witnesses, origin):
     for w in witnesses:
         if w.src == origin:
             return w
-    raise AssertionError(f"no witness variant starts at state {origin}")
+    raise SynthesisError(f"no witness variant starts at state {origin}")
 
 
 @dataclass
@@ -443,7 +443,8 @@ class _AgentExpander:
         bar_steps = []
         for hat_tid, sync in hat_steps:
             w = _variant_for(self.hat.tr_witness[hat_tid], bar_orig)
-            assert not w.absorbing, "task-level witnesses are plain paths"
+            if w.absorbing:
+                raise SynthesisError("task-level witnesses are plain paths")
             bar_steps.append((w.steps[0], sync))
             bar_steps.extend((s, None) for s in w.steps[1:])
             bar_orig = w.dst
@@ -470,7 +471,8 @@ class _AgentExpander:
             emit = []
             nxt, absorbed = self._pass(hat_cycle, state, emit)
             if not emit:
-                assert absorbed is not None, "a cycle pass must emit or absorb"
+                if absorbed is None:
+                    raise SynthesisError("a cycle pass must emit or absorb")
                 approach = [(tid, None) for tid in absorbed.steps]
                 loop = [(tid, None) for tid in absorbed.loop]
                 return _Expansion(
@@ -495,7 +497,8 @@ class _AgentExpander:
             return self._to_strategy(emitted_prefix, list(loop)), anchor
         j = expansion.split
         k = len(expansion.passes) - j
-        assert k >= 1 and shift >= j and period % k == 0
+        if not (k >= 1 and shift >= j and period % k == 0):
+            raise SynthesisError("cycle passes do not align with the team period")
 
         def emit_at(idx):
             return expansion.passes[idx if idx < j else j + (idx - j) % k][0]
@@ -513,7 +516,8 @@ class _AgentExpander:
         return self._to_strategy(prefix, cycle), trailing_bar
 
     def _to_strategy(self, prefix_emit, cycle_emit) -> Strategy:
-        assert cycle_emit, "strategies need a nonempty cycle"
+        if not cycle_emit:
+            raise SynthesisError("strategies need a nonempty cycle")
         singleton = frozenset((self.agent_id,))
         auto = self.mp.automaton
 
@@ -534,9 +538,11 @@ class _AgentExpander:
         # replay sanity: transitions must chain and the cycle must close
         chain = [tid for tid, _ in prefix_emit + cycle_emit]
         for first, second in zip(chain, chain[1:]):
-            assert auto.transitions[first].dst == auto.transitions[second].src
+            if auto.transitions[first].dst != auto.transitions[second].src:
+                raise SynthesisError(f"replayed steps {first} and {second} do not chain")
         cyc = [tid for tid, _ in cycle_emit]
-        assert auto.transitions[cyc[-1]].dst == auto.transitions[cyc[0]].src
+        if auto.transitions[cyc[-1]].dst != auto.transitions[cyc[0]].src:
+            raise SynthesisError("replayed cycle does not close")
         return Strategy(self.agent_id, tuple(convert(prefix_emit)), tuple(convert(cycle_emit)))
 
 

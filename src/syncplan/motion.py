@@ -7,9 +7,16 @@ compiled away.  Reduction keeps only states that can still provide services
 (plus the initial state and the accepting states needed to preserve the
 acceptance condition) and abbreviates the removed silent stretches into
 single transitions, each remembering the exact path it stands for.
+
+Each abbreviated stretch is the least path of its kind: the shortest one,
+ties going to the lexicographically smallest sequence of transition ids
+(`Witness.rank()`).  The stretches are found by one breadth-first search per
+kept state and first label, so the cost grows with the number of kept states
+times the size of the silent region, with no fill-in between removed states.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .agents import AgentModel
@@ -125,12 +132,10 @@ def reduce(mp: MotionProduct) -> ReducedMotionProduct:
 class _Workbench:
     """Mutable transition table keyed by (src, label, dst) with best witnesses."""
 
-    def __init__(self, a: BuchiAutomaton):
+    def __init__(self, n_states: int):
         self.table = {}
-        self.outs = {s: set() for s in range(a.n_states)}
-        self.ins = {s: set() for s in range(a.n_states)}
-        for tid, t in enumerate(a.transitions):
-            self.put(t.src, t.label, t.dst, Witness((tid,), t.src, t.dst))
+        self.outs = {s: set() for s in range(n_states)}
+        self.ins = {s: set() for s in range(n_states)}
 
     def put(self, src, label, dst, witness):
         key = (src, label, dst)
@@ -148,7 +153,8 @@ class _Workbench:
                 in_wits[(src, label)] = self.table[(src, label, state)]
         out_wits = {}
         for label, dst in self.outs[state]:
-            assert isinstance(label, Silent), "insignificant states speak silently"
+            if not isinstance(label, Silent):
+                raise ValueError(f"insignificant state {state} has a non-silent exit")
             if dst != state:
                 out_wits[dst] = self.table[(state, label, dst)]
         loop = self.table.get((state, silent, state))
@@ -174,30 +180,79 @@ def eliminate_insignificant_states(
 ) -> BuchiAutomaton:
     """Remove insignificant states while preserving non-silent label sequences.
 
-    Non-accepting insignificant states go first: their incoming and outgoing
-    transitions are concatenated into bypasses (silent self-loops on the
-    removed state are discarded).  Accepting insignificant states whose
-    remaining predecessors are all insignificant follow; a silent self-loop on
-    such a state is lifted onto its silent predecessors as an absorbing
-    witness before removal.  Every surviving transition records the exact
-    source-automaton path it abbreviates.
+    Survivors are the significant and the accepting states.  A path that
+    leaves survivor `u` by an `L`-labeled step and runs through non-survivors
+    up to the first survivor `v` becomes the transition (u, L, v), which keeps
+    the least such path by `Witness.rank()`: fewest steps, then the
+    lexicographically smallest transition ids.  (These are the bypasses that
+    eliminating the non-survivors pairwise would keep.)  Accepting
+    insignificant states whose remaining predecessors are all insignificant
+    are eliminated next, in state order; a silent self-loop on such a state is
+    lifted onto its silent predecessors as an absorbing witness before
+    removal.  Every surviving transition records the exact source-automaton
+    path it abbreviates.
     """
-    assert significant[a.initial], "the initial state must be significant"
-    bench = _Workbench(a)
-    alive = set(range(a.n_states))
+    if not significant[a.initial]:
+        raise ValueError("the initial state must be significant")
+    alive = {s for s in range(a.n_states) if significant[s] or s in a.accepting}
+    bench = _bypass_non_survivors(a, alive)
+    _eliminate_accepting(bench, alive, a.accepting, significant, silent)
+    return _rebuild_from_bench(a, bench, alive)
 
-    for p in range(a.n_states):
-        if significant[p] or p in a.accepting:
-            continue
-        in_wits, out_wits, _loop = bench.snapshot(p, silent)
-        bench.remove_state(p)
-        alive.discard(p)
-        for src, label in _in_order(in_wits):
-            for dst in sorted(out_wits):
-                bench.put(src, label, dst, _chain(in_wits[(src, label)], out_wits[dst]))
 
-    for p in range(a.n_states):
-        if p not in alive or significant[p] or p not in a.accepting:
+def _bypass_non_survivors(a: BuchiAutomaton, alive) -> _Workbench:
+    """Least path per (survivor, first label, next survivor) as a workbench."""
+    bench = _Workbench(a.n_states)
+    for u in sorted(alive):
+        seeds = {}
+        for tid in a.out_transitions(u):
+            seeds.setdefault(a.transitions[tid].label, []).append(tid)
+        for label, tids in seeds.items():
+            for v, steps in _least_paths(a, alive, tids):
+                bench.put(u, label, v, Witness(steps, u, v))
+    return bench
+
+
+def _least_paths(a: BuchiAutomaton, alive, seeds):
+    """Breadth-first search from the seed steps through non-survivors.
+
+    Seeds and out-transitions are taken in ascending id order, so the first
+    step to reach a state ends its least path by (length, lexicographic
+    id sequence).  Yields (survivor, steps) once per survivor reached.
+    """
+    transitions = a.transitions
+    parent = {}  # non-survivor -> id of the step that first reached it
+    arrivals = {}  # survivor -> id of the step that first reached it
+    queue = deque()
+
+    def visit(tid):
+        x = transitions[tid].dst
+        if x in alive:
+            arrivals.setdefault(x, tid)
+        elif x not in parent:
+            parent[x] = tid
+            queue.append(x)
+
+    for tid in seeds:
+        visit(tid)
+    while queue:
+        for tid in a.out_transitions(queue.popleft()):
+            visit(tid)
+    for v, tid in arrivals.items():
+        steps = [tid]
+        x = transitions[tid].src
+        while x in parent:
+            tid = parent[x]
+            steps.append(tid)
+            x = transitions[tid].src
+        steps.reverse()
+        yield v, tuple(steps)
+
+
+def _eliminate_accepting(bench: _Workbench, alive, accepting, significant, silent):
+    """Remove accepting insignificant states no significant state enters."""
+    for p in sorted(alive):
+        if significant[p] or p not in accepting:
             continue
         preds = {src for src, _label in bench.ins[p] if src != p}
         if any(significant[q] for q in preds):
@@ -210,22 +265,22 @@ def eliminate_insignificant_states(
                 if isinstance(label, Silent):
                     bench.put(src, silent, src, _absorb(in_wits[(src, label)], loop))
         for src, label in _in_order(in_wits):
-            assert isinstance(label, Silent), "insignificant predecessors speak silently"
+            if not isinstance(label, Silent):
+                raise ValueError(f"insignificant state {src} has a non-silent exit")
             for dst in sorted(out_wits):
                 bench.put(src, label, dst, _chain(in_wits[(src, label)], out_wits[dst]))
 
-    return _rebuild_from_bench(a, bench, alive)
-
 
 def _chain(w1: Witness, w2: Witness) -> Witness:
-    assert not w1.absorbing and not w2.absorbing
-    assert w1.dst == w2.src
+    if w1.absorbing or w2.absorbing or w1.dst != w2.src:
+        raise ValueError(f"witnesses {w1} and {w2} do not chain")
     return Witness(w1.steps + w2.steps, w1.src, w2.dst)
 
 
 def _absorb(w_in: Witness, loop: Witness) -> Witness:
     """Route into a removed accepting state and keep circling there."""
-    assert not w_in.absorbing
+    if w_in.absorbing:
+        raise ValueError(f"witness {w_in} already absorbs")
     if loop.absorbing:
         return Witness(w_in.steps + loop.steps, w_in.src, loop.dst, loop.loop)
     return Witness(w_in.steps, w_in.src, loop.src, loop.steps)

@@ -28,6 +28,7 @@ from .buchi import (
     merge_duplicate_states,
     prune_non_coaccessible,
     rebuild,
+    strongly_connected_components,
 )
 from .motion import ReducedMotionProduct
 
@@ -210,7 +211,8 @@ def compute_globally_assisting(tms) -> dict:
 def classify_task_significance(tm: TaskMotionProduct, globally_assisting: dict):
     """Initial, able to provide a globally assisting service, or dependent."""
     a = tm.automaton
-    assert len(a.tr_dep) == len(a.transitions), "dependency map must be computed first"
+    if len(a.tr_dep) != len(a.transitions):
+        raise ValueError("dependency map must be computed first")
     ga_own = globally_assisting.get(tm.agent_id, frozenset())
     significant = [False] * a.n_states
     significant[a.initial] = True
@@ -244,9 +246,8 @@ def _region_analysis(a: BuchiAutomaton, significant):
         if t.src in region and t.dst in region:
             adjacency[t.src].append(tid)
 
-    comp_of, comps = _region_sccs(a, region, adjacency)
     anchors = {}
-    for members in comps:
+    for members in _region_components(a, region, adjacency):
         member_set = set(members)
         internal = any(
             a.transitions[tid].dst in member_set for s in members for tid in adjacency[s]
@@ -293,54 +294,18 @@ def _region_analysis(a: BuchiAutomaton, significant):
     return anchors, reach
 
 
-def _region_sccs(a, region, adjacency):
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    comp_of = {}
-    counter = 0
-    for root in sorted(region):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            outs = adjacency[v]
-            while pi < len(outs):
-                w = a.transitions[outs[pi]].dst
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(members))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp_of, comps
+def _region_components(a: BuchiAutomaton, region, adjacency):
+    """Strongly connected components of the region, as sorted member lists."""
+    order = sorted(region)
+    index = {s: i for i, s in enumerate(order)}
+    sub = BuchiAutomaton(a.mode)
+    for s in order:
+        sub.add_state(s)
+    for s in order:
+        for tid in adjacency[s]:
+            sub.add_transition(index[s], None, index[a.transitions[tid].dst])
+    _comp, comps = strongly_connected_components(sub)
+    return [[order[i] for i in members] for members in comps]
 
 
 def _shortest_region_cycle(a, adjacency, members, anchor):
@@ -417,39 +382,61 @@ def _shortest_region_cycle(a, adjacency, members, anchor):
     return best[1] if best else ()
 
 
-def _segments_from(a: BuchiAutomaton, significant, src_tid, reach):
-    """Walk the silent region behind one outgoing edge of a significant state.
+def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
+    """Where one outgoing edge of a significant state can lead next.
 
-    Yields (target_state, accepting_flag, path) for every significant state a
-    run can reach next, with the flag recording whether the stretch after the
-    first edge saw an accepting state; also returns the absorbing route if the
-    region can swallow the run forever.
+    Returns (segments, absorb).  `segments` lists (target_state,
+    accepting_flag, path) once per significant state and flag a run can
+    reach next, where the flag records whether the stretch after the first
+    edge saw an accepting state and `path` is the least such path: the
+    shortest one, ties going to the lexicographically smallest sequence of
+    transition ids.  `absorb` is the route into a silent accepting cycle if
+    the region can swallow the run forever, else None.  `memo` caches the
+    region walk per entry state across calls on the same automaton.
     """
     t = a.transitions[src_tid]
-    segments = []
-    absorb = None
     if significant[t.dst]:
-        segments.append((t.dst, t.dst in a.accepting, (src_tid,)))
-        return segments, absorb
+        return [(t.dst, t.dst in a.accepting, (src_tid,))], None
     esc = reach.get(t.dst)
-    if esc is not None:
-        absorb = ((src_tid,) + esc[1], esc[2])
-    start = (t.dst, t.dst in a.accepting)
-    seen = {start}
-    queue = deque([(start, (src_tid,))])
+    absorb = None if esc is None else ((src_tid,) + esc[1], esc[2])
+    entry = (t.dst, t.dst in a.accepting)
+    tails = memo.get(entry)
+    if tails is None:
+        tails = memo[entry] = _region_walk(a, significant, entry)
+    return [(target, flag, (src_tid,) + tail) for target, flag, tail in tails], absorb
+
+
+def _region_walk(a: BuchiAutomaton, significant, entry):
+    """Least path from an insignificant (state, flag) to each next significant one.
+
+    Breadth-first over (state, flag) pairs with out-transitions in ascending
+    id order, so the first step to reach a pair ends its least path.
+    """
+    transitions, accepting = a.transitions, a.accepting
+    parent = {entry: None}  # (state, flag) -> (previous pair, step id)
+    arrivals = {}  # (significant state, flag) -> (previous pair, step id)
+    queue = deque([entry])
     while queue:
-        (x, flag), path = queue.popleft()
-        for tid in a.out_transitions(x):
-            nxt = a.transitions[tid]
-            if significant[nxt.dst]:
-                segments.append((nxt.dst, flag or nxt.dst in a.accepting, path + (tid,)))
-                continue
-            key = (nxt.dst, flag or nxt.dst in a.accepting)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((key, path + (tid,)))
-    return segments, absorb
+        key = queue.popleft()
+        flag = key[1]
+        for tid in a.out_transitions(key[0]):
+            y = transitions[tid].dst
+            nxt = (y, flag or y in accepting)
+            if significant[y]:
+                arrivals.setdefault(nxt, (key, tid))
+            elif nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+
+    def steps_to(key, tid):
+        steps = [tid]
+        while parent[key] is not None:
+            key, tid = parent[key]
+            steps.append(tid)
+        steps.reverse()
+        return tuple(steps)
+
+    return [(y, flag, steps_to(*arrival)) for (y, flag), arrival in arrivals.items()]
 
 
 def reduce_task_motion(
@@ -507,13 +494,14 @@ def reduce_task_motion(
         return t.label
 
     summary = {}  # sig state -> {(label, target_desc) -> (dep, Witness)}
+    walks = {}  # region walks shared by every edge entering the same pair
     for s in sorted(x for x in range(a.n_states) if significant[x]):
         edges = {}
         for tid in a.out_transitions(s):
             t = a.transitions[tid]
             label = planning_label(tid, t)
             dep = own_dep if isinstance(label, Silent) else a.tr_dep.get(tid, own_dep)
-            segments, absorb = _segments_from(a, significant, tid, reach)
+            segments, absorb = _segments_from(a, significant, tid, reach, walks)
             for target, flag, path in segments:
                 w = Witness(path, s, target)
                 _put_edge(edges, label, ("state", target, flag), dep, w)

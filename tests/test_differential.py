@@ -1,0 +1,117 @@
+"""The optimized reductions against their unoptimized references.
+
+Witnesses are compared step by step, so any change in which of several
+equally short paths a reduction keeps fails here.
+"""
+import random
+
+import pytest
+
+from syncplan import motion, taskprod
+from syncplan.motion import classify_significance
+from syncplan.pipeline import run_synthesis
+from syncplan.scenario_io import load_bundled
+from syncplan.taskprod import _region_analysis, classify_task_significance
+from tests import reference_reductions as ref
+from tests.conftest import random_motion_product
+from tests.test_taskprod import _random_task_instance
+
+
+def dump(a):
+    return (
+        a.initial,
+        sorted(a.accepting),
+        list(a.state_tags),
+        list(a.transitions),
+        dict(a.tr_witness),
+        dict(a.tr_dep),
+    )
+
+
+def reference_segments(a, significant, src_tid, reach, _memo):
+    return ref.segments_by_path_copying(a, significant, src_tid, reach)
+
+
+def test_motion_bypass_matches_pairwise_elimination():
+    rng = random.Random(2)
+    long_witnesses = 0
+    for i in range(2400):
+        mp = random_motion_product(rng, max_states=12 if i < 1200 else rng.randint(25, 40))
+        a = mp.automaton
+        if i % 2:
+            # sparse acceptance leaves more states to bypass: longer chains
+            a.accepting = {s for s in a.accepting if rng.random() < 0.3}
+        sig = classify_significance(mp)
+        old_bench, old_alive = ref.eliminate_by_pairs(a, sig, mp.silent)
+        new_bench = motion._bypass_non_survivors(a, set(old_alive))
+        assert new_bench.table == old_bench.table
+        assert new_bench.ins == old_bench.ins and new_bench.outs == old_bench.outs
+        assert dump(motion.eliminate_insignificant_states(a, sig, mp.silent)) == dump(
+            ref.eliminate_insignificant_states(a, sig, mp.silent)
+        )
+        long_witnesses += sum(len(w.steps) >= 4 for w in new_bench.table.values())
+    assert long_witnesses >= 1000
+
+
+def test_task_segments_match_path_copying_walk(monkeypatch):
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(400):
+        tm, ga = _random_task_instance(rng)
+        a = tm.automaton
+        sig = classify_task_significance(tm, ga)
+        _anchors, reach = _region_analysis(a, sig)
+        walks = {}
+        for s in range(a.n_states):
+            if not sig[s]:
+                continue
+            for tid in a.out_transitions(s):
+                segments, absorb = taskprod._segments_from(a, sig, tid, reach, walks)
+                old_segments, old_absorb = ref.segments_by_path_copying(a, sig, tid, reach)
+                least = {}
+                for target, flag, path in old_segments:
+                    cur = least.get((target, flag))
+                    if cur is None or (len(path), path) < (len(cur), cur):
+                        least[(target, flag)] = path
+                assert absorb == old_absorb
+                assert len(segments) == len(least)
+                assert {(t, f): p for t, f, p in segments} == least
+                compared += 1
+        new = taskprod.reduce_task_motion(tm, ga)
+        with monkeypatch.context() as m:
+            m.setattr(taskprod, "_segments_from", reference_segments)
+            old = taskprod.reduce_task_motion(tm, ga)
+        assert dump(new.automaton) == dump(old.automaton)
+    assert compared >= 1000
+
+
+def _synthesize_both(scenario, monkeypatch, **options):
+    new = run_synthesis(scenario, **options)
+    with monkeypatch.context() as m:
+        m.setattr(motion, "eliminate_insignificant_states", ref.eliminate_insignificant_states)
+        m.setattr(taskprod, "_segments_from", reference_segments)
+        old = run_synthesis(scenario, **options)
+    return new, old
+
+
+# two_pairs runs per class: the reductions are the same as for the whole
+# team, at a seventh of the global-product time
+@pytest.mark.parametrize("name, per_class", [
+    ("three_robots", False),
+    ("two_pairs", True),
+    ("asymmetry", False),
+])
+def test_bundled_scenarios_match_reference(name, per_class, monkeypatch):
+    new, old = _synthesize_both(
+        load_bundled(name), monkeypatch, per_class=per_class, with_estimate=False
+    )
+    assert new.strategies == old.strategies
+    assert new.raw_strategies == old.raw_strategies
+    assert new.stats == old.stats
+    for aid, art in new.artifacts.items():
+        assert dump(art.reduced_motion.automaton) == dump(
+            old.artifacts[aid].reduced_motion.automaton
+        )
+        assert dump(art.reduced_task.automaton) == dump(
+            old.artifacts[aid].reduced_task.automaton
+        )

@@ -1,11 +1,15 @@
 """Global product, strategy extraction, minimization, dependency classes."""
+import dataclasses
+
 import pytest
 
 from syncplan.buchi import Silent
 from syncplan.globalprod import (
     EmptyLanguageError,
+    SynthesisError,
     compute_dependency_classes,
     minimize_synchronizations,
+    synthesize,
 )
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.pipeline import run_synthesis
@@ -154,6 +158,34 @@ class TestSynthesize:
         sim = simulate(sc, result.strategies, SimulationConfig(seed=3))
         verdicts = check_local_satisfaction(sc, result.strategies, sim)
         assert all(v.motion and v.task and v.consistent for v in verdicts.values())
+
+    def test_corrupted_motion_witness_raises(self):
+        # the reduced motion automaton's first transition abbreviates the walk
+        # to the service cell; breaking one step must stop the replay, also
+        # under python -O
+        from syncplan.agents import GridSpec, build_grid_agent
+
+        beeper = ((3, 0), frozenset(["beep"]))
+        agent = build_grid_agent(
+            GridSpec(1, 4, 1, (0, 0), rooms={(3, 0): "P"}, service_cells=(beeper,))
+        )
+        sc = make_scenario([agent], {1: "G F P"}, {1: "G F beep"})
+        result = run_synthesis(sc, with_estimate=False)
+        art = result.artifacts[1]
+        product = art.motion_product.automaton
+        reduced = art.reduced_motion.automaton
+        tid = reduced.out_transitions(reduced.initial)[0]
+        (witness,) = reduced.tr_witness[tid]
+        assert len(witness.steps) >= 2
+        arrived = product.transitions[witness.steps[0]].dst
+        stray = next(
+            step for step, t in enumerate(product.transitions) if t.src != arrived
+        )
+        steps = (witness.steps[0], stray) + witness.steps[2:]
+        reduced.tr_witness[tid] = (dataclasses.replace(witness, steps=steps),)
+        ((_group, gp),) = result.global_products
+        with pytest.raises(SynthesisError, match="do not chain"):
+            synthesize(gp)
 
     def test_unsatisfiable_motion_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})
