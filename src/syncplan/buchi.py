@@ -146,11 +146,6 @@ class BuchiAutomaton:
         self._index()
         return self._inn[state]
 
-    def copy_shell(self) -> "BuchiAutomaton":
-        b = BuchiAutomaton(self.mode)
-        b.initial = self.initial
-        return b
-
 
 @dataclass(frozen=True)
 class Lasso:
@@ -213,22 +208,30 @@ class TransitionSystem:
 
 
 def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
-    """Structural checks: contiguity, closed cycle, accepting visit."""
+    """Structural checks: contiguity, closed cycle, accepting visit.
+
+    Raises ValueError naming the first check that fails.
+    """
     cur = a.initial
     for tid in lasso.prefix:
         t = a.transitions[tid]
-        assert t.src == cur, "prefix not contiguous"
+        if t.src != cur:
+            raise ValueError("prefix not contiguous")
         cur = t.dst
     start = cur
-    assert lasso.cycle, "cycle must be nonempty"
+    if not lasso.cycle:
+        raise ValueError("cycle must be nonempty")
     hit = start in a.accepting
     for tid in lasso.cycle:
         t = a.transitions[tid]
-        assert t.src == cur, "cycle not contiguous"
+        if t.src != cur:
+            raise ValueError("cycle not contiguous")
         cur = t.dst
         hit = hit or cur in a.accepting
-    assert cur == start, "cycle not closed"
-    assert hit, "cycle misses accepting states"
+    if cur != start:
+        raise ValueError("cycle not closed")
+    if not hit:
+        raise ValueError("cycle misses accepting states")
 
 
 def strongly_connected_components(a: BuchiAutomaton):
@@ -316,6 +319,44 @@ def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
                 parent[w] = tid
                 queue.append(w)
     return dist, parent
+
+
+def least_paths(a: BuchiAutomaton, stop, entries):
+    """Least path from the entry (state, flag) pairs to each next stop state.
+
+    Breadth-first over (state, flag) pairs, where the flag turns true once a
+    path visits an accepting state.  Entries are taken in the given order and
+    out-transitions in ascending id order, so the first step to reach a pair
+    ends its least path: the shortest one, ties going to the earlier entry
+    and then to the lexicographically smallest sequence of transition ids.
+    The walk expands non-stop states only.  Returns one (stop state, flag,
+    entry, steps) per stop pair reached, `steps` leading from the entry.
+    """
+    transitions, accepting = a.transitions, a.accepting
+    parent = dict.fromkeys(entries)  # (state, flag) -> (previous pair, step id)
+    arrivals = {}  # (stop state, flag) -> (previous pair, step id)
+    queue = deque(parent)
+    while queue:
+        key = queue.popleft()
+        state, flag = key
+        for tid in a.out_transitions(state):
+            y = transitions[tid].dst
+            nxt = (y, flag or y in accepting)
+            if stop[y]:
+                if nxt not in arrivals:
+                    arrivals[nxt] = (key, tid)
+            elif nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+    found = []
+    for (y, flag), (key, tid) in arrivals.items():
+        steps = [tid]
+        while parent[key] is not None:
+            key, tid = parent[key]
+            steps.append(tid)
+        steps.reverse()
+        found.append((y, flag, key, tuple(steps)))
+    return found
 
 
 def _walk_forward(a, parent, source, target):
@@ -417,13 +458,7 @@ def _label_matches(a: BuchiAutomaton, label, symbol) -> bool:
         if isinstance(symbol, Silent):
             raise AlphabetMismatchError("silent symbol fed to a guard-labeled automaton")
         return label.accepts(symbol)
-    if isinstance(label, Silent) or isinstance(symbol, Silent):
-        return label == symbol
     return label == symbol
-
-
-def word_position_count(word) -> int:
-    return len(word.prefix) + len(word.period)
 
 
 def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
@@ -538,20 +573,23 @@ def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
 
 def prune_non_coaccessible(a: BuchiAutomaton) -> BuchiAutomaton:
     """Keep states from which acceptance is reachable, plus the initial state."""
-    n = a.n_states
-    coacc = set(a.accepting)
-    queue = deque(sorted(a.accepting))
-    while queue:
-        v = queue.popleft()
-        for tid in a.in_transitions(v):
-            s = a.transitions[tid].src
-            if s not in coacc:
-                coacc.add(s)
-                queue.append(s)
-    keep = coacc | {a.initial}
-    if len(keep) == n:
+    keep = coreachable(a, a.accepting) | {a.initial}
+    if len(keep) == a.n_states:
         return a
     return rebuild(a, keep)
+
+
+def coreachable(a: BuchiAutomaton, targets) -> set:
+    """States with a path into `targets`, the targets included."""
+    found = set(targets)
+    queue = deque(found)
+    while queue:
+        for tid in a.in_transitions(queue.popleft()):
+            s = a.transitions[tid].src
+            if s not in found:
+                found.add(s)
+                queue.append(s)
+    return found
 
 
 def _signature_side(pairs, state):

@@ -262,7 +262,8 @@ def extract_local_word(result: SimulationResult, agent_id: int, scenario: Scenar
     prefix_letters = letters(behavior.steps[:p])
     first_cycle = letters(behavior.steps[p : p + c])
     second_cycle = letters(behavior.steps[p + c : p + 2 * c])
-    assert first_cycle == second_cycle, "cycle observations must repeat"
+    if first_cycle != second_cycle:
+        raise ValueError("cycle observations must repeat")
     if not first_cycle:
         first_cycle = [frozenset()]
     return ltl.UltimatelyPeriodicWord(tuple(prefix_letters), tuple(first_cycle))

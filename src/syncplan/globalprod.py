@@ -31,7 +31,6 @@ from .buchi import (
     _walk_backward,
     _walk_forward,
     find_accepting_lasso,
-    language_empty,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -80,9 +79,6 @@ class GlobalProduct:
     automaton: BuchiAutomaton
     products: list
     agent_ids: list
-
-    def position_of(self, agent_id: int) -> int:
-        return self.agent_ids.index(agent_id)
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -290,17 +286,15 @@ def _component_capabilities(gp, comp, comps, good_comps):
         elif emits(back[1], back[2]):
             served[c].add(gp.agent_ids[back[1]])
 
-    silence_caches = [p.origin.__dict__.setdefault("_silence_cache", {}) for p in gp.products]
-
     def parkable(pos, hat_states):
         product = gp.products[pos]
         bar_tags = product.origin.automaton.state_tags
-        for hat_state in hat_states:
-            for bar_state in product.automaton.state_tags[hat_state]:
-                psi = bar_tags[bar_state][1]
-                if _accepts_silence(product.origin.task_spec, psi, silence_caches[pos]):
-                    return True
-        return False
+        tolerant = product.origin.silence_tolerant()
+        return any(
+            bar_tags[bar_state][1] in tolerant
+            for hat_state in hat_states
+            for bar_state in product.automaton.state_tags[hat_state]
+        )
 
     hostable = {}
     for c in good_comps:
@@ -564,24 +558,6 @@ def _project_agent(gp: GlobalProduct, lasso: Lasso, pos: int):
     return kept(lasso.prefix), kept(lasso.cycle)
 
 
-def _accepts_silence(spec: BuchiAutomaton, state: int, cache: dict) -> bool:
-    """Can the task automaton accept the empty service set forever from here?"""
-    if state in cache:
-        return cache[state]
-    sub = BuchiAutomaton(spec.mode)
-    for s in range(spec.n_states):
-        sub.add_state()
-    sub.initial = state
-    sub.accepting = set(spec.accepting)
-    empty = frozenset()
-    for t in spec.transitions:
-        if t.label.accepts(empty):
-            sub.add_transition(t.src, t.label, t.dst)
-    result = not language_empty(sub)
-    cache[state] = result
-    return result
-
-
 def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
     """Project and replay one lasso.
 
@@ -614,8 +590,7 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
         alive = any(not agent.is_silent(step.action) for step in strategy.cycle)
         if not alive:
             psi_state = expander.bar.state_tags[trailing_bar][1]
-            cache = expander.tm.__dict__.setdefault("_silence_cache", {})
-            if not _accepts_silence(expander.tm.task_spec, psi_state, cache):
+            if psi_state not in expander.tm.silence_tolerant():
                 return None, aid
         strategies[aid] = strategy
     return strategies, None
@@ -697,8 +672,6 @@ def minimize_synchronizations(strategies: dict, scenario) -> dict:
         for k in range(counts.pop()):
             steps_k = []
             for aid in sorted(coalition):
-                st = slim[aid]
-                steps = st.prefix if part == "prefix" else st.cycle
                 steps_k.append((aid, members[aid][k]))
             if all(
                 scenario.agent(aid).is_silent(
@@ -741,7 +714,8 @@ def compute_dependency_classes(task_products) -> list:
 
     for tm in task_products:
         deps = tm.automaton.tr_dep
-        assert deps is not None
+        if len(deps) != len(tm.automaton.transitions):
+            raise ValueError("dependency map must be computed first")
         for dep in deps.values():
             for other in dep:
                 if other in parent:

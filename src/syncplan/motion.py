@@ -16,7 +16,6 @@ times the size of the silent region, with no fill-in between removed states.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .agents import AgentModel
@@ -26,6 +25,7 @@ from .buchi import (
     Silent,
     Witness,
     label_sort_key,
+    least_paths,
     merge_duplicate_states,
     prune_non_coaccessible,
 )
@@ -201,52 +201,32 @@ def eliminate_insignificant_states(
 
 
 def _bypass_non_survivors(a: BuchiAutomaton, alive) -> _Workbench:
-    """Least path per (survivor, first label, next survivor) as a workbench."""
+    """Least path per (survivor, first label, next survivor) as a workbench.
+
+    The seeds of one (survivor, label) are its `label` steps in ascending id
+    order; a seed ending at a survivor is a one-step path, and every other
+    seed target enters one shared `least_paths` walk, credited to the first
+    seed reaching it.  The walk's flags stay false because every accepting
+    state survives.
+    """
     bench = _Workbench(a.n_states)
+    stop = [s in alive for s in range(a.n_states)]
     for u in sorted(alive):
         seeds = {}
         for tid in a.out_transitions(u):
             seeds.setdefault(a.transitions[tid].label, []).append(tid)
         for label, tids in seeds.items():
-            for v, steps in _least_paths(a, alive, tids):
-                bench.put(u, label, v, Witness(steps, u, v))
+            first = {}  # non-survivor seed target -> first seed reaching it
+            for tid in tids:
+                x = a.transitions[tid].dst
+                if stop[x]:
+                    bench.put(u, label, x, Witness((tid,), u, x))
+                else:
+                    first.setdefault(x, tid)
+            entries = [(x, False) for x in first]
+            for v, _flag, (x, _), steps in least_paths(a, stop, entries):
+                bench.put(u, label, v, Witness((first[x],) + steps, u, v))
     return bench
-
-
-def _least_paths(a: BuchiAutomaton, alive, seeds):
-    """Breadth-first search from the seed steps through non-survivors.
-
-    Seeds and out-transitions are taken in ascending id order, so the first
-    step to reach a state ends its least path by (length, lexicographic
-    id sequence).  Yields (survivor, steps) once per survivor reached.
-    """
-    transitions = a.transitions
-    parent = {}  # non-survivor -> id of the step that first reached it
-    arrivals = {}  # survivor -> id of the step that first reached it
-    queue = deque()
-
-    def visit(tid):
-        x = transitions[tid].dst
-        if x in alive:
-            arrivals.setdefault(x, tid)
-        elif x not in parent:
-            parent[x] = tid
-            queue.append(x)
-
-    for tid in seeds:
-        visit(tid)
-    while queue:
-        for tid in a.out_transitions(queue.popleft()):
-            visit(tid)
-    for v, tid in arrivals.items():
-        steps = [tid]
-        x = transitions[tid].src
-        while x in parent:
-            tid = parent[x]
-            steps.append(tid)
-            x = transitions[tid].src
-        steps.reverse()
-        yield v, tuple(steps)
 
 
 def _eliminate_accepting(bench: _Workbench, alive, accepting, significant, silent):

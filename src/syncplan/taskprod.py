@@ -24,7 +24,13 @@ from .buchi import (
     BuchiAutomaton,
     Silent,
     Witness,
+    _bfs,
+    _good_components,
+    _walk_backward,
+    _walk_forward,
+    coreachable,
     label_sort_key,
+    least_paths,
     merge_duplicate_states,
     prune_non_coaccessible,
     rebuild,
@@ -52,6 +58,7 @@ class TaskMotionProduct:
 
     def __post_init__(self):
         self._joint_keys = None
+        self._silence_tolerant = None
 
     @property
     def silent(self) -> Silent:
@@ -65,6 +72,27 @@ class TaskMotionProduct:
                 if not isinstance(t.label, Silent)
             }
         return self._joint_keys
+
+    def silence_tolerant(self) -> frozenset:
+        """Task-spec states from which the empty service set is accepted forever.
+
+        Those are the states that reach a good component of the spec cut down
+        to the transitions whose guards accept the empty set.
+        """
+        if self._silence_tolerant is None:
+            spec = self.task_spec
+            quiet = BuchiAutomaton(spec.mode)
+            for _ in range(spec.n_states):
+                quiet.add_state()
+            quiet.accepting = set(spec.accepting)
+            for t in spec.transitions:
+                if t.label.accepts(frozenset()):
+                    quiet.add_transition(t.src, t.label, t.dst)
+            _comp, comps, good = _good_components(quiet)
+            self._silence_tolerant = frozenset(
+                coreachable(quiet, [s for c in good for s in comps[c]])
+            )
+        return self._silence_tolerant
 
 
 def _guard_atoms(spec: BuchiAutomaton) -> frozenset:
@@ -238,63 +266,32 @@ def _region_analysis(a: BuchiAutomaton, significant):
 
     Returns (anchors, reach): `anchors` maps an anchor state to the transition
     ids of a shortest silent cycle through it; `reach` maps every region state
-    that can run into such a cycle to (path transition ids, anchor).
+    that can run into such a cycle to (distance, path transition ids, anchor),
+    preferring the nearest anchor and then the smallest one.
     """
     region = {s for s in range(a.n_states) if not significant[s]}
-    adjacency = {s: [] for s in region}
-    for tid, t in enumerate(a.transitions):
-        if t.src in region and t.dst in region:
-            adjacency[t.src].append(tid)
-
     anchors = {}
-    for members in _region_components(a, region, adjacency):
+    for members in _region_components(a, region):
         member_set = set(members)
         internal = any(
-            a.transitions[tid].dst in member_set for s in members for tid in adjacency[s]
+            a.transitions[tid].dst in member_set
+            for s in members
+            for tid in a.out_transitions(s)
         )
-        if not internal:
-            continue
-        accepting = sorted(s for s in members if s in a.accepting)
-        if not accepting:
-            continue
-        anchor = accepting[0]
-        loop = _shortest_region_cycle(a, adjacency, member_set, anchor)
-        if loop:
-            anchors[anchor] = loop
+        accepting = [s for s in members if s in a.accepting]
+        if internal and accepting:
+            anchors[accepting[0]] = _shortest_region_cycle(a, member_set, accepting[0])
 
-    radj = {s: [] for s in region}
-    for s in region:
-        for tid in adjacency[s]:
-            radj[a.transitions[tid].dst].append(tid)
     reach = {}
-    for anchor in sorted(anchors):
-        dist = {anchor: 0}
-        parent = {}
-        queue = deque([anchor])
-        while queue:
-            v = queue.popleft()
-            for tid in radj[v]:
-                s = a.transitions[tid].src
-                if s in dist:
-                    continue
-                dist[s] = dist[v] + 1
-                parent[s] = tid
-                queue.append(s)
-        for s in dist:
-            cur = reach.get(s)
-            if cur is not None and (cur[0], cur[2]) <= (dist[s], anchor):
-                continue
-            path = []
-            x = s
-            while x != anchor:
-                tid = parent[x]
-                path.append(tid)
-                x = a.transitions[tid].dst
-            reach[s] = (dist[s], tuple(path), anchor)
+    for anchor in sorted(anchors):  # ascending: equally near anchors keep the first
+        dist, parent = _bfs(a, anchor, allowed=region, reverse=True)
+        for s in region:
+            if dist[s] is not None and (s not in reach or dist[s] < reach[s][0]):
+                reach[s] = (dist[s], tuple(_walk_backward(a, parent, anchor, s)), anchor)
     return anchors, reach
 
 
-def _region_components(a: BuchiAutomaton, region, adjacency):
+def _region_components(a: BuchiAutomaton, region):
     """Strongly connected components of the region, as sorted member lists."""
     order = sorted(region)
     index = {s: i for i, s in enumerate(order)}
@@ -302,84 +299,40 @@ def _region_components(a: BuchiAutomaton, region, adjacency):
     for s in order:
         sub.add_state(s)
     for s in order:
-        for tid in adjacency[s]:
-            sub.add_transition(index[s], None, index[a.transitions[tid].dst])
+        for tid in a.out_transitions(s):
+            dst = a.transitions[tid].dst
+            if dst in region:
+                sub.add_transition(index[s], None, index[dst])
     _comp, comps = strongly_connected_components(sub)
     return [[order[i] for i in members] for members in comps]
 
 
-def _shortest_region_cycle(a, adjacency, members, anchor):
+def _shortest_region_cycle(a, members, anchor):
     """Shortest cycle through the anchor, preferring one that provides services.
 
     The region's cycles are all accepting-compatible, but a silent loop only
     realizes stuttering acceptance.  When the component offers a transition
     with a real service label, the chosen loop detours through one so that
-    an absorbed agent keeps producing its word.
+    an absorbed agent keeps producing its word.  Paths to and from the detour
+    are least by ascending transition id.
     """
-    fwd_dist = {anchor: 0}
-    fwd_par = {}
-    queue = deque([anchor])
-    while queue:
-        v = queue.popleft()
-        for tid in adjacency[v]:
-            w = a.transitions[tid].dst
-            if w not in members or w in fwd_dist:
-                continue
-            fwd_dist[w] = fwd_dist[v] + 1
-            fwd_par[w] = tid
-            queue.append(w)
-    radj = {}
-    for x in members:
-        for tid in adjacency[x]:
-            w = a.transitions[tid].dst
-            if w in members:
-                radj.setdefault(w, []).append(tid)
-    bwd_dist = {anchor: 0}
-    bwd_par = {}
-    queue = deque([anchor])
-    while queue:
-        v = queue.popleft()
-        for tid in radj.get(v, ()):
-            s = a.transitions[tid].src
-            if s in bwd_dist:
-                continue
-            bwd_dist[s] = bwd_dist[v] + 1
-            bwd_par[s] = tid
-            queue.append(s)
-
-    def walk_to(x):  # anchor -> x
-        path = []
-        cur = x
-        while cur != anchor:
-            tid = fwd_par[cur]
-            path.append(tid)
-            cur = a.transitions[tid].src
-        path.reverse()
-        return path
-
-    def walk_back(x):  # x -> anchor
-        path = []
-        cur = x
-        while cur != anchor:
-            tid = bwd_par[cur]
-            path.append(tid)
-            cur = a.transitions[tid].dst
-        return path
-
+    fwd, fpar = _bfs(a, anchor, allowed=members)
+    bwd, bpar = _bfs(a, anchor, allowed=members, reverse=True)
     best = None
     for x in sorted(members):
-        for tid in adjacency[x]:
+        for tid in a.out_transitions(x):
             t = a.transitions[tid]
-            if t.dst not in members:
+            if t.dst not in members or fwd[x] is None or bwd[t.dst] is None:
                 continue
-            if x not in fwd_dist or t.dst not in bwd_dist:
-                continue
-            length = fwd_dist[x] + 1 + bwd_dist[t.dst]
-            silent = isinstance(t.label, Silent)
-            key = (silent, length, x, tid)
+            key = (isinstance(t.label, Silent), fwd[x] + 1 + bwd[t.dst], x, tid)
             if best is None or key < best[0]:
-                best = (key, tuple(walk_to(x)) + (tid,) + tuple(walk_back(t.dst)))
-    return best[1] if best else ()
+                best = (key, x, tid)
+    _key, x, tid = best
+    return (
+        tuple(_walk_forward(a, fpar, anchor, x))
+        + (tid,)
+        + tuple(_walk_backward(a, bpar, anchor, a.transitions[tid].dst))
+    )
 
 
 def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
@@ -400,43 +353,10 @@ def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
     esc = reach.get(t.dst)
     absorb = None if esc is None else ((src_tid,) + esc[1], esc[2])
     entry = (t.dst, t.dst in a.accepting)
-    tails = memo.get(entry)
-    if tails is None:
-        tails = memo[entry] = _region_walk(a, significant, entry)
-    return [(target, flag, (src_tid,) + tail) for target, flag, tail in tails], absorb
-
-
-def _region_walk(a: BuchiAutomaton, significant, entry):
-    """Least path from an insignificant (state, flag) to each next significant one.
-
-    Breadth-first over (state, flag) pairs with out-transitions in ascending
-    id order, so the first step to reach a pair ends its least path.
-    """
-    transitions, accepting = a.transitions, a.accepting
-    parent = {entry: None}  # (state, flag) -> (previous pair, step id)
-    arrivals = {}  # (significant state, flag) -> (previous pair, step id)
-    queue = deque([entry])
-    while queue:
-        key = queue.popleft()
-        flag = key[1]
-        for tid in a.out_transitions(key[0]):
-            y = transitions[tid].dst
-            nxt = (y, flag or y in accepting)
-            if significant[y]:
-                arrivals.setdefault(nxt, (key, tid))
-            elif nxt not in parent:
-                parent[nxt] = (key, tid)
-                queue.append(nxt)
-
-    def steps_to(key, tid):
-        steps = [tid]
-        while parent[key] is not None:
-            key, tid = parent[key]
-            steps.append(tid)
-        steps.reverse()
-        return tuple(steps)
-
-    return [(y, flag, steps_to(*arrival)) for (y, flag), arrival in arrivals.items()]
+    walk = memo.get(entry)
+    if walk is None:
+        walk = memo[entry] = least_paths(a, significant, [entry])
+    return [(target, flag, (src_tid,) + tail) for target, flag, _entry, tail in walk], absorb
 
 
 def reduce_task_motion(

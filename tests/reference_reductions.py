@@ -5,12 +5,17 @@ reduction's survivor search replaces; `segments_by_path_copying` is the
 region walk that `taskprod._segments_from` replaces, copying the path at
 every queued entry and reporting every arrival.  Both define the witnesses
 the optimized code must reproduce exactly.
+
+`region_analysis` is the task reduction's hand-written search for silent
+accepting cycles and the routes into them, which now runs on `buchi._bfs`.
+It breaks ties between equally short paths by set iteration order, so it
+fixes distances, anchors and the chosen detour transition, not the paths.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from syncplan.buchi import BuchiAutomaton, Witness
+from syncplan.buchi import BuchiAutomaton, Silent, Witness
 from syncplan.motion import (
     _chain,
     _eliminate_accepting,
@@ -18,6 +23,7 @@ from syncplan.motion import (
     _rebuild_from_bench,
     _Workbench,
 )
+from syncplan.taskprod import _region_components
 
 
 def eliminate_by_pairs(a: BuchiAutomaton, significant, silent):
@@ -77,3 +83,134 @@ def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid, reach):
             seen.add(key)
             queue.append((key, path + (tid,)))
     return segments, absorb
+
+
+def region_analysis(a: BuchiAutomaton, significant):
+    """Returns (anchors, reach, loop_keys) as the old `_region_analysis` did.
+
+    `loop_keys` maps each anchor to the (silent, length, x, tid) key of its
+    loop: whether the detour transition `tid` leaving `x` is silent, and the
+    loop length.
+    """
+    region = {s for s in range(a.n_states) if not significant[s]}
+    adjacency = {s: [] for s in region}
+    for tid, t in enumerate(a.transitions):
+        if t.src in region and t.dst in region:
+            adjacency[t.src].append(tid)
+
+    anchors = {}
+    loop_keys = {}
+    for members in _region_components(a, region):
+        member_set = set(members)
+        internal = any(
+            a.transitions[tid].dst in member_set for s in members for tid in adjacency[s]
+        )
+        if not internal:
+            continue
+        accepting = sorted(s for s in members if s in a.accepting)
+        if not accepting:
+            continue
+        anchor = accepting[0]
+        key, loop = shortest_region_cycle(a, adjacency, member_set, anchor)
+        if loop:
+            anchors[anchor] = loop
+            loop_keys[anchor] = key
+
+    radj = {s: [] for s in region}
+    for s in region:
+        for tid in adjacency[s]:
+            radj[a.transitions[tid].dst].append(tid)
+    reach = {}
+    for anchor in sorted(anchors):
+        dist = {anchor: 0}
+        parent = {}
+        queue = deque([anchor])
+        while queue:
+            v = queue.popleft()
+            for tid in radj[v]:
+                s = a.transitions[tid].src
+                if s in dist:
+                    continue
+                dist[s] = dist[v] + 1
+                parent[s] = tid
+                queue.append(s)
+        for s in dist:
+            cur = reach.get(s)
+            if cur is not None and (cur[0], cur[2]) <= (dist[s], anchor):
+                continue
+            path = []
+            x = s
+            while x != anchor:
+                tid = parent[x]
+                path.append(tid)
+                x = a.transitions[tid].dst
+            reach[s] = (dist[s], tuple(path), anchor)
+    return anchors, reach, loop_keys
+
+
+def shortest_region_cycle(a, adjacency, members, anchor):
+    """The old `_shortest_region_cycle`, returning (key, loop)."""
+    fwd_dist = {anchor: 0}
+    fwd_par = {}
+    queue = deque([anchor])
+    while queue:
+        v = queue.popleft()
+        for tid in adjacency[v]:
+            w = a.transitions[tid].dst
+            if w not in members or w in fwd_dist:
+                continue
+            fwd_dist[w] = fwd_dist[v] + 1
+            fwd_par[w] = tid
+            queue.append(w)
+    radj = {}
+    for x in members:
+        for tid in adjacency[x]:
+            w = a.transitions[tid].dst
+            if w in members:
+                radj.setdefault(w, []).append(tid)
+    bwd_dist = {anchor: 0}
+    bwd_par = {}
+    queue = deque([anchor])
+    while queue:
+        v = queue.popleft()
+        for tid in radj.get(v, ()):
+            s = a.transitions[tid].src
+            if s in bwd_dist:
+                continue
+            bwd_dist[s] = bwd_dist[v] + 1
+            bwd_par[s] = tid
+            queue.append(s)
+
+    def walk_to(x):  # anchor -> x
+        path = []
+        cur = x
+        while cur != anchor:
+            tid = fwd_par[cur]
+            path.append(tid)
+            cur = a.transitions[tid].src
+        path.reverse()
+        return path
+
+    def walk_back(x):  # x -> anchor
+        path = []
+        cur = x
+        while cur != anchor:
+            tid = bwd_par[cur]
+            path.append(tid)
+            cur = a.transitions[tid].dst
+        return path
+
+    best = None
+    for x in sorted(members):
+        for tid in adjacency[x]:
+            t = a.transitions[tid]
+            if t.dst not in members:
+                continue
+            if x not in fwd_dist or t.dst not in bwd_dist:
+                continue
+            length = fwd_dist[x] + 1 + bwd_dist[t.dst]
+            silent = isinstance(t.label, Silent)
+            key = (silent, length, x, tid)
+            if best is None or key < best[0]:
+                best = (key, tuple(walk_to(x)) + (tid,) + tuple(walk_back(t.dst)))
+    return best if best else (None, ())

@@ -8,6 +8,7 @@ from syncplan.buchi import (
     EXPLICIT_MODE,
     AlphabetMismatchError,
     BuchiAutomaton,
+    Lasso,
     Silent,
     check_lasso_membership,
     find_accepting_lasso,
@@ -80,6 +81,22 @@ class TestLasso:
     def test_deterministic_across_runs(self):
         a = chain_automaton()
         assert find_accepting_lasso(a) == find_accepting_lasso(a)
+
+    @pytest.mark.parametrize("prefix, cycle, message", [
+        ((1,), (2,), "prefix not contiguous"),
+        ((0, 1), (), "cycle must be nonempty"),
+        ((0,), (2,), "cycle not contiguous"),
+        ((0,), (1,), "cycle not closed"),
+    ])
+    def test_broken_lasso_rejected(self, prefix, cycle, message):
+        with pytest.raises(ValueError, match=message):
+            validate_lasso(chain_automaton(), Lasso(prefix, cycle))
+
+    def test_lasso_missing_acceptance_rejected(self):
+        a = chain_automaton()
+        a.accepting = {0}
+        with pytest.raises(ValueError, match="cycle misses accepting states"):
+            validate_lasso(a, Lasso((0, 1), (2,)))
 
 
 class TestMembership:

@@ -1,13 +1,16 @@
 """The optimized reductions against their unoptimized references.
 
 Witnesses are compared step by step, so any change in which of several
-equally short paths a reduction keeps fails here.
+equally short paths a reduction keeps fails here.  The task reduction's
+region analysis is the exception: its reference breaks ties by set order,
+so there distances, anchors and detours must agree and paths must chain.
 """
 import random
 
 import pytest
 
 from syncplan import motion, taskprod
+from syncplan.buchi import Silent
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import load_bundled
@@ -83,6 +86,44 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
             old = taskprod.reduce_task_motion(tm, ga)
         assert dump(new.automaton) == dump(old.automaton)
     assert compared >= 1000
+
+
+def _chains(a, path, start, end, inside):
+    cur = start
+    for tid in path:
+        t = a.transitions[tid]
+        if t.src != cur or t.dst not in inside:
+            return False
+        cur = t.dst
+    return cur == end
+
+
+def test_region_analysis_matches_hand_written_searches():
+    rng = random.Random(11)
+    loops = routes = 0
+    for _ in range(1200):
+        tm, ga = _random_task_instance(rng)
+        a = tm.automaton
+        sig = classify_task_significance(tm, ga)
+        region = {s for s in range(a.n_states) if not sig[s]}
+        anchors, reach = _region_analysis(a, sig)
+        old_anchors, old_reach, loop_keys = ref.region_analysis(a, sig)
+        assert anchors.keys() == old_anchors.keys()
+        for anchor, loop in anchors.items():
+            silent, length, x, tid = loop_keys[anchor]
+            at = old_anchors[anchor].index(tid)
+            assert len(loop) == length
+            assert loop[at] == tid and a.transitions[tid].src == x
+            assert silent == all(isinstance(a.transitions[t].label, Silent) for t in loop)
+            assert _chains(a, loop, anchor, anchor, region)
+        assert reach.keys() == old_reach.keys()
+        for s, (dist, path, anchor) in reach.items():
+            assert (dist, anchor) == (old_reach[s][0], old_reach[s][2])
+            assert len(path) == dist
+            assert _chains(a, path, s, anchor, region)
+        loops += len(anchors)
+        routes += sum(dist > 0 for dist, _path, _anchor in reach.values())
+    assert loops >= 500 and routes >= 500
 
 
 def _synthesize_both(scenario, monkeypatch, **options):

@@ -1,4 +1,6 @@
 """Timed execution, local words, verdicts, and the centralized estimate."""
+import dataclasses
+
 import pytest
 
 from syncplan.executor import (
@@ -162,6 +164,10 @@ class TestLocalWords:
         word = extract_local_word(result, 1, sc)
         assert word.prefix == ()
         assert word.period == (frozenset({"a"}), frozenset({"b"}))
+        # a cycle length that does not match the unrolled behavior
+        result.behaviors[1] = dataclasses.replace(result.behaviors[1], cycle_len=3)
+        with pytest.raises(ValueError, match="cycle observations must repeat"):
+            extract_local_word(result, 1, sc)
 
     def test_unsynchronized_services_invisible(self, asymmetry):
         both = frozenset({1, 2})

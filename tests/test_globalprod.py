@@ -265,6 +265,12 @@ class TestDependencyClasses:
         classes = compute_dependency_classes(self._products(sc))
         assert classes == [frozenset({1}), frozenset({2}), frozenset({3})]
 
+    def test_missing_dependency_map_rejected(self, three_robots):
+        tms = self._products(three_robots)
+        tms[1].automaton.tr_dep = {}
+        with pytest.raises(ValueError, match="dependency map must be computed first"):
+            compute_dependency_classes(tms)
+
     def test_two_disjoint_pairs(self, two_pairs):
         result = run_synthesis(two_pairs, per_class=True, with_estimate=False)
         assert result.dependency_classes == [frozenset({1, 2}), frozenset({3, 4})]

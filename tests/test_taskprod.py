@@ -4,7 +4,7 @@ import random
 import pytest
 
 from syncplan import ltl
-from syncplan.buchi import Silent, find_accepting_lasso, language_empty
+from syncplan.buchi import BuchiAutomaton, Silent, find_accepting_lasso, language_empty
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.taskprod import (
     _advance_counter,
@@ -305,3 +305,29 @@ def test_random_reduction_suite():
                 cur = ot.dst
             orig = cur if w.dst == cur else w.dst
     assert nonempty >= 30
+
+
+def _accepts_silence_by_emptiness(spec, state):
+    """Per-state reference: language of the spec cut to empty-set guards."""
+    sub = BuchiAutomaton(spec.mode)
+    for _ in range(spec.n_states):
+        sub.add_state()
+    sub.initial = state
+    sub.accepting = set(spec.accepting)
+    for t in spec.transitions:
+        if t.label.accepts(frozenset()):
+            sub.add_transition(t.src, t.label, t.dst)
+    return not language_empty(sub)
+
+
+def test_silence_tolerance_matches_per_state_emptiness():
+    rng = random.Random(3)
+    mixed = 0
+    for _ in range(300):
+        tm, _ga = _random_task_instance(rng)
+        spec = tm.task_spec
+        expected = {s for s in range(spec.n_states) if _accepts_silence_by_emptiness(spec, s)}
+        assert tm.silence_tolerant() == expected
+        assert tm.silence_tolerant() is tm.silence_tolerant()
+        mixed += 0 < len(expected) < spec.n_states
+    assert mixed >= 30
