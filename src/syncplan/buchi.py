@@ -234,8 +234,12 @@ def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
         raise ValueError("cycle misses accepting states")
 
 
-def strongly_connected_components(a: BuchiAutomaton):
-    """Iterative Tarjan; returns (component id per state, component members)."""
+def strongly_connected_components(a: BuchiAutomaton, allowed=None):
+    """Iterative Tarjan; returns (component id per state, component members).
+
+    With `allowed`, only the subgraph induced by those states counts; roots
+    are taken in ascending order either way, and other states get no id.
+    """
     n = a.n_states
     index = [None] * n
     low = [0] * n
@@ -244,7 +248,7 @@ def strongly_connected_components(a: BuchiAutomaton):
     comp = [None] * n
     comps = []
     counter = 0
-    for root in range(n):
+    for root in range(n) if allowed is None else sorted(allowed):
         if index[root] is not None:
             continue
         work = [(root, 0)]
@@ -260,6 +264,8 @@ def strongly_connected_components(a: BuchiAutomaton):
             while pi < len(outs):
                 w = a.transitions[outs[pi]].dst
                 pi += 1
+                if allowed is not None and w not in allowed:
+                    continue
                 if index[w] is None:
                     work[-1] = (v, pi)
                     work.append((w, 0))
@@ -430,7 +436,11 @@ def find_accepting_lasso(a: BuchiAutomaton):
     comp, comps, good = _good_components(a)
     if not good:
         return None
-    dist, parent = _bfs(a, a.initial)
+    return _minimal_lasso(a, comp, comps, good, *_bfs(a, a.initial))
+
+
+def _minimal_lasso(a, comp, comps, good, dist, parent):
+    """`find_accepting_lasso` on precomputed components and initial BFS."""
     candidates = [s for s in range(a.n_states) if dist[s] is not None and comp[s] in good]
     if not candidates:
         return None
@@ -635,12 +645,16 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
 
 def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
     """Quotient by forward bisimulation respecting acceptance; language-safe."""
+    keys = {}  # label -> label_sort_key, computed once per distinct label
+    for t in a.transitions:
+        if t.label not in keys:
+            keys[t.label] = label_sort_key(t.label)
     block = [1 if s in a.accepting else 0 for s in range(a.n_states)]
     while True:
         sigs = {}
         for s in range(a.n_states):
             items = frozenset(
-                (label_sort_key(a.transitions[t].label), block[a.transitions[t].dst])
+                (keys[a.transitions[t].label], block[a.transitions[t].dst])
                 for t in a.out_transitions(s)
             )
             sigs.setdefault((block[s], items), []).append(s)

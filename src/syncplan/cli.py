@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 validation failure, 2 empty language at some stage,
-3 simulation verdict failure or deadlock.
+Exit codes: 0 success, 1 validation failure or an unreadable or malformed
+input file, 2 empty language at some stage, 3 simulation verdict failure or
+deadlock.
 """
 from __future__ import annotations
 
@@ -34,10 +35,12 @@ EXIT_EMPTY = 2
 EXIT_VERDICT = 3
 
 
-def _load(path):
+def _load(path, loader=load_scenario):
+    """Scenario (or, with `load_strategies`, strategies) read from files;
+    an unreadable or malformed file ends the command with EXIT_INVALID."""
     try:
-        return load_scenario(path)
-    except (ScenarioFormatError, FileNotFoundError) as exc:
+        return loader(path)
+    except (ScenarioFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
@@ -97,22 +100,27 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
-    strategies = load_strategies(args.strategies)
+    strategies = _load(args.strategies, load_strategies)
     base = scenario.simulation
     base_seed = base.get("seed", 0) if args.seed is None else args.seed
     failures = 0
     all_lines = []
     for run in range(args.runs):
         seed = base_seed + run
-        config = SimulationConfig(
-            seed=seed,
-            duration_lo=base.get("duration", [1.0, 5.0])[0],
-            duration_hi=base.get("duration", [1.0, 5.0])[1],
-            action_durations={
-                k: tuple(v) for k, v in base.get("action_durations", {}).items()
-            },
-            unrollings=base.get("unrollings", 3) if args.unrollings is None else args.unrollings,
-        )
+        unrollings = base.get("unrollings", 3) if args.unrollings is None else args.unrollings
+        try:
+            config = SimulationConfig(
+                seed=seed,
+                duration_lo=base.get("duration", [1.0, 5.0])[0],
+                duration_hi=base.get("duration", [1.0, 5.0])[1],
+                action_durations={
+                    k: tuple(v) for k, v in base.get("action_durations", {}).items()
+                },
+                unrollings=unrollings,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         try:
             result = simulate(scenario, strategies, config)
         except DeadlockError as exc:
@@ -149,7 +157,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_render(args) -> int:
     scenario = _load(args.scenario)
-    strategies = load_strategies(args.strategies) if args.strategies else {}
+    strategies = _load(args.strategies, load_strategies) if args.strategies else {}
     try:
         if args.format == "ascii":
             text = render_ascii(scenario, strategies)

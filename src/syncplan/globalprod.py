@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import lcm
+from types import MappingProxyType
 
 from .buchi import (
     EXPLICIT_MODE,
@@ -28,9 +29,9 @@ from .buchi import (
     Silent,
     _bfs,
     _good_components,
+    _minimal_lasso,
     _walk_backward,
     _walk_forward,
-    find_accepting_lasso,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -73,7 +74,8 @@ class GlobalProduct:
     State tags are (component state tuple, counter); the counter walks
     1..N+1, advancing when the agent at the current position moves into its
     accepting set.  `tr_back[tid]` is ("local", position, transition id) or
-    ("joint", coalition ids, {position: transition id}).
+    ("joint", coalition ids, {position: transition id}); the assignment is
+    read-only, because transitions from equal component tuples share it.
     """
 
     automaton: BuchiAutomaton
@@ -103,11 +105,19 @@ def build_global_product(products) -> GlobalProduct:
         silent_out.append(s_out)
         joint_out.append(j_out)
 
+    moves = {}  # component state tuple -> joint_moves_at result
+
     def dep_of(pos, tid):
         return autos[pos].tr_dep.get(tid, frozenset((agent_ids[pos],)))
 
     def joint_moves_at(qs):
-        """Complete closed coalition assignments, deduplicated across seeds."""
+        """Complete closed coalition assignments, deduplicated across seeds.
+
+        They depend on the component states alone, not on the counter, so
+        each tuple is enumerated once (`moves`).
+        """
+        if qs in moves:
+            return moves[qs]
         results = []
         seen = set()
         for seed_pos in range(n):
@@ -153,8 +163,9 @@ def build_global_product(products) -> GlobalProduct:
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append((sigma, coalition, dict(assign), targets))
+                    results.append((sigma, coalition, MappingProxyType(assign), targets))
         results.sort(key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3]))
+        moves[qs] = results
         return results
 
     def advance(j, moved_positions, targets):
@@ -313,14 +324,14 @@ def _component_capabilities(gp, comp, comps, good_comps):
 def _candidate_lassos(gp: GlobalProduct):
     """Deterministic stream of accepting lassos, most promising first."""
     a = gp.automaton
-    base = find_accepting_lasso(a)
+    comp, comps, good_comps = _good_components(a)
+    dist, parent = _bfs(a, a.initial)
+    base = _minimal_lasso(a, comp, comps, good_comps, dist, parent)
     if base is None:
         raise EmptyLanguageError("global")
     yield base
 
     n = len(gp.products)
-    comp, comps, good_comps = _good_components(a)
-    dist, parent = _bfs(a, a.initial)
     served, hostable = _component_capabilities(gp, comp, comps, good_comps)
     everyone = set(gp.agent_ids)
     anchors = sorted(

@@ -33,10 +33,53 @@ def _require_keys(obj: dict, where: str, required, optional=()):
         raise ScenarioFormatError(f"{where}: missing keys {sorted(missing)}")
 
 
+_KINDS = {
+    int: "an integer",
+    str: "a string",
+    bool: "true or false",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _expect(value, kind, where: str):
+    """`value` when it has exactly the JSON type `kind` (a bool is no integer)."""
+    if type(value) is not kind:
+        raise ScenarioFormatError(f"{where}: expected {_KINDS[kind]}")
+    return value
+
+
+def _strings(value, where: str) -> frozenset:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ScenarioFormatError(f"{where}: expected a list of strings")
+    return frozenset(value)
+
+
 def _cell(value, where: str):
-    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value)):
+    if not (
+        type(value) is list
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is int
+    ):
         raise ScenarioFormatError(f"{where}: expected a cell [x, y]")
     return (value[0], value[1])
+
+
+def _cell_pair(value, where: str):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ScenarioFormatError(f"{where}: expected a pair of cells")
+    return _cell(value[0], where), _cell(value[1], where)
+
+
+def _bounds(value, where: str):
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(v) in (int, float) for v in value)
+    ):
+        raise ScenarioFormatError(f"{where}: expected [lo, hi]")
+    return value
 
 
 def _load_grid_agent(agent_id: int, data: dict, where: str, declared_services) -> AgentModel:
@@ -47,38 +90,43 @@ def _load_grid_agent(agent_id: int, data: dict, where: str, declared_services) -
         optional=("obstacles", "walls", "one_way", "rooms", "service_cells", "stay_name"),
     )
     rooms = {}
-    for room, rect in data.get("rooms", {}).items():
-        if not (isinstance(rect, list) and len(rect) == 4):
+    for room, rect in _expect(data.get("rooms", {}), dict, f"{where}.rooms").items():
+        if not (isinstance(rect, list) and len(rect) == 4 and all(type(v) is int for v in rect)):
             raise ScenarioFormatError(f"{where}.rooms.{room}: expected [x0, y0, x1, y1]")
         x0, y0, x1, y1 = rect
         for x in range(x0, x1 + 1):
             for y in range(y0, y1 + 1):
                 rooms[(x, y)] = room
     service_cells = []
-    for i, entry in enumerate(data.get("service_cells", [])):
-        _require_keys(entry, f"{where}.service_cells[{i}]", required=("cell", "services"))
+    cells = _expect(data.get("service_cells", []), list, f"{where}.service_cells")
+    for i, entry in enumerate(cells):
+        at = f"{where}.service_cells[{i}]"
+        _require_keys(entry, at, required=("cell", "services"))
         service_cells.append(
-            (_cell(entry["cell"], f"{where}.service_cells[{i}].cell"), frozenset(entry["services"]))
+            (_cell(entry["cell"], f"{at}.cell"), _strings(entry["services"], f"{at}.services"))
         )
+    spec = GridSpec(
+        agent_id=agent_id,
+        width=_expect(data["width"], int, f"{where}.width"),
+        height=_expect(data["height"], int, f"{where}.height"),
+        initial=_cell(data["initial"], f"{where}.initial"),
+        obstacles=frozenset(
+            _cell(c, f"{where}.obstacles")
+            for c in _expect(data.get("obstacles", []), list, f"{where}.obstacles")
+        ),
+        walls=frozenset(
+            frozenset(_cell_pair(pair, f"{where}.walls"))
+            for pair in _expect(data.get("walls", []), list, f"{where}.walls")
+        ),
+        one_way=frozenset(
+            _cell_pair(pair, f"{where}.one_way")
+            for pair in _expect(data.get("one_way", []), list, f"{where}.one_way")
+        ),
+        rooms=rooms,
+        service_cells=tuple(service_cells),
+        stay_name=_expect(data.get("stay_name", "stay"), str, f"{where}.stay_name"),
+    )
     try:
-        spec = GridSpec(
-            agent_id=agent_id,
-            width=data["width"],
-            height=data["height"],
-            initial=_cell(data["initial"], f"{where}.initial"),
-            obstacles=frozenset(_cell(c, f"{where}.obstacles") for c in data.get("obstacles", [])),
-            walls=frozenset(
-                frozenset((_cell(pair[0], f"{where}.walls"), _cell(pair[1], f"{where}.walls")))
-                for pair in data.get("walls", [])
-            ),
-            one_way=frozenset(
-                (_cell(pair[0], f"{where}.one_way"), _cell(pair[1], f"{where}.one_way"))
-                for pair in data.get("one_way", [])
-            ),
-            rooms=rooms,
-            service_cells=tuple(service_cells),
-            stay_name=data.get("stay_name", "stay"),
-        )
         agent = build_grid_agent(spec)
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
@@ -94,28 +142,35 @@ def _load_explicit_agent(agent_id: int, data: dict, where: str, declared_service
         optional=("propositions",),
     )
     ts = TransitionSystem()
-    for i, st in enumerate(data["states"]):
-        _require_keys(st, f"{where}.states[{i}]", required=("name",), optional=("labels",))
-        ts.add_state(st["name"], st.get("labels", ()))
+    for i, st in enumerate(_expect(data["states"], list, f"{where}.states")):
+        at = f"{where}.states[{i}]"
+        _require_keys(st, at, required=("name",), optional=("labels",))
+        ts.add_state(
+            _expect(st["name"], str, f"{at}.name"), _strings(st.get("labels", []), f"{at}.labels")
+        )
     names = {name: idx for idx, name in enumerate(ts.states)}
-    if data["initial"] not in names:
+    if _expect(data["initial"], str, f"{where}.initial") not in names:
         raise ScenarioFormatError(f"{where}: unknown initial state {data['initial']!r}")
     ts.initial = names[data["initial"]]
-    ts.props = set(data.get("propositions", [])) | {p for labels in ts.labels for p in labels}
+    ts.props = set(_strings(data.get("propositions", []), f"{where}.propositions")) | {
+        p for labels in ts.labels for p in labels
+    }
 
     labels = {}
     services = set(declared_services)
-    for i, act in enumerate(data["actions"]):
-        _require_keys(act, f"{where}.actions[{i}]", required=("name",), optional=("services", "silent"))
-        ts.add_action(act["name"])
-        if act.get("silent", False):
-            labels[act["name"]] = Silent(agent_id)
+    for i, act in enumerate(_expect(data["actions"], list, f"{where}.actions")):
+        at = f"{where}.actions[{i}]"
+        _require_keys(act, at, required=("name",), optional=("services", "silent"))
+        name = _expect(act["name"], str, f"{at}.name")
+        ts.add_action(name)
+        if _expect(act.get("silent", False), bool, f"{at}.silent"):
+            labels[name] = Silent(agent_id)
         else:
-            provided = frozenset(act.get("services", []))
-            labels[act["name"]] = provided
+            provided = _strings(act.get("services", []), f"{at}.services")
+            labels[name] = provided
             services |= provided
-    for i, tr in enumerate(data["transitions"]):
-        if not (isinstance(tr, list) and len(tr) == 3):
+    for i, tr in enumerate(_expect(data["transitions"], list, f"{where}.transitions")):
+        if not (isinstance(tr, list) and len(tr) == 3 and all(isinstance(x, str) for x in tr)):
             raise ScenarioFormatError(f"{where}.transitions[{i}]: expected [src, action, dst]")
         src, action, dst = tr
         if src not in names or dst not in names:
@@ -141,7 +196,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         optional=("name", "propositions", "simulation"),
     )
     agents = []
-    for i, entry in enumerate(data["agents"]):
+    extra = _strings(data.get("propositions", []), "propositions")
+    for i, entry in enumerate(_expect(data["agents"], list, "agents")):
         where = f"agents[{i}]"
         _require_keys(
             entry,
@@ -149,22 +205,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             required=("id",),
             optional=("grid", "explicit_ts", "services", "stay_name"),
         )
-        agent_id = entry["id"]
-        if not isinstance(agent_id, int):
-            raise ScenarioFormatError(f"{where}.id: expected an integer")
-        declared = frozenset(entry.get("services", []))
-        stay_name = entry.get("stay_name", "stay")
+        agent_id = _expect(entry["id"], int, f"{where}.id")
+        declared = _strings(entry.get("services", []), f"{where}.services")
+        stay_name = _expect(entry.get("stay_name", "stay"), str, f"{where}.stay_name")
         if ("grid" in entry) == ("explicit_ts" in entry):
             raise ScenarioFormatError(f"{where}: exactly one of 'grid' or 'explicit_ts' required")
         if "grid" in entry:
-            grid = dict(entry["grid"])
+            grid = dict(_expect(entry["grid"], dict, f"{where}.grid"))
             grid.setdefault("stay_name", stay_name)
             agent = _load_grid_agent(agent_id, grid, f"{where}.grid", declared)
         else:
             agent = _load_explicit_agent(
                 agent_id, entry["explicit_ts"], f"{where}.explicit_ts", declared, stay_name
             )
-        extra = set(data.get("propositions", []))
         agent.ts.props = set(agent.ts.props) | extra
         agents.append(agent)
 
@@ -185,7 +238,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             key = str(agent.agent_id)
             if key not in entries:
                 raise ScenarioFormatError(f"{kind}: missing formula for agent {key}")
-            text = entries[key]
+            text = _expect(entries[key], str, f"{kind}[{key}]")
             try:
                 store[agent.agent_id] = ltl.parse(text, alphabet_of(agent))
             except ltl.LtlSyntaxError as exc:
@@ -196,31 +249,44 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(f"{kind}: formulas for unknown agents {sorted(unknown)}")
 
     simulation = data.get("simulation", {})
-    if simulation:
-        _require_keys(
-            simulation,
-            "simulation",
-            required=(),
-            optional=("seed", "duration", "unrollings", "action_durations"),
-        )
+    _require_keys(
+        simulation,
+        "simulation",
+        required=(),
+        optional=("seed", "duration", "unrollings", "action_durations"),
+    )
+    for key in ("seed", "unrollings"):
+        if key in simulation:
+            _expect(simulation[key], int, f"simulation.{key}")
+    if "duration" in simulation:
+        _bounds(simulation["duration"], "simulation.duration")
+    for action, bounds in _expect(
+        simulation.get("action_durations", {}), dict, "simulation.action_durations"
+    ).items():
+        _bounds(bounds, f"simulation.action_durations.{action}")
     return Scenario(
         agents=agents,
         motion_formulas=motion,
         task_formulas=task,
         motion_texts=motion_texts,
         task_texts=task_texts,
-        name=data.get("name", "scenario"),
+        name=_expect(data.get("name", "scenario"), str, "name"),
         simulation=dict(simulation),
     )
 
 
-def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+def _read_json(path):
+    """The JSON document in a file; undecodable text is a format error."""
     try:
-        data = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path))
 
 
 def strategy_to_dict(strategy: Strategy) -> dict:
@@ -256,17 +322,31 @@ def strategy_text(strategy: Strategy) -> str:
 
 def strategy_from_dict(data: dict) -> Strategy:
     _require_keys(data, "strategy", required=("agent", "prefix", "cycle"))
+    agent = _expect(data["agent"], int, "strategy.agent")
 
     def steps(part):
         out = []
-        for i, rec in enumerate(data[part]):
-            _require_keys(rec, f"strategy.{part}[{i}]", required=("state", "action", "sync"))
+        for i, rec in enumerate(_expect(data[part], list, f"strategy.{part}")):
+            at = f"strategy.{part}[{i}]"
+            _require_keys(rec, at, required=("state", "action", "sync"))
+            sync = rec["sync"]
+            if not (isinstance(sync, list) and all(type(a) is int for a in sync) and agent in sync):
+                raise ScenarioFormatError(
+                    f"{at}.sync: expected a list of agent ids that includes {agent}"
+                )
             out.append(
-                StrategyStep(rec["state"], rec["action"], frozenset(rec["sync"]))
+                StrategyStep(
+                    _expect(rec["state"], str, f"{at}.state"),
+                    _expect(rec["action"], str, f"{at}.action"),
+                    frozenset(sync),
+                )
             )
         return tuple(out)
 
-    return Strategy(data["agent"], steps("prefix"), steps("cycle"))
+    cycle = steps("cycle")
+    if not cycle:
+        raise ScenarioFormatError("strategy.cycle: expected at least one step")
+    return Strategy(agent, steps("prefix"), cycle)
 
 
 def save_strategies(strategies: dict, directory) -> list:
@@ -283,8 +363,11 @@ def save_strategies(strategies: dict, directory) -> list:
 def load_strategies(paths) -> dict:
     out = {}
     for path in paths:
-        data = json.loads(Path(path).read_text())
-        st = strategy_from_dict(data)
+        data = _read_json(path)
+        try:
+            st = strategy_from_dict(data)
+        except ScenarioFormatError as exc:
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
         out[st.agent_id] = st
     return out
 

@@ -271,7 +271,8 @@ def _region_analysis(a: BuchiAutomaton, significant):
     """
     region = {s for s in range(a.n_states) if not significant[s]}
     anchors = {}
-    for members in _region_components(a, region):
+    _comp, comps = strongly_connected_components(a, allowed=region)
+    for members in comps:
         member_set = set(members)
         internal = any(
             a.transitions[tid].dst in member_set
@@ -289,22 +290,6 @@ def _region_analysis(a: BuchiAutomaton, significant):
             if dist[s] is not None and (s not in reach or dist[s] < reach[s][0]):
                 reach[s] = (dist[s], tuple(_walk_backward(a, parent, anchor, s)), anchor)
     return anchors, reach
-
-
-def _region_components(a: BuchiAutomaton, region):
-    """Strongly connected components of the region, as sorted member lists."""
-    order = sorted(region)
-    index = {s: i for i, s in enumerate(order)}
-    sub = BuchiAutomaton(a.mode)
-    for s in order:
-        sub.add_state(s)
-    for s in order:
-        for tid in a.out_transitions(s):
-            dst = a.transitions[tid].dst
-            if dst in region:
-                sub.add_transition(index[s], None, index[dst])
-    _comp, comps = strongly_connected_components(sub)
-    return [[order[i] for i in members] for members in comps]
 
 
 def _shortest_region_cycle(a, members, anchor):

@@ -40,86 +40,112 @@ def _negate_literal(f: ltl.Formula) -> ltl.Formula:
 class _Node:
     nid: int
     incoming: set
-    new: set
-    old: set
-    next: set
+    old: frozenset
+    next: frozenset
 
 
 class _Tableau:
-    """Node expansion over negation-normal-form formulas."""
+    """Node expansion over negation-normal-form formulas (Gerth et al. 1995).
 
-    def __init__(self):
+    Expanding a node's `next` set into completed (old, next) leaves depends
+    on that set alone, so each distinct set is expanded once (`_leaves`) and
+    the leaves are replayed for every node that has it; completed nodes are
+    found through an index on (old, next).  Node ids are those of the plain
+    depth-first expansion, which numbers every node it creates, the dropped
+    and merged ones included; they fix the order of `incoming`.
+    """
+
+    def __init__(self, root: ltl.Formula):
         self.nodes: list = []
-        self.counter = 1  # node id 0 is the virtual initial node
+        self.index: dict = {}  # (old, next) -> completed node
+        self.memo: dict = {}  # new set -> (leaves, ids its expansion creates)
+        self._replay(frozenset((root,)))
 
-    def fresh(self, incoming, new, old, nxt) -> _Node:
-        node = _Node(self.counter, set(incoming), set(new), set(old), set(nxt))
-        self.counter += 1
-        return node
+    def _leaves(self, new: frozenset):
+        """Completed leaves of one node whose pending formulas are `new`.
 
-    def expand(self, node: _Node):
-        stack = [node]
+        Returns (leaves, ids created), counting the node itself as id 0.
+        Each leaf is (old, next, its id, leaves completed before it was
+        created, ids created before it completed), in completion order.
+        """
+        found = self.memo.get(new)
+        if found is not None:
+            return found
+        leaves = []
+        created = 1
+        stack = [(0, 0, set(new), set(), set())]  # (id, leaves before it, new, old, next)
         while stack:
-            cur = stack.pop()
-            if not cur.new:
-                match = None
-                for existing in self.nodes:
-                    if existing.old == cur.old and existing.next == cur.next:
-                        match = existing
-                        break
-                if match is not None:
-                    match.incoming |= cur.incoming
+            idx, before, pending, old, nxt = stack.pop()
+            while pending:
+                f = min(pending, key=_key)
+                pending.discard(f)
+                if f in old:
                     continue
-                self.nodes.append(cur)
-                stack.append(self.fresh({cur.nid}, cur.next, set(), set()))
-                continue
-            f = min(cur.new, key=_key)
-            cur.new.discard(f)
-            if f in cur.old:
-                stack.append(cur)
-                continue
-            if _is_literal(f):
-                if f.kind == ltl.FALSE or _negate_literal(f) in cur.old:
-                    continue  # contradiction, drop this node
-                cur.old.add(f)  # `true` included: fulfillment checks look it up
-                stack.append(cur)
-                continue
-            a = f.children[0]
-            b = f.children[1] if len(f.children) > 1 else None
-            if f.kind == ltl.AND:
-                cur.old.add(f)
-                cur.new |= {a, b} - cur.old
-                stack.append(cur)
-            elif f.kind == ltl.NEXT:
-                cur.old.add(f)
-                cur.next.add(a)
-                stack.append(cur)
-            elif f.kind == ltl.ALWAYS:
-                cur.old.add(f)
-                cur.new |= {a} - cur.old
-                cur.next.add(f)
-                stack.append(cur)
-            elif f.kind in (ltl.OR, ltl.UNTIL, ltl.RELEASE, ltl.EVENTUALLY):
-                left = self.fresh(cur.incoming, cur.new, cur.old | {f}, cur.next)
-                right = self.fresh(cur.incoming, cur.new, cur.old | {f}, cur.next)
-                if f.kind == ltl.OR:
-                    left.new |= {a} - left.old
-                    right.new |= {b} - right.old
-                elif f.kind == ltl.UNTIL:
-                    left.new |= {a} - left.old
-                    left.next.add(f)
-                    right.new |= {b} - right.old
-                elif f.kind == ltl.RELEASE:
-                    left.new |= {b} - left.old
-                    left.next.add(f)
-                    right.new |= {x for x in (a, b)} - right.old
-                else:  # eventually: a or X F a
-                    left.next.add(f)
-                    right.new |= {a} - right.old
-                stack.append(right)
-                stack.append(left)
+                if _is_literal(f):
+                    if f.kind == ltl.FALSE or _negate_literal(f) in old:
+                        break  # contradiction, drop this node
+                    old.add(f)  # `true` included: fulfillment checks look it up
+                    continue
+                a = f.children[0]
+                b = f.children[1] if len(f.children) > 1 else None
+                old.add(f)
+                if f.kind == ltl.AND:
+                    pending |= {a, b} - old
+                elif f.kind == ltl.NEXT:
+                    nxt.add(a)
+                elif f.kind == ltl.ALWAYS:
+                    pending |= {a} - old
+                    nxt.add(f)
+                elif f.kind in (ltl.OR, ltl.UNTIL, ltl.RELEASE, ltl.EVENTUALLY):
+                    if f.kind == ltl.RELEASE:
+                        left, right = {b}, {a, b}
+                    elif f.kind == ltl.EVENTUALLY:  # a or X F a
+                        left, right = set(), {a}
+                    else:
+                        left, right = {a}, {b}
+                    # two alternatives, created left first and expanded left first
+                    right_new = pending | (right - old)
+                    stack.append((created + 1, len(leaves), right_new, set(old), set(nxt)))
+                    if f.kind != ltl.OR:
+                        nxt.add(f)  # the left alternative postpones f
+                    stack.append((created, len(leaves), pending | (left - old), old, nxt))
+                    created += 2
+                    break
+                else:
+                    raise ValueError(f"unexpected kind in normal form: {f.kind}")
             else:
-                raise ValueError(f"unexpected kind in normal form: {f.kind}")
+                leaves.append((frozenset(old), frozenset(nxt), idx, before, created))
+        found = self.memo[new] = (leaves, created)
+        return found
+
+    def _replay(self, root: frozenset):
+        """Depth-first expansion from the initial node, ids as if node by node.
+
+        A frame is [leaves, ids they create, parent id, first id, grown],
+        where grown[i] counts the ids the successors of leaves 0..i-1 used.
+        """
+        leaves, created = self._leaves(root)
+        stack = [[leaves, created, 0, 1, [0]]]  # node id 0 is the virtual initial node
+        while stack:
+            leaves, created, parent, start, grown = stack[-1]
+            j = len(grown) - 1
+            if j == len(leaves):
+                stack.pop()
+                if stack:
+                    outer = stack[-1][4]
+                    outer.append(outer[-1] + created + grown[-1])
+                continue
+            old, nxt, idx, before, used = leaves[j]
+            node = self.index.get((old, nxt))
+            if node is not None:
+                node.incoming.add(parent)
+                grown.append(grown[-1])
+                continue
+            node = _Node(start + idx + grown[before], {parent}, old, nxt)
+            self.nodes.append(node)
+            self.index[(old, nxt)] = node
+            successors, succ_created = self._leaves(nxt)
+            stack.append([successors, succ_created, node.nid, start + used + grown[j], [0]])
 
 
 def _liveness_obligations(f: ltl.Formula):
@@ -146,38 +172,44 @@ def _guard_of(node: _Node) -> Guard:
 
 def translate(f: ltl.Formula) -> BuchiAutomaton:
     """Automaton over guard-labeled transitions accepting exactly models of f."""
-    g = ltl.to_nnf(f)
-    tableau = _Tableau()
-    tableau.expand(tableau.fresh({0}, {g}, set(), set()))
-    nodes = tableau.nodes
-    obligations = _liveness_obligations(g)
+    gba, sets = _generalized(ltl.to_nnf(f))
+    ba = _degeneralize(gba, sets)
+    ba = quotient_bisimulation(ba)
+    ba = prune_non_coaccessible(ba)
+    ba = reachable_fragment(ba)
+    return ba
 
-    # generalized automaton: state 0 is initial, states 1.. are tableau nodes
+
+def _generalized(g: ltl.Formula):
+    """Generalized automaton of an NNF formula and its acceptance sets.
+
+    State 0 is initial, states 1.. are tableau nodes; the tableau is local
+    here so that it is freed before degeneralization.
+    """
+    nodes = _Tableau(g).nodes
     ids = {0: 0}
     gba = BuchiAutomaton(GUARD_MODE)
     gba.add_state("init")
     for node in nodes:
         ids[node.nid] = gba.add_state(None)
+    guards = {}  # equal guards share one object, so later lookups hit by identity
     for node in nodes:
         guard = _guard_of(node)
+        guard = guards.setdefault(guard, guard)
         for src in sorted(node.incoming):
             if src in ids:
                 gba.add_transition(ids[src], guard, ids[node.nid])
     gba = reachable_fragment(gba)
 
     sets = []
-    for ob in obligations:
+    for ob in _liveness_obligations(g):
         fulfilled = ob.children[-1]
         members = {0}
         for node in nodes:
             if ob not in node.old or fulfilled in node.old:
                 members.add(ids[node.nid])
         sets.append(members)
-    ba = _degeneralize(gba, sets)
-    ba = quotient_bisimulation(ba)
-    ba = prune_non_coaccessible(ba)
-    ba = reachable_fragment(ba)
-    return ba
+    return gba, sets
 
 
 def _degeneralize(gba: BuchiAutomaton, sets) -> BuchiAutomaton:

@@ -1,0 +1,143 @@
+"""Unmemoized global product kept as the reference for the differential tests.
+
+`build_global_product` enumerates the joint moves at every global state,
+although they depend only on the component states and not on the counter;
+the optimized product enumerates them once per component state tuple and
+must produce the same automaton, annotations included.
+"""
+from __future__ import annotations
+
+from collections import deque
+
+from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent
+from syncplan.globalprod import GlobalProduct
+
+
+def build_global_product(products) -> GlobalProduct:
+    products = sorted(products, key=lambda p: p.origin.agent_id)
+    agent_ids = [p.origin.agent_id for p in products]
+    id2pos = {aid: pos for pos, aid in enumerate(agent_ids)}
+    n = len(products)
+    autos = [p.automaton for p in products]
+    own = [p.origin.own_services for p in products]
+    fsyn = [p.origin.foreign_syntactic for p in products]
+
+    silent_out = []
+    joint_out = []
+    for a in autos:
+        s_out = {}
+        j_out = {}
+        for tid, t in enumerate(a.transitions):
+            if isinstance(t.label, Silent):
+                s_out.setdefault(t.src, []).append(tid)
+            else:
+                j_out.setdefault(t.src, []).append(tid)
+        silent_out.append(s_out)
+        joint_out.append(j_out)
+
+    def dep_of(pos, tid):
+        return autos[pos].tr_dep.get(tid, frozenset((agent_ids[pos],)))
+
+    def joint_moves_at(qs):
+        """Complete closed coalition assignments, deduplicated across seeds."""
+        results = []
+        seen = set()
+        for seed_pos in range(n):
+            for seed_tid in joint_out[seed_pos].get(qs[seed_pos], ()):
+                stack = [{seed_pos: seed_tid}]
+                while stack:
+                    assign = stack.pop()
+                    need = set()
+                    for pos, tid in assign.items():
+                        for aid in dep_of(pos, tid):
+                            other = id2pos.get(aid)
+                            if other is None:
+                                need = None
+                                break
+                            if other not in assign:
+                                need.add(other)
+                        if need is None:
+                            break
+                    if need is None:
+                        continue
+                    if need:
+                        pos = min(need)
+                        for tid in joint_out[pos].get(qs[pos], ()):
+                            ext = dict(assign)
+                            ext[pos] = tid
+                            stack.append(ext)
+                        continue
+                    sigma = frozenset()
+                    for pos, tid in assign.items():
+                        sigma |= autos[pos].transitions[tid].label & own[pos]
+                    consistent = all(
+                        autos[pos].transitions[tid].label == sigma & (own[pos] | fsyn[pos])
+                        for pos, tid in assign.items()
+                    )
+                    if not consistent:
+                        continue
+                    coalition = frozenset(agent_ids[pos] for pos in assign)
+                    targets = tuple(
+                        autos[pos].transitions[assign[pos]].dst if pos in assign else qs[pos]
+                        for pos in range(n)
+                    )
+                    key = (coalition, sigma, targets)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    results.append((sigma, coalition, dict(assign), targets))
+        results.sort(key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3]))
+        return results
+
+    def advance(j, moved_positions, targets):
+        if j == n + 1:
+            return 1
+        pos = j - 1
+        if pos in moved_positions and targets[pos] in autos[pos].accepting:
+            return j + 1
+        return j
+
+    product = BuchiAutomaton(EXPLICIT_MODE)
+    ids = {}
+
+    def state_id(key):
+        if key not in ids:
+            ids[key] = product.add_state(key)
+            qs, j = key
+            if j == n and qs[n - 1] in autos[n - 1].accepting:
+                product.accepting.add(ids[key])
+        return ids[key]
+
+    start = (tuple(a.initial for a in autos), 1)
+    product.initial = state_id(start)
+    queue = deque([start])
+    seen_states = {start}
+
+    def push(src_key, label, dst_key, dep, back):
+        tid = product.add_transition(state_id(src_key), label, state_id(dst_key))
+        product.tr_dep[tid] = dep
+        product.tr_back[tid] = back
+        if dst_key not in seen_states:
+            seen_states.add(dst_key)
+            queue.append(dst_key)
+
+    while queue:
+        key = queue.popleft()
+        qs, j = key
+        for pos in range(n):
+            for tid in silent_out[pos].get(qs[pos], ()):
+                t = autos[pos].transitions[tid]
+                targets = tuple(t.dst if p == pos else qs[p] for p in range(n))
+                j2 = advance(j, {pos}, targets)
+                push(
+                    key,
+                    Silent(agent_ids[pos]),
+                    (targets, j2),
+                    frozenset((agent_ids[pos],)),
+                    ("local", pos, tid),
+                )
+        for sigma, coalition, assign, targets in joint_moves_at(qs):
+            j2 = advance(j, set(assign), targets)
+            push(key, sigma, (targets, j2), coalition, ("joint", coalition, assign))
+
+    return GlobalProduct(product, products, agent_ids)

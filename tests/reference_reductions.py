@@ -10,12 +10,15 @@ the optimized code must reproduce exactly.
 accepting cycles and the routes into them, which now runs on `buchi._bfs`.
 It breaks ties between equally short paths by set iteration order, so it
 fixes distances, anchors and the chosen detour transition, not the paths.
+Its components come from `region_components`, which copies the region into
+a second automaton, as the task reduction did before Tarjan took a state
+mask.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from syncplan.buchi import BuchiAutomaton, Silent, Witness
+from syncplan.buchi import BuchiAutomaton, Silent, Witness, strongly_connected_components
 from syncplan.motion import (
     _chain,
     _eliminate_accepting,
@@ -23,7 +26,23 @@ from syncplan.motion import (
     _rebuild_from_bench,
     _Workbench,
 )
-from syncplan.taskprod import _region_components
+
+
+def region_components(a: BuchiAutomaton, region):
+    """Strongly connected components of the region, as sorted member lists,
+    computed on a copy of the induced subautomaton."""
+    order = sorted(region)
+    index = {s: i for i, s in enumerate(order)}
+    sub = BuchiAutomaton(a.mode)
+    for s in order:
+        sub.add_state(s)
+    for s in order:
+        for tid in a.out_transitions(s):
+            dst = a.transitions[tid].dst
+            if dst in region:
+                sub.add_transition(index[s], None, index[dst])
+    _comp, comps = strongly_connected_components(sub)
+    return [[order[i] for i in members] for members in comps]
 
 
 def eliminate_by_pairs(a: BuchiAutomaton, significant, silent):
@@ -100,7 +119,7 @@ def region_analysis(a: BuchiAutomaton, significant):
 
     anchors = {}
     loop_keys = {}
-    for members in _region_components(a, region):
+    for members in region_components(a, region):
         member_set = set(members)
         internal = any(
             a.transitions[tid].dst in member_set for s in members for tid in adjacency[s]

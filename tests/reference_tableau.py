@@ -1,0 +1,196 @@
+"""Unoptimized translator kept as the reference for the differential tests.
+
+`_Tableau` is the node expansion that expands every node's `next` set anew
+and finds completed nodes by scanning all of them; `quotient_bisimulation`
+recomputes `label_sort_key` for every transition in every round.
+`translate` chains them exactly as the translator did.  Node ids, incoming
+sets and the order of the nodes define what the shared-expansion tableau
+must reproduce.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from syncplan import ltl
+from syncplan.buchi import (
+    GUARD_MODE,
+    BuchiAutomaton,
+    label_sort_key,
+    prune_non_coaccessible,
+    rebuild,
+    reachable_fragment,
+)
+from syncplan.translate import (
+    _degeneralize,
+    _guard_of,
+    _is_literal,
+    _liveness_obligations,
+    _negate_literal,
+)
+
+
+def _key(f: ltl.Formula) -> str:
+    return ltl.formula_text(f)
+
+
+@dataclass
+class _Node:
+    nid: int
+    incoming: set
+    new: set
+    old: set
+    next: set
+
+
+class _Tableau:
+    """Node expansion over negation-normal-form formulas."""
+
+    def __init__(self):
+        self.nodes: list = []
+        self.counter = 1  # node id 0 is the virtual initial node
+
+    def fresh(self, incoming, new, old, nxt) -> _Node:
+        node = _Node(self.counter, set(incoming), set(new), set(old), set(nxt))
+        self.counter += 1
+        return node
+
+    def expand(self, node: _Node):
+        stack = [node]
+        while stack:
+            cur = stack.pop()
+            if not cur.new:
+                match = None
+                for existing in self.nodes:
+                    if existing.old == cur.old and existing.next == cur.next:
+                        match = existing
+                        break
+                if match is not None:
+                    match.incoming |= cur.incoming
+                    continue
+                self.nodes.append(cur)
+                stack.append(self.fresh({cur.nid}, cur.next, set(), set()))
+                continue
+            f = min(cur.new, key=_key)
+            cur.new.discard(f)
+            if f in cur.old:
+                stack.append(cur)
+                continue
+            if _is_literal(f):
+                if f.kind == ltl.FALSE or _negate_literal(f) in cur.old:
+                    continue  # contradiction, drop this node
+                cur.old.add(f)  # `true` included: fulfillment checks look it up
+                stack.append(cur)
+                continue
+            a = f.children[0]
+            b = f.children[1] if len(f.children) > 1 else None
+            if f.kind == ltl.AND:
+                cur.old.add(f)
+                cur.new |= {a, b} - cur.old
+                stack.append(cur)
+            elif f.kind == ltl.NEXT:
+                cur.old.add(f)
+                cur.next.add(a)
+                stack.append(cur)
+            elif f.kind == ltl.ALWAYS:
+                cur.old.add(f)
+                cur.new |= {a} - cur.old
+                cur.next.add(f)
+                stack.append(cur)
+            elif f.kind in (ltl.OR, ltl.UNTIL, ltl.RELEASE, ltl.EVENTUALLY):
+                left = self.fresh(cur.incoming, cur.new, cur.old | {f}, cur.next)
+                right = self.fresh(cur.incoming, cur.new, cur.old | {f}, cur.next)
+                if f.kind == ltl.OR:
+                    left.new |= {a} - left.old
+                    right.new |= {b} - right.old
+                elif f.kind == ltl.UNTIL:
+                    left.new |= {a} - left.old
+                    left.next.add(f)
+                    right.new |= {b} - right.old
+                elif f.kind == ltl.RELEASE:
+                    left.new |= {b} - left.old
+                    left.next.add(f)
+                    right.new |= {x for x in (a, b)} - right.old
+                else:  # eventually: a or X F a
+                    left.next.add(f)
+                    right.new |= {a} - right.old
+                stack.append(right)
+                stack.append(left)
+            else:
+                raise ValueError(f"unexpected kind in normal form: {f.kind}")
+
+
+def tableau_nodes(g: ltl.Formula) -> list:
+    """Completed nodes of the expansion of an NNF formula, in creation order."""
+    tableau = _Tableau()
+    tableau.expand(tableau.fresh({0}, {g}, set(), set()))
+    return tableau.nodes
+
+
+def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Quotient by forward bisimulation respecting acceptance; language-safe."""
+    block = [1 if s in a.accepting else 0 for s in range(a.n_states)]
+    while True:
+        sigs = {}
+        for s in range(a.n_states):
+            items = frozenset(
+                (label_sort_key(a.transitions[t].label), block[a.transitions[t].dst])
+                for t in a.out_transitions(s)
+            )
+            sigs.setdefault((block[s], items), []).append(s)
+        new_block = [0] * a.n_states
+        for i, (_, members) in enumerate(sorted(sigs.items(), key=lambda kv: min(kv[1]))):
+            for s in members:
+                new_block[s] = i
+        if new_block == block:
+            break
+        block = new_block
+    groups = {}
+    for s in range(a.n_states):
+        groups.setdefault(block[s], []).append(s)
+    class_of = {}
+    for members in groups.values():
+        rep = min(members)
+        for s in members:
+            class_of[s] = rep
+    keep = sorted(set(class_of.values()))
+    if len(keep) == a.n_states:
+        return a
+    return rebuild(a, keep, class_of)
+
+
+def translate(f: ltl.Formula, nodes=None) -> BuchiAutomaton:
+    """Automaton over guard-labeled transitions accepting exactly models of f.
+
+    `nodes`, when given, are the `tableau_nodes` of f's normal form.
+    """
+    g = ltl.to_nnf(f)
+    if nodes is None:
+        nodes = tableau_nodes(g)
+    obligations = _liveness_obligations(g)
+
+    # generalized automaton: state 0 is initial, states 1.. are tableau nodes
+    ids = {0: 0}
+    gba = BuchiAutomaton(GUARD_MODE)
+    gba.add_state("init")
+    for node in nodes:
+        ids[node.nid] = gba.add_state(None)
+    for node in nodes:
+        guard = _guard_of(node)
+        for src in sorted(node.incoming):
+            if src in ids:
+                gba.add_transition(ids[src], guard, ids[node.nid])
+    gba = reachable_fragment(gba)
+
+    sets = []
+    for ob in obligations:
+        fulfilled = ob.children[-1]
+        members = {0}
+        for node in nodes:
+            if ob not in node.old or fulfilled in node.old:
+                members.add(ids[node.nid])
+        sets.append(members)
+    ba = _degeneralize(gba, sets)
+    ba = quotient_bisimulation(ba)
+    ba = prune_non_coaccessible(ba)
+    ba = reachable_fragment(ba)
+    return ba

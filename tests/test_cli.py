@@ -1,8 +1,13 @@
 """Command line behavior: exit codes, files, round trips, rendering."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import syncplan
 from syncplan.cli import main
 from syncplan.scenario_io import (
     bundled_scenario_path,
@@ -203,3 +208,54 @@ class TestStats:
         out = capsys.readouterr().out
         for token in ("|P_hat|", "global total", "dependency classes", "reduction ratio"):
             assert token in out
+
+
+def run_cli(*args):
+    """The command line in a fresh interpreter, so a traceback would show."""
+    env = dict(os.environ, PYTHONPATH=str(Path(syncplan.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "syncplan.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+class TestMalformedFiles:
+    @pytest.fixture()
+    def strategy_path(self, tmp_path):
+        from syncplan.globalprod import Strategy, StrategyStep
+
+        st = Strategy(1, (), (StrategyStep("s0", "ping", frozenset({1, 2})),))
+        (path,) = save_strategies({1: st}, tmp_path / "st")
+        return path
+
+    def assert_rejected(self, proc, message):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+    def test_truncated_strategy(self, strategy_path):
+        strategy_path.write_text(strategy_path.read_text()[:40])
+        self.assert_rejected(run_cli("simulate", ASYM, str(strategy_path)), "line")
+
+    def test_missing_strategy(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        self.assert_rejected(run_cli("simulate", ASYM, missing), "No such file")
+        self.assert_rejected(run_cli("render", THREE, "--strategies", missing), "No such file")
+
+    def test_sync_not_a_list(self, strategy_path):
+        data = json.loads(strategy_path.read_text())
+        data["cycle"][0]["sync"] = 5
+        strategy_path.write_text(json.dumps(data))
+        self.assert_rejected(run_cli("simulate", ASYM, str(strategy_path)), "sync")
+
+    def test_grid_width_not_an_integer(self, tmp_path):
+        data = json.loads(Path(THREE).read_text())
+        data["agents"][0]["grid"]["width"] = "x"
+        self.assert_rejected(
+            run_cli("check", write_scenario(tmp_path, data)), "width: expected an integer"
+        )
+
+    def test_reversed_duration_bounds(self, tmp_path, strategy_path):
+        data = json.loads(Path(ASYM).read_text())
+        data["simulation"]["duration"] = [5.0, 1.0]
+        scenario = write_scenario(tmp_path, data)
+        self.assert_rejected(run_cli("simulate", scenario, str(strategy_path)), "duration")

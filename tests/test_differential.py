@@ -1,22 +1,31 @@
-"""The optimized reductions against their unoptimized references.
+"""The optimized reductions, translator and global product against their
+unoptimized references.
 
 Witnesses are compared step by step, so any change in which of several
 equally short paths a reduction keeps fails here.  The task reduction's
 region analysis is the exception: its reference breaks ties by set order,
 so there distances, anchors and detours must agree and paths must chain.
+Tableau nodes are compared with their ids and incoming sets, which fix the
+order of the translated automaton's transitions.
 """
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from syncplan import motion, taskprod
-from syncplan.buchi import Silent
+from syncplan import globalprod, ltl, motion, pipeline, taskprod
+from syncplan.buchi import Silent, strongly_connected_components
+from syncplan.globalprod import EmptyLanguageError
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
-from syncplan.scenario_io import load_bundled
+from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.taskprod import _region_analysis, classify_task_significance
+from syncplan.translate import _Tableau, translate
+from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
-from tests.conftest import random_motion_product
+from tests import reference_tableau as ref_tableau
+from tests.conftest import ATOMS, random_formula, random_motion_product, random_scenario
 from tests.test_taskprod import _random_task_instance
 
 
@@ -156,3 +165,104 @@ def test_bundled_scenarios_match_reference(name, per_class, monkeypatch):
         assert dump(art.reduced_task.automaton) == dump(
             old.artifacts[aid].reduced_task.automaton
         )
+
+
+def test_region_components_match_copied_subautomaton():
+    rng = random.Random(13)
+    nontrivial = 0
+    for _ in range(400):
+        tm, ga = _random_task_instance(rng)
+        a = tm.automaton
+        region = {s for s in range(a.n_states) if rng.random() < 0.7}
+        comps = strongly_connected_components(a, allowed=region)[1]
+        assert comps == ref.region_components(a, region)
+        nontrivial += sum(len(c) > 1 for c in comps)
+    assert nontrivial >= 100
+
+
+def _benchmark_formulas():
+    """Every agent formula of the benchmark workloads, and each team's
+    conjunction as the centralized estimate builds it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    formulas = []
+    for name in sorted(workloads.WORKLOADS):
+        scenario = scenario_from_dict(workloads.generate(name))
+        conjunction = ltl.TRUE_F
+        for aid in scenario.agent_ids:
+            pair = (scenario.motion_formulas[aid], scenario.task_formulas[aid])
+            formulas.extend(pair)
+            conjunction = ltl.land(conjunction, ltl.land(*pair))
+        formulas.append(conjunction)
+    return formulas
+
+
+def _guard_dump(a):
+    """Guards as sorted literal lists: frozenset reprs vary between processes."""
+    return (
+        a.initial,
+        sorted(a.accepting),
+        list(a.state_tags),
+        [(t.src, sorted(t.label.pos), sorted(t.label.neg), t.dst) for t in a.transitions],
+    )
+
+
+def test_tableau_and_translation_match_node_by_node_expansion():
+    rng = random.Random(23)
+    formulas = _benchmark_formulas()
+    formulas += [random_formula(rng, ATOMS, 4) for _ in range(800)]
+    shared = 0
+    for f in formulas:
+        g = ltl.to_nnf(f)
+        old_nodes = ref_tableau.tableau_nodes(g)
+        new_nodes = _Tableau(g).nodes
+        assert [(n.nid, sorted(n.incoming), n.old, n.next) for n in new_nodes] == [
+            (n.nid, sorted(n.incoming), frozenset(n.old), frozenset(n.next)) for n in old_nodes
+        ], str(f)
+        assert _guard_dump(translate(f)) == _guard_dump(ref_tableau.translate(f, old_nodes)), str(f)
+        shared += len({n.next for n in new_nodes}) < len(new_nodes)
+    assert shared >= 100  # successor expansions are replayed, not just made once
+
+
+def _product_dump(gp):
+    a = gp.automaton
+    back = {
+        tid: (b[0], b[1], dict(b[2])) if b[0] == "joint" else b for tid, b in a.tr_back.items()
+    }
+    return (
+        gp.agent_ids,
+        a.initial,
+        sorted(a.accepting),
+        list(a.state_tags),
+        list(a.transitions),
+        dict(a.tr_dep),
+        back,
+    )
+
+
+def test_global_product_matches_per_state_joint_moves(monkeypatch):
+    shared = []
+
+    def both(products):
+        new = globalprod.build_global_product(products)
+        tags = new.automaton.state_tags
+        if len(tags) <= 4000:  # a few random teams reach 10k states, seconds per build
+            assert _product_dump(new) == _product_dump(ref_gp.build_global_product(products))
+            shared.append(len({qs for qs, _j in tags}) < len(tags))
+        return new
+
+    monkeypatch.setattr(pipeline, "build_global_product", both)
+    monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
+    # two_pairs runs per class: its whole-team product takes seconds per build
+    cases = [(load_bundled("three_robots"), False), (load_bundled("two_pairs"), True)]
+    cases.append((load_bundled("asymmetry"), False))
+    rng = random.Random(29)
+    cases += [(random_scenario(rng), False) for _ in range(40)]
+    for scenario, per_class in cases:
+        try:
+            run_synthesis(scenario, per_class=per_class, with_estimate=False)
+        except EmptyLanguageError:
+            continue
+    assert len(shared) >= 35 and sum(shared) >= 30  # the memo is hit, not just filled

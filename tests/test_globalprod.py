@@ -3,10 +3,11 @@ import dataclasses
 
 import pytest
 
-from syncplan.buchi import Silent
+from syncplan.buchi import Silent, find_accepting_lasso
 from syncplan.globalprod import (
     EmptyLanguageError,
     SynthesisError,
+    _candidate_lassos,
     compute_dependency_classes,
     minimize_synchronizations,
     synthesize,
@@ -75,6 +76,20 @@ class TestGlobalProduct:
             ]
             assert len(moved) <= 1
             assert auto.tr_dep[tid] == frozenset({t.label.agent})
+
+    def test_joint_assignments_are_read_only(self, three_robots_result):
+        ((_group, gp),) = three_robots_result.global_products
+        auto = gp.automaton
+        back = next(b for b in auto.tr_back.values() if b[0] == "joint")
+        with pytest.raises(TypeError):
+            back[2][0] = 0
+
+    def test_first_candidate_is_the_minimal_lasso(self, three_robots_result, two_pairs):
+        pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+        products = [gp for _group, gp in three_robots_result.global_products]
+        products += [gp for _group, gp in pairs.global_products]
+        for gp in products:
+            assert next(_candidate_lassos(gp)) == find_accepting_lasso(gp.automaton)
 
 
 class TestSynthesize:
