@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 GUARD_MODE = "guard"
 EXPLICIT_MODE = "explicit"
@@ -61,8 +62,7 @@ def label_sort_key(label):
     return (1, 0, tuple(sorted(label)))
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: int
     label: object
     dst: int

@@ -24,6 +24,7 @@ from .pipeline import format_stats, run_synthesis
 from .render import render_ascii, render_svg
 from .scenario_io import (
     ScenarioFormatError,
+    check_strategies_fit,
     load_scenario,
     load_strategies,
     save_strategies,
@@ -43,6 +44,18 @@ def _load(path, loader=load_scenario):
     except (ScenarioFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+
+
+def _load_strategies(paths, scenario):
+    """Strategies read from files, like `_load`; a strategy naming an agent,
+    state or action that `scenario` lacks also ends with EXIT_INVALID."""
+
+    def load(paths):
+        strategies = load_strategies(paths)
+        check_strategies_fit(scenario, strategies)
+        return strategies
+
+    return _load(paths, load)
 
 
 def cmd_check(args) -> int:
@@ -100,7 +113,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
-    strategies = _load(args.strategies, load_strategies)
+    strategies = _load_strategies(args.strategies, scenario)
     base = scenario.simulation
     base_seed = base.get("seed", 0) if args.seed is None else args.seed
     failures = 0
@@ -157,7 +170,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_render(args) -> int:
     scenario = _load(args.scenario)
-    strategies = _load(args.strategies, load_strategies) if args.strategies else {}
+    strategies = _load_strategies(args.strategies, scenario) if args.strategies else {}
     try:
         if args.format == "ascii":
             text = render_ascii(scenario, strategies)

@@ -17,7 +17,6 @@ checks are discarded and the search continues.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import lcm
 from types import MappingProxyType
@@ -27,6 +26,7 @@ from .buchi import (
     BuchiAutomaton,
     Lasso,
     Silent,
+    Transition,
     _bfs,
     _good_components,
     _minimal_lasso,
@@ -74,8 +74,9 @@ class GlobalProduct:
     State tags are (component state tuple, counter); the counter walks
     1..N+1, advancing when the agent at the current position moves into its
     accepting set.  `tr_back[tid]` is ("local", position, transition id) or
-    ("joint", coalition ids, {position: transition id}); the assignment is
-    read-only, because transitions from equal component tuples share it.
+    ("joint", coalition ids, {position: transition id}).  Transitions out of
+    equal component tuples share their label, `tr_dep` and `tr_back` objects,
+    so the assignment is read-only.
     """
 
     automaton: BuchiAutomaton
@@ -92,32 +93,42 @@ def build_global_product(products) -> GlobalProduct:
     own = [p.origin.own_services for p in products]
     fsyn = [p.origin.foreign_syntactic for p in products]
 
+    counter_steps = {}
+
+    def counter_step(advancing):
+        """The next counter value for each value 1..n+1 (index 0 unused)
+        when the agents at the `advancing` positions move into their
+        accepting sets: the counter passes position j - 1 if that agent
+        advances, and wraps from n + 1 back to 1."""
+        step = counter_steps.get(advancing)
+        if step is None:
+            step = tuple(j + 1 if j - 1 in advancing else j for j in range(n + 1)) + (1,)
+            counter_steps[advancing] = step
+        return step
+
+    # per position: state -> [(target, back reference, counter step)] of its
+    # silent moves, and state -> transition ids of its joint moves
     silent_out = []
     joint_out = []
-    for a in autos:
+    for pos, a in enumerate(autos):
         s_out = {}
         j_out = {}
         for tid, t in enumerate(a.transitions):
             if isinstance(t.label, Silent):
-                s_out.setdefault(t.src, []).append(tid)
+                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
+                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), step))
             else:
                 j_out.setdefault(t.src, []).append(tid)
         silent_out.append(s_out)
         joint_out.append(j_out)
-
-    moves = {}  # component state tuple -> joint_moves_at result
+    silent = [Silent(aid) for aid in agent_ids]
+    solo = [frozenset((aid,)) for aid in agent_ids]
 
     def dep_of(pos, tid):
-        return autos[pos].tr_dep.get(tid, frozenset((agent_ids[pos],)))
+        return autos[pos].tr_dep.get(tid, solo[pos])
 
     def joint_moves_at(qs):
-        """Complete closed coalition assignments, deduplicated across seeds.
-
-        They depend on the component states alone, not on the counter, so
-        each tuple is enumerated once (`moves`).
-        """
-        if qs in moves:
-            return moves[qs]
+        """Complete closed coalition assignments, deduplicated across seeds."""
         results = []
         seen = set()
         for seed_pos in range(n):
@@ -165,59 +176,67 @@ def build_global_product(products) -> GlobalProduct:
                     seen.add(key)
                     results.append((sigma, coalition, MappingProxyType(assign), targets))
         results.sort(key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3]))
-        moves[qs] = results
         return results
 
-    def advance(j, moved_positions, targets):
-        if j == n + 1:
-            return 1
-        pos = j - 1
-        if pos in moved_positions and targets[pos] in autos[pos].accepting:
-            return j + 1
-        return j
+    # component tuple -> [the tuple, its state id at counter 1, ..., at n + 1]
+    state_ids = {}
+
+    def ids_of(qs):
+        ids = state_ids.get(qs)
+        if ids is None:
+            ids = state_ids[qs] = [qs] + [None] * (n + 1)
+        return ids
+
+    def moves_from(qs):
+        """All moves out of a component tuple as (label, dep, back, target
+        ids, counter step); every counter value shares them."""
+        out = []
+        for pos in range(n):
+            for dst, back, step in silent_out[pos].get(qs[pos], ()):
+                targets = qs[:pos] + (dst,) + qs[pos + 1:]
+                out.append((silent[pos], solo[pos], back, ids_of(targets), step))
+        for sigma, coalition, assign, targets in joint_moves_at(qs):
+            back = ("joint", coalition, assign)
+            step = counter_step(
+                frozenset(pos for pos in assign if targets[pos] in autos[pos].accepting)
+            )
+            out.append((sigma, coalition, back, ids_of(targets), step))
+        return out
 
     product = BuchiAutomaton(EXPLICIT_MODE)
-    ids = {}
+    last_accepting = autos[n - 1].accepting
 
-    def state_id(key):
-        if key not in ids:
-            ids[key] = product.add_state(key)
-            qs, j = key
-            if j == n and qs[n - 1] in autos[n - 1].accepting:
-                product.accepting.add(ids[key])
-        return ids[key]
+    def add_state(ids, j):
+        qs = ids[0]
+        sid = ids[j] = product.add_state((qs, j))
+        if j == n and qs[n - 1] in last_accepting:
+            product.accepting.add(sid)
+        return sid
 
-    start = (tuple(a.initial for a in autos), 1)
-    product.initial = state_id(start)
-    queue = deque([start])
-    seen_states = {start}
-
-    def push(src_key, label, dst_key, dep, back):
-        tid = product.add_transition(state_id(src_key), label, state_id(dst_key))
-        product.tr_dep[tid] = dep
-        product.tr_back[tid] = back
-        if dst_key not in seen_states:
-            seen_states.add(dst_key)
-            queue.append(dst_key)
-
-    while queue:
-        key = queue.popleft()
-        qs, j = key
-        for pos in range(n):
-            for tid in silent_out[pos].get(qs[pos], ()):
-                t = autos[pos].transitions[tid]
-                targets = tuple(t.dst if p == pos else qs[p] for p in range(n))
-                j2 = advance(j, {pos}, targets)
-                push(
-                    key,
-                    Silent(agent_ids[pos]),
-                    (targets, j2),
-                    frozenset((agent_ids[pos],)),
-                    ("local", pos, tid),
-                )
-        for sigma, coalition, assign, targets in joint_moves_at(qs):
-            j2 = advance(j, set(assign), targets)
-            push(key, sigma, (targets, j2), coalition, ("joint", coalition, assign))
+    product.initial = add_state(ids_of(tuple(a.initial for a in autos)), 1)
+    moves = {}  # component tuple -> moves_from(tuple)
+    tags = product.state_tags
+    transitions = product.transitions
+    tr_dep = product.tr_dep
+    tr_back = product.tr_back
+    # breadth first: states are numbered in discovery order, so the queue is
+    # the run of ids not yet expanded; transitions are appended directly,
+    # as nothing reads the automaton's index while it is built
+    src = 0
+    while src < len(tags):
+        qs, j = tags[src]
+        out = moves.get(qs)
+        if out is None:
+            out = moves[qs] = moves_from(qs)
+        for label, dep, back, ids, step in out:
+            j2 = step[j]
+            dst = ids[j2]
+            if dst is None:
+                dst = add_state(ids, j2)
+            tr_dep[len(transitions)] = dep
+            tr_back[len(transitions)] = back
+            transitions.append(Transition(src, label, dst))
+        src += 1
 
     return GlobalProduct(product, products, agent_ids)
 
@@ -484,10 +503,13 @@ class _AgentExpander:
                     prefix_emit, passes, len(passes), (approach, loop, absorbed.dst)
                 )
             passes.append((emit, nxt))
+            if len(passes) > self.MAX_PASSES:
+                raise SynthesisError(
+                    f"agent {self.agent_id}: cycle expansion did not close "
+                    f"within {self.MAX_PASSES} passes"
+                )
             if nxt in seen:
                 return _Expansion(prefix_emit, passes, seen[nxt], None)
-            if len(passes) > self.MAX_PASSES:
-                raise SynthesisError("cycle expansion failed to close")
             seen[nxt] = len(passes)
             state = nxt
 

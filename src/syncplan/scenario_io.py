@@ -372,6 +372,25 @@ def load_strategies(paths) -> dict:
     return out
 
 
+def check_strategies_fit(scenario: Scenario, strategies: dict) -> None:
+    """Raises ScenarioFormatError naming the first agent, state or action a
+    strategy uses that the scenario lacks."""
+    agents = {a.agent_id: a for a in scenario.agents}
+    for aid in sorted(strategies):
+        where = f"strategy of agent {aid}"
+        agent = agents.get(aid)
+        if agent is None:
+            raise ScenarioFormatError(f"{where}: scenario '{scenario.name}' has no agent {aid}")
+        states = set(agent.ts.states)
+        for part in ("prefix", "cycle"):
+            for i, step in enumerate(getattr(strategies[aid], part)):
+                at = f"{where}: {part}[{i}]"
+                if step.state not in states:
+                    raise ScenarioFormatError(f"{at}: agent {aid} has no state {step.state!r}")
+                if step.action not in agent.action_labels:
+                    raise ScenarioFormatError(f"{at}: agent {aid} has no action {step.action!r}")
+
+
 def bundled_scenario_path(name: str) -> Path:
     """Path of a packaged example scenario, e.g. 'three_robots'."""
     return Path(resources.files("syncplan.data") / f"{name}.json")

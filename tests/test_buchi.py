@@ -208,3 +208,12 @@ def test_dot_export_shape():
     a2.add_state()
     a2.add_transition(0, Silent(7), 0)
     assert "eps_7" in to_dot(a2)
+
+
+def test_transitions_are_read_only():
+    a = chain_automaton()
+    t = a.transitions[0]
+    for field in ("src", "label", "dst"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, 2)
+    assert (t.src, t.label, t.dst) == (0, frozenset("x"), 1)

@@ -247,6 +247,26 @@ class TestMalformedFiles:
         strategy_path.write_text(json.dumps(data))
         self.assert_rejected(run_cli("simulate", ASYM, str(strategy_path)), "sync")
 
+    def rewrite(self, strategy_path, agent=1, **step):
+        data = json.loads(strategy_path.read_text())
+        data["agent"] = agent
+        data["cycle"][0].update(step)
+        strategy_path.write_text(json.dumps(data))
+        return str(strategy_path)
+
+    def test_unknown_agent(self, strategy_path):
+        path = self.rewrite(strategy_path, agent=9, sync=[9])
+        self.assert_rejected(run_cli("simulate", ASYM, path), "has no agent 9")
+
+    def test_unknown_action(self, strategy_path):
+        path = self.rewrite(strategy_path, action="fly")
+        self.assert_rejected(run_cli("simulate", ASYM, path), "no action 'fly'")
+
+    def test_unknown_state(self, strategy_path):
+        path = self.rewrite(strategy_path, state="99,99")
+        self.assert_rejected(run_cli("simulate", ASYM, path), "no state '99,99'")
+        self.assert_rejected(run_cli("render", ASYM, "--strategies", path), "no state '99,99'")
+
     def test_grid_width_not_an_integer(self, tmp_path):
         data = json.loads(Path(THREE).read_text())
         data["agents"][0]["grid"]["width"] = "x"

@@ -242,27 +242,64 @@ def _product_dump(gp):
     )
 
 
+def _shared_moves(gp):
+    """Pairs of states with equal component tuples whose outgoing moves were
+    checked to share label, dependency set and back reference objects."""
+    a = gp.automaton
+    out = {}
+    for tid, t in enumerate(a.transitions):
+        out.setdefault(t.src, []).append(tid)
+    first = {}
+    pairs = 0
+    for s, (qs, _j) in enumerate(a.state_tags):
+        tids = out.get(s, [])
+        if qs not in first:
+            first[qs] = tids
+            continue
+        assert len(tids) == len(first[qs])
+        for t1, t2 in zip(first[qs], tids):
+            assert a.transitions[t1].label is a.transitions[t2].label
+            assert a.tr_dep[t1] is a.tr_dep[t2]
+            assert a.tr_back[t1] is a.tr_back[t2]
+        pairs += 1
+    silent = {
+        (t.label.agent, id(t.label), id(a.tr_dep[tid]))
+        for tid, t in enumerate(a.transitions)
+        if isinstance(t.label, Silent)
+    }
+    assert len(silent) == len({aid for aid, _, _ in silent})  # one label and dep set per agent
+    return pairs
+
+
 def test_global_product_matches_per_state_joint_moves(monkeypatch):
     shared = []
+    limit = None
 
     def both(products):
         new = globalprod.build_global_product(products)
         tags = new.automaton.state_tags
-        if len(tags) <= 4000:  # a few random teams reach 10k states, seconds per build
+        if limit is None or len(tags) <= limit:
             assert _product_dump(new) == _product_dump(ref_gp.build_global_product(products))
-            shared.append(len({qs for qs, _j in tags}) < len(tags))
+            shared.append(_shared_moves(new) > 0)
         return new
 
     monkeypatch.setattr(pipeline, "build_global_product", both)
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
-    # two_pairs runs per class: its whole-team product takes seconds per build
-    cases = [(load_bundled("three_robots"), False), (load_bundled("two_pairs"), True)]
-    cases.append((load_bundled("asymmetry"), False))
+    # the bundled teams are compared whatever their size (two_pairs as one
+    # whole-team product of 18,432 states and per class); of the random
+    # teams, a few reach 10k states at seconds per build, so only products
+    # up to 4,000 states are compared
+    two_pairs = load_bundled("two_pairs")
+    cases = [(load_bundled("three_robots"), False, None)]
+    cases += [(two_pairs, False, None), (two_pairs, True, None)]
+    cases.append((load_bundled("asymmetry"), False, None))
     rng = random.Random(29)
-    cases += [(random_scenario(rng), False) for _ in range(40)]
-    for scenario, per_class in cases:
+    cases += [(random_scenario(rng), False, 4000) for _ in range(40)]
+    for scenario, per_class, limit in cases:
         try:
-            run_synthesis(scenario, per_class=per_class, with_estimate=False)
+            result = run_synthesis(scenario, per_class=per_class, with_estimate=False)
         except EmptyLanguageError:
             continue
-    assert len(shared) >= 35 and sum(shared) >= 30  # the memo is hit, not just filled
+        if scenario is two_pairs and not per_class:
+            assert [gp.automaton.n_states for _g, gp in result.global_products] == [18_432]
+    assert len(shared) >= 36 and sum(shared) >= 31  # the move lists are reused, not rebuilt

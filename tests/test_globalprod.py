@@ -7,6 +7,7 @@ from syncplan.buchi import Silent, find_accepting_lasso
 from syncplan.globalprod import (
     EmptyLanguageError,
     SynthesisError,
+    _AgentExpander,
     _candidate_lassos,
     compute_dependency_classes,
     minimize_synchronizations,
@@ -201,6 +202,15 @@ class TestSynthesize:
         ((_group, gp),) = result.global_products
         with pytest.raises(SynthesisError, match="do not chain"):
             synthesize(gp)
+
+    def test_expansion_pass_limit_is_a_named_error(self, monkeypatch, two_pairs):
+        # every bundled agent's cycle closes after one pass, so a limit of no
+        # passes must stop the replay, also under python -O
+        monkeypatch.setattr(_AgentExpander, "MAX_PASSES", 0)
+        with pytest.raises(
+            SynthesisError, match="agent 1: cycle expansion did not close within 0 passes"
+        ):
+            run_synthesis(two_pairs, per_class=True, with_estimate=False)
 
     def test_unsatisfiable_motion_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})
