@@ -53,6 +53,8 @@ class Scenario:
     task_texts: dict = field(default_factory=dict)
     name: str = "scenario"
     simulation: dict = field(default_factory=dict)
+    # formula -> its translated automaton, filled by the verdict checks
+    automata: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def agent_ids(self):

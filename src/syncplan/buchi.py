@@ -9,7 +9,7 @@ possibly empty) or a per-agent silent symbol.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 GUARD_MODE = "guard"
@@ -22,10 +22,20 @@ class AlphabetMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Guard:
-    """Conjunction of literals over named atoms; empty guard means `true`."""
+    """Conjunction of literals over named atoms; empty guard means `true`.
+
+    Hashed once, to the value the dataclass would generate.
+    """
 
     pos: frozenset = frozenset()
     neg: frozenset = frozenset()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.pos, self.neg)))
+
+    def __hash__(self):
+        return self._hash
 
     def accepts(self, symbol) -> bool:
         return self.pos <= symbol and not (self.neg & symbol)
@@ -644,39 +654,44 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
 
 
 def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by forward bisimulation respecting acceptance; language-safe."""
-    keys = {}  # label -> label_sort_key, computed once per distinct label
+    """Quotient by forward bisimulation respecting acceptance; language-safe.
+
+    Labels with equal `label_sort_key` get one small integer id, and a
+    transition's part of a signature is the integer id + n_labels * target
+    block.  Blocks are numbered by their least state, so a round that adds
+    no block leaves the partition as it was.
+    """
+    n = a.n_states
+    ids = {}  # label_sort_key -> label id
+    of_label = {}  # label -> label id, so each distinct label is keyed once
+    lid = []
     for t in a.transitions:
-        if t.label not in keys:
-            keys[t.label] = label_sort_key(t.label)
-    block = [1 if s in a.accepting else 0 for s in range(a.n_states)]
+        i = of_label.get(t.label)
+        if i is None:
+            i = of_label[t.label] = ids.setdefault(label_sort_key(t.label), len(ids))
+        lid.append(i)
+    dst = [t.dst for t in a.transitions]
+    outs = [a.out_transitions(s) for s in range(n)]
+    width = len(ids)
+    block = [1 if s in a.accepting else 0 for s in range(n)]
+    count = len(set(block))
     while True:
-        sigs = {}
-        for s in range(a.n_states):
-            items = frozenset(
-                (keys[a.transitions[t].label], block[a.transitions[t].dst])
-                for t in a.out_transitions(s)
+        sigs = {}  # states go in ascending order: first seen is least member
+        block = [
+            sigs.setdefault(
+                (block[s], frozenset([lid[t] + width * block[dst[t]] for t in outs[s]])),
+                len(sigs),
             )
-            sigs.setdefault((block[s], items), []).append(s)
-        new_block = [0] * a.n_states
-        for i, (_, members) in enumerate(sorted(sigs.items(), key=lambda kv: min(kv[1]))):
-            for s in members:
-                new_block[s] = i
-        if new_block == block:
+            for s in range(n)
+        ]
+        if len(sigs) == count:
             break
-        block = new_block
-    groups = {}
-    for s in range(a.n_states):
-        groups.setdefault(block[s], []).append(s)
-    class_of = {}
-    for members in groups.values():
-        rep = min(members)
-        for s in members:
-            class_of[s] = rep
-    keep = sorted(set(class_of.values()))
-    if len(keep) == a.n_states:
+        count = len(sigs)
+    if count == n:
         return a
-    return rebuild(a, keep, class_of)
+    rep = {}
+    class_of = {s: rep.setdefault(block[s], s) for s in range(n)}
+    return rebuild(a, sorted(rep.values()), class_of)
 
 
 def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:

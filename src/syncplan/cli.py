@@ -48,7 +48,8 @@ def _load(path, loader=load_scenario):
 
 def _load_strategies(paths, scenario):
     """Strategies read from files, like `_load`; a strategy naming an agent,
-    state or action that `scenario` lacks also ends with EXIT_INVALID."""
+    state or action that `scenario` lacks, or a step the agent cannot take,
+    also ends with EXIT_INVALID."""
 
     def load(paths):
         strategies = load_strategies(paths)

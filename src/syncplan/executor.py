@@ -281,12 +281,15 @@ class AgentVerdict:
         return self.motion == self.motion_by_membership and self.task == self.task_by_membership
 
 
-def check_local_satisfaction(
-    scenario: Scenario, strategies: dict, result: SimulationResult, spec_automata=None
-) -> dict:
-    """Motion and task verdicts per agent, cross-checked on the automata."""
+def check_local_satisfaction(scenario: Scenario, strategies: dict, result: SimulationResult) -> dict:
+    """Motion and task verdicts per agent, cross-checked on the automata.
+
+    Each formula is translated once per scenario: the automaton is kept in
+    `scenario.automata` for every later check on the same scenario.
+    """
     from .buchi import check_lasso_membership
 
+    automata = scenario.automata
     verdicts = {}
     for aid in sorted(strategies):
         st = strategies[aid]
@@ -299,15 +302,14 @@ def check_local_satisfaction(
         local_word = extract_local_word(result, aid, scenario)
         motion_formula = scenario.motion_formulas[aid]
         task_formula = scenario.task_formulas[aid]
-        if spec_automata is not None and aid in spec_automata:
-            motion_spec, task_spec = spec_automata[aid]
-        else:
-            motion_spec, task_spec = translate(motion_formula), translate(task_formula)
+        for f in (motion_formula, task_formula):
+            if f not in automata:
+                automata[f] = translate(f)
         verdicts[aid] = AgentVerdict(
             motion=ltl.eval_ltl(motion_formula, state_word),
             task=ltl.eval_ltl(task_formula, local_word),
-            motion_by_membership=check_lasso_membership(motion_spec, state_word),
-            task_by_membership=check_lasso_membership(task_spec, local_word),
+            motion_by_membership=check_lasso_membership(automata[motion_formula], state_word),
+            task_by_membership=check_lasso_membership(automata[task_formula], local_word),
         )
     return verdicts
 

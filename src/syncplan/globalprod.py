@@ -233,8 +233,9 @@ def build_global_product(products) -> GlobalProduct:
             dst = ids[j2]
             if dst is None:
                 dst = add_state(ids, j2)
-            tr_dep[len(transitions)] = dep
-            tr_back[len(transitions)] = back
+            tid = len(transitions)  # one int object for both keys
+            tr_dep[tid] = dep
+            tr_back[tid] = back
             transitions.append(Transition(src, label, dst))
         src += 1
 

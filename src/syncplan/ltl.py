@@ -6,7 +6,7 @@ as the independent oracle against which the automaton translation is checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ATOM = "atom"
 TRUE = "true"
@@ -37,9 +37,17 @@ _ARITY = {
 
 @dataclass(frozen=True)
 class Formula:
+    """Immutable syntax tree node.
+
+    The hash is the one the dataclass would generate, computed on first use
+    and then kept in `_hash`: a node's hash reads its children's kept
+    hashes, so no hash walks a whole subtree twice.
+    """
+
     kind: str
     children: tuple = ()
     name: str = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -48,6 +56,14 @@ class Formula:
             raise ValueError(f"{self.kind} expects {_ARITY[self.kind]} children")
         if self.kind == ATOM and not self.name:
             raise ValueError("atom needs a nonempty name")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # first use: parsing alone never pays for it
+            h = hash((self.kind, self.children, self.name))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self):
         return formula_text(self)

@@ -374,21 +374,44 @@ def load_strategies(paths) -> dict:
 
 def check_strategies_fit(scenario: Scenario, strategies: dict) -> None:
     """Raises ScenarioFormatError naming the first agent, state or action a
-    strategy uses that the scenario lacks."""
+    strategy uses that the scenario lacks, or the first step the agent
+    cannot take: the first step starts at the initial state, each step's
+    action leads from its state to the next step's state, and the last step
+    of the cycle leads back to the cycle's first."""
     agents = {a.agent_id: a for a in scenario.agents}
     for aid in sorted(strategies):
         where = f"strategy of agent {aid}"
         agent = agents.get(aid)
         if agent is None:
             raise ScenarioFormatError(f"{where}: scenario '{scenario.name}' has no agent {aid}")
-        states = set(agent.ts.states)
-        for part in ("prefix", "cycle"):
-            for i, step in enumerate(getattr(strategies[aid], part)):
-                at = f"{where}: {part}[{i}]"
-                if step.state not in states:
-                    raise ScenarioFormatError(f"{at}: agent {aid} has no state {step.state!r}")
-                if step.action not in agent.action_labels:
-                    raise ScenarioFormatError(f"{at}: agent {aid} has no action {step.action!r}")
+        ts = agent.ts
+        index = {name: i for i, name in enumerate(ts.states)}
+        st = strategies[aid]
+        steps = [(f"{where}: prefix[{i}]", step) for i, step in enumerate(st.prefix)]
+        steps += [(f"{where}: cycle[{i}]", step) for i, step in enumerate(st.cycle)]
+        for at, step in steps:
+            if step.state not in index:
+                raise ScenarioFormatError(f"{at}: agent {aid} has no state {step.state!r}")
+            if step.action not in agent.action_labels:
+                raise ScenarioFormatError(f"{at}: agent {aid} has no action {step.action!r}")
+        at, first = steps[0]
+        if first.state != ts.states[ts.initial]:
+            raise ScenarioFormatError(
+                f"{at}: starts at {first.state!r}, not at the initial state "
+                f"{ts.states[ts.initial]!r}"
+            )
+        following = [step.state for _, step in steps[1:]] + [st.cycle[0].state]
+        for (at, step), nxt in zip(steps, following):
+            reached = ts.trans.get((index[step.state], step.action))
+            if reached is None:
+                raise ScenarioFormatError(
+                    f"{at}: agent {aid} cannot take {step.action!r} in state {step.state!r}"
+                )
+            if ts.states[reached] != nxt:
+                raise ScenarioFormatError(
+                    f"{at}: {step.action!r} leads from {step.state!r} to "
+                    f"{ts.states[reached]!r}, not to the next step's state {nxt!r}"
+                )
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -14,6 +14,7 @@ from .buchi import (
     GUARD_MODE,
     BuchiAutomaton,
     Guard,
+    Transition,
     prune_non_coaccessible,
     quotient_bisimulation,
     reachable_fragment,
@@ -59,6 +60,14 @@ class _Tableau:
         self.nodes: list = []
         self.index: dict = {}  # (old, next) -> completed node
         self.memo: dict = {}  # new set -> (leaves, ids its expansion creates)
+        # pending formulas are subformulas of the root, taken in text order
+        self.text: dict = {}
+        stack = [root]
+        while stack:
+            g = stack.pop()
+            if g not in self.text:
+                self.text[g] = _key(g)
+                stack.extend(g.children)
         self._replay(frozenset((root,)))
 
     def _leaves(self, new: frozenset):
@@ -71,13 +80,14 @@ class _Tableau:
         found = self.memo.get(new)
         if found is not None:
             return found
+        text = self.text.__getitem__
         leaves = []
         created = 1
         stack = [(0, 0, set(new), set(), set())]  # (id, leaves before it, new, old, next)
         while stack:
             idx, before, pending, old, nxt = stack.pop()
             while pending:
-                f = min(pending, key=_key)
+                f = min(pending, key=text)
                 pending.discard(f)
                 if f in old:
                     continue
@@ -213,39 +223,42 @@ def _generalized(g: ltl.Formula):
 
 
 def _degeneralize(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
-    """Counter construction; with no obligation sets every state accepts."""
+    """Counter construction; with no obligation sets every state accepts.
+
+    States (q, i) are numbered in the order a depth-first walk from
+    (initial, 0) first reaches them, and tagged with that pair.
+    """
+    ba = BuchiAutomaton(GUARD_MODE)
     if not sets:
-        ba = BuchiAutomaton(GUARD_MODE)
-        for s in range(gba.n_states):
-            ba.add_state(gba.state_tags[s])
+        ba.state_tags.extend(gba.state_tags)
+        ba.transitions.extend(gba.transitions)
         ba.initial = gba.initial
         ba.accepting = set(range(gba.n_states))
-        for t in gba.transitions:
-            ba.add_transition(t.src, t.label, t.dst)
         return ba
     k = len(sets)
-    ba = BuchiAutomaton(GUARD_MODE)
-    ids = {}
-
-    def state_id(q, i):
-        key = (q, i)
-        if key not in ids:
-            ids[key] = ba.add_state(key)
-            if i == 0 and q in sets[0]:
-                ba.accepting.add(ids[key])
-        return ids[key]
-
-    ba.initial = state_id(gba.initial, 0)
-    work = [(gba.initial, 0)]
-    seen = {(gba.initial, 0)}
+    # states and transitions are appended directly: nothing reads the
+    # automaton's index while it is built
+    tags, transitions, accepting = ba.state_tags, ba.transitions, ba.accepting
+    start = (gba.initial, 0)
+    ids = {start: 0}
+    tags.append(start)
+    if gba.initial in sets[0]:
+        accepting.add(0)
+    work = [start]
     while work:
-        q, i = work.pop()
+        key = work.pop()
+        src = ids[key]
+        q, i = key
         j = (i + 1) % k if q in sets[i] else i
         for tid in gba.out_transitions(q):
             t = gba.transitions[tid]
-            key = (t.dst, j)
-            ba.add_transition(state_id(q, i), t.label, state_id(t.dst, j))
-            if key not in seen:
-                seen.add(key)
-                work.append(key)
+            key2 = (t.dst, j)
+            dst = ids.get(key2)
+            if dst is None:
+                dst = ids[key2] = len(tags)
+                tags.append(key2)
+                if j == 0 and t.dst in sets[0]:
+                    accepting.add(dst)
+                work.append(key2)
+            transitions.append(Transition(src, t.label, dst))
     return ba

@@ -1,8 +1,10 @@
 """Shared fixtures and random-instance generators."""
 from __future__ import annotations
 
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,15 @@ def explicit_agent(agent_id: int, states, actions, transitions, initial=0, props
         s for lab in action_labels.values() if isinstance(lab, frozenset) for s in lab
     )
     return AgentModel(agent_id, ts, services, action_labels, "stay")
+
+
+def benchmark_workloads():
+    """The benchmark's scenario generators, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def make_scenario(agents, motion_texts, task_texts, name="test"):

@@ -1,8 +1,10 @@
 """Unoptimized translator kept as the reference for the differential tests.
 
 `_Tableau` is the node expansion that expands every node's `next` set anew
-and finds completed nodes by scanning all of them; `quotient_bisimulation`
-recomputes `label_sort_key` for every transition in every round.
+and finds completed nodes by scanning all of them; `_degeneralize` adds
+states and transitions one call at a time; `quotient_bisimulation`
+recomputes `label_sort_key` for every transition in every round and
+compares whole block arrays to stop.
 `translate` chains them exactly as the translator did.  Node ids, incoming
 sets and the order of the nodes define what the shared-expansion tableau
 must reproduce.
@@ -21,7 +23,6 @@ from syncplan.buchi import (
     reachable_fragment,
 )
 from syncplan.translate import (
-    _degeneralize,
     _guard_of,
     _is_literal,
     _liveness_obligations,
@@ -124,6 +125,45 @@ def tableau_nodes(g: ltl.Formula) -> list:
     tableau = _Tableau()
     tableau.expand(tableau.fresh({0}, {g}, set(), set()))
     return tableau.nodes
+
+
+def _degeneralize(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
+    """Counter construction; with no obligation sets every state accepts."""
+    if not sets:
+        ba = BuchiAutomaton(GUARD_MODE)
+        for s in range(gba.n_states):
+            ba.add_state(gba.state_tags[s])
+        ba.initial = gba.initial
+        ba.accepting = set(range(gba.n_states))
+        for t in gba.transitions:
+            ba.add_transition(t.src, t.label, t.dst)
+        return ba
+    k = len(sets)
+    ba = BuchiAutomaton(GUARD_MODE)
+    ids = {}
+
+    def state_id(q, i):
+        key = (q, i)
+        if key not in ids:
+            ids[key] = ba.add_state(key)
+            if i == 0 and q in sets[0]:
+                ba.accepting.add(ids[key])
+        return ids[key]
+
+    ba.initial = state_id(gba.initial, 0)
+    work = [(gba.initial, 0)]
+    seen = {(gba.initial, 0)}
+    while work:
+        q, i = work.pop()
+        j = (i + 1) % k if q in sets[i] else i
+        for tid in gba.out_transitions(q):
+            t = gba.transitions[tid]
+            key = (t.dst, j)
+            ba.add_transition(state_id(q, i), t.label, state_id(t.dst, j))
+            if key not in seen:
+                seen.add(key)
+                work.append(key)
+    return ba
 
 
 def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:

@@ -52,10 +52,6 @@ def test_criterion_1_state_space_reduction(three_robots_result):
 
 def test_criterion_2_end_to_end_verdicts(three_robots, three_robots_result):
     strategies = three_robots_result.strategies
-    spec_automata = {
-        aid: (art.motion_spec, art.task_spec)
-        for aid, art in three_robots_result.artifacts.items()
-    }
     seeds = range(5)
     all_true = True
     invariant = True
@@ -68,7 +64,7 @@ def test_criterion_2_end_to_end_verdicts(three_robots, three_robots_result):
         except Exception:
             deadlocks += 1
             continue
-        verdicts = check_local_satisfaction(three_robots, strategies, result, spec_automata)
+        verdicts = check_local_satisfaction(three_robots, strategies, result)
         snapshot = tuple(
             (aid, verdicts[aid].motion, verdicts[aid].task) for aid in sorted(verdicts)
         )

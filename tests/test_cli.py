@@ -267,6 +267,21 @@ class TestMalformedFiles:
         self.assert_rejected(run_cli("simulate", ASYM, path), "no state '99,99'")
         self.assert_rejected(run_cli("render", ASYM, "--strategies", path), "no state '99,99'")
 
+    def test_teleporting_strategy(self, tmp_path, strategy_files):
+        # agent 3's first cycle move becomes `stay`: every step still names a
+        # known state and action, but the next step starts a cell further
+        paths = []
+        for src in strategy_files:
+            data = json.loads(Path(src).read_text())
+            if data["agent"] == 3:
+                step = next(s for s in data["cycle"] if s["action"] == "north")
+                step["action"] = "stay"
+            paths.append(tmp_path / Path(src).name)
+            paths[-1].write_text(json.dumps(data))
+        files = [str(p) for p in paths]
+        self.assert_rejected(run_cli("simulate", THREE, *files), "'stay' leads from")
+        self.assert_rejected(run_cli("render", THREE, "--strategies", *files), "'stay' leads from")
+
     def test_grid_width_not_an_integer(self, tmp_path):
         data = json.loads(Path(THREE).read_text())
         data["agents"][0]["grid"]["width"] = "x"

@@ -8,14 +8,12 @@ so there distances, anchors and detours must agree and paths must chain.
 Tableau nodes are compared with their ids and incoming sets, which fix the
 order of the translated automaton's transitions.
 """
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
-from syncplan import globalprod, ltl, motion, pipeline, taskprod
-from syncplan.buchi import Silent, strongly_connected_components
+from syncplan import buchi, globalprod, ltl, motion, pipeline, taskprod
+from syncplan.buchi import GUARD_MODE, BuchiAutomaton, Guard, Silent, strongly_connected_components
 from syncplan.globalprod import EmptyLanguageError
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
@@ -25,7 +23,13 @@ from syncplan.translate import _Tableau, translate
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
-from tests.conftest import ATOMS, random_formula, random_motion_product, random_scenario
+from tests.conftest import (
+    ATOMS,
+    benchmark_workloads,
+    random_formula,
+    random_motion_product,
+    random_scenario,
+)
 from tests.test_taskprod import _random_task_instance
 
 
@@ -183,10 +187,7 @@ def test_region_components_match_copied_subautomaton():
 def _benchmark_formulas():
     """Every agent formula of the benchmark workloads, and each team's
     conjunction as the centralized estimate builds it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     formulas = []
     for name in sorted(workloads.WORKLOADS):
         scenario = scenario_from_dict(workloads.generate(name))
@@ -224,6 +225,54 @@ def test_tableau_and_translation_match_node_by_node_expansion():
         assert _guard_dump(translate(f)) == _guard_dump(ref_tableau.translate(f, old_nodes)), str(f)
         shared += len({n.next for n in new_nodes}) < len(new_nodes)
     assert shared >= 100  # successor expansions are replayed, not just made once
+
+
+def _random_guard_automaton(rng):
+    """Guards drawn from a small pool, built anew per transition so that equal
+    labels are usually distinct objects; self-loops and parallel edges."""
+    pool = []
+    for _ in range(rng.randint(1, 5)):
+        pos = frozenset(x for x in ATOMS if rng.random() < 0.3)
+        neg = frozenset(x for x in ATOMS if x not in pos and rng.random() < 0.3)
+        pool.append((pos, neg))
+    n = rng.randint(1, 14)
+    a = BuchiAutomaton(GUARD_MODE)
+    for s in range(n):
+        a.add_state((s,) if rng.random() < 0.8 else None)
+    for s in range(n):
+        for _ in range(rng.randint(0, 5)):
+            dst = s if rng.random() < 0.25 else rng.randrange(n)
+            a.add_transition(s, Guard(*rng.choice(pool)), dst)
+    a.initial = rng.randrange(n)
+    a.accepting = {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5, 0.9))}
+    return a
+
+
+def test_quotient_matches_reference_on_random_guard_automata():
+    rng = random.Random(31)
+    merged = 0
+    for _ in range(800):
+        a = _random_guard_automaton(rng)
+        new = buchi.quotient_bisimulation(a)
+        old = ref_tableau.quotient_bisimulation(a)
+        assert _guard_dump(new) == _guard_dump(old)
+        merged += new.n_states < a.n_states
+        for t in a.transitions:
+            assert hash(t.label) == hash((t.label.pos, t.label.neg))
+    assert merged >= 200
+
+
+def test_formula_hash_is_the_dataclass_hash():
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(500):
+        stack = [ltl.to_nnf(random_formula(rng, ATOMS, 5))]
+        while stack:
+            f = stack.pop()
+            assert hash(f) == hash((f.kind, f.children, f.name))
+            stack.extend(f.children)
+            checked += 1
+    assert checked >= 3000
 
 
 def _product_dump(gp):

@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from syncplan import executor
 from syncplan.executor import (
     DeadlockError,
     SimulationConfig,
@@ -13,6 +14,8 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import Strategy, StrategyStep
+from syncplan.scenario_io import load_bundled
+from syncplan.translate import translate
 from tests.conftest import explicit_agent, make_scenario
 
 
@@ -264,3 +267,57 @@ class TestEstimate:
         assert report.estimate >= 10_000_000
         assert report.materialized_states is None  # far beyond the cap
         assert report.formula.count("*") >= 7
+
+
+class TestTranslationMemo:
+    """The verdict checks translate each formula once per scenario."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(f):
+            made.append(f)
+            return translate(f)
+
+        monkeypatch.setattr(executor, "translate", counting)
+        return made
+
+    @staticmethod
+    def check(scenario, strategies, seeds):
+        for seed in seeds:
+            result = simulate(scenario, strategies, SimulationConfig(seed=seed))
+            verdicts = check_local_satisfaction(scenario, strategies, result)
+            assert all(v.motion and v.task and v.consistent for v in verdicts.values())
+
+    @staticmethod
+    def formulas(scenario):
+        return list(scenario.motion_formulas.values()) + list(scenario.task_formulas.values())
+
+    def test_each_formula_translated_once(self, calls, three_robots_result):
+        scenario = load_bundled("three_robots")
+        distinct = set(self.formulas(scenario))
+        assert len(distinct) >= 4
+        self.check(scenario, three_robots_result.strategies, range(5))
+        assert len(calls) == len(distinct) and set(calls) == distinct
+        assert scenario.automata.keys() == distinct
+
+    def test_fresh_scenario_translates_again(self, calls, three_robots_result):
+        first, second = load_bundled("three_robots"), load_bundled("three_robots")
+        self.check(first, three_robots_result.strategies, range(2))
+        made = len(calls)
+        self.check(second, three_robots_result.strategies, range(2))
+        assert len(calls) == 2 * made == 2 * len(set(self.formulas(second)))
+
+    def test_memoized_automata_equal_fresh_translations(self, three_robots_result):
+        scenario = load_bundled("three_robots")
+        self.check(scenario, three_robots_result.strategies, range(1))
+        for f, kept in scenario.automata.items():
+            fresh = translate(f)
+            assert kept.n_states == fresh.n_states
+            assert (kept.initial, kept.accepting, kept.state_tags, kept.transitions) == (
+                fresh.initial,
+                fresh.accepting,
+                fresh.state_tags,
+                fresh.transitions,
+            )

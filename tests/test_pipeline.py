@@ -73,6 +73,7 @@ def test_randomized_scenarios_synthesize_soundly():
     from syncplan.executor import check_local_satisfaction, check_timing
     from syncplan.globalprod import EmptyLanguageError, SynthesisError
     from syncplan.pipeline import run_synthesis
+    from syncplan.scenario_io import check_strategies_fit
     from tests.conftest import random_scenario
 
     rng = random.Random(99)
@@ -84,6 +85,7 @@ def test_randomized_scenarios_synthesize_soundly():
         except (EmptyLanguageError, SynthesisError):
             continue
         synthesized += 1
+        check_strategies_fit(scenario, result.strategies)
         for seed in (0, 1):
             sim = simulate(scenario, result.strategies, SimulationConfig(seed=seed))
             assert not [

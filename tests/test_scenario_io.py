@@ -1,5 +1,6 @@
 """Scenario and strategy files: malformed documents fail with a format error."""
 import copy
+import dataclasses
 import json
 import re
 
@@ -8,13 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from syncplan.globalprod import Strategy, StrategyStep
+from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import (
     ScenarioFormatError,
     bundled_scenario_path,
+    check_strategies_fit,
     scenario_from_dict,
     strategy_from_dict,
     strategy_to_dict,
 )
+from tests.conftest import benchmark_workloads
 
 BUNDLED = {
     name: json.loads(bundled_scenario_path(name).read_text())
@@ -150,3 +154,70 @@ def test_strategy_type_errors_are_named(edit, message):
     edit(doc)
     with pytest.raises(ScenarioFormatError, match=re.escape(message)):
         strategy_from_dict(doc)
+
+
+def _edited(strategy, part, steps):
+    return dataclasses.replace(strategy, **{part: tuple(steps)})
+
+
+def _teleport(st, ts):
+    i = next(i for i, step in enumerate(st.cycle) if step.action == "north")
+    steps = list(st.cycle)
+    steps[i] = dataclasses.replace(steps[i], action="stay")
+    return _edited(st, "cycle", steps), f"cycle[{i}]: 'stay' leads from {steps[i].state!r} to"
+
+
+def _open_cycle(st, ts):
+    n = len(st.cycle) - 2
+    return (
+        _edited(st, "cycle", st.cycle[:-1]),
+        f"cycle[{n}]: {st.cycle[n].action!r} leads from {st.cycle[n].state!r} to "
+        f"{st.cycle[n + 1].state!r}, not to the next step's state {st.cycle[0].state!r}",
+    )
+
+
+def _late_start(st, ts):
+    later = next(step.state for step in st.prefix if step.state != st.prefix[0].state)
+    steps = [dataclasses.replace(st.prefix[0], state=later)] + list(st.prefix[1:])
+    return _edited(st, "prefix", steps), f"prefix[0]: starts at {later!r}, not at the initial state"
+
+
+def _disabled_action(st, ts):
+    i, action = next(
+        (i, a)
+        for i, step in enumerate(st.cycle)
+        for a in ts.actions
+        if (ts.state_index(step.state), a) not in ts.trans
+    )
+    steps = list(st.cycle)
+    steps[i] = dataclasses.replace(steps[i], action=action)
+    return (
+        _edited(st, "cycle", steps),
+        f"cycle[{i}]: agent 3 cannot take {action!r} in state {steps[i].state!r}",
+    )
+
+
+@pytest.mark.parametrize("edit", [_teleport, _open_cycle, _late_start, _disabled_action])
+def test_infeasible_strategies_are_rejected(edit, three_robots, three_robots_result):
+    strategies = dict(three_robots_result.strategies)
+    check_strategies_fit(three_robots, strategies)
+    strategies[3], message = edit(strategies[3], three_robots.agent(3).ts)
+    with pytest.raises(ScenarioFormatError, match=re.escape("strategy of agent 3: " + message)):
+        check_strategies_fit(three_robots, strategies)
+
+
+def test_bundled_strategies_fit(three_robots, three_robots_result, two_pairs, asymmetry):
+    check_strategies_fit(three_robots, three_robots_result.strategies)
+    check_strategies_fit(three_robots, three_robots_result.raw_strategies)
+    for scenario in (two_pairs, asymmetry):
+        result = run_synthesis(scenario, per_class=True, with_estimate=False)
+        check_strategies_fit(scenario, result.strategies)
+        check_strategies_fit(scenario, result.raw_strategies)
+
+
+@pytest.mark.parametrize("name", ["three_robots_13x13", "two_pairs_team", "wide_guards"])
+def test_workload_strategies_fit(name):
+    scenario = scenario_from_dict(benchmark_workloads().generate(name))
+    result = run_synthesis(scenario, with_estimate=False)
+    check_strategies_fit(scenario, result.strategies)
+    check_strategies_fit(scenario, result.raw_strategies)
