@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .agents import validate
@@ -48,8 +49,8 @@ def _load(path, loader=load_scenario):
 
 def _load_strategies(paths, scenario):
     """Strategies read from files, like `_load`; a strategy naming an agent,
-    state or action that `scenario` lacks, or a step the agent cannot take,
-    also ends with EXIT_INVALID."""
+    state or action that `scenario` lacks, a step the agent cannot take, or
+    coalitions that do not pair up also ends with EXIT_INVALID."""
 
     def load(paths):
         strategies = load_strategies(paths)
@@ -114,27 +115,28 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
-    strategies = _load_strategies(args.strategies, scenario)
     base = scenario.simulation
     base_seed = base.get("seed", 0) if args.seed is None else args.seed
+    # the scenario's own settings are checked before its strategies
+    try:
+        config = SimulationConfig(
+            seed=base_seed,
+            duration_lo=base.get("duration", [1.0, 5.0])[0],
+            duration_hi=base.get("duration", [1.0, 5.0])[1],
+            action_durations={
+                k: tuple(v) for k, v in base.get("action_durations", {}).items()
+            },
+            unrollings=base.get("unrollings", 3) if args.unrollings is None else args.unrollings,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    strategies = _load_strategies(args.strategies, scenario)
     failures = 0
     all_lines = []
     for run in range(args.runs):
         seed = base_seed + run
-        unrollings = base.get("unrollings", 3) if args.unrollings is None else args.unrollings
-        try:
-            config = SimulationConfig(
-                seed=seed,
-                duration_lo=base.get("duration", [1.0, 5.0])[0],
-                duration_hi=base.get("duration", [1.0, 5.0])[1],
-                action_durations={
-                    k: tuple(v) for k, v in base.get("action_durations", {}).items()
-                },
-                unrollings=unrollings,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        config = replace(config, seed=seed)
         try:
             result = simulate(scenario, strategies, config)
         except DeadlockError as exc:

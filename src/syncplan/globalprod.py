@@ -5,7 +5,19 @@ a coalition consists of exactly the agents pulled in transitively by the
 dependency sets of the chosen per-agent transitions, so nobody synchronizes
 without a reason.  The joint label is the union of the members' own service
 contributions and every member's transition must agree with that label on the
-services its own task automaton can distinguish.
+services its own task automaton can distinguish.  Three things keep this
+cheap without changing the product.  Each agent's candidate transitions are
+filtered once per state: one whose label holds a service the agent cannot
+see, or that depends on an agent outside the product, never joins, and a
+partnerless one providing own services only is a complete move by itself.
+Extending a partial coalition by a needed agent is a hash join: that agent's
+candidates are indexed by the services both sides must agree on (its own
+services the members' guards mention, and the members' own services its
+guards mention), and only the matching bucket is tried; the full agreement
+test still decides every complete assignment.  Last, joint moves involve
+the agents of one dependency class only, so they are enumerated once per
+class and tuple of its members' states, and shared by every component tuple
+agreeing on those states.
 
 Strategy extraction projects a global accepting lasso onto each agent and
 replays the recorded witnesses down through the reduced products until plain
@@ -19,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from .buchi import (
@@ -92,6 +105,7 @@ def build_global_product(products) -> GlobalProduct:
     autos = [p.automaton for p in products]
     own = [p.origin.own_services for p in products]
     fsyn = [p.origin.foreign_syntactic for p in products]
+    visible = [o | f for o, f in zip(own, fsyn)]
 
     counter_steps = {}
 
@@ -106,77 +120,150 @@ def build_global_product(products) -> GlobalProduct:
             counter_steps[advancing] = step
         return step
 
-    # per position: state -> [(target, back reference, counter step)] of its
-    # silent moves, and state -> transition ids of its joint moves
-    silent_out = []
-    joint_out = []
-    for pos, a in enumerate(autos):
-        s_out = {}
-        j_out = {}
-        for tid, t in enumerate(a.transitions):
-            if isinstance(t.label, Silent):
-                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
-                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), step))
-            else:
-                j_out.setdefault(t.src, []).append(tid)
-        silent_out.append(s_out)
-        joint_out.append(j_out)
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
+    # per position, keyed by state:
+    # - silent_out: [(target, back reference, counter step)] of its silent moves;
+    # - cands: ids of the joint transitions some assignment may make
+    #   consistent; a label outside what the agent can see, or a dependency
+    #   on an agent outside the product, rules a transition out for good;
+    # - seeds: those of them with partners, which start a coalition;
+    # - lone: the partnerless ones providing own services only, as complete
+    #   joint moves (see joint_moves), keeping the first transition of each
+    #   (label, target) pair; a partnerless transition expecting a foreign
+    #   service is consistent only in a coalition some other member pulls
+    #   it into.
+    # Per position and candidate id: its partner positions, the own services
+    # it provides and the foreign services it expects, in flat lists of
+    # shared sets, which leave the garbage collector few objects to trace.
+    silent_out, cands, seeds, lone = [], [], [], []
+    partners, gives, wants = [], [], []
+    for pos, a in enumerate(autos):
+        s_out, c_out, seed_out, lone_out = {}, {}, {}, {}
+        partners_at = [None] * len(a.transitions)
+        gives_at = [None] * len(a.transitions)
+        wants_at = [None] * len(a.transitions)
+        dep_partners = {}  # dependency set -> partner positions, None if outside
+        parts = {}  # label -> (own part, foreign part), None if partly invisible
+        lone_seen = set()
+        for tid, t in enumerate(a.transitions):
+            label = t.label
+            if isinstance(label, Silent):
+                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
+                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), step))
+                continue
+            dep = a.tr_dep.get(tid, solo[pos])
+            if dep not in dep_partners:
+                dep_pos = {id2pos.get(aid) for aid in dep}
+                dep_partners[dep] = None if None in dep_pos else frozenset(dep_pos - {pos})
+            if label not in parts:
+                parts[label] = (
+                    (label & own[pos], label & fsyn[pos]) if label <= visible[pos] else None
+                )
+            partners_at[tid] = dep_partners[dep]
+            part = parts[label]
+            if partners_at[tid] is None or part is None:
+                continue
+            gives_at[tid], wants_at[tid] = part
+            c_out.setdefault(t.src, []).append(tid)
+            if partners_at[tid]:
+                seed_out.setdefault(t.src, []).append(tid)
+            elif not wants_at[tid] and (t.src, label, t.dst) not in lone_seen:
+                lone_seen.add((t.src, label, t.dst))
+                back = ("joint", solo[pos], MappingProxyType({pos: tid}))
+                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
+                key = (tuple(sorted(label)), (agent_ids[pos],))
+                lone_out.setdefault(t.src, []).append(
+                    (key, label, solo[pos], back, ((pos, t.dst),), step)
+                )
+        silent_out.append(s_out)
+        cands.append(c_out)
+        seeds.append(seed_out)
+        lone.append(lone_out)
+        partners.append(partners_at)
+        gives.append(gives_at)
+        wants.append(wants_at)
 
-    def dep_of(pos, tid):
-        return autos[pos].tr_dep.get(tid, solo[pos])
+    # (position r, its state, assigned positions) -> r's candidates keyed by
+    # the services r and the assigned members must agree on: r's own
+    # services their foreign guards mention, and their own services r's
+    # foreign guards mention
+    indexes = {}
 
-    def joint_moves_at(qs):
-        """Complete closed coalition assignments, deduplicated across seeds."""
+    def partner_index(r, q, members):
+        index = indexes.get((r, q, members))
+        if index is None:
+            mentioned = frozenset().union(*(fsyn[m] for m in members))
+            owned = frozenset().union(*(own[m] for m in members))
+            index = indexes[(r, q, members)] = {}
+            for tid in cands[r].get(q, ()):
+                key = (gives[r][tid] & mentioned, wants[r][tid] & owned)
+                index.setdefault(key, []).append(tid)
+        return index
+
+    def joint_moves(qs, positions):
+        """Complete closed coalition assignments among `positions`,
+        deduplicated across seeds, as (sort key prefix, sigma, coalition,
+        back reference, (position, target) changes, counter step)."""
         results = []
+        for pos in positions:
+            results += lone[pos].get(qs[pos], ())
         seen = set()
-        for seed_pos in range(n):
-            for seed_tid in joint_out[seed_pos].get(qs[seed_pos], ()):
-                stack = [{seed_pos: seed_tid}]
+        for seed_pos in positions:
+            for seed in seeds[seed_pos].get(qs[seed_pos], ()):
+                # (chosen (position, transition id) pairs, assigned positions,
+                # positions still needed, own services provided, foreign
+                # services expected)
+                stack = [
+                    (
+                        ((seed_pos, seed),),
+                        frozenset((seed_pos,)),
+                        partners[seed_pos][seed],
+                        gives[seed_pos][seed],
+                        wants[seed_pos][seed],
+                    )
+                ]
                 while stack:
-                    assign = stack.pop()
-                    need = set()
-                    for pos, tid in assign.items():
-                        for aid in dep_of(pos, tid):
-                            other = id2pos.get(aid)
-                            if other is None:
-                                need = None
-                                break
-                            if other not in assign:
-                                need.add(other)
-                        if need is None:
-                            break
-                    if need is None:
-                        continue
+                    chosen, assigned, need, sigma, wanted = stack.pop()
                     if need:
-                        pos = min(need)
-                        for tid in joint_out[pos].get(qs[pos], ()):
-                            ext = dict(assign)
-                            ext[pos] = tid
-                            stack.append(ext)
+                        r = min(need)
+                        grown = assigned | {r}
+                        index = partner_index(r, qs[r], assigned)
+                        for tid in index.get((wanted & own[r], sigma & fsyn[r]), ()):
+                            stack.append(
+                                (
+                                    chosen + ((r, tid),),
+                                    grown,
+                                    (need | partners[r][tid]) - grown,
+                                    sigma | gives[r][tid],
+                                    wanted | wants[r][tid],
+                                )
+                            )
                         continue
-                    sigma = frozenset()
-                    for pos, tid in assign.items():
-                        sigma |= autos[pos].transitions[tid].label & own[pos]
-                    consistent = all(
-                        autos[pos].transitions[tid].label == sigma & (own[pos] | fsyn[pos])
-                        for pos, tid in assign.items()
+                    moved = [(p, tid, autos[p].transitions[tid]) for p, tid in chosen]
+                    if not all(t.label == sigma & visible[p] for p, _tid, t in moved):
+                        continue
+                    coalition = frozenset(agent_ids[p] for p, _tid in chosen)
+                    changes = tuple(sorted((p, t.dst) for p, _tid, t in moved))
+                    if (coalition, sigma, changes) in seen:
+                        continue
+                    seen.add((coalition, sigma, changes))
+                    back = ("joint", coalition, MappingProxyType(dict(chosen)))
+                    step = counter_step(
+                        frozenset(p for p, _tid, t in moved if t.dst in autos[p].accepting)
                     )
-                    if not consistent:
-                        continue
-                    coalition = frozenset(agent_ids[pos] for pos in assign)
-                    targets = tuple(
-                        autos[pos].transitions[assign[pos]].dst if pos in assign else qs[pos]
-                        for pos in range(n)
-                    )
-                    key = (coalition, sigma, targets)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    results.append((sigma, coalition, MappingProxyType(assign), targets))
-        results.sort(key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3]))
+                    key = (tuple(sorted(sigma)), tuple(sorted(coalition)))
+                    results.append((key, sigma, coalition, back, changes, step))
         return results
+
+    # joint moves involve only the agents of one dependency class; each
+    # reduced transition keeps its origin's dependency set, so the origins'
+    # classes hold every coalition
+    classes = [
+        tuple(sorted(id2pos[aid] for aid in cls))
+        for cls in compute_dependency_classes([p.origin for p in products])
+    ]
+    class_moves = {}  # (class, its states) -> joint_moves, for classes short of the team
 
     # component tuple -> [the tuple, its state id at counter 1, ..., at n + 1]
     state_ids = {}
@@ -195,11 +282,23 @@ def build_global_product(products) -> GlobalProduct:
             for dst, back, step in silent_out[pos].get(qs[pos], ()):
                 targets = qs[:pos] + (dst,) + qs[pos + 1:]
                 out.append((silent[pos], solo[pos], back, ids_of(targets), step))
-        for sigma, coalition, assign, targets in joint_moves_at(qs):
-            back = ("joint", coalition, assign)
-            step = counter_step(
-                frozenset(pos for pos in assign if targets[pos] in autos[pos].accepting)
-            )
+        joint = []
+        for positions in classes:
+            if len(positions) == n:
+                found = joint_moves(qs, positions)
+            else:
+                sub = (positions, tuple(qs[p] for p in positions))
+                found = class_moves.get(sub)
+                if found is None:
+                    found = class_moves[sub] = joint_moves(qs, positions)
+            for key, sigma, coalition, back, changes, step in found:
+                targets = list(qs)
+                for p, dst in changes:
+                    targets[p] = dst
+                targets = tuple(targets)
+                joint.append((key + (targets,), sigma, coalition, back, targets, step))
+        joint.sort(key=itemgetter(0))
+        for _key, sigma, coalition, back, targets, step in joint:
             out.append((sigma, coalition, back, ids_of(targets), step))
         return out
 
@@ -750,7 +849,7 @@ def compute_dependency_classes(task_products) -> list:
         deps = tm.automaton.tr_dep
         if len(deps) != len(tm.automaton.transitions):
             raise ValueError("dependency map must be computed first")
-        for dep in deps.values():
+        for dep in set(deps.values()):
             for other in dep:
                 if other in parent:
                     union(tm.agent_id, other)

@@ -377,7 +377,10 @@ def check_strategies_fit(scenario: Scenario, strategies: dict) -> None:
     strategy uses that the scenario lacks, or the first step the agent
     cannot take: the first step starts at the initial state, each step's
     action leads from its state to the next step's state, and the last step
-    of the cycle leads back to the cycle's first."""
+    of the cycle leads back to the cycle's first.  Coalitions must pair up:
+    every agent a step synchronizes with is in the scenario and has a
+    strategy here, the requester is among them, and each member of a
+    coalition joins it equally often in the prefix, and in the cycle."""
     agents = {a.agent_id: a for a in scenario.agents}
     for aid in sorted(strategies):
         where = f"strategy of agent {aid}"
@@ -412,6 +415,37 @@ def check_strategies_fit(scenario: Scenario, strategies: dict) -> None:
                     f"{at}: {step.action!r} leads from {step.state!r} to "
                     f"{ts.states[reached]!r}, not to the next step's state {nxt!r}"
                 )
+    _check_coalitions_pair(scenario, strategies, agents)
+
+
+def _check_coalitions_pair(scenario, strategies, agents) -> None:
+    uses = {}  # (part, coalition) -> {member: occurrences}
+    for aid in sorted(strategies):
+        for part in ("prefix", "cycle"):
+            for i, step in enumerate(getattr(strategies[aid], part)):
+                at = f"strategy of agent {aid}: {part}[{i}]"
+                for other in sorted(step.sync):
+                    if other not in agents:
+                        raise ScenarioFormatError(
+                            f"{at}: syncs with agent {other}, which scenario "
+                            f"'{scenario.name}' lacks"
+                        )
+                    if other not in strategies:
+                        raise ScenarioFormatError(
+                            f"{at}: syncs with agent {other}, which has no strategy here"
+                        )
+                if aid not in step.sync:
+                    raise ScenarioFormatError(f"{at}: agent {aid} is not in its own sync")
+                if len(step.sync) > 1:
+                    members = uses.setdefault((part, step.sync), dict.fromkeys(step.sync, 0))
+                    members[aid] += 1
+    for (part, coalition), members in uses.items():
+        if len(set(members.values())) > 1:
+            counts = ", ".join(f"agent {aid} {members[aid]}" for aid in sorted(members))
+            raise ScenarioFormatError(
+                f"coalition {sorted(coalition)} is joined unequally often in the "
+                f"{part}: {counts}"
+            )
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -282,6 +282,44 @@ class TestMalformedFiles:
         self.assert_rejected(run_cli("simulate", THREE, *files), "'stay' leads from")
         self.assert_rejected(run_cli("render", THREE, "--strategies", *files), "'stay' leads from")
 
+    @pytest.fixture(scope="class")
+    def asymmetry_files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("asymmetry") / "st"
+        assert main(["synthesize", ASYM, "--out", str(out), "--cap", "10"]) == 0
+        return sorted(out.glob("*.json"))
+
+    def resynced(self, tmp_path, asymmetry_files, sync):
+        # agent 2's first cycle step gets `sync`; agent 1 keeps its own
+        paths = []
+        for src in asymmetry_files:
+            data = json.loads(src.read_text())
+            if data["agent"] == 2:
+                assert data["cycle"][0]["sync"] == [1, 2]
+                data["cycle"][0]["sync"] = sync
+            paths.append(tmp_path / src.name)
+            paths[-1].write_text(json.dumps(data))
+        return [str(p) for p in paths]
+
+    def test_unpaired_coalition(self, tmp_path, asymmetry_files):
+        # without the pairing check, simulate deadlocks on every seed
+        files = self.resynced(tmp_path, asymmetry_files, [2])
+        message = "coalition [1, 2] is joined unequally often in the cycle"
+        self.assert_rejected(run_cli("simulate", ASYM, *files), message)
+        self.assert_rejected(run_cli("render", ASYM, "--strategies", *files), message)
+
+    def test_sync_with_unknown_agent(self, tmp_path, asymmetry_files):
+        files = self.resynced(tmp_path, asymmetry_files, [1, 2, 9])
+        message = "cycle[0]: syncs with agent 9, which scenario 'asymmetry' lacks"
+        self.assert_rejected(run_cli("simulate", ASYM, *files), message)
+        self.assert_rejected(run_cli("render", ASYM, "--strategies", *files), message)
+
+    def test_sync_with_agent_without_strategy(self, asymmetry_files):
+        (first, _second) = asymmetry_files
+        assert json.loads(first.read_text())["agent"] == 1
+        message = "syncs with agent 2, which has no strategy here"
+        self.assert_rejected(run_cli("simulate", ASYM, str(first)), message)
+        self.assert_rejected(run_cli("render", ASYM, "--strategies", str(first)), message)
+
     def test_grid_width_not_an_integer(self, tmp_path):
         data = json.loads(Path(THREE).read_text())
         data["agents"][0]["grid"]["width"] = "x"

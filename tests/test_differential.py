@@ -26,6 +26,7 @@ from tests import reference_tableau as ref_tableau
 from tests.conftest import (
     ATOMS,
     benchmark_workloads,
+    make_scenario,
     random_formula,
     random_motion_product,
     random_scenario,
@@ -352,3 +353,71 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
         if scenario is two_pairs and not per_class:
             assert [gp.automaton.n_states for _g, gp in result.global_products] == [18_432]
     assert len(shared) >= 36 and sum(shared) >= 31  # the move lists are reused, not rebuilt
+
+
+def _random_wide_team(rng):
+    """Three or four grid agents.  Agent 1's task guard is a disjunction or
+    conjunction over 2-4 services owned by agents 2 and 3, so coalitions of
+    three occur, and the partners' guards may in turn need agent 1."""
+    from syncplan.agents import GridSpec, build_grid_agent
+
+    n = rng.choice([3, 3, 3, 4])
+    agents = []
+    services = {}
+    for aid in range(1, n + 1):
+        w, h = rng.choice([(1, 1), (2, 1)]) if aid == 1 else (1, 1)
+        services[aid] = [f"s{aid}{i}" for i in range(1 if aid in (1, 4) else rng.choice([1, 2]))]
+        cells = tuple(
+            ((rng.randrange(w), rng.randrange(h)), frozenset([s])) for s in services[aid]
+        )
+        agents.append(build_grid_agent(GridSpec(aid, w, h, (0, 0), service_cells=cells)))
+    picked = [rng.choice(services[2]), rng.choice(services[3])]
+    rest = [s for s in services[2] + services[3] if s not in picked]
+    picked += rng.sample(rest, rng.randint(0, len(rest)))
+    guard = rng.choice([" || ", " && "]).join(picked)
+    task = {
+        1: rng.choice(
+            [
+                f"G F (s10 && ({guard}))",
+                f"F (s10 && ({guard}))",
+                f"G (!s10 || ({guard}))",
+                f"G F ({guard})",
+            ]
+        )
+    }
+    for aid in range(2, n + 1):
+        own = services[aid][0]
+        task[aid] = rng.choice(["true", f"G F {own}", f"G F ({own} && s10)", f"G (!{own} || s10)"])
+    return make_scenario(agents, {aid: "true" for aid in task}, task, name="wide")
+
+
+def test_global_product_matches_reference_on_wide_guards(monkeypatch):
+    # multi-service foreign guards: lone moves that expect a foreign service,
+    # coalitions of three, and partner indexes keyed by several services
+    compared = []
+
+    def both(products):
+        new = globalprod.build_global_product(products)
+        if new.automaton.n_states <= 1500:
+            assert _product_dump(new) == _product_dump(ref_gp.build_global_product(products))
+            _shared_moves(new)
+            compared.append(new)
+        return new
+
+    monkeypatch.setattr(pipeline, "build_global_product", both)
+    monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
+    workloads = benchmark_workloads()
+    cases = [scenario_from_dict(workloads.wide_guards(k)) for k in (3, 5)]
+    rng = random.Random(41)
+    cases += [_random_wide_team(rng) for _ in range(36)]
+    for scenario in cases:
+        try:
+            run_synthesis(scenario, with_estimate=False)
+        except EmptyLanguageError:
+            continue
+    trios = [
+        gp
+        for gp in compared
+        if any(len(dep) >= 3 for dep in gp.automaton.tr_dep.values())
+    ]
+    assert len(compared) >= 32 and len(trios) >= 10

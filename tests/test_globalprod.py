@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from syncplan import pipeline
 from syncplan.buchi import Silent, find_accepting_lasso
 from syncplan.globalprod import (
     EmptyLanguageError,
@@ -84,6 +85,42 @@ class TestGlobalProduct:
         back = next(b for b in auto.tr_back.values() if b[0] == "joint")
         with pytest.raises(TypeError):
             back[2][0] = 0
+
+    def test_class_states_share_joint_moves(self, monkeypatch, two_pairs):
+        # as one team, two_pairs has the classes {1, 2} and {3, 4}: component
+        # tuples agreeing on one class's states reuse that class's joint
+        # moves, back references included, whatever the other class does
+        monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
+        result = run_synthesis(two_pairs, with_estimate=False)
+        assert result.dependency_classes == [frozenset({1, 2}), frozenset({3, 4})]
+        ((_group, gp),) = result.global_products
+        auto = gp.automaton
+        classes = [(0, 1), (2, 3)]
+        backs = {}  # state -> class -> back references of its joint moves, in order
+        for tid, t in enumerate(auto.transitions):
+            back = auto.tr_back[tid]
+            if back[0] == "joint":
+                (cls,) = [c for c in classes if set(back[2]) <= set(c)]
+                backs.setdefault(t.src, {}).setdefault(cls, []).append(back)
+        first = {}  # (class, its states) -> back references at the first such state
+        tuples = {}  # (class, its states) -> component tuples holding them
+        for s, (qs, _j) in enumerate(auto.state_tags):
+            for cls in classes:
+                key = (cls, tuple(qs[p] for p in cls))
+                mine = backs.get(s, {}).get(cls, [])
+                shared = first.setdefault(key, mine)
+                assert len(mine) == len(shared)
+                assert all(b is c for b, c in zip(mine, shared))
+                tuples.setdefault(key, set()).add(qs)
+        assert sum(len(v) for v in tuples.values()) == 2 * 4096
+        assert len(first) <= 2 * 64
+
+    def test_team_spanning_class_shares_moves_per_tuple(self, three_robots_result):
+        from tests.test_differential import _shared_moves
+
+        assert three_robots_result.dependency_classes == [frozenset({1, 2, 3})]
+        ((_group, gp),) = three_robots_result.global_products
+        assert _shared_moves(gp) > 0
 
     def test_first_candidate_is_the_minimal_lasso(self, three_robots_result, two_pairs):
         pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)

@@ -197,7 +197,16 @@ def _disabled_action(st, ts):
     )
 
 
-@pytest.mark.parametrize("edit", [_teleport, _open_cycle, _late_start, _disabled_action])
+def _foreign_sync(st, ts):
+    i = next(i for i, step in enumerate(st.cycle) if step.sync == frozenset({3}))
+    steps = list(st.cycle)
+    steps[i] = dataclasses.replace(steps[i], sync=frozenset({1, 2}))
+    return _edited(st, "cycle", steps), f"cycle[{i}]: agent 3 is not in its own sync"
+
+
+@pytest.mark.parametrize(
+    "edit", [_teleport, _open_cycle, _late_start, _disabled_action, _foreign_sync]
+)
 def test_infeasible_strategies_are_rejected(edit, three_robots, three_robots_result):
     strategies = dict(three_robots_result.strategies)
     check_strategies_fit(three_robots, strategies)
