@@ -520,7 +520,8 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     return not language_empty(product)
 
 
-def _merge_tag(tags):
+def merge_tags(tags):
+    """Tag of merged states: the sorted union of tuple tags, else the first tag."""
     tuple_tags = [t for t in tags if isinstance(t, tuple)]
     if len(tuple_tags) == len(tags) and tags:
         merged = sorted({x for t in tuple_tags for x in t})
@@ -556,7 +557,7 @@ def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
         if class_of.get(s) is not None:
             groups.setdefault(class_of[s], []).append(s)
     for old in keep:
-        b.add_state(_merge_tag([a.state_tags[m] for m in groups.get(old, [old])]))
+        b.add_state(merge_tags([a.state_tags[m] for m in groups.get(old, [old])]))
     b.initial = remap[class_of[a.initial]]
     for old in keep:
         if any(m in a.accepting for m in groups.get(old, [old])):
@@ -651,47 +652,6 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
         return a
     keep = sorted(set(class_of.values()))
     return rebuild(a, keep, class_of)
-
-
-def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by forward bisimulation respecting acceptance; language-safe.
-
-    Labels with equal `label_sort_key` get one small integer id, and a
-    transition's part of a signature is the integer id + n_labels * target
-    block.  Blocks are numbered by their least state, so a round that adds
-    no block leaves the partition as it was.
-    """
-    n = a.n_states
-    ids = {}  # label_sort_key -> label id
-    of_label = {}  # label -> label id, so each distinct label is keyed once
-    lid = []
-    for t in a.transitions:
-        i = of_label.get(t.label)
-        if i is None:
-            i = of_label[t.label] = ids.setdefault(label_sort_key(t.label), len(ids))
-        lid.append(i)
-    dst = [t.dst for t in a.transitions]
-    outs = [a.out_transitions(s) for s in range(n)]
-    width = len(ids)
-    block = [1 if s in a.accepting else 0 for s in range(n)]
-    count = len(set(block))
-    while True:
-        sigs = {}  # states go in ascending order: first seen is least member
-        block = [
-            sigs.setdefault(
-                (block[s], frozenset([lid[t] + width * block[dst[t]] for t in outs[s]])),
-                len(sigs),
-            )
-            for s in range(n)
-        ]
-        if len(sigs) == count:
-            break
-        count = len(sigs)
-    if count == n:
-        return a
-    rep = {}
-    class_of = {s: rep.setdefault(block[s], s) for s in range(n)}
-    return rebuild(a, sorted(rep.values()), class_of)
 
 
 def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:

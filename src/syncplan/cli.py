@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 validation failure or an unreadable or malformed
-input file, 2 empty language at some stage, 3 simulation verdict failure or
-deadlock.
+Exit codes: 0 success, 1 validation failure, an unreadable or malformed
+input file, an unwritable output path or a bad argument, 2 empty language at
+some stage, 3 simulation verdict failure or deadlock.
 """
 from __future__ import annotations
 
@@ -37,14 +37,37 @@ EXIT_EMPTY = 2
 EXIT_VERDICT = 3
 
 
+def _reject(message):
+    """End the command with EXIT_INVALID and `error: message`."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)
+
+
 def _load(path, loader=load_scenario):
     """Scenario (or, with `load_strategies`, strategies) read from files;
     an unreadable or malformed file ends the command with EXIT_INVALID."""
     try:
         return loader(path)
     except (ScenarioFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        _reject(exc)
+
+
+def _check_output_dir(option, path):
+    """Rejects a directory option whose path cannot become a directory: the
+    nearest existing path on the way up must be one."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        _reject(f"{option} {path}: {existing} is not a directory")
+
+
+def _check_output_file(option, path):
+    """Rejects a file option whose path is a directory or lies in none."""
+    path = Path(path)
+    if path.is_dir():
+        _reject(f"{option} {path}: is a directory")
+    if not path.parent.is_dir():
+        _reject(f"{option} {path}: no directory {path.parent}")
 
 
 def _load_strategies(paths, scenario):
@@ -79,6 +102,9 @@ def cmd_synthesize(args) -> int:
         for p in problems:
             print(f"problem: {p}")
         return EXIT_INVALID
+    _check_output_dir("--out", args.out)
+    if args.dot_dir:
+        _check_output_dir("--dot-dir", args.dot_dir)
     try:
         result = run_synthesis(scenario, cap=args.cap, per_class=args.per_class)
     except EmptyLanguageError as exc:
@@ -114,6 +140,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        _reject(f"--runs must be at least 1, got {args.runs}")
     scenario = _load(args.scenario)
     base = scenario.simulation
     base_seed = base.get("seed", 0) if args.seed is None else args.seed
@@ -132,6 +160,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     strategies = _load_strategies(args.strategies, scenario)
+    if args.log:
+        _check_output_file("--log", args.log)
     failures = 0
     all_lines = []
     for run in range(args.runs):
@@ -174,6 +204,8 @@ def cmd_simulate(args) -> int:
 def cmd_render(args) -> int:
     scenario = _load(args.scenario)
     strategies = _load_strategies(args.strategies, scenario) if args.strategies else {}
+    if args.out:
+        _check_output_file("--out", args.out)
     try:
         if args.format == "ascii":
             text = render_ascii(scenario, strategies)

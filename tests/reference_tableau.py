@@ -7,7 +7,8 @@ recomputes `label_sort_key` for every transition in every round and
 compares whole block arrays to stop.
 `translate` chains them exactly as the translator did.  Node ids, incoming
 sets and the order of the nodes define what the shared-expansion tableau
-must reproduce.
+must reproduce; the explicit counter automaton's quotient is what
+`translate._degeneralized_quotient` must create without building it.
 """
 from __future__ import annotations
 
@@ -22,16 +23,23 @@ from syncplan.buchi import (
     rebuild,
     reachable_fragment,
 )
-from syncplan.translate import (
-    _guard_of,
-    _is_literal,
-    _liveness_obligations,
-    _negate_literal,
-)
+from syncplan.translate import _guard_of, _liveness_obligations
 
 
 def _key(f: ltl.Formula) -> str:
     return ltl.formula_text(f)
+
+
+def _is_literal(f: ltl.Formula) -> bool:
+    if f.kind in (ltl.TRUE, ltl.FALSE, ltl.ATOM):
+        return True
+    return f.kind == ltl.NOT and f.children[0].kind == ltl.ATOM
+
+
+def _negate_literal(f: ltl.Formula) -> ltl.Formula:
+    if f.kind == ltl.NOT:
+        return f.children[0]
+    return ltl.lnot(f)
 
 
 @dataclass

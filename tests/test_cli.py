@@ -320,6 +320,36 @@ class TestMalformedFiles:
         self.assert_rejected(run_cli("simulate", ASYM, str(first)), message)
         self.assert_rejected(run_cli("render", ASYM, "--strategies", str(first)), message)
 
+    def test_out_is_a_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_cli("synthesize", ASYM, "--out", str(taken), "--cap", "10")
+        self.assert_rejected(proc, f"--out {taken}: {taken} is not a directory")
+
+    def test_dot_dir_below_a_file(self, tmp_path):
+        # rejected before synthesis: no strategy file is written either
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = tmp_path / "st"
+        proc = run_cli("synthesize", ASYM, "--out", str(out), "--dot-dir", str(taken / "dot"))
+        self.assert_rejected(proc, f"{taken} is not a directory")
+        assert not out.exists()
+
+    def test_log_in_missing_directory(self, tmp_path, asymmetry_files):
+        log = tmp_path / "missing" / "events.log"
+        proc = run_cli("simulate", ASYM, *map(str, asymmetry_files), "--log", str(log))
+        self.assert_rejected(proc, f"no directory {log.parent}")
+        assert "seed" not in proc.stdout  # nothing was simulated
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one(self, runs, asymmetry_files):
+        proc = run_cli("simulate", ASYM, *map(str, asymmetry_files), "--runs", runs)
+        self.assert_rejected(proc, f"--runs must be at least 1, got {runs}")
+
+    def test_render_out_in_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "plan.svg"
+        self.assert_rejected(run_cli("render", THREE, "--out", str(out)), "no directory")
+
     def test_grid_width_not_an_integer(self, tmp_path):
         data = json.loads(Path(THREE).read_text())
         data["agents"][0]["grid"]["width"] = "x"

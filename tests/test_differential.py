@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from syncplan import buchi, globalprod, ltl, motion, pipeline, taskprod
+from syncplan import globalprod, ltl, motion, pipeline, taskprod
 from syncplan.buchi import GUARD_MODE, BuchiAutomaton, Guard, Silent, strongly_connected_components
 from syncplan.globalprod import EmptyLanguageError
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.taskprod import _region_analysis, classify_task_significance
-from syncplan.translate import _Tableau, translate
+from syncplan.translate import _degeneralized_quotient, _Tableau, translate
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
@@ -185,19 +185,26 @@ def test_region_components_match_copied_subautomaton():
     assert nontrivial >= 100
 
 
+def _team_formulas(scenario):
+    """Every agent formula of a team, and the team's conjunction as the
+    centralized estimate builds it."""
+    formulas = []
+    conjunction = ltl.TRUE_F
+    for aid in scenario.agent_ids:
+        pair = (scenario.motion_formulas[aid], scenario.task_formulas[aid])
+        formulas.extend(pair)
+        conjunction = ltl.land(conjunction, ltl.land(*pair))
+    return formulas + [conjunction]
+
+
 def _benchmark_formulas():
-    """Every agent formula of the benchmark workloads, and each team's
-    conjunction as the centralized estimate builds it."""
+    """The team formulas of every benchmark workload, and the conjunction of
+    `wide_guards(12)`: 83,436 generalized edges, against 48,828 at k=9."""
     workloads = benchmark_workloads()
     formulas = []
     for name in sorted(workloads.WORKLOADS):
-        scenario = scenario_from_dict(workloads.generate(name))
-        conjunction = ltl.TRUE_F
-        for aid in scenario.agent_ids:
-            pair = (scenario.motion_formulas[aid], scenario.task_formulas[aid])
-            formulas.extend(pair)
-            conjunction = ltl.land(conjunction, ltl.land(*pair))
-        formulas.append(conjunction)
+        formulas += _team_formulas(scenario_from_dict(workloads.generate(name)))
+    formulas.append(_team_formulas(scenario_from_dict(workloads.wide_guards(12)))[-1])
     return formulas
 
 
@@ -250,17 +257,66 @@ def _random_guard_automaton(rng):
 
 
 def test_quotient_matches_reference_on_random_guard_automata():
+    # with no acceptance sets the counter construction is the automaton
+    # itself with every state accepting
     rng = random.Random(31)
     merged = 0
     for _ in range(800):
         a = _random_guard_automaton(rng)
-        new = buchi.quotient_bisimulation(a)
-        old = ref_tableau.quotient_bisimulation(a)
+        new = _degeneralized_quotient(a, [])
+        old = ref_tableau.quotient_bisimulation(ref_tableau._degeneralize(a, []))
         assert _guard_dump(new) == _guard_dump(old)
         merged += new.n_states < a.n_states
         for t in a.transitions:
             assert hash(t.label) == hash((t.label.pos, t.label.neg))
     assert merged >= 200
+
+
+def _random_generalized_automaton(rng):
+    """A guard automaton with 0-4 acceptance sets.  Guards come from a small
+    pool, as shared objects or built anew; self-loops, parallel edges and
+    states the initial one does not reach occur."""
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        pos = frozenset(x for x in ATOMS if rng.random() < 0.3)
+        neg = frozenset(x for x in ATOMS if x not in pos and rng.random() < 0.3)
+        pool.append(Guard(pos, neg))
+    n = rng.randint(1, 12)
+    a = BuchiAutomaton(GUARD_MODE)
+    for s in range(n):
+        a.add_state((s,) if rng.random() < 0.8 else None)
+    for s in range(n):
+        for _ in range(rng.randint(0, 5)):
+            dst = s if rng.random() < 0.25 else rng.randrange(n)
+            guard = rng.choice(pool)
+            if rng.random() < 0.5:
+                guard = Guard(guard.pos, guard.neg)
+            a.add_transition(s, guard, dst)
+            if rng.random() < 0.1:
+                a.add_transition(s, guard, dst)
+    a.initial = rng.randrange(n)
+    density = rng.choice((0.3, 0.6, 0.9))
+    sets = [
+        {s for s in range(n) if rng.random() < density} for _ in range(rng.randint(0, 4))
+    ]
+    return a, sets
+
+
+def test_degeneralized_quotient_matches_counter_construction_then_quotient():
+    rng = random.Random(43)
+    merged = kept = 0
+    for _ in range(1500):
+        a, sets = _random_generalized_automaton(rng)
+        new = _degeneralized_quotient(a, sets)
+        counter = ref_tableau._degeneralize(a, sets)
+        old = ref_tableau.quotient_bisimulation(counter)
+        assert _guard_dump(new) == _guard_dump(old)
+        assert all(t.label is u.label for t, u in zip(new.transitions, old.transitions))
+        if old is counter:
+            kept += len(sets) > 0
+        else:
+            merged += len(sets) > 0
+    assert merged >= 400 and kept >= 600
 
 
 def test_formula_hash_is_the_dataclass_hash():
