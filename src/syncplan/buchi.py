@@ -446,11 +446,7 @@ def find_accepting_lasso(a: BuchiAutomaton):
     comp, comps, good = _good_components(a)
     if not good:
         return None
-    return _minimal_lasso(a, comp, comps, good, *_bfs(a, a.initial))
-
-
-def _minimal_lasso(a, comp, comps, good, dist, parent):
-    """`find_accepting_lasso` on precomputed components and initial BFS."""
+    dist, parent = _bfs(a, a.initial)
     candidates = [s for s in range(a.n_states) if dist[s] is not None and comp[s] in good]
     if not candidates:
         return None
@@ -652,14 +648,6 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
         return a
     keep = sorted(set(class_of.values()))
     return rebuild(a, keep, class_of)
-
-
-def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
-    dist, _ = _bfs(a, a.initial)
-    keep = {s for s in range(a.n_states) if dist[s] is not None}
-    if len(keep) == a.n_states:
-        return a
-    return rebuild(a, keep)
 
 
 def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:

@@ -19,19 +19,21 @@ the agents of one dependency class only, so they are enumerated once per
 class and tuple of its members' states, and shared by every component tuple
 agreeing on those states.
 
-Strategy extraction projects a global accepting lasso onto each agent and
-replays the recorded witnesses down through the reduced products until plain
-transition-system steps with synchronization requests remain.  Candidate
-lassos must wind the acceptance counter through every position, and the
-expanded strategies must keep every agent's produced word either infinite or
-ending in silence its task automaton tolerates; candidates failing these
-checks are discarded and the search continues.
+Acceptance is generalized and sits on transitions, two sets per agent: A_i
+holds the moves on which agent i enters its reduced automaton's accepting
+set, and L_i the moves that keep its word legal (it provides services, or
+rests where its task tolerates silence).  One pass of strongly connected
+components decides emptiness: a lasso exists iff some component's internal
+moves meet every set.  Strategy extraction projects that lasso onto each
+agent and replays the recorded witnesses down through the reduced products
+until plain transition-system steps with synchronization requests remain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from types import MappingProxyType
 
 from .buchi import (
@@ -41,10 +43,8 @@ from .buchi import (
     Silent,
     Transition,
     _bfs,
-    _good_components,
-    _minimal_lasso,
-    _walk_backward,
     _walk_forward,
+    strongly_connected_components,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -82,19 +82,22 @@ class Strategy:
 
 @dataclass
 class GlobalProduct:
-    """Product over all reduced task-and-motion automata plus a team counter.
+    """Product over all reduced task-and-motion automata.
 
-    State tags are (component state tuple, counter); the counter walks
-    1..N+1, advancing when the agent at the current position moves into its
-    accepting set.  `tr_back[tid]` is ("local", position, transition id) or
-    ("joint", coalition ids, {position: transition id}).  Transitions out of
-    equal component tuples share their label, `tr_dep` and `tr_back` objects,
-    so the assignment is read-only.
+    State tags are the reachable component state tuples, plain tuples with
+    one reduced state per position.  `tr_back[tid]` is ("local", position,
+    transition id) or ("joint", coalition ids, {position: transition id}).
+    `entering[tid]` holds the positions whose component moves into its
+    accepting set.  Joint moves of one dependency class share their label,
+    `tr_dep`, `tr_back` and `entering` objects across the tuples agreeing on
+    that class's states, so the assignment is read-only.  The automaton's
+    own accepting set stays empty: acceptance lives on the transitions.
     """
 
     automaton: BuchiAutomaton
     products: list
     agent_ids: list
+    entering: list
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -107,23 +110,16 @@ def build_global_product(products) -> GlobalProduct:
     fsyn = [p.origin.foreign_syntactic for p in products]
     visible = [o | f for o, f in zip(own, fsyn)]
 
-    counter_steps = {}
+    entered = {}  # positions entering acceptance -> one shared frozenset
 
-    def counter_step(advancing):
-        """The next counter value for each value 1..n+1 (index 0 unused)
-        when the agents at the `advancing` positions move into their
-        accepting sets: the counter passes position j - 1 if that agent
-        advances, and wraps from n + 1 back to 1."""
-        step = counter_steps.get(advancing)
-        if step is None:
-            step = tuple(j + 1 if j - 1 in advancing else j for j in range(n + 1)) + (1,)
-            counter_steps[advancing] = step
-        return step
+    def entering(positions):
+        positions = frozenset(positions)
+        return entered.setdefault(positions, positions)
 
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
     # per position, keyed by state:
-    # - silent_out: [(target, back reference, counter step)] of its silent moves;
+    # - silent_out: [(target, back reference, entering)] of its silent moves;
     # - cands: ids of the joint transitions some assignment may make
     #   consistent; a label outside what the agent can see, or a dependency
     #   on an agent outside the product, rules a transition out for good;
@@ -149,8 +145,8 @@ def build_global_product(products) -> GlobalProduct:
         for tid, t in enumerate(a.transitions):
             label = t.label
             if isinstance(label, Silent):
-                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
-                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), step))
+                enters = entering((pos,) if t.dst in a.accepting else ())
+                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), enters))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
             if dep not in dep_partners:
@@ -171,10 +167,10 @@ def build_global_product(products) -> GlobalProduct:
             elif not wants_at[tid] and (t.src, label, t.dst) not in lone_seen:
                 lone_seen.add((t.src, label, t.dst))
                 back = ("joint", solo[pos], MappingProxyType({pos: tid}))
-                step = counter_step(frozenset((pos,) if t.dst in a.accepting else ()))
+                enters = entering((pos,) if t.dst in a.accepting else ())
                 key = (tuple(sorted(label)), (agent_ids[pos],))
                 lone_out.setdefault(t.src, []).append(
-                    (key, label, solo[pos], back, ((pos, t.dst),), step)
+                    (key, label, solo[pos], back, ((pos, t.dst),), enters)
                 )
         silent_out.append(s_out)
         cands.append(c_out)
@@ -204,7 +200,7 @@ def build_global_product(products) -> GlobalProduct:
     def joint_moves(qs, positions):
         """Complete closed coalition assignments among `positions`,
         deduplicated across seeds, as (sort key prefix, sigma, coalition,
-        back reference, (position, target) changes, counter step)."""
+        back reference, (position, target) changes, entering positions)."""
         results = []
         for pos in positions:
             results += lone[pos].get(qs[pos], ())
@@ -249,11 +245,9 @@ def build_global_product(products) -> GlobalProduct:
                         continue
                     seen.add((coalition, sigma, changes))
                     back = ("joint", coalition, MappingProxyType(dict(chosen)))
-                    step = counter_step(
-                        frozenset(p for p, _tid, t in moved if t.dst in autos[p].accepting)
-                    )
+                    enters = entering(p for p, _tid, t in moved if t.dst in autos[p].accepting)
                     key = (tuple(sorted(sigma)), tuple(sorted(coalition)))
-                    results.append((key, sigma, coalition, back, changes, step))
+                    results.append((key, sigma, coalition, back, changes, enters))
         return results
 
     # joint moves involve only the agents of one dependency class; each
@@ -265,23 +259,14 @@ def build_global_product(products) -> GlobalProduct:
     ]
     class_moves = {}  # (class, its states) -> joint_moves, for classes short of the team
 
-    # component tuple -> [the tuple, its state id at counter 1, ..., at n + 1]
-    state_ids = {}
-
-    def ids_of(qs):
-        ids = state_ids.get(qs)
-        if ids is None:
-            ids = state_ids[qs] = [qs] + [None] * (n + 1)
-        return ids
-
     def moves_from(qs):
         """All moves out of a component tuple as (label, dep, back, target
-        ids, counter step); every counter value shares them."""
+        tuple, entering positions)."""
         out = []
         for pos in range(n):
-            for dst, back, step in silent_out[pos].get(qs[pos], ()):
+            for dst, back, enters in silent_out[pos].get(qs[pos], ()):
                 targets = qs[:pos] + (dst,) + qs[pos + 1:]
-                out.append((silent[pos], solo[pos], back, ids_of(targets), step))
+                out.append((silent[pos], solo[pos], back, targets, enters))
         joint = []
         for positions in classes:
             if len(positions) == n:
@@ -291,245 +276,127 @@ def build_global_product(products) -> GlobalProduct:
                 found = class_moves.get(sub)
                 if found is None:
                     found = class_moves[sub] = joint_moves(qs, positions)
-            for key, sigma, coalition, back, changes, step in found:
+            for key, sigma, coalition, back, changes, enters in found:
                 targets = list(qs)
                 for p, dst in changes:
                     targets[p] = dst
                 targets = tuple(targets)
-                joint.append((key + (targets,), sigma, coalition, back, targets, step))
+                joint.append((key + (targets,), sigma, coalition, back, targets, enters))
         joint.sort(key=itemgetter(0))
-        for _key, sigma, coalition, back, targets, step in joint:
-            out.append((sigma, coalition, back, ids_of(targets), step))
+        for _key, sigma, coalition, back, targets, enters in joint:
+            out.append((sigma, coalition, back, targets, enters))
         return out
 
     product = BuchiAutomaton(EXPLICIT_MODE)
-    last_accepting = autos[n - 1].accepting
-
-    def add_state(ids, j):
-        qs = ids[0]
-        sid = ids[j] = product.add_state((qs, j))
-        if j == n and qs[n - 1] in last_accepting:
-            product.accepting.add(sid)
-        return sid
-
-    product.initial = add_state(ids_of(tuple(a.initial for a in autos)), 1)
-    moves = {}  # component tuple -> moves_from(tuple)
+    start = tuple(a.initial for a in autos)
+    state_ids = {start: product.add_state(start)}
+    product.initial = state_ids[start]
     tags = product.state_tags
     transitions = product.transitions
     tr_dep = product.tr_dep
     tr_back = product.tr_back
+    entering_at = []
     # breadth first: states are numbered in discovery order, so the queue is
     # the run of ids not yet expanded; transitions are appended directly,
     # as nothing reads the automaton's index while it is built
     src = 0
     while src < len(tags):
-        qs, j = tags[src]
-        out = moves.get(qs)
-        if out is None:
-            out = moves[qs] = moves_from(qs)
-        for label, dep, back, ids, step in out:
-            j2 = step[j]
-            dst = ids[j2]
+        for label, dep, back, targets, enters in moves_from(tags[src]):
+            dst = state_ids.get(targets)
             if dst is None:
-                dst = add_state(ids, j2)
+                dst = state_ids[targets] = product.add_state(targets)
             tid = len(transitions)  # one int object for both keys
             tr_dep[tid] = dep
             tr_back[tid] = back
+            entering_at.append(enters)
             transitions.append(Transition(src, label, dst))
         src += 1
 
-    return GlobalProduct(product, products, agent_ids)
+    return GlobalProduct(product, products, agent_ids, entering_at)
 
 
-def _cycle_states(a, lasso):
-    states = []
-    cur = a.initial
-    for tid in lasso.prefix:
-        cur = a.transitions[tid].dst
-    states.append(cur)
-    for tid in lasso.cycle:
-        cur = a.transitions[tid].dst
-        states.append(cur)
-    return states
+def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
+    """Does every witness variant of this silent reduced transition replay a
+    service-labeled task-product step, or start where the task tolerates
+    silence?"""
+    bar = product.origin.automaton
+    tolerant = product.origin.silence_tolerant()
+    return all(
+        bar.state_tags[w.src][1] in tolerant
+        or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps + w.loop)
+        for w in product.automaton.tr_witness.get(low_tid, ())
+    )
 
 
-def _counter_winds(gp: GlobalProduct, lasso: Lasso) -> bool:
-    """The cycle must pass the top counter value, which forces every agent to
-    enter its accepting set within the cycle."""
+def _acceptance_marks(gp: GlobalProduct) -> list:
+    """Per transition, a bit mask of the acceptance sets it lies in: bit 2i
+    for A_i (position i enters its accepting set) and bit 2i + 1 for L_i
+    (the move keeps position i's word legal)."""
     a = gp.automaton
-    top = len(gp.products) + 1
-    return any(a.state_tags[s][1] == top for s in _cycle_states(a, lasso))
-
-
-def _agent_alive_edges(gp, members):
-    """Per agent, in-component transitions whose replay provides services."""
-    a = gp.automaton
-    alive = {aid: [] for aid in gp.agent_ids}
-    for tid, t in enumerate(a.transitions):
-        if t.src not in members or t.dst not in members:
-            continue
+    id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
+    legal = {}  # (position, reduced transition id) -> local move keeps the word legal
+    marks = []
+    for tid, enters in enumerate(gp.entering):
         back = a.tr_back[tid]
         if back[0] == "joint":
-            for aid in a.tr_dep[tid]:
-                alive[aid].append(tid)
-        elif _witness_emits(gp.products[back[1]], back[2]):
-            alive[gp.agent_ids[back[1]]].append(tid)
-    return alive
+            mask = sum(2 << (2 * id2pos[aid]) for aid in back[1])
+        else:
+            key = back[1:]
+            if key not in legal:
+                legal[key] = _keeps_word_legal(gp.products[key[0]], key[1])
+            mask = 2 << (2 * key[0]) if legal[key] else 0
+        marks.append(mask | sum(1 << (2 * pos) for pos in enters))
+    return marks
 
 
-def _witness_emits(product, low_tid) -> bool:
-    """Would replaying this transition make the agent provide services?"""
-    bar = product.origin.automaton
-    for w in product.automaton.tr_witness.get(low_tid, ()):
-        for step in list(w.steps) + list(w.loop):
-            if not isinstance(bar.transitions[step].label, Silent):
-                return True
-    return False
-
-
-def _component_capabilities(gp, comp, comps, good_comps):
-    """Which agents each component can serve, and which it can host at all.
-
-    An agent is *served* when the component holds a transition whose replay
-    makes it provide services; it is *hostable* when it is served or can park
-    forever at a silent spot its task automaton tolerates.  Components that
-    cannot host every agent admit no valid lasso and are skipped outright;
-    among the rest, better-served components are searched first.
-    """
+def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
+    """One SCC pass over the product; the lasso enters the component covering
+    every acceptance set nearest the initial state and greedily walks to an
+    edge of each set still uncovered."""
     a = gp.automaton
-    emit_cache = [dict() for _ in gp.products]
-
-    def emits(pos, low_tid):
-        cache = emit_cache[pos]
-        if low_tid not in cache:
-            cache[low_tid] = _witness_emits(gp.products[pos], low_tid)
-        return cache[low_tid]
-
-    served = {c: set() for c in good_comps}
+    everything = (1 << (2 * len(gp.agent_ids))) - 1
+    comp, comps = strongly_connected_components(a)
+    covered = {}  # component with an internal edge -> sets its internal edges meet
     for tid, t in enumerate(a.transitions):
         c = comp[t.src]
-        if c not in served or comp[t.dst] != c:
-            continue
-        back = a.tr_back[tid]
-        if back[0] == "joint":
-            served[c] |= a.tr_dep[tid]
-        elif emits(back[1], back[2]):
-            served[c].add(gp.agent_ids[back[1]])
-
-    def parkable(pos, hat_states):
-        product = gp.products[pos]
-        bar_tags = product.origin.automaton.state_tags
-        tolerant = product.origin.silence_tolerant()
-        return any(
-            bar_tags[bar_state][1] in tolerant
-            for hat_state in hat_states
-            for bar_state in product.automaton.state_tags[hat_state]
-        )
-
-    hostable = {}
-    for c in good_comps:
-        members = comps[c]
-        agents = set(served[c])
-        for pos, aid in enumerate(gp.agent_ids):
-            if aid in agents:
-                continue
-            hat_states = {a.state_tags[s][0][pos] for s in members}
-            if parkable(pos, hat_states):
-                agents.add(aid)
-        hostable[c] = agents
-    return served, hostable
-
-
-def _candidate_lassos(gp: GlobalProduct):
-    """Deterministic stream of accepting lassos, most promising first."""
-    a = gp.automaton
-    comp, comps, good_comps = _good_components(a)
-    dist, parent = _bfs(a, a.initial)
-    base = _minimal_lasso(a, comp, comps, good_comps, dist, parent)
-    if base is None:
+        if c == comp[t.dst]:
+            covered[c] = covered.get(c, 0) | marks[tid]
+    if not covered:
         raise EmptyLanguageError("global")
-    yield base
+    good = [c for c, mask in covered.items() if mask == everything]
+    if not good:
+        missing = everything & ~reduce(or_, covered.values())
+        if not missing:
+            best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
+            missing = everything & ~covered[best]
+        first = (missing & -missing).bit_length() - 1
+        raise EmptyLanguageError("task", gp.agent_ids[first // 2])
 
-    n = len(gp.products)
-    served, hostable = _component_capabilities(gp, comp, comps, good_comps)
-    everyone = set(gp.agent_ids)
-    anchors = sorted(
-        (-len(served[comp[s]]), dist[s], s)
-        for s in range(a.n_states)
-        if s in a.accepting
-        and dist[s] is not None
-        and comp[s] in good_comps
-        and hostable[comp[s]] == everyone
-    )
-    for _score, _d, v in anchors:
-        members = set(comps[comp[v]])
-        fwd, fpar = _bfs(a, v, allowed=members)
-        bwd, bpar = _bfs(a, v, allowed=members, reverse=True)
-        prefix = tuple(_walk_forward(a, parent, a.initial, v))
-
-        tops = sorted(
-            h
-            for h in members
-            if a.state_tags[h][1] == n + 1
-            and h != v
-            and fwd[h] is not None
-            and bwd[h] is not None
+    dist, parent = _bfs(a, a.initial)
+    entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))
+    members = set(comps[comp[entry]])
+    internal = [
+        tid for s in sorted(members) for tid in a.out_transitions(s)
+        if a.transitions[tid].dst in members
+    ]
+    cycle = []
+    cur = entry
+    need = everything
+    while need:
+        reach, par = _bfs(a, cur, allowed=members)
+        tid = min(
+            (tid for tid in internal if marks[tid] & need),
+            key=lambda tid: (
+                reach[a.transitions[tid].src], -(marks[tid] & need).bit_count(), tid
+            ),
         )
-        # the routed cycle deliberately serves every agent, so it is by far
-        # the most likely candidate to survive the validity checks; plain
-        # counter-winding cycles follow as shorter-but-riskier alternatives
-        alive = _agent_alive_edges(gp, members)
-        route = _routed_cycle(gp, v, members, tops, alive)
-        if route:
-            yield Lasso(prefix, tuple(route))
-        for h in sorted(tops, key=lambda h: (fwd[h] + bwd[h], h))[:8]:
-            cyc = _walk_forward(a, fpar, v, h) + _walk_backward(a, bpar, v, h)
-            yield Lasso(prefix, tuple(cyc))
-
-
-def _routed_cycle(gp, v, members, top_states, alive_edges):
-    """Greedy cycle: wind the counter, then visit a word-keeping edge per agent."""
-    a = gp.automaton
-    route = []
-    cur = v
-    if not top_states:
-        return None
-
-    dist, par = _bfs(a, cur, allowed=members)
-    best = None
-    for s in top_states:
-        if dist[s] is not None and (best is None or dist[s] < dist[best]):
-            best = s
-    if best is None:
-        return None
-    route.extend(_walk_forward(a, par, cur, best))
-    cur = best
-
-    alive_sets = {aid: set(edges) for aid, edges in alive_edges.items()}
-    for aid in sorted(gp.agent_ids):
-        if any(tid in alive_sets[aid] for tid in route):
-            continue
-        dist, par = _bfs(a, cur, allowed=members)
-        best = None
-        for tid in alive_edges.get(aid, []):
-            src = a.transitions[tid].src
-            if dist[src] is None:
-                continue
-            key = (dist[src], tid)
-            if best is None or key < best[0]:
-                best = (key, tid, src)
-        if best is None:
-            continue
-        _key, tid, src = best
-        route.extend(_walk_forward(a, par, cur, src))
-        route.append(tid)
+        for step in _walk_forward(a, par, cur, a.transitions[tid].src) + [tid]:
+            cycle.append(step)
+            need &= ~marks[step]
         cur = a.transitions[tid].dst
-
-    dist, par = _bfs(a, cur, allowed=members)
-    if dist[v] is None:
-        return None
-    route.extend(_walk_forward(a, par, cur, v))
-    return route
+    _reach, par = _bfs(a, cur, allowed=members)
+    cycle += _walk_forward(a, par, cur, entry)
+    return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
 
 
 def _variant_for(witnesses, origin):
@@ -729,46 +596,12 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
     return strategies, None
 
 
-def _unhostable_agent(gp: GlobalProduct):
-    """An agent no reachable accepting component can serve or park, if any."""
-    a = gp.automaton
-    comp, comps, good_comps = _good_components(a)
-    if not good_comps:
-        return None
-    dist, _ = _bfs(a, a.initial)
-    reachable = {
-        comp[s]
-        for s in range(a.n_states)
-        if dist[s] is not None and comp[s] in good_comps and s in a.accepting
-    }
-    if not reachable:
-        return None
-    _served, hostable = _component_capabilities(gp, comp, comps, reachable)
-    for aid in sorted(gp.agent_ids):
-        if all(aid not in hostable[c] for c in reachable):
-            return aid
-    return None
-
-
 def synthesize(gp: GlobalProduct) -> dict:
     """Per-agent strategies realizing one accepting run of the global product."""
-    blocked = {}
-    for lasso in _candidate_lassos(gp):
-        if not _counter_winds(gp, lasso):
-            continue
-        strategies, failed = _expand_lasso(gp, lasso)
-        if strategies is not None:
-            return strategies
-        blocked[failed] = blocked.get(failed, 0) + 1
-    if blocked:
-        worst = max(sorted(blocked), key=lambda aid: blocked[aid])
-        raise EmptyLanguageError("task", worst)
-    starved = _unhostable_agent(gp)
-    if starved is not None:
-        raise EmptyLanguageError("task", starved)
-    raise SynthesisError(
-        "the global product accepts runs, but none winds the acceptance counter"
-    )
+    strategies, failed = _expand_lasso(gp, _accepting_lasso(gp, _acceptance_marks(gp)))
+    if failed is not None:
+        raise SynthesisError(f"agent {failed}: the accepting lasso leaves its word illegal")
+    return strategies
 
 
 def minimize_synchronizations(strategies: dict, scenario) -> dict:

@@ -10,8 +10,12 @@ Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
 into a single transition that remembers its path.  Each kept state exists in
 at most two acceptance flavors and one shared absorbing state captures runs
-that eventually stay silent forever, so the result has at most twice as many
-states as there are significant ones, plus at most one.
+that end in an accepting cycle among insignificant states, so the result has
+at most twice as many states as there are significant ones, plus at most
+one.  Only live cycles feed that state: ones that provide services, or rest
+at a task state tolerating silence.  A run ending in any other cycle would
+end in silence its task rejects, so the absorbing state's loop keeps every
+agent's word legal whichever cycle it replays.
 """
 from __future__ import annotations
 
@@ -261,13 +265,16 @@ class ReducedTaskMotionProduct:
     globally_assisting_own: frozenset
 
 
-def _region_analysis(a: BuchiAutomaton, significant):
-    """Silent accepting cycles among insignificant states.
+def _region_analysis(a: BuchiAutomaton, significant, tolerant):
+    """Live accepting cycles among insignificant states.
 
     Returns (anchors, reach): `anchors` maps an anchor state to the transition
-    ids of a shortest silent cycle through it; `reach` maps every region state
-    that can run into such a cycle to (distance, path transition ids, anchor),
-    preferring the nearest anchor and then the smallest one.
+    ids of a shortest cycle through it; `reach` maps every region state that
+    can run into such a cycle to (distance, path transition ids, anchor),
+    preferring the nearest anchor and then the smallest one.  An anchor is
+    kept only if its loop provides services or its task state is in
+    `tolerant`: a run absorbed into any other cycle ends in silence its task
+    rejects.
     """
     region = {s for s in range(a.n_states) if not significant[s]}
     anchors = {}
@@ -281,7 +288,12 @@ def _region_analysis(a: BuchiAutomaton, significant):
         )
         accepting = [s for s in members if s in a.accepting]
         if internal and accepting:
-            anchors[accepting[0]] = _shortest_region_cycle(a, member_set, accepting[0])
+            anchor = accepting[0]
+            loop = _shortest_region_cycle(a, member_set, anchor)
+            if a.state_tags[anchor][1] in tolerant or not all(
+                isinstance(a.transitions[tid].label, Silent) for tid in loop
+            ):
+                anchors[anchor] = loop
 
     reach = {}
     for anchor in sorted(anchors):  # ascending: equally near anchors keep the first
@@ -362,7 +374,7 @@ def reduce_task_motion(
     significant = classify_task_significance(tm, globally_assisting)
     silent = tm.silent
     ga_own = globally_assisting.get(tm.agent_id, frozenset())
-    anchors, reach = _region_analysis(a, significant)
+    anchors, reach = _region_analysis(a, significant, tm.silence_tolerant())
 
     own_dep = frozenset((tm.agent_id,))
 

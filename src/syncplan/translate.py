@@ -21,7 +21,6 @@ from .buchi import (
     Transition,
     merge_tags,
     prune_non_coaccessible,
-    reachable_fragment,
 )
 
 
@@ -197,17 +196,17 @@ def _guard_of(node: _Node) -> Guard:
 def translate(f: ltl.Formula) -> BuchiAutomaton:
     """Automaton over guard-labeled transitions accepting exactly models of f."""
     gba, sets = _generalized(ltl.to_nnf(f))
-    ba = _degeneralized_quotient(gba, sets)
-    ba = prune_non_coaccessible(ba)
-    ba = reachable_fragment(ba)
-    return ba
+    # the quotient is reachable as built, and pruning keeps every path from
+    # the initial state to a kept state: no reachability pass is needed
+    return prune_non_coaccessible(_degeneralized_quotient(gba, sets))
 
 
 def _generalized(g: ltl.Formula):
     """Generalized automaton of an NNF formula and its acceptance sets.
 
     State 0 is initial, states 1.. are tableau nodes; the tableau is local
-    here so that it is freed before the quotient is refined.
+    here so that it is freed before the quotient is refined.  Every node has
+    an edge from the node whose successors created it, so all are reachable.
     """
     nodes = _Tableau(g).nodes
     ids = {0: 0}
@@ -224,7 +223,6 @@ def _generalized(g: ltl.Formula):
         gba.transitions.extend(
             Transition(ids[src], guard, dst) for src in sorted(node.incoming) if src in ids
         )
-    gba = reachable_fragment(gba)
 
     sets = []
     for ob in _liveness_obligations(g):

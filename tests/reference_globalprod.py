@@ -1,9 +1,12 @@
-"""Unmemoized global product kept as the reference for the differential tests.
+"""Unmemoized counter product kept as the reference for the differential tests.
 
-`build_global_product` enumerates the joint moves at every global state,
-although they depend only on the component states and not on the counter;
-the optimized product enumerates them once per component state tuple and
-must produce the same automaton, annotations included.
+`build_global_product` builds the product the synthesis used before
+acceptance moved onto the transitions: states are (component tuple,
+counter) pairs, and the joint moves are enumerated anew at every state.
+The differential tests project it onto component tuples, which must give
+the optimized product's states, moves and annotations, and derive each
+move's entering positions (`entering` is None here) from its back
+reference.
 """
 from __future__ import annotations
 
@@ -140,4 +143,4 @@ def build_global_product(products) -> GlobalProduct:
             j2 = advance(j, set(assign), targets)
             push(key, sigma, (targets, j2), coalition, ("joint", coalition, assign))
 
-    return GlobalProduct(product, products, agent_ids)
+    return GlobalProduct(product, products, agent_ids, None)

@@ -1,10 +1,11 @@
 """Unoptimized translator kept as the reference for the differential tests.
 
-`_Tableau` is the node expansion that expands every node's `next` set anew
-and finds completed nodes by scanning all of them; `_degeneralize` adds
-states and transitions one call at a time; `quotient_bisimulation`
-recomputes `label_sort_key` for every transition in every round and
-compares whole block arrays to stop.
+`_Tableau` is the node expansion that expands every node's `next` set anew,
+node by node, and looks completed nodes up by their (old, next) sets (the
+text that orders pending formulas is computed once per formula);
+`_degeneralize` adds states and transitions one call at a time;
+`quotient_bisimulation` recomputes `label_sort_key` for every transition in
+every round and compares whole block arrays to stop.
 `translate` chains them exactly as the translator did.  Node ids, incoming
 sets and the order of the nodes define what the shared-expansion tableau
 must reproduce; the explicit counter automaton's quotient is what
@@ -13,6 +14,7 @@ must reproduce; the explicit counter automaton's quotient is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from syncplan import ltl
 from syncplan.buchi import (
@@ -20,12 +22,13 @@ from syncplan.buchi import (
     BuchiAutomaton,
     label_sort_key,
     prune_non_coaccessible,
+    _bfs,
     rebuild,
-    reachable_fragment,
 )
 from syncplan.translate import _guard_of, _liveness_obligations
 
 
+@lru_cache(maxsize=None)
 def _key(f: ltl.Formula) -> str:
     return ltl.formula_text(f)
 
@@ -56,6 +59,7 @@ class _Tableau:
 
     def __init__(self):
         self.nodes: list = []
+        self.completed: dict = {}  # (old, next) -> the completed node holding them
         self.counter = 1  # node id 0 is the virtual initial node
 
     def fresh(self, incoming, new, old, nxt) -> _Node:
@@ -68,14 +72,12 @@ class _Tableau:
         while stack:
             cur = stack.pop()
             if not cur.new:
-                match = None
-                for existing in self.nodes:
-                    if existing.old == cur.old and existing.next == cur.next:
-                        match = existing
-                        break
+                key = (frozenset(cur.old), frozenset(cur.next))
+                match = self.completed.get(key)
                 if match is not None:
                     match.incoming |= cur.incoming
                     continue
+                self.completed[key] = cur
                 self.nodes.append(cur)
                 stack.append(self.fresh({cur.nid}, cur.next, set(), set()))
                 continue
@@ -126,6 +128,14 @@ class _Tableau:
                 stack.append(left)
             else:
                 raise ValueError(f"unexpected kind in normal form: {f.kind}")
+
+
+def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
+    dist, _ = _bfs(a, a.initial)
+    keep = {s for s in range(a.n_states) if dist[s] is not None}
+    if len(keep) == a.n_states:
+        return a
+    return rebuild(a, keep)
 
 
 def tableau_nodes(g: ltl.Formula) -> list:

@@ -4,18 +4,26 @@ import dataclasses
 import pytest
 
 from syncplan import pipeline
-from syncplan.buchi import Silent, find_accepting_lasso
+from syncplan.agents import GridSpec, build_grid_agent
+from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, _bfs
+from syncplan.executor import (
+    SimulationConfig,
+    check_local_satisfaction,
+    check_timing,
+    simulate,
+)
 from syncplan.globalprod import (
     EmptyLanguageError,
+    GlobalProduct,
     SynthesisError,
     _AgentExpander,
-    _candidate_lassos,
     compute_dependency_classes,
     minimize_synchronizations,
     synthesize,
 )
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.pipeline import run_synthesis
+from syncplan.scenario_io import check_strategies_fit
 from syncplan.taskprod import build_task_motion_product, compute_dep
 from syncplan.translate import translate
 from tests.conftest import explicit_agent, make_scenario
@@ -27,17 +35,60 @@ def single_idler():
     return sc
 
 
+def assert_states_are_distinct_reachable_tuples(gp):
+    """One state per component tuple, all reachable; every move changes
+    exactly the components its back reference names, the way their own
+    transitions do, and `entering` names those that enter acceptance."""
+    auto = gp.automaton
+    autos = [p.automaton for p in gp.products]
+    tags = auto.state_tags
+    assert all(isinstance(tag, tuple) and len(tag) == len(autos) for tag in tags)
+    assert len(set(tags)) == len(tags)
+    assert tags[auto.initial] == tuple(a.initial for a in autos)
+    assert not auto.accepting
+    dist, _parent = _bfs(auto, auto.initial)
+    assert None not in dist
+    assert len(gp.entering) == len(auto.transitions)
+    silent_out = {}
+    for tid, t in enumerate(auto.transitions):
+        back = auto.tr_back[tid]
+        moved = {back[1]: back[2]} if back[0] == "local" else dict(back[2])
+        src, dst = tags[t.src], tags[t.dst]
+        for pos, qs in enumerate(src):
+            if pos in moved:
+                low = autos[pos].transitions[moved[pos]]
+                assert (low.src, low.dst) == (qs, dst[pos])
+            else:
+                assert dst[pos] == qs
+        entered = {p for p in moved if dst[p] in autos[p].accepting}
+        assert gp.entering[tid] == entered
+        if back[0] == "local":
+            silent_out[t.src] = silent_out.get(t.src, 0) + 1
+    # every component's silent moves exist at every tuple
+    for s, qs in enumerate(tags):
+        expected = sum(
+            isinstance(a.transitions[tid].label, Silent)
+            for a, q in zip(autos, qs)
+            for tid in a.out_transitions(q)
+        )
+        assert silent_out.get(s, 0) == expected
+
+
 class TestGlobalProduct:
-    def test_single_agent_counter_walks_two_values(self):
+    def test_states_are_the_distinct_reachable_tuples(self, three_robots_result, two_pairs):
         sc = single_idler()
         result = run_synthesis(sc, with_estimate=False)
         ((group, gp),) = result.global_products
         assert group == (1,)
-        counters = {tag[1] for tag in gp.automaton.state_tags}
-        assert counters <= {1, 2}
+        assert_states_are_distinct_reachable_tuples(gp)
         hat = result.artifacts[1].reduced_task.automaton
-        # component states mirror the reduced task product
-        assert {tag[0][0] for tag in gp.automaton.state_tags} <= set(range(hat.n_states))
+        assert gp.automaton.n_states <= hat.n_states
+        ((_group, gp),) = three_robots_result.global_products
+        assert_states_are_distinct_reachable_tuples(gp)
+        assert gp.automaton.n_states == 945
+        pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+        for _group, gp in pairs.global_products:
+            assert_states_are_distinct_reachable_tuples(gp)
 
     def test_three_robot_full_coalition_transition(self, three_robots_result):
         ((_group, gp),) = three_robots_result.global_products
@@ -69,8 +120,8 @@ class TestGlobalProduct:
         for tid, t in enumerate(auto.transitions):
             if not isinstance(t.label, Silent):
                 continue
-            src_components = auto.state_tags[t.src][0]
-            dst_components = auto.state_tags[t.dst][0]
+            src_components = auto.state_tags[t.src]
+            dst_components = auto.state_tags[t.dst]
             moved = [
                 pos
                 for pos in range(len(src_components))
@@ -104,7 +155,7 @@ class TestGlobalProduct:
                 backs.setdefault(t.src, {}).setdefault(cls, []).append(back)
         first = {}  # (class, its states) -> back references at the first such state
         tuples = {}  # (class, its states) -> component tuples holding them
-        for s, (qs, _j) in enumerate(auto.state_tags):
+        for s, qs in enumerate(auto.state_tags):
             for cls in classes:
                 key = (cls, tuple(qs[p] for p in cls))
                 mine = backs.get(s, {}).get(cls, [])
@@ -112,25 +163,77 @@ class TestGlobalProduct:
                 assert len(mine) == len(shared)
                 assert all(b is c for b, c in zip(mine, shared))
                 tuples.setdefault(key, set()).add(qs)
-        assert sum(len(v) for v in tuples.values()) == 2 * 4096
-        assert len(first) <= 2 * 64
+        assert auto.n_states == 2401
+        assert sum(len(v) for v in tuples.values()) == 2 * 2401
+        assert len(first) <= 2 * 49
 
-    def test_team_spanning_class_shares_moves_per_tuple(self, three_robots_result):
-        from tests.test_differential import _shared_moves
 
-        assert three_robots_result.dependency_classes == [frozenset({1, 2, 3})]
-        ((_group, gp),) = three_robots_result.global_products
-        assert _shared_moves(gp) > 0
-
-    def test_first_candidate_is_the_minimal_lasso(self, three_robots_result, two_pairs):
-        pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
-        products = [gp for _group, gp in three_robots_result.global_products]
-        products += [gp for _group, gp in pairs.global_products]
-        for gp in products:
-            assert next(_candidate_lassos(gp)) == find_accepting_lasso(gp.automaton)
+def corridor(motion, task, service_at=(0, 0)):
+    """One agent on a 4x1 grid: service `s` at `service_at`, room P at (3, 0)."""
+    agent = build_grid_agent(
+        GridSpec(
+            1, 4, 1, (0, 0), rooms={(3, 0): "P"}, service_cells=((service_at, frozenset(["s"])),)
+        )
+    )
+    return make_scenario([agent], {1: motion}, {1: task})
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("motion, task", [("F P", "F s"), ("F P", "s"), ("F G P", "F s")])
+    def test_serve_then_walk_east(self, motion, task):
+        # do `s`, then walk east three times: the generate-and-test lasso
+        # stream declared these empty
+        sc = corridor(motion, task)
+        result = run_synthesis(sc, with_estimate=False)
+        check_strategies_fit(sc, result.strategies)
+        assert any(step.action == "s" for step in result.strategies[1].steps())
+        for seed in range(3):
+            sim = simulate(sc, result.strategies, SimulationConfig(seed=seed))
+            assert not [issue for b in sim.behaviors.values() for issue in check_timing(b)]
+            verdict = check_local_satisfaction(sc, result.strategies, sim)[1]
+            assert verdict.motion and verdict.task and verdict.consistent
+
+    def test_staying_in_P_while_serving_forever_is_empty(self):
+        with pytest.raises(EmptyLanguageError) as err:
+            run_synthesis(corridor("F G P", "G F s", service_at=(1, 0)), with_estimate=False)
+        assert err.value.stage == "task"
+        assert err.value.agent_id == 1
+
+    def test_failure_names_the_agent_of_an_uncovered_set(self):
+        # two agents: self-loop X meets A_1 and L_1, self-loop Y meets L_1,
+        # L_2 and (optionally) A_2; the loops' coalitions and entering
+        # positions set the marks
+        def product(y_enters, cyclic=True):
+            auto = BuchiAutomaton(EXPLICIT_MODE)
+            for qs in ((0, 0), (1, 0), (0, 1)):
+                auto.add_state(qs)
+            moves = [(0, 1, {1}, ()), (0, 2, {1}, ())]
+            if cyclic:
+                moves += [(1, 1, {1}, (0,)), (2, 2, {1, 2}, y_enters)]
+            entering = []
+            for src, dst, coalition, enters in moves:
+                tid = auto.add_transition(src, frozenset(), dst)
+                auto.tr_dep[tid] = frozenset(coalition)
+                auto.tr_back[tid] = ("joint", frozenset(coalition), {})
+                entering.append(frozenset(enters))
+            return GlobalProduct(auto, [], [1, 2], entering)
+
+        cases = [(product((1,)), "task", 1), (product(()), "task", 2)]
+        cases.append((product((1,), cyclic=False), "global", None))
+        for gp, stage, agent in cases:
+            with pytest.raises(EmptyLanguageError) as err:
+                synthesize(gp)
+            assert (err.value.stage, err.value.agent_id) == (stage, agent)
+
+    def test_illegal_expansion_is_a_named_error(self, monkeypatch):
+        # covering every L_i keeps each word legal, so an expansion that
+        # still reports an agent is an invariant violation, not a retry
+        from syncplan import globalprod
+
+        monkeypatch.setattr(globalprod, "_expand_lasso", lambda gp, lasso: (None, 1))
+        with pytest.raises(SynthesisError, match="agent 1"):
+            run_synthesis(single_idler(), with_estimate=False)
+
     def test_idle_agent_stays_forever(self):
         sc = single_idler()
         result = run_synthesis(sc, with_estimate=False)

@@ -9,8 +9,8 @@ from syncplan.buchi import (
     prune_non_coaccessible,
 )
 from syncplan.executor import SimulationConfig, extract_local_word, simulate
-from syncplan.globalprod import _candidate_lassos, _counter_winds
-from syncplan.pipeline import format_stats
+from syncplan.globalprod import _acceptance_marks, _accepting_lasso
+from syncplan.pipeline import format_stats, run_synthesis
 
 
 def test_stats_block_complete_and_consistent(three_robots_result):
@@ -42,17 +42,28 @@ def test_globally_assisting_pattern(three_robots_result):
     assert ga[1] == frozenset()
 
 
-def test_synthesis_lasso_winds_counter(three_robots_result):
-    ((_group, gp),) = three_robots_result.global_products
-    chosen = None
-    for lasso in _candidate_lassos(gp):
-        if _counter_winds(gp, lasso):
-            chosen = lasso
-            break
-    assert chosen is not None
-    top = len(gp.products) + 1
-    counters = {gp.automaton.state_tags[s][1] for s in chosen.states(gp.automaton)}
-    assert top in counters
+def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pairs):
+    """The chosen lasso is a path from the initial state into a closed cycle
+    whose moves meet every A_i (agent i enters its accepting set) and every
+    L_i (a joint move of i, or a local move of i keeping its word legal)."""
+    pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+    products = [gp for _group, gp in three_robots_result.global_products]
+    products += [gp for _group, gp in pairs.global_products]
+    for gp in products:
+        a = gp.automaton
+        marks = _acceptance_marks(gp)
+        lasso = _accepting_lasso(gp, marks)
+        states = lasso.states(a)
+        for tid, src in zip(lasso.prefix + lasso.cycle, states):
+            assert a.transitions[tid].src == src
+        assert states[-1] == states[len(lasso.prefix)]
+        for pos, aid in enumerate(gp.agent_ids):
+            entered = [tid for tid in lasso.cycle if pos in gp.entering[tid]]
+            assert entered and all(marks[tid] >> (2 * pos) & 1 for tid in entered)
+            legal = [tid for tid in lasso.cycle if marks[tid] >> (2 * pos + 1) & 1]
+            assert legal and all(aid in a.tr_dep[tid] for tid in legal)
+            joint = [tid for tid in lasso.cycle if a.tr_back[tid][0] == "joint"]
+            assert all(tid in legal for tid in joint if aid in a.tr_dep[tid])
 
 
 def test_three_robot_local_word_pattern(three_robots, three_robots_result):
@@ -69,10 +80,10 @@ def test_three_robot_local_word_pattern(three_robots, three_robots_result):
 
 def test_randomized_scenarios_synthesize_soundly():
     """Whatever the pipeline synthesizes must pass every verdict; empty
-    stages and impossible windings are acceptable, silent failures are not."""
+    languages are acceptable, silent failures are not.  A `SynthesisError`
+    is an invariant violation and fails the test."""
     from syncplan.executor import check_local_satisfaction, check_timing
-    from syncplan.globalprod import EmptyLanguageError, SynthesisError
-    from syncplan.pipeline import run_synthesis
+    from syncplan.globalprod import EmptyLanguageError
     from syncplan.scenario_io import check_strategies_fit
     from tests.conftest import random_scenario
 
@@ -82,7 +93,7 @@ def test_randomized_scenarios_synthesize_soundly():
         scenario = random_scenario(rng)
         try:
             result = run_synthesis(scenario, with_estimate=False)
-        except (EmptyLanguageError, SynthesisError):
+        except EmptyLanguageError:
             continue
         synthesized += 1
         check_strategies_fit(scenario, result.strategies)
@@ -100,7 +111,7 @@ def test_randomized_scenarios_synthesize_soundly():
                     scenario.motion_texts,
                     scenario.task_texts,
                 )
-    assert synthesized >= 15
+    assert synthesized >= 35
 
 
 def test_lasso_absence_matches_pruned_reachability():

@@ -168,16 +168,21 @@ def _teleport(st, ts):
 
 
 def _open_cycle(st, ts):
-    n = len(st.cycle) - 2
+    # drop the cycle's last move: the step before it then leads to the
+    # dropped step's state, not to where the step after it starts
+    cycle = st.cycle
+    after = [step.state for step in cycle[1:]] + [cycle[0].state]
+    j = max(i for i in range(1, len(cycle)) if after[i] != cycle[i].state)
+    n = j - 1
     return (
-        _edited(st, "cycle", st.cycle[:-1]),
-        f"cycle[{n}]: {st.cycle[n].action!r} leads from {st.cycle[n].state!r} to "
-        f"{st.cycle[n + 1].state!r}, not to the next step's state {st.cycle[0].state!r}",
+        _edited(st, "cycle", cycle[:j] + cycle[j + 1:]),
+        f"cycle[{n}]: {cycle[n].action!r} leads from {cycle[n].state!r} to "
+        f"{cycle[j].state!r}, not to the next step's state {after[j]!r}",
     )
 
 
 def _late_start(st, ts):
-    later = next(step.state for step in st.prefix if step.state != st.prefix[0].state)
+    later = next(step.state for step in st.steps() if step.state != st.prefix[0].state)
     steps = [dataclasses.replace(st.prefix[0], state=later)] + list(st.prefix[1:])
     return _edited(st, "prefix", steps), f"prefix[0]: starts at {later!r}, not at the initial state"
 
