@@ -469,51 +469,70 @@ def find_accepting_lasso(a: BuchiAutomaton):
     return lasso
 
 
-def _label_matches(a: BuchiAutomaton, label, symbol) -> bool:
-    if a.mode == GUARD_MODE:
-        if isinstance(symbol, Silent):
-            raise AlphabetMismatchError("silent symbol fed to a guard-labeled automaton")
-        return label.accepts(symbol)
-    return label == symbol
-
-
 def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     """Does the automaton accept prefix . period^omega?
 
-    Builds the synchronous product with the lasso-shaped word automaton and
-    tests emptiness.
+    Searches the synchronous product of the automaton with the lasso-shaped
+    word automaton without building it: an iterative Tarjan over (position,
+    state) pairs, numbered position * n_states + state, computes each
+    pair's successors when it is first visited and answers as soon as it
+    closes a component with an accepting state and an internal edge.  Every
+    pair it visits is reachable, so that component is too.  A silent symbol
+    fed to a guard-labeled automaton raises `AlphabetMismatchError`.
     """
-    symbols = list(word.prefix) + list(word.period)
-    n = len(symbols)
-    loop_to = len(word.prefix)
-    product = BuchiAutomaton(mode=EXPLICIT_MODE)
-    ids = {}
+    symbols = tuple(word.prefix) + tuple(word.period)
+    guards = a.mode == GUARD_MODE
+    if guards and any(isinstance(symbol, Silent) for symbol in symbols):
+        raise AlphabetMismatchError("silent symbol fed to a guard-labeled automaton")
+    size, loop_to = a.n_states, len(word.prefix)
+    transitions, accepting = a.transitions, a.accepting
 
-    def state_id(pos, q):
-        key = (pos, q)
-        if key not in ids:
-            ids[key] = product.add_state(key)
-            if q in a.accepting:
-                product.accepting.add(ids[key])
-        return ids[key]
+    def successors(node):
+        pos, q = divmod(node, size)
+        symbol = symbols[pos]
+        base = (pos + 1 if pos + 1 < len(symbols) else loop_to) * size
+        return [
+            base + t.dst
+            for t in (transitions[tid] for tid in a.out_transitions(q))
+            if (t.label.accepts(symbol) if guards else t.label == symbol)
+        ]
 
-    start = state_id(0, a.initial)
-    product.initial = start
-    queue = deque([(0, a.initial)])
-    seen = {(0, a.initial)}
-    while queue:
-        pos, q = queue.popleft()
-        nxt = pos + 1 if pos + 1 < n else loop_to
-        for tid in a.out_transitions(q):
-            t = a.transitions[tid]
-            if not _label_matches(a, t.label, symbols[pos]):
+    root = a.initial
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    work = [(root, iter(successors(root)))]
+    while work:
+        v, pending = work[-1]
+        for w in pending:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                on_stack.add(w)
+                work.append((w, iter(successors(w))))
+                break
+            if w in on_stack:
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] != index[v]:
                 continue
-            key = (nxt, t.dst)
-            product.add_transition(state_id(pos, q), True, state_id(nxt, t.dst))
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return not language_empty(product)
+            members = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                members.append(w)
+                if w == v:
+                    break
+            if any(w % size in accepting for w in members) and (
+                len(members) > 1 or v in successors(v)
+            ):
+                return True
+    return False
 
 
 def merge_tags(tags):

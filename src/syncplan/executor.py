@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 from . import ltl
 from .agents import Scenario
@@ -399,9 +400,16 @@ def estimate_centralized(scenario: Scenario, cap: int = 2_000_000, spec_automata
 
 
 def _materialize_centralized(scenario: Scenario, cap: int):
-    """Reachable size of the stepwise-synchronized team product, cap-guarded."""
-    from itertools import product as iproduct
+    """Reachable size of the stepwise-synchronized team product, cap-guarded.
 
+    Successors are enumerated by label class.  Each agent's moves out of a
+    state are grouped by the letter they contribute: the state's
+    propositions plus the action's services, a silent action adding none.
+    One combination of classes builds its letter once, the conjunction's
+    accepted targets are looked up once per (spec state, letter), and every
+    tuple of the classes' targets shares them.  Returns `cap + 1` as soon
+    as the count exceeds the cap.
+    """
     conjunction = ltl.TRUE_F
     for agent in scenario.agents:
         aid = agent.agent_id
@@ -412,31 +420,46 @@ def _materialize_centralized(scenario: Scenario, cap: int):
     spec = translate(conjunction)
 
     agents = scenario.agents
+    label_classes = [{} for _ in agents]  # per agent: state -> [(contribution, targets)]
+
+    def classes_at(pos, s):
+        found = label_classes[pos].get(s)
+        if found is None:
+            agent = agents[pos]
+            props = agent.ts.labels[s]
+            groups = {}
+            for action, target in agent.ts.successors(s):
+                label = agent.label_of(action)
+                contribution = props if isinstance(label, Silent) else props | label
+                groups.setdefault(contribution, []).append(target)
+            found = label_classes[pos][s] = list(groups.items())
+        return found
+
+    accepted = {}  # (spec state, letter) -> spec targets whose guard accepts it
     start = (tuple(a.ts.initial for a in agents), spec.initial)
     seen = {start}
+    if len(seen) > cap:
+        return len(seen)
     queue = [start]
     while queue:
         states, q = queue.pop()
-        joint_moves = [a.ts.successors(s) for a, s in zip(agents, states)]
-        letters_base = frozenset(
-            p for a, s in zip(agents, states) for p in a.ts.labels[s]
-        )
-        for combo in iproduct(*joint_moves):
-            letter = set(letters_base)
-            for agent, (action, _target) in zip(agents, combo):
-                label = agent.label_of(action)
-                if not isinstance(label, Silent):
-                    letter |= label
-            letter = frozenset(letter)
-            targets = tuple(t for _a, t in combo)
-            for tid in spec.out_transitions(q):
-                t = spec.transitions[tid]
-                if not t.label.accepts(letter):
-                    continue
-                key = (targets, t.dst)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > cap:
-                        return len(seen)
-                    queue.append(key)
+        for combo in iproduct(*(classes_at(pos, s) for pos, s in enumerate(states))):
+            letter = frozenset().union(*(contribution for contribution, _ in combo))
+            dsts = accepted.get((q, letter))
+            if dsts is None:
+                dsts = accepted[(q, letter)] = list(dict.fromkeys(
+                    spec.transitions[tid].dst
+                    for tid in spec.out_transitions(q)
+                    if spec.transitions[tid].label.accepts(letter)
+                ))
+            if not dsts:
+                continue
+            for targets in iproduct(*(targets for _, targets in combo)):
+                for dst in dsts:
+                    key = (targets, dst)
+                    if key not in seen:
+                        seen.add(key)
+                        if len(seen) > cap:
+                            return len(seen)
+                        queue.append(key)
     return len(seen)

@@ -42,7 +42,6 @@ from .buchi import (
     Lasso,
     Silent,
     Transition,
-    _bfs,
     _walk_forward,
     strongly_connected_components,
 )
@@ -334,25 +333,59 @@ def _acceptance_marks(gp: GlobalProduct) -> list:
     (the move keeps position i's word legal)."""
     a = gp.automaton
     id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
-    legal = {}  # (position, reduced transition id) -> local move keeps the word legal
+    legal = {}  # (position, reduced transition id) -> L bit of the local move
+    joint = {}  # coalition -> L bits of its members
+    entered = {}  # entering positions -> their A bits
     marks = []
     for tid, enters in enumerate(gp.entering):
         back = a.tr_back[tid]
         if back[0] == "joint":
-            mask = sum(2 << (2 * id2pos[aid]) for aid in back[1])
+            mask = joint.get(back[1])
+            if mask is None:
+                mask = joint[back[1]] = sum(2 << (2 * id2pos[aid]) for aid in back[1])
         else:
             key = back[1:]
-            if key not in legal:
-                legal[key] = _keeps_word_legal(gp.products[key[0]], key[1])
-            mask = 2 << (2 * key[0]) if legal[key] else 0
-        marks.append(mask | sum(1 << (2 * pos) for pos in enters))
+            mask = legal.get(key)
+            if mask is None:
+                keeps = _keeps_word_legal(gp.products[key[0]], key[1])
+                mask = legal[key] = 2 << (2 * key[0]) if keeps else 0
+        bits = entered.get(enters)
+        if bits is None:
+            bits = entered[enters] = sum(1 << (2 * pos) for pos in enters)
+        marks.append(mask | bits)
     return marks
+
+
+def _nearest(a: BuchiAutomaton, source: int, pick, allowed=None):
+    """Breadth first from `source` (inside `allowed`), layer by layer, up to
+    the first layer for whose states `pick` yields candidates.
+
+    Returns the least candidate of that layer, or None, and the parent
+    transition of every state reached.  Layers are expanded in discovery
+    order, so the parents are those of a full breadth-first search.
+    """
+    parent = {source: None}
+    layer = [source]
+    while layer:
+        found = [c for s in layer for c in pick(s)]
+        if found:
+            return min(found), parent
+        nxt = []
+        for v in layer:
+            for tid in a.out_transitions(v):
+                w = a.transitions[tid].dst
+                if w not in parent and (allowed is None or w in allowed):
+                    parent[w] = tid
+                    nxt.append(w)
+        layer = nxt
+    return None, parent
 
 
 def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     """One SCC pass over the product; the lasso enters the component covering
     every acceptance set nearest the initial state and greedily walks to an
-    edge of each set still uncovered."""
+    edge of each set still uncovered, nearest first, then meeting the most
+    sets, then by id."""
     a = gp.automaton
     everything = (1 << (2 * len(gp.agent_ids))) - 1
     comp, comps = strongly_connected_components(a)
@@ -363,7 +396,7 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
             covered[c] = covered.get(c, 0) | marks[tid]
     if not covered:
         raise EmptyLanguageError("global")
-    good = [c for c, mask in covered.items() if mask == everything]
+    good = {c for c, mask in covered.items() if mask == everything}
     if not good:
         missing = everything & ~reduce(or_, covered.values())
         if not missing:
@@ -372,29 +405,24 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
         first = (missing & -missing).bit_length() - 1
         raise EmptyLanguageError("task", gp.agent_ids[first // 2])
 
-    dist, parent = _bfs(a, a.initial)
-    entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))
+    entry, parent = _nearest(a, a.initial, lambda s: (s,) if comp[s] in good else ())
     members = set(comps[comp[entry]])
-    internal = [
-        tid for s in sorted(members) for tid in a.out_transitions(s)
-        if a.transitions[tid].dst in members
-    ]
     cycle = []
     cur = entry
     need = everything
+
+    def meeting_need(s):
+        for tid in a.out_transitions(s):
+            if marks[tid] & need and a.transitions[tid].dst in members:
+                yield -(marks[tid] & need).bit_count(), tid
+
     while need:
-        reach, par = _bfs(a, cur, allowed=members)
-        tid = min(
-            (tid for tid in internal if marks[tid] & need),
-            key=lambda tid: (
-                reach[a.transitions[tid].src], -(marks[tid] & need).bit_count(), tid
-            ),
-        )
+        (_bits, tid), par = _nearest(a, cur, meeting_need, members)
         for step in _walk_forward(a, par, cur, a.transitions[tid].src) + [tid]:
             cycle.append(step)
             need &= ~marks[step]
         cur = a.transitions[tid].dst
-    _reach, par = _bfs(a, cur, allowed=members)
+    _entry, par = _nearest(a, cur, lambda s: (s,) if s == entry else (), members)
     cycle += _walk_forward(a, par, cur, entry)
     return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
 

@@ -1,4 +1,5 @@
-"""Unmemoized counter product kept as the reference for the differential tests.
+"""Unmemoized counter product and full-scan lasso search, kept as the
+references for the differential tests.
 
 `build_global_product` builds the product the synthesis used before
 acceptance moved onto the transitions: states are (component tuple,
@@ -7,13 +8,29 @@ The differential tests project it onto component tuples, which must give
 the optimized product's states, moves and annotations, and derive each
 move's entering positions (`entering` is None here) from its back
 reference.
+
+`acceptance_marks` and `accepting_lasso` are the lasso search before its
+breadth-first searches stopped at the first layer holding a candidate:
+every search covers the whole product or component, and each cycle step
+scans all internal edges for the nearest one meeting a set still needed.
+They must give the optimized functions' marks and lasso.
 """
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import or_
 
-from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent
-from syncplan.globalprod import GlobalProduct
+from syncplan.buchi import (
+    EXPLICIT_MODE,
+    BuchiAutomaton,
+    Lasso,
+    Silent,
+    _bfs,
+    _walk_forward,
+    strongly_connected_components,
+)
+from syncplan.globalprod import EmptyLanguageError, GlobalProduct, _keeps_word_legal
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -144,3 +161,74 @@ def build_global_product(products) -> GlobalProduct:
             push(key, sigma, (targets, j2), coalition, ("joint", coalition, assign))
 
     return GlobalProduct(product, products, agent_ids, None)
+
+
+def acceptance_marks(gp: GlobalProduct) -> list:
+    """Per transition, a bit mask of the acceptance sets it lies in: bit 2i
+    for A_i (position i enters its accepting set) and bit 2i + 1 for L_i
+    (the move keeps position i's word legal)."""
+    a = gp.automaton
+    id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
+    legal = {}  # (position, reduced transition id) -> local move keeps the word legal
+    marks = []
+    for tid, enters in enumerate(gp.entering):
+        back = a.tr_back[tid]
+        if back[0] == "joint":
+            mask = sum(2 << (2 * id2pos[aid]) for aid in back[1])
+        else:
+            key = back[1:]
+            if key not in legal:
+                legal[key] = _keeps_word_legal(gp.products[key[0]], key[1])
+            mask = 2 << (2 * key[0]) if legal[key] else 0
+        marks.append(mask | sum(1 << (2 * pos) for pos in enters))
+    return marks
+
+
+def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
+    """One SCC pass over the product; the lasso enters the component covering
+    every acceptance set nearest the initial state and greedily walks to an
+    edge of each set still uncovered."""
+    a = gp.automaton
+    everything = (1 << (2 * len(gp.agent_ids))) - 1
+    comp, comps = strongly_connected_components(a)
+    covered = {}  # component with an internal edge -> sets its internal edges meet
+    for tid, t in enumerate(a.transitions):
+        c = comp[t.src]
+        if c == comp[t.dst]:
+            covered[c] = covered.get(c, 0) | marks[tid]
+    if not covered:
+        raise EmptyLanguageError("global")
+    good = [c for c, mask in covered.items() if mask == everything]
+    if not good:
+        missing = everything & ~reduce(or_, covered.values())
+        if not missing:
+            best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
+            missing = everything & ~covered[best]
+        first = (missing & -missing).bit_length() - 1
+        raise EmptyLanguageError("task", gp.agent_ids[first // 2])
+
+    dist, parent = _bfs(a, a.initial)
+    entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))
+    members = set(comps[comp[entry]])
+    internal = [
+        tid for s in sorted(members) for tid in a.out_transitions(s)
+        if a.transitions[tid].dst in members
+    ]
+    cycle = []
+    cur = entry
+    need = everything
+    while need:
+        reach, par = _bfs(a, cur, allowed=members)
+        tid = min(
+            (tid for tid in internal if marks[tid] & need),
+            key=lambda tid: (
+                reach[a.transitions[tid].src], -(marks[tid] & need).bit_count(), tid
+            ),
+        )
+        for step in _walk_forward(a, par, cur, a.transitions[tid].src) + [tid]:
+            cycle.append(step)
+            need &= ~marks[step]
+        cur = a.transitions[tid].dst
+    _reach, par = _bfs(a, cur, allowed=members)
+    cycle += _walk_forward(a, par, cur, entry)
+    return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))

@@ -209,6 +209,10 @@ class TestStats:
         for token in ("|P_hat|", "global total", "dependency classes", "reduction ratio"):
             assert token in out
 
+    def test_stats_prints_the_materialized_baseline(self, capsys):
+        assert main(["stats", PAIRS]) == 0
+        assert "centralized reachable: 1040\n" in capsys.readouterr().out
+
 
 def run_cli(*args):
     """The command line in a fresh interpreter, so a traceback would show."""

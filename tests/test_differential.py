@@ -1,5 +1,6 @@
-"""The optimized reductions, translator and global product against their
-unoptimized references.
+"""The optimized reductions, translator, global product, lasso search,
+lasso membership and centralized baseline against their unoptimized
+references.
 
 Witnesses are compared step by step, so any change in which of several
 equally short paths a reduction keeps fails here.  The task reduction's
@@ -12,21 +13,26 @@ import random
 
 import pytest
 
-from syncplan import globalprod, ltl, motion, pipeline, taskprod
+from syncplan import executor, globalprod, ltl, motion, pipeline, taskprod
 from syncplan.buchi import (
+    EXPLICIT_MODE,
     GUARD_MODE,
+    AlphabetMismatchError,
     BuchiAutomaton,
     Guard,
     Silent,
     _bfs,
+    check_lasso_membership,
     strongly_connected_components,
 )
-from syncplan.globalprod import EmptyLanguageError
+from syncplan.globalprod import EmptyLanguageError, SynthesisError
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.taskprod import _region_analysis, classify_task_significance
 from syncplan.translate import _degeneralized_quotient, _Tableau, translate
+from tests import reference_buchi as ref_buchi
+from tests import reference_centralized as ref_central
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
@@ -37,6 +43,7 @@ from tests.conftest import (
     random_formula,
     random_motion_product,
     random_scenario,
+    random_word,
 )
 from tests.test_taskprod import _random_task_instance
 
@@ -506,3 +513,158 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
         if any(len(dep) >= 3 for dep in gp.automaton.tr_dep.values())
     ]
     assert len(compared) >= 32 and len(trios) >= 10
+
+
+def _lasso_or_failure(search, gp, marks):
+    try:
+        return search(gp, marks)
+    except EmptyLanguageError as e:
+        return e.stage, e.agent_id
+
+
+def test_accepting_lasso_matches_reference(monkeypatch):
+    # marks and lasso (or the failure naming a stage and agent) of every
+    # global product the synthesis builds, against the full-scan search
+    compared = []
+    synthesize = pipeline.synthesize
+
+    def both(gp):
+        marks = globalprod._acceptance_marks(gp)
+        assert marks == ref_gp.acceptance_marks(gp)
+        found = _lasso_or_failure(globalprod._accepting_lasso, gp, marks)
+        assert found == _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
+        compared.append(found)
+        return synthesize(gp)
+
+    monkeypatch.setattr(pipeline, "synthesize", both)
+    workloads = benchmark_workloads()
+    two_pairs = load_bundled("two_pairs")
+    cases = [(load_bundled(name), False) for name in ("three_robots", "asymmetry")]
+    cases += [(two_pairs, False), (two_pairs, True)]
+    cases += [
+        (scenario_from_dict(workloads.generate(name)), False)
+        for name in ("three_robots_13x13", "wide_guards")
+    ]
+    rng = random.Random(43)
+    cases += [(random_scenario(rng), False) for _ in range(40)]
+    cases += [(_random_wide_team(rng), False) for _ in range(20)]
+    for scenario, per_class in cases:
+        try:
+            run_synthesis(scenario, per_class=per_class, with_estimate=False)
+        except (EmptyLanguageError, SynthesisError):
+            continue
+    lassos = [found for found in compared if not isinstance(found, tuple)]
+    assert len(lassos) >= 55 and len(compared) - len(lassos) >= 5
+    assert sum(len(lasso.cycle) > 1 for lasso in lassos) >= 40
+    assert sum(len(lasso.prefix) > 0 for lasso in lassos) >= 40
+
+
+def _random_explicit_automaton(rng):
+    """Explicit labels over a few service sets and two silent symbols;
+    self-loops and parallel edges."""
+    pool = [frozenset(), frozenset("a"), frozenset("ab"), Silent(1), Silent(2)]
+    n = rng.randint(1, 10)
+    a = BuchiAutomaton(EXPLICIT_MODE)
+    for s in range(n):
+        a.add_state((s,))
+    for s in range(n):
+        for _ in range(rng.randint(0, 4)):
+            dst = s if rng.random() < 0.25 else rng.randrange(n)
+            a.add_transition(s, rng.choice(pool), dst)
+    a.initial = rng.randrange(n)
+    a.accepting = {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5))}
+    return a, pool
+
+
+def test_lasso_membership_matches_explicit_product():
+    rng = random.Random(47)
+    verdicts = []
+    for i in range(3000):
+        if i % 3 == 2:
+            a, pool = _random_explicit_automaton(rng)
+            words = [
+                ltl.UltimatelyPeriodicWord(
+                    tuple(rng.choice(pool) for _ in range(rng.randrange(0, 4))),
+                    tuple(rng.choice(pool) for _ in range(rng.randrange(1, 4))),
+                )
+                for _ in range(4)
+            ]
+        else:
+            if i % 3 == 0:
+                a = translate(random_formula(rng, ATOMS, 3))
+            else:
+                a = _random_guard_automaton(rng)
+            words = [random_word(rng, ATOMS, 4, 4) for _ in range(4)]
+        for word in words:
+            verdict = check_lasso_membership(a, word)
+            assert verdict == ref_buchi.check_lasso_membership(a, word)
+            verdicts.append(verdict)
+        if a.mode == GUARD_MODE:
+            # a silent symbol is refused even where no run reads it
+            silent = ltl.UltimatelyPeriodicWord(words[0].prefix, words[0].period + (Silent(1),))
+            with pytest.raises(AlphabetMismatchError):
+                check_lasso_membership(a, silent)
+    assert verdicts.count(True) >= 2000 and verdicts.count(False) >= 2000
+
+
+def _translate_once(monkeypatch):
+    """Both materializations share one translation per formula."""
+    automata = {}
+
+    def translate_once(f):
+        if f not in automata:
+            automata[f] = translate(f)
+        return automata[f]
+
+    monkeypatch.setattr(executor, "translate", translate_once)
+    monkeypatch.setattr(ref_central, "translate", translate_once)
+
+
+def test_centralized_baseline_matches_reference(monkeypatch):
+    _translate_once(monkeypatch)
+    materialized = 0
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(150):
+            scenario = random_scenario(rng)
+            report = executor.estimate_centralized(scenario, cap=200_000)
+            if report.materialized_states is None:
+                continue
+            count = ref_central.materialize_centralized(scenario, 200_000)
+            assert report.materialized_states == count
+            assert count <= report.estimate
+            materialized += 1
+    assert materialized >= 290
+    # the bundled teams and the workloads, with k = 12 and 14 for
+    # wide_guards, at the CLI cap; three_robots' team conjunction accepts
+    # no letter its agents produce, so only the initial state is reached,
+    # although its estimate is over the cap
+    workloads = benchmark_workloads()
+    cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
+    cases += [scenario_from_dict(workloads.generate(name)) for name in sorted(workloads.WORKLOADS)]
+    cases += [scenario_from_dict(workloads.wide_guards(k)) for k in (12, 14)]
+    counts = []
+    for scenario in cases:
+        count = executor._materialize_centralized(scenario, 2_000_000)
+        assert count == ref_central.materialize_centralized(scenario, 2_000_000)
+        counts.append(count)
+    assert counts == [1, 1040, 1, 1, 1040, 550, 553, 735]
+
+
+@pytest.mark.parametrize("name", ["two_pairs", "wide_guards", "random"])
+def test_centralized_baseline_caps(name, monkeypatch):
+    # cap + 1 exactly when the count exceeds the cap; the reference counts
+    # the initial state without testing the cap, so at cap 0 it says 2
+    _translate_once(monkeypatch)
+    if name == "two_pairs":
+        scenario = load_bundled(name)
+    elif name == "wide_guards":
+        scenario = scenario_from_dict(benchmark_workloads().wide_guards(9))
+    else:
+        scenario = random_scenario(random.Random(1))
+    count = executor._materialize_centralized(scenario, 2_000_000)
+    assert count > 2
+    for cap in (0, 1, count - 1, count, count + 1):
+        found = executor._materialize_centralized(scenario, cap)
+        assert found == (count if count <= cap else cap + 1)
+        assert ref_central.materialize_centralized(scenario, cap) == max(found, 2)

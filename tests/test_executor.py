@@ -14,9 +14,9 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import Strategy, StrategyStep
-from syncplan.scenario_io import load_bundled
+from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.translate import translate
-from tests.conftest import explicit_agent, make_scenario
+from tests.conftest import benchmark_workloads, explicit_agent, make_scenario
 
 
 def two_worker_scenario():
@@ -255,6 +255,11 @@ class TestEstimate:
         high = estimate_centralized(sc, cap=10_000)
         assert high.materialized_states is not None
         assert high.materialized_states <= high.estimate
+
+    @pytest.mark.parametrize("k, count", [(9, 550), (12, 553), (14, 735)])
+    def test_wide_guards_materialized_counts(self, k, count):
+        report = estimate_centralized(scenario_from_dict(benchmark_workloads().wide_guards(k)))
+        assert report.materialized_states == count
 
     def test_three_robot_report(self, three_robots, three_robots_result):
         spec_automata = {
