@@ -244,61 +244,72 @@ def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
         raise ValueError("cycle misses accepting states")
 
 
+def components(roots, successors):
+    """Strongly connected components reachable from `roots`, by an iterative
+    Tarjan.
+
+    Nodes are any hashable values; `successors(node)` gives a node's
+    successors.  Roots are taken in the given order and successors in the
+    order given, and each component is yielded, as a list of its nodes, as
+    soon as it closes: after every component it reaches.  A caller may stop
+    early; nodes past that point are never visited.
+    """
+    index, low = {}, {}
+    stack, on_stack = [], set()
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] != index[v]:
+                    continue
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    members.append(w)
+                    if w == v:
+                        break
+                yield members
+
+
 def strongly_connected_components(a: BuchiAutomaton, allowed=None):
-    """Iterative Tarjan; returns (component id per state, component members).
+    """(component id per state, component members), ids in closing order.
 
     With `allowed`, only the subgraph induced by those states counts; roots
     are taken in ascending order either way, and other states get no id.
     """
-    n = a.n_states
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp = [None] * n
+    transitions = a.transitions
+
+    def successors(v):
+        targets = [transitions[tid].dst for tid in a.out_transitions(v)]
+        return targets if allowed is None else [w for w in targets if w in allowed]
+
+    comp = [None] * a.n_states
     comps = []
-    counter = 0
-    for root in range(n) if allowed is None else sorted(allowed):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            outs = a.out_transitions(v)
-            while pi < len(outs):
-                w = a.transitions[outs[pi]].dst
-                pi += 1
-                if allowed is not None and w not in allowed:
-                    continue
-                if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(members))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    roots = range(a.n_states) if allowed is None else sorted(allowed)
+    for members in components(roots, successors):
+        for w in members:
+            comp[w] = len(comps)
+        comps.append(sorted(members))
     return comp, comps
 
 
@@ -473,7 +484,7 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     """Does the automaton accept prefix . period^omega?
 
     Searches the synchronous product of the automaton with the lasso-shaped
-    word automaton without building it: an iterative Tarjan over (position,
+    word automaton without building it: `components` walks the (position,
     state) pairs, numbered position * n_states + state, computes each
     pair's successors when it is first visited and answers as soon as it
     closes a component with an accepting state and an internal edge.  Every
@@ -497,41 +508,11 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
             if (t.label.accepts(symbol) if guards else t.label == symbol)
         ]
 
-    root = a.initial
-    index = {root: 0}
-    low = {root: 0}
-    stack = [root]
-    on_stack = {root}
-    work = [(root, iter(successors(root)))]
-    while work:
-        v, pending = work[-1]
-        for w in pending:
-            if w not in index:
-                index[w] = low[w] = len(index)
-                stack.append(w)
-                on_stack.add(w)
-                work.append((w, iter(successors(w))))
-                break
-            if w in on_stack:
-                low[v] = min(low[v], index[w])
-        else:
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] != index[v]:
-                continue
-            members = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                members.append(w)
-                if w == v:
-                    break
-            if any(w % size in accepting for w in members) and (
-                len(members) > 1 or v in successors(v)
-            ):
-                return True
+    for members in components([a.initial], successors):
+        if any(w % size in accepting for w in members) and (
+            len(members) > 1 or members[0] in successors(members[0])
+        ):
+            return True
     return False
 
 

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure, an unreadable or malformed
-input file, an unwritable output path or a bad argument, 2 empty language at
-some stage, 3 simulation verdict failure or deadlock.
+input file, an unwritable output path, a bad argument or a usage error (an
+unknown option, a missing argument), 2 empty language at some stage, 3
+simulation verdict failure or deadlock.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def cmd_synthesize(args) -> int:
     if args.dot_dir:
         _check_output_dir("--dot-dir", args.dot_dir)
     try:
-        result = run_synthesis(scenario, cap=args.cap, per_class=args.per_class)
+        result = run_synthesis(scenario, cap=args.cap)
     except EmptyLanguageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -230,7 +231,7 @@ def cmd_stats(args) -> int:
             print(f"problem: {p}")
         return EXIT_INVALID
     try:
-        result = run_synthesis(scenario, cap=args.cap, per_class=args.per_class)
+        result = run_synthesis(scenario, cap=args.cap)
     except (EmptyLanguageError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -255,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="strategies", help="directory for strategy files")
     p.add_argument("--cap", type=int, default=2_000_000,
                    help="state budget for materializing the centralized baseline")
-    p.add_argument("--per-class", action="store_true",
-                   help="synthesize independently per dependency class")
     p.add_argument("--dot-dir", default=None, help="write automaton graphs here")
     p.set_defaults(func=cmd_synthesize)
 
@@ -281,14 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="print pipeline statistics without writing files")
     p.add_argument("scenario")
     p.add_argument("--cap", type=int, default=2_000_000)
-    p.add_argument("--per-class", action="store_true")
     p.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse ends a usage error with 2, which means an empty language here
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SystemExit as exc:

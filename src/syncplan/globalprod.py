@@ -5,7 +5,7 @@ a coalition consists of exactly the agents pulled in transitively by the
 dependency sets of the chosen per-agent transitions, so nobody synchronizes
 without a reason.  The joint label is the union of the members' own service
 contributions and every member's transition must agree with that label on the
-services its own task automaton can distinguish.  Three things keep this
+services its own task automaton can distinguish.  Two things keep this
 cheap without changing the product.  Each agent's candidate transitions are
 filtered once per state: one whose label holds a service the agent cannot
 see, or that depends on an agent outside the product, never joins, and a
@@ -14,10 +14,9 @@ Extending a partial coalition by a needed agent is a hash join: that agent's
 candidates are indexed by the services both sides must agree on (its own
 services the members' guards mention, and the members' own services its
 guards mention), and only the matching bucket is tried; the full agreement
-test still decides every complete assignment.  Last, joint moves involve
-the agents of one dependency class only, so they are enumerated once per
-class and tuple of its members' states, and shared by every component tuple
-agreeing on those states.
+test still decides every complete assignment.  The pipeline builds one
+product per dependency class; agents of different classes never
+synchronize, so a product over several classes would only interleave them.
 
 Acceptance is generalized and sits on transitions, two sets per agent: A_i
 holds the moves on which agent i enters its reduced automaton's accepting
@@ -81,16 +80,15 @@ class Strategy:
 
 @dataclass
 class GlobalProduct:
-    """Product over all reduced task-and-motion automata.
+    """Product over the reduced task-and-motion automata of one dependency
+    class (or of any agents given).
 
     State tags are the reachable component state tuples, plain tuples with
     one reduced state per position.  `tr_back[tid]` is ("local", position,
-    transition id) or ("joint", coalition ids, {position: transition id}).
-    `entering[tid]` holds the positions whose component moves into its
-    accepting set.  Joint moves of one dependency class share their label,
-    `tr_dep`, `tr_back` and `entering` objects across the tuples agreeing on
-    that class's states, so the assignment is read-only.  The automaton's
-    own accepting set stays empty: acceptance lives on the transitions.
+    transition id) or ("joint", coalition ids, {position: transition id});
+    the assignment is read-only.  `entering[tid]` holds the positions whose
+    component moves into its accepting set.  The automaton's own accepting
+    set stays empty: acceptance lives on the transitions.
     """
 
     automaton: BuchiAutomaton
@@ -196,15 +194,15 @@ def build_global_product(products) -> GlobalProduct:
                 index.setdefault(key, []).append(tid)
         return index
 
-    def joint_moves(qs, positions):
-        """Complete closed coalition assignments among `positions`,
-        deduplicated across seeds, as (sort key prefix, sigma, coalition,
-        back reference, (position, target) changes, entering positions)."""
+    def joint_moves(qs):
+        """Complete closed coalition assignments, deduplicated across seeds,
+        as (sort key prefix, sigma, coalition, back reference, (position,
+        target) changes, entering positions)."""
         results = []
-        for pos in positions:
+        for pos in range(n):
             results += lone[pos].get(qs[pos], ())
         seen = set()
-        for seed_pos in positions:
+        for seed_pos in range(n):
             for seed in seeds[seed_pos].get(qs[seed_pos], ()):
                 # (chosen (position, transition id) pairs, assigned positions,
                 # positions still needed, own services provided, foreign
@@ -249,15 +247,6 @@ def build_global_product(products) -> GlobalProduct:
                     results.append((key, sigma, coalition, back, changes, enters))
         return results
 
-    # joint moves involve only the agents of one dependency class; each
-    # reduced transition keeps its origin's dependency set, so the origins'
-    # classes hold every coalition
-    classes = [
-        tuple(sorted(id2pos[aid] for aid in cls))
-        for cls in compute_dependency_classes([p.origin for p in products])
-    ]
-    class_moves = {}  # (class, its states) -> joint_moves, for classes short of the team
-
     def moves_from(qs):
         """All moves out of a component tuple as (label, dep, back, target
         tuple, entering positions)."""
@@ -267,20 +256,12 @@ def build_global_product(products) -> GlobalProduct:
                 targets = qs[:pos] + (dst,) + qs[pos + 1:]
                 out.append((silent[pos], solo[pos], back, targets, enters))
         joint = []
-        for positions in classes:
-            if len(positions) == n:
-                found = joint_moves(qs, positions)
-            else:
-                sub = (positions, tuple(qs[p] for p in positions))
-                found = class_moves.get(sub)
-                if found is None:
-                    found = class_moves[sub] = joint_moves(qs, positions)
-            for key, sigma, coalition, back, changes, enters in found:
-                targets = list(qs)
-                for p, dst in changes:
-                    targets[p] = dst
-                targets = tuple(targets)
-                joint.append((key + (targets,), sigma, coalition, back, targets, enters))
+        for key, sigma, coalition, back, changes, enters in joint_moves(qs):
+            targets = list(qs)
+            for p, dst in changes:
+                targets[p] = dst
+            targets = tuple(targets)
+            joint.append((key + (targets,), sigma, coalition, back, targets, enters))
         joint.sort(key=itemgetter(0))
         for _key, sigma, coalition, back, targets, enters in joint:
             out.append((sigma, coalition, back, targets, enters))

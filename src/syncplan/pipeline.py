@@ -2,8 +2,10 @@
 
 Runs, for each agent, the motion product and its reduction, then the task
 product with dependency analysis, the team-wide assisting-service pass, the
-task reduction, and finally one global product per dependency class (or one
-for the whole team) from which the strategies are extracted and minimized.
+task reduction, and finally one global product per dependency class from
+which the strategies are extracted and minimized.  Agents of different
+classes never synchronize, so the classes' strategies compose; a product
+over the whole team would only interleave them.
 """
 from __future__ import annotations
 
@@ -54,6 +56,12 @@ def run_synthesis(
     per_class: bool = False,
     with_estimate: bool = True,
 ) -> PipelineResult:
+    """Strategies for every agent, with each stage's artifacts and sizes.
+
+    `per_class` has no effect: synthesis always runs per dependency class.
+    The keyword stays accepted only because the benchmark passes it, and a
+    benchmark-only change removes it.
+    """
     problems = validate(scenario)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
@@ -83,11 +91,9 @@ def run_synthesis(
             raise EmptyLanguageError("task", aid)
 
     classes = compute_dependency_classes(tms)
-    groups = classes if per_class else [frozenset(scenario.agent_ids)]
-
     global_products = []
     raw_strategies = {}
-    for group in sorted(groups, key=lambda g: min(g)):
+    for group in classes:
         products = [artifacts[aid].reduced_task for aid in sorted(group)]
         gp = build_global_product(products)
         global_products.append((tuple(sorted(group)), gp))

@@ -1,7 +1,9 @@
 """Shared fixtures and random-instance generators."""
 from __future__ import annotations
 
+import copy
 import importlib.util
+import json
 import random
 import time
 from pathlib import Path
@@ -13,7 +15,7 @@ from syncplan.agents import AgentModel, Scenario
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, TransitionSystem
 from syncplan.motion import MotionProduct
 from syncplan.pipeline import run_synthesis
-from syncplan.scenario_io import load_bundled
+from syncplan.scenario_io import bundled_scenario_path, load_bundled, scenario_from_dict
 
 ATOMS = ["a", "b", "c"]
 
@@ -168,6 +170,36 @@ def random_scenario(rng: random.Random) -> Scenario:
     motion = {a.agent_id: rng.choice(motion_pool(a)) for a in agents}
     task = {a.agent_id: rng.choice(task_pool(a)) for a in agents}
     return make_scenario(agents, motion, task, name="fuzz")
+
+
+def pairs(m: int) -> Scenario:
+    """`m` renamed copies of two_pairs' first pair: agents 2k - 1 and 2k, for
+    k = 1..m, with services pick{k} and lift{k}.  No pair needs another's
+    services, so the team has m dependency classes."""
+    data = json.loads(bundled_scenario_path("two_pairs").read_text())
+    agents, motion, task = [], {}, {}
+    for k in range(1, m + 1):
+
+        def rename(text):
+            return text.replace("pick", f"pick{k}").replace("lift", f"lift{k}")
+
+        for template in data["agents"][:2]:
+            agent = copy.deepcopy(template)
+            old_id, agent["id"] = str(agent["id"]), len(agents) + 1
+            for cell in agent["grid"]["service_cells"]:
+                cell["services"] = [rename(s) for s in cell["services"]]
+            agents.append(agent)
+            motion[str(agent["id"])] = rename(data["motion_formulas"][old_id])
+            task[str(agent["id"])] = rename(data["task_formulas"][old_id])
+    return scenario_from_dict(
+        {
+            "name": f"pairs-{m}",
+            "agents": agents,
+            "motion_formulas": motion,
+            "task_formulas": task,
+            "simulation": data["simulation"],
+        }
+    )
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,7 @@ class TestSynthesize:
     def test_two_pairs_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "strategies"
         code = main(
-            ["synthesize", PAIRS, "--out", str(out), "--per-class", "--cap", "1000"]
+            ["synthesize", PAIRS, "--out", str(out), "--cap", "1000"]
         )
         assert code == 0
         text = capsys.readouterr().out
@@ -204,7 +204,7 @@ class TestRender:
 
 class TestStats:
     def test_stats_prints_block(self, capsys):
-        assert main(["stats", PAIRS, "--per-class", "--cap", "10"]) == 0
+        assert main(["stats", PAIRS, "--cap", "10"]) == 0
         out = capsys.readouterr().out
         for token in ("|P_hat|", "global total", "dependency classes", "reduction ratio"):
             assert token in out
@@ -366,3 +366,24 @@ class TestMalformedFiles:
         data["simulation"]["duration"] = [5.0, 1.0]
         scenario = write_scenario(tmp_path, data)
         self.assert_rejected(run_cli("simulate", scenario, str(strategy_path)), "duration")
+
+
+class TestUsageErrors:
+    # argparse ends a usage error with 2, which here means an empty language
+
+    def test_removed_per_class_option(self):
+        proc = run_cli("synthesize", PAIRS, "--per-class")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert "unrecognized arguments: --per-class" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [["stats"], ["synthesize", PAIRS, "--cap", "many"], ["plan", PAIRS]]
+    )
+    def test_usage_errors_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "synthesize" in capsys.readouterr().out

@@ -23,6 +23,7 @@ from syncplan.buchi import (
     Silent,
     _bfs,
     check_lasso_membership,
+    components,
     strongly_connected_components,
 )
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
@@ -187,17 +188,14 @@ def _synthesize_both(scenario, monkeypatch, **options):
     return new, old
 
 
-# two_pairs runs per class: the reductions are the same as for the whole
-# team, at a seventh of the global-product time
-@pytest.mark.parametrize("name, per_class", [
+@pytest.mark.parametrize("name, several_classes", [
     ("three_robots", False),
     ("two_pairs", True),
     ("asymmetry", False),
 ])
-def test_bundled_scenarios_match_reference(name, per_class, monkeypatch):
-    new, old = _synthesize_both(
-        load_bundled(name), monkeypatch, per_class=per_class, with_estimate=False
-    )
+def test_bundled_scenarios_match_reference(name, several_classes, monkeypatch):
+    new, old = _synthesize_both(load_bundled(name), monkeypatch, with_estimate=False)
+    assert (len(new.dependency_classes) > 1) == several_classes
     assert new.strategies == old.strategies
     assert new.raw_strategies == old.raw_strategies
     assert new.stats == old.stats
@@ -221,6 +219,78 @@ def test_region_components_match_copied_subautomaton():
         assert comps == ref.region_components(a, region)
         nontrivial += sum(len(c) > 1 for c in comps)
     assert nontrivial >= 100
+
+
+def _random_graph(rng):
+    """Up to 14 states, each with up to three out-edges; self-loops and
+    parallel edges."""
+    a = BuchiAutomaton(EXPLICIT_MODE)
+    n = rng.randint(1, 14)
+    for s in range(n):
+        a.add_state((s,))
+    for s in range(n):
+        for _ in range(rng.randint(0, 3)):
+            a.add_transition(s, frozenset(), s if rng.random() < 0.15 else rng.randrange(n))
+    return a
+
+
+def _reach(a, source, allowed):
+    seen = {source}
+    todo = [source]
+    while todo:
+        for tid in a.out_transitions(todo.pop()):
+            w = a.transitions[tid].dst
+            if w in allowed and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_components_match_mutual_reachability():
+    # each component is the set of states mutually reachable inside the
+    # allowed ones, and closes after every component it reaches; `components`
+    # from one root yields exactly the components reachable from it, the
+    # first of them with no edge leaving it
+    rng = random.Random(59)
+    nontrivial = restricted = 0
+    for i in range(2000):
+        a = _random_graph(rng)
+        everything = set(range(a.n_states))
+        allowed = None if i % 2 else {s for s in everything if rng.random() < 0.7}
+        inside = everything if allowed is None else allowed
+        reach = {s: _reach(a, s, inside) for s in inside}
+        comp, comps = strongly_connected_components(a, allowed)
+        assert sorted(s for members in comps for s in members) == sorted(inside)
+        assert all(comp[s] is None for s in everything - inside)
+        for s in inside:
+            assert set(comps[comp[s]]) == {w for w in reach[s] if s in reach[w]}
+            assert comps[comp[s]] == sorted(comps[comp[s]])
+        for t in a.transitions:
+            if t.src in inside and t.dst in inside:
+                assert comp[t.src] >= comp[t.dst]
+        nontrivial += sum(len(members) > 1 for members in comps)
+        restricted += allowed is not None and len(inside) < a.n_states
+
+        root = rng.randrange(a.n_states)
+        names = {s: f"q{s}" for s in everything}  # any hashable node works
+
+        def successors(name):
+            s = int(name[1:])
+            return [names[a.transitions[tid].dst] for tid in a.out_transitions(s)]
+
+        found = list(components([names[root]], successors))
+        everywhere = {s: _reach(a, s, everything) for s in everything}
+        assert {name for members in found for name in members} == {
+            names[s] for s in everywhere[root]
+        }
+        for members in found:
+            s = int(members[0][1:])
+            assert {int(m[1:]) for m in members} == {
+                w for w in everywhere[s] if s in everywhere[w]
+            }
+        first = {int(m[1:]) for m in found[0]}
+        assert all(everywhere[s] <= first for s in first)
+    assert nontrivial >= 800 and restricted >= 500
 
 
 def _team_formulas(scenario):
@@ -412,8 +482,15 @@ def _projected_reference(products):
     return ref.agent_ids, a.state_tags[a.initial][0], moves
 
 
+def _reduced_products(result):
+    """Every agent's reduced task-and-motion product, for one global product
+    over the whole team."""
+    return [result.artifacts[aid].reduced_task for aid in sorted(result.artifacts)]
+
+
 def test_global_product_matches_per_state_joint_moves(monkeypatch):
     compared = []
+    wholes = []
     limit = None
 
     def both(products):
@@ -425,25 +502,26 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_global_product", both)
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
-    # the bundled teams are compared whatever their size (two_pairs as one
-    # whole-team product of 2,401 states, 18,432 with the reference's
-    # counter, and per class); of the random teams, a few reach thousands
-    # of tuples at seconds per reference build, so only products up to
-    # 1,000 tuples are compared
+    # the bundled teams are compared whatever their size (two_pairs per class
+    # and, built directly from all four reduced products, as one product of
+    # 2,401 states, 18,432 with the reference's counter); of the random
+    # teams, a few reach thousands of tuples at seconds per reference build,
+    # so only products up to 1,000 tuples are compared
     two_pairs = load_bundled("two_pairs")
-    cases = [(load_bundled("three_robots"), False, None)]
-    cases += [(two_pairs, False, None), (two_pairs, True, None)]
-    cases.append((load_bundled("asymmetry"), False, None))
+    cases = [(load_bundled("three_robots"), None), (two_pairs, None)]
+    cases.append((load_bundled("asymmetry"), None))
     rng = random.Random(29)
-    cases += [(random_scenario(rng), False, 1000) for _ in range(40)]
-    for scenario, per_class, limit in cases:
+    cases += [(random_scenario(rng), 1000) for _ in range(40)]
+    for scenario, limit in cases:
         try:
-            result = run_synthesis(scenario, per_class=per_class, with_estimate=False)
+            result = run_synthesis(scenario, with_estimate=False)
         except EmptyLanguageError:
             continue
-        if scenario is two_pairs and not per_class:
-            assert [gp.automaton.n_states for _g, gp in result.global_products] == [2401]
-    assert len(compared) >= 36
+        if scenario is two_pairs:
+            whole = both(_reduced_products(result))
+            assert whole.automaton.n_states == 2401
+            wholes.append(whole)
+    assert len(wholes) == 1 and len(compared) >= 36
 
 
 def _random_wide_team(rng):
@@ -524,39 +602,79 @@ def _lasso_or_failure(search, gp, marks):
 
 def test_accepting_lasso_matches_reference(monkeypatch):
     # marks and lasso (or the failure naming a stage and agent) of every
-    # global product the synthesis builds, against the full-scan search
-    compared = []
-    synthesize = pipeline.synthesize
-
-    def both(gp):
-        marks = globalprod._acceptance_marks(gp)
-        assert marks == ref_gp.acceptance_marks(gp)
-        found = _lasso_or_failure(globalprod._accepting_lasso, gp, marks)
-        assert found == _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
-        compared.append(found)
-        return synthesize(gp)
-
-    monkeypatch.setattr(pipeline, "synthesize", both)
+    # global product the synthesis builds, and, for teams of several
+    # dependency classes, of the whole-team product built directly from the
+    # same reduced products, against the full-scan search
+    monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     workloads = benchmark_workloads()
-    two_pairs = load_bundled("two_pairs")
-    cases = [(load_bundled(name), False) for name in ("three_robots", "asymmetry")]
-    cases += [(two_pairs, False), (two_pairs, True)]
+    cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
     cases += [
-        (scenario_from_dict(workloads.generate(name)), False)
+        scenario_from_dict(workloads.generate(name))
         for name in ("three_robots_13x13", "wide_guards")
     ]
     rng = random.Random(43)
-    cases += [(random_scenario(rng), False) for _ in range(40)]
-    cases += [(_random_wide_team(rng), False) for _ in range(20)]
-    for scenario, per_class in cases:
+    cases += [random_scenario(rng) for _ in range(40)]
+    cases += [_random_wide_team(rng) for _ in range(20)]
+    compared = []
+    for scenario in cases:
         try:
-            run_synthesis(scenario, per_class=per_class, with_estimate=False)
-        except (EmptyLanguageError, SynthesisError):
+            result = run_synthesis(scenario, with_estimate=False)
+        except EmptyLanguageError:
             continue
+        products = [gp for _group, gp in result.global_products]
+        if len(products) > 1:
+            products.append(globalprod.build_global_product(_reduced_products(result)))
+        for gp in products:
+            marks = globalprod._acceptance_marks(gp)
+            assert marks == ref_gp.acceptance_marks(gp)
+            found = _lasso_or_failure(globalprod._accepting_lasso, gp, marks)
+            assert found == _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
+            compared.append(found)
     lassos = [found for found in compared if not isinstance(found, tuple)]
     assert len(lassos) >= 55 and len(compared) - len(lassos) >= 5
     assert sum(len(lasso.cycle) > 1 for lasso in lassos) >= 40
     assert sum(len(lasso.prefix) > 0 for lasso in lassos) >= 40
+
+
+def _verdict(run):
+    """"solved", the stage of an empty language, or "unexpandable"."""
+    try:
+        run()
+    except EmptyLanguageError as e:
+        return e.stage
+    except SynthesisError:
+        return "unexpandable"
+    return "solved"
+
+
+def test_class_products_agree_with_whole_team_product(monkeypatch):
+    # the synthesis, one global product per dependency class, against one
+    # product over the whole team built directly from the same reduced
+    # products: both solve, or both fail at the same stage.  The agent a
+    # failure names may differ.  Per class, it is the first failing class's
+    # first uncovered acceptance set.  The whole-team product's components
+    # each combine one component of every class, so the one covering the
+    # most sets, and the first set it misses, need not be that class's.
+    rng = random.Random(53)
+    teams = [random_scenario(rng) for _ in range(60)]
+    teams += [_random_wide_team(rng) for _ in range(20)]
+    verdicts = []  # (verdict, several classes?) past the per-agent stages
+    for scenario in teams:
+        per_class = _verdict(lambda: run_synthesis(scenario, with_estimate=False))
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "synthesize", lambda gp: {})
+            try:
+                result = run_synthesis(scenario, with_estimate=False)
+            except EmptyLanguageError as e:
+                # a stage before the global product: the same either way
+                assert per_class == e.stage
+                continue
+        whole = globalprod.build_global_product(_reduced_products(result))
+        assert _verdict(lambda: globalprod.synthesize(whole)) == per_class
+        verdicts.append((per_class, len(result.dependency_classes) > 1))
+    failing = [several for verdict, several in verdicts if verdict != "solved"]
+    assert len(verdicts) >= 70 and sum(several for _v, several in verdicts) >= 15
+    assert len(failing) >= 5 and sum(failing) >= 2
 
 
 def _random_explicit_automaton(rng):

@@ -3,7 +3,6 @@ import dataclasses
 
 import pytest
 
-from syncplan import pipeline
 from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, _bfs
 from syncplan.executor import (
@@ -86,7 +85,7 @@ class TestGlobalProduct:
         ((_group, gp),) = three_robots_result.global_products
         assert_states_are_distinct_reachable_tuples(gp)
         assert gp.automaton.n_states == 945
-        pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+        pairs = run_synthesis(two_pairs, with_estimate=False)
         for _group, gp in pairs.global_products:
             assert_states_are_distinct_reachable_tuples(gp)
 
@@ -136,36 +135,6 @@ class TestGlobalProduct:
         back = next(b for b in auto.tr_back.values() if b[0] == "joint")
         with pytest.raises(TypeError):
             back[2][0] = 0
-
-    def test_class_states_share_joint_moves(self, monkeypatch, two_pairs):
-        # as one team, two_pairs has the classes {1, 2} and {3, 4}: component
-        # tuples agreeing on one class's states reuse that class's joint
-        # moves, back references included, whatever the other class does
-        monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
-        result = run_synthesis(two_pairs, with_estimate=False)
-        assert result.dependency_classes == [frozenset({1, 2}), frozenset({3, 4})]
-        ((_group, gp),) = result.global_products
-        auto = gp.automaton
-        classes = [(0, 1), (2, 3)]
-        backs = {}  # state -> class -> back references of its joint moves, in order
-        for tid, t in enumerate(auto.transitions):
-            back = auto.tr_back[tid]
-            if back[0] == "joint":
-                (cls,) = [c for c in classes if set(back[2]) <= set(c)]
-                backs.setdefault(t.src, {}).setdefault(cls, []).append(back)
-        first = {}  # (class, its states) -> back references at the first such state
-        tuples = {}  # (class, its states) -> component tuples holding them
-        for s, qs in enumerate(auto.state_tags):
-            for cls in classes:
-                key = (cls, tuple(qs[p] for p in cls))
-                mine = backs.get(s, {}).get(cls, [])
-                shared = first.setdefault(key, mine)
-                assert len(mine) == len(shared)
-                assert all(b is c for b, c in zip(mine, shared))
-                tuples.setdefault(key, set()).add(qs)
-        assert auto.n_states == 2401
-        assert sum(len(v) for v in tuples.values()) == 2 * 2401
-        assert len(first) <= 2 * 49
 
 
 def corridor(motion, task, service_at=(0, 0)):
@@ -350,7 +319,7 @@ class TestSynthesize:
         with pytest.raises(
             SynthesisError, match="agent 1: cycle expansion did not close within 0 passes"
         ):
-            run_synthesis(two_pairs, per_class=True, with_estimate=False)
+            run_synthesis(two_pairs, with_estimate=False)
 
     def test_unsatisfiable_motion_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})
@@ -437,6 +406,6 @@ class TestDependencyClasses:
             compute_dependency_classes(tms)
 
     def test_two_disjoint_pairs(self, two_pairs):
-        result = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+        result = run_synthesis(two_pairs, with_estimate=False)
         assert result.dependency_classes == [frozenset({1, 2}), frozenset({3, 4})]
         assert [group for group, _gp in result.global_products] == [(1, 2), (3, 4)]

@@ -9,8 +9,9 @@ from syncplan.buchi import (
     prune_non_coaccessible,
 )
 from syncplan.executor import SimulationConfig, extract_local_word, simulate
-from syncplan.globalprod import _acceptance_marks, _accepting_lasso
+from syncplan.globalprod import Strategy, StrategyStep, _acceptance_marks, _accepting_lasso
 from syncplan.pipeline import format_stats, run_synthesis
+from tests.conftest import pairs
 
 
 def test_stats_block_complete_and_consistent(three_robots_result):
@@ -42,11 +43,52 @@ def test_globally_assisting_pattern(three_robots_result):
     assert ga[1] == frozenset()
 
 
+def test_one_global_product_per_dependency_class(two_pairs):
+    # `per_class` is the benchmark's keyword and has no effect
+    for result in (
+        run_synthesis(two_pairs, with_estimate=False),
+        run_synthesis(two_pairs, per_class=False, with_estimate=False),
+    ):
+        assert [(g, gp.automaton.n_states) for g, gp in result.global_products] == [
+            ((1, 2), 49),
+            ((3, 4), 49),
+        ]
+
+
+def test_independent_pairs_synthesize_like_one_pair(two_pairs):
+    # eight renamed copies of two_pairs' first pair: eight classes of 49
+    # global states each, every pair with the first pair's strategies
+    first = run_synthesis(two_pairs, with_estimate=False).strategies
+    result = run_synthesis(pairs(8), with_estimate=False)
+    assert result.dependency_classes == [
+        frozenset({2 * k - 1, 2 * k}) for k in range(1, 9)
+    ]
+    assert [gp.automaton.n_states for _g, gp in result.global_products] == [49] * 8
+    for k in range(1, 9):
+        ids = {1: 2 * k - 1, 2: 2 * k}
+        actions = {"pick": f"pick{k}", "lift": f"lift{k}"}
+
+        def renamed(steps):
+            return tuple(
+                StrategyStep(
+                    s.state,
+                    actions.get(s.action, s.action),
+                    frozenset(ids[aid] for aid in s.sync),
+                )
+                for s in steps
+            )
+
+        for aid, new_id in ids.items():
+            st = first[aid]
+            expected = Strategy(new_id, renamed(st.prefix), renamed(st.cycle))
+            assert result.strategies[new_id] == expected
+
+
 def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pairs):
     """The chosen lasso is a path from the initial state into a closed cycle
     whose moves meet every A_i (agent i enters its accepting set) and every
     L_i (a joint move of i, or a local move of i keeping its word legal)."""
-    pairs = run_synthesis(two_pairs, per_class=True, with_estimate=False)
+    pairs = run_synthesis(two_pairs, with_estimate=False)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
     for gp in products:

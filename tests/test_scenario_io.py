@@ -224,7 +224,7 @@ def test_bundled_strategies_fit(three_robots, three_robots_result, two_pairs, as
     check_strategies_fit(three_robots, three_robots_result.strategies)
     check_strategies_fit(three_robots, three_robots_result.raw_strategies)
     for scenario in (two_pairs, asymmetry):
-        result = run_synthesis(scenario, per_class=True, with_estimate=False)
+        result = run_synthesis(scenario, with_estimate=False)
         check_strategies_fit(scenario, result.strategies)
         check_strategies_fit(scenario, result.raw_strategies)
 
