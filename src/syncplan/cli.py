@@ -107,7 +107,7 @@ def cmd_synthesize(args) -> int:
     if args.dot_dir:
         _check_output_dir("--dot-dir", args.dot_dir)
     try:
-        result = run_synthesis(scenario, cap=args.cap)
+        result = run_synthesis(scenario)
     except EmptyLanguageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -231,7 +231,7 @@ def cmd_stats(args) -> int:
             print(f"problem: {p}")
         return EXIT_INVALID
     try:
-        result = run_synthesis(scenario, cap=args.cap)
+        result = run_synthesis(scenario)
     except (EmptyLanguageError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="run the full synthesis pipeline")
     p.add_argument("scenario")
     p.add_argument("--out", default="strategies", help="directory for strategy files")
-    p.add_argument("--cap", type=int, default=2_000_000,
-                   help="state budget for materializing the centralized baseline")
     p.add_argument("--dot-dir", default=None, help="write automaton graphs here")
     p.set_defaults(func=cmd_synthesize)
 
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="print pipeline statistics without writing files")
     p.add_argument("scenario")
-    p.add_argument("--cap", type=int, default=2_000_000)
     p.set_defaults(func=cmd_stats)
 
     return parser

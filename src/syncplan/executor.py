@@ -1,4 +1,5 @@
-"""Timed asynchronous execution of strategies and local satisfaction checks.
+"""Timed asynchronous execution of strategies, local satisfaction checks,
+and the size bound of the centralized baseline.
 
 Agents run their scripts independently; a request naming a coalition blocks
 until every member has issued its matching request (occurrences of the same
@@ -12,9 +13,9 @@ how the synthesized strategies create meaningful coincidences.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from . import ltl
 from .agents import Scenario
@@ -79,32 +80,6 @@ class Behavior:
             seq.append(step.request_time)
             seq.append(step.start_time)
         return seq
-
-
-@dataclass
-class ServiceTrace:
-    """Per-agent view of one behavior: every action's service set with its
-    start instant, and the non-silent subsequence forming the word."""
-
-    service_sets: list  # one entry per action, silent marker included
-    service_times: list
-    word: list  # non-silent subsequence of service_sets
-    word_times: list
-
-
-def service_trace(behavior: Behavior, agent) -> ServiceTrace:
-    service_sets = []
-    service_times = []
-    word = []
-    word_times = []
-    for step in behavior.steps:
-        label = agent.label_of(step.action)
-        service_sets.append(label)
-        service_times.append(step.start_time)
-        if not isinstance(label, Silent):
-            word.append(label)
-            word_times.append(step.start_time)
-    return ServiceTrace(service_sets, service_times, word, word_times)
 
 
 @dataclass
@@ -337,30 +312,25 @@ def check_timing(behavior: Behavior, tolerance: float = 1e-9):
 @dataclass
 class CentralizedEstimate:
     ts_state_bound: int
-    spec_sizes: dict  # agent -> (motion BA size, task BA size)
-    formula_count: int
     counter_factor: int
-    intersection_bound: int
     estimate: int
     formula: str
-    cap: int
-    materialized_states: int = None
+    materialized_states: int = None  # never set; the benchmark still reads it
 
 
-def estimate_centralized(scenario: Scenario, cap: int = 2_000_000, spec_automata=None) -> CentralizedEstimate:
-    """Size of the one-shot team product, materialized only under the cap.
+def estimate_centralized(scenario: Scenario, spec_automata=None) -> CentralizedEstimate:
+    """Size bound of the one-shot team product, the baseline the global
+    products are compared with.
 
-    The estimate multiplies the team transition-system bound with every
-    specification automaton's size and the acceptance counter range of their
+    The bound multiplies the team transition-system bound with every agent's
+    motion and task automaton size and the acceptance counter range of their
     intersection; syntactically trivial formulas do not count toward the
-    counter range.
+    counter range.  `spec_automata` maps an agent to its (motion, task)
+    automata; agents it lacks have their formulas translated here.
     """
-    ts_bound = 1
-    for agent in scenario.agents:
-        ts_bound *= len(agent.ts.states)
-    spec_sizes = {}
+    ts_sizes = [len(agent.ts.states) for agent in scenario.agents]
+    spec_sizes = []
     nontrivial = 0
-    intersection = 1
     for agent in scenario.agents:
         aid = agent.agent_id
         motion_f = scenario.motion_formulas[aid]
@@ -369,97 +339,13 @@ def estimate_centralized(scenario: Scenario, cap: int = 2_000_000, spec_automata
             motion_spec, task_spec = spec_automata[aid]
         else:
             motion_spec, task_spec = translate(motion_f), translate(task_f)
-        spec_sizes[aid] = (motion_spec.n_states, task_spec.n_states)
-        intersection *= motion_spec.n_states * task_spec.n_states
+        spec_sizes += [motion_spec.n_states, task_spec.n_states]
         nontrivial += sum(1 for f in (motion_f, task_f) if f.kind != ltl.TRUE)
     counter_factor = nontrivial + 1 if nontrivial else 1
-    estimate = ts_bound * intersection * counter_factor
-    formula = (
-        " * ".join(str(len(a.ts.states)) for a in scenario.agents)
-        + " * "
-        + " * ".join(
-            f"{spec_sizes[a.agent_id][0]} * {spec_sizes[a.agent_id][1]}"
-            for a in scenario.agents
-        )
-        + f" * {counter_factor}"
-    )
-    materialized = None
-    if estimate <= cap:
-        materialized = _materialize_centralized(scenario, cap)
+    factors = ts_sizes + spec_sizes + [counter_factor]
     return CentralizedEstimate(
-        ts_bound,
-        spec_sizes,
-        nontrivial,
+        math.prod(ts_sizes),
         counter_factor,
-        intersection,
-        estimate,
-        formula,
-        cap,
-        materialized,
+        math.prod(factors),
+        " * ".join(map(str, factors)),
     )
-
-
-def _materialize_centralized(scenario: Scenario, cap: int):
-    """Reachable size of the stepwise-synchronized team product, cap-guarded.
-
-    Successors are enumerated by label class.  Each agent's moves out of a
-    state are grouped by the letter they contribute: the state's
-    propositions plus the action's services, a silent action adding none.
-    One combination of classes builds its letter once, the conjunction's
-    accepted targets are looked up once per (spec state, letter), and every
-    tuple of the classes' targets shares them.  Returns `cap + 1` as soon
-    as the count exceeds the cap.
-    """
-    conjunction = ltl.TRUE_F
-    for agent in scenario.agents:
-        aid = agent.agent_id
-        conjunction = ltl.land(
-            conjunction,
-            ltl.land(scenario.motion_formulas[aid], scenario.task_formulas[aid]),
-        )
-    spec = translate(conjunction)
-
-    agents = scenario.agents
-    label_classes = [{} for _ in agents]  # per agent: state -> [(contribution, targets)]
-
-    def classes_at(pos, s):
-        found = label_classes[pos].get(s)
-        if found is None:
-            agent = agents[pos]
-            props = agent.ts.labels[s]
-            groups = {}
-            for action, target in agent.ts.successors(s):
-                label = agent.label_of(action)
-                contribution = props if isinstance(label, Silent) else props | label
-                groups.setdefault(contribution, []).append(target)
-            found = label_classes[pos][s] = list(groups.items())
-        return found
-
-    accepted = {}  # (spec state, letter) -> spec targets whose guard accepts it
-    start = (tuple(a.ts.initial for a in agents), spec.initial)
-    seen = {start}
-    if len(seen) > cap:
-        return len(seen)
-    queue = [start]
-    while queue:
-        states, q = queue.pop()
-        for combo in iproduct(*(classes_at(pos, s) for pos, s in enumerate(states))):
-            letter = frozenset().union(*(contribution for contribution, _ in combo))
-            dsts = accepted.get((q, letter))
-            if dsts is None:
-                dsts = accepted[(q, letter)] = list(dict.fromkeys(
-                    spec.transitions[tid].dst
-                    for tid in spec.out_transitions(q)
-                    if spec.transitions[tid].label.accepts(letter)
-                ))
-            if not dsts:
-                continue
-            for targets in iproduct(*(targets for _, targets in combo)):
-                for dst in dsts:
-                    key = (targets, dst)
-                    if key not in seen:
-                        seen.add(key)
-                        if len(seen) > cap:
-                            return len(seen)
-                        queue.append(key)
-    return len(seen)

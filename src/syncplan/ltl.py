@@ -165,6 +165,7 @@ _TOKEN = re.compile(
     r"|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\)))"
 )
 _KEYWORDS = {"true", "false", "X", "U", "F", "G"}
+MAX_NESTING = 64  # parentheses, and operators on any root-to-leaf path
 
 
 def _tokenize(text: str):
@@ -193,6 +194,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.alphabet = None if alphabet is None else set(alphabet)
         self.i = 0
+        self.open_parens = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -245,10 +247,14 @@ class _Parser:
     def parse_primary(self) -> Formula:
         kind, value, pos = self.take()
         if kind == "lpar":
+            self.open_parens += 1
+            if self.open_parens > MAX_NESTING:
+                raise LtlSyntaxError(f"more than {MAX_NESTING} nested parentheses", pos)
             f = self.parse_or()
             k2, v2, p2 = self.take()
             if k2 != "rpar":
                 raise LtlSyntaxError("expected ')'", p2)
+            self.open_parens -= 1
             return f
         if kind == "ident":
             if value == "true":
@@ -266,9 +272,30 @@ class _Parser:
 def parse(text: str, alphabet=None) -> Formula:
     """Parse ASCII syntax: atoms, !, &&, ||, X, U, F, G, true, false.
 
-    When `alphabet` is given, every atom must be a member of it.
+    When `alphabet` is given, every atom must be a member of it.  Formulas
+    nested deeper than MAX_NESTING are refused, since the recursive passes
+    over a formula (normal form, translation, evaluation) would overflow the
+    stack on them.
     """
-    return _Parser(text, alphabet).parse()
+    parser = _Parser(text, alphabet)
+    try:
+        f = parser.parse()
+    except RecursionError:
+        raise LtlSyntaxError("formula nested too deeply", 0) from None
+    # every operator on a path is a token of its own
+    if len(parser.tokens) > MAX_NESTING and _depth(f) > MAX_NESTING:
+        raise LtlSyntaxError(f"more than {MAX_NESTING} nested operators", 0)
+    return f
+
+
+def _depth(f: Formula) -> int:
+    """Operators on the longest root-to-leaf path, counted level by level
+    rather than by recursion."""
+    level, depth = f.children, 0
+    while level:
+        depth += 1
+        level = [c for g in level for c in g.children]
+    return depth
 
 
 def to_nnf(f: Formula) -> Formula:

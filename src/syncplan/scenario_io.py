@@ -283,6 +283,8 @@ def _read_json(path):
         raise ScenarioFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioFormatError(f"{path}: not UTF-8 text") from exc
+    except RecursionError:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_scenario(path) -> Scenario:

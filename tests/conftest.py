@@ -211,7 +211,7 @@ def three_robots():
 def three_robots_result(three_robots):
     """One timed pipeline run shared by the structural and acceptance tests."""
     started = time.monotonic()
-    result = run_synthesis(three_robots, cap=2_000_000)
+    result = run_synthesis(three_robots)
     result.stats["elapsed_seconds"] = time.monotonic() - started
     return result
 

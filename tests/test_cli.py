@@ -83,7 +83,7 @@ class TestSynthesize:
     def test_two_pairs_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "strategies"
         code = main(
-            ["synthesize", PAIRS, "--out", str(out), "--cap", "1000"]
+            ["synthesize", PAIRS, "--out", str(out)]
         )
         assert code == 0
         text = capsys.readouterr().out
@@ -122,7 +122,7 @@ class TestSynthesize:
         out = tmp_path / "strategies"
         dots = tmp_path / "dots"
         code = main(
-            ["synthesize", ASYM, "--out", str(out), "--dot-dir", str(dots), "--cap", "10"]
+            ["synthesize", ASYM, "--out", str(out), "--dot-dir", str(dots)]
         )
         assert code == 0
         names = {p.name for p in dots.glob("*.dot")}
@@ -134,7 +134,7 @@ class TestSynthesize:
 class TestSimulate:
     def test_synthesized_strategies_pass(self, tmp_path, capsys):
         out = tmp_path / "st"
-        assert main(["synthesize", ASYM, "--out", str(out), "--cap", "10"]) == 0
+        assert main(["synthesize", ASYM, "--out", str(out)]) == 0
         capsys.readouterr()
         files = [str(p) for p in sorted(out.glob("*.json"))]
         log = tmp_path / "events.log"
@@ -171,7 +171,7 @@ class TestSimulate:
 @pytest.fixture(scope="module")
 def strategy_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("render") / "st"
-    assert main(["synthesize", THREE, "--out", str(out), "--cap", "10"]) == 0
+    assert main(["synthesize", THREE, "--out", str(out)]) == 0
     return [str(p) for p in sorted(out.glob("*.json"))]
 
 
@@ -204,14 +204,20 @@ class TestRender:
 
 class TestStats:
     def test_stats_prints_block(self, capsys):
-        assert main(["stats", PAIRS, "--cap", "10"]) == 0
+        assert main(["stats", PAIRS]) == 0
         out = capsys.readouterr().out
         for token in ("|P_hat|", "global total", "dependency classes", "reduction ratio"):
             assert token in out
 
-    def test_stats_prints_the_materialized_baseline(self, capsys):
+    def test_stats_prints_the_estimated_baseline(self, capsys):
         assert main(["stats", PAIRS]) == 0
-        assert "centralized reachable: 1040\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert (
+            "centralized estimate: 20480 "
+            "(4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5)\n"
+        ) in out
+        assert "reduction ratio: 209.0\n" in out
+        assert "centralized reachable" not in out
 
 
 def run_cli(*args):
@@ -289,7 +295,7 @@ class TestMalformedFiles:
     @pytest.fixture(scope="class")
     def asymmetry_files(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("asymmetry") / "st"
-        assert main(["synthesize", ASYM, "--out", str(out), "--cap", "10"]) == 0
+        assert main(["synthesize", ASYM, "--out", str(out)]) == 0
         return sorted(out.glob("*.json"))
 
     def resynced(self, tmp_path, asymmetry_files, sync):
@@ -327,7 +333,7 @@ class TestMalformedFiles:
     def test_out_is_a_file(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")
-        proc = run_cli("synthesize", ASYM, "--out", str(taken), "--cap", "10")
+        proc = run_cli("synthesize", ASYM, "--out", str(taken))
         self.assert_rejected(proc, f"--out {taken}: {taken} is not a directory")
 
     def test_dot_dir_below_a_file(self, tmp_path):
@@ -361,6 +367,30 @@ class TestMalformedFiles:
             run_cli("check", write_scenario(tmp_path, data)), "width: expected an integer"
         )
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("(" * 200 + "true" + ")" * 200, "nested parentheses"),
+            ("G " * 900 + "true", "nested operators"),
+        ],
+        ids=["parentheses", "operators"],
+    )
+    def test_deep_formula_rejected(self, tmp_path, command, formula, message):
+        data = json.loads(Path(ASYM).read_text())
+        data["motion_formulas"]["1"] = formula
+        out = tmp_path / "st"
+        options = ["--out", str(out)] if command == "synthesize" else []
+        proc = run_cli(command, write_scenario(tmp_path, data), *options)
+        self.assert_rejected(proc, f"motion_formulas[1]: more than 64 {message}")
+        assert not out.exists()
+
+    def test_deeply_nested_json(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_rejected(run_cli("check", str(deep)), "JSON nested too deeply")
+        self.assert_rejected(run_cli("simulate", ASYM, str(deep)), "JSON nested too deeply")
+
     def test_reversed_duration_bounds(self, tmp_path, strategy_path):
         data = json.loads(Path(ASYM).read_text())
         data["simulation"]["duration"] = [5.0, 1.0]
@@ -383,6 +413,12 @@ class TestUsageErrors:
     def test_usage_errors_exit_one(self, argv, capsys):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synthesize", "stats"])
+    def test_removed_cap_option(self, command, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where `synthesize` would write, were it accepted
+        assert main([command, PAIRS, "--cap", "10"]) == 1
+        assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

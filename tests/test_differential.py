@@ -1,6 +1,5 @@
-"""The optimized reductions, translator, global product, lasso search,
-lasso membership and centralized baseline against their unoptimized
-references.
+"""The optimized reductions, translator, global product, lasso search and
+lasso membership against their unoptimized references.
 
 Witnesses are compared step by step, so any change in which of several
 equally short paths a reduction keeps fails here.  The task reduction's
@@ -13,7 +12,7 @@ import random
 
 import pytest
 
-from syncplan import executor, globalprod, ltl, motion, pipeline, taskprod
+from syncplan import globalprod, ltl, motion, pipeline, taskprod
 from syncplan.buchi import (
     EXPLICIT_MODE,
     GUARD_MODE,
@@ -33,7 +32,6 @@ from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.taskprod import _region_analysis, classify_task_significance
 from syncplan.translate import _degeneralized_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
-from tests import reference_centralized as ref_central
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
@@ -179,12 +177,12 @@ def test_region_analysis_matches_hand_written_searches():
     assert loops >= 500 and routes >= 500 and dead >= 100
 
 
-def _synthesize_both(scenario, monkeypatch, **options):
-    new = run_synthesis(scenario, **options)
+def _synthesize_both(scenario, monkeypatch):
+    new = run_synthesis(scenario)
     with monkeypatch.context() as m:
         m.setattr(motion, "eliminate_insignificant_states", ref.eliminate_insignificant_states)
         m.setattr(taskprod, "_segments_from", reference_segments)
-        old = run_synthesis(scenario, **options)
+        old = run_synthesis(scenario)
     return new, old
 
 
@@ -194,7 +192,7 @@ def _synthesize_both(scenario, monkeypatch, **options):
     ("asymmetry", False),
 ])
 def test_bundled_scenarios_match_reference(name, several_classes, monkeypatch):
-    new, old = _synthesize_both(load_bundled(name), monkeypatch, with_estimate=False)
+    new, old = _synthesize_both(load_bundled(name), monkeypatch)
     assert (len(new.dependency_classes) > 1) == several_classes
     assert new.strategies == old.strategies
     assert new.raw_strategies == old.raw_strategies
@@ -294,8 +292,8 @@ def test_components_match_mutual_reachability():
 
 
 def _team_formulas(scenario):
-    """Every agent formula of a team, and the team's conjunction as the
-    centralized estimate builds it."""
+    """Every agent formula of a team, and the team's conjunction: a large
+    formula for the translator."""
     formulas = []
     conjunction = ltl.TRUE_F
     for aid in scenario.agent_ids:
@@ -514,7 +512,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
     cases += [(random_scenario(rng), 1000) for _ in range(40)]
     for scenario, limit in cases:
         try:
-            result = run_synthesis(scenario, with_estimate=False)
+            result = run_synthesis(scenario)
         except EmptyLanguageError:
             continue
         if scenario is two_pairs:
@@ -582,7 +580,7 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
     cases += [_random_wide_team(rng) for _ in range(36)]
     for scenario in cases:
         try:
-            run_synthesis(scenario, with_estimate=False)
+            run_synthesis(scenario)
         except EmptyLanguageError:
             continue
     trios = [
@@ -618,7 +616,7 @@ def test_accepting_lasso_matches_reference(monkeypatch):
     compared = []
     for scenario in cases:
         try:
-            result = run_synthesis(scenario, with_estimate=False)
+            result = run_synthesis(scenario)
         except EmptyLanguageError:
             continue
         products = [gp for _group, gp in result.global_products]
@@ -660,11 +658,11 @@ def test_class_products_agree_with_whole_team_product(monkeypatch):
     teams += [_random_wide_team(rng) for _ in range(20)]
     verdicts = []  # (verdict, several classes?) past the per-agent stages
     for scenario in teams:
-        per_class = _verdict(lambda: run_synthesis(scenario, with_estimate=False))
+        per_class = _verdict(lambda: run_synthesis(scenario))
         with monkeypatch.context() as m:
             m.setattr(pipeline, "synthesize", lambda gp: {})
             try:
-                result = run_synthesis(scenario, with_estimate=False)
+                result = run_synthesis(scenario)
             except EmptyLanguageError as e:
                 # a stage before the global product: the same either way
                 assert per_class == e.stage
@@ -725,64 +723,3 @@ def test_lasso_membership_matches_explicit_product():
     assert verdicts.count(True) >= 2000 and verdicts.count(False) >= 2000
 
 
-def _translate_once(monkeypatch):
-    """Both materializations share one translation per formula."""
-    automata = {}
-
-    def translate_once(f):
-        if f not in automata:
-            automata[f] = translate(f)
-        return automata[f]
-
-    monkeypatch.setattr(executor, "translate", translate_once)
-    monkeypatch.setattr(ref_central, "translate", translate_once)
-
-
-def test_centralized_baseline_matches_reference(monkeypatch):
-    _translate_once(monkeypatch)
-    materialized = 0
-    for seed in (0, 1):
-        rng = random.Random(seed)
-        for _ in range(150):
-            scenario = random_scenario(rng)
-            report = executor.estimate_centralized(scenario, cap=200_000)
-            if report.materialized_states is None:
-                continue
-            count = ref_central.materialize_centralized(scenario, 200_000)
-            assert report.materialized_states == count
-            assert count <= report.estimate
-            materialized += 1
-    assert materialized >= 290
-    # the bundled teams and the workloads, with k = 12 and 14 for
-    # wide_guards, at the CLI cap; three_robots' team conjunction accepts
-    # no letter its agents produce, so only the initial state is reached,
-    # although its estimate is over the cap
-    workloads = benchmark_workloads()
-    cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
-    cases += [scenario_from_dict(workloads.generate(name)) for name in sorted(workloads.WORKLOADS)]
-    cases += [scenario_from_dict(workloads.wide_guards(k)) for k in (12, 14)]
-    counts = []
-    for scenario in cases:
-        count = executor._materialize_centralized(scenario, 2_000_000)
-        assert count == ref_central.materialize_centralized(scenario, 2_000_000)
-        counts.append(count)
-    assert counts == [1, 1040, 1, 1, 1040, 550, 553, 735]
-
-
-@pytest.mark.parametrize("name", ["two_pairs", "wide_guards", "random"])
-def test_centralized_baseline_caps(name, monkeypatch):
-    # cap + 1 exactly when the count exceeds the cap; the reference counts
-    # the initial state without testing the cap, so at cap 0 it says 2
-    _translate_once(monkeypatch)
-    if name == "two_pairs":
-        scenario = load_bundled(name)
-    elif name == "wide_guards":
-        scenario = scenario_from_dict(benchmark_workloads().wide_guards(9))
-    else:
-        scenario = random_scenario(random.Random(1))
-    count = executor._materialize_centralized(scenario, 2_000_000)
-    assert count > 2
-    for cap in (0, 1, count - 1, count, count + 1):
-        found = executor._materialize_centralized(scenario, cap)
-        assert found == (count if count <= cap else cap + 1)
-        assert ref_central.materialize_centralized(scenario, cap) == max(found, 2)

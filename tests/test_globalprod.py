@@ -76,7 +76,7 @@ def assert_states_are_distinct_reachable_tuples(gp):
 class TestGlobalProduct:
     def test_states_are_the_distinct_reachable_tuples(self, three_robots_result, two_pairs):
         sc = single_idler()
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         ((group, gp),) = result.global_products
         assert group == (1,)
         assert_states_are_distinct_reachable_tuples(gp)
@@ -85,7 +85,7 @@ class TestGlobalProduct:
         ((_group, gp),) = three_robots_result.global_products
         assert_states_are_distinct_reachable_tuples(gp)
         assert gp.automaton.n_states == 945
-        pairs = run_synthesis(two_pairs, with_estimate=False)
+        pairs = run_synthesis(two_pairs)
         for _group, gp in pairs.global_products:
             assert_states_are_distinct_reachable_tuples(gp)
 
@@ -153,7 +153,7 @@ class TestSynthesize:
         # do `s`, then walk east three times: the generate-and-test lasso
         # stream declared these empty
         sc = corridor(motion, task)
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         check_strategies_fit(sc, result.strategies)
         assert any(step.action == "s" for step in result.strategies[1].steps())
         for seed in range(3):
@@ -164,7 +164,7 @@ class TestSynthesize:
 
     def test_staying_in_P_while_serving_forever_is_empty(self):
         with pytest.raises(EmptyLanguageError) as err:
-            run_synthesis(corridor("F G P", "G F s", service_at=(1, 0)), with_estimate=False)
+            run_synthesis(corridor("F G P", "G F s", service_at=(1, 0)))
         assert err.value.stage == "task"
         assert err.value.agent_id == 1
 
@@ -201,11 +201,11 @@ class TestSynthesize:
 
         monkeypatch.setattr(globalprod, "_expand_lasso", lambda gp, lasso: (None, 1))
         with pytest.raises(SynthesisError, match="agent 1"):
-            run_synthesis(single_idler(), with_estimate=False)
+            run_synthesis(single_idler())
 
     def test_idle_agent_stays_forever(self):
         sc = single_idler()
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         st = result.strategies[1]
         assert all(step.action == "stay" for step in st.cycle)
         assert all(step.sync == frozenset({1}) for step in st.prefix + st.cycle)
@@ -256,7 +256,7 @@ class TestSynthesize:
 
         agent = build_grid_agent(GridSpec(1, 2, 1, (0, 0), rooms={(1, 0): "P"}))
         sc = make_scenario([agent], {1: "F P"}, {1: "true"})
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         st = result.strategies[1]
         visited = [step.state for step in st.prefix + st.cycle]
         assert "1,0" in visited
@@ -277,7 +277,7 @@ class TestSynthesize:
         sc = make_scenario(
             [resting, worker], {1: "F P", 2: "true"}, {1: "true", 2: "G F beep"}
         )
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         assert all(step.action == "stay" for step in result.strategies[1].cycle)
         assert any(step.action == "beep" for step in result.strategies[2].cycle)
         sim = simulate(sc, result.strategies, SimulationConfig(seed=3))
@@ -295,7 +295,7 @@ class TestSynthesize:
             GridSpec(1, 4, 1, (0, 0), rooms={(3, 0): "P"}, service_cells=(beeper,))
         )
         sc = make_scenario([agent], {1: "G F P"}, {1: "G F beep"})
-        result = run_synthesis(sc, with_estimate=False)
+        result = run_synthesis(sc)
         art = result.artifacts[1]
         product = art.motion_product.automaton
         reduced = art.reduced_motion.automaton
@@ -319,13 +319,13 @@ class TestSynthesize:
         with pytest.raises(
             SynthesisError, match="agent 1: cycle expansion did not close within 0 passes"
         ):
-            run_synthesis(two_pairs, with_estimate=False)
+            run_synthesis(two_pairs)
 
     def test_unsatisfiable_motion_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})
         sc = make_scenario([agent], {1: "G !R1"}, {1: "true"})
         with pytest.raises(EmptyLanguageError) as err:
-            run_synthesis(sc, with_estimate=False)
+            run_synthesis(sc)
         assert err.value.stage == "motion"
         assert err.value.agent_id == 1
 
@@ -333,7 +333,7 @@ class TestSynthesize:
         agent = explicit_agent(1, ["s"], {"go": ["m"]}, [(0, "go", 0)])
         sc = make_scenario([agent], {1: "true"}, {1: "G F m && F G !m"})
         with pytest.raises(EmptyLanguageError) as err:
-            run_synthesis(sc, with_estimate=False)
+            run_synthesis(sc)
         assert err.value.stage == "task"
 
 
@@ -406,6 +406,6 @@ class TestDependencyClasses:
             compute_dependency_classes(tms)
 
     def test_two_disjoint_pairs(self, two_pairs):
-        result = run_synthesis(two_pairs, with_estimate=False)
+        result = run_synthesis(two_pairs)
         assert result.dependency_classes == [frozenset({1, 2}), frozenset({3, 4})]
         assert [group for group, _gp in result.global_products] == [(1, 2), (3, 4)]

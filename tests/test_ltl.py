@@ -57,6 +57,28 @@ class TestParse:
         with pytest.raises(ltl.LtlSyntaxError):
             ltl.parse("a U", {"a"})
 
+    def test_deep_formula_nesting_bound(self):
+        bound = ltl.MAX_NESTING
+        at_bound = [
+            "(" * bound + "a" + ")" * bound,
+            "G " * bound + "a",
+            " && ".join(["a"] * (bound + 1)),
+        ]
+        for text in at_bound:
+            f = ltl.parse(text, {"a"})
+            assert ltl.eval_ltl(ltl.to_nnf(f), ltl.word([], [{"a"}]))
+        # one level more is refused; far more would overflow the parser's
+        # own stack, which is refused the same way
+        for text in [
+            "(" * (bound + 1) + "a" + ")" * (bound + 1),
+            "G " * (bound + 1) + "a",
+            " && ".join(["a"] * (bound + 2)),
+            "a U " * 5000 + "a",
+            "!" * 5000 + "a",
+        ]:
+            with pytest.raises(ltl.LtlSyntaxError, match="nested"):
+                ltl.parse(text, {"a"})
+
 
 class TestNormalForm:
     def test_eventually_dualizes_to_always(self):

@@ -1,6 +1,10 @@
 """Pipeline-level bookkeeping and cross-stage consistency."""
 import random
+from collections import Counter
 
+import pytest
+
+from syncplan import executor, pipeline
 from syncplan.buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
@@ -11,7 +15,9 @@ from syncplan.buchi import (
 from syncplan.executor import SimulationConfig, extract_local_word, simulate
 from syncplan.globalprod import Strategy, StrategyStep, _acceptance_marks, _accepting_lasso
 from syncplan.pipeline import format_stats, run_synthesis
-from tests.conftest import pairs
+from syncplan.scenario_io import load_bundled, scenario_from_dict
+from syncplan.translate import translate
+from tests.conftest import benchmark_workloads, pairs
 
 
 def test_stats_block_complete_and_consistent(three_robots_result):
@@ -36,6 +42,64 @@ def test_stats_block_complete_and_consistent(three_robots_result):
     assert "reduction ratio" in text and "globally assisting" in text
 
 
+TWO_PAIRS_BASELINE = (20480, "4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5", 20480 / 98)
+
+
+@pytest.mark.parametrize(
+    "name, estimate, formula, ratio",
+    [
+        ("three_robots", 241920000, "96 * 100 * 100 * 1 * 3 * 1 * 2 * 3 * 2 * 7", 256000.0),
+        ("two_pairs", *TWO_PAIRS_BASELINE),
+        ("asymmetry", 3, "1 * 1 * 1 * 1 * 1 * 1 * 3", 3 / 9),
+        (
+            "three_robots_13x13",
+            1173171636,
+            "163 * 169 * 169 * 1 * 3 * 1 * 2 * 3 * 2 * 7",
+            1173171636 / 945,
+        ),
+        ("two_pairs_team", *TWO_PAIRS_BASELINE),
+        ("wide_guards", 3240, "9 * 12 * 1 * 2 * 1 * 5 * 3", 3240 / 729),
+    ],
+)
+def test_centralized_baseline_values(name, estimate, formula, ratio, three_robots_result):
+    """The baseline is the estimate read from the per-agent automata."""
+    if name == "three_robots":
+        stats = three_robots_result.stats
+    elif name in ("two_pairs", "asymmetry"):
+        stats = run_synthesis(load_bundled(name)).stats
+    else:
+        workloads = benchmark_workloads()
+        stats = run_synthesis(scenario_from_dict(workloads.generate(name))).stats
+    assert stats["centralized_estimate"] == estimate
+    assert stats["centralized_formula"] == formula
+    assert stats["reduction_ratio"] == ratio
+
+
+@pytest.mark.parametrize("name", ["two_pairs", "asymmetry", "wide_guards"])
+def test_translate_calls_per_agent(name, monkeypatch):
+    """Synthesis translates each agent's two formulas once, and no team
+    conjunction: the baseline reuses the pipeline's automata."""
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return translate(f)
+
+    monkeypatch.setattr(pipeline, "translate", counting)
+    monkeypatch.setattr(executor, "translate", counting)
+    if name == "wide_guards":
+        scenario = scenario_from_dict(benchmark_workloads().generate(name))
+    else:
+        scenario = load_bundled(name)
+    run_synthesis(scenario)
+    formulas = [
+        f for aid in scenario.agent_ids
+        for f in (scenario.motion_formulas[aid], scenario.task_formulas[aid])
+    ]
+    assert len(calls) == 2 * len(scenario.agents)
+    assert Counter(calls) == Counter(formulas)
+
+
 def test_globally_assisting_pattern(three_robots_result):
     ga = three_robots_result.globally_assisting
     assert ga[2] == frozenset({"help"})
@@ -44,10 +108,10 @@ def test_globally_assisting_pattern(three_robots_result):
 
 
 def test_one_global_product_per_dependency_class(two_pairs):
-    # `per_class` is the benchmark's keyword and has no effect
+    # `cap` and `per_class` are the benchmark's keywords and have no effect
     for result in (
-        run_synthesis(two_pairs, with_estimate=False),
-        run_synthesis(two_pairs, per_class=False, with_estimate=False),
+        run_synthesis(two_pairs),
+        run_synthesis(two_pairs, cap=1, per_class=False),
     ):
         assert [(g, gp.automaton.n_states) for g, gp in result.global_products] == [
             ((1, 2), 49),
@@ -58,8 +122,8 @@ def test_one_global_product_per_dependency_class(two_pairs):
 def test_independent_pairs_synthesize_like_one_pair(two_pairs):
     # eight renamed copies of two_pairs' first pair: eight classes of 49
     # global states each, every pair with the first pair's strategies
-    first = run_synthesis(two_pairs, with_estimate=False).strategies
-    result = run_synthesis(pairs(8), with_estimate=False)
+    first = run_synthesis(two_pairs).strategies
+    result = run_synthesis(pairs(8))
     assert result.dependency_classes == [
         frozenset({2 * k - 1, 2 * k}) for k in range(1, 9)
     ]
@@ -88,7 +152,7 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
     """The chosen lasso is a path from the initial state into a closed cycle
     whose moves meet every A_i (agent i enters its accepting set) and every
     L_i (a joint move of i, or a local move of i keeping its word legal)."""
-    pairs = run_synthesis(two_pairs, with_estimate=False)
+    pairs = run_synthesis(two_pairs)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
     for gp in products:
@@ -134,7 +198,7 @@ def test_randomized_scenarios_synthesize_soundly():
     for trial in range(40):
         scenario = random_scenario(rng)
         try:
-            result = run_synthesis(scenario, with_estimate=False)
+            result = run_synthesis(scenario)
         except EmptyLanguageError:
             continue
         synthesized += 1

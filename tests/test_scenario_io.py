@@ -224,7 +224,7 @@ def test_bundled_strategies_fit(three_robots, three_robots_result, two_pairs, as
     check_strategies_fit(three_robots, three_robots_result.strategies)
     check_strategies_fit(three_robots, three_robots_result.raw_strategies)
     for scenario in (two_pairs, asymmetry):
-        result = run_synthesis(scenario, with_estimate=False)
+        result = run_synthesis(scenario)
         check_strategies_fit(scenario, result.strategies)
         check_strategies_fit(scenario, result.raw_strategies)
 
@@ -232,6 +232,6 @@ def test_bundled_strategies_fit(three_robots, three_robots_result, two_pairs, as
 @pytest.mark.parametrize("name", ["three_robots_13x13", "two_pairs_team", "wide_guards"])
 def test_workload_strategies_fit(name):
     scenario = scenario_from_dict(benchmark_workloads().generate(name))
-    result = run_synthesis(scenario, with_estimate=False)
+    result = run_synthesis(scenario)
     check_strategies_fit(scenario, result.strategies)
     check_strategies_fit(scenario, result.raw_strategies)
