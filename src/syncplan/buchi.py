@@ -83,21 +83,14 @@ class Witness:
     """Path of lower-level transitions abbreviated by one reduced transition.
 
     `steps` chain from state `src` to state `dst` of the finer automaton.
-    A nonempty `loop` marks an absorbing witness: `steps` lead to an
-    accepting state (`dst`) at which `loop` cycles silently forever.
     """
 
     steps: tuple
     src: int
     dst: int
-    loop: tuple = ()
-
-    @property
-    def absorbing(self) -> bool:
-        return bool(self.loop)
 
     def rank(self):
-        return (1 if self.loop else 0, len(self.steps) + len(self.loop), self.steps, self.loop)
+        return (len(self.steps), self.steps)
 
 
 class BuchiAutomaton:
@@ -666,7 +659,7 @@ def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:
             text += " Dep" + "{" + ",".join(str(i) for i in sorted(a.tr_dep[tid])) + "}"
         attrs = [f'label="{text}"']
         if tid in a.tr_witness:
-            span = max(len(w.steps) + len(w.loop) for w in a.tr_witness[tid])
+            span = max(len(w.steps) for w in a.tr_witness[tid])
             attrs.append(f'tooltip="witness length {span}"')
         lines.append(f'  s{t.src} -> s{t.dst} [{",".join(attrs)}];')
     lines.append("}")

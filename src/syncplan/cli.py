@@ -53,6 +53,18 @@ def _load(path, loader=load_scenario):
         _reject(exc)
 
 
+def _load_valid(path):
+    """Scenario read like `_load`; one that fails validation ends the command
+    with EXIT_INVALID after printing its problems."""
+    scenario = _load(path)
+    problems = validate(scenario)
+    if problems:
+        for p in problems:
+            print(f"problem: {p}")
+        raise SystemExit(EXIT_INVALID)
+    return scenario
+
+
 def _check_output_dir(option, path):
     """Rejects a directory option whose path cannot become a directory: the
     nearest existing path on the way up must be one."""
@@ -85,33 +97,20 @@ def _load_strategies(paths, scenario):
 
 
 def cmd_check(args) -> int:
-    scenario = _load(args.scenario)
-    problems = validate(scenario)
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
-        return EXIT_INVALID
+    scenario = _load_valid(args.scenario)
     print(f"scenario '{scenario.name}' is well-formed "
           f"({len(scenario.agents)} agents, services: {', '.join(sorted(scenario.all_services))})")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    scenario = _load(args.scenario)
-    problems = validate(scenario)
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
-        return EXIT_INVALID
+    scenario = _load_valid(args.scenario)
     _check_output_dir("--out", args.out)
     if args.dot_dir:
         _check_output_dir("--dot-dir", args.dot_dir)
     try:
         result = run_synthesis(scenario)
-    except EmptyLanguageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except SynthesisError as exc:
+    except (EmptyLanguageError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     paths = save_strategies(result.strategies, args.out)
@@ -224,12 +223,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    scenario = _load(args.scenario)
-    problems = validate(scenario)
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
-        return EXIT_INVALID
+    scenario = _load_valid(args.scenario)
     try:
         result = run_synthesis(scenario)
     except (EmptyLanguageError, SynthesisError) as exc:

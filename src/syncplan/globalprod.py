@@ -303,7 +303,7 @@ def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
     tolerant = product.origin.silence_tolerant()
     return all(
         bar.state_tags[w.src][1] in tolerant
-        or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps + w.loop)
+        or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps)
         for w in product.automaton.tr_witness.get(low_tid, ())
     )
 
@@ -420,7 +420,6 @@ class _Expansion:
     prefix_emit: list
     passes: list  # [(emitted steps, state after the pass)]
     split: int
-    absorbed: tuple  # (approach steps, loop steps, anchor) or None
 
 
 class _AgentExpander:
@@ -443,41 +442,28 @@ class _AgentExpander:
         bar_steps = []
         for hat_tid, sync in hat_steps:
             w = _variant_for(self.hat.tr_witness[hat_tid], bar_orig)
-            if w.absorbing:
-                raise SynthesisError("task-level witnesses are plain paths")
             bar_steps.append((w.steps[0], sync))
             bar_steps.extend((s, None) for s in w.steps[1:])
             bar_orig = w.dst
-        absorbed = None
         for bar_tid, sync in bar_steps:
             rm_tid, _task_tid = self.bar.tr_back[bar_tid]
             w = _variant_for(self.ddot.tr_witness[rm_tid], p_orig)
-            if w.absorbing:
-                if absorbed is None:
-                    absorbed = w
-                continue
             emit.append((w.steps[0], sync))
             emit.extend((s, None) for s in w.steps[1:])
             p_orig = w.dst
-        return (bar_orig, p_orig), absorbed
+        return bar_orig, p_orig
 
     def expand(self, hat_prefix, hat_cycle) -> _Expansion:
         state = (self.bar.initial, self.mp.automaton.initial)
         prefix_emit = []
-        state, _ = self._pass(hat_prefix, state, prefix_emit)
+        state = self._pass(hat_prefix, state, prefix_emit)
         passes = []
         seen = {state: 0}
         while True:
             emit = []
-            nxt, absorbed = self._pass(hat_cycle, state, emit)
+            nxt = self._pass(hat_cycle, state, emit)
             if not emit:
-                if absorbed is None:
-                    raise SynthesisError("a cycle pass must emit or absorb")
-                approach = [(tid, None) for tid in absorbed.steps]
-                loop = [(tid, None) for tid in absorbed.loop]
-                return _Expansion(
-                    prefix_emit, passes, len(passes), (approach, loop, absorbed.dst)
-                )
+                raise SynthesisError("a cycle pass must emit")
             passes.append((emit, nxt))
             if len(passes) > self.MAX_PASSES:
                 raise SynthesisError(
@@ -485,19 +471,12 @@ class _AgentExpander:
                     f"within {self.MAX_PASSES} passes"
                 )
             if nxt in seen:
-                return _Expansion(prefix_emit, passes, seen[nxt], None)
+                return _Expansion(prefix_emit, passes, seen[nxt])
             seen[nxt] = len(passes)
             state = nxt
 
     def materialize(self, expansion: _Expansion, shift: int, period: int):
         """Returns (strategy, trailing task-product state of the cycle)."""
-        if expansion.absorbed is not None:
-            approach, loop, anchor = expansion.absorbed
-            emitted_prefix = list(expansion.prefix_emit)
-            for emit, _state in expansion.passes:
-                emitted_prefix.extend(emit)
-            emitted_prefix.extend(approach)
-            return self._to_strategy(emitted_prefix, list(loop)), anchor
         j = expansion.split
         k = len(expansion.passes) - j
         if not (k >= 1 and shift >= j and period % k == 0):
@@ -585,10 +564,9 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
         expanders[aid] = expander
         expansions[aid] = expander.expand(hat_prefix, hat_cycle)
 
-    live = [e for e in expansions.values() if e.absorbed is None]
-    shift = max((e.split for e in live), default=0)
+    shift = max(e.split for e in expansions.values())
     period = 1
-    for e in live:
+    for e in expansions.values():
         period = lcm(period, len(e.passes) - e.split)
 
     strategies = {}
@@ -614,62 +592,21 @@ def synthesize(gp: GlobalProduct) -> dict:
 
 
 def minimize_synchronizations(strategies: dict, scenario) -> dict:
-    """Drop pointless stay steps and pointless coalition requests.
+    """Drop pointless stay steps: those with singleton requests vanish,
+    keeping at least one cycle step.
 
-    Stay steps with singleton requests vanish (keeping at least one cycle
-    step); a coalition request downgrades to a singleton when every member's
-    matching step executes a silent action.
+    Coalition requests stay as they are: each one is the first step of a
+    service-labeled reduced motion transition, so it runs a service action.
     """
     slim = {}
     for aid, st in strategies.items():
-        agent = scenario.agent(aid)
-        stay = agent.stay_action
+        stay = scenario.agent(aid).stay_action
         prefix = tuple(s for s in st.prefix if not (s.action == stay and len(s.sync) == 1))
         cycle = tuple(s for s in st.cycle if not (s.action == stay and len(s.sync) == 1))
         if not cycle:
             cycle = (st.cycle[0],)
         slim[aid] = Strategy(aid, prefix, cycle)
-
-    occurrences = {}
-    for aid, st in slim.items():
-        for part, steps in (("prefix", st.prefix), ("cycle", st.cycle)):
-            for idx, step in enumerate(steps):
-                if len(step.sync) > 1:
-                    occurrences.setdefault((step.sync, part), {}).setdefault(aid, []).append(idx)
-
-    downgrade = set()
-    for (coalition, part), members in occurrences.items():
-        if set(members) != set(coalition):
-            continue
-        counts = {len(v) for v in members.values()}
-        if len(counts) != 1:
-            continue
-        for k in range(counts.pop()):
-            steps_k = []
-            for aid in sorted(coalition):
-                steps_k.append((aid, members[aid][k]))
-            if all(
-                scenario.agent(aid).is_silent(
-                    (slim[aid].prefix if part == "prefix" else slim[aid].cycle)[idx].action
-                )
-                for aid, idx in steps_k
-            ):
-                downgrade.update((aid, part, idx) for aid, idx in steps_k)
-
-    if not downgrade:
-        return slim
-    out = {}
-    for aid, st in slim.items():
-        def rewrite(part, steps):
-            return tuple(
-                StrategyStep(s.state, s.action, frozenset((aid,)))
-                if (aid, part, idx) in downgrade
-                else s
-                for idx, s in enumerate(steps)
-            )
-
-        out[aid] = Strategy(aid, rewrite("prefix", st.prefix), rewrite("cycle", st.cycle))
-    return out
+    return slim
 
 
 def compute_dependency_classes(task_products) -> list:

@@ -145,8 +145,8 @@ class _Workbench:
         self.outs[src].add((label, dst))
         self.ins[dst].add((src, label))
 
-    def snapshot(self, state, silent):
-        """Incident witnesses of `state`, self-loops excluded from in/out lists."""
+    def snapshot(self, state):
+        """Incident witnesses of `state`, self-loops excluded."""
         in_wits = {}
         for src, label in self.ins[state]:
             if src != state:
@@ -157,8 +157,7 @@ class _Workbench:
                 raise ValueError(f"insignificant state {state} has a non-silent exit")
             if dst != state:
                 out_wits[dst] = self.table[(state, label, dst)]
-        loop = self.table.get((state, silent, state))
-        return in_wits, out_wits, loop
+        return in_wits, out_wits
 
     def remove_state(self, state):
         for src, label in list(self.ins[state]):
@@ -187,10 +186,11 @@ def eliminate_insignificant_states(
     lexicographically smallest transition ids.  (These are the bypasses that
     eliminating the non-survivors pairwise would keep.)  Accepting
     insignificant states whose remaining predecessors are all insignificant
-    are eliminated next, in state order; a silent self-loop on such a state is
-    lifted onto its silent predecessors as an absorbing witness before
-    removal.  Every surviving transition records the exact source-automaton
-    path it abbreviates.
+    are eliminated next, in state order, unless the state has a silent
+    self-loop that one of those predecessors lacks: a predecessor's own silent
+    loop is the silent, accepting tail the removed state's loop offered, and
+    without one the state stays.  Every surviving transition records the
+    exact source-automaton path it abbreviates.
     """
     if not significant[a.initial]:
         raise ValueError("the initial state must be significant")
@@ -230,20 +230,21 @@ def _bypass_non_survivors(a: BuchiAutomaton, alive) -> _Workbench:
 
 
 def _eliminate_accepting(bench: _Workbench, alive, accepting, significant, silent):
-    """Remove accepting insignificant states no significant state enters."""
+    """Remove accepting insignificant states no significant state enters,
+    keeping those whose silent self-loop some predecessor does not have."""
     for p in sorted(alive):
         if significant[p] or p not in accepting:
             continue
         preds = {src for src, _label in bench.ins[p] if src != p}
         if any(significant[q] for q in preds):
             continue
-        in_wits, out_wits, loop = bench.snapshot(p, silent)
+        if (p, silent, p) in bench.table and any(
+            (q, silent, q) not in bench.table for q in preds
+        ):
+            continue
+        in_wits, out_wits = bench.snapshot(p)
         bench.remove_state(p)
         alive.discard(p)
-        if loop is not None:
-            for src, label in _in_order(in_wits):
-                if isinstance(label, Silent):
-                    bench.put(src, silent, src, _absorb(in_wits[(src, label)], loop))
         for src, label in _in_order(in_wits):
             if not isinstance(label, Silent):
                 raise ValueError(f"insignificant state {src} has a non-silent exit")
@@ -252,18 +253,9 @@ def _eliminate_accepting(bench: _Workbench, alive, accepting, significant, silen
 
 
 def _chain(w1: Witness, w2: Witness) -> Witness:
-    if w1.absorbing or w2.absorbing or w1.dst != w2.src:
+    if w1.dst != w2.src:
         raise ValueError(f"witnesses {w1} and {w2} do not chain")
     return Witness(w1.steps + w2.steps, w1.src, w2.dst)
-
-
-def _absorb(w_in: Witness, loop: Witness) -> Witness:
-    """Route into a removed accepting state and keep circling there."""
-    if w_in.absorbing:
-        raise ValueError(f"witness {w_in} already absorbs")
-    if loop.absorbing:
-        return Witness(w_in.steps + loop.steps, w_in.src, loop.dst, loop.loop)
-    return Witness(w_in.steps, w_in.src, loop.src, loop.steps)
 
 
 def _rebuild_from_bench(a: BuchiAutomaton, bench: _Workbench, alive) -> BuchiAutomaton:

@@ -142,13 +142,14 @@ def _load_explicit_agent(agent_id: int, data: dict, where: str, declared_service
         optional=("propositions",),
     )
     ts = TransitionSystem()
+    names = {}
     for i, st in enumerate(_expect(data["states"], list, f"{where}.states")):
         at = f"{where}.states[{i}]"
         _require_keys(st, at, required=("name",), optional=("labels",))
-        ts.add_state(
-            _expect(st["name"], str, f"{at}.name"), _strings(st.get("labels", []), f"{at}.labels")
-        )
-    names = {name: idx for idx, name in enumerate(ts.states)}
+        name = _expect(st["name"], str, f"{at}.name")
+        if name in names:
+            raise ScenarioFormatError(f"{at}: duplicate state name {name!r}")
+        names[name] = ts.add_state(name, _strings(st.get("labels", []), f"{at}.labels"))
     if _expect(data["initial"], str, f"{where}.initial") not in names:
         raise ScenarioFormatError(f"{where}: unknown initial state {data['initial']!r}")
     ts.initial = names[data["initial"]]
@@ -162,6 +163,8 @@ def _load_explicit_agent(agent_id: int, data: dict, where: str, declared_service
         at = f"{where}.actions[{i}]"
         _require_keys(act, at, required=("name",), optional=("services", "silent"))
         name = _expect(act["name"], str, f"{at}.name")
+        if name in labels:
+            raise ScenarioFormatError(f"{at}: duplicate action name {name!r}")
         ts.add_action(name)
         if _expect(act.get("silent", False), bool, f"{at}.silent"):
             labels[name] = Silent(agent_id)

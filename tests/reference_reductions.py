@@ -59,7 +59,7 @@ def eliminate_by_pairs(a: BuchiAutomaton, significant, silent):
     for p in range(a.n_states):
         if significant[p] or p in a.accepting:
             continue
-        in_wits, out_wits, _loop = bench.snapshot(p, silent)
+        in_wits, out_wits = bench.snapshot(p)
         bench.remove_state(p)
         alive.discard(p)
         for src, label in _in_order(in_wits):

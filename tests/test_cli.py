@@ -385,6 +385,49 @@ class TestMalformedFiles:
         self.assert_rejected(proc, f"motion_formulas[1]: more than 64 {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize(
+        "explicit_ts, motion, task, message",
+        [
+            (
+                {
+                    "states": [{"name": "a", "labels": ["P"]}, {"name": "a"}],
+                    "initial": "a",
+                    "actions": [],
+                    "transitions": [],
+                },
+                "G F P",
+                "true",
+                "agents[0].explicit_ts.states[1]: duplicate state name 'a'",
+            ),
+            (
+                {
+                    "states": [{"name": "s0"}],
+                    "initial": "s0",
+                    "actions": [{"name": "work", "services": ["w"]}, {"name": "work", "silent": True}],
+                    "transitions": [["s0", "work", "s0"]],
+                },
+                "true",
+                "G F w",
+                "agents[0].explicit_ts.actions[1]: duplicate action name 'work'",
+            ),
+        ],
+        ids=["state", "action"],
+    )
+    def test_duplicate_name_rejected(self, tmp_path, command, explicit_ts, motion, task, message):
+        # without the check the later declaration silently won: `check` said
+        # well-formed and `synthesize` found no plan
+        data = {
+            "agents": [{"id": 1, "explicit_ts": explicit_ts}],
+            "motion_formulas": {"1": motion},
+            "task_formulas": {"1": task},
+        }
+        out = tmp_path / "st"
+        options = ["--out", str(out)] if command == "synthesize" else []
+        proc = run_cli(command, write_scenario(tmp_path, data), *options)
+        self.assert_rejected(proc, message)
+        assert not out.exists()
+
     def test_deeply_nested_json(self, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)

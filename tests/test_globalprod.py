@@ -1,5 +1,6 @@
 """Global product, strategy extraction, minimization, dependency classes."""
 import dataclasses
+import random
 
 import pytest
 
@@ -22,10 +23,10 @@ from syncplan.globalprod import (
 )
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.pipeline import run_synthesis
-from syncplan.scenario_io import check_strategies_fit
+from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
 from syncplan.taskprod import build_task_motion_product, compute_dep
 from syncplan.translate import translate
-from tests.conftest import explicit_agent, make_scenario
+from tests.conftest import benchmark_workloads, explicit_agent, make_scenario, random_scenario
 
 
 def single_idler():
@@ -337,6 +338,29 @@ class TestSynthesize:
         assert err.value.stage == "task"
 
 
+@pytest.fixture(scope="module")
+def synthesized_teams():
+    """(scenario, result) for the bundled scenarios, the benchmark workloads
+    and the first 100 random teams drawn from Random(0); a team without an
+    accepting run is left out."""
+    workloads = benchmark_workloads()
+    scenarios = [load_bundled(name) for name in ("asymmetry", "three_robots", "two_pairs")]
+    scenarios += [
+        scenario_from_dict(workloads.generate(name))
+        for name in ("three_robots_13x13", "two_pairs_team", "wide_guards")
+    ]
+    rng = random.Random(0)
+    scenarios += [random_scenario(rng) for _ in range(100)]
+    teams = []
+    for sc in scenarios:
+        try:
+            teams.append((sc, run_synthesis(sc)))
+        except EmptyLanguageError:
+            continue
+    assert len(teams) >= 100
+    return teams
+
+
 class TestMinimize:
     def test_stays_removed_except_last_cycle_step(self):
         from syncplan.globalprod import Strategy, StrategyStep
@@ -352,13 +376,28 @@ class TestMinimize:
         assert slim.prefix == ()
         assert len(slim.cycle) == 1
 
-    def test_load_bearing_steps_untouched(self, three_robots, three_robots_result):
-        raw = three_robots_result.raw_strategies
-        slim = minimize_synchronizations(raw, three_robots)
-        for aid in raw:
-            raw_coalitions = [s.sync for s in raw[aid].steps() if len(s.sync) > 1]
-            slim_coalitions = [s.sync for s in slim[aid].steps() if len(s.sync) > 1]
-            assert raw_coalitions == slim_coalitions
+    def test_load_bearing_steps_untouched(self, synthesized_teams):
+        for sc, result in synthesized_teams:
+            raw = result.raw_strategies
+            slim = minimize_synchronizations(raw, sc)
+            assert slim == result.strategies
+            for aid in raw:
+                raw_coalitions = [s.sync for s in raw[aid].steps() if len(s.sync) > 1]
+                slim_coalitions = [s.sync for s in slim[aid].steps() if len(s.sync) > 1]
+                assert raw_coalitions == slim_coalitions
+
+    def test_coalition_steps_run_service_actions(self, synthesized_teams):
+        # every coalition step starts a service-labeled reduced motion
+        # transition, so the minimizer has no silent coalition to downgrade
+        coalition_steps = 0
+        for sc, result in synthesized_teams:
+            for aid, st in result.raw_strategies.items():
+                agent = sc.agent(aid)
+                for step in st.steps():
+                    if len(step.sync) > 1:
+                        assert not agent.is_silent(step.action), (sc.name, aid, step)
+                        coalition_steps += 1
+        assert coalition_steps >= 100
 
     def test_minimize_is_idempotent(self, three_robots, three_robots_result):
         once = minimize_synchronizations(three_robots_result.raw_strategies, three_robots)

@@ -31,46 +31,48 @@ def replay_nonsilent_labels(original, reduced, lasso):
 
     def walk(tids):
         nonlocal orig
-        emitted_any = False
         for tid in tids:
             t = reduced.transitions[tid]
             w = _variant_from(reduced.tr_witness[tid], orig)
-            if w.absorbing:
-                continue
+            assert w.steps
             cur = orig
             for step in w.steps:
                 ot = original.transitions[step]
                 assert ot.src == cur
                 cur = ot.dst
                 expanded.append(ot.label)
+            assert cur == w.dst
             orig = cur
-            emitted_any = True
             if not isinstance(t.label, Silent):
                 reduced_labels.append(t.label)
-        return emitted_any
 
     walk(lasso.prefix)
-    if not walk(lasso.cycle):
-        # fully absorbing cycle: the recorded loop must circle an accepting state
-        tid = lasso.cycle[0]
-        w = _variant_from(reduced.tr_witness[tid], orig)
-        assert w.absorbing
-        cur = orig
-        for step in w.steps:
-            ot = original.transitions[step]
-            assert ot.src == cur
-            cur = ot.dst
-            assert isinstance(ot.label, Silent)
-        assert cur == w.dst and cur in original.accepting
-        loop_cur = cur
-        for step in w.loop:
-            ot = original.transitions[step]
-            assert ot.src == loop_cur
-            loop_cur = ot.dst
-            assert isinstance(ot.label, Silent)
-        assert loop_cur == cur
+    emitted = len(expanded)
+    walk(lasso.cycle)
+    assert len(expanded) > emitted  # every cycle emits: witnesses are plain paths
     nonsilent = [l for l in expanded if not isinstance(l, Silent)]
     return nonsilent, reduced_labels
+
+
+def kept_silent_loops(mp, reduced, significant) -> int:
+    """Accepting insignificant states that stay only for their silent
+    self-loop: every other predecessor is insignificant.  (A state entered by
+    a significant one is entered by it for good, as only insignificant states
+    are removed.)"""
+    a = mp.automaton
+    kept = 0
+    for s in range(reduced.n_states):
+        (old,) = reduced.state_tags[s]
+        if significant[old] or old not in a.accepting:
+            continue
+        preds = {reduced.transitions[tid].src for tid in reduced.in_transitions(s)} - {s}
+        looped = any(
+            reduced.transitions[tid].dst == s and isinstance(reduced.transitions[tid].label, Silent)
+            for tid in reduced.out_transitions(s)
+        )
+        if looped and not any(significant[reduced.state_tags[q][0]] for q in preds):
+            kept += 1
+    return kept
 
 
 class TestProduct:
@@ -152,40 +154,70 @@ class TestReduce:
             (t.src, t.label, t.dst) for t in rm.automaton.transitions
         ) == [(0, frozenset({"x"}), 1), (1, frozenset({"y"}), 0)]
 
-    def test_accepting_loop_lifted_onto_silent_predecessor(self):
-        # significant init -> p' (accepting, insignificant) -> p (accepting,
-        # insignificant, silent self-loop): p is removed and p' gains the loop
+    @staticmethod
+    def _looped_tail(pred_loop):
+        # significant init 0 -eps-> 1 -eps-> 2 -eps-> 3 -{go}-> 0, where 1 and
+        # 2 are accepting and insignificant and 2 has a silent self-loop; 1
+        # has one too iff `pred_loop`.  Returns (silent step ids by endpoints,
+        # reduced automaton).
         a = BuchiAutomaton(EXPLICIT_MODE)
-        for _ in range(3):
+        for _ in range(4):
             a.add_state()
         eps = Silent(1)
-        a.add_transition(0, frozenset({"go"}), 0)  # keeps init significant
-        a.add_transition(0, eps, 1)
-        a.add_transition(1, eps, 2)
-        a.add_transition(2, eps, 2)
+        steps = {
+            (0, 1): a.add_transition(0, eps, 1),
+            (1, 2): a.add_transition(1, eps, 2),
+            (2, 2): a.add_transition(2, eps, 2),
+            (2, 3): a.add_transition(2, eps, 3),
+        }
+        a.add_transition(3, frozenset({"go"}), 0)
+        if pred_loop:
+            steps[(1, 1)] = a.add_transition(1, eps, 1)
         a.accepting = {1, 2}
         reduced = eliminate_insignificant_states(
             a, classify_significance(MotionProduct(a)), eps
         )
-        tags = reduced.state_tags
-        assert (2,) not in tags
-        p_prime = tags.index((1,))
-        loops = [
-            tid
-            for tid, t in enumerate(reduced.transitions)
-            if t.src == t.dst == p_prime and isinstance(t.label, Silent)
-        ]
-        assert loops
-        (witness,) = reduced.tr_witness[loops[0]]
-        assert witness.absorbing and witness.dst == 2
+        return steps, reduced
+
+    @staticmethod
+    def _edges(reduced):
+        """(src tag, dst tag) -> witness steps, one witness per edge."""
+        edges = {}
+        for tid, t in enumerate(reduced.transitions):
+            (w,) = reduced.tr_witness[tid]
+            edges[(reduced.state_tags[t.src][0], reduced.state_tags[t.dst][0])] = w.steps
+        return edges
+
+    def test_looped_accepting_state_kept_when_a_predecessor_has_no_loop(self):
+        steps, reduced = self._looped_tail(pred_loop=False)
+        assert reduced.state_tags == [(0,), (1,), (2,), (3,)]
+        edges = self._edges(reduced)
+        assert edges[(1, 2)] == (steps[(1, 2)],)
+        assert edges[(2, 2)] == (steps[(2, 2)],)
+        assert edges[(2, 3)] == (steps[(2, 3)],)
+        assert (1, 1) not in edges and (1, 3) not in edges
+
+    def test_looped_accepting_state_eliminated_when_every_predecessor_loops(self):
+        steps, reduced = self._looped_tail(pred_loop=True)
+        assert reduced.state_tags == [(0,), (1,), (3,)]
+        assert reduced.accepting == {1}
+        edges = self._edges(reduced)
+        assert edges[(1, 1)] == (steps[(1, 1)],)
+        assert edges[(1, 3)] == (steps[(1, 2)], steps[(2, 3)])
+        assert (0, 1) in edges and (3, 0) in edges and len(edges) == 4
 
 
 class TestReductionSoundness:
     def test_emptiness_and_labels_preserved(self):
         rng = random.Random(23)
         checked_nonempty = 0
+        kept_loops = 0
         for _ in range(120):
             mp = random_motion_product(rng)
+            significant = classify_significance(mp)
+            kept_loops += kept_silent_loops(
+                mp, eliminate_insignificant_states(mp.automaton, significant, mp.silent), significant
+            )
             rm = reduce(mp)
             assert rm.automaton.n_states <= mp.automaton.n_states
             empty_before = language_empty(mp.automaton)
@@ -202,3 +234,4 @@ class TestReductionSoundness:
             assert expanded == reduced_labels
             checked_nonempty += 1
         assert checked_nonempty >= 30
+        assert kept_loops >= 1
