@@ -379,6 +379,78 @@ def least_paths(a: BuchiAutomaton, stop, entries):
     return found
 
 
+def least_paths_to(a: BuchiAutomaton, stop):
+    """The least paths of `least_paths` from one entry, read off tables built
+    by one backward sweep per stop (state, flag) pair.
+
+    Each sweep is breadth-first from the stop pair over the non-stop pairs
+    (pair `(x, f)` stored at `2 * x + f`), and records per pair the smallest
+    transition id leading to a pair one step closer, or straight into the
+    stop pair.  Following those steps gives the shortest path with the
+    lexicographically smallest transition ids, which is exactly the path the
+    forward walk's first arrival keeps.  Pays off when entries outnumber stop
+    pairs.  Returns `paths_from(state, flag)`: for a non-stop entry pair, one
+    (stop state, flag, steps) per stop pair it reaches, as
+    `least_paths(a, stop, [(state, flag)])` finds them.
+    """
+    transitions = a.transitions
+    accepting = [s in a.accepting for s in range(a.n_states)]
+    size = 2 * a.n_states
+    tables = []  # (stop state, flag, least next step per pair)
+    for y in range(a.n_states):
+        if not stop[y]:
+            continue
+        for flag in (False, True):
+            dist = [None] * size
+            step = [None] * size
+            frontier = [2 * y + flag]
+            d = 0
+            while frontier:
+                d += 1
+                found = []
+                for key in frontier:
+                    x, fx = key >> 1, key & 1
+                    if accepting[x]:  # entered with the flag set, whatever it was
+                        flags = (0, 1) if fx else ()
+                    else:
+                        flags = (fx,)
+                    for tid in a.in_transitions(x):
+                        w = transitions[tid].src
+                        if stop[w]:
+                            continue
+                        for fw in flags:
+                            k = 2 * w + fw
+                            if dist[k] is None:
+                                dist[k] = d
+                                step[k] = tid
+                                found.append(k)
+                            elif dist[k] == d and tid < step[k]:
+                                step[k] = tid
+                frontier = found
+            if d > 1:  # some non-stop pair leads into this stop pair
+                tables.append((y, flag, step))
+
+    def paths_from(state, flag):
+        paths = []
+        start = 2 * state + flag
+        for y, fy, step in tables:
+            if step[start] is None:
+                continue
+            k = start
+            steps = []
+            while True:
+                tid = step[k]
+                steps.append(tid)
+                z = transitions[tid].dst
+                if stop[z]:
+                    break
+                k = 2 * z + (k & 1 or accepting[z])
+            paths.append((y, fy, tuple(steps)))
+        return paths
+
+    return paths_from
+
+
 def _walk_forward(a, parent, source, target):
     path = []
     cur = target

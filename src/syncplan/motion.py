@@ -16,6 +16,7 @@ times the size of the silent region, with no fill-in between removed states.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .agents import AgentModel
@@ -75,11 +76,11 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
 
     start = (ts.initial, spec.initial)
     product.initial = state_id(*start)
-    queue = [start]
+    queue = deque([start])
     seen = {start}
     edge_seen = set()
     while queue:
-        s, q = queue.pop(0)
+        s, q = queue.popleft()
         sid = state_id(s, q)
         spec_moves = [
             spec.transitions[tid].dst

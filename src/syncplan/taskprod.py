@@ -34,7 +34,7 @@ from .buchi import (
     _walk_forward,
     coreachable,
     label_sort_key,
-    least_paths,
+    least_paths_to,
     merge_duplicate_states,
     prune_non_coaccessible,
     rebuild,
@@ -332,7 +332,7 @@ def _shortest_region_cycle(a, members, anchor):
     )
 
 
-def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
+def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, paths_from, memo):
     """Where one outgoing edge of a significant state can lead next.
 
     Returns (segments, absorb).  `segments` lists (target_state,
@@ -341,8 +341,10 @@ def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
     edge saw an accepting state and `path` is the least such path: the
     shortest one, ties going to the lexicographically smallest sequence of
     transition ids.  `absorb` is the route into a silent accepting cycle if
-    the region can swallow the run forever, else None.  `memo` caches the
-    region walk per entry state across calls on the same automaton.
+    the region can swallow the run forever, else None.  `paths_from` reads
+    the least paths from an insignificant entry pair off the backward tables
+    of `least_paths_to`, and `memo` keeps what it read per entry pair, since
+    several edges enter the same pair.
     """
     t = a.transitions[src_tid]
     if significant[t.dst]:
@@ -350,10 +352,10 @@ def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, memo):
     esc = reach.get(t.dst)
     absorb = None if esc is None else ((src_tid,) + esc[1], esc[2])
     entry = (t.dst, t.dst in a.accepting)
-    walk = memo.get(entry)
-    if walk is None:
-        walk = memo[entry] = least_paths(a, significant, [entry])
-    return [(target, flag, (src_tid,) + tail) for target, flag, _entry, tail in walk], absorb
+    tails = memo.get(entry)
+    if tails is None:
+        tails = memo[entry] = paths_from(*entry)
+    return [(target, flag, (src_tid,) + tail) for target, flag, tail in tails], absorb
 
 
 def reduce_task_motion(
@@ -366,7 +368,10 @@ def reduce_task_motion(
     when nobody's collaboration hinges on it: its coalition is the agent
     alone and it provides no globally assisting service.  Insignificant
     states only have such transitions, so whole stretches between significant
-    states fold into one transition carrying the first edge's label.
+    states fold into one transition carrying the first edge's label.  Their
+    least paths come from `least_paths_to`, one backward sweep per
+    significant (state, flag) pair, because the entries into insignificant
+    stretches grow with the grid while the significant states do not.
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
@@ -411,14 +416,15 @@ def reduce_task_motion(
         return t.label
 
     summary = {}  # sig state -> {(label, target_desc) -> (dep, Witness)}
-    walks = {}  # region walks shared by every edge entering the same pair
+    paths_from = least_paths_to(a, significant)
+    tails = {}  # least paths per entry pair, shared by every edge entering it
     for s in sorted(x for x in range(a.n_states) if significant[x]):
         edges = {}
         for tid in a.out_transitions(s):
             t = a.transitions[tid]
             label = planning_label(tid, t)
             dep = own_dep if isinstance(label, Silent) else a.tr_dep.get(tid, own_dep)
-            segments, absorb = _segments_from(a, significant, tid, reach, walks)
+            segments, absorb = _segments_from(a, significant, tid, reach, paths_from, tails)
             for target, flag, path in segments:
                 w = Witness(path, s, target)
                 _put_edge(edges, label, ("state", target, flag), dep, w)

@@ -1,9 +1,11 @@
 """Unoptimized reductions kept as references for the differential tests.
 
 `eliminate_by_pairs` is the pairwise state elimination that the motion
-reduction's survivor search replaces; `segments_by_path_copying` is the
+reduction's survivor search replaces, and `eliminate_accepting` an
+independent copy of its accepting-state phase, keep rule included, written
+against the plain witness table; `segments_by_path_copying` is the
 region walk that `taskprod._segments_from` replaces, copying the path at
-every queued entry and reporting every arrival.  Both define the witnesses
+every queued entry and reporting every arrival.  They define the witnesses
 the optimized code must reproduce exactly.
 
 `region_analysis` is the task reduction's hand-written search for silent
@@ -19,13 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from syncplan.buchi import BuchiAutomaton, Silent, Witness, strongly_connected_components
-from syncplan.motion import (
-    _chain,
-    _eliminate_accepting,
-    _in_order,
-    _rebuild_from_bench,
-    _Workbench,
-)
+from syncplan.motion import _chain, _in_order, _rebuild_from_bench, _Workbench
 
 
 def region_components(a: BuchiAutomaton, region):
@@ -68,10 +64,39 @@ def eliminate_by_pairs(a: BuchiAutomaton, significant, silent):
     return bench, alive
 
 
+def eliminate_accepting(table, alive, accepting, significant, silent):
+    """Phase two on the plain (src, label, dst) -> witness table.
+
+    In state order, an accepting insignificant state goes when no
+    significant state enters it and it has no silent self-loop that one of
+    its predecessors lacks; each of its entries is chained with each of its
+    exits, keeping the least witness per (src, label, dst).
+    """
+    for p in sorted(alive):
+        if significant[p] or p not in accepting:
+            continue
+        entries = {key: w for key, w in table.items() if key[2] == p and key[0] != p}
+        preds = {src for src, _label, _dst in entries}
+        if any(significant[q] for q in preds):
+            continue
+        if (p, silent, p) in table and not all((q, silent, q) in table for q in preds):
+            continue
+        exits = {key: w for key, w in table.items() if key[0] == p and key[2] != p}
+        for key in [key for key in table if p in (key[0], key[2])]:
+            del table[key]
+        alive.discard(p)
+        for (src, label, _p), w_in in entries.items():
+            for (_p, _label, dst), w_out in exits.items():
+                w = Witness(w_in.steps + w_out.steps, src, dst)
+                cur = table.get((src, label, dst))
+                if cur is None or w.rank() < cur.rank():
+                    table[(src, label, dst)] = w
+
+
 def eliminate_insignificant_states(a: BuchiAutomaton, significant, silent) -> BuchiAutomaton:
     """Drop-in for `motion.eliminate_insignificant_states` built on the pairs."""
     bench, alive = eliminate_by_pairs(a, significant, silent)
-    _eliminate_accepting(bench, alive, a.accepting, significant, silent)
+    eliminate_accepting(bench.table, alive, a.accepting, significant, silent)
     return _rebuild_from_bench(a, bench, alive)
 
 

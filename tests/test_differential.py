@@ -9,6 +9,7 @@ Tableau nodes are compared with their ids and incoming sets, which fix the
 order of the translated automaton's transitions.
 """
 import random
+from collections import deque
 
 import pytest
 
@@ -23,6 +24,8 @@ from syncplan.buchi import (
     _bfs,
     check_lasso_membership,
     components,
+    least_paths,
+    least_paths_to,
     strongly_connected_components,
 )
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
@@ -58,7 +61,7 @@ def dump(a):
     )
 
 
-def reference_segments(a, significant, src_tid, reach, _memo):
+def reference_segments(a, significant, src_tid, reach, _paths_from, _memo):
     return ref.segments_by_path_copying(a, significant, src_tid, reach)
 
 
@@ -91,12 +94,15 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
         a = tm.automaton
         sig = classify_task_significance(tm, ga)
         _anchors, reach = _region_analysis(a, sig, tm.silence_tolerant())
-        walks = {}
+        paths_from = least_paths_to(a, sig)
+        tails = {}
         for s in range(a.n_states):
             if not sig[s]:
                 continue
             for tid in a.out_transitions(s):
-                segments, absorb = taskprod._segments_from(a, sig, tid, reach, walks)
+                segments, absorb = taskprod._segments_from(
+                    a, sig, tid, reach, paths_from, tails
+                )
                 old_segments, old_absorb = ref.segments_by_path_copying(a, sig, tid, reach)
                 least = {}
                 for target, flag, path in old_segments:
@@ -113,6 +119,54 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
             old = taskprod.reduce_task_motion(tm, ga)
         assert dump(new.automaton) == dump(old.automaton)
     assert compared >= 1000
+
+
+def _shortest_path_counts(a, stop, entry):
+    """Number of shortest paths from the entry pair to each stop pair."""
+    dist, count = {entry: 0}, {entry: 1}
+    arrivals = {}  # stop pair -> (distance, count)
+    queue = deque([entry])
+    while queue:
+        key = queue.popleft()
+        d = dist[key] + 1
+        for tid in a.out_transitions(key[0]):
+            y = a.transitions[tid].dst
+            nxt = (y, key[1] or y in a.accepting)
+            if stop[y]:
+                old_d, old_count = arrivals.get(nxt, (d, 0))
+                if old_d == d:
+                    arrivals[nxt] = (d, old_count + count[key])
+                continue
+            if nxt not in dist:
+                dist[nxt], count[nxt] = d, 0
+                queue.append(nxt)
+            if dist[nxt] == d:
+                count[nxt] += count[key]
+    return {pair: c for pair, (_d, c) in arrivals.items()}
+
+
+def test_least_paths_to_matches_forward_walk_per_entry():
+    # the backward tables must give every entry the forward walk's paths,
+    # also where several shortest paths tie and only the transition ids
+    # decide
+    rng = random.Random(17)
+    tied = 0
+    for _ in range(2000):
+        a = _random_graph(rng)
+        a.accepting = {s for s in range(a.n_states) if rng.random() < 0.3}
+        stop = [rng.random() < 0.3 for _ in range(a.n_states)]
+        paths_from = least_paths_to(a, stop)
+        for x in range(a.n_states):
+            if stop[x]:
+                continue
+            for flag in (False, True):
+                walk = least_paths(a, stop, [(x, flag)])
+                assert sorted(paths_from(x, flag)) == sorted(
+                    (y, f, steps) for y, f, _entry, steps in walk
+                )
+                counts = _shortest_path_counts(a, stop, (x, flag))
+                tied += sum(counts[(y, f)] >= 2 for y, f, _entry, _steps in walk)
+    assert tied >= 500
 
 
 def _chains(a, path, start, end, inside):
