@@ -341,63 +341,49 @@ def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
     return dist, parent
 
 
-def least_paths(a: BuchiAutomaton, stop, entries):
-    """Least path from the entry (state, flag) pairs to each next stop state.
+def least_segments(a: BuchiAutomaton, stop):
+    """Least paths from a transition leaving a stop state to the next stop
+    states, read off tables built by one backward sweep per stop (state,
+    flag) pair.
 
-    Breadth-first over (state, flag) pairs, where the flag turns true once a
-    path visits an accepting state.  Entries are taken in the given order and
-    out-transitions in ascending id order, so the first step to reach a pair
-    ends its least path: the shortest one, ties going to the earlier entry
-    and then to the lexicographically smallest sequence of transition ids.
-    The walk expands non-stop states only.  Returns one (stop state, flag,
-    entry, steps) per stop pair reached, `steps` leading from the entry.
-    """
-    transitions, accepting = a.transitions, a.accepting
-    parent = dict.fromkeys(entries)  # (state, flag) -> (previous pair, step id)
-    arrivals = {}  # (stop state, flag) -> (previous pair, step id)
-    queue = deque(parent)
-    while queue:
-        key = queue.popleft()
-        state, flag = key
-        for tid in a.out_transitions(state):
-            y = transitions[tid].dst
-            nxt = (y, flag or y in accepting)
-            if stop[y]:
-                if nxt not in arrivals:
-                    arrivals[nxt] = (key, tid)
-            elif nxt not in parent:
-                parent[nxt] = (key, tid)
-                queue.append(nxt)
-    found = []
-    for (y, flag), (key, tid) in arrivals.items():
-        steps = [tid]
-        while parent[key] is not None:
-            key, tid = parent[key]
-            steps.append(tid)
-        steps.reverse()
-        found.append((y, flag, key, tuple(steps)))
-    return found
+    A path's flag turns true once it enters an accepting state, its last
+    state included.  Each sweep is breadth-first from the stop pair over the
+    non-stop pairs (pair `(x, f)` stored at `2 * x + f`), and records per
+    pair the smallest transition id leading to a pair one step closer, or
+    straight into the stop pair.  Following those steps gives the least path:
+    the shortest one, ties going to the lexicographically smallest sequence
+    of transition ids.  Pays off when the entries into the non-stop region
+    outnumber the stop pairs.  Each table is read for every entry pair, a
+    non-stop pair that a transition leaving a stop state enters, right after
+    its sweep and then dropped, so one table is held at a time.
 
-
-def least_paths_to(a: BuchiAutomaton, stop):
-    """The least paths of `least_paths` from one entry, read off tables built
-    by one backward sweep per stop (state, flag) pair.
-
-    Each sweep is breadth-first from the stop pair over the non-stop pairs
-    (pair `(x, f)` stored at `2 * x + f`), and records per pair the smallest
-    transition id leading to a pair one step closer, or straight into the
-    stop pair.  Following those steps gives the shortest path with the
-    lexicographically smallest transition ids, which is exactly the path the
-    forward walk's first arrival keeps.  Pays off when entries outnumber stop
-    pairs.  Returns `paths_from(state, flag)`: for a non-stop entry pair, one
-    (stop state, flag, steps) per stop pair it reaches, as
-    `least_paths(a, stop, [(state, flag)])` finds them.
+    Returns `segments(tid)` for a transition `tid` leaving a stop state: one
+    (stop state, flag, steps) per stop pair that a path starting with `tid`
+    and running through non-stop states reaches, `steps` its least such path.
     """
     transitions = a.transitions
-    accepting = [s in a.accepting for s in range(a.n_states)]
-    size = 2 * a.n_states
-    tables = []  # (stop state, flag, least next step per pair)
-    for y in range(a.n_states):
+    n = a.n_states
+    accepting = [s in a.accepting for s in range(n)]
+    entering = [[] for _ in range(n)]  # per state, (tid, source) from non-stop states
+    for tid, t in enumerate(transitions):
+        if not stop[t.src]:
+            entering[t.dst].append((tid, t.src))
+    # a non-stop pair (x, True) lies only on paths from an accepting one
+    flagged = [accepting[x] and not stop[x] for x in range(n)]
+    pending = [x for x in range(n) if flagged[x]]
+    while pending:
+        for tid in a.out_transitions(pending.pop()):
+            z = transitions[tid].dst
+            if not (stop[z] or flagged[z]):
+                flagged[z] = True
+                pending.append(z)
+    tails = {  # entry pair -> (stop state, flag, steps after the entry)
+        2 * t.dst + accepting[t.dst]: []
+        for t in transitions
+        if stop[t.src] and not stop[t.dst]
+    }
+    size = 2 * n
+    for y in range(n):
         if not stop[y]:
             continue
         for flag in (False, True):
@@ -414,11 +400,10 @@ def least_paths_to(a: BuchiAutomaton, stop):
                         flags = (0, 1) if fx else ()
                     else:
                         flags = (fx,)
-                    for tid in a.in_transitions(x):
-                        w = transitions[tid].src
-                        if stop[w]:
-                            continue
+                    for tid, w in entering[x]:
                         for fw in flags:
+                            if fw and not flagged[w]:
+                                continue
                             k = 2 * w + fw
                             if dist[k] is None:
                                 dist[k] = d
@@ -427,28 +412,28 @@ def least_paths_to(a: BuchiAutomaton, stop):
                             elif dist[k] == d and tid < step[k]:
                                 step[k] = tid
                 frontier = found
-            if d > 1:  # some non-stop pair leads into this stop pair
-                tables.append((y, flag, step))
-
-    def paths_from(state, flag):
-        paths = []
-        start = 2 * state + flag
-        for y, fy, step in tables:
-            if step[start] is None:
+            if d == 1:  # no non-stop pair leads into this stop pair
                 continue
-            k = start
-            steps = []
-            while True:
-                tid = step[k]
-                steps.append(tid)
-                z = transitions[tid].dst
-                if stop[z]:
-                    break
-                k = 2 * z + (k & 1 or accepting[z])
-            paths.append((y, fy, tuple(steps)))
-        return paths
+            for start, paths in tails.items():
+                if step[start] is None:
+                    continue
+                k = start
+                steps = []
+                while True:
+                    steps.append(step[k])
+                    z = transitions[step[k]].dst
+                    if stop[z]:
+                        break
+                    k = 2 * z + (k & 1 or accepting[z])
+                paths.append((y, flag, tuple(steps)))
 
-    return paths_from
+    def segments(tid):
+        x = transitions[tid].dst
+        if stop[x]:
+            return [(x, accepting[x], (tid,))]
+        return [(y, fy, (tid,) + steps) for y, fy, steps in tails[2 * x + accepting[x]]]
+
+    return segments
 
 
 def _walk_forward(a, parent, source, target):

@@ -42,11 +42,12 @@ class SimulationConfig:
     unrollings: int = 3
 
     def __post_init__(self):
-        if self.duration_lo < 0 or self.duration_hi < self.duration_lo:
-            raise ValueError("duration bounds must satisfy 0 <= lo <= hi")
+        # chained so that NaN, false under every comparison, fails them
+        if not 0 <= self.duration_lo <= self.duration_hi < math.inf:
+            raise ValueError("duration bounds must be finite and satisfy 0 <= lo <= hi")
         for action, (lo, hi) in self.action_durations.items():
-            if lo < 0 or hi < lo:
-                raise ValueError(f"duration bounds for {action!r} must satisfy 0 <= lo <= hi")
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError(f"duration bounds for {action!r} must be finite, 0 <= lo <= hi")
         if self.unrollings < 2:
             raise ValueError("at least two cycle unrollings are required")
 

@@ -8,11 +8,11 @@ compiled away.  Reduction keeps only states that can still provide services
 acceptance condition) and abbreviates the removed silent stretches into
 single transitions, each remembering the exact path it stands for.
 
-Each abbreviated stretch is the least path of its kind: the shortest one,
-ties going to the lexicographically smallest sequence of transition ids
-(`Witness.rank()`).  The stretches are found by one breadth-first search per
-kept state and first label, so the cost grows with the number of kept states
-times the size of the silent region, with no fill-in between removed states.
+Reduction first decides the survivors, then folds once: each abbreviated
+stretch is the least path of its kind, the shortest one, ties going to the
+lexicographically smallest sequence of transition ids (`Witness.rank()`),
+read off `buchi.least_segments`' backward tables, one sweep per survivor
+and flag, with no fill-in between removed states.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .buchi import (
     Silent,
     Witness,
     label_sort_key,
-    least_paths,
+    least_segments,
     merge_duplicate_states,
     prune_non_coaccessible,
 )
@@ -44,15 +44,6 @@ class MotionProduct:
     automaton: BuchiAutomaton
     agent: AgentModel = None
     spec: BuchiAutomaton = None
-
-    @property
-    def silent(self) -> Silent:
-        if self.agent is not None:
-            return self.agent.silent
-        for t in self.automaton.transitions:
-            if isinstance(t.label, Silent):
-                return t.label
-        return Silent(0)
 
 
 def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProduct:
@@ -124,142 +115,42 @@ class ReducedMotionProduct:
 
 def reduce(mp: MotionProduct) -> ReducedMotionProduct:
     significant = classify_significance(mp)
-    reduced = eliminate_insignificant_states(mp.automaton, significant, mp.silent)
+    reduced = eliminate_insignificant_states(mp.automaton, significant)
     reduced = prune_non_coaccessible(reduced)
     reduced = merge_duplicate_states(reduced)
     return ReducedMotionProduct(reduced, mp, significant)
 
 
-class _Workbench:
-    """Mutable transition table keyed by (src, label, dst) with best witnesses."""
-
-    def __init__(self, n_states: int):
-        self.table = {}
-        self.outs = {s: set() for s in range(n_states)}
-        self.ins = {s: set() for s in range(n_states)}
-
-    def put(self, src, label, dst, witness):
-        key = (src, label, dst)
-        cur = self.table.get(key)
-        if cur is None or witness.rank() < cur.rank():
-            self.table[key] = witness
-        self.outs[src].add((label, dst))
-        self.ins[dst].add((src, label))
-
-    def snapshot(self, state):
-        """Incident witnesses of `state`, self-loops excluded."""
-        in_wits = {}
-        for src, label in self.ins[state]:
-            if src != state:
-                in_wits[(src, label)] = self.table[(src, label, state)]
-        out_wits = {}
-        for label, dst in self.outs[state]:
-            if not isinstance(label, Silent):
-                raise ValueError(f"insignificant state {state} has a non-silent exit")
-            if dst != state:
-                out_wits[dst] = self.table[(state, label, dst)]
-        return in_wits, out_wits
-
-    def remove_state(self, state):
-        for src, label in list(self.ins[state]):
-            self.table.pop((src, label, state), None)
-            self.outs[src].discard((label, state))
-        for label, dst in list(self.outs[state]):
-            self.table.pop((state, label, dst), None)
-            self.ins[dst].discard((state, label))
-        self.outs[state] = set()
-        self.ins[state] = set()
-
-
-def _in_order(in_wits):
-    return sorted(in_wits, key=lambda e: (e[0], label_sort_key(e[1])))
-
-
-def eliminate_insignificant_states(
-    a: BuchiAutomaton, significant, silent: Silent
-) -> BuchiAutomaton:
+def eliminate_insignificant_states(a: BuchiAutomaton, significant) -> BuchiAutomaton:
     """Remove insignificant states while preserving non-silent label sequences.
 
-    Survivors are the significant and the accepting states.  A path that
-    leaves survivor `u` by an `L`-labeled step and runs through non-survivors
-    up to the first survivor `v` becomes the transition (u, L, v), which keeps
-    the least such path by `Witness.rank()`: fewest steps, then the
-    lexicographically smallest transition ids.  (These are the bypasses that
-    eliminating the non-survivors pairwise would keep.)  Accepting
-    insignificant states whose remaining predecessors are all insignificant
-    are eliminated next, in state order, unless the state has a silent
-    self-loop that one of those predecessors lacks: a predecessor's own silent
-    loop is the silent, accepting tail the removed state's loop offered, and
-    without one the state stays.  Every surviving transition records the
-    exact source-automaton path it abbreviates.
+    The survivors come from `_survivors`.  A path that leaves survivor `u` by
+    an `L`-labeled step and runs through removed states up to the first
+    survivor `v` becomes the transition (u, L, v), which keeps the least such
+    path by `Witness.rank()`: fewest steps, then the lexicographically
+    smallest transition ids.  Removed states are insignificant, so every step
+    after the first is silent; a mask that would remove a state with a
+    non-silent exit raises `ValueError`.  Least paths under that order form
+    a selective path algebra, so these are the witnesses that removing the
+    states one at a time, chaining every entry with every exit, would keep
+    (Tarjan, "Fast algorithms for solving path problems", JACM 1981);
+    `least_segments` finds them in one fold.
     """
     if not significant[a.initial]:
         raise ValueError("the initial state must be significant")
-    alive = {s for s in range(a.n_states) if significant[s] or s in a.accepting}
-    bench = _bypass_non_survivors(a, alive)
-    _eliminate_accepting(bench, alive, a.accepting, significant, silent)
-    return _rebuild_from_bench(a, bench, alive)
-
-
-def _bypass_non_survivors(a: BuchiAutomaton, alive) -> _Workbench:
-    """Least path per (survivor, first label, next survivor) as a workbench.
-
-    The seeds of one (survivor, label) are its `label` steps in ascending id
-    order; a seed ending at a survivor is a one-step path, and every other
-    seed target enters one shared `least_paths` walk, credited to the first
-    seed reaching it.  The walk's flags stay false because every accepting
-    state survives.
-    """
-    bench = _Workbench(a.n_states)
-    stop = [s in alive for s in range(a.n_states)]
-    for u in sorted(alive):
-        seeds = {}
+    alive = _survivors(a, significant)
+    for t in a.transitions:
+        if t.src not in alive and not isinstance(t.label, Silent):
+            raise ValueError(f"insignificant state {t.src} has a non-silent exit")
+    segments = least_segments(a, [s in alive for s in range(a.n_states)])
+    table = {}  # (u, label, v) -> least steps
+    for u in alive:
         for tid in a.out_transitions(u):
-            seeds.setdefault(a.transitions[tid].label, []).append(tid)
-        for label, tids in seeds.items():
-            first = {}  # non-survivor seed target -> first seed reaching it
-            for tid in tids:
-                x = a.transitions[tid].dst
-                if stop[x]:
-                    bench.put(u, label, x, Witness((tid,), u, x))
-                else:
-                    first.setdefault(x, tid)
-            entries = [(x, False) for x in first]
-            for v, _flag, (x, _), steps in least_paths(a, stop, entries):
-                bench.put(u, label, v, Witness((first[x],) + steps, u, v))
-    return bench
-
-
-def _eliminate_accepting(bench: _Workbench, alive, accepting, significant, silent):
-    """Remove accepting insignificant states no significant state enters,
-    keeping those whose silent self-loop some predecessor does not have."""
-    for p in sorted(alive):
-        if significant[p] or p not in accepting:
-            continue
-        preds = {src for src, _label in bench.ins[p] if src != p}
-        if any(significant[q] for q in preds):
-            continue
-        if (p, silent, p) in bench.table and any(
-            (q, silent, q) not in bench.table for q in preds
-        ):
-            continue
-        in_wits, out_wits = bench.snapshot(p)
-        bench.remove_state(p)
-        alive.discard(p)
-        for src, label in _in_order(in_wits):
-            if not isinstance(label, Silent):
-                raise ValueError(f"insignificant state {src} has a non-silent exit")
-            for dst in sorted(out_wits):
-                bench.put(src, label, dst, _chain(in_wits[(src, label)], out_wits[dst]))
-
-
-def _chain(w1: Witness, w2: Witness) -> Witness:
-    if w1.dst != w2.src:
-        raise ValueError(f"witnesses {w1} and {w2} do not chain")
-    return Witness(w1.steps + w2.steps, w1.src, w2.dst)
-
-
-def _rebuild_from_bench(a: BuchiAutomaton, bench: _Workbench, alive) -> BuchiAutomaton:
+            label = a.transitions[tid].label
+            for v, _flag, steps in segments(tid):
+                cur = table.get((u, label, v))
+                if cur is None or (len(steps), steps) < (len(cur), cur):
+                    table[(u, label, v)] = steps
     order = sorted(alive)
     remap = {old: new for new, old in enumerate(order)}
     b = BuchiAutomaton(a.mode)
@@ -267,11 +158,58 @@ def _rebuild_from_bench(a: BuchiAutomaton, bench: _Workbench, alive) -> BuchiAut
         b.add_state((old,))
     b.initial = remap[a.initial]
     b.accepting = {remap[s] for s in a.accepting if s in alive}
-    for src, label, dst in sorted(
-        bench.table, key=lambda k: (k[0], label_sort_key(k[1]), k[2])
-    ):
-        if src not in alive or dst not in alive:
-            continue
+    for key in sorted(table, key=lambda k: (k[0], label_sort_key(k[1]), k[2])):
+        src, label, dst = key
         tid = b.add_transition(remap[src], label, remap[dst])
-        b.tr_witness[tid] = (bench.table[(src, label, dst)],)
+        b.tr_witness[tid] = (Witness(table[key], src, dst),)
     return b
+
+
+def _survivors(a: BuchiAutomaton, significant) -> set:
+    """The states the motion reduction keeps.
+
+    Significant states stay, and states neither significant nor accepting
+    go.  Then, in ascending order, each accepting insignificant state goes
+    unless a significant state enters it through removed states (the run
+    may rest there), or it lies on a cycle through the states removed so far
+    while one of its predecessors, the survivors entering it through removed
+    states, does not: a predecessor's own cycle is the silent, accepting
+    tail that the state's cycle offered.  The order matters, since each
+    removal can close cycles and hide predecessors for the states after it.
+    """
+    removed = [not significant[s] and s not in a.accepting for s in range(a.n_states)]
+
+    def beyond(starts, reverse=False):
+        """Survivors that `starts` reach through removed states, or with
+        `reverse`, survivors that reach `starts` through them."""
+        found, seen, stack = set(), set(starts), list(starts)
+        while stack:
+            x = stack.pop()
+            for tid in a.in_transitions(x) if reverse else a.out_transitions(x):
+                t = a.transitions[tid]
+                w = t.src if reverse else t.dst
+                if not removed[w]:
+                    found.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return found
+
+    # read before any accepting state goes: a significant state entering a
+    # state through accepting ones keeps the first of them
+    entered = beyond([s for s in range(a.n_states) if significant[s]])
+    looping = set()  # removals only close cycles, never open them
+
+    def loops(x):
+        if x not in looping and x in beyond([x], reverse=True):
+            looping.add(x)
+        return x in looping
+
+    for p in sorted(a.accepting):
+        if significant[p] or p in entered:
+            continue
+        preds = beyond([p], reverse=True)  # `p` among them if it lies on a cycle
+        if p in preds and not all(loops(q) for q in preds - {p}):
+            continue
+        removed[p] = True
+    return {s for s in range(a.n_states) if not removed[s]}

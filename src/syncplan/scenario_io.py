@@ -9,6 +9,7 @@ synthesis output reloads losslessly for simulation.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def _bounds(value, where: str):
         and all(type(v) in (int, float) for v in value)
     ):
         raise ScenarioFormatError(f"{where}: expected [lo, hi]")
+    if not all(math.isfinite(v) for v in value):
+        raise ScenarioFormatError(f"{where}: bounds must be finite numbers")
     return value
 
 

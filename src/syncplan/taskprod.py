@@ -34,7 +34,7 @@ from .buchi import (
     _walk_forward,
     coreachable,
     label_sort_key,
-    least_paths_to,
+    least_segments,
     merge_duplicate_states,
     prune_non_coaccessible,
     rebuild,
@@ -332,32 +332,6 @@ def _shortest_region_cycle(a, members, anchor):
     )
 
 
-def _segments_from(a: BuchiAutomaton, significant, src_tid, reach, paths_from, memo):
-    """Where one outgoing edge of a significant state can lead next.
-
-    Returns (segments, absorb).  `segments` lists (target_state,
-    accepting_flag, path) once per significant state and flag a run can
-    reach next, where the flag records whether the stretch after the first
-    edge saw an accepting state and `path` is the least such path: the
-    shortest one, ties going to the lexicographically smallest sequence of
-    transition ids.  `absorb` is the route into a silent accepting cycle if
-    the region can swallow the run forever, else None.  `paths_from` reads
-    the least paths from an insignificant entry pair off the backward tables
-    of `least_paths_to`, and `memo` keeps what it read per entry pair, since
-    several edges enter the same pair.
-    """
-    t = a.transitions[src_tid]
-    if significant[t.dst]:
-        return [(t.dst, t.dst in a.accepting, (src_tid,))], None
-    esc = reach.get(t.dst)
-    absorb = None if esc is None else ((src_tid,) + esc[1], esc[2])
-    entry = (t.dst, t.dst in a.accepting)
-    tails = memo.get(entry)
-    if tails is None:
-        tails = memo[entry] = paths_from(*entry)
-    return [(target, flag, (src_tid,) + tail) for target, flag, tail in tails], absorb
-
-
 def reduce_task_motion(
     tm: TaskMotionProduct, globally_assisting: dict
 ) -> ReducedTaskMotionProduct:
@@ -368,10 +342,10 @@ def reduce_task_motion(
     when nobody's collaboration hinges on it: its coalition is the agent
     alone and it provides no globally assisting service.  Insignificant
     states only have such transitions, so whole stretches between significant
-    states fold into one transition carrying the first edge's label.  Their
-    least paths come from `least_paths_to`, one backward sweep per
-    significant (state, flag) pair, because the entries into insignificant
-    stretches grow with the grid while the significant states do not.
+    states fold into one transition carrying the first edge's label and the
+    least path to each next (significant state, flag) pair, read off
+    `least_segments`' backward tables.  An edge into a region state that can
+    run into a live accepting cycle also leads to the absorbing state.
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
@@ -416,21 +390,20 @@ def reduce_task_motion(
         return t.label
 
     summary = {}  # sig state -> {(label, target_desc) -> (dep, Witness)}
-    paths_from = least_paths_to(a, significant)
-    tails = {}  # least paths per entry pair, shared by every edge entering it
+    segments = least_segments(a, significant)
     for s in sorted(x for x in range(a.n_states) if significant[x]):
         edges = {}
         for tid in a.out_transitions(s):
             t = a.transitions[tid]
             label = planning_label(tid, t)
             dep = own_dep if isinstance(label, Silent) else a.tr_dep.get(tid, own_dep)
-            segments, absorb = _segments_from(a, significant, tid, reach, paths_from, tails)
-            for target, flag, path in segments:
+            for target, flag, path in segments(tid):
                 w = Witness(path, s, target)
                 _put_edge(edges, label, ("state", target, flag), dep, w)
-            if absorb is not None:
-                path, anchor = absorb
-                w = Witness(path, s, anchor)
+            esc = reach.get(t.dst)  # the region can swallow the run forever
+            if esc is not None:
+                _dist, path, anchor = esc
+                w = Witness((tid,) + path, s, anchor)
                 _put_edge(edges, label, ("sink",), dep, w)
         summary[s] = edges
 

@@ -1,12 +1,14 @@
 """Unoptimized reductions kept as references for the differential tests.
 
 `eliminate_by_pairs` is the pairwise state elimination that the motion
-reduction's survivor search replaces, and `eliminate_accepting` an
-independent copy of its accepting-state phase, keep rule included, written
-against the plain witness table; `segments_by_path_copying` is the
-region walk that `taskprod._segments_from` replaces, copying the path at
-every queued entry and reporting every arrival.  They define the witnesses
-the optimized code must reproduce exactly.
+reduction's survivors-then-fold replaces: non-survivors first, then the
+accepting states in order with their keep rule, each removal chaining every
+entry with every exit on a plain (src, label, dst) -> witness table.
+`least_paths` is the forward walk that `buchi.least_segments`' backward
+tables replace, and `segments_by_path_copying` the task reduction's region
+walk, copying the path at every queued entry and reporting every arrival.
+They define the witnesses the optimized code must reproduce exactly, and
+share no code with it.
 
 `region_analysis` is the task reduction's hand-written search for silent
 accepting cycles and the routes into them, which now runs on `buchi._bfs`.
@@ -20,8 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from syncplan.buchi import BuchiAutomaton, Silent, Witness, strongly_connected_components
-from syncplan.motion import _chain, _in_order, _rebuild_from_bench, _Workbench
+from syncplan.buchi import (
+    BuchiAutomaton,
+    Silent,
+    Witness,
+    label_sort_key,
+    strongly_connected_components,
+)
 
 
 def region_components(a: BuchiAutomaton, region):
@@ -41,76 +48,121 @@ def region_components(a: BuchiAutomaton, region):
     return [[order[i] for i in members] for members in comps]
 
 
-def eliminate_by_pairs(a: BuchiAutomaton, significant, silent):
-    """Phase one of the reduction by elimination; returns (workbench, alive).
+def _remove(table, p):
+    """Drop state `p` from the table, chaining each entry with each exit and
+    keeping the least witness per (src, label, dst); self-loops at `p` are
+    not chained."""
+    entries = {key: w for key, w in table.items() if key[2] == p and key[0] != p}
+    exits = {key: w for key, w in table.items() if key[0] == p and key[2] != p}
+    for key in [key for key in table if p in (key[0], key[2])]:
+        del table[key]
+    for (src, label, _p), w_in in entries.items():
+        for (_p, _label, dst), w_out in exits.items():
+            w = Witness(w_in.steps + w_out.steps, src, dst)
+            cur = table.get((src, label, dst))
+            if cur is None or w.rank() < cur.rank():
+                table[(src, label, dst)] = w
 
-    Non-accepting insignificant states are removed in state order; each
-    removal concatenates every incoming witness with every outgoing one and
-    keeps the least witness per (src, label, dst).
+
+def eliminate_by_pairs(a: BuchiAutomaton, significant):
+    """The reduction by elimination; returns (table, alive).
+
+    The silent label is the first one in the automaton.  Non-accepting insignificant states are removed in state order.  Then, in
+    state order, an accepting insignificant state goes when no significant
+    state enters it and it has no silent self-loop that one of its
+    predecessors lacks.
     """
-    bench = _Workbench(a.n_states)
+    silent = next((t.label for t in a.transitions if isinstance(t.label, Silent)), None)
+    table = {}
     for tid, t in enumerate(a.transitions):
-        bench.put(t.src, t.label, t.dst, Witness((tid,), t.src, t.dst))
+        w = Witness((tid,), t.src, t.dst)
+        cur = table.get((t.src, t.label, t.dst))
+        if cur is None or w.rank() < cur.rank():
+            table[(t.src, t.label, t.dst)] = w
     alive = set(range(a.n_states))
     for p in range(a.n_states):
-        if significant[p] or p in a.accepting:
-            continue
-        in_wits, out_wits = bench.snapshot(p)
-        bench.remove_state(p)
-        alive.discard(p)
-        for src, label in _in_order(in_wits):
-            for dst in sorted(out_wits):
-                bench.put(src, label, dst, _chain(in_wits[(src, label)], out_wits[dst]))
-    return bench, alive
-
-
-def eliminate_accepting(table, alive, accepting, significant, silent):
-    """Phase two on the plain (src, label, dst) -> witness table.
-
-    In state order, an accepting insignificant state goes when no
-    significant state enters it and it has no silent self-loop that one of
-    its predecessors lacks; each of its entries is chained with each of its
-    exits, keeping the least witness per (src, label, dst).
-    """
+        if not significant[p] and p not in a.accepting:
+            _remove(table, p)
+            alive.discard(p)
     for p in sorted(alive):
-        if significant[p] or p not in accepting:
+        if significant[p] or p not in a.accepting:
             continue
-        entries = {key: w for key, w in table.items() if key[2] == p and key[0] != p}
-        preds = {src for src, _label, _dst in entries}
+        preds = {src for src, _label, dst in table if dst == p and src != p}
         if any(significant[q] for q in preds):
             continue
         if (p, silent, p) in table and not all((q, silent, q) in table for q in preds):
             continue
-        exits = {key: w for key, w in table.items() if key[0] == p and key[2] != p}
-        for key in [key for key in table if p in (key[0], key[2])]:
-            del table[key]
+        _remove(table, p)
         alive.discard(p)
-        for (src, label, _p), w_in in entries.items():
-            for (_p, _label, dst), w_out in exits.items():
-                w = Witness(w_in.steps + w_out.steps, src, dst)
-                cur = table.get((src, label, dst))
-                if cur is None or w.rank() < cur.rank():
-                    table[(src, label, dst)] = w
+    return table, alive
 
 
-def eliminate_insignificant_states(a: BuchiAutomaton, significant, silent) -> BuchiAutomaton:
+def rebuild_from_table(a: BuchiAutomaton, table, alive) -> BuchiAutomaton:
+    """The survivors, tagged (old state,), with the table's transitions in
+    (src, label, dst) order."""
+    order = sorted(alive)
+    remap = {old: new for new, old in enumerate(order)}
+    b = BuchiAutomaton(a.mode)
+    for old in order:
+        b.add_state((old,))
+    b.initial = remap[a.initial]
+    b.accepting = {remap[s] for s in a.accepting if s in alive}
+    for src, label, dst in sorted(table, key=lambda k: (k[0], label_sort_key(k[1]), k[2])):
+        tid = b.add_transition(remap[src], label, remap[dst])
+        b.tr_witness[tid] = (table[(src, label, dst)],)
+    return b
+
+
+def eliminate_insignificant_states(a: BuchiAutomaton, significant) -> BuchiAutomaton:
     """Drop-in for `motion.eliminate_insignificant_states` built on the pairs."""
-    bench, alive = eliminate_by_pairs(a, significant, silent)
-    eliminate_accepting(bench.table, alive, a.accepting, significant, silent)
-    return _rebuild_from_bench(a, bench, alive)
+    table, alive = eliminate_by_pairs(a, significant)
+    return rebuild_from_table(a, table, alive)
 
 
-def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid, reach):
+def least_paths(a: BuchiAutomaton, stop, entries):
+    """Least path from the entry (state, flag) pairs to each next stop state.
+
+    Breadth-first over (state, flag) pairs, where the flag turns true once a
+    path visits an accepting state.  Entries are taken in the given order and
+    out-transitions in ascending id order, so the first step to reach a pair
+    ends its least path: the shortest one, ties going to the earlier entry
+    and then to the lexicographically smallest sequence of transition ids.
+    The walk expands non-stop states only.  Returns one (stop state, flag,
+    entry, steps) per stop pair reached, `steps` leading from the entry.
+    """
+    transitions, accepting = a.transitions, a.accepting
+    parent = dict.fromkeys(entries)  # (state, flag) -> (previous pair, step id)
+    arrivals = {}  # (stop state, flag) -> (previous pair, step id)
+    queue = deque(parent)
+    while queue:
+        key = queue.popleft()
+        state, flag = key
+        for tid in a.out_transitions(state):
+            y = transitions[tid].dst
+            nxt = (y, flag or y in accepting)
+            if stop[y]:
+                if nxt not in arrivals:
+                    arrivals[nxt] = (key, tid)
+            elif nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+    found = []
+    for (y, flag), (key, tid) in arrivals.items():
+        steps = [tid]
+        while parent[key] is not None:
+            key, tid = parent[key]
+            steps.append(tid)
+        steps.reverse()
+        found.append((y, flag, key, tuple(steps)))
+    return found
+
+
+def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid):
     """Every arrival at a significant state behind one edge, with its path."""
     t = a.transitions[src_tid]
-    segments = []
-    absorb = None
     if significant[t.dst]:
-        segments.append((t.dst, t.dst in a.accepting, (src_tid,)))
-        return segments, absorb
-    esc = reach.get(t.dst)
-    if esc is not None:
-        absorb = ((src_tid,) + esc[1], esc[2])
+        return [(t.dst, t.dst in a.accepting, (src_tid,))]
+    segments = []
     start = (t.dst, t.dst in a.accepting)
     seen = {start}
     queue = deque([(start, (src_tid,))])
@@ -126,7 +178,7 @@ def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid, reach):
                 continue
             seen.add(key)
             queue.append((key, path + (tid,)))
-    return segments, absorb
+    return segments
 
 
 def region_analysis(a: BuchiAutomaton, significant):

@@ -440,6 +440,25 @@ class TestMalformedFiles:
         scenario = write_scenario(tmp_path, data)
         self.assert_rejected(run_cli("simulate", scenario, str(strategy_path)), "duration")
 
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("duration", [float("nan"), 5.0], "simulation.duration"),
+            ("action_durations", {"ping": [1.0, float("inf")]}, "simulation.action_durations.ping"),
+        ],
+        ids=["nan", "infinity"],
+    )
+    def test_non_finite_duration_bounds(self, tmp_path, asymmetry_files, key, value, where):
+        # json reads NaN and Infinity; every comparison with NaN is false, so
+        # unchecked they passed the bound checks and simulate reported "ok"
+        # over an event log of nan and inf times
+        data = json.loads(Path(ASYM).read_text())
+        data["simulation"][key] = value
+        scenario = write_scenario(tmp_path, data)
+        message = f"{where}: bounds must be finite numbers"
+        self.assert_rejected(run_cli("check", scenario), message)
+        self.assert_rejected(run_cli("simulate", scenario, *map(str, asymmetry_files)), message)
+
 
 class TestUsageErrors:
     # argparse ends a usage error with 2, which here means an empty language

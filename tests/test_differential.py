@@ -24,8 +24,7 @@ from syncplan.buchi import (
     _bfs,
     check_lasso_membership,
     components,
-    least_paths,
-    least_paths_to,
+    least_segments,
     strongly_connected_components,
 )
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
@@ -61,13 +60,19 @@ def dump(a):
     )
 
 
-def reference_segments(a, significant, src_tid, reach, _paths_from, _memo):
-    return ref.segments_by_path_copying(a, significant, src_tid, reach)
+def reference_segments(a, significant):
+    """Stands in for `least_segments` in the task reduction: every arrival
+    the path-copying walk reports, of which `_put_edge` must keep the least."""
+
+    def segments(tid):
+        return ref.segments_by_path_copying(a, significant, tid)
+
+    return segments
 
 
-def test_motion_bypass_matches_pairwise_elimination():
+def test_motion_reduction_matches_pairwise_elimination():
     rng = random.Random(2)
-    long_witnesses = 0
+    long_witnesses = accepting_removed = 0
     for i in range(2400):
         mp = random_motion_product(rng, max_states=12 if i < 1200 else rng.randint(25, 40))
         a = mp.automaton
@@ -75,15 +80,16 @@ def test_motion_bypass_matches_pairwise_elimination():
             # sparse acceptance leaves more states to bypass: longer chains
             a.accepting = {s for s in a.accepting if rng.random() < 0.3}
         sig = classify_significance(mp)
-        old_bench, old_alive = ref.eliminate_by_pairs(a, sig, mp.silent)
-        new_bench = motion._bypass_non_survivors(a, set(old_alive))
-        assert new_bench.table == old_bench.table
-        assert new_bench.ins == old_bench.ins and new_bench.outs == old_bench.outs
-        assert dump(motion.eliminate_insignificant_states(a, sig, mp.silent)) == dump(
-            ref.eliminate_insignificant_states(a, sig, mp.silent)
+        table, alive = ref.eliminate_by_pairs(a, sig)
+        assert motion._survivors(a, sig) == alive
+        reduced = motion.eliminate_insignificant_states(a, sig)
+        assert dump(reduced) == dump(ref.rebuild_from_table(a, table, alive))
+        long_witnesses += sum(
+            len(w.steps) >= 4 for ws in reduced.tr_witness.values() for w in ws
         )
-        long_witnesses += sum(len(w.steps) >= 4 for w in new_bench.table.values())
+        accepting_removed += any(s not in alive for s in a.accepting)
     assert long_witnesses >= 1000
+    assert accepting_removed >= 250
 
 
 def test_task_segments_match_path_copying_walk(monkeypatch):
@@ -93,29 +99,23 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
         sig = classify_task_significance(tm, ga)
-        _anchors, reach = _region_analysis(a, sig, tm.silence_tolerant())
-        paths_from = least_paths_to(a, sig)
-        tails = {}
+        segments = least_segments(a, sig)
         for s in range(a.n_states):
             if not sig[s]:
                 continue
             for tid in a.out_transitions(s):
-                segments, absorb = taskprod._segments_from(
-                    a, sig, tid, reach, paths_from, tails
-                )
-                old_segments, old_absorb = ref.segments_by_path_copying(a, sig, tid, reach)
                 least = {}
-                for target, flag, path in old_segments:
+                for target, flag, path in ref.segments_by_path_copying(a, sig, tid):
                     cur = least.get((target, flag))
                     if cur is None or (len(path), path) < (len(cur), cur):
                         least[(target, flag)] = path
-                assert absorb == old_absorb
-                assert len(segments) == len(least)
-                assert {(t, f): p for t, f, p in segments} == least
+                new_segments = segments(tid)
+                assert len(new_segments) == len(least)
+                assert {(t, f): p for t, f, p in new_segments} == least
                 compared += 1
         new = taskprod.reduce_task_motion(tm, ga)
         with monkeypatch.context() as m:
-            m.setattr(taskprod, "_segments_from", reference_segments)
+            m.setattr(taskprod, "least_segments", reference_segments)
             old = taskprod.reduce_task_motion(tm, ga)
         assert dump(new.automaton) == dump(old.automaton)
     assert compared >= 1000
@@ -145,27 +145,30 @@ def _shortest_path_counts(a, stop, entry):
     return {pair: c for pair, (_d, c) in arrivals.items()}
 
 
-def test_least_paths_to_matches_forward_walk_per_entry():
-    # the backward tables must give every entry the forward walk's paths,
-    # also where several shortest paths tie and only the transition ids
-    # decide
+def test_least_segments_match_forward_walk_per_entry():
+    # the backward tables must give every transition leaving a stop state
+    # the forward walk's paths from the pair it enters, also where several
+    # shortest paths tie and only the transition ids decide
     rng = random.Random(17)
     tied = 0
-    for _ in range(2000):
+    for _ in range(4000):
         a = _random_graph(rng)
         a.accepting = {s for s in range(a.n_states) if rng.random() < 0.3}
         stop = [rng.random() < 0.3 for _ in range(a.n_states)]
-        paths_from = least_paths_to(a, stop)
-        for x in range(a.n_states):
-            if stop[x]:
+        segments = least_segments(a, stop)
+        for tid, t in enumerate(a.transitions):
+            if not stop[t.src]:
                 continue
-            for flag in (False, True):
-                walk = least_paths(a, stop, [(x, flag)])
-                assert sorted(paths_from(x, flag)) == sorted(
-                    (y, f, steps) for y, f, _entry, steps in walk
-                )
-                counts = _shortest_path_counts(a, stop, (x, flag))
-                tied += sum(counts[(y, f)] >= 2 for y, f, _entry, _steps in walk)
+            entry = (t.dst, t.dst in a.accepting)
+            if stop[t.dst]:
+                assert segments(tid) == [(*entry, (tid,))]
+                continue
+            walk = ref.least_paths(a, stop, [entry])
+            assert sorted(segments(tid)) == sorted(
+                (y, f, (tid,) + steps) for y, f, _entry, steps in walk
+            )
+            counts = _shortest_path_counts(a, stop, entry)
+            tied += sum(counts[(y, f)] >= 2 for y, f, _entry, _steps in walk)
     assert tied >= 500
 
 
@@ -235,7 +238,7 @@ def _synthesize_both(scenario, monkeypatch):
     new = run_synthesis(scenario)
     with monkeypatch.context() as m:
         m.setattr(motion, "eliminate_insignificant_states", ref.eliminate_insignificant_states)
-        m.setattr(taskprod, "_segments_from", reference_segments)
+        m.setattr(taskprod, "least_segments", reference_segments)
         old = run_synthesis(scenario)
     return new, old
 

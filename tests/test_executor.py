@@ -41,6 +41,21 @@ def two_worker_scenario():
     return sc, {1: s1, 2: s2}
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"duration_lo": float("nan")},
+        {"duration_hi": float("inf")},
+        {"action_durations": {"tick": (1.0, float("nan"))}},
+        {"action_durations": {"tick": (float("-inf"), 1.0)}},
+    ],
+    ids=["nan-lo", "inf-hi", "nan-action", "minus-inf-action"],
+)
+def test_non_finite_duration_bounds_rejected(settings):
+    with pytest.raises(ValueError, match="must be finite"):
+        SimulationConfig(**settings)
+
+
 class TestSimulate:
     def test_singleton_requests_never_block(self):
         a1 = explicit_agent(1, ["s"], {"tick": ["a"]}, [(0, "tick", 0)])

@@ -1,11 +1,14 @@
 """Motion products and the silent-state elimination with witnesses."""
 import random
 
+import pytest
+
 from syncplan import ltl
 from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, language_empty
 from syncplan.motion import (
     MotionProduct,
+    _survivors,
     build_motion_product,
     classify_significance,
     eliminate_insignificant_states,
@@ -174,9 +177,7 @@ class TestReduce:
         if pred_loop:
             steps[(1, 1)] = a.add_transition(1, eps, 1)
         a.accepting = {1, 2}
-        reduced = eliminate_insignificant_states(
-            a, classify_significance(MotionProduct(a)), eps
-        )
+        reduced = eliminate_insignificant_states(a, classify_significance(MotionProduct(a)))
         return steps, reduced
 
     @staticmethod
@@ -206,6 +207,45 @@ class TestReduce:
         assert edges[(1, 3)] == (steps[(1, 2)], steps[(2, 3)])
         assert (0, 1) in edges and (3, 0) in edges and len(edges) == 4
 
+    def test_keep_rule_sees_the_states_removed_before(self):
+        # 0 -{b}-> 1 -eps-> 2 -eps-> 0, 2 -{a,b}-> 2 and an unreachable
+        # accepting tail 3 -eps-> 4 -eps-> 2 (twice), 4 -eps-> 4.  State 3 has
+        # no loop and goes first; with 3 gone, 4 has no predecessor left, so
+        # it goes too.  Judged on the states 1 alone bypasses, 4 would stay
+        # for its predecessor 3 without a loop.
+        a = BuchiAutomaton(EXPLICIT_MODE)
+        for _ in range(5):
+            a.add_state()
+        eps = Silent(1)
+        first = a.add_transition(0, frozenset({"b"}), 1)
+        second = a.add_transition(1, eps, 2)
+        back = a.add_transition(2, eps, 0)
+        work = a.add_transition(2, frozenset({"a", "b"}), 2)
+        a.add_transition(3, eps, 4)
+        a.add_transition(4, eps, 2)
+        a.add_transition(4, eps, 2)
+        a.add_transition(4, eps, 4)
+        a.accepting = {2, 3, 4}
+        significant = classify_significance(MotionProduct(a))
+        assert [s for s in range(5) if significant[s]] == [0, 2]
+        assert _survivors(a, significant) == {0, 2}
+        reduced = eliminate_insignificant_states(a, significant)
+        assert reduced.state_tags == [(0,), (2,)]
+        assert reduced.accepting == {1}
+        assert self._edges(reduced) == {(0, 2): (first, second), (2, 0): (back,), (2, 2): (work,)}
+
+    def test_mask_removing_a_non_silent_exit_rejected(self):
+        # 0 -eps-> 1 -{go}-> 0 with 1 marked insignificant: removing 1 would
+        # hide `go` inside a witness
+        a = BuchiAutomaton(EXPLICIT_MODE)
+        for _ in range(2):
+            a.add_state()
+        a.add_transition(0, Silent(1), 1)
+        a.add_transition(1, frozenset({"go"}), 0)
+        a.accepting = {0}
+        with pytest.raises(ValueError, match="state 1 has a non-silent exit"):
+            eliminate_insignificant_states(a, [True, False])
+
 
 class TestReductionSoundness:
     def test_emptiness_and_labels_preserved(self):
@@ -216,7 +256,7 @@ class TestReductionSoundness:
             mp = random_motion_product(rng)
             significant = classify_significance(mp)
             kept_loops += kept_silent_loops(
-                mp, eliminate_insignificant_states(mp.automaton, significant, mp.silent), significant
+                mp, eliminate_insignificant_states(mp.automaton, significant), significant
             )
             rm = reduce(mp)
             assert rm.automaton.n_states <= mp.automaton.n_states
