@@ -436,6 +436,181 @@ def least_segments(a: BuchiAutomaton, stop):
     return segments
 
 
+def region_analysis(a: BuchiAutomaton, significant, live=None):
+    """Accepting cycles among insignificant states, and the routes into them.
+
+    Returns (anchors, reach): `anchors` maps an anchor state, the smallest
+    accepting state of a region component with an internal edge, to the
+    transition ids of a shortest cycle through it; `reach` maps every region
+    state that can run into such a cycle to (distance, path transition ids,
+    anchor), preferring the nearest anchor and then the smallest one.  With
+    `live`, an anchor is kept only if `live(anchor, loop)` holds.
+    """
+    region = {s for s in range(a.n_states) if not significant[s]}
+    anchors = {}
+    _comp, comps = strongly_connected_components(a, allowed=region)
+    for members in comps:
+        member_set = set(members)
+        internal = any(
+            a.transitions[tid].dst in member_set
+            for s in members
+            for tid in a.out_transitions(s)
+        )
+        accepting = [s for s in members if s in a.accepting]
+        if internal and accepting:
+            anchor = accepting[0]
+            loop = _shortest_region_cycle(a, member_set, anchor)
+            if live is None or live(anchor, loop):
+                anchors[anchor] = loop
+
+    reach = {}
+    for anchor in sorted(anchors):  # ascending: equally near anchors keep the first
+        dist, parent = _bfs(a, anchor, allowed=region, reverse=True)
+        for s in region:
+            if dist[s] is not None and (s not in reach or dist[s] < reach[s][0]):
+                reach[s] = (dist[s], tuple(_walk_backward(a, parent, anchor, s)), anchor)
+    return anchors, reach
+
+
+def _shortest_region_cycle(a, members, anchor):
+    """Shortest cycle through the anchor, preferring one that provides services.
+
+    A silent loop only realizes stuttering acceptance.  When the component
+    offers a transition with a real service label, the chosen loop detours
+    through one so that an absorbed agent keeps producing its word.  Paths
+    to and from the detour are least by ascending transition id.
+    """
+    fwd, fpar = _bfs(a, anchor, allowed=members)
+    bwd, bpar = _bfs(a, anchor, allowed=members, reverse=True)
+    best = None
+    for x in sorted(members):
+        for tid in a.out_transitions(x):
+            t = a.transitions[tid]
+            if t.dst not in members or fwd[x] is None or bwd[t.dst] is None:
+                continue
+            key = (isinstance(t.label, Silent), fwd[x] + 1 + bwd[t.dst], x, tid)
+            if best is None or key < best[0]:
+                best = (key, x, tid)
+    _key, x, tid = best
+    return (
+        tuple(_walk_forward(a, fpar, anchor, x))
+        + (tid,)
+        + tuple(_walk_backward(a, bpar, anchor, a.transitions[tid].dst))
+    )
+
+
+def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> BuchiAutomaton:
+    """Fold the insignificant states away: the significant skeleton of `a`.
+
+    The result has one state per reachable (significant state, flag) pair,
+    tagged (state,) and accepting with the flag, and at most one shared
+    accepting absorbing state, tagged with the sorted anchors of
+    `region_analysis`.  A transition `tid` leaving significant state `u`
+    yields, per (v, flag) pair that a path starting with `tid` reaches
+    through insignificant states, the transition (u, label, (v, flag)),
+    where the flag tells whether the path enters an accepting state.  When
+    `tid` enters a region state that can run into an anchor's cycle, it
+    also yields (u, label, absorbing state), whose witness leads to that
+    anchor; the absorbing state's `silent` self-loop keeps one witness per
+    anchor it is entered at, that anchor's cycle.  Per key the least
+    witness of `least_segments` is kept: the shortest path, ties going to
+    the lexicographically smallest sequence of transition ids.
+
+    `relabel(tid)` gives a transition's label in the result, the
+    transition's own label by default.  When `a` carries coalitions
+    (`tr_dep`), so does the result: a silent edge is its agent's alone, any
+    other edge takes its first transition's coalition, and per key the
+    smallest coalition wins before the witness is compared.  `live` filters
+    the anchors, as in `region_analysis`.  The result is pruned to the
+    states that reach acceptance, and states with equal edges are merged.
+    """
+    if not significant[a.initial]:
+        raise ValueError("the initial state must be significant")
+    anchors, reach = region_analysis(a, significant, live)
+    segments = least_segments(a, significant)
+    coalitions = bool(a.tr_dep)
+
+    def coalition(label, tid):
+        if not coalitions:
+            return None
+        return frozenset((label.agent,)) if isinstance(label, Silent) else a.tr_dep[tid]
+
+    def edges_from(u):
+        edges = {}  # (label, target) -> (rank, coalition, witness)
+
+        def put(label, target, dep, witness):
+            rank = (() if dep is None else (len(dep), tuple(sorted(dep))), witness.rank())
+            cur = edges.get((label, target))
+            if cur is None or rank < cur[0]:
+                edges[(label, target)] = (rank, dep, witness)
+
+        for tid in a.out_transitions(u):
+            label = a.transitions[tid].label if relabel is None else relabel(tid)
+            dep = coalition(label, tid)
+            for v, flag, steps in segments(tid):
+                put(label, ("state", v, flag), dep, Witness(steps, u, v))
+            route = reach.get(a.transitions[tid].dst)
+            if route is not None:
+                _dist, steps, anchor = route
+                put(label, ("sink",), dep, Witness((tid,) + steps, u, anchor))
+        return [
+            (label, target, dep, witness)
+            for (label, target), (_rank, dep, witness) in sorted(
+                edges.items(), key=lambda item: (label_sort_key(item[0][0]), item[0][1])
+            )
+        ]
+
+    b = BuchiAutomaton(a.mode)
+    ids = {}
+    out = {}  # significant state -> its folded edges, shared by both flags
+
+    def copy_id(state, flag):
+        key = (state, flag)
+        if key not in ids:
+            ids[key] = b.add_state((state,))
+            if flag:
+                b.accepting.add(ids[key])
+            queue.append(key)
+        return ids[key]
+
+    queue = deque()
+    b.initial = copy_id(a.initial, a.initial in a.accepting)
+    sink = None
+    entered = set()
+    while queue:
+        state, flag = queue.popleft()
+        src = ids[(state, flag)]
+        if state not in out:
+            out[state] = edges_from(state)
+        for label, target, dep, witness in out[state]:
+            if target[0] == "sink":
+                if sink is None:
+                    sink = b.add_state(tuple(sorted(anchors)))
+                    b.accepting.add(sink)
+                dst = sink
+                entered.add(witness.dst)
+            else:
+                dst = copy_id(target[1], target[2])
+            tid = b.add_transition(src, label, dst)
+            b.tr_witness[tid] = (witness,)
+            if dep is not None:
+                b.tr_dep[tid] = dep
+    if sink is not None:
+        tid = b.add_transition(sink, silent, sink)
+        b.tr_witness[tid] = tuple(Witness(anchors[x], x, x) for x in sorted(entered))
+        if coalitions:
+            b.tr_dep[tid] = coalition(silent, None)
+
+    # A fully silent automaton only distinguishes silence from emptiness, so
+    # the acceptance copies of the (lone significant) initial state collapse.
+    if sink is not None and all(isinstance(t.label, Silent) for t in b.transitions):
+        rep = min(i for (s, _f), i in ids.items() if s == a.initial)
+        class_of = {i: rep for i in ids.values()}
+        class_of[sink] = sink
+        b = rebuild(b, sorted({rep, sink}), class_of)
+    return merge_duplicate_states(prune_non_coaccessible(b))
+
+
 def _walk_forward(a, parent, source, target):
     path = []
     cur = target

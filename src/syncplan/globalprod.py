@@ -23,14 +23,21 @@ holds the moves on which agent i enters its reduced automaton's accepting
 set, and L_i the moves that keep its word legal (it provides services, or
 rests where its task tolerates silence).  One pass of strongly connected
 components decides emptiness: a lasso exists iff some component's internal
-moves meet every set.  Strategy extraction projects that lasso onto each
-agent and replays the recorded witnesses down through the reduced products
-until plain transition-system steps with synchronization requests remain.
+moves meet every set.  The lasso is built from least-cost legs, a move
+costing its synchronizing agents first and its transition-system steps
+second, after the prefix-suffix cost of Smith, Tumova, Belta and Rus
+("Optimal path planning for surveillance with temporal-logic constraints",
+IJRR 2011); which set each leg meets next is chosen greedily, since
+covering every set at least cost is NP-hard.  Strategy extraction projects
+that lasso onto each agent and replays the recorded witnesses down through
+the reduced products until plain transition-system steps with
+synchronization requests remain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
@@ -337,36 +344,82 @@ def _acceptance_marks(gp: GlobalProduct) -> list:
     return marks
 
 
-def _nearest(a: BuchiAutomaton, source: int, pick, allowed=None):
-    """Breadth first from `source` (inside `allowed`), layer by layer, up to
-    the first layer for whose states `pick` yields candidates.
+def _move_costs(gp: GlobalProduct) -> list:
+    """Per transition, the cost (synchronizing agents, expanded steps) as one
+    integer in which synchronizations dominate.
 
-    Returns the least candidate of that layer, or None, and the parent
-    transition of every state reached.  Layers are expanded in discovery
-    order, so the parents are those of a full breadth-first search.
+    A move synchronizes its coalition when that has more than one member.
+    Its steps are, summed over the moving positions, the length of the
+    reduced transition's first witness variant, expanded through the reduced
+    motion witnesses down to transition-system steps.  A leg has at most as
+    many transitions as the product has states, so its steps stay below the
+    synchronization weight.
     """
+    a = gp.automaton
+    lengths = []  # per position and reduced transition
+    for p in gp.products:
+        bar, motion = p.origin.automaton, p.origin.rm.automaton
+        lengths.append([
+            sum(len(motion.tr_witness[bar.tr_back[step][0]][0].steps) for step in w[0].steps)
+            for w in (p.automaton.tr_witness[tid] for tid in range(len(p.automaton.transitions)))
+        ])
+    steps = []
+    for tid in range(len(a.transitions)):
+        back = a.tr_back[tid]
+        moved = ((back[1], back[2]),) if back[0] == "local" else back[2].items()
+        steps.append(sum(lengths[pos][low] for pos, low in moved))
+    weight = a.n_states * max(steps, default=0) + 1
+    syncs = [len(a.tr_dep[tid]) for tid in range(len(steps))]
+    return [(k if k > 1 else 0) * weight + n for k, n in zip(syncs, steps)]
+
+
+def _cheapest(a: BuchiAutomaton, source: int, costs, pick, allowed=None):
+    """Least-cost search from `source` (inside `allowed`) for the least
+    candidate that `pick` yields.
+
+    `pick(state)` yields (cost of the candidate's own move, tie breakers...);
+    a candidate ranks by its leg cost, the state's distance plus that cost,
+    then by the tie breakers.  The search stops once no state left can lead
+    to a cheaper candidate.  Returns the least candidate, as (leg cost, tie
+    breakers...), or None, and the parent transition of every state settled;
+    on a tie in cost the parent is the one with the smaller transition id.
+    """
+    dist = {source: 0}
     parent = {source: None}
-    layer = [source]
-    while layer:
-        found = [c for s in layer for c in pick(s)]
-        if found:
-            return min(found), parent
-        nxt = []
-        for v in layer:
-            for tid in a.out_transitions(v):
-                w = a.transitions[tid].dst
-                if w not in parent and (allowed is None or w in allowed):
-                    parent[w] = tid
-                    nxt.append(w)
-        layer = nxt
-    return None, parent
+    heap = [(0, source)]
+    best = None
+    while heap:
+        d, v = heappop(heap)
+        if d > dist[v]:
+            continue
+        if best is not None and d > best[0]:
+            break
+        for extra, *key in pick(v):
+            candidate = (d + extra, *key)
+            if best is None or candidate < best:
+                best = candidate
+        for tid in a.out_transitions(v):
+            w = a.transitions[tid].dst
+            if allowed is not None and w not in allowed:
+                continue
+            dw = d + costs[tid]
+            old = dist.get(w)
+            if old is None or dw < old:
+                dist[w] = dw
+                parent[w] = tid
+                heappush(heap, (dw, w))
+            elif dw == old and tid < parent[w]:
+                parent[w] = tid
+    return best, parent
 
 
 def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     """One SCC pass over the product; the lasso enters the component covering
-    every acceptance set nearest the initial state and greedily walks to an
-    edge of each set still uncovered, nearest first, then meeting the most
-    sets, then by id."""
+    every acceptance set at least cost from the initial state and greedily
+    walks to an edge of each set still uncovered, then back to where it
+    entered.  Each leg is least-cost under `_move_costs`; the next edge is
+    the one whose leg, the edge included, costs least, then meets the most
+    sets, then has the smallest id."""
     a = gp.automaton
     everything = (1 << (2 * len(gp.agent_ids))) - 1
     comp, comps = strongly_connected_components(a)
@@ -386,7 +439,10 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
         first = (missing & -missing).bit_length() - 1
         raise EmptyLanguageError("task", gp.agent_ids[first // 2])
 
-    entry, parent = _nearest(a, a.initial, lambda s: (s,) if comp[s] in good else ())
+    costs = _move_costs(gp)
+    (_cost, entry), parent = _cheapest(
+        a, a.initial, costs, lambda s: [(0, s)] if comp[s] in good else ()
+    )
     members = set(comps[comp[entry]])
     cycle = []
     cur = entry
@@ -395,15 +451,15 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     def meeting_need(s):
         for tid in a.out_transitions(s):
             if marks[tid] & need and a.transitions[tid].dst in members:
-                yield -(marks[tid] & need).bit_count(), tid
+                yield costs[tid], -(marks[tid] & need).bit_count(), tid
 
     while need:
-        (_bits, tid), par = _nearest(a, cur, meeting_need, members)
+        (_cost, _bits, tid), par = _cheapest(a, cur, costs, meeting_need, members)
         for step in _walk_forward(a, par, cur, a.transitions[tid].src) + [tid]:
             cycle.append(step)
             need &= ~marks[step]
         cur = a.transitions[tid].dst
-    _entry, par = _nearest(a, cur, lambda s: (s,) if s == entry else (), members)
+    _found, par = _cheapest(a, cur, costs, lambda s: [(0,)] if s == entry else (), members)
     cycle += _walk_forward(a, par, cur, entry)
     return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
 

@@ -8,14 +8,16 @@ transition, which the assisting-service test below makes checkable.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
-into a single transition that remembers its path.  Each kept state exists in
-at most two acceptance flavors and one shared absorbing state captures runs
-that end in an accepting cycle among insignificant states, so the result has
-at most twice as many states as there are significant ones, plus at most
-one.  Only live cycles feed that state: ones that provide services, or rest
-at a task state tolerating silence.  A run ending in any other cycle would
-end in silence its task rejects, so the absorbing state's loop keeps every
-agent's word legal whichever cycle it replays.
+into a single transition that remembers its path: the same fold,
+`buchi.fold`, as the motion reduction's, given the planning labels and the
+coalitions.  Each kept state exists in at most two acceptance flavors and one
+shared absorbing state captures runs that end in an accepting cycle among
+insignificant states, so the result has at most twice as many states as
+there are significant ones, plus at most one.  Only live cycles feed that
+state: ones that provide services, or rest at a task state tolerating
+silence.  A run ending in any other cycle would end in silence its task
+rejects, so the absorbing state's loop keeps every agent's word legal
+whichever cycle it replays.
 """
 from __future__ import annotations
 
@@ -27,18 +29,9 @@ from .buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
     Silent,
-    Witness,
-    _bfs,
     _good_components,
-    _walk_backward,
-    _walk_forward,
     coreachable,
-    label_sort_key,
-    least_segments,
-    merge_duplicate_states,
-    prune_non_coaccessible,
-    rebuild,
-    strongly_connected_components,
+    fold,
 )
 from .motion import ReducedMotionProduct
 
@@ -265,87 +258,30 @@ class ReducedTaskMotionProduct:
     globally_assisting_own: frozenset
 
 
-def _region_analysis(a: BuchiAutomaton, significant, tolerant):
-    """Live accepting cycles among insignificant states.
+def _live_anchors(a: BuchiAutomaton, tolerant):
+    """An anchor is live when its loop provides services or its task state is
+    in `tolerant`: a run absorbed into any other cycle ends in silence its
+    task rejects."""
 
-    Returns (anchors, reach): `anchors` maps an anchor state to the transition
-    ids of a shortest cycle through it; `reach` maps every region state that
-    can run into such a cycle to (distance, path transition ids, anchor),
-    preferring the nearest anchor and then the smallest one.  An anchor is
-    kept only if its loop provides services or its task state is in
-    `tolerant`: a run absorbed into any other cycle ends in silence its task
-    rejects.
-    """
-    region = {s for s in range(a.n_states) if not significant[s]}
-    anchors = {}
-    _comp, comps = strongly_connected_components(a, allowed=region)
-    for members in comps:
-        member_set = set(members)
-        internal = any(
-            a.transitions[tid].dst in member_set
-            for s in members
-            for tid in a.out_transitions(s)
+    def live(anchor, loop):
+        return a.state_tags[anchor][1] in tolerant or not all(
+            isinstance(a.transitions[tid].label, Silent) for tid in loop
         )
-        accepting = [s for s in members if s in a.accepting]
-        if internal and accepting:
-            anchor = accepting[0]
-            loop = _shortest_region_cycle(a, member_set, anchor)
-            if a.state_tags[anchor][1] in tolerant or not all(
-                isinstance(a.transitions[tid].label, Silent) for tid in loop
-            ):
-                anchors[anchor] = loop
 
-    reach = {}
-    for anchor in sorted(anchors):  # ascending: equally near anchors keep the first
-        dist, parent = _bfs(a, anchor, allowed=region, reverse=True)
-        for s in region:
-            if dist[s] is not None and (s not in reach or dist[s] < reach[s][0]):
-                reach[s] = (dist[s], tuple(_walk_backward(a, parent, anchor, s)), anchor)
-    return anchors, reach
-
-
-def _shortest_region_cycle(a, members, anchor):
-    """Shortest cycle through the anchor, preferring one that provides services.
-
-    The region's cycles are all accepting-compatible, but a silent loop only
-    realizes stuttering acceptance.  When the component offers a transition
-    with a real service label, the chosen loop detours through one so that
-    an absorbed agent keeps producing its word.  Paths to and from the detour
-    are least by ascending transition id.
-    """
-    fwd, fpar = _bfs(a, anchor, allowed=members)
-    bwd, bpar = _bfs(a, anchor, allowed=members, reverse=True)
-    best = None
-    for x in sorted(members):
-        for tid in a.out_transitions(x):
-            t = a.transitions[tid]
-            if t.dst not in members or fwd[x] is None or bwd[t.dst] is None:
-                continue
-            key = (isinstance(t.label, Silent), fwd[x] + 1 + bwd[t.dst], x, tid)
-            if best is None or key < best[0]:
-                best = (key, x, tid)
-    _key, x, tid = best
-    return (
-        tuple(_walk_forward(a, fpar, anchor, x))
-        + (tid,)
-        + tuple(_walk_backward(a, bpar, anchor, a.transitions[tid].dst))
-    )
+    return live
 
 
 def reduce_task_motion(
     tm: TaskMotionProduct, globally_assisting: dict
 ) -> ReducedTaskMotionProduct:
-    """Fold insignificant stretches away, keeping dependencies and witnesses.
+    """Fold insignificant stretches away (`buchi.fold`), keeping dependencies
+    and witnesses.
 
-    Every surviving state is a (significant state, acceptance flag) pair or
-    the shared absorbing state.  A transition counts as silent for planning
-    when nobody's collaboration hinges on it: its coalition is the agent
-    alone and it provides no globally assisting service.  Insignificant
-    states only have such transitions, so whole stretches between significant
-    states fold into one transition carrying the first edge's label and the
-    least path to each next (significant state, flag) pair, read off
-    `least_segments`' backward tables.  An edge into a region state that can
-    run into a live accepting cycle also leads to the absorbing state.
+    A transition counts as silent for planning when nobody's collaboration
+    hinges on it: its coalition is the agent alone, it provides no globally
+    assisting service, and the foreign parts of its label are incidental.
+    Insignificant states only have such transitions.  Only live anchors feed
+    the absorbing state.
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
@@ -353,10 +289,7 @@ def reduce_task_motion(
     significant = classify_task_significance(tm, globally_assisting)
     silent = tm.silent
     ga_own = globally_assisting.get(tm.agent_id, frozenset())
-    anchors, reach = _region_analysis(a, significant, tm.silence_tolerant())
-
     own_dep = frozenset((tm.agent_id,))
-
     keys = tm.joint_keys()
 
     def strips_to_own(t) -> bool:
@@ -376,101 +309,14 @@ def reduce_task_motion(
                     progress = True
         return not foreign
 
-    def planning_label(tid, t):
-        # silent for planning: trivial coalition, assists nobody, and the
-        # foreign parts of the label are incidental
+    def planning_label(tid):
+        t = a.transitions[tid]
         if isinstance(t.label, Silent):
             return silent
-        if (
-            a.tr_dep.get(tid, own_dep) == own_dep
-            and not (t.label & ga_own)
-            and strips_to_own(t)
-        ):
+        if a.tr_dep[tid] == own_dep and not (t.label & ga_own) and strips_to_own(t):
             return silent
         return t.label
 
-    summary = {}  # sig state -> {(label, target_desc) -> (dep, Witness)}
-    segments = least_segments(a, significant)
-    for s in sorted(x for x in range(a.n_states) if significant[x]):
-        edges = {}
-        for tid in a.out_transitions(s):
-            t = a.transitions[tid]
-            label = planning_label(tid, t)
-            dep = own_dep if isinstance(label, Silent) else a.tr_dep.get(tid, own_dep)
-            for target, flag, path in segments(tid):
-                w = Witness(path, s, target)
-                _put_edge(edges, label, ("state", target, flag), dep, w)
-            esc = reach.get(t.dst)  # the region can swallow the run forever
-            if esc is not None:
-                _dist, path, anchor = esc
-                w = Witness((tid,) + path, s, anchor)
-                _put_edge(edges, label, ("sink",), dep, w)
-        summary[s] = edges
-
-    reduced = BuchiAutomaton(EXPLICIT_MODE)
-    ids = {}
-    sink_id = None
-
-    def copy_id(state, flag):
-        key = (state, flag)
-        if key not in ids:
-            ids[key] = reduced.add_state((state,))
-            if flag:
-                reduced.accepting.add(ids[key])
-        return ids[key]
-
-    start = (a.initial, a.initial in a.accepting)
-    reduced.initial = copy_id(*start)
-    queue = deque([start])
-    seen = {start}
-    sink_anchors = set()
-    while queue:
-        state, flag = queue.popleft()
-        src = copy_id(state, flag)
-        for (label, desc) in sorted(
-            summary[state], key=lambda k: (label_sort_key(k[0]), k[1])
-        ):
-            dep, witness = summary[state][(label, desc)]
-            if desc[0] == "sink":
-                if sink_id is None:
-                    sink_id = reduced.add_state(tuple(sorted(anchors)))
-                    reduced.accepting.add(sink_id)
-                tid = reduced.add_transition(src, label, sink_id)
-                reduced.tr_witness[tid] = (witness,)
-                reduced.tr_dep[tid] = dep
-                sink_anchors.add(witness.dst)
-                continue
-            _kind, target, tflag = desc
-            tid = reduced.add_transition(src, label, copy_id(target, tflag))
-            reduced.tr_witness[tid] = (witness,)
-            reduced.tr_dep[tid] = dep
-            if (target, tflag) not in seen:
-                seen.add((target, tflag))
-                queue.append((target, tflag))
-
-    if sink_id is not None:
-        tid = reduced.add_transition(sink_id, silent, sink_id)
-        reduced.tr_witness[tid] = tuple(
-            Witness(anchors[anchor], anchor, anchor) for anchor in sorted(sink_anchors)
-        )
-        reduced.tr_dep[tid] = own_dep
-
-    # A fully silent automaton only distinguishes silence from emptiness, so
-    # the acceptance copies of the (lone significant) initial state collapse.
-    if sink_id is not None and all(isinstance(t.label, Silent) for t in reduced.transitions):
-        rep = min(i for (s, _f), i in ids.items() if s == a.initial)
-        class_of = {i: rep for i in ids.values()}
-        class_of[sink_id] = sink_id
-        reduced = rebuild(reduced, sorted({rep, sink_id}), class_of)
-
-    reduced = prune_non_coaccessible(reduced)
-    reduced = merge_duplicate_states(reduced)
+    live = _live_anchors(a, tm.silence_tolerant())
+    reduced = fold(a, significant, silent, planning_label, live)
     return ReducedTaskMotionProduct(reduced, tm, significant, ga_own)
-
-
-def _put_edge(edges, label, desc, dep, witness):
-    key = (label, desc)
-    cur = edges.get(key)
-    rank = (len(dep), tuple(sorted(dep)), witness.rank())
-    if cur is None or rank < (len(cur[0]), tuple(sorted(cur[0])), cur[1].rank()):
-        edges[key] = (dep, witness)

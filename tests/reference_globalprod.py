@@ -1,5 +1,5 @@
-"""Unmemoized counter product and full-scan lasso search, kept as the
-references for the differential tests.
+"""Unmemoized counter product, full-scan lasso search and plain least-cost
+search, kept as the references for the differential tests.
 
 `build_global_product` builds the product the synthesis used before
 acceptance moved onto the transitions: states are (component tuple,
@@ -10,15 +10,23 @@ move's entering positions (`entering` is None here) from its back
 reference.
 
 `acceptance_marks` and `accepting_lasso` are the lasso search before its
-breadth-first searches stopped at the first layer holding a candidate:
-every search covers the whole product or component, and each cycle step
-scans all internal edges for the nearest one meeting a set still needed.
-They must give the optimized functions' marks and lasso.
+searches stopped early and became least-cost: every breadth-first search
+covers the whole product or component, and each cycle step scans all
+internal edges for the nearest one meeting a set still needed.  They must
+give the optimized functions' marks, and the same failure where no lasso
+exists.
+
+`move_costs` and `least_costs` price the optimized lasso's legs: each move
+costs the pair (synchronizing agents, expanded transition-system steps),
+pairs add up per component and compare lexicographically, and the search
+is a plain Dijkstra over the whole product or component, with no early
+stop and no integer encoding.
 """
 from __future__ import annotations
 
 from collections import deque
 from functools import reduce
+from heapq import heappop, heappush
 from operator import or_
 
 from syncplan.buchi import (
@@ -232,3 +240,47 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     _reach, par = _bfs(a, cur, allowed=members)
     cycle += _walk_forward(a, par, cur, entry)
     return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
+
+
+def move_costs(gp: GlobalProduct) -> list:
+    """Per transition, (synchronizing agents, expanded steps): the coalition
+    size if above one, else 0, and the summed lengths, in transition-system
+    steps, of the moving positions' first witness variants."""
+    a = gp.automaton
+    costs = []
+    for tid in range(len(a.transitions)):
+        back = a.tr_back[tid]
+        moved = {back[1]: back[2]} if back[0] == "local" else dict(back[2])
+        steps = 0
+        for pos, low in moved.items():
+            product = gp.products[pos]
+            bar = product.origin.automaton
+            motion = product.origin.rm.automaton
+            for bar_tid in product.automaton.tr_witness[low][0].steps:
+                rm_tid = bar.tr_back[bar_tid][0]
+                steps += len(motion.tr_witness[rm_tid][0].steps)
+        coalition = a.tr_dep[tid]
+        costs.append((len(coalition) if len(coalition) > 1 else 0, steps))
+    return costs
+
+
+def least_costs(a: BuchiAutomaton, source: int, costs, allowed=None) -> dict:
+    """Least cost from `source` to every state it reaches (inside
+    `allowed`), costs being pairs added per component."""
+    dist = {source: (0, 0)}
+    heap = [((0, 0), source)]
+    done = set()
+    while heap:
+        d, v = heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for tid in a.out_transitions(v):
+            w = a.transitions[tid].dst
+            if allowed is not None and w not in allowed:
+                continue
+            dw = (d[0] + costs[tid][0], d[1] + costs[tid][1])
+            if w not in dist or dw < dist[w]:
+                dist[w] = dw
+                heappush(heap, (dw, w))
+    return dist

@@ -1,34 +1,23 @@
 """Unoptimized reductions kept as references for the differential tests.
 
-`eliminate_by_pairs` is the pairwise state elimination that the motion
-reduction's survivors-then-fold replaces: non-survivors first, then the
-accepting states in order with their keep rule, each removal chaining every
-entry with every exit on a plain (src, label, dst) -> witness table.
 `least_paths` is the forward walk that `buchi.least_segments`' backward
-tables replace, and `segments_by_path_copying` the task reduction's region
-walk, copying the path at every queued entry and reporting every arrival.
-They define the witnesses the optimized code must reproduce exactly, and
-share no code with it.
+tables replace, and `segments_by_path_copying` the region walk that copies
+the path at every queued entry and reports every arrival.  They define the
+witnesses the fold must reproduce exactly, and share no code with it.
 
-`region_analysis` is the task reduction's hand-written search for silent
-accepting cycles and the routes into them, which now runs on `buchi._bfs`.
-It breaks ties between equally short paths by set iteration order, so it
-fixes distances, anchors and the chosen detour transition, not the paths.
-Its components come from `region_components`, which copies the region into
-a second automaton, as the task reduction did before Tarjan took a state
-mask.
+`region_analysis` is the hand-written search for silent accepting cycles
+and the routes into them that `buchi.region_analysis` replaces with
+`buchi._bfs`.  It breaks ties between equally short paths by set iteration
+order, so it fixes distances, anchors and the chosen detour transition, not
+the paths.  Its components come from `region_components`, which copies the
+region into a second automaton, as the task reduction did before Tarjan
+took a state mask.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from syncplan.buchi import (
-    BuchiAutomaton,
-    Silent,
-    Witness,
-    label_sort_key,
-    strongly_connected_components,
-)
+from syncplan.buchi import BuchiAutomaton, Silent, strongly_connected_components
 
 
 def region_components(a: BuchiAutomaton, region):
@@ -46,77 +35,6 @@ def region_components(a: BuchiAutomaton, region):
                 sub.add_transition(index[s], None, index[dst])
     _comp, comps = strongly_connected_components(sub)
     return [[order[i] for i in members] for members in comps]
-
-
-def _remove(table, p):
-    """Drop state `p` from the table, chaining each entry with each exit and
-    keeping the least witness per (src, label, dst); self-loops at `p` are
-    not chained."""
-    entries = {key: w for key, w in table.items() if key[2] == p and key[0] != p}
-    exits = {key: w for key, w in table.items() if key[0] == p and key[2] != p}
-    for key in [key for key in table if p in (key[0], key[2])]:
-        del table[key]
-    for (src, label, _p), w_in in entries.items():
-        for (_p, _label, dst), w_out in exits.items():
-            w = Witness(w_in.steps + w_out.steps, src, dst)
-            cur = table.get((src, label, dst))
-            if cur is None or w.rank() < cur.rank():
-                table[(src, label, dst)] = w
-
-
-def eliminate_by_pairs(a: BuchiAutomaton, significant):
-    """The reduction by elimination; returns (table, alive).
-
-    The silent label is the first one in the automaton.  Non-accepting insignificant states are removed in state order.  Then, in
-    state order, an accepting insignificant state goes when no significant
-    state enters it and it has no silent self-loop that one of its
-    predecessors lacks.
-    """
-    silent = next((t.label for t in a.transitions if isinstance(t.label, Silent)), None)
-    table = {}
-    for tid, t in enumerate(a.transitions):
-        w = Witness((tid,), t.src, t.dst)
-        cur = table.get((t.src, t.label, t.dst))
-        if cur is None or w.rank() < cur.rank():
-            table[(t.src, t.label, t.dst)] = w
-    alive = set(range(a.n_states))
-    for p in range(a.n_states):
-        if not significant[p] and p not in a.accepting:
-            _remove(table, p)
-            alive.discard(p)
-    for p in sorted(alive):
-        if significant[p] or p not in a.accepting:
-            continue
-        preds = {src for src, _label, dst in table if dst == p and src != p}
-        if any(significant[q] for q in preds):
-            continue
-        if (p, silent, p) in table and not all((q, silent, q) in table for q in preds):
-            continue
-        _remove(table, p)
-        alive.discard(p)
-    return table, alive
-
-
-def rebuild_from_table(a: BuchiAutomaton, table, alive) -> BuchiAutomaton:
-    """The survivors, tagged (old state,), with the table's transitions in
-    (src, label, dst) order."""
-    order = sorted(alive)
-    remap = {old: new for new, old in enumerate(order)}
-    b = BuchiAutomaton(a.mode)
-    for old in order:
-        b.add_state((old,))
-    b.initial = remap[a.initial]
-    b.accepting = {remap[s] for s in a.accepting if s in alive}
-    for src, label, dst in sorted(table, key=lambda k: (k[0], label_sort_key(k[1]), k[2])):
-        tid = b.add_transition(remap[src], label, remap[dst])
-        b.tr_witness[tid] = (table[(src, label, dst)],)
-    return b
-
-
-def eliminate_insignificant_states(a: BuchiAutomaton, significant) -> BuchiAutomaton:
-    """Drop-in for `motion.eliminate_insignificant_states` built on the pairs."""
-    table, alive = eliminate_by_pairs(a, significant)
-    return rebuild_from_table(a, table, alive)
 
 
 def least_paths(a: BuchiAutomaton, stop, entries):
@@ -182,7 +100,8 @@ def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid):
 
 
 def region_analysis(a: BuchiAutomaton, significant):
-    """Returns (anchors, reach, loop_keys) as the old `_region_analysis` did.
+    """Returns (anchors, reach, loop_keys) as `buchi.region_analysis` does
+    unfiltered.
 
     `loop_keys` maps each anchor to the (silent, length, x, tid) key of its
     loop: whether the detour transition `tid` leaving `x` is silent, and the
@@ -245,7 +164,7 @@ def region_analysis(a: BuchiAutomaton, significant):
 
 
 def shortest_region_cycle(a, adjacency, members, anchor):
-    """The old `_shortest_region_cycle`, returning (key, loop)."""
+    """`buchi._shortest_region_cycle` by hand, returning (key, loop)."""
     fwd_dist = {anchor: 0}
     fwd_par = {}
     queue = deque([anchor])

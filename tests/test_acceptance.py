@@ -15,6 +15,7 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import Strategy, StrategyStep
+from syncplan.motion import classify_significance
 from syncplan.motion import reduce as reduce_motion
 from syncplan.taskprod import classify_task_significance, reduce_task_motion
 from syncplan.translate import translate
@@ -111,9 +112,13 @@ def test_criterion_4_reduction_soundness():
     rng = random.Random(4242)
     motion_instances = 0
     motion_nonempty = 0
+    motion_bound_ok = True
     for _ in range(120):
         mp = random_motion_product(rng)
         rm = reduce_motion(mp)
+        motion_bound_ok = motion_bound_ok and (
+            rm.automaton.n_states <= 2 * sum(classify_significance(mp)) + 1
+        )
         if language_empty(mp.automaton) != language_empty(rm.automaton):
             report("criterion 4: reduction soundness", False, "emptiness diverged")
         motion_instances += 1
@@ -149,11 +154,12 @@ def test_criterion_4_reduction_soundness():
                         report("criterion 4: reduction soundness", False, "witness broke")
                     cur = ot.dst
                 orig = w.dst
-    ok = motion_instances >= 100 and task_instances >= 100 and bound_ok
+    ok = motion_instances >= 100 and task_instances >= 100 and bound_ok and motion_bound_ok
     report(
         "criterion 4: reduction soundness",
         ok,
         f"{motion_instances} motion instances ({motion_nonempty} nonempty replays), "
+        f"motion size bound |reduced| <= 2*significant + 1 held: {motion_bound_ok}, "
         f"{task_instances} task instances ({task_nonempty} nonempty), "
         f"size bound |reduced| <= 2*significant held: {bound_ok}",
     )

@@ -216,7 +216,7 @@ class TestStats:
             "centralized estimate: 20480 "
             "(4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5)\n"
         ) in out
-        assert "reduction ratio: 209.0\n" in out
+        assert "reduction ratio: 409.6\n" in out
         assert "centralized reachable" not in out
 
 
@@ -298,33 +298,53 @@ class TestMalformedFiles:
         assert main(["synthesize", ASYM, "--out", str(out)]) == 0
         return sorted(out.glob("*.json"))
 
-    def resynced(self, tmp_path, asymmetry_files, sync):
-        # agent 2's first cycle step gets `sync`; agent 1 keeps its own
+    @pytest.fixture(scope="class")
+    def paired_files(self, tmp_path_factory):
+        # a hand-made plan in which agents 1 and 2 ping and pong together;
+        # the synthesized plan need not synchronize at all
+        from syncplan.globalprod import Strategy, StrategyStep
+
+        both = frozenset({1, 2})
+        strategies = {
+            1: Strategy(1, (), (StrategyStep("s0", "ping", both),)),
+            2: Strategy(
+                2,
+                (StrategyStep("t0", "stay", frozenset({2})),),
+                (StrategyStep("t0", "pong", both),),
+            ),
+        }
+        paths = save_strategies(strategies, tmp_path_factory.mktemp("paired") / "st")
+        assert run_cli("simulate", ASYM, *map(str, paths), "--runs", "1").returncode == 0
+        return sorted(paths)
+
+    def resynced(self, tmp_path, paired_files, sync):
+        # agent 2's first coalition step gets `sync`; agent 1 keeps its own
         paths = []
-        for src in asymmetry_files:
+        for src in paired_files:
             data = json.loads(src.read_text())
             if data["agent"] == 2:
-                assert data["cycle"][0]["sync"] == [1, 2]
-                data["cycle"][0]["sync"] = sync
+                step = next(s for s in data["prefix"] + data["cycle"] if len(s["sync"]) > 1)
+                assert step["sync"] == [1, 2]
+                step["sync"] = sync
             paths.append(tmp_path / src.name)
             paths[-1].write_text(json.dumps(data))
         return [str(p) for p in paths]
 
-    def test_unpaired_coalition(self, tmp_path, asymmetry_files):
+    def test_unpaired_coalition(self, tmp_path, paired_files):
         # without the pairing check, simulate deadlocks on every seed
-        files = self.resynced(tmp_path, asymmetry_files, [2])
+        files = self.resynced(tmp_path, paired_files, [2])
         message = "coalition [1, 2] is joined unequally often in the cycle"
         self.assert_rejected(run_cli("simulate", ASYM, *files), message)
         self.assert_rejected(run_cli("render", ASYM, "--strategies", *files), message)
 
-    def test_sync_with_unknown_agent(self, tmp_path, asymmetry_files):
-        files = self.resynced(tmp_path, asymmetry_files, [1, 2, 9])
+    def test_sync_with_unknown_agent(self, tmp_path, paired_files):
+        files = self.resynced(tmp_path, paired_files, [1, 2, 9])
         message = "cycle[0]: syncs with agent 9, which scenario 'asymmetry' lacks"
         self.assert_rejected(run_cli("simulate", ASYM, *files), message)
         self.assert_rejected(run_cli("render", ASYM, "--strategies", *files), message)
 
-    def test_sync_with_agent_without_strategy(self, asymmetry_files):
-        (first, _second) = asymmetry_files
+    def test_sync_with_agent_without_strategy(self, paired_files):
+        (first, _second) = paired_files
         assert json.loads(first.read_text())["agent"] == 1
         message = "syncs with agent 2, which has no strategy here"
         self.assert_rejected(run_cli("simulate", ASYM, str(first)), message)

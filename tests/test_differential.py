@@ -2,18 +2,21 @@
 lasso membership against their unoptimized references.
 
 Witnesses are compared step by step, so any change in which of several
-equally short paths a reduction keeps fails here.  The task reduction's
-region analysis is the exception: its reference breaks ties by set order,
-so there distances, anchors and detours must agree and paths must chain.
-Tableau nodes are compared with their ids and incoming sets, which fix the
-order of the translated automaton's transitions.
+equally short paths a reduction keeps fails here.  The region analysis is
+the exception: its reference breaks ties by set order, so there distances,
+anchors and detours must agree and paths must chain.  Tableau nodes are
+compared with their ids and incoming sets, which fix the order of the
+translated automaton's transitions.  Lassos are compared by cost: each leg
+must cost the least that a plain search finds.
 """
 import random
 from collections import deque
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from syncplan import globalprod, ltl, motion, pipeline, taskprod
+from syncplan import buchi, globalprod, ltl, motion, pipeline, taskprod
 from syncplan.buchi import (
     EXPLICIT_MODE,
     GUARD_MODE,
@@ -24,14 +27,18 @@ from syncplan.buchi import (
     _bfs,
     check_lasso_membership,
     components,
+    find_accepting_lasso,
+    language_empty,
     least_segments,
+    region_analysis,
     strongly_connected_components,
 )
+from syncplan.executor import SimulationConfig, check_local_satisfaction, check_timing, simulate
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
 from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
-from syncplan.scenario_io import load_bundled, scenario_from_dict
-from syncplan.taskprod import _region_analysis, classify_task_significance
+from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
+from syncplan.taskprod import _live_anchors, classify_task_significance
 from syncplan.translate import _degeneralized_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
 from tests import reference_globalprod as ref_gp
@@ -46,6 +53,7 @@ from tests.conftest import (
     random_scenario,
     random_word,
 )
+from tests.test_motion import replay_nonsilent_labels
 from tests.test_taskprod import _random_task_instance
 
 
@@ -61,8 +69,8 @@ def dump(a):
 
 
 def reference_segments(a, significant):
-    """Stands in for `least_segments` in the task reduction: every arrival
-    the path-copying walk reports, of which `_put_edge` must keep the least."""
+    """Stands in for `least_segments` in the fold: every arrival the
+    path-copying walk reports, of which the fold must keep the least."""
 
     def segments(tid):
         return ref.segments_by_path_copying(a, significant, tid)
@@ -70,9 +78,38 @@ def reference_segments(a, significant):
     return segments
 
 
-def test_motion_reduction_matches_pairwise_elimination():
+def _least_witnesses(a, significant):
+    """(u, label, v, flag) -> the least path from significant state `u`,
+    starting with a `label` step and running through insignificant states,
+    to significant state `v`, by the forward walk per entry."""
+    least = {}
+    for u in range(a.n_states):
+        if not significant[u]:
+            continue
+        for tid in a.out_transitions(u):
+            t = a.transitions[tid]
+            entry = (t.dst, t.dst in a.accepting)
+            if significant[t.dst]:
+                found = [(*entry, ())]
+            else:
+                walk = ref.least_paths(a, significant, [entry])
+                found = [(y, f, steps) for y, f, _entry, steps in walk]
+            for y, f, steps in found:
+                steps = (tid,) + steps
+                cur = least.get((u, t.label, y, f))
+                if cur is None or (len(steps), steps) < (len(cur), cur):
+                    least[(u, t.label, y, f)] = steps
+    return least
+
+
+def test_motion_reduction_keeps_least_paths():
+    # the reduction keeps the language, replays its labels, stays within two
+    # copies per significant state plus the absorbing state, and every
+    # witness into a copy is the forward walk's least path; witnesses into
+    # the absorbing state run through insignificant states into an anchor,
+    # whose cycle is the absorbing loop's witness
     rng = random.Random(2)
-    long_witnesses = accepting_removed = 0
+    long_witnesses = absorbing = nonempty = 0
     for i in range(2400):
         mp = random_motion_product(rng, max_states=12 if i < 1200 else rng.randint(25, 40))
         a = mp.automaton
@@ -80,16 +117,40 @@ def test_motion_reduction_matches_pairwise_elimination():
             # sparse acceptance leaves more states to bypass: longer chains
             a.accepting = {s for s in a.accepting if rng.random() < 0.3}
         sig = classify_significance(mp)
-        table, alive = ref.eliminate_by_pairs(a, sig)
-        assert motion._survivors(a, sig) == alive
-        reduced = motion.eliminate_insignificant_states(a, sig)
-        assert dump(reduced) == dump(ref.rebuild_from_table(a, table, alive))
-        long_witnesses += sum(
-            len(w.steps) >= 4 for ws in reduced.tr_witness.values() for w in ws
-        )
-        accepting_removed += any(s not in alive for s in a.accepting)
-    assert long_witnesses >= 1000
-    assert accepting_removed >= 250
+        reduced = motion.reduce(mp).automaton
+        assert reduced.n_states <= 2 * sum(sig) + 1
+        assert language_empty(reduced) == language_empty(a)
+        if not language_empty(reduced):
+            lasso = find_accepting_lasso(reduced)
+            expanded, labels = replay_nonsilent_labels(a, reduced, lasso)
+            assert expanded == labels
+            nonempty += 1
+        least = _least_witnesses(a, sig)
+        region = {s for s in range(a.n_states) if not sig[s]}
+        anchors = set()
+        # the copies of the initial state collapse when every label is silent
+        silent_only = all(isinstance(t.label, Silent) for t in reduced.transitions)
+        for tid, t in enumerate(reduced.transitions):
+            for w in reduced.tr_witness[tid]:
+                if sig[w.src] and sig[w.dst]:
+                    flags = (False, True) if silent_only else (t.dst in reduced.accepting,)
+                    assert w.steps in {least.get((w.src, t.label, w.dst, f)) for f in flags}
+                elif sig[w.src]:
+                    assert a.transitions[w.steps[0]].label == t.label
+                    assert _chains(a, w.steps, w.src, w.dst, region)
+                    assert w.dst in a.accepting
+                    anchors.add(w.dst)
+                else:
+                    assert t.src == t.dst and w.src in a.accepting
+                    assert _chains(a, w.steps, w.src, w.src, region)
+                long_witnesses += len(w.steps) >= 4
+        loops = {
+            w.src for tid, t in enumerate(reduced.transitions)
+            for w in reduced.tr_witness[tid] if not sig[w.src]
+        }
+        assert loops == anchors
+        absorbing += bool(anchors)
+    assert nonempty >= 1500 and long_witnesses >= 1000 and absorbing >= 200
 
 
 def test_task_segments_match_path_copying_walk(monkeypatch):
@@ -115,7 +176,7 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
                 compared += 1
         new = taskprod.reduce_task_motion(tm, ga)
         with monkeypatch.context() as m:
-            m.setattr(taskprod, "least_segments", reference_segments)
+            m.setattr(buchi, "least_segments", reference_segments)
             old = taskprod.reduce_task_motion(tm, ga)
         assert dump(new.automaton) == dump(old.automaton)
     assert compared >= 1000
@@ -183,10 +244,9 @@ def _chains(a, path, start, end, inside):
 
 
 def test_region_analysis_matches_hand_written_searches():
-    # with every task state tolerating silence no anchor is dead, so the
-    # reference's anchors and routes must all come back; with the task's own
-    # tolerance, the dead anchors go and each route leads to the nearest
-    # live anchor
+    # unfiltered, the reference's anchors and routes must all come back;
+    # with the task's own tolerance, the dead anchors go and each route
+    # leads to the nearest live anchor
     rng = random.Random(11)
     loops = routes = dead = 0
     for _ in range(1200):
@@ -194,7 +254,7 @@ def test_region_analysis_matches_hand_written_searches():
         a = tm.automaton
         sig = classify_task_significance(tm, ga)
         region = {s for s in range(a.n_states) if not sig[s]}
-        anchors, reach = _region_analysis(a, sig, range(tm.task_spec.n_states))
+        anchors, reach = region_analysis(a, sig)
         old_anchors, old_reach, loop_keys = ref.region_analysis(a, sig)
         assert anchors.keys() == old_anchors.keys()
         for anchor, loop in anchors.items():
@@ -219,7 +279,7 @@ def test_region_analysis_matches_hand_written_searches():
             if a.state_tags[x][1] in tolerant
             or not all(isinstance(a.transitions[t].label, Silent) for t in loop)
         }
-        live_anchors, live_reach = _region_analysis(a, sig, tolerant)
+        live_anchors, live_reach = region_analysis(a, sig, _live_anchors(a, tolerant))
         assert live_anchors == live
         nearest = {}
         for x in sorted(live):
@@ -237,8 +297,7 @@ def test_region_analysis_matches_hand_written_searches():
 def _synthesize_both(scenario, monkeypatch):
     new = run_synthesis(scenario)
     with monkeypatch.context() as m:
-        m.setattr(motion, "eliminate_insignificant_states", ref.eliminate_insignificant_states)
-        m.setattr(taskprod, "least_segments", reference_segments)
+        m.setattr(buchi, "least_segments", reference_segments)
         old = run_synthesis(scenario)
     return new, old
 
@@ -559,7 +618,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     # the bundled teams are compared whatever their size (two_pairs per class
     # and, built directly from all four reduced products, as one product of
-    # 2,401 states, 18,432 with the reference's counter); of the random
+    # 625 states, 2,625 with the reference's counter); of the random
     # teams, a few reach thousands of tuples at seconds per reference build,
     # so only products up to 1,000 tuples are compared
     two_pairs = load_bundled("two_pairs")
@@ -574,7 +633,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
             continue
         if scenario is two_pairs:
             whole = both(_reduced_products(result))
-            assert whole.automaton.n_states == 2401
+            assert whole.automaton.n_states == 625
             wholes.append(whole)
     assert len(wholes) == 1 and len(compared) >= 36
 
@@ -655,11 +714,77 @@ def _lasso_or_failure(search, gp, marks):
         return e.stage, e.agent_id
 
 
+def _pair_sum(costs, tids):
+    return (sum(costs[tid][0] for tid in tids), sum(costs[tid][1] for tid in tids))
+
+
+def _plus(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _assert_least_cost_legs(gp, marks, lasso):
+    """The lasso chains from the initial state, closes, stays in one
+    component and meets every set.  Its prefix costs the least of any path
+    into a component whose internal edges meet every set.  Each leg of the
+    cycle ends with the first edge meeting a set still needed, and costs,
+    that edge included, the least of any path inside the component ending
+    with such an edge; the rest of the cycle is a least path back."""
+    a = gp.automaton
+    everything = (1 << (2 * len(gp.agent_ids))) - 1
+    cur = a.initial
+    for tid in lasso.prefix + lasso.cycle:
+        assert a.transitions[tid].src == cur
+        cur = a.transitions[tid].dst
+    entry = a.transitions[lasso.prefix[-1]].dst if lasso.prefix else a.initial
+    assert lasso.cycle and cur == entry
+    assert reduce(or_, (marks[tid] for tid in lasso.cycle)) == everything
+
+    costs = ref_gp.move_costs(gp)
+    comp, comps = strongly_connected_components(a)
+    members = set(comps[comp[entry]])
+    assert all(a.transitions[tid].dst in members for tid in lasso.cycle)
+    covered = {}
+    for tid, t in enumerate(a.transitions):
+        if comp[t.src] == comp[t.dst]:
+            covered[comp[t.src]] = covered.get(comp[t.src], 0) | marks[tid]
+    dist = ref_gp.least_costs(a, a.initial, costs)
+    into = [d for s, d in dist.items() if covered.get(comp[s]) == everything]
+    assert _pair_sum(costs, lasso.prefix) == dist[entry] == min(into)
+
+    internal = [tid for tid, t in enumerate(a.transitions) if t.src in members and t.dst in members]
+    need, cur, start = everything, entry, 0
+    for i, tid in enumerate(lasso.cycle):
+        if not marks[tid] & need:
+            continue
+        dist = ref_gp.least_costs(a, cur, costs, members)
+        least = min(
+            _plus(dist[a.transitions[t].src], costs[t])
+            for t in internal
+            if marks[t] & need and a.transitions[t].src in dist
+        )
+        assert _pair_sum(costs, lasso.cycle[start:i + 1]) == least
+        need &= ~marks[tid]
+        cur, start = a.transitions[tid].dst, i + 1
+    assert not need
+    dist = ref_gp.least_costs(a, cur, costs, members)
+    assert _pair_sum(costs, lasso.cycle[start:]) == dist[entry]
+
+
+def _certify(scenario, strategies):
+    check_strategies_fit(scenario, strategies)
+    for seed in (0, 1):
+        sim = simulate(scenario, strategies, SimulationConfig(seed=seed))
+        assert not [issue for b in sim.behaviors.values() for issue in check_timing(b)]
+        verdicts = check_local_satisfaction(scenario, strategies, sim)
+        assert all(v.motion and v.task and v.consistent for v in verdicts.values())
+
+
 def test_accepting_lasso_matches_reference(monkeypatch):
-    # marks and lasso (or the failure naming a stage and agent) of every
-    # global product the synthesis builds, and, for teams of several
-    # dependency classes, of the whole-team product built directly from the
-    # same reduced products, against the full-scan search
+    # marks and failures (stage and agent) of every global product the
+    # synthesis builds, and, for teams of several dependency classes, of the
+    # whole-team product built directly from the same reduced products,
+    # against the full-scan search; every lasso found has least-cost legs,
+    # and every plan certifies
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     workloads = benchmark_workloads()
     cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
@@ -671,22 +796,35 @@ def test_accepting_lasso_matches_reference(monkeypatch):
     cases += [random_scenario(rng) for _ in range(40)]
     cases += [_random_wide_team(rng) for _ in range(20)]
     compared = []
+    certified = 0
     for scenario in cases:
         try:
             result = run_synthesis(scenario)
         except EmptyLanguageError:
             continue
-        products = [gp for _group, gp in result.global_products]
+        classes = [gp for _group, gp in result.global_products]
+        products = list(classes)
         if len(products) > 1:
             products.append(globalprod.build_global_product(_reduced_products(result)))
         for gp in products:
             marks = globalprod._acceptance_marks(gp)
             assert marks == ref_gp.acceptance_marks(gp)
             found = _lasso_or_failure(globalprod._accepting_lasso, gp, marks)
-            assert found == _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
+            old = _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
+            assert isinstance(found, tuple) == isinstance(old, tuple)
+            if isinstance(found, tuple):
+                assert found == old
+            else:
+                _assert_least_cost_legs(gp, marks, found)
             compared.append(found)
+        if all(not isinstance(compared[-1 - k], tuple) for k in range(len(products))):
+            raw = {}
+            for gp in classes:
+                raw.update(globalprod.synthesize(gp))
+            _certify(scenario, globalprod.minimize_synchronizations(raw, scenario))
+            certified += 1
     lassos = [found for found in compared if not isinstance(found, tuple)]
-    assert len(lassos) >= 55 and len(compared) - len(lassos) >= 5
+    assert len(lassos) >= 55 and len(compared) - len(lassos) >= 5 and certified >= 40
     assert sum(len(lasso.cycle) > 1 for lasso in lassos) >= 40
     assert sum(len(lasso.prefix) > 0 for lasso in lassos) >= 40
 

@@ -85,7 +85,7 @@ class TestGlobalProduct:
         assert gp.automaton.n_states <= hat.n_states
         ((_group, gp),) = three_robots_result.global_products
         assert_states_are_distinct_reachable_tuples(gp)
-        assert gp.automaton.n_states == 945
+        assert gp.automaton.n_states == 1440
         pairs = run_synthesis(two_pairs)
         for _group, gp in pairs.global_products:
             assert_states_are_distinct_reachable_tuples(gp)
@@ -216,10 +216,16 @@ class TestSynthesize:
         st = three_robots_result.raw_strategies[2]
         syncs = [step.sync for step in st.prefix + st.cycle]
         assert frozenset({1, 2, 3}) in syncs
-        help_steps = [s for s in st.prefix + st.cycle if s.action == "help"]
-        assert help_steps
-        # helping always happens in a coalition with the hauler
-        assert all({1, 2} <= s.sync for s in help_steps)
+        # each of the hauler's loads is matched by a help step in the full
+        # coalition; a lone help step is legal under every local formula
+        full = frozenset({1, 2, 3})
+        hauler = three_robots_result.raw_strategies[1]
+        for part in ("prefix", "cycle"):
+            loads = [s for s in getattr(hauler, part) if s.action == "load"]
+            helps = [s for s in getattr(st, part) if s.action == "help" and s.sync == full]
+            assert all(s.sync == full for s in loads)
+            assert len(loads) == len(helps)
+        assert any(s.action == "load" for s in hauler.cycle)
         travel = [s for s in st.cycle if s.action in ("north", "south", "east", "west")]
         assert travel and all(s.sync == frozenset({2}) for s in travel)
 

@@ -12,12 +12,13 @@ from syncplan.buchi import (
     _good_components,
     find_accepting_lasso,
     language_empty,
+    region_analysis,
     strongly_connected_components,
 )
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.taskprod import (
     _advance_counter,
-    _region_analysis,
+    _live_anchors,
     build_task_motion_product,
     classify_task_significance,
     compute_assisting,
@@ -276,11 +277,11 @@ class TestReduce:
         a.add_transition(0, silent, 4)
         significant = [True, False, False, False, False]
 
-        anchors, reach = _region_analysis(a, significant, {1})
+        anchors, reach = region_analysis(a, significant, _live_anchors(a, {1}))
         assert sorted(anchors) == [2, 3]  # the dead anchor 1 is gone
         assert sorted(reach) == [2, 3, 4]
         assert reach[4][2] == 2  # the nearest live anchor, the smaller one on a tie
-        anchors, reach = _region_analysis(a, significant, {0, 1})
+        anchors, reach = region_analysis(a, significant, _live_anchors(a, {0, 1}))
         assert sorted(anchors) == [1, 2, 3]
         assert reach[4] == (1, (a.in_transitions(1)[0],), 1)
 
