@@ -17,7 +17,6 @@ from .buchi import (
     TransitionSystem,
     Witness,
     check_lasso_membership,
-    find_accepting_lasso,
     language_empty,
     merge_duplicate_states,
     prune_non_coaccessible,

@@ -1,15 +1,21 @@
-"""Explicit-state automata: Buchi automata, transition systems, lasso search.
+"""Explicit-state automata: Buchi automata, transition systems, emptiness,
+lasso membership, and the fold that reduces a product to its significant
+states.
 
-Two transition-label conventions coexist.  Specification automata obtained
-from formulas carry propositional guards (conjunctions of literals) and are
-evaluated against concrete symbol sets.  Product automata built later in the
-pipeline carry explicit labels: either a concrete service set (a frozenset,
-possibly empty) or a per-agent silent symbol.
+Two acceptance conventions coexist (see `BuchiAutomaton`): the translator's
+automata accept on states, the products and their reductions on transitions,
+with one bit per acceptance set.  Two transition-label conventions coexist.
+Specification automata obtained from formulas carry propositional guards
+(conjunctions of literals) and are evaluated against concrete symbol sets.
+Product automata built later in the pipeline carry explicit labels: either a
+concrete service set (a frozenset, possibly empty) or a per-agent silent
+symbol.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 GUARD_MODE = "guard"
@@ -76,6 +82,7 @@ class Transition(NamedTuple):
     src: int
     label: object
     dst: int
+    mask: int = 0  # acceptance sets the transition lies in, one bit each
 
 
 @dataclass(frozen=True)
@@ -96,15 +103,22 @@ class Witness:
 class BuchiAutomaton:
     """Nondeterministic automaton over infinite words, state ids are dense ints.
 
-    Besides the core structure a few optional per-transition annotation slots
-    are carried through the rebuild operations below: witness variants
-    (`tr_witness`), dependency coalitions (`tr_dep`) and generic back
-    references (`tr_back`).  `state_tags` holds one arbitrary payload per
-    state (product tuples, merge classes, display names).
+    Acceptance is either state-based or on transitions.  With `sets` 0 (the
+    translator's automata) a run is accepting when it visits `accepting`
+    infinitely often.  With `sets` k > 0 (the products and their
+    reductions) acceptance is transition-based and generalized: each
+    transition's `mask` holds the sets among the k it lies in, and a run is
+    accepting when it meets every set infinitely often; `accepting` stays
+    empty.  Besides the core structure a few optional per-transition
+    annotation slots are carried through the rebuild operations below:
+    witness variants (`tr_witness`), dependency coalitions (`tr_dep`) and
+    generic back references (`tr_back`).  `state_tags` holds one arbitrary
+    payload per state (product tuples, merge classes, display names).
     """
 
-    def __init__(self, mode=GUARD_MODE):
+    def __init__(self, mode=GUARD_MODE, sets=0):
         self.mode = mode
+        self.sets = sets
         self.initial = 0
         self.accepting: set = set()
         self.transitions: list = []
@@ -125,8 +139,8 @@ class BuchiAutomaton:
         self._inn = None
         return len(self.state_tags) - 1
 
-    def add_transition(self, src: int, label, dst: int) -> int:
-        self.transitions.append(Transition(src, label, dst))
+    def add_transition(self, src: int, label, dst: int, mask: int = 0) -> int:
+        self.transitions.append(Transition(src, label, dst, mask))
         self._out = None
         self._inn = None
         return len(self.transitions) - 1
@@ -210,33 +224,6 @@ class TransitionSystem:
         return self._succ[state]
 
 
-def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
-    """Structural checks: contiguity, closed cycle, accepting visit.
-
-    Raises ValueError naming the first check that fails.
-    """
-    cur = a.initial
-    for tid in lasso.prefix:
-        t = a.transitions[tid]
-        if t.src != cur:
-            raise ValueError("prefix not contiguous")
-        cur = t.dst
-    start = cur
-    if not lasso.cycle:
-        raise ValueError("cycle must be nonempty")
-    hit = start in a.accepting
-    for tid in lasso.cycle:
-        t = a.transitions[tid]
-        if t.src != cur:
-            raise ValueError("cycle not contiguous")
-        cur = t.dst
-        hit = hit or cur in a.accepting
-    if cur != start:
-        raise ValueError("cycle not closed")
-    if not hit:
-        raise ValueError("cycle misses accepting states")
-
-
 def components(roots, successors):
     """Strongly connected components reachable from `roots`, by an iterative
     Tarjan.
@@ -306,15 +293,36 @@ def strongly_connected_components(a: BuchiAutomaton, allowed=None):
     return comp, comps
 
 
-def _good_components(a: BuchiAutomaton):
-    """Component ids that contain an accepting state and an internal edge."""
+def transition_marks(a: BuchiAutomaton):
+    """Per transition its acceptance mask, and the mask of every set.
+
+    A state-based automaton counts as one set, met by the transitions
+    leaving an accepting state.
+    """
+    if a.sets:
+        return [t.mask for t in a.transitions], (1 << a.sets) - 1
+    accepting = a.accepting
+    return [int(t.src in accepting) for t in a.transitions], 1
+
+
+def covered_sets(a: BuchiAutomaton, marks):
+    """(component id per state, component members, covered): `covered` maps
+    each component with an internal edge to the OR of its internal edges'
+    `marks`."""
     comp, comps = strongly_connected_components(a)
-    internal = set()
-    for t in a.transitions:
-        if comp[t.src] == comp[t.dst]:
-            internal.add(comp[t.src])
-    good = {c for c in internal if any(s in a.accepting for s in comps[c])}
-    return comp, comps, good
+    covered = {}
+    for tid, t in enumerate(a.transitions):
+        c = comp[t.src]
+        if c == comp[t.dst]:
+            covered[c] = covered.get(c, 0) | marks[tid]
+    return comp, comps, covered
+
+
+def good_components(a: BuchiAutomaton):
+    """Component ids whose internal edges meet every acceptance set."""
+    marks, full = transition_marks(a)
+    comp, comps, covered = covered_sets(a, marks)
+    return comp, comps, {c for c, mask in covered.items() if mask == full}
 
 
 def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
@@ -344,67 +352,71 @@ def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
 def least_segments(a: BuchiAutomaton, stop):
     """Least paths from a transition leaving a stop state to the next stop
     states, read off tables built by one backward sweep per stop (state,
-    flag) pair.
+    mask) pair.
 
-    A path's flag turns true once it enters an accepting state, its last
-    state included.  Each sweep is breadth-first from the stop pair over the
-    non-stop pairs (pair `(x, f)` stored at `2 * x + f`), and records per
-    pair the smallest transition id leading to a pair one step closer, or
-    straight into the stop pair.  Following those steps gives the least path:
-    the shortest one, ties going to the lexicographically smallest sequence
-    of transition ids.  Pays off when the entries into the non-stop region
-    outnumber the stop pairs.  Each table is read for every entry pair, a
-    non-stop pair that a transition leaving a stop state enters, right after
-    its sweep and then dropped, so one table is held at a time.
+    A path's mask is the OR of its transitions' masks, its first and last
+    included.  Each sweep is breadth-first from the stop pair over the
+    non-stop pairs that paths from stop states carry (pair `(x, m)` stored
+    at `x * width + m`), and records per pair the smallest transition id
+    leading to a pair one step closer, or straight into the stop pair.
+    Following those steps gives the least path: the shortest one, ties going
+    to the lexicographically smallest sequence of transition ids.  Pays off
+    when the entries into the non-stop region outnumber the stop pairs.
+    Each table is read for every entry pair, a non-stop pair that a
+    transition leaving a stop state enters, right after its sweep and then
+    dropped, so one table is held at a time.
 
     Returns `segments(tid)` for a transition `tid` leaving a stop state: one
-    (stop state, flag, steps) per stop pair that a path starting with `tid`
+    (stop state, mask, steps) per stop pair that a path starting with `tid`
     and running through non-stop states reaches, `steps` its least such path.
     """
     transitions = a.transitions
     n = a.n_states
-    accepting = [s in a.accepting for s in range(n)]
+    width = 1 << a.sets
+    masks = [t.mask for t in transitions]
     entering = [[] for _ in range(n)]  # per state, (tid, source) from non-stop states
     for tid, t in enumerate(transitions):
         if not stop[t.src]:
             entering[t.dst].append((tid, t.src))
-    # a non-stop pair (x, True) lies only on paths from an accepting one
-    flagged = [accepting[x] and not stop[x] for x in range(n)]
-    pending = [x for x in range(n) if flagged[x]]
+    # per state, the masks paths from stop states carry into it
+    carried = [set() for _ in range(n)]
+    pending = []
+    for t in transitions:
+        if stop[t.src] and not stop[t.dst] and t.mask not in carried[t.dst]:
+            carried[t.dst].add(t.mask)
+            pending.append((t.dst, t.mask))
+    tails = {x * width + m: [] for x, m in pending}  # entry pair -> (stop, mask, steps after)
     while pending:
-        for tid in a.out_transitions(pending.pop()):
+        x, m = pending.pop()
+        for tid in a.out_transitions(x):
             z = transitions[tid].dst
-            if not (stop[z] or flagged[z]):
-                flagged[z] = True
-                pending.append(z)
-    tails = {  # entry pair -> (stop state, flag, steps after the entry)
-        2 * t.dst + accepting[t.dst]: []
-        for t in transitions
-        if stop[t.src] and not stop[t.dst]
-    }
-    size = 2 * n
+            mz = m | masks[tid]
+            if mz not in carried[z]:
+                carried[z].add(mz)
+                if not stop[z]:
+                    pending.append((z, mz))
+    size = n * width
     for y in range(n):
         if not stop[y]:
             continue
-        for flag in (False, True):
+        for my in sorted(carried[y]):
             dist = [None] * size
             step = [None] * size
-            frontier = [2 * y + flag]
+            frontier = [y * width + my]
             d = 0
             while frontier:
                 d += 1
                 found = []
                 for key in frontier:
-                    x, fx = key >> 1, key & 1
-                    if accepting[x]:  # entered with the flag set, whatever it was
-                        flags = (0, 1) if fx else ()
-                    else:
-                        flags = (fx,)
+                    x, mx = divmod(key, width)
                     for tid, w in entering[x]:
-                        for fw in flags:
-                            if fw and not flagged[w]:
+                        mt = masks[tid]
+                        if mt | mx != mx:
+                            continue
+                        for mw in carried[w]:
+                            if mw | mt != mx:
                                 continue
-                            k = 2 * w + fw
+                            k = w * width + mw
                             if dist[k] is None:
                                 dist[k] = d
                                 step[k] = tid
@@ -412,8 +424,6 @@ def least_segments(a: BuchiAutomaton, stop):
                             elif dist[k] == d and tid < step[k]:
                                 step[k] = tid
                 frontier = found
-            if d == 1:  # no non-stop pair leads into this stop pair
-                continue
             for start, paths in tails.items():
                 if step[start] is None:
                     continue
@@ -424,14 +434,14 @@ def least_segments(a: BuchiAutomaton, stop):
                     z = transitions[step[k]].dst
                     if stop[z]:
                         break
-                    k = 2 * z + (k & 1 or accepting[z])
-                paths.append((y, flag, tuple(steps)))
+                    k = z * width + (k % width | masks[step[k]])
+                paths.append((y, my, tuple(steps)))
 
     def segments(tid):
         x = transitions[tid].dst
         if stop[x]:
-            return [(x, accepting[x], (tid,))]
-        return [(y, fy, (tid,) + steps) for y, fy, steps in tails[2 * x + accepting[x]]]
+            return [(x, masks[tid], (tid,))]
+        return [(y, m, (tid,) + steps) for y, m, steps in tails[x * width + masks[tid]]]
 
     return segments
 
@@ -440,26 +450,27 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     """Accepting cycles among insignificant states, and the routes into them.
 
     Returns (anchors, reach): `anchors` maps an anchor state, the smallest
-    accepting state of a region component with an internal edge, to the
-    transition ids of a shortest cycle through it; `reach` maps every region
-    state that can run into such a cycle to (distance, path transition ids,
-    anchor), preferring the nearest anchor and then the smallest one.  With
-    `live`, an anchor is kept only if `live(anchor, loop)` holds.
+    state of a region component whose internal edges meet every acceptance
+    set, to the transition ids of its `_covering_cycle`; `reach` maps every
+    region state that can run into such a cycle to (distance, path
+    transition ids, anchor), preferring the nearest anchor and then the
+    smallest one.  With `live`, an anchor is kept only if `live(anchor,
+    loop)` holds.
     """
     region = {s for s in range(a.n_states) if not significant[s]}
+    marks, full = transition_marks(a)
     anchors = {}
     _comp, comps = strongly_connected_components(a, allowed=region)
     for members in comps:
         member_set = set(members)
-        internal = any(
-            a.transitions[tid].dst in member_set
-            for s in members
-            for tid in a.out_transitions(s)
-        )
-        accepting = [s for s in members if s in a.accepting]
-        if internal and accepting:
-            anchor = accepting[0]
-            loop = _shortest_region_cycle(a, member_set, anchor)
+        covered = 0
+        for s in members:
+            for tid in a.out_transitions(s):
+                if a.transitions[tid].dst in member_set:
+                    covered |= marks[tid]
+        if covered == full:
+            anchor = members[0]
+            loop = _covering_cycle(a, marks, full, member_set, anchor)
             if live is None or live(anchor, loop):
                 anchors[anchor] = loop
 
@@ -472,63 +483,81 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     return anchors, reach
 
 
-def _shortest_region_cycle(a, members, anchor):
-    """Shortest cycle through the anchor, preferring one that provides services.
+def _covering_cycle(a, marks, full, members, anchor):
+    """Shortest cycle through the anchor inside `members` that meets every
+    set in `full`, preferring one that provides services.
 
     A silent loop only realizes stuttering acceptance.  When the component
-    offers a transition with a real service label, the chosen loop detours
-    through one so that an absorbed agent keeps producing its word.  Paths
-    to and from the detour are least by ascending transition id.
+    offers a transition with a real service label, the chosen loop takes
+    one, so that an absorbed agent keeps producing its word.  The search is
+    breadth-first over (state, sets met) pairs, with one more bit for a
+    service step, and takes out-transitions in ascending id order.
     """
-    fwd, fpar = _bfs(a, anchor, allowed=members)
-    bwd, bpar = _bfs(a, anchor, allowed=members, reverse=True)
-    best = None
-    for x in sorted(members):
-        for tid in a.out_transitions(x):
+    served = full + 1
+    start = (anchor, 0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        for tid in a.out_transitions(key[0]):
             t = a.transitions[tid]
-            if t.dst not in members or fwd[x] is None or bwd[t.dst] is None:
+            if t.dst not in members:
                 continue
-            key = (isinstance(t.label, Silent), fwd[x] + 1 + bwd[t.dst], x, tid)
-            if best is None or key < best[0]:
-                best = (key, x, tid)
-    _key, x, tid = best
-    return (
-        tuple(_walk_forward(a, fpar, anchor, x))
-        + (tid,)
-        + tuple(_walk_backward(a, bpar, anchor, a.transitions[tid].dst))
-    )
+            nxt = (t.dst, key[1] | marks[tid] | (0 if isinstance(t.label, Silent) else served))
+            if nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+    key = (anchor, full | served)
+    if key not in parent:
+        key = (anchor, full)
+    loop = []
+    while key != start:
+        key, tid = parent[key]
+        loop.append(tid)
+    return tuple(reversed(loop))
 
 
 def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> BuchiAutomaton:
     """Fold the insignificant states away: the significant skeleton of `a`.
 
-    The result has one state per reachable (significant state, flag) pair,
-    tagged (state,) and accepting with the flag, and at most one shared
-    accepting absorbing state, tagged with the sorted anchors of
-    `region_analysis`.  A transition `tid` leaving significant state `u`
-    yields, per (v, flag) pair that a path starting with `tid` reaches
-    through insignificant states, the transition (u, label, (v, flag)),
-    where the flag tells whether the path enters an accepting state.  When
-    `tid` enters a region state that can run into an anchor's cycle, it
-    also yields (u, label, absorbing state), whose witness leads to that
-    anchor; the absorbing state's `silent` self-loop keeps one witness per
-    anchor it is entered at, that anchor's cycle.  Per key the least
-    witness of `least_segments` is kept: the shortest path, ties going to
-    the lexicographically smallest sequence of transition ids.
+    `a` carries its acceptance on transitions, and so does the result.  The
+    result has one state per reachable significant state, tagged (state,),
+    and at most one shared absorbing state, tagged with the sorted anchors
+    of `region_analysis`.  A transition `tid` leaving significant state `u`
+    yields, per (v, mask) pair that a path starting with `tid` reaches
+    through insignificant states, the transition (u, label, v, mask), where
+    the mask is the sets the path meets.  Per (u, label, v) only the
+    variants no other one dominates are kept: a variant is dominated when
+    another meets a superset of its sets, and provides a service if it
+    does, at an equal or smaller rank, the rank being the least witness of
+    `least_segments` (the shortest path, ties going to the
+    lexicographically smallest sequence of transition ids).  A witness
+    providing a service keeps the agent's word alive where a shorter silent
+    one would not, which matters once `relabel` makes a service step
+    silent.  When `tid` enters a region state that can run into an anchor's
+    cycle, it also yields (u, label, absorbing state), whose witness leads
+    to that anchor; the absorbing state's `silent` self-loop meets every set
+    and keeps one witness per anchor it is entered at, that anchor's cycle.
+    The edges into the absorbing state lie on no cycle, so they meet no set.
 
     `relabel(tid)` gives a transition's label in the result, the
     transition's own label by default.  When `a` carries coalitions
     (`tr_dep`), so does the result: a silent edge is its agent's alone, any
-    other edge takes its first transition's coalition, and per key the
-    smallest coalition wins before the witness is compared.  `live` filters
-    the anchors, as in `region_analysis`.  The result is pruned to the
-    states that reach acceptance, and states with equal edges are merged.
+    other edge takes its first transition's coalition, and the smallest
+    coalition ranks before the witness.  `live` filters the anchors, as in
+    `region_analysis`.  The result is pruned to the states that reach
+    acceptance, and states with equal edges are merged.
     """
     if not significant[a.initial]:
         raise ValueError("the initial state must be significant")
     anchors, reach = region_analysis(a, significant, live)
     segments = least_segments(a, significant)
     coalitions = bool(a.tr_dep)
+    sink_target = (1,)
+    served = 1 << a.sets  # a bit above the sets: the witness provides a service
+
+    def serves(witness):
+        return any(not isinstance(a.transitions[step].label, Silent) for step in witness.steps)
 
     def coalition(label, tid):
         if not coalitions:
@@ -536,78 +565,66 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
         return frozenset((label.agent,)) if isinstance(label, Silent) else a.tr_dep[tid]
 
     def edges_from(u):
-        edges = {}  # (label, target) -> (rank, coalition, witness)
-
-        def put(label, target, dep, witness):
-            rank = (() if dep is None else (len(dep), tuple(sorted(dep))), witness.rank())
-            cur = edges.get((label, target))
-            if cur is None or rank < cur[0]:
-                edges[(label, target)] = (rank, dep, witness)
-
+        variants = {}  # (label, target) -> [(rank, mask, coalition, witness)]
         for tid in a.out_transitions(u):
             label = a.transitions[tid].label if relabel is None else relabel(tid)
             dep = coalition(label, tid)
-            for v, flag, steps in segments(tid):
-                put(label, ("state", v, flag), dep, Witness(steps, u, v))
+            dep_rank = () if dep is None else (len(dep), tuple(sorted(dep)))
+            for v, mask, steps in segments(tid):
+                witness = Witness(steps, u, v)
+                variants.setdefault((label, (0, v)), []).append(
+                    ((dep_rank, witness.rank()), mask, dep, witness)
+                )
             route = reach.get(a.transitions[tid].dst)
             if route is not None:
                 _dist, steps, anchor = route
-                put(label, ("sink",), dep, Witness((tid,) + steps, u, anchor))
-        return [
-            (label, target, dep, witness)
-            for (label, target), (_rank, dep, witness) in sorted(
-                edges.items(), key=lambda item: (label_sort_key(item[0][0]), item[0][1])
-            )
-        ]
+                witness = Witness((tid,) + steps, u, anchor)
+                variants.setdefault((label, sink_target), []).append(
+                    ((dep_rank, witness.rank()), 0, dep, witness)
+                )
+        edges = []
+        for label, target in sorted(variants, key=lambda k: (label_sort_key(k[0]), k[1])):
+            kept = []  # masks and service bits of the variants kept, none ranking higher
+            for _rank, mask, dep, witness in sorted(variants[(label, target)], key=itemgetter(0)):
+                key = mask | served if serves(witness) else mask
+                if all(k | key != k for k in kept):
+                    kept.append(key)
+                    edges.append((label, target, mask, dep, witness))
+        return edges
 
-    b = BuchiAutomaton(a.mode)
+    b = BuchiAutomaton(a.mode, a.sets)
     ids = {}
-    out = {}  # significant state -> its folded edges, shared by both flags
 
-    def copy_id(state, flag):
-        key = (state, flag)
-        if key not in ids:
-            ids[key] = b.add_state((state,))
-            if flag:
-                b.accepting.add(ids[key])
-            queue.append(key)
-        return ids[key]
+    def state_id(state):
+        if state not in ids:
+            ids[state] = b.add_state((state,))
+            queue.append(state)
+        return ids[state]
 
     queue = deque()
-    b.initial = copy_id(a.initial, a.initial in a.accepting)
+    b.initial = state_id(a.initial)
     sink = None
     entered = set()
     while queue:
-        state, flag = queue.popleft()
-        src = ids[(state, flag)]
-        if state not in out:
-            out[state] = edges_from(state)
-        for label, target, dep, witness in out[state]:
-            if target[0] == "sink":
+        state = queue.popleft()
+        src = ids[state]
+        for label, target, mask, dep, witness in edges_from(state):
+            if target == sink_target:
                 if sink is None:
                     sink = b.add_state(tuple(sorted(anchors)))
-                    b.accepting.add(sink)
                 dst = sink
                 entered.add(witness.dst)
             else:
-                dst = copy_id(target[1], target[2])
-            tid = b.add_transition(src, label, dst)
+                dst = state_id(target[1])
+            tid = b.add_transition(src, label, dst, mask)
             b.tr_witness[tid] = (witness,)
             if dep is not None:
                 b.tr_dep[tid] = dep
     if sink is not None:
-        tid = b.add_transition(sink, silent, sink)
+        tid = b.add_transition(sink, silent, sink, (1 << a.sets) - 1)
         b.tr_witness[tid] = tuple(Witness(anchors[x], x, x) for x in sorted(entered))
         if coalitions:
             b.tr_dep[tid] = coalition(silent, None)
-
-    # A fully silent automaton only distinguishes silence from emptiness, so
-    # the acceptance copies of the (lone significant) initial state collapse.
-    if sink is not None and all(isinstance(t.label, Silent) for t in b.transitions):
-        rep = min(i for (s, _f), i in ids.items() if s == a.initial)
-        class_of = {i: rep for i in ids.values()}
-        class_of[sink] = sink
-        b = rebuild(b, sorted({rep, sink}), class_of)
     return merge_duplicate_states(prune_non_coaccessible(b))
 
 
@@ -635,74 +652,11 @@ def _walk_backward(a, parent, source, target):
 
 def language_empty(a: BuchiAutomaton) -> bool:
     """True iff no accepting run exists from the initial state."""
-    comp, _comps, good = _good_components(a)
+    comp, _comps, good = good_components(a)
     if not good:
         return True
     dist, _ = _bfs(a, a.initial)
     return not any(dist[s] is not None and comp[s] in good for s in range(a.n_states))
-
-
-def _shortest_accepting_cycle(a, v, comp, comps):
-    """Shortest cycle through `v` inside its component that visits acceptance."""
-    members = set(comps[comp[v]])
-    fwd, fpar = _bfs(a, v, allowed=members)
-    bwd, bpar = _bfs(a, v, allowed=members, reverse=True)
-    best = None
-    for x in comps[comp[v]]:
-        if x not in a.accepting:
-            continue
-        if x == v:
-            for tid in a.out_transitions(v):
-                w = a.transitions[tid].dst
-                if w not in members or bwd[w] is None:
-                    continue
-                cand_len = 1 + bwd[w]
-                key = (cand_len, x, tid)
-                if best is None or key < best[0]:
-                    path = [tid] + _walk_backward(a, bpar, v, w)
-                    best = (key, path)
-        else:
-            if fwd[x] is None or bwd[x] is None:
-                continue
-            key = (fwd[x] + bwd[x], x, -1)
-            if best is None or key < best[0]:
-                path = _walk_forward(a, fpar, v, x) + _walk_backward(a, bpar, v, x)
-                best = (key, path)
-    if best is None:
-        return None
-    return best[0][0], best[1]
-
-
-def find_accepting_lasso(a: BuchiAutomaton):
-    """Deterministic minimal lasso, or None when the language is empty.
-
-    Minimizes prefix length, then cycle length, then breaks ties by smallest
-    state id; all searches are breadth-first with transition ids fixing order.
-    """
-    comp, comps, good = _good_components(a)
-    if not good:
-        return None
-    dist, parent = _bfs(a, a.initial)
-    candidates = [s for s in range(a.n_states) if dist[s] is not None and comp[s] in good]
-    if not candidates:
-        return None
-    dmin = min(dist[s] for s in candidates)
-    best = None
-    for v in sorted(s for s in candidates if dist[s] == dmin):
-        res = _shortest_accepting_cycle(a, v, comp, comps)
-        if res is None:
-            continue
-        clen, cycle = res
-        key = (clen, v)
-        if best is None or key < best[0]:
-            best = (key, v, cycle)
-    if best is None:
-        return None
-    _, v, cycle = best
-    prefix = _walk_forward(a, parent, a.initial, v)
-    lasso = Lasso(tuple(prefix), tuple(cycle))
-    validate_lasso(a, lasso)
-    return lasso
 
 
 def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
@@ -772,7 +726,7 @@ def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
     if class_of is None:
         class_of = {s: s for s in keep}
     remap = {old: new for new, old in enumerate(keep)}
-    b = BuchiAutomaton(a.mode)
+    b = BuchiAutomaton(a.mode, a.sets)
     groups = {}
     for s in range(a.n_states):
         if class_of.get(s) is not None:
@@ -790,14 +744,13 @@ def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
         dst = class_of.get(t.dst)
         if src is None or dst is None:
             continue
-        key = (remap[src], t.label, remap[dst])
+        key = (remap[src], t.label, remap[dst], t.mask)
         if key not in bucket:
             bucket[key] = []
             order.append(key)
         bucket[key].append(tid)
     for key in order:
-        src, label, dst = key
-        new_tid = b.add_transition(src, label, dst)
+        new_tid = b.add_transition(*key)
         olds = bucket[key]
         variants = [a.tr_witness[o] for o in olds if o in a.tr_witness]
         if variants:
@@ -814,8 +767,15 @@ def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
 
 
 def prune_non_coaccessible(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Keep states from which acceptance is reachable, plus the initial state."""
-    keep = coreachable(a, a.accepting) | {a.initial}
+    """Keep states from which acceptance is reachable, plus the initial state:
+    an accepting state or, on transitions, a component whose internal edges
+    meet every set."""
+    if a.sets:
+        _comp, comps, good = good_components(a)
+        keep = coreachable(a, [s for c in good for s in comps[c]])
+    else:
+        keep = coreachable(a, a.accepting)
+    keep.add(a.initial)
     if len(keep) == a.n_states:
         return a
     return rebuild(a, keep)
@@ -834,11 +794,11 @@ def coreachable(a: BuchiAutomaton, targets) -> set:
     return found
 
 
-def _signature_side(pairs, state):
+def _signature_side(edges, state):
     out = []
-    for label, other, dep in pairs:
+    for label, other, mask, dep in edges:
         marker = "self" if other == state else other
-        out.append((label_sort_key(label), marker, dep))
+        out.append((label_sort_key(label), marker, mask, dep))
     return frozenset(out)
 
 
@@ -846,17 +806,19 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
     """Merge states with identical incoming and outgoing edge sets.
 
     The signature covers edge labels, endpoint states (self-loops compared
-    symbolically), dependency annotations and the acceptance flag; merging is
-    a single pass, not a full bisimulation quotient.
+    symbolically), acceptance masks, dependency annotations and the
+    acceptance flag; merging is a single pass, not a full bisimulation
+    quotient.
     """
     sigs = {}
+    transitions = a.transitions
     for s in range(a.n_states):
         outs = [
-            (a.transitions[t].label, a.transitions[t].dst, a.tr_dep.get(t))
+            (transitions[t].label, transitions[t].dst, transitions[t].mask, a.tr_dep.get(t))
             for t in a.out_transitions(s)
         ]
         ins = [
-            (a.transitions[t].label, a.transitions[t].src, a.tr_dep.get(t))
+            (transitions[t].label, transitions[t].src, transitions[t].mask, a.tr_dep.get(t))
             for t in a.in_transitions(s)
         ]
         key = (s in a.accepting, _signature_side(outs, s), _signature_side(ins, s))
@@ -876,7 +838,8 @@ def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
 
 
 def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:
-    """Graphviz rendering; accepting states doubled, silent edges as eps_i."""
+    """Graphviz rendering; accepting states doubled, silent edges as eps_i,
+    acceptance sets after the label as acc{0,1}."""
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
     lines.append('  __init [shape=point,label=""];')
     for s in range(a.n_states):
@@ -887,6 +850,8 @@ def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:
     lines.append(f"  __init -> s{a.initial};")
     for tid, t in enumerate(a.transitions):
         text = label_text(t.label)
+        if t.mask:
+            text += " acc{" + ",".join(str(i) for i in range(a.sets) if t.mask >> i & 1) + "}"
         if tid in a.tr_dep:
             text += " Dep" + "{" + ",".join(str(i) for i in sorted(a.tr_dep[tid])) + "}"
         attrs = [f'label="{text}"']

@@ -18,12 +18,13 @@ test still decides every complete assignment.  The pipeline builds one
 product per dependency class; agents of different classes never
 synchronize, so a product over several classes would only interleave them.
 
-Acceptance is generalized and sits on transitions, two sets per agent: A_i
-holds the moves on which agent i enters its reduced automaton's accepting
-set, and L_i the moves that keep its word legal (it provides services, or
-rests where its task tolerates silence).  One pass of strongly connected
-components decides emptiness: a lasso exists iff some component's internal
-moves meet every set.  The lasso is built from least-cost legs, a move
+Acceptance is generalized and sits on transitions, three sets per agent,
+bits 3i to 3i + 2 for the agent at position i: its motion and task sets,
+which a move lies in when the agent's own reduced transition does, and L_i,
+the moves that keep its word legal (it provides services, or rests where its
+task tolerates silence).  One pass of strongly connected components decides
+emptiness: a lasso exists iff some component's internal moves meet every
+set.  The lasso is built from least-cost legs, a move
 costing its synchronizing agents first and its transition-system steps
 second, after the prefix-suffix cost of Smith, Tumova, Belta and Rus
 ("Optimal path planning for surveillance with temporal-logic constraints",
@@ -49,7 +50,7 @@ from .buchi import (
     Silent,
     Transition,
     _walk_forward,
-    strongly_connected_components,
+    covered_sets,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -66,6 +67,9 @@ class EmptyLanguageError(RuntimeError):
 
 class SynthesisError(RuntimeError):
     pass
+
+
+SLOT = 3  # acceptance bits per agent: its motion set, its task set and L_i
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,10 @@ class GlobalProduct:
     State tags are the reachable component state tuples, plain tuples with
     one reduced state per position.  `tr_back[tid]` is ("local", position,
     transition id) or ("joint", coalition ids, {position: transition id});
-    the assignment is read-only.  `entering[tid]` holds the positions whose
-    component moves into its accepting set.  The automaton's own accepting
-    set stays empty: acceptance lives on the transitions.
+    the assignment is read-only.  `entering[tid]` is the mask of the moving
+    components' acceptance sets: each one's reduced transition mask, shifted
+    into its position's slot of `SLOT` bits.  The automaton itself carries
+    no acceptance: `_acceptance_marks` adds the L_i sets to `entering`.
     """
 
     automaton: BuchiAutomaton
@@ -114,12 +119,6 @@ def build_global_product(products) -> GlobalProduct:
     fsyn = [p.origin.foreign_syntactic for p in products]
     visible = [o | f for o, f in zip(own, fsyn)]
 
-    entered = {}  # positions entering acceptance -> one shared frozenset
-
-    def entering(positions):
-        positions = frozenset(positions)
-        return entered.setdefault(positions, positions)
-
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
     # per position, keyed by state:
@@ -130,9 +129,9 @@ def build_global_product(products) -> GlobalProduct:
     # - seeds: those of them with partners, which start a coalition;
     # - lone: the partnerless ones providing own services only, as complete
     #   joint moves (see joint_moves), keeping the first transition of each
-    #   (label, target) pair; a partnerless transition expecting a foreign
-    #   service is consistent only in a coalition some other member pulls
-    #   it into.
+    #   (label, target, mask) triple; a partnerless transition expecting a
+    #   foreign service is consistent only in a coalition some other member
+    #   pulls it into.
     # Per position and candidate id: its partner positions, the own services
     # it provides and the foreign services it expects, in flat lists of
     # shared sets, which leave the garbage collector few objects to trace.
@@ -149,7 +148,7 @@ def build_global_product(products) -> GlobalProduct:
         for tid, t in enumerate(a.transitions):
             label = t.label
             if isinstance(label, Silent):
-                enters = entering((pos,) if t.dst in a.accepting else ())
+                enters = t.mask << (SLOT * pos)
                 s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), enters))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
@@ -168,10 +167,10 @@ def build_global_product(products) -> GlobalProduct:
             c_out.setdefault(t.src, []).append(tid)
             if partners_at[tid]:
                 seed_out.setdefault(t.src, []).append(tid)
-            elif not wants_at[tid] and (t.src, label, t.dst) not in lone_seen:
-                lone_seen.add((t.src, label, t.dst))
+            elif not wants_at[tid] and t not in lone_seen:
+                lone_seen.add(t)
                 back = ("joint", solo[pos], MappingProxyType({pos: tid}))
-                enters = entering((pos,) if t.dst in a.accepting else ())
+                enters = t.mask << (SLOT * pos)
                 key = (tuple(sorted(label)), (agent_ids[pos],))
                 lone_out.setdefault(t.src, []).append(
                     (key, label, solo[pos], back, ((pos, t.dst),), enters)
@@ -204,7 +203,7 @@ def build_global_product(products) -> GlobalProduct:
     def joint_moves(qs):
         """Complete closed coalition assignments, deduplicated across seeds,
         as (sort key prefix, sigma, coalition, back reference, (position,
-        target) changes, entering positions)."""
+        target) changes, entering mask)."""
         results = []
         for pos in range(n):
             results += lone[pos].get(qs[pos], ())
@@ -245,18 +244,20 @@ def build_global_product(products) -> GlobalProduct:
                         continue
                     coalition = frozenset(agent_ids[p] for p, _tid in chosen)
                     changes = tuple(sorted((p, t.dst) for p, _tid, t in moved))
-                    if (coalition, sigma, changes) in seen:
+                    enters = 0
+                    for p, _tid, t in moved:
+                        enters |= t.mask << (SLOT * p)
+                    if (coalition, sigma, changes, enters) in seen:
                         continue
-                    seen.add((coalition, sigma, changes))
+                    seen.add((coalition, sigma, changes, enters))
                     back = ("joint", coalition, MappingProxyType(dict(chosen)))
-                    enters = entering(p for p, _tid, t in moved if t.dst in autos[p].accepting)
                     key = (tuple(sorted(sigma)), tuple(sorted(coalition)))
                     results.append((key, sigma, coalition, back, changes, enters))
         return results
 
     def moves_from(qs):
         """All moves out of a component tuple as (label, dep, back, target
-        tuple, entering positions)."""
+        tuple, entering mask)."""
         out = []
         for pos in range(n):
             for dst, back, enters in silent_out[pos].get(qs[pos], ()):
@@ -268,7 +269,7 @@ def build_global_product(products) -> GlobalProduct:
             for p, dst in changes:
                 targets[p] = dst
             targets = tuple(targets)
-            joint.append((key + (targets,), sigma, coalition, back, targets, enters))
+            joint.append((key + (targets, enters), sigma, coalition, back, targets, enters))
         joint.sort(key=itemgetter(0))
         for _key, sigma, coalition, back, targets, enters in joint:
             out.append((sigma, coalition, back, targets, enters))
@@ -316,31 +317,27 @@ def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
 
 
 def _acceptance_marks(gp: GlobalProduct) -> list:
-    """Per transition, a bit mask of the acceptance sets it lies in: bit 2i
-    for A_i (position i enters its accepting set) and bit 2i + 1 for L_i
-    (the move keeps position i's word legal)."""
+    """Per transition, a bit mask of the acceptance sets it lies in: the
+    moving positions' own sets (`entering`) and bit 3i + 2 for L_i (the move
+    keeps position i's word legal)."""
     a = gp.automaton
     id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
     legal = {}  # (position, reduced transition id) -> L bit of the local move
     joint = {}  # coalition -> L bits of its members
-    entered = {}  # entering positions -> their A bits
     marks = []
     for tid, enters in enumerate(gp.entering):
         back = a.tr_back[tid]
         if back[0] == "joint":
             mask = joint.get(back[1])
             if mask is None:
-                mask = joint[back[1]] = sum(2 << (2 * id2pos[aid]) for aid in back[1])
+                mask = joint[back[1]] = sum(4 << (SLOT * id2pos[aid]) for aid in back[1])
         else:
             key = back[1:]
             mask = legal.get(key)
             if mask is None:
                 keeps = _keeps_word_legal(gp.products[key[0]], key[1])
-                mask = legal[key] = 2 << (2 * key[0]) if keeps else 0
-        bits = entered.get(enters)
-        if bits is None:
-            bits = entered[enters] = sum(1 << (2 * pos) for pos in enters)
-        marks.append(mask | bits)
+                mask = legal[key] = 4 << (SLOT * key[0]) if keeps else 0
+        marks.append(mask | enters)
     return marks
 
 
@@ -421,13 +418,8 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     the one whose leg, the edge included, costs least, then meets the most
     sets, then has the smallest id."""
     a = gp.automaton
-    everything = (1 << (2 * len(gp.agent_ids))) - 1
-    comp, comps = strongly_connected_components(a)
-    covered = {}  # component with an internal edge -> sets its internal edges meet
-    for tid, t in enumerate(a.transitions):
-        c = comp[t.src]
-        if c == comp[t.dst]:
-            covered[c] = covered.get(c, 0) | marks[tid]
+    everything = (1 << (SLOT * len(gp.agent_ids))) - 1
+    comp, comps, covered = covered_sets(a, marks)
     if not covered:
         raise EmptyLanguageError("global")
     good = {c for c, mask in covered.items() if mask == everything}
@@ -437,7 +429,7 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
             best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
             missing = everything & ~covered[best]
         first = (missing & -missing).bit_length() - 1
-        raise EmptyLanguageError("task", gp.agent_ids[first // 2])
+        raise EmptyLanguageError("task", gp.agent_ids[first // SLOT])
 
     costs = _move_costs(gp)
     (_cost, entry), parent = _cheapest(

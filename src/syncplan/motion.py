@@ -3,13 +3,15 @@
 The motion product synchronizes an agent's transition system with its motion
 specification automaton; transition labels become the action's service sets,
 so everything the task stage needs survives while the state propositions are
-compiled away.  Reduction keeps only the states that can still provide
-services, and the initial state, in at most two acceptance flavors each, plus
-one shared absorbing state for runs that rest forever in an accepting cycle
-of removed states.  Each removed silent stretch becomes a single transition
-remembering the least path it stands for.  The task reduction folds its
-product with the same routine, `buchi.fold`, so the reduced automaton's size
-follows the service states, not the workspace.
+compiled away.  Its acceptance sits on transitions, one set: a transition
+lies in it when it enters an accepting specification state.  Reduction keeps
+only the states that can still provide services, and the initial state, one
+state each, plus one shared absorbing state for runs that rest forever in an
+accepting cycle of removed states.  Each removed silent stretch becomes a
+single transition remembering the least path it stands for and marked with
+the set when that path meets it.  The task reduction folds its product with
+the same routine, `buchi.fold`, so the reduced automaton's size follows the
+service states, not the workspace.
 """
 from __future__ import annotations
 
@@ -39,18 +41,18 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
 
     A step exists when the system allows the action and the specification
     automaton can read the current state's propositions; the step is labeled
-    with the action's service set or the agent's silent symbol.
+    with the action's service set or the agent's silent symbol, and lies in
+    the product's one acceptance set when it enters an accepting
+    specification state.
     """
     ts = agent.ts
-    product = BuchiAutomaton(EXPLICIT_MODE)
+    product = BuchiAutomaton(EXPLICIT_MODE, sets=1)
     ids = {}
 
     def state_id(s, q):
         key = (s, q)
         if key not in ids:
             ids[key] = product.add_state(key)
-            if q in spec.accepting:
-                product.accepting.add(ids[key])
         return ids[key]
 
     start = (ts.initial, spec.initial)
@@ -73,7 +75,9 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
                 if key in edge_seen:
                     continue
                 edge_seen.add(key)
-                tid = product.add_transition(sid, label, state_id(s2, q2))
+                tid = product.add_transition(
+                    sid, label, state_id(s2, q2), int(q2 in spec.accepting)
+                )
                 product.tr_back[tid] = action
                 if (s2, q2) not in seen:
                     seen.add((s2, q2))

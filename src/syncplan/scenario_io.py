@@ -82,6 +82,8 @@ def _bounds(value, where: str):
         raise ScenarioFormatError(f"{where}: expected [lo, hi]")
     if not all(math.isfinite(v) for v in value):
         raise ScenarioFormatError(f"{where}: bounds must be finite numbers")
+    if not 0 <= value[0] <= value[1]:
+        raise ScenarioFormatError(f"{where}: bounds must satisfy 0 <= lo <= hi")
     return value
 
 
@@ -264,6 +266,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("seed", "unrollings"):
         if key in simulation:
             _expect(simulation[key], int, f"simulation.{key}")
+    if simulation.get("unrollings", 2) < 2:
+        raise ScenarioFormatError("simulation.unrollings: at least two cycle unrollings are required")
     if "duration" in simulation:
         _bounds(simulation["duration"], "simulation.duration")
     for action, bounds in _expect(

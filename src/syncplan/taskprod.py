@@ -1,23 +1,26 @@
 """Per-agent task-and-motion products, service dependencies, and reduction.
 
 The product runs the reduced motion automaton against the task specification
-automaton with a three-valued acceptance counter.  Joint labels range over
-the agent's own service sets extended by foreign services that actually occur
-in the task automaton's guards; services outside every guard can never flip a
-transition, which the assisting-service test below makes checkable.
+automaton; its states are (motion state, task state) pairs.  Acceptance sits
+on transitions, two sets: the motion set (bit 0), which a transition lies in
+when its reduced motion transition does, and the task set (bit 1), which it
+lies in when the task automaton enters an accepting state, or, on a silent
+move, rests in one.  Joint labels range over the agent's own service sets
+extended by foreign services that actually occur in the task automaton's
+guards; services outside every guard can never flip a transition, which the
+assisting-service test below makes checkable.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
-into a single transition that remembers its path: the same fold,
-`buchi.fold`, as the motion reduction's, given the planning labels and the
-coalitions.  Each kept state exists in at most two acceptance flavors and one
-shared absorbing state captures runs that end in an accepting cycle among
-insignificant states, so the result has at most twice as many states as
-there are significant ones, plus at most one.  Only live cycles feed that
-state: ones that provide services, or rest at a task state tolerating
-silence.  A run ending in any other cycle would end in silence its task
-rejects, so the absorbing state's loop keeps every agent's word legal
-whichever cycle it replays.
+into a single transition that remembers its path and the sets it meets: the
+same fold, `buchi.fold`, as the motion reduction's, given the planning
+labels and the coalitions.  Each kept state exists once, and one shared
+absorbing state captures runs that end in an accepting cycle among
+insignificant states, so the result has at most one state more than there
+are significant ones.  Only live cycles feed that state: ones that provide
+services, or rest at a task state tolerating silence.  A run ending in any
+other cycle would end in silence its task rejects, so the absorbing state's
+loop keeps every agent's word legal whichever cycle it replays.
 """
 from __future__ import annotations
 
@@ -29,16 +32,16 @@ from .buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
     Silent,
-    _good_components,
     coreachable,
     fold,
+    good_components,
 )
 from .motion import ReducedMotionProduct
 
 
 @dataclass
 class TaskMotionProduct:
-    """Product automaton; state tags are (motion_state, task_state, counter).
+    """Product automaton; state tags are (motion_state, task_state) pairs.
 
     `automaton.tr_back[tid]` is a pair (reduced-motion transition id, task
     automaton transition id or None for silent moves).  Dependency coalitions
@@ -85,7 +88,7 @@ class TaskMotionProduct:
             for t in spec.transitions:
                 if t.label.accepts(frozenset()):
                     quiet.add_transition(t.src, t.label, t.dst)
-            _comp, comps, good = _good_components(quiet)
+            _comp, comps, good = good_components(quiet)
             self._silence_tolerant = frozenset(
                 coreachable(quiet, [s for c in good for s in comps[c]])
             )
@@ -99,16 +102,6 @@ def _guard_atoms(spec: BuchiAutomaton) -> frozenset:
     return frozenset(atoms)
 
 
-def _advance_counter(j, motion_target_accepting, task_target_accepting) -> int:
-    if j == 1 and motion_target_accepting:
-        return 2
-    if j == 2 and task_target_accepting:
-        return 3
-    if j == 3:
-        return 1
-    return j
-
-
 def build_task_motion_product(
     rm: ReducedMotionProduct,
     task_spec: BuchiAutomaton,
@@ -120,48 +113,43 @@ def build_task_motion_product(
 
     Silent moves advance the motion component and stutter the task component;
     joint moves carry a full service set whose own-service part must match a
-    motion label and which must satisfy a task guard.
+    motion label and which must satisfy a task guard.  A move's mask is its
+    motion transition's, plus bit 1 when the task target is accepting.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
     foreign = sorted(_guard_atoms(task_spec) - own_services)
-    product = BuchiAutomaton(EXPLICIT_MODE)
+    task_accepting = task_spec.accepting
+    product = BuchiAutomaton(EXPLICIT_MODE, sets=2)
     ids = {}
 
-    def state_id(q1, q2, j):
-        key = (q1, q2, j)
+    def state_id(key):
         if key not in ids:
             ids[key] = product.add_state(key)
-            if j == 2 and q2 in task_spec.accepting:
-                product.accepting.add(ids[key])
+            queue.append(key)
         return ids[key]
 
     silent = Silent(agent_id)
-    start = (motion.initial, task_spec.initial, 1)
-    product.initial = state_id(*start)
-    queue = deque([start])
-    seen = {start}
+    queue = deque()
+    product.initial = state_id((motion.initial, task_spec.initial))
     edge_seen = set()
 
-    def push(src_key, label, dst_key, back):
-        key = (src_key, label, dst_key)
+    def push(src, label, dst_key, mask, back):
+        key = (src, label, dst_key, mask)
         if key in edge_seen:
             return
         edge_seen.add(key)
-        tid = product.add_transition(state_id(*src_key), label, state_id(*dst_key))
+        tid = product.add_transition(src, label, state_id(dst_key), mask)
         product.tr_back[tid] = back
-        if dst_key not in seen:
-            seen.add(dst_key)
-            queue.append(dst_key)
 
     while queue:
-        q1, q2, j = queue.popleft()
-        src_key = (q1, q2, j)
+        q1, q2 = queue.popleft()
+        src = ids[(q1, q2)]
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
-                j2 = _advance_counter(j, mt.dst in motion.accepting, q2 in task_spec.accepting)
-                push(src_key, silent, (mt.dst, q2, j2), (m_tid, None))
+                mask = mt.mask | (2 if q2 in task_accepting else 0)
+                push(src, silent, (mt.dst, q2), mask, (m_tid, None))
                 continue
             for size in range(len(foreign) + 1):
                 for extra in combinations(foreign, size):
@@ -170,10 +158,8 @@ def build_task_motion_product(
                         pt = task_spec.transitions[p_tid]
                         if not pt.label.accepts(sigma):
                             continue
-                        j2 = _advance_counter(
-                            j, mt.dst in motion.accepting, pt.dst in task_spec.accepting
-                        )
-                        push(src_key, sigma, (mt.dst, pt.dst, j2), (m_tid, p_tid))
+                        mask = mt.mask | (2 if pt.dst in task_accepting else 0)
+                        push(src, sigma, (mt.dst, pt.dst), mask, (m_tid, p_tid))
 
     return TaskMotionProduct(
         product, rm, task_spec, agent_id, own_services, frozenset(foreign), dict(service_owner)

@@ -46,6 +46,14 @@ def random_word(rng: random.Random, atoms, max_prefix=5, max_period=5):
     return ltl.UltimatelyPeriodicWord(prefix, period)
 
 
+def mark_entering(auto: BuchiAutomaton, accepting):
+    """Give `auto` one acceptance set, met by the transitions entering
+    `accepting`, the motion product's rule."""
+    auto.sets = 1
+    auto.transitions[:] = [t._replace(mask=int(t.dst in accepting)) for t in auto.transitions]
+    return auto
+
+
 def random_motion_product(rng: random.Random, max_states=12, services=("a", "b", "c")):
     """Synthetic explicit-label product for reduction soundness suites."""
     n = rng.randrange(2, max_states + 1)
@@ -61,7 +69,7 @@ def random_motion_product(rng: random.Random, max_states=12, services=("a", "b",
             else:
                 label = frozenset(x for x in services if rng.random() < 0.4)
             auto.add_transition(s, label, dst)
-    auto.accepting = {s for s in range(n) if rng.random() < 0.35}
+    mark_entering(auto, {s for s in range(n) if rng.random() < 0.35})
     return MotionProduct(auto)
 
 
@@ -200,6 +208,21 @@ def pairs(m: int) -> Scenario:
             "simulation": data["simulation"],
         }
     )
+
+
+def chain(m: int) -> Scenario:
+    """`m` agents on 4x1 grids with `true` motion formulas, agent i offering
+    service s{i} at its start cell.  Agent i's task is G F (s{i} && s{i+1})
+    and agent m's is G F s{m}, so the whole chain is one dependency class."""
+    from syncplan.agents import GridSpec, build_grid_agent
+
+    agents = [
+        build_grid_agent(GridSpec(i, 4, 1, (0, 0), service_cells=(((0, 0), frozenset([f"s{i}"])),)))
+        for i in range(1, m + 1)
+    ]
+    task = {i: f"G F (s{i} && s{i + 1})" for i in range(1, m)}
+    task[m] = f"G F s{m}"
+    return make_scenario(agents, {i: "true" for i in task}, task, name=f"chain-{m}")
 
 
 @pytest.fixture(scope="session")

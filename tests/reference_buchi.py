@@ -1,5 +1,8 @@
 """Explicit-product lasso membership, kept as the reference for the
-differential tests.
+differential tests, and the least accepting lasso of an automaton with its
+structural check, the oracles that replay reduced automata.  The pipeline
+itself never searches a lasso outside the global product, so these live
+here rather than in `syncplan.buchi`.
 
 `check_lasso_membership` is the membership test before it searched the
 product implicitly: it builds the synchronous product of the automaton and
@@ -17,8 +20,11 @@ from syncplan.buchi import (
     GUARD_MODE,
     AlphabetMismatchError,
     BuchiAutomaton,
+    Lasso,
     Silent,
     language_empty,
+    strongly_connected_components,
+    transition_marks,
 )
 
 
@@ -67,3 +73,101 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
                 seen.add(key)
                 queue.append(key)
     return not language_empty(product)
+
+
+def accepting_lasso(a: BuchiAutomaton):
+    """Least accepting lasso, or None when the language is empty.
+
+    Acceptance is read as `buchi.transition_marks` gives it: on transitions,
+    or, for a state-based automaton, on the transitions leaving an accepting
+    state.  The prefix is a shortest path into a component whose internal
+    edges meet every set; among the states that near, the lasso takes the
+    one with the shortest cycle through it meeting every set, ties going to
+    the smaller state.  All searches are breadth-first over ascending
+    transition ids.
+    """
+    marks, full = transition_marks(a)
+    comp, comps = strongly_connected_components(a)
+    covered = {}
+    for tid, t in enumerate(a.transitions):
+        if comp[t.src] == comp[t.dst]:
+            covered[comp[t.src]] = covered.get(comp[t.src], 0) | marks[tid]
+    parent = {a.initial: None}
+    order = [a.initial]
+    for v in order:
+        for tid in a.out_transitions(v):
+            w = a.transitions[tid].dst
+            if w not in parent:
+                parent[w] = tid
+                order.append(w)
+    depth = {a.initial: 0}
+    for v in order[1:]:
+        depth[v] = depth[a.transitions[parent[v]].src] + 1
+    candidates = [v for v in order if covered.get(comp[v]) == full]
+    if not candidates:
+        return None
+    near = min(depth[v] for v in candidates)
+    best = None
+    for v in sorted(v for v in candidates if depth[v] == near):
+        cycle = _covering_cycle(a, marks, full, set(comps[comp[v]]), v)
+        if best is None or len(cycle) < len(best[1]):
+            best = (v, cycle)
+    v, cycle = best
+    prefix = []
+    while parent[v] is not None:
+        prefix.append(parent[v])
+        v = a.transitions[parent[v]].src
+    lasso = Lasso(tuple(reversed(prefix)), cycle)
+    validate_lasso(a, lasso)
+    return lasso
+
+
+def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
+    """Structural checks: contiguity, closed cycle, every acceptance set met
+    (read as `accepting_lasso` reads it).
+
+    Raises ValueError naming the first check that fails.
+    """
+    marks, full = transition_marks(a)
+    cur = a.initial
+    for tid in lasso.prefix:
+        t = a.transitions[tid]
+        if t.src != cur:
+            raise ValueError("prefix not contiguous")
+        cur = t.dst
+    start = cur
+    if not lasso.cycle:
+        raise ValueError("cycle must be nonempty")
+    met = 0
+    for tid in lasso.cycle:
+        t = a.transitions[tid]
+        if t.src != cur:
+            raise ValueError("cycle not contiguous")
+        cur = t.dst
+        met |= marks[tid]
+    if cur != start:
+        raise ValueError("cycle not closed")
+    if met != full:
+        raise ValueError("cycle misses accepting states")
+
+
+def _covering_cycle(a, marks, full, members, v):
+    """Shortest cycle through `v` inside `members` meeting every set, by a
+    breadth-first search over (state, sets met) pairs."""
+    start = (v, 0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        for tid in a.out_transitions(key[0]):
+            t = a.transitions[tid]
+            nxt = (t.dst, key[1] | marks[tid])
+            if t.dst in members and nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+    key = (v, full)
+    cycle = []
+    while key != start:
+        key, tid = parent[key]
+        cycle.append(tid)
+    return tuple(reversed(cycle))

@@ -1,13 +1,12 @@
-"""Unmemoized counter product, full-scan lasso search and plain least-cost
-search, kept as the references for the differential tests.
+"""Unmemoized product, full-scan lasso search and plain least-cost search,
+kept as the references for the differential tests.
 
-`build_global_product` builds the product the synthesis used before
-acceptance moved onto the transitions: states are (component tuple,
-counter) pairs, and the joint moves are enumerated anew at every state.
-The differential tests project it onto component tuples, which must give
-the optimized product's states, moves and annotations, and derive each
-move's entering positions (`entering` is None here) from its back
-reference.
+`build_global_product` builds the product with no candidate filters,
+indexes or shared sets: the joint moves are enumerated anew at every
+component tuple, by trying every transition of every needed agent, and a
+move's `entering` mask is the OR of its moving components' reduced masks,
+each in its position's slot of three bits.  It must give the optimized
+product's states, moves and annotations.
 
 `acceptance_marks` and `accepting_lasso` are the lasso search before its
 searches stopped early and became least-cost: every breadth-first search
@@ -109,86 +108,79 @@ def build_global_product(products) -> GlobalProduct:
                         autos[pos].transitions[assign[pos]].dst if pos in assign else qs[pos]
                         for pos in range(n)
                     )
-                    key = (coalition, sigma, targets)
+                    key = (coalition, sigma, targets, entering(assign))
                     if key in seen:
                         continue
                     seen.add(key)
                     results.append((sigma, coalition, dict(assign), targets))
-        results.sort(key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3]))
+        results.sort(
+            key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1])), r[3], entering(r[2]))
+        )
         return results
 
-    def advance(j, moved_positions, targets):
-        if j == n + 1:
-            return 1
-        pos = j - 1
-        if pos in moved_positions and targets[pos] in autos[pos].accepting:
-            return j + 1
-        return j
+    def entering(assign):
+        mask = 0
+        for pos, tid in assign.items():
+            mask |= autos[pos].transitions[tid].mask << (3 * pos)
+        return mask
 
     product = BuchiAutomaton(EXPLICIT_MODE)
     ids = {}
+    marks = []
 
-    def state_id(key):
-        if key not in ids:
-            ids[key] = product.add_state(key)
-            qs, j = key
-            if j == n and qs[n - 1] in autos[n - 1].accepting:
-                product.accepting.add(ids[key])
-        return ids[key]
+    def state_id(qs):
+        if qs not in ids:
+            ids[qs] = product.add_state(qs)
+            queue.append(qs)
+        return ids[qs]
 
-    start = (tuple(a.initial for a in autos), 1)
-    product.initial = state_id(start)
-    queue = deque([start])
-    seen_states = {start}
+    queue = deque()
+    product.initial = state_id(tuple(a.initial for a in autos))
 
-    def push(src_key, label, dst_key, dep, back):
-        tid = product.add_transition(state_id(src_key), label, state_id(dst_key))
+    def push(qs, label, targets, dep, back, enters):
+        tid = product.add_transition(ids[qs], label, state_id(targets))
         product.tr_dep[tid] = dep
         product.tr_back[tid] = back
-        if dst_key not in seen_states:
-            seen_states.add(dst_key)
-            queue.append(dst_key)
+        marks.append(enters)
 
     while queue:
-        key = queue.popleft()
-        qs, j = key
+        qs = queue.popleft()
         for pos in range(n):
             for tid in silent_out[pos].get(qs[pos], ()):
                 t = autos[pos].transitions[tid]
                 targets = tuple(t.dst if p == pos else qs[p] for p in range(n))
-                j2 = advance(j, {pos}, targets)
-                push(
-                    key,
-                    Silent(agent_ids[pos]),
-                    (targets, j2),
-                    frozenset((agent_ids[pos],)),
-                    ("local", pos, tid),
-                )
+                back = ("local", pos, tid)
+                push(qs, Silent(agent_ids[pos]), targets, frozenset((agent_ids[pos],)), back,
+                     entering({pos: tid}))
         for sigma, coalition, assign, targets in joint_moves_at(qs):
-            j2 = advance(j, set(assign), targets)
-            push(key, sigma, (targets, j2), coalition, ("joint", coalition, assign))
+            push(qs, sigma, targets, coalition, ("joint", coalition, assign), entering(assign))
 
-    return GlobalProduct(product, products, agent_ids, None)
+    return GlobalProduct(product, products, agent_ids, marks)
 
 
 def acceptance_marks(gp: GlobalProduct) -> list:
-    """Per transition, a bit mask of the acceptance sets it lies in: bit 2i
-    for A_i (position i enters its accepting set) and bit 2i + 1 for L_i
-    (the move keeps position i's word legal)."""
+    """Per transition, a bit mask of the acceptance sets it lies in: bits 3i
+    and 3i + 1 for position i's motion and task sets, which its reduced
+    transition meets, and bit 3i + 2 for L_i (the move keeps position i's
+    word legal)."""
     a = gp.automaton
     id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
     legal = {}  # (position, reduced transition id) -> local move keeps the word legal
     marks = []
-    for tid, enters in enumerate(gp.entering):
+    for tid in range(len(a.transitions)):
         back = a.tr_back[tid]
         if back[0] == "joint":
-            mask = sum(2 << (2 * id2pos[aid]) for aid in back[1])
+            mask = sum(4 << (3 * id2pos[aid]) for aid in back[1])
+            moved = back[2].items()
         else:
             key = back[1:]
             if key not in legal:
                 legal[key] = _keeps_word_legal(gp.products[key[0]], key[1])
-            mask = 2 << (2 * key[0]) if legal[key] else 0
-        marks.append(mask | sum(1 << (2 * pos) for pos in enters))
+            mask = 4 << (3 * key[0]) if legal[key] else 0
+            moved = [key]
+        for pos, low in moved:
+            mask |= gp.products[pos].automaton.transitions[low].mask << (3 * pos)
+        marks.append(mask)
     return marks
 
 
@@ -197,7 +189,7 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     every acceptance set nearest the initial state and greedily walks to an
     edge of each set still uncovered."""
     a = gp.automaton
-    everything = (1 << (2 * len(gp.agent_ids))) - 1
+    everything = (1 << (3 * len(gp.agent_ids))) - 1
     comp, comps = strongly_connected_components(a)
     covered = {}  # component with an internal edge -> sets its internal edges meet
     for tid, t in enumerate(a.transitions):
@@ -213,7 +205,7 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
             best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
             missing = everything & ~covered[best]
         first = (missing & -missing).bit_length() - 1
-        raise EmptyLanguageError("task", gp.agent_ids[first // 2])
+        raise EmptyLanguageError("task", gp.agent_ids[first // 3])
 
     dist, parent = _bfs(a, a.initial)
     entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))

@@ -8,8 +8,8 @@ witnesses the fold must reproduce exactly, and share no code with it.
 `region_analysis` is the hand-written search for silent accepting cycles
 and the routes into them that `buchi.region_analysis` replaces with
 `buchi._bfs`.  It breaks ties between equally short paths by set iteration
-order, so it fixes distances, anchors and the chosen detour transition, not
-the paths.  Its components come from `region_components`, which copies the
+order, so it fixes distances, anchors and the length of each anchor's
+loop, and whether it provides services, not the paths.  Its components come from `region_components`, which copies the
 region into a second automaton, as the task reduction did before Tarjan
 took a state mask.
 """
@@ -38,26 +38,27 @@ def region_components(a: BuchiAutomaton, region):
 
 
 def least_paths(a: BuchiAutomaton, stop, entries):
-    """Least path from the entry (state, flag) pairs to each next stop state.
+    """Least path from the entry (state, mask) pairs to each next stop state.
 
-    Breadth-first over (state, flag) pairs, where the flag turns true once a
-    path visits an accepting state.  Entries are taken in the given order and
-    out-transitions in ascending id order, so the first step to reach a pair
-    ends its least path: the shortest one, ties going to the earlier entry
-    and then to the lexicographically smallest sequence of transition ids.
-    The walk expands non-stop states only.  Returns one (stop state, flag,
-    entry, steps) per stop pair reached, `steps` leading from the entry.
+    Breadth-first over (state, mask) pairs, where the mask collects the
+    acceptance sets of the transitions a path takes.  Entries are taken in
+    the given order and out-transitions in ascending id order, so the first
+    step to reach a pair ends its least path: the shortest one, ties going
+    to the earlier entry and then to the lexicographically smallest sequence
+    of transition ids.  The walk expands non-stop states only.  Returns one
+    (stop state, mask, entry, steps) per stop pair reached, `steps` leading
+    from the entry.
     """
-    transitions, accepting = a.transitions, a.accepting
-    parent = dict.fromkeys(entries)  # (state, flag) -> (previous pair, step id)
-    arrivals = {}  # (stop state, flag) -> (previous pair, step id)
+    transitions = a.transitions
+    parent = dict.fromkeys(entries)  # (state, mask) -> (previous pair, step id)
+    arrivals = {}  # (stop state, mask) -> (previous pair, step id)
     queue = deque(parent)
     while queue:
         key = queue.popleft()
-        state, flag = key
+        state, mask = key
         for tid in a.out_transitions(state):
             y = transitions[tid].dst
-            nxt = (y, flag or y in accepting)
+            nxt = (y, mask | transitions[tid].mask)
             if stop[y]:
                 if nxt not in arrivals:
                     arrivals[nxt] = (key, tid)
@@ -65,13 +66,13 @@ def least_paths(a: BuchiAutomaton, stop, entries):
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
     found = []
-    for (y, flag), (key, tid) in arrivals.items():
+    for (y, mask), (key, tid) in arrivals.items():
         steps = [tid]
         while parent[key] is not None:
             key, tid = parent[key]
             steps.append(tid)
         steps.reverse()
-        found.append((y, flag, key, tuple(steps)))
+        found.append((y, mask, key, tuple(steps)))
     return found
 
 
@@ -79,19 +80,19 @@ def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid):
     """Every arrival at a significant state behind one edge, with its path."""
     t = a.transitions[src_tid]
     if significant[t.dst]:
-        return [(t.dst, t.dst in a.accepting, (src_tid,))]
+        return [(t.dst, t.mask, (src_tid,))]
     segments = []
-    start = (t.dst, t.dst in a.accepting)
+    start = (t.dst, t.mask)
     seen = {start}
     queue = deque([(start, (src_tid,))])
     while queue:
-        (x, flag), path = queue.popleft()
+        (x, mask), path = queue.popleft()
         for tid in a.out_transitions(x):
             nxt = a.transitions[tid]
             if significant[nxt.dst]:
-                segments.append((nxt.dst, flag or nxt.dst in a.accepting, path + (tid,)))
+                segments.append((nxt.dst, mask | nxt.mask, path + (tid,)))
                 continue
-            key = (nxt.dst, flag or nxt.dst in a.accepting)
+            key = (nxt.dst, mask | nxt.mask)
             if key in seen:
                 continue
             seen.add(key)
@@ -103,10 +104,10 @@ def region_analysis(a: BuchiAutomaton, significant):
     """Returns (anchors, reach, loop_keys) as `buchi.region_analysis` does
     unfiltered.
 
-    `loop_keys` maps each anchor to the (silent, length, x, tid) key of its
-    loop: whether the detour transition `tid` leaving `x` is silent, and the
-    loop length.
+    `loop_keys` maps each anchor to the (silent, length) key of its loop:
+    whether every transition of the loop is silent, and its length.
     """
+    full = (1 << a.sets) - 1
     region = {s for s in range(a.n_states) if not significant[s]}
     adjacency = {s: [] for s in region}
     for tid, t in enumerate(a.transitions):
@@ -117,19 +118,17 @@ def region_analysis(a: BuchiAutomaton, significant):
     loop_keys = {}
     for members in region_components(a, region):
         member_set = set(members)
-        internal = any(
-            a.transitions[tid].dst in member_set for s in members for tid in adjacency[s]
-        )
-        if not internal:
+        covered = 0
+        for s in members:
+            for tid in adjacency[s]:
+                if a.transitions[tid].dst in member_set:
+                    covered |= a.transitions[tid].mask
+        if covered != full:
             continue
-        accepting = sorted(s for s in members if s in a.accepting)
-        if not accepting:
-            continue
-        anchor = accepting[0]
-        key, loop = shortest_region_cycle(a, adjacency, member_set, anchor)
-        if loop:
-            anchors[anchor] = loop
-            loop_keys[anchor] = key
+        anchor = min(members)
+        key, loop = shortest_region_cycle(a, adjacency, member_set, anchor, full)
+        anchors[anchor] = loop
+        loop_keys[anchor] = key
 
     radj = {s: [] for s in region}
     for s in region:
@@ -163,69 +162,31 @@ def region_analysis(a: BuchiAutomaton, significant):
     return anchors, reach, loop_keys
 
 
-def shortest_region_cycle(a, adjacency, members, anchor):
-    """`buchi._shortest_region_cycle` by hand, returning (key, loop)."""
-    fwd_dist = {anchor: 0}
-    fwd_par = {}
-    queue = deque([anchor])
-    while queue:
-        v = queue.popleft()
-        for tid in adjacency[v]:
-            w = a.transitions[tid].dst
-            if w not in members or w in fwd_dist:
-                continue
-            fwd_dist[w] = fwd_dist[v] + 1
-            fwd_par[w] = tid
-            queue.append(w)
-    radj = {}
-    for x in members:
-        for tid in adjacency[x]:
-            w = a.transitions[tid].dst
-            if w in members:
-                radj.setdefault(w, []).append(tid)
-    bwd_dist = {anchor: 0}
-    bwd_par = {}
-    queue = deque([anchor])
-    while queue:
-        v = queue.popleft()
-        for tid in radj.get(v, ()):
-            s = a.transitions[tid].src
-            if s in bwd_dist:
-                continue
-            bwd_dist[s] = bwd_dist[v] + 1
-            bwd_par[s] = tid
-            queue.append(s)
-
-    def walk_to(x):  # anchor -> x
-        path = []
-        cur = x
-        while cur != anchor:
-            tid = fwd_par[cur]
-            path.append(tid)
-            cur = a.transitions[tid].src
-        path.reverse()
-        return path
-
-    def walk_back(x):  # x -> anchor
-        path = []
-        cur = x
-        while cur != anchor:
-            tid = bwd_par[cur]
-            path.append(tid)
-            cur = a.transitions[tid].dst
-        return path
-
-    best = None
-    for x in sorted(members):
-        for tid in adjacency[x]:
-            t = a.transitions[tid]
-            if t.dst not in members:
-                continue
-            if x not in fwd_dist or t.dst not in bwd_dist:
-                continue
-            length = fwd_dist[x] + 1 + bwd_dist[t.dst]
-            silent = isinstance(t.label, Silent)
-            key = (silent, length, x, tid)
-            if best is None or key < best[0]:
-                best = (key, tuple(walk_to(x)) + (tid,) + tuple(walk_back(t.dst)))
-    return best if best else (None, ())
+def shortest_region_cycle(a, adjacency, members, anchor, full):
+    """`buchi._covering_cycle` by hand, returning (key, loop): layer by layer,
+    the (state, sets met, served) triples first reached by a walk of that
+    many steps from the anchor, until no new triple appears.  The loop is
+    the first walk back to the anchor meeting every set that provides a
+    service, else the first that meets every set."""
+    start = (anchor, 0, False)
+    layers = [{start: ()}]  # triple -> one walk ending in it
+    seen = {start}
+    found = {}  # served -> the first loop of that kind
+    while layers[-1]:
+        layer = {}
+        for (x, mask, served), walk in layers[-1].items():
+            for tid in adjacency[x]:
+                t = a.transitions[tid]
+                if t.dst not in members:
+                    continue
+                nxt = (t.dst, mask | t.mask, served or not isinstance(t.label, Silent))
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                layer[nxt] = walk + (tid,)
+        for (x, mask, served), walk in layer.items():
+            if x == anchor and mask == full and served not in found:
+                found[served] = walk
+        layers.append(layer)
+    loop = found.get(True, found.get(False))
+    return (True not in found, len(loop)), loop

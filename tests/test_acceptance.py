@@ -7,7 +7,7 @@ import random
 import time
 
 from syncplan import ltl
-from syncplan.buchi import check_lasso_membership, find_accepting_lasso, language_empty
+from syncplan.buchi import check_lasso_membership, language_empty
 from syncplan.executor import (
     SimulationConfig,
     check_local_satisfaction,
@@ -20,6 +20,7 @@ from syncplan.motion import reduce as reduce_motion
 from syncplan.taskprod import classify_task_significance, reduce_task_motion
 from syncplan.translate import translate
 from tests.conftest import ATOMS, random_formula, random_motion_product, random_word
+from tests.reference_buchi import accepting_lasso
 from tests.test_motion import replay_nonsilent_labels
 from tests.test_taskprod import (
     _random_task_instance,
@@ -117,14 +118,14 @@ def test_criterion_4_reduction_soundness():
         mp = random_motion_product(rng)
         rm = reduce_motion(mp)
         motion_bound_ok = motion_bound_ok and (
-            rm.automaton.n_states <= 2 * sum(classify_significance(mp)) + 1
+            rm.automaton.n_states <= sum(classify_significance(mp)) + 1
         )
         if language_empty(mp.automaton) != language_empty(rm.automaton):
             report("criterion 4: reduction soundness", False, "emptiness diverged")
         motion_instances += 1
         if language_empty(rm.automaton):
             continue
-        lasso = find_accepting_lasso(rm.automaton)
+        lasso = accepting_lasso(rm.automaton)
         expanded, reduced_labels = replay_nonsilent_labels(mp.automaton, rm.automaton, lasso)
         if expanded != reduced_labels:
             report("criterion 4: reduction soundness", False, "label sequence diverged")
@@ -138,12 +139,12 @@ def test_criterion_4_reduction_soundness():
         sig = classify_task_significance(tm, ga)
         reduced = reduce_task_motion(tm, ga)
         task_instances += 1
-        bound_ok = bound_ok and reduced.automaton.n_states <= 2 * sum(sig)
+        bound_ok = bound_ok and reduced.automaton.n_states <= sum(sig) + 1
         if empty_but_for_dead_regions(tm, sig) != language_empty(reduced.automaton):
             report("criterion 4: reduction soundness", False, "task emptiness diverged")
         if not language_empty(reduced.automaton):
             task_nonempty += 1
-            lasso = find_accepting_lasso(reduced.automaton)
+            lasso = accepting_lasso(reduced.automaton)
             orig = tm.automaton.initial
             for tid in lasso.prefix + lasso.cycle:
                 w = _variant_from(reduced.automaton.tr_witness[tid], orig)
@@ -159,9 +160,9 @@ def test_criterion_4_reduction_soundness():
         "criterion 4: reduction soundness",
         ok,
         f"{motion_instances} motion instances ({motion_nonempty} nonempty replays), "
-        f"motion size bound |reduced| <= 2*significant + 1 held: {motion_bound_ok}, "
+        f"motion size bound |reduced| <= significant + 1 held: {motion_bound_ok}, "
         f"{task_instances} task instances ({task_nonempty} nonempty), "
-        f"size bound |reduced| <= 2*significant held: {bound_ok}",
+        f"size bound |reduced| <= significant + 1 held: {bound_ok}",
     )
 
 

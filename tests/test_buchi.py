@@ -1,4 +1,5 @@
-"""Automaton structures: lasso search, membership, pruning, merging."""
+"""Automaton structures: the lasso oracle, membership, emptiness on marks,
+pruning, merging."""
 import random
 
 import pytest
@@ -11,15 +12,15 @@ from syncplan.buchi import (
     Lasso,
     Silent,
     check_lasso_membership,
-    find_accepting_lasso,
     language_empty,
     merge_duplicate_states,
     prune_non_coaccessible,
     to_dot,
-    validate_lasso,
 )
 from syncplan.translate import translate
 from tests.conftest import random_word
+from tests.reference_buchi import accepting_lasso
+from tests.reference_buchi import validate_lasso
 
 
 def chain_automaton():
@@ -35,12 +36,14 @@ def chain_automaton():
 
 
 class TestLasso:
+    """The least-lasso oracle that replays reduced automata in the tests."""
+
     def test_single_accepting_self_loop(self):
         a = BuchiAutomaton(EXPLICIT_MODE)
         a.add_state()
         a.add_transition(0, Silent(1), 0)
         a.accepting = {0}
-        lasso = find_accepting_lasso(a)
+        lasso = accepting_lasso(a)
         assert lasso.prefix == ()
         assert lasso.cycle == (0,)
 
@@ -50,12 +53,12 @@ class TestLasso:
         a.add_state()
         a.add_transition(1, Silent(1), 1)
         a.accepting = {1}
-        assert find_accepting_lasso(a) is None
+        assert accepting_lasso(a) is None
         assert language_empty(a)
 
     def test_three_state_chain(self):
         a = chain_automaton()
-        lasso = find_accepting_lasso(a)
+        lasso = accepting_lasso(a)
         assert lasso.prefix == (0, 1)
         assert lasso.cycle == (2,)
         validate_lasso(a, lasso)
@@ -71,7 +74,7 @@ class TestLasso:
         a.add_transition(0, Silent(1), 3)  # far singleton loop, also dist 1
         a.add_transition(3, Silent(1), 3)
         a.accepting = {1, 3}
-        lasso = find_accepting_lasso(a)
+        lasso = accepting_lasso(a)
         # both entries have prefix length 1; state 1 wins the id tie only if
         # its cycle is not longer: cycle through 1 has length 2, through 3
         # length 1, so the shorter cycle wins
@@ -80,7 +83,7 @@ class TestLasso:
 
     def test_deterministic_across_runs(self):
         a = chain_automaton()
-        assert find_accepting_lasso(a) == find_accepting_lasso(a)
+        assert accepting_lasso(a) == accepting_lasso(a)
 
     @pytest.mark.parametrize("prefix, cycle, message", [
         ((1,), (2,), "prefix not contiguous"),
@@ -97,6 +100,20 @@ class TestLasso:
         a.accepting = {0}
         with pytest.raises(ValueError, match="cycle misses accepting states"):
             validate_lasso(a, Lasso((0, 1), (2,)))
+
+    def test_cycle_meets_every_set_of_transition_marks(self):
+        # a two-set loop at 1: the self-loop meets set 0 only, the detour
+        # through 2 meets set 1, so the least cycle takes both
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=2)
+        for _ in range(3):
+            a.add_state()
+        a.add_transition(0, Silent(1), 1)
+        a.add_transition(1, Silent(1), 1, 1)
+        a.add_transition(1, Silent(1), 2)
+        a.add_transition(2, Silent(1), 1, 2)
+        lasso = accepting_lasso(a)
+        assert lasso.prefix == (0,)
+        assert lasso.cycle == (1, 2, 3)
 
 
 class TestMembership:
@@ -196,6 +213,60 @@ class TestMerge:
         a.accepting = {1, 2}
         merged = merge_duplicate_states(a)
         assert merged.n_states == 2
+
+
+class TestMarks:
+    """Transition-based generalized acceptance: a run must meet every set."""
+
+    def loop(self, masks, sets=2):
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=sets)
+        a.add_state()
+        a.add_state()
+        a.add_transition(0, Silent(1), 1)
+        for mask in masks:
+            a.add_transition(1, Silent(1), 1, mask)
+        return a
+
+    def test_emptiness_needs_every_set_in_one_component(self):
+        assert language_empty(self.loop([1]))
+        assert language_empty(self.loop([2]))
+        assert not language_empty(self.loop([1, 2]))
+        assert not language_empty(self.loop([3]))
+        # the accepting set of a marked automaton plays no part
+        a = self.loop([1])
+        a.accepting = {1}
+        assert language_empty(a)
+
+    def test_prune_keeps_states_reaching_a_covering_component(self):
+        a = self.loop([3])
+        a.add_state()  # 2: a loop meeting one set only, off the lasso
+        a.add_transition(0, Silent(1), 2)
+        a.add_transition(2, Silent(1), 2, 1)
+        pruned = prune_non_coaccessible(a)
+        assert pruned.n_states == 2 and pruned.sets == 2
+        assert sorted(t.mask for t in pruned.transitions) == [0, 3]
+
+    def test_masks_block_merges_and_parallel_collapse(self):
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
+        for _ in range(3):
+            a.add_state()
+        eps = Silent(1)
+        a.add_transition(0, eps, 1)
+        a.add_transition(0, eps, 2)
+        a.add_transition(1, eps, 1, 1)
+        a.add_transition(2, eps, 2, 0)
+        assert merge_duplicate_states(a) is a
+        a.add_transition(2, eps, 2, 1)
+        a.add_transition(1, eps, 1, 0)
+        merged = merge_duplicate_states(a)
+        assert merged.n_states == 2
+        assert sorted((t.src, t.dst, t.mask) for t in merged.transitions) == [
+            (0, 1, 0), (1, 1, 0), (1, 1, 1)
+        ]
+
+    def test_dot_export_names_the_sets(self):
+        assert "acc{0,1}" in to_dot(self.loop([3]))
+        assert "acc{1}" in to_dot(self.loop([2]))
 
 
 def test_dot_export_shape():

@@ -216,7 +216,8 @@ class TestStats:
             "centralized estimate: 20480 "
             "(4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5)\n"
         ) in out
-        assert "reduction ratio: 409.6\n" in out
+        assert "global total: 8 states\n" in out
+        assert "reduction ratio: 2560.0\n" in out
         assert "centralized reachable" not in out
 
 
@@ -476,6 +477,33 @@ class TestMalformedFiles:
         data["simulation"][key] = value
         scenario = write_scenario(tmp_path, data)
         message = f"{where}: bounds must be finite numbers"
+        self.assert_rejected(run_cli("check", scenario), message)
+        self.assert_rejected(run_cli("simulate", scenario, *map(str, asymmetry_files)), message)
+
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("duration", [2.0, 1.0], "simulation.duration: bounds must satisfy 0 <= lo <= hi"),
+            ("duration", [-1, 2], "simulation.duration: bounds must satisfy 0 <= lo <= hi"),
+            (
+                "action_durations",
+                {"ping": [3, 1]},
+                "simulation.action_durations.ping: bounds must satisfy 0 <= lo <= hi",
+            ),
+            ("unrollings", 1, "simulation.unrollings: at least two cycle unrollings"),
+            ("unrollings", -1, "simulation.unrollings: at least two cycle unrollings"),
+        ],
+        ids=["reversed", "negative", "action-reversed", "one-unrolling", "negative-unrollings"],
+    )
+    def test_simulation_settings_rejected_at_load(
+        self, tmp_path, asymmetry_files, key, value, message
+    ):
+        # `check` once accepted what `simulate` then rejected when it built
+        # its configuration
+        data = json.loads(Path(ASYM).read_text())
+        data["simulation"][key] = value
+        scenario = write_scenario(tmp_path, data)
         self.assert_rejected(run_cli("check", scenario), message)
         self.assert_rejected(run_cli("simulate", scenario, *map(str, asymmetry_files)), message)
 

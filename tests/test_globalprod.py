@@ -13,6 +13,7 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import (
+    SLOT,
     EmptyLanguageError,
     GlobalProduct,
     SynthesisError,
@@ -26,6 +27,7 @@ from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
 from syncplan.taskprod import build_task_motion_product, compute_dep
 from syncplan.translate import translate
+from tests import reference_globalprod as ref_gp
 from tests.conftest import benchmark_workloads, explicit_agent, make_scenario, random_scenario
 
 
@@ -38,7 +40,8 @@ def single_idler():
 def assert_states_are_distinct_reachable_tuples(gp):
     """One state per component tuple, all reachable; every move changes
     exactly the components its back reference names, the way their own
-    transitions do, and `entering` names those that enter acceptance."""
+    transitions do, and `entering` holds their acceptance masks, each in its
+    position's slot."""
     auto = gp.automaton
     autos = [p.automaton for p in gp.products]
     tags = auto.state_tags
@@ -54,13 +57,14 @@ def assert_states_are_distinct_reachable_tuples(gp):
         back = auto.tr_back[tid]
         moved = {back[1]: back[2]} if back[0] == "local" else dict(back[2])
         src, dst = tags[t.src], tags[t.dst]
+        entered = 0
         for pos, qs in enumerate(src):
             if pos in moved:
                 low = autos[pos].transitions[moved[pos]]
                 assert (low.src, low.dst) == (qs, dst[pos])
+                entered |= low.mask << (SLOT * pos)
             else:
                 assert dst[pos] == qs
-        entered = {p for p in moved if dst[p] in autos[p].accepting}
         assert gp.entering[tid] == entered
         if back[0] == "local":
             silent_out[t.src] = silent_out.get(t.src, 0) + 1
@@ -85,7 +89,11 @@ class TestGlobalProduct:
         assert gp.automaton.n_states <= hat.n_states
         ((_group, gp),) = three_robots_result.global_products
         assert_states_are_distinct_reachable_tuples(gp)
-        assert gp.automaton.n_states == 1440
+        # one tuple per reachable combination of the reduced automata's
+        # states, 27 of at most 2 * 3 * 7 significant (motion, task) pairs
+        # and absorbing states
+        reference = ref_gp.build_global_product(gp.products).automaton
+        assert gp.automaton.n_states == reference.n_states == 27
         pairs = run_synthesis(two_pairs)
         for _group, gp in pairs.global_products:
             assert_states_are_distinct_reachable_tuples(gp)
@@ -163,6 +171,22 @@ class TestSynthesize:
             verdict = check_local_satisfaction(sc, result.strategies, sim)[1]
             assert verdict.motion and verdict.task and verdict.consistent
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_service_nobody_needs_still_serves_its_own_task(self, width):
+        # the task reduction relabels a step nobody else needs as silent; the
+        # fold must keep that serving step beside the equally short silent
+        # stay, or the agent's only cycle leaves its word dead
+        agent = build_grid_agent(
+            GridSpec(1, width, 1, (0, 0), service_cells=(((0, 0), frozenset(["s"])),))
+        )
+        sc = make_scenario([agent], {1: "true"}, {1: "G F s"})
+        result = run_synthesis(sc)
+        check_strategies_fit(sc, result.strategies)
+        assert [step.action for step in result.strategies[1].cycle] == ["s"]
+        sim = simulate(sc, result.strategies, SimulationConfig(seed=0))
+        verdict = check_local_satisfaction(sc, result.strategies, sim)[1]
+        assert verdict.motion and verdict.task and verdict.consistent
+
     def test_staying_in_P_while_serving_forever_is_empty(self):
         with pytest.raises(EmptyLanguageError) as err:
             run_synthesis(corridor("F G P", "G F s", service_at=(1, 0)))
@@ -170,9 +194,9 @@ class TestSynthesize:
         assert err.value.agent_id == 1
 
     def test_failure_names_the_agent_of_an_uncovered_set(self):
-        # two agents: self-loop X meets A_1 and L_1, self-loop Y meets L_1,
-        # L_2 and (optionally) A_2; the loops' coalitions and entering
-        # positions set the marks
+        # two agents: self-loop X meets agent 1's own two sets and L_1,
+        # self-loop Y meets L_1, L_2 and (optionally) agent 2's own sets;
+        # the loops' coalitions and entering positions set the marks
         def product(y_enters, cyclic=True):
             auto = BuchiAutomaton(EXPLICIT_MODE)
             for qs in ((0, 0), (1, 0), (0, 1)):
@@ -185,7 +209,7 @@ class TestSynthesize:
                 tid = auto.add_transition(src, frozenset(), dst)
                 auto.tr_dep[tid] = frozenset(coalition)
                 auto.tr_back[tid] = ("joint", frozenset(coalition), {})
-                entering.append(frozenset(enters))
+                entering.append(sum(0b011 << (SLOT * pos) for pos in enters))
             return GlobalProduct(auto, [], [1, 2], entering)
 
         cases = [(product((1,)), "task", 1), (product(()), "task", 2)]

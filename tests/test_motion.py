@@ -6,7 +6,8 @@ from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, language_empty
 from syncplan.motion import MotionProduct, build_motion_product, classify_significance, reduce
 from syncplan.translate import translate
-from tests.conftest import explicit_agent, random_motion_product
+from tests.conftest import explicit_agent, mark_entering, random_motion_product
+from tests.reference_buchi import accepting_lasso
 
 
 def _variant_from(witnesses, origin):
@@ -55,7 +56,9 @@ class TestProduct:
         assert mp.automaton.n_states == 1
         assert len(mp.automaton.transitions) == 1
         assert isinstance(mp.automaton.transitions[0].label, Silent)
-        assert 0 in mp.automaton.accepting
+        # the stay loop enters the accepting state: it meets the motion set
+        assert (mp.automaton.sets, mp.automaton.transitions[0].mask) == (1, 1)
+        assert not mp.automaton.accepting
 
     def test_forbidden_room_empties_language(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})
@@ -106,8 +109,7 @@ class TestReduce:
         a.add_transition(1, eps, 2)
         a.add_transition(2, eps, 3)
         a.add_transition(3, eps, 3)
-        a.accepting = {3}
-        rm = reduce(MotionProduct(a))
+        rm = reduce(MotionProduct(mark_entering(a, {3})))
         labels = [
             (t.label, rm.automaton.state_tags[t.src], rm.automaton.state_tags[t.dst])
             for t in rm.automaton.transitions
@@ -123,8 +125,7 @@ class TestReduce:
             a.add_state()
         a.add_transition(0, frozenset({"x"}), 1)
         a.add_transition(1, frozenset({"y"}), 0)
-        a.accepting = {1}
-        rm = reduce(MotionProduct(a))
+        rm = reduce(MotionProduct(mark_entering(a, {1})))
         assert rm.automaton.n_states == 2
         assert sorted(
             (t.src, t.label, t.dst) for t in rm.automaton.transitions
@@ -138,15 +139,13 @@ class TestReductionSoundness:
         for _ in range(120):
             mp = random_motion_product(rng)
             rm = reduce(mp)
-            assert rm.automaton.n_states <= 2 * sum(classify_significance(mp)) + 1
+            assert rm.automaton.n_states <= sum(classify_significance(mp)) + 1
             empty_before = language_empty(mp.automaton)
             empty_after = language_empty(rm.automaton)
             assert empty_before == empty_after
             if empty_after:
                 continue
-            from syncplan.buchi import find_accepting_lasso
-
-            lasso = find_accepting_lasso(rm.automaton)
+            lasso = accepting_lasso(rm.automaton)
             expanded, reduced_labels = replay_nonsilent_labels(
                 mp.automaton, rm.automaton, lasso
             )

@@ -9,7 +9,6 @@ from syncplan.buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
     Silent,
-    find_accepting_lasso,
     prune_non_coaccessible,
 )
 from syncplan.executor import SimulationConfig, extract_local_word, simulate
@@ -17,7 +16,9 @@ from syncplan.globalprod import Strategy, StrategyStep, _acceptance_marks, _acce
 from syncplan.pipeline import format_stats, run_synthesis
 from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.translate import translate
+from tests import reference_globalprod as ref_gp
 from tests.conftest import benchmark_workloads, pairs
+from tests.reference_buchi import accepting_lasso
 
 
 def test_stats_block_complete_and_consistent(three_robots_result):
@@ -36,13 +37,13 @@ def test_stats_block_complete_and_consistent(three_robots_result):
     for aid, row in stats["agents"].items():
         art = three_robots_result.artifacts[aid]
         assert row["reduced_task"] <= row["task_product"]
-        assert row["task_product"] <= row["reduced_motion"] * row["task_spec"] * 3
+        assert row["task_product"] <= row["reduced_motion"] * row["task_spec"]
         assert row["reduced_motion"] <= row["motion_product"]
     text = format_stats(stats)
     assert "reduction ratio" in text and "globally assisting" in text
 
 
-TWO_PAIRS_BASELINE = (20480, "4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5", 20480 / 50)
+TWO_PAIRS_BASELINE = (20480, "4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5", 20480 / 8)
 
 
 @pytest.mark.parametrize(
@@ -52,32 +53,39 @@ TWO_PAIRS_BASELINE = (20480, "4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5"
             "three_robots",
             241920000,
             "96 * 100 * 100 * 1 * 3 * 1 * 2 * 3 * 2 * 7",
-            241920000 / 1440,
+            241920000 / 27,
         ),
         ("two_pairs", *TWO_PAIRS_BASELINE),
-        ("asymmetry", 3, "1 * 1 * 1 * 1 * 1 * 1 * 3", 3 / 9),
+        ("asymmetry", 3, "1 * 1 * 1 * 1 * 1 * 1 * 3", 3 / 1),
         (
             "three_robots_13x13",
             1173171636,
             "163 * 169 * 169 * 1 * 3 * 1 * 2 * 3 * 2 * 7",
-            1173171636 / 1440,
+            1173171636 / 27,
         ),
         ("two_pairs_team", *TWO_PAIRS_BASELINE),
-        ("wide_guards", 3240, "9 * 12 * 1 * 2 * 1 * 5 * 3", 3240 / 657),
+        ("wide_guards", 3240, "9 * 12 * 1 * 2 * 1 * 5 * 3", 3240 / 135),
     ],
 )
 def test_centralized_baseline_values(name, estimate, formula, ratio, three_robots_result):
-    """The baseline is the estimate read from the per-agent automata."""
+    """The baseline is the estimate read from the per-agent automata, and
+    the ratio divides it by the global products' tuples, which the
+    unmemoized reference product counts too."""
     if name == "three_robots":
-        stats = three_robots_result.stats
+        result = three_robots_result
     elif name in ("two_pairs", "asymmetry"):
-        stats = run_synthesis(load_bundled(name)).stats
+        result = run_synthesis(load_bundled(name))
     else:
         workloads = benchmark_workloads()
-        stats = run_synthesis(scenario_from_dict(workloads.generate(name))).stats
+        result = run_synthesis(scenario_from_dict(workloads.generate(name)))
+    stats = result.stats
     assert stats["centralized_estimate"] == estimate
     assert stats["centralized_formula"] == formula
     assert stats["reduction_ratio"] == ratio
+    assert stats["global_total"] == sum(
+        ref_gp.build_global_product(gp.products).automaton.n_states
+        for _group, gp in result.global_products
+    )
 
 
 @pytest.mark.parametrize("name", ["two_pairs", "asymmetry", "wide_guards"])
@@ -113,26 +121,31 @@ def test_globally_assisting_pattern(three_robots_result):
 
 
 def test_one_global_product_per_dependency_class(two_pairs):
-    # `cap` and `per_class` are the benchmark's keywords and have no effect
+    # `cap` and `per_class` are the benchmark's keywords and have no effect;
+    # each pair's agents have two reduced states, one per significant
+    # (motion, task) pair, and the pair's product reaches all four tuples
     for result in (
         run_synthesis(two_pairs),
         run_synthesis(two_pairs, cap=1, per_class=False),
     ):
         assert [(g, gp.automaton.n_states) for g, gp in result.global_products] == [
-            ((1, 2), 25),
-            ((3, 4), 25),
+            ((1, 2), 4),
+            ((3, 4), 4),
+        ]
+        assert [result.artifacts[aid].reduced_task.automaton.n_states for aid in (1, 2, 3, 4)] == [
+            2, 2, 2, 2
         ]
 
 
 def test_independent_pairs_synthesize_like_one_pair(two_pairs):
-    # eight renamed copies of two_pairs' first pair: eight classes of 25
+    # eight renamed copies of two_pairs' first pair: eight classes of 4
     # global states each, every pair with the first pair's strategies
     first = run_synthesis(two_pairs).strategies
     result = run_synthesis(pairs(8))
     assert result.dependency_classes == [
         frozenset({2 * k - 1, 2 * k}) for k in range(1, 9)
     ]
-    assert [gp.automaton.n_states for _g, gp in result.global_products] == [25] * 8
+    assert [gp.automaton.n_states for _g, gp in result.global_products] == [4] * 8
     for k in range(1, 9):
         ids = {1: 2 * k - 1, 2: 2 * k}
         actions = {"pick": f"pick{k}", "lift": f"lift{k}"}
@@ -155,8 +168,9 @@ def test_independent_pairs_synthesize_like_one_pair(two_pairs):
 
 def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pairs):
     """The chosen lasso is a path from the initial state into a closed cycle
-    whose moves meet every A_i (agent i enters its accepting set) and every
-    L_i (a joint move of i, or a local move of i keeping its word legal)."""
+    whose moves meet each agent's motion and task sets (on moves of the
+    agent whose own reduced transition meets them) and every L_i (a joint
+    move of i, or a local move of i keeping its word legal)."""
     pairs = run_synthesis(two_pairs)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
@@ -169,9 +183,14 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
             assert a.transitions[tid].src == src
         assert states[-1] == states[len(lasso.prefix)]
         for pos, aid in enumerate(gp.agent_ids):
-            entered = [tid for tid in lasso.cycle if pos in gp.entering[tid]]
-            assert entered and all(marks[tid] >> (2 * pos) & 1 for tid in entered)
-            legal = [tid for tid in lasso.cycle if marks[tid] >> (2 * pos + 1) & 1]
+            for own_set in (0, 1):
+                met = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + own_set) & 1]
+                assert met and all(gp.entering[tid] >> (3 * pos + own_set) & 1 for tid in met)
+                for tid in met:
+                    back = a.tr_back[tid]
+                    low = back[2] if back[0] == "local" else back[2][pos]
+                    assert gp.products[pos].automaton.transitions[low].mask >> own_set & 1
+            legal = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + 2) & 1]
             assert legal and all(aid in a.tr_dep[tid] for tid in legal)
             joint = [tid for tid in lasso.cycle if a.tr_back[tid][0] == "joint"]
             assert all(tid in legal for tid in joint if aid in a.tr_dep[tid])
@@ -248,7 +267,7 @@ def test_lasso_absence_matches_pruned_reachability():
                     queue.append(w)
         # pruning preserves the language, so lasso existence must agree; a
         # reachable accepting state off every cycle hosts no lasso on either side
-        has_lasso = find_accepting_lasso(a) is not None
-        assert has_lasso == (find_accepting_lasso(pruned) is not None)
+        has_lasso = accepting_lasso(a) is not None
+        assert has_lasso == (accepting_lasso(pruned) is not None)
         if has_lasso:
             assert any(s in pruned.accepting for s in reach)

@@ -9,15 +9,13 @@ from syncplan.buchi import (
     BuchiAutomaton,
     Silent,
     _bfs,
-    _good_components,
-    find_accepting_lasso,
+    good_components,
     language_empty,
     region_analysis,
     strongly_connected_components,
 )
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.taskprod import (
-    _advance_counter,
     _live_anchors,
     build_task_motion_product,
     classify_task_significance,
@@ -28,6 +26,7 @@ from syncplan.taskprod import (
 )
 from syncplan.translate import translate
 from tests.conftest import explicit_agent, random_formula
+from tests.reference_buchi import accepting_lasso
 
 OWNER = {"load": 1, "unload": 1, "help": 2, "inform": 2, "assist": 3}
 ALL = frozenset(OWNER)
@@ -100,24 +99,11 @@ def empty_but_for_dead_regions(tm, significant) -> bool:
         if all(isinstance(label, Silent) for label in labels):
             if a.state_tags[members[0]][1] not in tolerant:
                 dead.add(tuple(members))
-    _comp, comps, good = _good_components(a)
+    _comp, comps, good = good_components(a)
     dist, _parent = _bfs(a, a.initial)
     return not any(
         dist[comps[c][0]] is not None and tuple(comps[c]) not in dead for c in good
     )
-
-
-class TestCounter:
-    def test_reset_from_three_is_unconditional(self):
-        for motion_acc in (False, True):
-            for task_acc in (False, True):
-                assert _advance_counter(3, motion_acc, task_acc) == 1
-
-    def test_stepping(self):
-        assert _advance_counter(1, True, False) == 2
-        assert _advance_counter(1, False, True) == 1
-        assert _advance_counter(2, True, True) == 3
-        assert _advance_counter(2, True, False) == 2
 
 
 class TestProduct:
@@ -140,9 +126,23 @@ class TestProduct:
             if "load" in sigma:
                 assert {"help", "assist"} <= sigma
 
-    def test_states_carry_three_valued_counter(self):
-        _agent, _rm, tm = hauler_products()
-        assert {tag[2] for tag in tm.automaton.state_tags} <= {1, 2, 3}
+    def test_transitions_carry_motion_and_task_marks(self):
+        # states are (motion, task) pairs, and a transition meets the
+        # motion set when its reduced motion transition does, and the task
+        # set when the task automaton enters (a silent move: rests in) an
+        # accepting state
+        _agent, rm, tm = hauler_products()
+        a = tm.automaton
+        assert a.sets == 2 and not a.accepting
+        assert all(len(tag) == 2 for tag in a.state_tags)
+        assert len(set(a.state_tags)) == a.n_states
+        spec = tm.task_spec
+        for tid, t in enumerate(a.transitions):
+            m_tid, p_tid = a.tr_back[tid]
+            mt = rm.automaton.transitions[m_tid]
+            q2 = a.state_tags[t.dst][1] if p_tid is None else spec.transitions[p_tid].dst
+            assert a.state_tags[t.src][0] == mt.src and a.state_tags[t.dst][0] == mt.dst
+            assert t.mask == mt.mask | (2 if q2 in spec.accepting else 0)
 
 
 class TestAssisting:
@@ -243,7 +243,7 @@ class TestReduce:
         sig = classify_task_significance(tm, ga_forced)
         reachable_sig = sum(1 for s in sig if s)
         reduced = reduce_task_motion(tm, ga_forced)
-        assert reduced.automaton.n_states <= 2 * reachable_sig + 1
+        assert reduced.automaton.n_states <= reachable_sig + 1
 
     def test_reduction_respects_double_significance_bound(self):
         products = [hauler_products()[2], surveyor_products()[2], helper_products()[2]]
@@ -251,7 +251,7 @@ class TestReduce:
         for tm in products:
             sig = classify_task_significance(tm, ga)
             reduced = reduce_task_motion(tm, ga)
-            assert reduced.automaton.n_states <= 2 * sum(sig)
+            assert reduced.automaton.n_states <= sum(sig) + 1
 
     def test_emptiness_preserved(self):
         products = [hauler_products()[2], surveyor_products()[2], helper_products()[2]]
@@ -263,17 +263,17 @@ class TestReduce:
 
     def test_only_live_anchors_keep_their_absorbing_routes(self):
         # from the significant initial state, silent routes lead into three
-        # accepting self-loops among insignificant states: a silent one at
-        # task state 0, a silent one at task state 1, and one providing a
-        # service at task state 0; only task state 1 tolerates silence
-        a = BuchiAutomaton(EXPLICIT_MODE)
+        # self-loops among insignificant states meeting both acceptance
+        # sets: a silent one at task state 0, a silent one at task state 1,
+        # and one providing a service at task state 0; only task state 1
+        # tolerates silence
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=2)
         for q in (0, 0, 1, 0, 0):
-            a.add_state((0, q, 1))
+            a.add_state((0, q))
         silent = Silent(1)
         for anchor, loop in ((1, silent), (2, silent), (3, frozenset({"beep"}))):
             a.add_transition(4, silent, anchor)
-            a.add_transition(anchor, loop, anchor)
-            a.accepting.add(anchor)
+            a.add_transition(anchor, loop, anchor, 3)
         a.add_transition(0, silent, 4)
         significant = [True, False, False, False, False]
 
@@ -348,12 +348,12 @@ def test_random_reduction_suite():
         tm, ga = _random_task_instance(rng)
         sig = classify_task_significance(tm, ga)
         reduced = reduce_task_motion(tm, ga)
-        assert reduced.automaton.n_states <= 2 * sum(sig)
+        assert reduced.automaton.n_states <= sum(sig) + 1
         assert empty_but_for_dead_regions(tm, sig) == language_empty(reduced.automaton)
         if language_empty(reduced.automaton):
             continue
         nonempty += 1
-        lasso = find_accepting_lasso(reduced.automaton)
+        lasso = accepting_lasso(reduced.automaton)
         # replay: heads align with reduced labels, interiors are insignificant
         orig = tm.automaton.initial
         for tid in lasso.prefix + lasso.cycle:

@@ -2,9 +2,10 @@
 import random
 
 from syncplan import ltl
-from syncplan.buchi import check_lasso_membership, language_empty, validate_lasso, find_accepting_lasso
+from syncplan.buchi import check_lasso_membership, language_empty
 from syncplan.translate import translate
 from tests.conftest import ATOMS, random_formula, random_word
+from tests.reference_buchi import accepting_lasso
 
 
 def test_true_gives_single_state_universal_loop():
@@ -57,9 +58,13 @@ def test_empty_language_implies_every_word_rejected_by_oracle():
 
 def test_satisfiable_formula_has_accepting_lasso():
     ba = translate(ltl.parse("G F a", {"a"}))
-    lasso = find_accepting_lasso(ba)
-    assert lasso is not None
-    validate_lasso(ba, lasso)
+    lasso = accepting_lasso(ba)
+    assert lasso is not None and lasso.cycle
+    states = lasso.states(ba)
+    for tid, src in zip(lasso.prefix + lasso.cycle, states):
+        assert ba.transitions[tid].src == src
+    assert states[-1] == states[len(lasso.prefix)]
+    assert any(s in ba.accepting for s in states[len(lasso.prefix):])
 
 
 def test_guards_stay_symbolic():
