@@ -18,7 +18,6 @@ from .buchi import (
     Witness,
     check_lasso_membership,
     language_empty,
-    merge_duplicate_states,
     prune_non_coaccessible,
     to_dot,
 )

@@ -111,9 +111,11 @@ class BuchiAutomaton:
     accepting when it meets every set infinitely often; `accepting` stays
     empty.  Besides the core structure a few optional per-transition
     annotation slots are carried through the rebuild operations below:
-    witness variants (`tr_witness`), dependency coalitions (`tr_dep`) and
-    generic back references (`tr_back`).  `state_tags` holds one arbitrary
-    payload per state (product tuples, merge classes, display names).
+    witness variants (`tr_witness`; `fold` gives each transition one, and
+    its absorbing loop one per anchor), dependency coalitions (`tr_dep`)
+    and generic back references (`tr_back`).  `state_tags` holds one
+    arbitrary payload per state (product tuples, merge classes, display
+    names).
     """
 
     def __init__(self, mode=GUARD_MODE, sets=0):
@@ -546,7 +548,10 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
     other edge takes its first transition's coalition, and the smallest
     coalition ranks before the witness.  `live` filters the anchors, as in
     `region_analysis`.  The result is pruned to the states that reach
-    acceptance, and states with equal edges are merged.
+    acceptance.  So each state but the absorbing one stands for one state
+    of `a`, the one witness of a transition leaving it starts there, and
+    each variant of the absorbing loop runs from its anchor back to it: one
+    pass over a cycle of the result replays a cycle of `a`.
     """
     if not significant[a.initial]:
         raise ValueError("the initial state must be significant")
@@ -625,7 +630,7 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
         b.tr_witness[tid] = tuple(Witness(anchors[x], x, x) for x in sorted(entered))
         if coalitions:
             b.tr_dep[tid] = coalition(silent, None)
-    return merge_duplicate_states(prune_non_coaccessible(b))
+    return prune_non_coaccessible(b)
 
 
 def _walk_forward(a, parent, source, target):
@@ -792,49 +797,6 @@ def coreachable(a: BuchiAutomaton, targets) -> set:
                 found.add(s)
                 queue.append(s)
     return found
-
-
-def _signature_side(edges, state):
-    out = []
-    for label, other, mask, dep in edges:
-        marker = "self" if other == state else other
-        out.append((label_sort_key(label), marker, mask, dep))
-    return frozenset(out)
-
-
-def merge_duplicate_states(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Merge states with identical incoming and outgoing edge sets.
-
-    The signature covers edge labels, endpoint states (self-loops compared
-    symbolically), acceptance masks, dependency annotations and the
-    acceptance flag; merging is a single pass, not a full bisimulation
-    quotient.
-    """
-    sigs = {}
-    transitions = a.transitions
-    for s in range(a.n_states):
-        outs = [
-            (transitions[t].label, transitions[t].dst, transitions[t].mask, a.tr_dep.get(t))
-            for t in a.out_transitions(s)
-        ]
-        ins = [
-            (transitions[t].label, transitions[t].src, transitions[t].mask, a.tr_dep.get(t))
-            for t in a.in_transitions(s)
-        ]
-        key = (s in a.accepting, _signature_side(outs, s), _signature_side(ins, s))
-        sigs.setdefault(key, []).append(s)
-    class_of = {}
-    changed = False
-    for group in sigs.values():
-        rep = min(group)
-        for s in group:
-            class_of[s] = rep
-            if s != rep:
-                changed = True
-    if not changed:
-        return a
-    keep = sorted(set(class_of.values()))
-    return rebuild(a, keep, class_of)
 
 
 def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:

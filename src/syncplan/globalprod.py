@@ -18,28 +18,29 @@ test still decides every complete assignment.  The pipeline builds one
 product per dependency class; agents of different classes never
 synchronize, so a product over several classes would only interleave them.
 
-Acceptance is generalized and sits on transitions, three sets per agent,
-bits 3i to 3i + 2 for the agent at position i: its motion and task sets,
-which a move lies in when the agent's own reduced transition does, and L_i,
-the moves that keep its word legal (it provides services, or rests where its
-task tolerates silence).  One pass of strongly connected components decides
-emptiness: a lasso exists iff some component's internal moves meet every
-set.  The lasso is built from least-cost legs, a move
-costing its synchronizing agents first and its transition-system steps
-second, after the prefix-suffix cost of Smith, Tumova, Belta and Rus
-("Optimal path planning for surveillance with temporal-logic constraints",
-IJRR 2011); which set each leg meets next is chosen greedily, since
-covering every set at least cost is NP-hard.  Strategy extraction projects
-that lasso onto each agent and replays the recorded witnesses down through
-the reduced products until plain transition-system steps with
-synchronization requests remain.
+The product carries its acceptance on its transitions, like every other
+product: generalized, three sets per agent, bits 3i to 3i + 2 for the agent
+at position i.  These are its motion and task sets, which a move lies in
+when the agent's own reduced transition does, and L_i, the moves that keep
+its word legal (it provides services, or rests where its task tolerates
+silence).  One pass of strongly connected components decides emptiness: a
+lasso exists iff some component's internal moves meet every set.  The lasso
+is built from least-cost legs, a move costing its synchronizing agents first
+and its transition-system steps second, after the prefix-suffix cost of
+Smith, Tumova, Belta and Rus ("Optimal path planning for surveillance with
+temporal-logic constraints", IJRR 2011); which set each leg meets next is
+chosen greedily, since covering every set at least cost is NP-hard.
+Strategy extraction projects that lasso onto each agent and replays the
+recorded witnesses down through the reduced products until plain
+transition-system steps with synchronization requests remain.  Each reduced
+state stands for one lower state, so one pass over a projected cycle
+returns to where it started.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from math import lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -51,6 +52,7 @@ from .buchi import (
     Transition,
     _walk_forward,
     covered_sets,
+    transition_marks,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -97,16 +99,15 @@ class GlobalProduct:
     State tags are the reachable component state tuples, plain tuples with
     one reduced state per position.  `tr_back[tid]` is ("local", position,
     transition id) or ("joint", coalition ids, {position: transition id});
-    the assignment is read-only.  `entering[tid]` is the mask of the moving
-    components' acceptance sets: each one's reduced transition mask, shifted
-    into its position's slot of `SLOT` bits.  The automaton itself carries
-    no acceptance: `_acceptance_marks` adds the L_i sets to `entering`.
+    the assignment is read-only.  A transition's mask holds, in each moving
+    position's slot of `SLOT` bits, that position's reduced transition mask
+    and its L bit: every member of a joint move sets it, a silent move when
+    it keeps the word legal (`_keeps_word_legal`).
     """
 
     automaton: BuchiAutomaton
     products: list
     agent_ids: list
-    entering: list
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -122,7 +123,7 @@ def build_global_product(products) -> GlobalProduct:
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
     # per position, keyed by state:
-    # - silent_out: [(target, back reference, entering)] of its silent moves;
+    # - silent_out: [(target, back reference, mask)] of its silent moves;
     # - cands: ids of the joint transitions some assignment may make
     #   consistent; a label outside what the agent can see, or a dependency
     #   on an agent outside the product, rules a transition out for good;
@@ -148,8 +149,9 @@ def build_global_product(products) -> GlobalProduct:
         for tid, t in enumerate(a.transitions):
             label = t.label
             if isinstance(label, Silent):
-                enters = t.mask << (SLOT * pos)
-                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), enters))
+                legal = 4 if _keeps_word_legal(products[pos], tid) else 0
+                mask = (t.mask | legal) << (SLOT * pos)
+                s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), mask))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
             if dep not in dep_partners:
@@ -170,10 +172,10 @@ def build_global_product(products) -> GlobalProduct:
             elif not wants_at[tid] and t not in lone_seen:
                 lone_seen.add(t)
                 back = ("joint", solo[pos], MappingProxyType({pos: tid}))
-                enters = t.mask << (SLOT * pos)
+                mask = (t.mask | 4) << (SLOT * pos)
                 key = (tuple(sorted(label)), (agent_ids[pos],))
                 lone_out.setdefault(t.src, []).append(
-                    (key, label, solo[pos], back, ((pos, t.dst),), enters)
+                    (key, label, solo[pos], back, ((pos, t.dst),), mask)
                 )
         silent_out.append(s_out)
         cands.append(c_out)
@@ -203,7 +205,7 @@ def build_global_product(products) -> GlobalProduct:
     def joint_moves(qs):
         """Complete closed coalition assignments, deduplicated across seeds,
         as (sort key prefix, sigma, coalition, back reference, (position,
-        target) changes, entering mask)."""
+        target) changes, mask)."""
         results = []
         for pos in range(n):
             results += lone[pos].get(qs[pos], ())
@@ -244,38 +246,38 @@ def build_global_product(products) -> GlobalProduct:
                         continue
                     coalition = frozenset(agent_ids[p] for p, _tid in chosen)
                     changes = tuple(sorted((p, t.dst) for p, _tid, t in moved))
-                    enters = 0
+                    mask = 0
                     for p, _tid, t in moved:
-                        enters |= t.mask << (SLOT * p)
-                    if (coalition, sigma, changes, enters) in seen:
+                        mask |= (t.mask | 4) << (SLOT * p)
+                    if (coalition, sigma, changes, mask) in seen:
                         continue
-                    seen.add((coalition, sigma, changes, enters))
+                    seen.add((coalition, sigma, changes, mask))
                     back = ("joint", coalition, MappingProxyType(dict(chosen)))
                     key = (tuple(sorted(sigma)), tuple(sorted(coalition)))
-                    results.append((key, sigma, coalition, back, changes, enters))
+                    results.append((key, sigma, coalition, back, changes, mask))
         return results
 
     def moves_from(qs):
         """All moves out of a component tuple as (label, dep, back, target
-        tuple, entering mask)."""
+        tuple, mask)."""
         out = []
         for pos in range(n):
-            for dst, back, enters in silent_out[pos].get(qs[pos], ()):
+            for dst, back, mask in silent_out[pos].get(qs[pos], ()):
                 targets = qs[:pos] + (dst,) + qs[pos + 1:]
-                out.append((silent[pos], solo[pos], back, targets, enters))
+                out.append((silent[pos], solo[pos], back, targets, mask))
         joint = []
-        for key, sigma, coalition, back, changes, enters in joint_moves(qs):
+        for key, sigma, coalition, back, changes, mask in joint_moves(qs):
             targets = list(qs)
             for p, dst in changes:
                 targets[p] = dst
             targets = tuple(targets)
-            joint.append((key + (targets, enters), sigma, coalition, back, targets, enters))
+            joint.append((key + (targets, mask), sigma, coalition, back, targets, mask))
         joint.sort(key=itemgetter(0))
-        for _key, sigma, coalition, back, targets, enters in joint:
-            out.append((sigma, coalition, back, targets, enters))
+        for _key, sigma, coalition, back, targets, mask in joint:
+            out.append((sigma, coalition, back, targets, mask))
         return out
 
-    product = BuchiAutomaton(EXPLICIT_MODE)
+    product = BuchiAutomaton(EXPLICIT_MODE, SLOT * n)
     start = tuple(a.initial for a in autos)
     state_ids = {start: product.add_state(start)}
     product.initial = state_ids[start]
@@ -283,24 +285,22 @@ def build_global_product(products) -> GlobalProduct:
     transitions = product.transitions
     tr_dep = product.tr_dep
     tr_back = product.tr_back
-    entering_at = []
     # breadth first: states are numbered in discovery order, so the queue is
     # the run of ids not yet expanded; transitions are appended directly,
     # as nothing reads the automaton's index while it is built
     src = 0
     while src < len(tags):
-        for label, dep, back, targets, enters in moves_from(tags[src]):
+        for label, dep, back, targets, mask in moves_from(tags[src]):
             dst = state_ids.get(targets)
             if dst is None:
                 dst = state_ids[targets] = product.add_state(targets)
             tid = len(transitions)  # one int object for both keys
             tr_dep[tid] = dep
             tr_back[tid] = back
-            entering_at.append(enters)
-            transitions.append(Transition(src, label, dst))
+            transitions.append(Transition(src, label, dst, mask))
         src += 1
 
-    return GlobalProduct(product, products, agent_ids, entering_at)
+    return GlobalProduct(product, products, agent_ids)
 
 
 def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
@@ -314,31 +314,6 @@ def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
         or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps)
         for w in product.automaton.tr_witness.get(low_tid, ())
     )
-
-
-def _acceptance_marks(gp: GlobalProduct) -> list:
-    """Per transition, a bit mask of the acceptance sets it lies in: the
-    moving positions' own sets (`entering`) and bit 3i + 2 for L_i (the move
-    keeps position i's word legal)."""
-    a = gp.automaton
-    id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
-    legal = {}  # (position, reduced transition id) -> L bit of the local move
-    joint = {}  # coalition -> L bits of its members
-    marks = []
-    for tid, enters in enumerate(gp.entering):
-        back = a.tr_back[tid]
-        if back[0] == "joint":
-            mask = joint.get(back[1])
-            if mask is None:
-                mask = joint[back[1]] = sum(4 << (SLOT * id2pos[aid]) for aid in back[1])
-        else:
-            key = back[1:]
-            mask = legal.get(key)
-            if mask is None:
-                keeps = _keeps_word_legal(gp.products[key[0]], key[1])
-                mask = legal[key] = 4 << (SLOT * key[0]) if keeps else 0
-        marks.append(mask | enters)
-    return marks
 
 
 def _move_costs(gp: GlobalProduct) -> list:
@@ -410,7 +385,7 @@ def _cheapest(a: BuchiAutomaton, source: int, costs, pick, allowed=None):
     return best, parent
 
 
-def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
+def _accepting_lasso(gp: GlobalProduct) -> Lasso:
     """One SCC pass over the product; the lasso enters the component covering
     every acceptance set at least cost from the initial state and greedily
     walks to an edge of each set still uncovered, then back to where it
@@ -418,7 +393,7 @@ def _accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     the one whose leg, the edge included, costs least, then meets the most
     sets, then has the smallest id."""
     a = gp.automaton
-    everything = (1 << (SLOT * len(gp.agent_ids))) - 1
+    marks, everything = transition_marks(a)
     comp, comps, covered = covered_sets(a, marks)
     if not covered:
         raise EmptyLanguageError("global")
@@ -463,17 +438,8 @@ def _variant_for(witnesses, origin):
     raise SynthesisError(f"no witness variant starts at state {origin}")
 
 
-@dataclass
-class _Expansion:
-    prefix_emit: list
-    passes: list  # [(emitted steps, state after the pass)]
-    split: int
-
-
 class _AgentExpander:
     """Replays one agent's projected run down to transition-system steps."""
-
-    MAX_PASSES = 64
 
     def __init__(self, product: ReducedTaskMotionProduct, agent_id: int):
         self.agent_id = agent_id
@@ -501,49 +467,14 @@ class _AgentExpander:
             p_orig = w.dst
         return bar_orig, p_orig
 
-    def expand(self, hat_prefix, hat_cycle) -> _Expansion:
-        state = (self.bar.initial, self.mp.automaton.initial)
-        prefix_emit = []
-        state = self._pass(hat_prefix, state, prefix_emit)
-        passes = []
-        seen = {state: 0}
-        while True:
-            emit = []
-            nxt = self._pass(hat_cycle, state, emit)
-            if not emit:
-                raise SynthesisError("a cycle pass must emit")
-            passes.append((emit, nxt))
-            if len(passes) > self.MAX_PASSES:
-                raise SynthesisError(
-                    f"agent {self.agent_id}: cycle expansion did not close "
-                    f"within {self.MAX_PASSES} passes"
-                )
-            if nxt in seen:
-                return _Expansion(prefix_emit, passes, seen[nxt])
-            seen[nxt] = len(passes)
-            state = nxt
-
-    def materialize(self, expansion: _Expansion, shift: int, period: int):
-        """Returns (strategy, trailing task-product state of the cycle)."""
-        j = expansion.split
-        k = len(expansion.passes) - j
-        if not (k >= 1 and shift >= j and period % k == 0):
-            raise SynthesisError("cycle passes do not align with the team period")
-
-        def emit_at(idx):
-            return expansion.passes[idx if idx < j else j + (idx - j) % k][0]
-
-        def state_at(idx):
-            return expansion.passes[idx if idx < j else j + (idx - j) % k][1]
-
-        prefix = list(expansion.prefix_emit)
-        for idx in range(shift):
-            prefix.extend(emit_at(idx))
-        cycle = []
-        for idx in range(shift, shift + period):
-            cycle.extend(emit_at(idx))
-        trailing_bar = state_at(shift + period - 1)[0]
-        return self._to_strategy(prefix, cycle), trailing_bar
+    def expand(self, hat_prefix, hat_cycle):
+        """Returns (strategy, task-product state the cycle starts and ends
+        at).  One pass over the cycle must return to where it started."""
+        prefix, cycle = [], []
+        start = self._pass(hat_prefix, (self.bar.initial, self.mp.automaton.initial), prefix)
+        if self._pass(hat_cycle, start, cycle) != start:
+            raise SynthesisError(f"agent {self.agent_id}: cycle expansion did not close")
+        return self._to_strategy(prefix, cycle), start[0]
 
     def _to_strategy(self, prefix_emit, cycle_emit) -> Strategy:
         if not cycle_emit:
@@ -601,39 +532,24 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
     agent whose word would die even though its task does not tolerate
     eternal silence.
     """
-    expansions = {}
-    expanders = {}
+    strategies = {}
     for pos, product in enumerate(gp.products):
         aid = gp.agent_ids[pos]
         hat_prefix, hat_cycle = _project_agent(gp, lasso, pos)
         if not hat_cycle:
             return None, aid
         expander = _AgentExpander(product, aid)
-        expanders[aid] = expander
-        expansions[aid] = expander.expand(hat_prefix, hat_cycle)
-
-    shift = max(e.split for e in expansions.values())
-    period = 1
-    for e in expansions.values():
-        period = lcm(period, len(e.passes) - e.split)
-
-    strategies = {}
-    for aid in sorted(expansions):
-        expander = expanders[aid]
-        strategy, trailing_bar = expander.materialize(expansions[aid], shift, period)
-        agent = expander.agent
-        alive = any(not agent.is_silent(step.action) for step in strategy.cycle)
-        if not alive:
-            psi_state = expander.bar.state_tags[trailing_bar][1]
-            if psi_state not in expander.tm.silence_tolerant():
-                return None, aid
+        strategy, bar_state = expander.expand(hat_prefix, hat_cycle)
+        silent = all(expander.agent.is_silent(step.action) for step in strategy.cycle)
+        if silent and expander.bar.state_tags[bar_state][1] not in expander.tm.silence_tolerant():
+            return None, aid
         strategies[aid] = strategy
     return strategies, None
 
 
 def synthesize(gp: GlobalProduct) -> dict:
     """Per-agent strategies realizing one accepting run of the global product."""
-    strategies, failed = _expand_lasso(gp, _accepting_lasso(gp, _acceptance_marks(gp)))
+    strategies, failed = _expand_lasso(gp, _accepting_lasso(gp))
     if failed is not None:
         raise SynthesisError(f"agent {failed}: the accepting lasso leaves its word illegal")
     return strategies

@@ -270,10 +270,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioFormatError("simulation.unrollings: at least two cycle unrollings are required")
     if "duration" in simulation:
         _bounds(simulation["duration"], "simulation.duration")
-    for action, bounds in _expect(
+    durations = _expect(
         simulation.get("action_durations", {}), dict, "simulation.action_durations"
-    ).items():
+    )
+    for action, bounds in durations.items():
         _bounds(bounds, f"simulation.action_durations.{action}")
+    if durations:
+        known = {action for agent in agents for action in agent.ts.actions}
+        for action in durations:
+            if action not in known:
+                raise ScenarioFormatError(
+                    f"simulation.action_durations.{action}: no agent has this action"
+                )
     return Scenario(
         agents=agents,
         motion_formulas=motion,
@@ -373,14 +381,21 @@ def save_strategies(strategies: dict, directory) -> list:
 
 
 def load_strategies(paths) -> dict:
+    """Strategies by agent id; two files for one agent are a format error."""
     out = {}
+    source = {}
     for path in paths:
         data = _read_json(path)
         try:
             st = strategy_from_dict(data)
         except ScenarioFormatError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
+        if st.agent_id in source:
+            raise ScenarioFormatError(
+                f"{source[st.agent_id]} and {path}: both hold a strategy for agent {st.agent_id}"
+            )
         out[st.agent_id] = st
+        source[st.agent_id] = path
     return out
 
 

@@ -3,17 +3,18 @@ kept as the references for the differential tests.
 
 `build_global_product` builds the product with no candidate filters,
 indexes or shared sets: the joint moves are enumerated anew at every
-component tuple, by trying every transition of every needed agent, and a
-move's `entering` mask is the OR of its moving components' reduced masks,
-each in its position's slot of three bits.  It must give the optimized
-product's states, moves and annotations.
+component tuple, by trying every transition of every needed agent.  A
+move's mask is `acceptance_marks`' for its back reference.  It must give
+the optimized product's states, moves, marks and annotations.
 
-`acceptance_marks` and `accepting_lasso` are the lasso search before its
+`acceptance_marks` reads each move's marks off its back reference: the OR
+of its moving components' reduced masks and L bits, each in its position's
+slot of three bits.  It must give the marks the optimized product's
+transitions carry.  `accepting_lasso` is the lasso search before its
 searches stopped early and became least-cost: every breadth-first search
 covers the whole product or component, and each cycle step scans all
-internal edges for the nearest one meeting a set still needed.  They must
-give the optimized functions' marks, and the same failure where no lasso
-exists.
+internal edges for the nearest one meeting a set still needed.  It must
+give the same failure where no lasso exists.
 
 `move_costs` and `least_costs` price the optimized lasso's legs: each move
 costs the pair (synchronizing agents, expanded transition-system steps),
@@ -124,9 +125,8 @@ def build_global_product(products) -> GlobalProduct:
             mask |= autos[pos].transitions[tid].mask << (3 * pos)
         return mask
 
-    product = BuchiAutomaton(EXPLICIT_MODE)
+    product = BuchiAutomaton(EXPLICIT_MODE, 3 * n)
     ids = {}
-    marks = []
 
     def state_id(qs):
         if qs not in ids:
@@ -137,11 +137,11 @@ def build_global_product(products) -> GlobalProduct:
     queue = deque()
     product.initial = state_id(tuple(a.initial for a in autos))
 
-    def push(qs, label, targets, dep, back, enters):
-        tid = product.add_transition(ids[qs], label, state_id(targets))
+    def push(qs, label, targets, dep, back):
+        mask = _move_marks(products, agent_ids, back)
+        tid = product.add_transition(ids[qs], label, state_id(targets), mask)
         product.tr_dep[tid] = dep
         product.tr_back[tid] = back
-        marks.append(enters)
 
     while queue:
         qs = queue.popleft()
@@ -150,38 +150,35 @@ def build_global_product(products) -> GlobalProduct:
                 t = autos[pos].transitions[tid]
                 targets = tuple(t.dst if p == pos else qs[p] for p in range(n))
                 back = ("local", pos, tid)
-                push(qs, Silent(agent_ids[pos]), targets, frozenset((agent_ids[pos],)), back,
-                     entering({pos: tid}))
+                push(qs, Silent(agent_ids[pos]), targets, frozenset((agent_ids[pos],)), back)
         for sigma, coalition, assign, targets in joint_moves_at(qs):
-            push(qs, sigma, targets, coalition, ("joint", coalition, assign), entering(assign))
+            push(qs, sigma, targets, coalition, ("joint", coalition, assign))
 
-    return GlobalProduct(product, products, agent_ids, marks)
+    return GlobalProduct(product, products, agent_ids)
+
+
+def _move_marks(products, agent_ids, back) -> int:
+    """The acceptance sets a move with back reference `back` lies in: bits
+    3i and 3i + 1 for position i's motion and task sets, which its reduced
+    transition meets, and bit 3i + 2 for L_i (the move keeps position i's
+    word legal)."""
+    if back[0] == "joint":
+        id2pos = {aid: pos for pos, aid in enumerate(agent_ids)}
+        mask = sum(4 << (3 * id2pos[aid]) for aid in back[1])
+        moved = back[2].items()
+    else:
+        mask = 4 << (3 * back[1]) if _keeps_word_legal(products[back[1]], back[2]) else 0
+        moved = [back[1:]]
+    for pos, low in moved:
+        mask |= products[pos].automaton.transitions[low].mask << (3 * pos)
+    return mask
 
 
 def acceptance_marks(gp: GlobalProduct) -> list:
-    """Per transition, a bit mask of the acceptance sets it lies in: bits 3i
-    and 3i + 1 for position i's motion and task sets, which its reduced
-    transition meets, and bit 3i + 2 for L_i (the move keeps position i's
-    word legal)."""
-    a = gp.automaton
-    id2pos = {aid: pos for pos, aid in enumerate(gp.agent_ids)}
-    legal = {}  # (position, reduced transition id) -> local move keeps the word legal
-    marks = []
-    for tid in range(len(a.transitions)):
-        back = a.tr_back[tid]
-        if back[0] == "joint":
-            mask = sum(4 << (3 * id2pos[aid]) for aid in back[1])
-            moved = back[2].items()
-        else:
-            key = back[1:]
-            if key not in legal:
-                legal[key] = _keeps_word_legal(gp.products[key[0]], key[1])
-            mask = 4 << (3 * key[0]) if legal[key] else 0
-            moved = [key]
-        for pos, low in moved:
-            mask |= gp.products[pos].automaton.transitions[low].mask << (3 * pos)
-        marks.append(mask)
-    return marks
+    """Per transition, the bit mask `_move_marks` reads off its back
+    reference."""
+    backs = gp.automaton.tr_back
+    return [_move_marks(gp.products, gp.agent_ids, backs[tid]) for tid in range(len(backs))]
 
 
 def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:

@@ -1,5 +1,5 @@
 """Automaton structures: the lasso oracle, membership, emptiness on marks,
-pruning, merging."""
+pruning, folding, rebuilding."""
 import random
 
 import pytest
@@ -12,9 +12,10 @@ from syncplan.buchi import (
     Lasso,
     Silent,
     check_lasso_membership,
+    fold,
     language_empty,
-    merge_duplicate_states,
     prune_non_coaccessible,
+    rebuild,
     to_dot,
 )
 from syncplan.translate import translate
@@ -164,55 +165,54 @@ class TestPrune:
         assert language_empty(pruned)
 
 
-class TestMerge:
-    def test_no_duplicates_identity(self):
-        a = chain_automaton()
-        assert merge_duplicate_states(a) is a
+class TestFold:
+    """`fold` keeps one state per significant state: states with equal
+    edges stay apart, so each witness starts at its source's own state."""
 
-    def test_parallel_identical_states_merge(self):
-        a = BuchiAutomaton(EXPLICIT_MODE)
-        for _ in range(4):
-            a.add_state()
+    def diamond(self):
+        """0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, 3 -> 3, the two middle states
+        alike; entering 3 meets the one set."""
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
+        for s in range(4):
+            a.add_state((s,))
         lab = frozenset("x")
-        a.add_transition(0, lab, 1)
-        a.add_transition(0, lab, 2)
-        a.add_transition(1, lab, 3)
-        a.add_transition(2, lab, 3)
-        a.add_transition(3, lab, 3)
-        a.accepting = {3}
-        merged = merge_duplicate_states(a)
-        assert merged.n_states == 3
+        for src, dst in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 3)):
+            a.add_transition(src, lab, dst, int(dst == 3))
+        return a
+
+    def test_states_with_equal_edges_stay_apart(self):
+        a = self.diamond()
+        folded = fold(a, [True] * 4, Silent(1))
+        assert folded.state_tags == [(0,), (1,), (2,), (3,)]
+        assert len(folded.transitions) == 5
+        for tid, t in enumerate(folded.transitions):
+            (w,) = folded.tr_witness[tid]
+            assert (w.src, w.dst) == (folded.state_tags[t.src][0], folded.state_tags[t.dst][0])
         rng = random.Random(2)
         for _ in range(100):
             w = random_word(rng, ["x"])
-            assert check_lasso_membership(a, w) == check_lasso_membership(merged, w)
+            assert check_lasso_membership(a, w) == check_lasso_membership(folded, w)
 
-    def test_acceptance_flag_blocks_merge(self):
-        a = BuchiAutomaton(EXPLICIT_MODE)
-        for _ in range(4):
-            a.add_state()
-        lab = frozenset("x")
-        a.add_transition(0, lab, 1)
-        a.add_transition(0, lab, 2)
-        a.add_transition(1, lab, 3)
-        a.add_transition(2, lab, 3)
-        a.add_transition(3, lab, 3)
-        a.accepting = {1, 3}  # 1 accepting, 2 not: no merge
-        merged = merge_duplicate_states(a)
-        assert merged.n_states == 4
-
-    def test_self_loops_compared_symbolically(self):
-        a = BuchiAutomaton(EXPLICIT_MODE)
-        for _ in range(3):
-            a.add_state()
+    def test_absorbing_loop_keeps_one_variant_per_anchor(self):
+        # the middle states become two silent loops meeting the set, each an
+        # anchor; 0 runs into either, so the absorbing loop has two
+        # variants, each from its anchor back to it
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
+        for s in range(3):
+            a.add_state((s,))
         eps = Silent(1)
         a.add_transition(0, eps, 1)
-        a.add_transition(0, eps, 2)
-        a.add_transition(1, eps, 1)
-        a.add_transition(2, eps, 2)
-        a.accepting = {1, 2}
-        merged = merge_duplicate_states(a)
-        assert merged.n_states == 2
+        a.add_transition(0, frozenset("x"), 2)
+        a.add_transition(1, eps, 1, 1)
+        a.add_transition(2, eps, 2, 1)
+        folded = fold(a, [True, False, False], eps)
+        assert folded.state_tags == [(0,), (1, 2)]
+        loop = next(tid for tid, t in enumerate(folded.transitions) if t.src == t.dst == 1)
+        assert [(w.src, w.dst, w.steps) for w in folded.tr_witness[loop]] == [
+            (1, 1, (2,)), (2, 2, (3,))
+        ]
+        others = [tid for tid in range(len(folded.transitions)) if tid != loop]
+        assert len(others) == 2 and all(len(folded.tr_witness[tid]) == 1 for tid in others)
 
 
 class TestMarks:
@@ -246,7 +246,9 @@ class TestMarks:
         assert pruned.n_states == 2 and pruned.sets == 2
         assert sorted(t.mask for t in pruned.transitions) == [0, 3]
 
-    def test_masks_block_merges_and_parallel_collapse(self):
+    def test_masks_block_parallel_collapse(self):
+        # a quotient collapses parallel transitions only where their masks
+        # agree too
         a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
         for _ in range(3):
             a.add_state()
@@ -255,11 +257,15 @@ class TestMarks:
         a.add_transition(0, eps, 2)
         a.add_transition(1, eps, 1, 1)
         a.add_transition(2, eps, 2, 0)
-        assert merge_duplicate_states(a) is a
+        quotient = {0: 0, 1: 1, 2: 1}
+        merged = rebuild(a, [0, 1], quotient)
+        assert sorted((t.src, t.dst, t.mask) for t in merged.transitions) == [
+            (0, 1, 0), (1, 1, 0), (1, 1, 1)
+        ]
         a.add_transition(2, eps, 2, 1)
         a.add_transition(1, eps, 1, 0)
-        merged = merge_duplicate_states(a)
-        assert merged.n_states == 2
+        merged = rebuild(a, [0, 1], quotient)
+        assert merged.n_states == 2 and merged.sets == 1
         assert sorted((t.src, t.dst, t.mask) for t in merged.transitions) == [
             (0, 1, 0), (1, 1, 0), (1, 1, 1)
         ]

@@ -129,6 +129,8 @@ class TestSynthesize:
         assert "agent1_motion_product.dot" in names
         assert "global_1_2.dot" in names
         assert (dots / "agent1_reduced_task.dot").read_text().startswith("digraph")
+        # the global product carries its acceptance sets on its transitions
+        assert "acc{" in (dots / "global_1_2.dot").read_text()
 
 
 class TestSimulate:
@@ -365,6 +367,27 @@ class TestMalformedFiles:
         proc = run_cli("synthesize", ASYM, "--out", str(out), "--dot-dir", str(taken / "dot"))
         self.assert_rejected(proc, f"{taken} is not a directory")
         assert not out.exists()
+
+    def test_two_files_for_one_agent(self, tmp_path, asymmetry_files):
+        # the later file once silently replaced the earlier one
+        first, second = map(str, asymmetry_files)
+        assert json.loads(Path(first).read_text())["agent"] == 1
+        copy = tmp_path / "again.json"
+        copy.write_text(Path(first).read_text())
+        message = f"{first} and {copy}: both hold a strategy for agent 1"
+        self.assert_rejected(run_cli("simulate", ASYM, first, second, str(copy)), message)
+        self.assert_rejected(run_cli("render", ASYM, "--strategies", first, str(copy)), message)
+
+    def test_duration_of_an_action_no_agent_has(self, tmp_path, asymmetry_files):
+        # a misspelled action name once passed unnoticed and was never timed
+        data = json.loads(Path(ASYM).read_text())
+        data["simulation"]["action_durations"] = {"ping": [1.0, 2.0]}
+        assert run_cli("check", write_scenario(tmp_path, data)).returncode == 0
+        data["simulation"]["action_durations"]["nrth"] = [1.0, 2.0]
+        scenario = write_scenario(tmp_path, data)
+        message = "simulation.action_durations.nrth: no agent has this action"
+        self.assert_rejected(run_cli("check", scenario), message)
+        self.assert_rejected(run_cli("simulate", scenario, *map(str, asymmetry_files)), message)
 
     def test_log_in_missing_directory(self, tmp_path, asymmetry_files):
         log = tmp_path / "missing" / "events.log"

@@ -569,14 +569,14 @@ def test_formula_hash_is_the_dataclass_hash():
 
 def _moves(gp):
     """Per component tuple, its moves as (label, target tuple, dependency
-    set, back reference, entering mask)."""
+    set, back reference, acceptance mask)."""
     a = gp.automaton
     moves = {qs: [] for qs in a.state_tags}
     for tid, t in enumerate(a.transitions):
         b = a.tr_back[tid]
         back = (b[0], b[1], dict(b[2])) if b[0] == "joint" else b
         moves[a.state_tags[t.src]].append(
-            (t.label, a.state_tags[t.dst], a.tr_dep[tid], back, gp.entering[tid])
+            (t.label, a.state_tags[t.dst], a.tr_dep[tid], back, t.mask)
         )
     return gp.agent_ids, a.state_tags[a.initial], moves
 
@@ -710,9 +710,9 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
     assert len(compared) >= 32 and len(trios) >= 10
 
 
-def _lasso_or_failure(search, gp, marks):
+def _lasso_or_failure(search, gp, *marks):
     try:
-        return search(gp, marks)
+        return search(gp, *marks)
     except EmptyLanguageError as e:
         return e.stage, e.agent_id
 
@@ -783,11 +783,12 @@ def _certify(scenario, strategies):
 
 
 def test_accepting_lasso_matches_reference(monkeypatch):
-    # marks and failures (stage and agent) of every global product the
-    # synthesis builds, and, for teams of several dependency classes, of the
-    # whole-team product built directly from the same reduced products,
-    # against the full-scan search; every lasso found has least-cost legs,
-    # and every plan certifies
+    # the marks every global product's transitions carry, against those read
+    # off each move's back reference, and its failures (stage and agent),
+    # against the full-scan search; for the products the synthesis builds,
+    # and, for teams of several dependency classes, the whole-team product
+    # built directly from the same reduced products; every lasso found has
+    # least-cost legs, and every plan certifies
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     workloads = benchmark_workloads()
     cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
@@ -810,9 +811,9 @@ def test_accepting_lasso_matches_reference(monkeypatch):
         if len(products) > 1:
             products.append(globalprod.build_global_product(_reduced_products(result)))
         for gp in products:
-            marks = globalprod._acceptance_marks(gp)
-            assert marks == ref_gp.acceptance_marks(gp)
-            found = _lasso_or_failure(globalprod._accepting_lasso, gp, marks)
+            marks = ref_gp.acceptance_marks(gp)
+            assert [t.mask for t in gp.automaton.transitions] == marks
+            found = _lasso_or_failure(globalprod._accepting_lasso, gp)
             old = _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
             assert isinstance(found, tuple) == isinstance(old, tuple)
             if isinstance(found, tuple):
@@ -967,6 +968,71 @@ def test_mark_coverage_matches_cycle_search():
                 assert _good_by_cycle_search(moved)
         verdicts.append(nonempty)
     assert verdicts.count(True) >= 600 and verdicts.count(False) >= 600
+
+
+def _assert_one_lower_state_each(lower, reduced, significant):
+    """Every state of `reduced` but the absorbing one is tagged with one
+    significant state of `lower`, no two alike.  Every other edge has one
+    witness, which runs in `lower` from its source's state to its target's
+    (to an anchor, for the absorbing state).  Each variant of the absorbing
+    loop runs from its anchor back to it.  Returns the number of edges,
+    loop variants and loops with several variants checked."""
+    tags = reduced.state_tags
+    absorbing = {s for s, tag in enumerate(tags) if not significant[tag[0]]}
+    assert len(absorbing) <= 1
+    kept = [tag for s, tag in enumerate(tags) if s not in absorbing]
+    assert all(len(tag) == 1 and significant[tag[0]] for tag in kept)
+    assert len(set(kept)) == len(kept)
+    everything = set(range(lower.n_states))
+    edges = variants = shared = 0
+    for tid, t in enumerate(reduced.transitions):
+        witnesses = reduced.tr_witness[tid]
+        if t.src in absorbing:
+            assert t.dst == t.src and witnesses
+            for w in witnesses:
+                assert w.src == w.dst and w.src in tags[t.src]
+                assert w.steps and _chains(lower, w.steps, w.src, w.dst, everything)
+            variants += len(witnesses)
+            shared += len(witnesses) > 1
+            continue
+        (w,) = witnesses
+        assert w.src == tags[t.src][0]
+        assert w.dst in tags[t.dst] if t.dst in absorbing else w.dst == tags[t.dst][0]
+        assert w.steps and _chains(lower, w.steps, w.src, w.dst, everything)
+        edges += 1
+    return edges, variants, shared
+
+
+def test_reduced_states_stand_for_one_lower_state(monkeypatch):
+    # the invariant that lets the synthesis replay each projected cycle
+    # once, at both witness levels: the reduced motion automata of random
+    # motion products and of random teams, and the teams' reduced task
+    # automata
+    rng = random.Random(67)
+    motion_counts, task_counts = [0, 0, 0], [0, 0, 0]
+
+    def add(counts, lower, reduced):
+        found = _assert_one_lower_state_each(lower, reduced.automaton, reduced.significance)
+        counts[:] = map(sum, zip(counts, found))
+
+    for i in range(1200):
+        mp = random_motion_product(rng, max_states=12 if i < 600 else 30)
+        add(motion_counts, mp.automaton, motion.reduce(mp))
+    monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
+    teams = 0
+    for _ in range(150):
+        try:
+            result = run_synthesis(random_scenario(rng))
+        except EmptyLanguageError:
+            continue
+        teams += 1
+        for art in result.artifacts.values():
+            add(motion_counts, art.motion_product.automaton, art.reduced_motion)
+            add(task_counts, art.task_product.automaton, art.reduced_task)
+    edges, variants, shared = motion_counts
+    assert edges >= 15000 and variants >= 400 and shared >= 20
+    edges, variants, shared = task_counts
+    assert teams >= 140 and edges >= 3000 and variants >= 200 and shared >= 10
 
 
 def test_chain_team_reduces_to_one_state_per_pair():

@@ -17,7 +17,9 @@ from syncplan.globalprod import (
     EmptyLanguageError,
     GlobalProduct,
     SynthesisError,
-    _AgentExpander,
+    _accepting_lasso,
+    _keeps_word_legal,
+    _project_agent,
     compute_dependency_classes,
     minimize_synchronizations,
     synthesize,
@@ -40,32 +42,33 @@ def single_idler():
 def assert_states_are_distinct_reachable_tuples(gp):
     """One state per component tuple, all reachable; every move changes
     exactly the components its back reference names, the way their own
-    transitions do, and `entering` holds their acceptance masks, each in its
-    position's slot."""
+    transitions do.  Its mask holds, each in its position's slot, their
+    acceptance masks and L bits: every member of a joint move has its L bit,
+    a silent move when it keeps the word legal."""
     auto = gp.automaton
     autos = [p.automaton for p in gp.products]
     tags = auto.state_tags
     assert all(isinstance(tag, tuple) and len(tag) == len(autos) for tag in tags)
     assert len(set(tags)) == len(tags)
     assert tags[auto.initial] == tuple(a.initial for a in autos)
-    assert not auto.accepting
+    assert not auto.accepting and auto.sets == SLOT * len(autos)
     dist, _parent = _bfs(auto, auto.initial)
     assert None not in dist
-    assert len(gp.entering) == len(auto.transitions)
     silent_out = {}
     for tid, t in enumerate(auto.transitions):
         back = auto.tr_back[tid]
         moved = {back[1]: back[2]} if back[0] == "local" else dict(back[2])
         src, dst = tags[t.src], tags[t.dst]
-        entered = 0
+        expected = 0
         for pos, qs in enumerate(src):
             if pos in moved:
                 low = autos[pos].transitions[moved[pos]]
                 assert (low.src, low.dst) == (qs, dst[pos])
-                entered |= low.mask << (SLOT * pos)
+                legal = back[0] == "joint" or _keeps_word_legal(gp.products[pos], moved[pos])
+                expected |= (low.mask | 4 * legal) << (SLOT * pos)
             else:
                 assert dst[pos] == qs
-        assert gp.entering[tid] == entered
+        assert t.mask == expected
         if back[0] == "local":
             silent_out[t.src] = silent_out.get(t.src, 0) + 1
     # every component's silent moves exist at every tuple
@@ -196,21 +199,22 @@ class TestSynthesize:
     def test_failure_names_the_agent_of_an_uncovered_set(self):
         # two agents: self-loop X meets agent 1's own two sets and L_1,
         # self-loop Y meets L_1, L_2 and (optionally) agent 2's own sets;
-        # the loops' coalitions and entering positions set the marks
+        # the loops' coalitions (L bits) and entering positions (own sets)
+        # set the marks
         def product(y_enters, cyclic=True):
-            auto = BuchiAutomaton(EXPLICIT_MODE)
+            auto = BuchiAutomaton(EXPLICIT_MODE, 2 * SLOT)
             for qs in ((0, 0), (1, 0), (0, 1)):
                 auto.add_state(qs)
             moves = [(0, 1, {1}, ()), (0, 2, {1}, ())]
             if cyclic:
                 moves += [(1, 1, {1}, (0,)), (2, 2, {1, 2}, y_enters)]
-            entering = []
             for src, dst, coalition, enters in moves:
-                tid = auto.add_transition(src, frozenset(), dst)
+                mask = sum(0b011 << (SLOT * pos) for pos in enters)
+                mask |= sum(0b100 << (SLOT * (aid - 1)) for aid in coalition)
+                tid = auto.add_transition(src, frozenset(), dst, mask)
                 auto.tr_dep[tid] = frozenset(coalition)
                 auto.tr_back[tid] = ("joint", frozenset(coalition), {})
-                entering.append(sum(0b011 << (SLOT * pos) for pos in enters))
-            return GlobalProduct(auto, [], [1, 2], entering)
+            return GlobalProduct(auto, [], [1, 2])
 
         cases = [(product((1,)), "task", 1), (product(()), "task", 2)]
         cases.append((product((1,), cyclic=False), "global", None))
@@ -343,14 +347,22 @@ class TestSynthesize:
         with pytest.raises(SynthesisError, match="do not chain"):
             synthesize(gp)
 
-    def test_expansion_pass_limit_is_a_named_error(self, monkeypatch, two_pairs):
-        # every bundled agent's cycle closes after one pass, so a limit of no
-        # passes must stop the replay, also under python -O
-        monkeypatch.setattr(_AgentExpander, "MAX_PASSES", 0)
-        with pytest.raises(
-            SynthesisError, match="agent 1: cycle expansion did not close within 0 passes"
-        ):
-            run_synthesis(two_pairs)
+    def test_cycle_that_does_not_close_is_a_named_error(self, two_pairs):
+        # one pass over a projected cycle returns to where it started, as
+        # each reduced state stands for one lower state; a witness moved to
+        # end elsewhere must stop the replay, also under python -O
+        ((_group, gp), _other) = run_synthesis(two_pairs).global_products
+        prefix, cycle = _project_agent(gp, _accepting_lasso(gp), 0)
+        last = cycle[-1][0]
+        steps = [tid for tid, _sync in prefix + cycle]
+        assert steps.count(last) == 1  # no lookup before the end reads the moved witness
+        hat = gp.products[0].automaton
+        bar = gp.products[0].origin.automaton
+        (witness,) = hat.tr_witness[last]
+        elsewhere = next(s for s in range(bar.n_states) if s != witness.dst)
+        hat.tr_witness[last] = (dataclasses.replace(witness, dst=elsewhere),)
+        with pytest.raises(SynthesisError, match="^agent 1: cycle expansion did not close$"):
+            synthesize(gp)
 
     def test_unsatisfiable_motion_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {}, [], labels={"s": ["R1"]})

@@ -12,7 +12,7 @@ from syncplan.buchi import (
     prune_non_coaccessible,
 )
 from syncplan.executor import SimulationConfig, extract_local_word, simulate
-from syncplan.globalprod import Strategy, StrategyStep, _acceptance_marks, _accepting_lasso
+from syncplan.globalprod import Strategy, StrategyStep, _accepting_lasso
 from syncplan.pipeline import format_stats, run_synthesis
 from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.translate import translate
@@ -168,16 +168,18 @@ def test_independent_pairs_synthesize_like_one_pair(two_pairs):
 
 def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pairs):
     """The chosen lasso is a path from the initial state into a closed cycle
-    whose moves meet each agent's motion and task sets (on moves of the
-    agent whose own reduced transition meets them) and every L_i (a joint
-    move of i, or a local move of i keeping its word legal)."""
+    whose moves meet, by the marks the product's transitions carry, each
+    agent's motion and task sets (on moves of the agent whose own reduced
+    transition meets them) and every L_i (a joint move of i, or a local move
+    of i keeping its word legal)."""
     pairs = run_synthesis(two_pairs)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
     for gp in products:
         a = gp.automaton
-        marks = _acceptance_marks(gp)
-        lasso = _accepting_lasso(gp, marks)
+        assert a.sets == 3 * len(gp.agent_ids)
+        marks = [t.mask for t in a.transitions]
+        lasso = _accepting_lasso(gp)
         states = lasso.states(a)
         for tid, src in zip(lasso.prefix + lasso.cycle, states):
             assert a.transitions[tid].src == src
@@ -185,9 +187,10 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
         for pos, aid in enumerate(gp.agent_ids):
             for own_set in (0, 1):
                 met = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + own_set) & 1]
-                assert met and all(gp.entering[tid] >> (3 * pos + own_set) & 1 for tid in met)
+                assert met
                 for tid in met:
                     back = a.tr_back[tid]
+                    assert aid in a.tr_dep[tid]
                     low = back[2] if back[0] == "local" else back[2][pos]
                     assert gp.products[pos].automaton.transitions[low].mask >> own_set & 1
             legal = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + 2) & 1]
