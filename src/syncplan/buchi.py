@@ -2,9 +2,9 @@
 lasso membership, and the fold that reduces a product to its significant
 states.
 
-Two acceptance conventions coexist (see `BuchiAutomaton`): the translator's
-automata accept on states, the products and their reductions on transitions,
-with one bit per acceptance set.  Two transition-label conventions coexist.
+Every automaton accepts on its transitions, generalized: each transition
+carries one bit per acceptance set it lies in (see `BuchiAutomaton`).  Two
+transition-label conventions coexist.
 Specification automata obtained from formulas carry propositional guards
 (conjunctions of literals) and are evaluated against concrete symbol sets.
 Product automata built later in the pipeline carry explicit labels: either a
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 GUARD_MODE = "guard"
@@ -103,26 +104,21 @@ class Witness:
 class BuchiAutomaton:
     """Nondeterministic automaton over infinite words, state ids are dense ints.
 
-    Acceptance is either state-based or on transitions.  With `sets` 0 (the
-    translator's automata) a run is accepting when it visits `accepting`
-    infinitely often.  With `sets` k > 0 (the products and their
-    reductions) acceptance is transition-based and generalized: each
-    transition's `mask` holds the sets among the k it lies in, and a run is
-    accepting when it meets every set infinitely often; `accepting` stays
-    empty.  Besides the core structure a few optional per-transition
-    annotation slots are carried through the rebuild operations below:
-    witness variants (`tr_witness`; `fold` gives each transition one, and
-    its absorbing loop one per anchor), dependency coalitions (`tr_dep`)
-    and generic back references (`tr_back`).  `state_tags` holds one
-    arbitrary payload per state (product tuples, merge classes, display
-    names).
+    Acceptance is transition-based and generalized: each transition's
+    `mask` holds the sets among the automaton's `sets` it lies in, and a run
+    is accepting when it meets every set infinitely often (with no sets,
+    every infinite run is).  Besides the core structure a few optional
+    per-transition annotation slots are carried through `rebuild`: witness
+    variants (`tr_witness`; `fold` gives each transition one, and its
+    absorbing loop one per anchor), dependency coalitions (`tr_dep`) and
+    generic back references (`tr_back`).  `state_tags` holds one arbitrary
+    payload per state (product tuples, anchors, display names).
     """
 
     def __init__(self, mode=GUARD_MODE, sets=0):
         self.mode = mode
         self.sets = sets
         self.initial = 0
-        self.accepting: set = set()
         self.transitions: list = []
         self.state_tags: list = []
         self.tr_witness: dict = {}
@@ -295,35 +291,23 @@ def strongly_connected_components(a: BuchiAutomaton, allowed=None):
     return comp, comps
 
 
-def transition_marks(a: BuchiAutomaton):
-    """Per transition its acceptance mask, and the mask of every set.
-
-    A state-based automaton counts as one set, met by the transitions
-    leaving an accepting state.
-    """
-    if a.sets:
-        return [t.mask for t in a.transitions], (1 << a.sets) - 1
-    accepting = a.accepting
-    return [int(t.src in accepting) for t in a.transitions], 1
-
-
-def covered_sets(a: BuchiAutomaton, marks):
+def covered_sets(a: BuchiAutomaton):
     """(component id per state, component members, covered): `covered` maps
     each component with an internal edge to the OR of its internal edges'
-    `marks`."""
+    masks."""
     comp, comps = strongly_connected_components(a)
     covered = {}
-    for tid, t in enumerate(a.transitions):
+    for t in a.transitions:
         c = comp[t.src]
         if c == comp[t.dst]:
-            covered[c] = covered.get(c, 0) | marks[tid]
+            covered[c] = covered.get(c, 0) | t.mask
     return comp, comps, covered
 
 
 def good_components(a: BuchiAutomaton):
     """Component ids whose internal edges meet every acceptance set."""
-    marks, full = transition_marks(a)
-    comp, comps, covered = covered_sets(a, marks)
+    full = (1 << a.sets) - 1
+    comp, comps, covered = covered_sets(a)
     return comp, comps, {c for c, mask in covered.items() if mask == full}
 
 
@@ -460,7 +444,7 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     loop)` holds.
     """
     region = {s for s in range(a.n_states) if not significant[s]}
-    marks, full = transition_marks(a)
+    full = (1 << a.sets) - 1
     anchors = {}
     _comp, comps = strongly_connected_components(a, allowed=region)
     for members in comps:
@@ -469,10 +453,10 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
         for s in members:
             for tid in a.out_transitions(s):
                 if a.transitions[tid].dst in member_set:
-                    covered |= marks[tid]
+                    covered |= a.transitions[tid].mask
         if covered == full:
             anchor = members[0]
-            loop = _covering_cycle(a, marks, full, member_set, anchor)
+            loop = _covering_cycle(a, full, member_set, anchor)
             if live is None or live(anchor, loop):
                 anchors[anchor] = loop
 
@@ -485,7 +469,7 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     return anchors, reach
 
 
-def _covering_cycle(a, marks, full, members, anchor):
+def _covering_cycle(a, full, members, anchor):
     """Shortest cycle through the anchor inside `members` that meets every
     set in `full`, preferring one that provides services.
 
@@ -505,7 +489,7 @@ def _covering_cycle(a, marks, full, members, anchor):
             t = a.transitions[tid]
             if t.dst not in members:
                 continue
-            nxt = (t.dst, key[1] | marks[tid] | (0 if isinstance(t.label, Silent) else served))
+            nxt = (t.dst, key[1] | t.mask | (0 if isinstance(t.label, Silent) else served))
             if nxt not in parent:
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
@@ -670,9 +654,10 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     Searches the synchronous product of the automaton with the lasso-shaped
     word automaton without building it: `components` walks the (position,
     state) pairs, numbered position * n_states + state, computes each
-    pair's successors when it is first visited and answers as soon as it
-    closes a component with an accepting state and an internal edge.  Every
-    pair it visits is reachable, so that component is too.  A silent symbol
+    pair's successors, and the masks of the transitions read, when it is
+    first visited and answers as soon as it closes a component whose
+    internal edges meet every set.  Every pair it visits is reachable, so
+    that component is too.  A silent symbol
     fed to a guard-labeled automaton raises `AlphabetMismatchError`.
     """
     symbols = tuple(word.prefix) + tuple(word.period)
@@ -680,106 +665,53 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     if guards and any(isinstance(symbol, Silent) for symbol in symbols):
         raise AlphabetMismatchError("silent symbol fed to a guard-labeled automaton")
     size, loop_to = a.n_states, len(word.prefix)
-    transitions, accepting = a.transitions, a.accepting
+    transitions, full = a.transitions, (1 << a.sets) - 1
+    edges = {}  # visited pair -> [(successor pair, mask)]
 
     def successors(node):
         pos, q = divmod(node, size)
         symbol = symbols[pos]
         base = (pos + 1 if pos + 1 < len(symbols) else loop_to) * size
-        return [
-            base + t.dst
+        out = edges[node] = [
+            (base + t.dst, t.mask)
             for t in (transitions[tid] for tid in a.out_transitions(q))
             if (t.label.accepts(symbol) if guards else t.label == symbol)
         ]
+        return [w for w, _mask in out]
 
     for members in components([a.initial], successors):
-        if any(w % size in accepting for w in members) and (
-            len(members) > 1 or members[0] in successors(members[0])
-        ):
+        inside = set(members)
+        internal = [mask for v in members for w, mask in edges[v] if w in inside]
+        if internal and reduce(or_, internal) == full:
             return True
     return False
 
 
-def merge_tags(tags):
-    """Tag of merged states: the sorted union of tuple tags, else the first tag."""
-    tuple_tags = [t for t in tags if isinstance(t, tuple)]
-    if len(tuple_tags) == len(tags) and tags:
-        merged = sorted({x for t in tuple_tags for x in t})
-        return tuple(merged)
-    return tags[0] if tags else None
-
-
-def _keep_best_witnesses(variant_lists):
-    by_src = {}
-    for variants in variant_lists:
-        for w in variants:
-            cur = by_src.get(w.src)
-            if cur is None or w.rank() < cur.rank():
-                by_src[w.src] = w
-    return tuple(by_src[s] for s in sorted(by_src))
-
-
-def rebuild(a: BuchiAutomaton, keep, class_of=None) -> BuchiAutomaton:
-    """New automaton over `keep` (sorted), optionally quotienting by classes.
-
-    `class_of` maps every old state to its representative; representatives
-    must be members of `keep`.  Parallel duplicate transitions collapse, with
-    witness variants merged per original source and other annotations taken
-    from the first contributor.
-    """
+def rebuild(a: BuchiAutomaton, keep) -> BuchiAutomaton:
+    """The restriction of `a` to the states in `keep`, renumbered in
+    ascending order, with the transitions between them and their
+    annotations."""
     keep = sorted(keep)
-    if class_of is None:
-        class_of = {s: s for s in keep}
     remap = {old: new for new, old in enumerate(keep)}
     b = BuchiAutomaton(a.mode, a.sets)
-    groups = {}
-    for s in range(a.n_states):
-        if class_of.get(s) is not None:
-            groups.setdefault(class_of[s], []).append(s)
     for old in keep:
-        b.add_state(merge_tags([a.state_tags[m] for m in groups.get(old, [old])]))
-    b.initial = remap[class_of[a.initial]]
-    for old in keep:
-        if any(m in a.accepting for m in groups.get(old, [old])):
-            b.accepting.add(remap[old])
-    bucket = {}
-    order = []
+        b.add_state(a.state_tags[old])
+    b.initial = remap[a.initial]
+    notes = ((a.tr_witness, b.tr_witness), (a.tr_dep, b.tr_dep), (a.tr_back, b.tr_back))
     for tid, t in enumerate(a.transitions):
-        src = class_of.get(t.src)
-        dst = class_of.get(t.dst)
-        if src is None or dst is None:
-            continue
-        key = (remap[src], t.label, remap[dst], t.mask)
-        if key not in bucket:
-            bucket[key] = []
-            order.append(key)
-        bucket[key].append(tid)
-    for key in order:
-        new_tid = b.add_transition(*key)
-        olds = bucket[key]
-        variants = [a.tr_witness[o] for o in olds if o in a.tr_witness]
-        if variants:
-            b.tr_witness[new_tid] = _keep_best_witnesses(variants)
-        for o in olds:
-            if o in a.tr_dep:
-                b.tr_dep[new_tid] = a.tr_dep[o]
-                break
-        for o in olds:
-            if o in a.tr_back:
-                b.tr_back[new_tid] = a.tr_back[o]
-                break
+        if t.src in remap and t.dst in remap:
+            new_tid = b.add_transition(remap[t.src], t.label, remap[t.dst], t.mask)
+            for old, new in notes:
+                if tid in old:
+                    new[new_tid] = old[tid]
     return b
 
 
 def prune_non_coaccessible(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Keep states from which acceptance is reachable, plus the initial state:
-    an accepting state or, on transitions, a component whose internal edges
-    meet every set."""
-    if a.sets:
-        _comp, comps, good = good_components(a)
-        keep = coreachable(a, [s for c in good for s in comps[c]])
-    else:
-        keep = coreachable(a, a.accepting)
+    """Keep states from which a component whose internal edges meet every
+    set is reachable, plus the initial state."""
+    _comp, comps, good = good_components(a)
+    keep = coreachable(a, [s for c in good for s in comps[c]])
     keep.add(a.initial)
     if len(keep) == a.n_states:
         return a
@@ -800,15 +732,14 @@ def coreachable(a: BuchiAutomaton, targets) -> set:
 
 
 def to_dot(a: BuchiAutomaton, name: str = "automaton") -> str:
-    """Graphviz rendering; accepting states doubled, silent edges as eps_i,
-    acceptance sets after the label as acc{0,1}."""
+    """Graphviz rendering; silent edges as eps_i, acceptance sets after the
+    label as acc{0,1}."""
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
     lines.append('  __init [shape=point,label=""];')
     for s in range(a.n_states):
-        shape = "doublecircle" if s in a.accepting else "circle"
         tag = a.state_tags[s]
         label = f"{s}" if tag is None else f"{s}\\n{tag}"
-        lines.append(f'  s{s} [shape={shape},label="{label}"];')
+        lines.append(f'  s{s} [shape=circle,label="{label}"];')
     lines.append(f"  __init -> s{a.initial};")
     for tid, t in enumerate(a.transitions):
         text = label_text(t.label)

@@ -313,7 +313,6 @@ def check_timing(behavior: Behavior, tolerance: float = 1e-9):
 @dataclass
 class CentralizedEstimate:
     ts_state_bound: int
-    counter_factor: int
     estimate: int
     formula: str
     materialized_states: int = None  # never set; the benchmark still reads it
@@ -324,14 +323,13 @@ def estimate_centralized(scenario: Scenario, spec_automata=None) -> CentralizedE
     products are compared with.
 
     The bound multiplies the team transition-system bound with every agent's
-    motion and task automaton size and the acceptance counter range of their
-    intersection; syntactically trivial formulas do not count toward the
-    counter range.  `spec_automata` maps an agent to its (motion, task)
-    automata; agents it lacks have their formulas translated here.
+    motion and task automaton size; their acceptance sets stay on the
+    transitions, so no counter multiplies it.  `spec_automata` maps an
+    agent to its (motion, task) automata; agents it lacks have their
+    formulas translated here.
     """
     ts_sizes = [len(agent.ts.states) for agent in scenario.agents]
     spec_sizes = []
-    nontrivial = 0
     for agent in scenario.agents:
         aid = agent.agent_id
         motion_f = scenario.motion_formulas[aid]
@@ -341,12 +339,9 @@ def estimate_centralized(scenario: Scenario, spec_automata=None) -> CentralizedE
         else:
             motion_spec, task_spec = translate(motion_f), translate(task_f)
         spec_sizes += [motion_spec.n_states, task_spec.n_states]
-        nontrivial += sum(1 for f in (motion_f, task_f) if f.kind != ltl.TRUE)
-    counter_factor = nontrivial + 1 if nontrivial else 1
-    factors = ts_sizes + spec_sizes + [counter_factor]
+    factors = ts_sizes + spec_sizes
     return CentralizedEstimate(
         math.prod(ts_sizes),
-        counter_factor,
         math.prod(factors),
         " * ".join(map(str, factors)),
     )

@@ -19,17 +19,19 @@ product per dependency class; agents of different classes never
 synchronize, so a product over several classes would only interleave them.
 
 The product carries its acceptance on its transitions, like every other
-product: generalized, three sets per agent, bits 3i to 3i + 2 for the agent
-at position i.  These are its motion and task sets, which a move lies in
-when the agent's own reduced transition does, and L_i, the moves that keep
-its word legal (it provides services, or rests where its task tolerates
+automaton: generalized, with a slot of bits per position, one after the
+other.  Position i's slot holds the sets of its reduced automaton (its
+motion sets, then its task sets), which a move lies in when the agent's own
+reduced transition does, and one more bit, L_i, for the moves that keep its
+word legal (it provides services, or rests where its task tolerates
 silence).  One pass of strongly connected components decides emptiness: a
 lasso exists iff some component's internal moves meet every set.  The lasso
 is built from least-cost legs, a move costing its synchronizing agents first
 and its transition-system steps second, after the prefix-suffix cost of
 Smith, Tumova, Belta and Rus ("Optimal path planning for surveillance with
-temporal-logic constraints", IJRR 2011); which set each leg meets next is
-chosen greedily, since covering every set at least cost is NP-hard.
+temporal-logic constraints", IJRR 2011); since covering every set at least
+cost is NP-hard, each leg goes to the edge that meets the sets still needed
+at the least cost per set, Chvatal's greedy rule for set cover.
 Strategy extraction projects that lasso onto each agent and replays the
 recorded witnesses down through the reduced products until plain
 transition-system steps with synchronization requests remain.  Each reduced
@@ -38,9 +40,12 @@ returns to where it started.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
+from itertools import accumulate
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -52,7 +57,6 @@ from .buchi import (
     Transition,
     _walk_forward,
     covered_sets,
-    transition_marks,
 )
 from .taskprod import ReducedTaskMotionProduct
 
@@ -69,9 +73,6 @@ class EmptyLanguageError(RuntimeError):
 
 class SynthesisError(RuntimeError):
     pass
-
-
-SLOT = 3  # acceptance bits per agent: its motion set, its task set and L_i
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,20 @@ class GlobalProduct:
     one reduced state per position.  `tr_back[tid]` is ("local", position,
     transition id) or ("joint", coalition ids, {position: transition id});
     the assignment is read-only.  A transition's mask holds, in each moving
-    position's slot of `SLOT` bits, that position's reduced transition mask
-    and its L bit: every member of a joint move sets it, a silent move when
-    it keeps the word legal (`_keeps_word_legal`).
+    position's slot (`_slots`), that position's reduced transition mask and
+    its L bit, the slot's last: every member of a joint move sets it, a
+    silent move when it keeps the word legal (`_keeps_word_legal`).
     """
 
     automaton: BuchiAutomaton
     products: list
     agent_ids: list
+
+
+def _slots(products) -> list:
+    """Per position, the first bit of its slot, and the number of bits of
+    all slots last: each slot holds its reduced automaton's sets and L_i."""
+    return list(accumulate((p.automaton.sets + 1 for p in products), initial=0))
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -119,6 +126,8 @@ def build_global_product(products) -> GlobalProduct:
     own = [p.origin.own_services for p in products]
     fsyn = [p.origin.foreign_syntactic for p in products]
     visible = [o | f for o, f in zip(own, fsyn)]
+    slots = _slots(products)
+    legal_bit = [1 << a.sets for a in autos]
 
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
@@ -149,8 +158,8 @@ def build_global_product(products) -> GlobalProduct:
         for tid, t in enumerate(a.transitions):
             label = t.label
             if isinstance(label, Silent):
-                legal = 4 if _keeps_word_legal(products[pos], tid) else 0
-                mask = (t.mask | legal) << (SLOT * pos)
+                legal = legal_bit[pos] if _keeps_word_legal(products[pos], tid) else 0
+                mask = (t.mask | legal) << slots[pos]
                 s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), mask))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
@@ -172,7 +181,7 @@ def build_global_product(products) -> GlobalProduct:
             elif not wants_at[tid] and t not in lone_seen:
                 lone_seen.add(t)
                 back = ("joint", solo[pos], MappingProxyType({pos: tid}))
-                mask = (t.mask | 4) << (SLOT * pos)
+                mask = (t.mask | legal_bit[pos]) << slots[pos]
                 key = (tuple(sorted(label)), (agent_ids[pos],))
                 lone_out.setdefault(t.src, []).append(
                     (key, label, solo[pos], back, ((pos, t.dst),), mask)
@@ -248,7 +257,7 @@ def build_global_product(products) -> GlobalProduct:
                     changes = tuple(sorted((p, t.dst) for p, _tid, t in moved))
                     mask = 0
                     for p, _tid, t in moved:
-                        mask |= (t.mask | 4) << (SLOT * p)
+                        mask |= (t.mask | legal_bit[p]) << slots[p]
                     if (coalition, sigma, changes, mask) in seen:
                         continue
                     seen.add((coalition, sigma, changes, mask))
@@ -277,7 +286,7 @@ def build_global_product(products) -> GlobalProduct:
             out.append((sigma, coalition, back, targets, mask))
         return out
 
-    product = BuchiAutomaton(EXPLICIT_MODE, SLOT * n)
+    product = BuchiAutomaton(EXPLICIT_MODE, slots[-1])
     start = tuple(a.initial for a in autos)
     state_ids = {start: product.add_state(start)}
     product.initial = state_ids[start]
@@ -349,11 +358,10 @@ def _cheapest(a: BuchiAutomaton, source: int, costs, pick, allowed=None):
     """Least-cost search from `source` (inside `allowed`) for the least
     candidate that `pick` yields.
 
-    `pick(state)` yields (cost of the candidate's own move, tie breakers...);
-    a candidate ranks by its leg cost, the state's distance plus that cost,
-    then by the tie breakers.  The search stops once no state left can lead
-    to a cheaper candidate.  Returns the least candidate, as (leg cost, tie
-    breakers...), or None, and the parent transition of every state settled;
+    `pick(state, distance)` yields candidates (rank, tie breakers...) whose
+    rank is at least the state's distance.  The search stops once no state
+    left can lead to a smaller rank.  Returns the least
+    candidate, or None, and the parent transition of every state settled;
     on a tie in cost the parent is the one with the smaller transition id.
     """
     dist = {source: 0}
@@ -366,8 +374,7 @@ def _cheapest(a: BuchiAutomaton, source: int, costs, pick, allowed=None):
             continue
         if best is not None and d > best[0]:
             break
-        for extra, *key in pick(v):
-            candidate = (d + extra, *key)
+        for candidate in pick(v, d):
             if best is None or candidate < best:
                 best = candidate
         for tid in a.out_transitions(v):
@@ -388,13 +395,15 @@ def _cheapest(a: BuchiAutomaton, source: int, costs, pick, allowed=None):
 def _accepting_lasso(gp: GlobalProduct) -> Lasso:
     """One SCC pass over the product; the lasso enters the component covering
     every acceptance set at least cost from the initial state and greedily
-    walks to an edge of each set still uncovered, then back to where it
+    walks to edges meeting the sets still uncovered, then back to where it
     entered.  Each leg is least-cost under `_move_costs`; the next edge is
-    the one whose leg, the edge included, costs least, then meets the most
-    sets, then has the smallest id."""
+    the one whose leg, the edge included, costs least per set still needed
+    that the edge meets, then meets the most such sets, then has the
+    smallest id."""
     a = gp.automaton
-    marks, everything = transition_marks(a)
-    comp, comps, covered = covered_sets(a, marks)
+    marks = [t.mask for t in a.transitions]
+    everything = (1 << a.sets) - 1
+    comp, comps, covered = covered_sets(a)
     if not covered:
         raise EmptyLanguageError("global")
     good = {c for c, mask in covered.items() if mask == everything}
@@ -404,29 +413,32 @@ def _accepting_lasso(gp: GlobalProduct) -> Lasso:
             best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
             missing = everything & ~covered[best]
         first = (missing & -missing).bit_length() - 1
-        raise EmptyLanguageError("task", gp.agent_ids[first // SLOT])
+        pos = bisect_right(_slots(gp.products), first) - 1
+        raise EmptyLanguageError("task", gp.agent_ids[pos])
 
     costs = _move_costs(gp)
     (_cost, entry), parent = _cheapest(
-        a, a.initial, costs, lambda s: [(0, s)] if comp[s] in good else ()
+        a, a.initial, costs, lambda s, d: [(d, s)] if comp[s] in good else ()
     )
     members = set(comps[comp[entry]])
     cycle = []
     cur = entry
     need = everything
 
-    def meeting_need(s):
+    def meeting_need(s, d):
+        # leg cost per set met, times the sets still needed: never below d
         for tid in a.out_transitions(s):
-            if marks[tid] & need and a.transitions[tid].dst in members:
-                yield costs[tid], -(marks[tid] & need).bit_count(), tid
+            met = (marks[tid] & need).bit_count()
+            if met and a.transitions[tid].dst in members:
+                yield Fraction((d + costs[tid]) * need.bit_count(), met), -met, tid
 
     while need:
-        (_cost, _bits, tid), par = _cheapest(a, cur, costs, meeting_need, members)
+        (_ratio, _met, tid), par = _cheapest(a, cur, costs, meeting_need, members)
         for step in _walk_forward(a, par, cur, a.transitions[tid].src) + [tid]:
             cycle.append(step)
             need &= ~marks[step]
         cur = a.transitions[tid].dst
-    _found, par = _cheapest(a, cur, costs, lambda s: [(0,)] if s == entry else (), members)
+    _found, par = _cheapest(a, cur, costs, lambda s, d: [(d,)] if s == entry else (), members)
     cycle += _walk_forward(a, par, cur, entry)
     return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
 

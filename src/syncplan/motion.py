@@ -3,13 +3,13 @@
 The motion product synchronizes an agent's transition system with its motion
 specification automaton; transition labels become the action's service sets,
 so everything the task stage needs survives while the state propositions are
-compiled away.  Its acceptance sits on transitions, one set: a transition
-lies in it when it enters an accepting specification state.  Reduction keeps
-only the states that can still provide services, and the initial state, one
-state each, plus one shared absorbing state for runs that rest forever in an
-accepting cycle of removed states.  Each removed silent stretch becomes a
-single transition remembering the least path it stands for and marked with
-the set when that path meets it.  The task reduction folds its product with
+compiled away.  Its acceptance sets are the specification automaton's, and
+a step lies in the sets of the specification transition it takes.  Reduction
+keeps only the states that can still provide services, and the initial
+state, one state each, plus one shared absorbing state for runs that rest
+forever in an accepting cycle of removed states.  Each removed silent
+stretch becomes a single transition remembering the least path it stands
+for and marked with the sets that path meets.  The task reduction folds its product with
 the same routine, `buchi.fold`, so the reduced automaton's size follows the
 service states, not the workspace.
 """
@@ -42,11 +42,10 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
     A step exists when the system allows the action and the specification
     automaton can read the current state's propositions; the step is labeled
     with the action's service set or the agent's silent symbol, and lies in
-    the product's one acceptance set when it enters an accepting
-    specification state.
+    the acceptance sets of the specification transition taken.
     """
     ts = agent.ts
-    product = BuchiAutomaton(EXPLICIT_MODE, sets=1)
+    product = BuchiAutomaton(EXPLICIT_MODE, spec.sets)
     ids = {}
 
     def state_id(s, q):
@@ -64,20 +63,18 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
         s, q = queue.popleft()
         sid = state_id(s, q)
         spec_moves = [
-            spec.transitions[tid].dst
-            for tid in spec.out_transitions(q)
-            if spec.transitions[tid].label.accepts(ts.labels[s])
+            (t.dst, t.mask)
+            for t in (spec.transitions[tid] for tid in spec.out_transitions(q))
+            if t.label.accepts(ts.labels[s])
         ]
         for action, s2 in ts.successors(s):
             label = agent.label_of(action)
-            for q2 in spec_moves:
-                key = (sid, label, (s2, q2))
+            for q2, mask in spec_moves:
+                key = (sid, label, (s2, q2), mask)
                 if key in edge_seen:
                     continue
                 edge_seen.add(key)
-                tid = product.add_transition(
-                    sid, label, state_id(s2, q2), int(q2 in spec.accepting)
-                )
+                tid = product.add_transition(sid, label, state_id(s2, q2), mask)
                 product.tr_back[tid] = action
                 if (s2, q2) not in seen:
                     seen.add((s2, q2))

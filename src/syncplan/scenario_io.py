@@ -94,13 +94,24 @@ def _load_grid_agent(agent_id: int, data: dict, where: str, declared_services) -
         required=("width", "height", "initial"),
         optional=("obstacles", "walls", "one_way", "rooms", "service_cells", "stay_name"),
     )
+    width = _expect(data["width"], int, f"{where}.width")
+    height = _expect(data["height"], int, f"{where}.height")
     rooms = {}
     for room, rect in _expect(data.get("rooms", {}), dict, f"{where}.rooms").items():
+        at = f"{where}.rooms.{room}"
         if not (isinstance(rect, list) and len(rect) == 4 and all(type(v) is int for v in rect)):
-            raise ScenarioFormatError(f"{where}.rooms.{room}: expected [x0, y0, x1, y1]")
+            raise ScenarioFormatError(f"{at}: expected [x0, y0, x1, y1]")
         x0, y0, x1, y1 = rect
+        if x0 > x1 or y0 > y1:
+            raise ScenarioFormatError(f"{at}: reversed rectangle, expected x0 <= x1 and y0 <= y1")
+        if x0 < 0 or y0 < 0 or x1 >= width or y1 >= height:
+            raise ScenarioFormatError(f"{at}: rectangle outside the {width}x{height} grid")
         for x in range(x0, x1 + 1):
             for y in range(y0, y1 + 1):
+                if (x, y) in rooms:
+                    raise ScenarioFormatError(
+                        f"{at}: cell [{x}, {y}] already lies in room {rooms[(x, y)]!r}"
+                    )
                 rooms[(x, y)] = room
     service_cells = []
     cells = _expect(data.get("service_cells", []), list, f"{where}.service_cells")
@@ -112,8 +123,8 @@ def _load_grid_agent(agent_id: int, data: dict, where: str, declared_services) -
         )
     spec = GridSpec(
         agent_id=agent_id,
-        width=_expect(data["width"], int, f"{where}.width"),
-        height=_expect(data["height"], int, f"{where}.height"),
+        width=width,
+        height=height,
         initial=_cell(data["initial"], f"{where}.initial"),
         obstacles=frozenset(
             _cell(c, f"{where}.obstacles")

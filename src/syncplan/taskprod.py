@@ -2,13 +2,17 @@
 
 The product runs the reduced motion automaton against the task specification
 automaton; its states are (motion state, task state) pairs.  Acceptance sits
-on transitions, two sets: the motion set (bit 0), which a transition lies in
-when its reduced motion transition does, and the task set (bit 1), which it
-lies in when the task automaton enters an accepting state, or, on a silent
-move, rests in one.  Joint labels range over the agent's own service sets
-extended by foreign services that actually occur in the task automaton's
-guards; services outside every guard can never flip a transition, which the
-assisting-service test below makes checkable.
+on transitions: the motion sets (the low bits), which a transition lies in
+when its reduced motion transition does, and the task sets above them,
+which it lies in when the task automaton's transition does.  A silent move
+rests at its task state and meets the task sets that every transition
+entering that state meets, or all of them when none enters: a run resting
+there infinitely often either enters it infinitely often, meeting those
+sets, or rests there forever, and then whether its task tolerates silence
+decides (L_i in the global product).  Joint labels range over the agent's
+own service sets extended by foreign services that actually occur in the
+task automaton's guards; services outside every guard can never flip a
+transition, which the assisting-service test below makes checkable.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
@@ -65,9 +69,11 @@ class TaskMotionProduct:
         return Silent(self.agent_id)
 
     def joint_keys(self):
+        """(source, label, target, mask) of every joint transition: parallel
+        transitions that differ in their marks alone are told apart."""
         if self._joint_keys is None:
             self._joint_keys = {
-                (t.src, t.label, t.dst)
+                (t.src, t.label, t.dst, t.mask)
                 for t in self.automaton.transitions
                 if not isinstance(t.label, Silent)
             }
@@ -81,13 +87,12 @@ class TaskMotionProduct:
         """
         if self._silence_tolerant is None:
             spec = self.task_spec
-            quiet = BuchiAutomaton(spec.mode)
+            quiet = BuchiAutomaton(spec.mode, spec.sets)
             for _ in range(spec.n_states):
                 quiet.add_state()
-            quiet.accepting = set(spec.accepting)
             for t in spec.transitions:
                 if t.label.accepts(frozenset()):
-                    quiet.add_transition(t.src, t.label, t.dst)
+                    quiet.add_transition(*t)
             _comp, comps, good = good_components(quiet)
             self._silence_tolerant = frozenset(
                 coreachable(quiet, [s for c in good for s in comps[c]])
@@ -114,13 +119,17 @@ def build_task_motion_product(
     Silent moves advance the motion component and stutter the task component;
     joint moves carry a full service set whose own-service part must match a
     motion label and which must satisfy a task guard.  A move's mask is its
-    motion transition's, plus bit 1 when the task target is accepting.
+    motion transition's, plus, shifted above the motion sets, its task
+    transition's or, for a silent move, the sets its task state rests in.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
     foreign = sorted(_guard_atoms(task_spec) - own_services)
-    task_accepting = task_spec.accepting
-    product = BuchiAutomaton(EXPLICIT_MODE, sets=2)
+    shift = motion.sets
+    resting = [(1 << task_spec.sets) - 1] * task_spec.n_states
+    for t in task_spec.transitions:
+        resting[t.dst] &= t.mask
+    product = BuchiAutomaton(EXPLICIT_MODE, motion.sets + task_spec.sets)
     ids = {}
 
     def state_id(key):
@@ -148,7 +157,7 @@ def build_task_motion_product(
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
-                mask = mt.mask | (2 if q2 in task_accepting else 0)
+                mask = mt.mask | resting[q2] << shift
                 push(src, silent, (mt.dst, q2), mask, (m_tid, None))
                 continue
             for size in range(len(foreign) + 1):
@@ -158,7 +167,7 @@ def build_task_motion_product(
                         pt = task_spec.transitions[p_tid]
                         if not pt.label.accepts(sigma):
                             continue
-                        mask = mt.mask | (2 if pt.dst in task_accepting else 0)
+                        mask = mt.mask | pt.mask << shift
                         push(src, sigma, (mt.dst, pt.dst), mask, (m_tid, p_tid))
 
     return TaskMotionProduct(
@@ -176,8 +185,8 @@ def compute_assisting(tm: TaskMotionProduct, tid: int, service: str) -> bool:
     if service not in tm.foreign_syntactic:
         return False
     keys = tm.joint_keys()
-    present_with = (t.src, t.label | {service}, t.dst) in keys
-    present_without = (t.src, t.label - {service}, t.dst) in keys
+    present_with = (t.src, t.label | {service}, t.dst, t.mask) in keys
+    present_without = (t.src, t.label - {service}, t.dst, t.mask) in keys
     return present_with != present_without
 
 
@@ -280,16 +289,16 @@ def reduce_task_motion(
 
     def strips_to_own(t) -> bool:
         # peel foreign services one at a time as long as the variant without
-        # them still exists between the same endpoints; a label that cannot be
-        # peeled bare still needs *some* companion (even when no single
-        # foreign service is pivotal on the full label)
+        # them still exists between the same endpoints with the same marks; a
+        # label that cannot be peeled bare still needs *some* companion (even
+        # when no single foreign service is pivotal on the full label)
         sigma = t.label
         foreign = sorted(sigma - tm.own_services)
         progress = True
         while foreign and progress:
             progress = False
             for rho in list(foreign):
-                if (t.src, sigma - {rho}, t.dst) in keys:
+                if (t.src, sigma - {rho}, t.dst, t.mask) in keys:
                     sigma = sigma - {rho}
                     foreign.remove(rho)
                     progress = True

@@ -2,16 +2,16 @@
 
 On-the-fly tableau expansion (Gerth, Peled, Vardi & Wolper 1995) into a
 generalized acceptance automaton; the tableau works on integer ids of the
-root's subformulas.  The plain Buchi automaton is the forward bisimulation
-quotient of the counter-based degeneralization, refined on (state, counter)
-pairs over the generalized automaton's own edges, so the degeneralized
-automaton is never built.  Co-accessibility pruning follows.
-Transitions carry propositional guards, not exploded symbol subsets.
+root's subformulas.  Its acceptance moves from states onto the edges
+entering them, as in Giannakopoulou & Lerda ("From states to transitions",
+FORTE 2002), so no counter degeneralizes it; the result is the forward
+bisimulation quotient of the marked tableau, pruned to the states that can
+still accept.  Transitions carry propositional guards, not exploded symbol
+subsets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from . import ltl
 from .buchi import (
@@ -19,7 +19,6 @@ from .buchi import (
     BuchiAutomaton,
     Guard,
     Transition,
-    merge_tags,
     prune_non_coaccessible,
 )
 
@@ -194,11 +193,13 @@ def _guard_of(node: _Node) -> Guard:
 
 
 def translate(f: ltl.Formula) -> BuchiAutomaton:
-    """Automaton over guard-labeled transitions accepting exactly models of f."""
+    """Automaton over guard-labeled transitions accepting exactly models of
+    f, with generalized acceptance on its transitions: one set per liveness
+    obligation of f, or one set met by every transition when it has none."""
     gba, sets = _generalized(ltl.to_nnf(f))
     # the quotient is reachable as built, and pruning keeps every path from
     # the initial state to a kept state: no reachability pass is needed
-    return prune_non_coaccessible(_degeneralized_quotient(gba, sets))
+    return prune_non_coaccessible(_marked_quotient(gba, sets))
 
 
 def _generalized(g: ltl.Formula):
@@ -235,114 +236,58 @@ def _generalized(g: ltl.Formula):
     return gba, sets
 
 
-def _degeneralized_quotient(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
-    """Forward bisimulation quotient, respecting acceptance, of the counter
-    construction on `gba` with obligation sets `sets`; the construction
-    itself is not built.
+def _marked_quotient(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
+    """Forward bisimulation quotient of `gba` with its acceptance moved onto
+    its edges.
 
-    With no sets the counter automaton is `gba` with every state accepting.
-    Otherwise its states are the pairs (q, i) reached from (initial, 0),
-    numbered in the order a depth-first walk first reaches them.  A pair
-    takes q's edges to counter j = i + 1 (mod k) if q is in set i, else
-    j = i, and it accepts when i = 0 and q is in set 0.  Its transitions
-    run pair by pair in the walk's pop order, each pair's in q's out-list
-    order.
-
-    Partition refinement (Kanellakis & Smolka 1990) runs on the pairs: a
-    pair's signature is its block and the set of (label id, block of the
-    successor) over q's out-list.  Blocks are numbered by their least pair.
-    Only the quotient is created: states tagged as `rebuild` merges tags,
-    one transition per (source, label, target) in the order of its first
-    occurrence.  When no two pairs merge, the counter automaton itself is
-    the result.
+    An edge lies in set i when its target is in `sets[i]`, so a run meets
+    every set infinitely often exactly when it visits every set infinitely
+    often.  With no sets, one set holds every edge.  Partition refinement
+    (Kanellakis & Smolka 1990) starts from one block; a state's signature
+    is its block and the set of (label id, mask, block of the target) over
+    its out-edges.  Blocks are numbered by their least state, whose tag they
+    take.  The quotient has one transition per (block, label, mask, target
+    block), in the order of first occurrence among `gba`'s transitions.
     """
     trans = gba.transitions
-    outs = [gba.out_transitions(q) for q in range(gba.n_states)]
+    n = gba.n_states
+    k = max(len(sets), 1)
+    if sets:
+        member = [sum(1 << i for i, s in enumerate(sets) if q in s) for q in range(n)]
+    else:
+        member = [1] * n
+    outs = [gba.out_transitions(q) for q in range(n)]
     label_ids = {}  # equal labels share one id
     lid = [label_ids.setdefault(t.label, len(label_ids)) for t in trans]
+    # per out-edge, (label id, mask) as one int, and its target
+    codes = [[lid[t] << k | member[trans[t].dst] for t in out] for out in outs]
     dsts = [[trans[t].dst for t in out] for out in outs]
-    lids = [[lid[t] for t in out] for out in outs]
+    width = len(label_ids) << k
 
-    if sets:
-        k = len(sets)
-        pid = [[-1] * gba.n_states for _ in sets]  # pid[i][q]: id of pair (q, i)
-        tags = [(gba.initial, 0)]  # pair id -> (q, i)
-        to = [1 % k if gba.initial in sets[0] else 0]  # pair id -> counter j
-        pid[0][gba.initial] = 0
-        order = []  # pair ids in pop order
-        work = [0]
-        while work:
-            p = work.pop()
-            order.append(p)
-            j = to[p]
-            row = pid[j]
-            for d in dsts[tags[p][0]]:
-                if row[d] < 0:
-                    row[d] = len(tags)
-                    work.append(len(tags))
-                    tags.append((d, j))
-                    to.append((j + 1) % k if d in sets[j] else j)
-        state = [q for q, _i in tags]
-        accepting = [i == 0 and q in sets[0] for q, i in tags]
-    else:
-        pid = [list(range(gba.n_states))]
-        tags = gba.state_tags
-        to = [0] * gba.n_states
-        order = None
-        state = range(gba.n_states)
-        accepting = [True] * gba.n_states
-    n = len(tags)
-
-    width = len(label_ids)
-    block = [1 if acc else 0 for acc in accepting]
-    count = len(set(block))
+    block = [0] * n
+    count = 1
     while True:
-        # width * block of pair (q, j), by j and q
-        scaled = [[width * block[p] if p >= 0 else -1 for p in row] for row in pid]
-        sigs = {}  # pairs go in ascending order: first seen is least member
+        sigs = {}  # states go in ascending order: first seen is least member
         block = [
             sigs.setdefault(
-                (block[p], frozenset(map(add, lids[q], map(scaled[to[p]].__getitem__, dsts[q])))),
+                (block[q], frozenset(c + width * block[d] for c, d in zip(codes[q], dsts[q]))),
                 len(sigs),
             )
-            for p, q in enumerate(state)
+            for q in range(n)
         ]
         if len(sigs) == count:
             break
         count = len(sigs)
 
-    a = BuchiAutomaton(GUARD_MODE)
-    a.initial = block[pid[0][gba.initial]]
-    a.accepting = {block[p] for p in range(n) if accepting[p]}
-    if count == n:  # nothing merges: the counter automaton itself
-        a.state_tags.extend(tags)
-        if order is None:
-            a.transitions.extend(trans)
-        else:
-            for p in order:
-                row = pid[to[p]]
-                a.transitions.extend(
-                    Transition(p, trans[t].label, row[trans[t].dst]) for t in outs[state[p]]
-                )
-        return a
-    members = [[] for _ in range(count)]
-    for p in range(n):
-        members[block[p]].append(tags[p])
-    a.state_tags.extend(map(merge_tags, members))
-    if order is None:
-        edges = ((t.src, tid) for tid, t in enumerate(trans))
-    else:
-        # every member of a block has the block's edges, so the block's first
-        # popped member brings all of them, in the order they first occur
-        first = {}
-        for p in order:
-            first.setdefault(block[p], p)
-        edges = ((p, t) for p in first.values() for t in outs[state[p]])
+    a = BuchiAutomaton(GUARD_MODE, k)
+    a.initial = block[gba.initial]
+    for q in range(n):
+        if block[q] == a.n_states:  # q is its block's least state
+            a.state_tags.append(gba.state_tags[q])
     kept = set()
-    for p, tid in edges:
-        t = trans[tid]
-        key = (block[p], lid[tid], block[pid[to[p]][t.dst]])
+    for tid, t in enumerate(trans):
+        key = (block[t.src], lid[tid], member[t.dst], block[t.dst])
         if key not in kept:
             kept.add(key)
-            a.transitions.append(Transition(key[0], t.label, key[2]))
+            a.transitions.append(Transition(key[0], t.label, key[3], key[2]))
     return a

@@ -24,7 +24,6 @@ from syncplan.buchi import (
     Silent,
     language_empty,
     strongly_connected_components,
-    transition_marks,
 )
 
 
@@ -45,15 +44,13 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
     symbols = list(word.prefix) + list(word.period)
     n = len(symbols)
     loop_to = len(word.prefix)
-    product = BuchiAutomaton(mode=EXPLICIT_MODE)
+    product = BuchiAutomaton(EXPLICIT_MODE, a.sets)
     ids = {}
 
     def state_id(pos, q):
         key = (pos, q)
         if key not in ids:
             ids[key] = product.add_state(key)
-            if q in a.accepting:
-                product.accepting.add(ids[key])
         return ids[key]
 
     start = state_id(0, a.initial)
@@ -68,7 +65,7 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
             if not _label_matches(a, t.label, symbols[pos]):
                 continue
             key = (nxt, t.dst)
-            product.add_transition(state_id(pos, q), True, state_id(nxt, t.dst))
+            product.add_transition(state_id(pos, q), True, state_id(nxt, t.dst), t.mask)
             if key not in seen:
                 seen.add(key)
                 queue.append(key)
@@ -78,15 +75,13 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
 def accepting_lasso(a: BuchiAutomaton):
     """Least accepting lasso, or None when the language is empty.
 
-    Acceptance is read as `buchi.transition_marks` gives it: on transitions,
-    or, for a state-based automaton, on the transitions leaving an accepting
-    state.  The prefix is a shortest path into a component whose internal
-    edges meet every set; among the states that near, the lasso takes the
-    one with the shortest cycle through it meeting every set, ties going to
-    the smaller state.  All searches are breadth-first over ascending
-    transition ids.
+    Acceptance is read off the transitions' marks.  The prefix is a
+    shortest path into a component whose internal edges meet every set;
+    among the states that near, the lasso takes the one with the shortest
+    cycle through it meeting every set, ties going to the smaller state.
+    All searches are breadth-first over ascending transition ids.
     """
-    marks, full = transition_marks(a)
+    marks, full = [t.mask for t in a.transitions], (1 << a.sets) - 1
     comp, comps = strongly_connected_components(a)
     covered = {}
     for tid, t in enumerate(a.transitions):
@@ -123,12 +118,11 @@ def accepting_lasso(a: BuchiAutomaton):
 
 
 def validate_lasso(a: BuchiAutomaton, lasso: Lasso):
-    """Structural checks: contiguity, closed cycle, every acceptance set met
-    (read as `accepting_lasso` reads it).
+    """Structural checks: contiguity, closed cycle, every acceptance set met.
 
     Raises ValueError naming the first check that fails.
     """
-    marks, full = transition_marks(a)
+    marks, full = [t.mask for t in a.transitions], (1 << a.sets) - 1
     cur = a.initial
     for tid in lasso.prefix:
         t = a.transitions[tid]

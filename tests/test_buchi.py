@@ -1,5 +1,5 @@
 """Automaton structures: the lasso oracle, membership, emptiness on marks,
-pruning, folding, rebuilding."""
+pruning, folding, and the reference translator's class quotient."""
 import random
 
 import pytest
@@ -15,25 +15,25 @@ from syncplan.buchi import (
     fold,
     language_empty,
     prune_non_coaccessible,
-    rebuild,
     to_dot,
 )
 from syncplan.translate import translate
-from tests.conftest import random_word
+from tests.conftest import mark_entering, random_word
 from tests.reference_buchi import accepting_lasso
 from tests.reference_buchi import validate_lasso
+from tests.reference_tableau import quotient
 
 
 def chain_automaton():
-    """0 -> 1 -> 2 (accepting, with self-loop)."""
+    """0 -> 1 -> 2 with a self-loop at 2; the edges entering 2 meet the
+    one set."""
     a = BuchiAutomaton(EXPLICIT_MODE)
     for _ in range(3):
         a.add_state()
     a.add_transition(0, frozenset("x"), 1)
     a.add_transition(1, frozenset("y"), 2)
     a.add_transition(2, frozenset("z"), 2)
-    a.accepting = {2}
-    return a
+    return mark_entering(a, {2})
 
 
 class TestLasso:
@@ -43,7 +43,7 @@ class TestLasso:
         a = BuchiAutomaton(EXPLICIT_MODE)
         a.add_state()
         a.add_transition(0, Silent(1), 0)
-        a.accepting = {0}
+        mark_entering(a, {0})
         lasso = accepting_lasso(a)
         assert lasso.prefix == ()
         assert lasso.cycle == (0,)
@@ -53,7 +53,7 @@ class TestLasso:
         a.add_state()
         a.add_state()
         a.add_transition(1, Silent(1), 1)
-        a.accepting = {1}
+        mark_entering(a, {1})
         assert accepting_lasso(a) is None
         assert language_empty(a)
 
@@ -74,7 +74,7 @@ class TestLasso:
         a.add_transition(2, Silent(1), 1)
         a.add_transition(0, Silent(1), 3)  # far singleton loop, also dist 1
         a.add_transition(3, Silent(1), 3)
-        a.accepting = {1, 3}
+        mark_entering(a, {1, 3})
         lasso = accepting_lasso(a)
         # both entries have prefix length 1; state 1 wins the id tie only if
         # its cycle is not longer: cycle through 1 has length 2, through 3
@@ -97,8 +97,7 @@ class TestLasso:
             validate_lasso(chain_automaton(), Lasso(prefix, cycle))
 
     def test_lasso_missing_acceptance_rejected(self):
-        a = chain_automaton()
-        a.accepting = {0}
+        a = mark_entering(chain_automaton(), {0})
         with pytest.raises(ValueError, match="cycle misses accepting states"):
             validate_lasso(a, Lasso((0, 1), (2,)))
 
@@ -232,10 +231,8 @@ class TestMarks:
         assert language_empty(self.loop([2]))
         assert not language_empty(self.loop([1, 2]))
         assert not language_empty(self.loop([3]))
-        # the accepting set of a marked automaton plays no part
-        a = self.loop([1])
-        a.accepting = {1}
-        assert language_empty(a)
+        # with no sets, every cycle accepts
+        assert not language_empty(self.loop([0], sets=0))
 
     def test_prune_keeps_states_reaching_a_covering_component(self):
         a = self.loop([3])
@@ -247,8 +244,8 @@ class TestMarks:
         assert sorted(t.mask for t in pruned.transitions) == [0, 3]
 
     def test_masks_block_parallel_collapse(self):
-        # a quotient collapses parallel transitions only where their masks
-        # agree too
+        # the reference translator's class quotient collapses parallel
+        # transitions only where their masks agree too
         a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
         for _ in range(3):
             a.add_state()
@@ -257,14 +254,14 @@ class TestMarks:
         a.add_transition(0, eps, 2)
         a.add_transition(1, eps, 1, 1)
         a.add_transition(2, eps, 2, 0)
-        quotient = {0: 0, 1: 1, 2: 1}
-        merged = rebuild(a, [0, 1], quotient)
+        classes = {0: 0, 1: 1, 2: 1}
+        merged = quotient(a, classes)
         assert sorted((t.src, t.dst, t.mask) for t in merged.transitions) == [
             (0, 1, 0), (1, 1, 0), (1, 1, 1)
         ]
         a.add_transition(2, eps, 2, 1)
         a.add_transition(1, eps, 1, 0)
-        merged = rebuild(a, [0, 1], quotient)
+        merged = quotient(a, classes)
         assert merged.n_states == 2 and merged.sets == 1
         assert sorted((t.src, t.dst, t.mask) for t in merged.transitions) == [
             (0, 1, 0), (1, 1, 0), (1, 1, 1)
@@ -279,7 +276,8 @@ def test_dot_export_shape():
     a = chain_automaton()
     dot = to_dot(a, "demo")
     assert dot.startswith('digraph "demo"')
-    assert dot.count("doublecircle") == 1
+    assert dot.count("circle") == 3 and "doublecircle" not in dot
+    assert dot.count("acc{0}") == 2  # the two edges entering state 2
     assert "eps_" not in dot
     a2 = BuchiAutomaton(EXPLICIT_MODE)
     a2.add_state()

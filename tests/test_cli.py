@@ -215,11 +215,11 @@ class TestStats:
         assert main(["stats", PAIRS]) == 0
         out = capsys.readouterr().out
         assert (
-            "centralized estimate: 20480 "
-            "(4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5)\n"
+            "centralized estimate: 256 "
+            "(4 * 4 * 4 * 4 * 1 * 1 * 1 * 1 * 1 * 1 * 1 * 1)\n"
         ) in out
-        assert "global total: 8 states\n" in out
-        assert "reduction ratio: 2560.0\n" in out
+        assert "global total: 2 states\n" in out
+        assert "reduction ratio: 128.0\n" in out
         assert "centralized reachable" not in out
 
 
@@ -403,6 +403,30 @@ class TestMalformedFiles:
     def test_render_out_in_missing_directory(self, tmp_path):
         out = tmp_path / "missing" / "plan.svg"
         self.assert_rejected(run_cli("render", THREE, "--out", str(out)), "no directory")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rooms: rooms.update(R1=[4, 5, 0, 9]), "R1: reversed rectangle"),
+            (
+                lambda rooms: rooms.update(R1=[0, 0, 50, 50]),
+                "R1: rectangle outside the 10x10 grid",
+            ),
+            # declared after R2, R1 once silently took R2's cells
+            (
+                lambda rooms: rooms.update(R1=[0, 5, 9, 9]),
+                "R1: cell [5, 5] already lies in room 'R2'",
+            ),
+        ],
+    )
+    def test_malformed_room(self, tmp_path, edit, message):
+        data = json.loads(Path(THREE).read_text())
+        rooms = data["agents"][0]["grid"]["rooms"]
+        del rooms["R1"]
+        edit(rooms)
+        self.assert_rejected(
+            run_cli("check", write_scenario(tmp_path, data)), "agents[0].grid.rooms." + message
+        )
 
     def test_grid_width_not_an_integer(self, tmp_path):
         data = json.loads(Path(THREE).read_text())

@@ -11,6 +11,7 @@ must cost the least that a plain search finds.
 """
 import random
 from collections import deque
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -38,7 +39,7 @@ from syncplan.motion import classify_significance
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
 from syncplan.taskprod import _live_anchors, classify_task_significance
-from syncplan.translate import _degeneralized_quotient, _Tableau, translate
+from syncplan.translate import _marked_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
@@ -61,7 +62,7 @@ from tests.test_taskprod import _random_task_instance
 def dump(a):
     return (
         a.initial,
-        sorted(a.accepting),
+        a.sets,
         list(a.state_tags),
         list(a.transitions),
         dict(a.tr_witness),
@@ -260,7 +261,7 @@ def test_region_analysis_matches_hand_written_searches():
     # leads to the nearest live anchor
     rng = random.Random(11)
     loops = routes = dead = 0
-    for _ in range(2000):
+    for _ in range(5000):
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
         sig = classify_task_significance(tm, ga)
@@ -273,7 +274,7 @@ def test_region_analysis_matches_hand_written_searches():
                 all(isinstance(a.transitions[t].label, Silent) for t in loop), len(loop)
             )
             assert _chains(a, loop, anchor, anchor, region)
-            assert _path_mask(a, loop) == 3
+            assert _path_mask(a, loop) == (1 << a.sets) - 1
         assert reach.keys() == old_reach.keys()
         for s, (dist, path, anchor) in reach.items():
             assert (dist, anchor) == (old_reach[s][0], old_reach[s][2])
@@ -335,7 +336,7 @@ def test_bundled_scenarios_match_reference(name, several_classes, monkeypatch):
 def test_region_components_match_copied_subautomaton():
     rng = random.Random(13)
     nontrivial = 0
-    for _ in range(600):
+    for _ in range(1800):
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
         region = {s for s in range(a.n_states) if rng.random() < 0.7}
@@ -447,17 +448,29 @@ def _guard_dump(a):
     """Guards as sorted literal lists: frozenset reprs vary between processes."""
     return (
         a.initial,
-        sorted(a.accepting),
+        a.sets,
         list(a.state_tags),
-        [(t.src, sorted(t.label.pos), sorted(t.label.neg), t.dst) for t in a.transitions],
+        [(t.src, sorted(t.label.pos), sorted(t.label.neg), t.dst, t.mask) for t in a.transitions],
     )
 
 
+def _agree_on_words(first, second, atoms, rng, count):
+    """Do two guard automata agree on `count` random words over `atoms`?"""
+    for _ in range(count):
+        word = random_word(rng, atoms, 4, 4)
+        if check_lasso_membership(first, word) != check_lasso_membership(second, word):
+            return False
+    return True
+
+
 def test_tableau_and_translation_match_node_by_node_expansion():
+    # the nodes match the node-by-node expansion exactly; the translation,
+    # transition-marked, has at most the states of the reference's counter
+    # automaton quotient and agrees with it on random words
     rng = random.Random(23)
     formulas = _benchmark_formulas()
     formulas += [random_formula(rng, ATOMS, 4) for _ in range(800)]
-    shared = 0
+    shared = smaller = 0
     for f in formulas:
         g = ltl.to_nnf(f)
         old_nodes = ref_tableau.tableau_nodes(g)
@@ -465,9 +478,37 @@ def test_tableau_and_translation_match_node_by_node_expansion():
         assert [(n.nid, sorted(n.incoming), n.old, n.next) for n in new_nodes] == [
             (n.nid, sorted(n.incoming), frozenset(n.old), frozenset(n.next)) for n in old_nodes
         ], str(f)
-        assert _guard_dump(translate(f)) == _guard_dump(ref_tableau.translate(f, old_nodes)), str(f)
+        new, old = translate(f), ref_tableau.translate(f, old_nodes)
+        assert new.n_states <= old.n_states, str(f)
+        atoms = sorted(ltl.atoms_of(f)) or ATOMS
+        assert _agree_on_words(new, old, atoms, rng, 2), str(f)
         shared += len({n.next for n in new_nodes}) < len(new_nodes)
+        smaller += new.n_states < old.n_states
     assert shared >= 100  # successor expansions are replayed, not just made once
+    assert smaller >= 100
+
+
+def test_translation_agrees_with_oracle_and_reference():
+    # 10,000 (formula, word) checks: the transition-marked translation
+    # accepts a word exactly when the semantic evaluator holds on it and
+    # the reference's counter automaton quotient accepts it, and it never
+    # has more states than that quotient
+    rng = random.Random(5)
+    checks = smaller = accepted = 0
+    for _ in range(2500):
+        f = random_formula(rng, ATOMS, 4)
+        new, old = translate(f), ref_tableau.translate(f)
+        assert new.n_states <= old.n_states, str(f)
+        smaller += new.n_states < old.n_states
+        for _ in range(4):
+            word = random_word(rng, ATOMS)
+            verdict = ltl.eval_ltl(f, word)
+            assert check_lasso_membership(new, word) == verdict, (str(f), word)
+            assert check_lasso_membership(old, word) == verdict, (str(f), word)
+            checks += 1
+            accepted += verdict
+    assert checks == 10_000 and smaller >= 800
+    assert 4000 <= accepted <= 6500
 
 
 def _random_guard_automaton(rng):
@@ -487,19 +528,34 @@ def _random_guard_automaton(rng):
             dst = s if rng.random() < 0.25 else rng.randrange(n)
             a.add_transition(s, Guard(*rng.choice(pool)), dst)
     a.initial = rng.randrange(n)
-    a.accepting = {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5, 0.9))}
-    return a
+    return mark_entering(a, {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5, 0.9))})
+
+
+def _marked(a, sets):
+    """`a` with every edge marked by the sets among `sets` its target lies
+    in, or with one set holding every edge when there are none; parallel
+    duplicates are dropped."""
+    b = BuchiAutomaton(GUARD_MODE, max(len(sets), 1))
+    for tag in a.state_tags:
+        b.add_state(tag)
+    b.initial = a.initial
+    seen = set()
+    for t in a.transitions:
+        mask = sum(1 << i for i, members in enumerate(sets) if t.dst in members) if sets else 1
+        if (t.src, t.label, t.dst, mask) not in seen:
+            seen.add((t.src, t.label, t.dst, mask))
+            b.add_transition(t.src, t.label, t.dst, mask)
+    return b
 
 
 def test_quotient_matches_reference_on_random_guard_automata():
-    # with no acceptance sets the counter construction is the automaton
-    # itself with every state accepting
+    # with no acceptance sets one set holds every edge
     rng = random.Random(31)
     merged = 0
     for _ in range(800):
         a = _random_guard_automaton(rng)
-        new = _degeneralized_quotient(a, [])
-        old = ref_tableau.quotient_bisimulation(ref_tableau._degeneralize(a, []))
+        new = _marked_quotient(a, [])
+        old = ref_tableau.quotient_bisimulation(_marked(a, []))
         assert _guard_dump(new) == _guard_dump(old)
         merged += new.n_states < a.n_states
         for t in a.transitions:
@@ -537,17 +593,20 @@ def _random_generalized_automaton(rng):
     return a, sets
 
 
-def test_degeneralized_quotient_matches_counter_construction_then_quotient():
+def test_marked_quotient_matches_marking_then_quotient():
+    # the quotient of the marked automaton, built without building the
+    # marked automaton, accepts what the counter construction accepts
     rng = random.Random(43)
     merged = kept = 0
     for _ in range(1500):
         a, sets = _random_generalized_automaton(rng)
-        new = _degeneralized_quotient(a, sets)
-        counter = ref_tableau._degeneralize(a, sets)
-        old = ref_tableau.quotient_bisimulation(counter)
+        new = _marked_quotient(a, sets)
+        marked = _marked(a, sets)
+        old = ref_tableau.quotient_bisimulation(marked)
         assert _guard_dump(new) == _guard_dump(old)
         assert all(t.label is u.label for t, u in zip(new.transitions, old.transitions))
-        if old is counter:
+        assert _agree_on_words(new, ref_tableau._degeneralize(a, sets), ATOMS, rng, 3)
+        if old is marked:
             kept += len(sets) > 0
         else:
             merged += len(sets) > 0
@@ -621,7 +680,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     # the bundled teams are compared whatever their size (two_pairs per class
     # and, built directly from all four reduced products, as one product of
-    # 16 states, the product of its two classes' 4); of the random teams,
+    # one state, the product of its two classes' one); of the random teams,
     # only products up to 1,000 tuples are compared, as a reference build
     # takes seconds at thousands
     two_pairs = load_bundled("two_pairs")
@@ -637,7 +696,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
         if scenario is two_pairs:
             whole = both(_reduced_products(result))
             sizes = [gp.automaton.n_states for _group, gp in result.global_products]
-            assert whole.automaton.n_states == sizes[0] * sizes[1] == 16
+            assert whole.automaton.n_states == sizes[0] * sizes[1] == 1
             wholes.append(whole)
     assert len(wholes) == 1 and len(compared) >= 36
 
@@ -725,15 +784,23 @@ def _plus(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
 
+def _encoded(pair, weight):
+    """A (synchronizing agents, steps) cost as one integer, synchronizations
+    dominating."""
+    return pair[0] * weight + pair[1]
+
+
 def _assert_least_cost_legs(gp, marks, lasso):
     """The lasso chains from the initial state, closes, stays in one
     component and meets every set.  Its prefix costs the least of any path
     into a component whose internal edges meet every set.  Each leg of the
-    cycle ends with the first edge meeting a set still needed, and costs,
-    that edge included, the least of any path inside the component ending
-    with such an edge; the rest of the cycle is a least path back."""
+    cycle ends with the edge whose least-cost leg, that edge included, costs
+    least per set still needed that the edge meets (then meets the most
+    such sets, then has the smallest id), and costs exactly that least
+    cost; the sets still needed drop by every edge of the leg.  The rest of
+    the cycle is a least path back."""
     a = gp.automaton
-    everything = (1 << (3 * len(gp.agent_ids))) - 1
+    everything = (1 << a.sets) - 1
     cur = a.initial
     for tid in lasso.prefix + lasso.cycle:
         assert a.transitions[tid].src == cur
@@ -755,20 +822,25 @@ def _assert_least_cost_legs(gp, marks, lasso):
     assert _pair_sum(costs, lasso.prefix) == dist[entry] == min(into)
 
     internal = [tid for tid, t in enumerate(a.transitions) if t.src in members and t.dst in members]
+    weight = a.n_states * max(steps for _syncs, steps in costs) + 1
     need, cur, start = everything, entry, 0
-    for i, tid in enumerate(lasso.cycle):
-        if not marks[tid] & need:
-            continue
+    while need:
         dist = ref_gp.least_costs(a, cur, costs, members)
-        least = min(
-            _plus(dist[a.transitions[t].src], costs[t])
+        met = {t: (marks[t] & need).bit_count() for t in internal}
+        _ratio, _most, chosen = min(
+            (
+                Fraction(_encoded(_plus(dist[a.transitions[t].src], costs[t]), weight), met[t]),
+                -met[t],
+                t,
+            )
             for t in internal
-            if marks[t] & need and a.transitions[t].src in dist
+            if met[t] and a.transitions[t].src in dist
         )
-        assert _pair_sum(costs, lasso.cycle[start:i + 1]) == least
-        need &= ~marks[tid]
-        cur, start = a.transitions[tid].dst, i + 1
-    assert not need
+        end = lasso.cycle.index(chosen, start)
+        leg = lasso.cycle[start:end + 1]
+        assert _pair_sum(costs, leg) == _plus(dist[a.transitions[chosen].src], costs[chosen])
+        need &= ~reduce(or_, (marks[tid] for tid in leg))
+        cur, start = a.transitions[chosen].dst, end + 1
     dist = ref_gp.least_costs(a, cur, costs, members)
     assert _pair_sum(costs, lasso.cycle[start:]) == dist[entry]
 
@@ -887,7 +959,7 @@ def _random_explicit_automaton(rng):
             dst = s if rng.random() < 0.25 else rng.randrange(n)
             a.add_transition(s, rng.choice(pool), dst)
     a.initial = rng.randrange(n)
-    a.accepting = {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5))}
+    mark_entering(a, {s for s in range(n) if rng.random() < rng.choice((0.2, 0.5))})
     return a, pool
 
 
@@ -1020,7 +1092,7 @@ def test_reduced_states_stand_for_one_lower_state(monkeypatch):
         add(motion_counts, mp.automaton, motion.reduce(mp))
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     teams = 0
-    for _ in range(150):
+    for _ in range(250):
         try:
             result = run_synthesis(random_scenario(rng))
         except EmptyLanguageError:

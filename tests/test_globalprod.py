@@ -1,6 +1,7 @@
 """Global product, strategy extraction, minimization, dependency classes."""
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,6 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import (
-    SLOT,
     EmptyLanguageError,
     GlobalProduct,
     SynthesisError,
@@ -44,14 +44,16 @@ def assert_states_are_distinct_reachable_tuples(gp):
     exactly the components its back reference names, the way their own
     transitions do.  Its mask holds, each in its position's slot, their
     acceptance masks and L bits: every member of a joint move has its L bit,
-    a silent move when it keeps the word legal."""
+    a silent move when it keeps the word legal.  Position i's slot starts
+    where position i - 1's ends and holds its reduced sets, then L_i."""
     auto = gp.automaton
     autos = [p.automaton for p in gp.products]
     tags = auto.state_tags
     assert all(isinstance(tag, tuple) and len(tag) == len(autos) for tag in tags)
     assert len(set(tags)) == len(tags)
     assert tags[auto.initial] == tuple(a.initial for a in autos)
-    assert not auto.accepting and auto.sets == SLOT * len(autos)
+    starts = [sum(a.sets + 1 for a in autos[:pos]) for pos in range(len(autos) + 1)]
+    assert auto.sets == starts[-1]
     dist, _parent = _bfs(auto, auto.initial)
     assert None not in dist
     silent_out = {}
@@ -65,7 +67,7 @@ def assert_states_are_distinct_reachable_tuples(gp):
                 low = autos[pos].transitions[moved[pos]]
                 assert (low.src, low.dst) == (qs, dst[pos])
                 legal = back[0] == "joint" or _keeps_word_legal(gp.products[pos], moved[pos])
-                expected |= (low.mask | 4 * legal) << (SLOT * pos)
+                expected |= (low.mask | legal << autos[pos].sets) << starts[pos]
             else:
                 assert dst[pos] == qs
         assert t.mask == expected
@@ -93,10 +95,12 @@ class TestGlobalProduct:
         ((_group, gp),) = three_robots_result.global_products
         assert_states_are_distinct_reachable_tuples(gp)
         # one tuple per reachable combination of the reduced automata's
-        # states, 27 of at most 2 * 3 * 7 significant (motion, task) pairs
+        # states, 10 of at most 2 * 2 * 3 significant (motion, task) pairs
         # and absorbing states
         reference = ref_gp.build_global_product(gp.products).automaton
-        assert gp.automaton.n_states == reference.n_states == 27
+        sizes = [p.automaton.n_states for p in gp.products]
+        assert sizes == [2, 2, 3]
+        assert gp.automaton.n_states == reference.n_states == 10
         pairs = run_synthesis(two_pairs)
         for _group, gp in pairs.global_products:
             assert_states_are_distinct_reachable_tuples(gp)
@@ -197,24 +201,32 @@ class TestSynthesize:
         assert err.value.agent_id == 1
 
     def test_failure_names_the_agent_of_an_uncovered_set(self):
-        # two agents: self-loop X meets agent 1's own two sets and L_1,
-        # self-loop Y meets L_1, L_2 and (optionally) agent 2's own sets;
-        # the loops' coalitions (L bits) and entering positions (own sets)
-        # set the marks
+        # two agents, agent 1 with one reduced set and agent 2 with three:
+        # bit 0 is agent 1's set, bit 1 L_1, bits 2 to 4 agent 2's sets and
+        # bit 5 L_2.  Self-loop X meets agent 1's set and L_1, self-loop Y
+        # meets L_1, L_2 and (optionally) agent 2's sets; the loops'
+        # coalitions (L bits) and entering positions (own sets) set the
+        # marks.  Without Y's own sets, bit 2 is the first one nothing
+        # covers: agent 2's, though a fixed three bits per agent would put
+        # it in agent 1's slot
+        widths = (1, 3)
+        starts = (0, 2)
+
         def product(y_enters, cyclic=True):
-            auto = BuchiAutomaton(EXPLICIT_MODE, 2 * SLOT)
+            auto = BuchiAutomaton(EXPLICIT_MODE, 6)
             for qs in ((0, 0), (1, 0), (0, 1)):
                 auto.add_state(qs)
             moves = [(0, 1, {1}, ()), (0, 2, {1}, ())]
             if cyclic:
                 moves += [(1, 1, {1}, (0,)), (2, 2, {1, 2}, y_enters)]
             for src, dst, coalition, enters in moves:
-                mask = sum(0b011 << (SLOT * pos) for pos in enters)
-                mask |= sum(0b100 << (SLOT * (aid - 1)) for aid in coalition)
+                mask = sum(((1 << widths[pos]) - 1) << starts[pos] for pos in enters)
+                mask |= sum(1 << (starts[aid - 1] + widths[aid - 1]) for aid in coalition)
                 tid = auto.add_transition(src, frozenset(), dst, mask)
                 auto.tr_dep[tid] = frozenset(coalition)
                 auto.tr_back[tid] = ("joint", frozenset(coalition), {})
-            return GlobalProduct(auto, [], [1, 2])
+            reduced = [SimpleNamespace(automaton=BuchiAutomaton(EXPLICIT_MODE, k)) for k in widths]
+            return GlobalProduct(auto, reduced, [1, 2])
 
         cases = [(product((1,)), "task", 1), (product(()), "task", 2)]
         cases.append((product((1,), cyclic=False), "global", None))
@@ -222,6 +234,48 @@ class TestSynthesize:
             with pytest.raises(EmptyLanguageError) as err:
                 synthesize(gp)
             assert (err.value.stage, err.value.agent_id) == (stage, agent)
+
+    def test_one_leg_meeting_two_sets_beats_two_cheaper_legs(self, monkeypatch):
+        # from the entry state 0, edge A (cost 2) meets set 0, edge B (cost
+        # 2) meets set 1 and edge C (cost 3) meets both; each leads to its
+        # own state with an edge back (cost 1).  Per set still needed, C
+        # costs 1.5 and A and B 2 each, so the cycle takes C and returns:
+        # cost 4, where A, back, B and back would cost 6
+        auto = BuchiAutomaton(EXPLICIT_MODE, 2)
+        for qs in range(4):
+            auto.add_state((qs,))
+        costs = []
+        for dst, mask, cost in ((1, 0b01, 2), (2, 0b10, 2), (3, 0b11, 3)):
+            for src, to, m, c in ((0, dst, mask, cost), (dst, 0, 0, 1)):
+                tid = auto.add_transition(src, Silent(1), to, m)
+                auto.tr_dep[tid] = frozenset({1})
+                auto.tr_back[tid] = ("local", 0, tid)
+                costs.append(c)
+        from syncplan import globalprod
+
+        monkeypatch.setattr(globalprod, "_move_costs", lambda gp: costs)
+        lasso = _accepting_lasso(GlobalProduct(auto, [], [1]))
+        assert lasso.prefix == ()
+        assert [auto.transitions[tid][::2] for tid in lasso.cycle] == [(0, 3), (3, 0)]
+
+    def test_silent_rest_at_a_task_state_nothing_enters_meets_every_task_set(self):
+        # draw 53 of Random(0): agent 1's task `s10 || !s10` starts at a task
+        # state no transition enters, so resting there meets every task set,
+        # and the agent walks a two-step silent cycle without serving
+        rng = random.Random(0)
+        for _ in range(54):
+            sc = random_scenario(rng)
+        assert sc.task_texts == {1: "s10 || !s10"}
+        result = run_synthesis(sc)
+        spec = result.artifacts[1].task_spec
+        assert not spec.in_transitions(spec.initial)
+        st = result.strategies[1]
+        assert st.prefix == () and len(st.cycle) == 2
+        assert all(sc.agent(1).is_silent(step.action) for step in st.cycle)
+        check_strategies_fit(sc, result.strategies)
+        sim = simulate(sc, result.strategies, SimulationConfig(seed=0))
+        verdict = check_local_satisfaction(sc, result.strategies, sim)[1]
+        assert verdict.motion and verdict.task and verdict.consistent
 
     def test_illegal_expansion_is_a_named_error(self, monkeypatch):
         # covering every L_i keeps each word legal, so an expansion that
@@ -320,9 +374,9 @@ class TestSynthesize:
         assert all(v.motion and v.task and v.consistent for v in verdicts.values())
 
     def test_corrupted_motion_witness_raises(self):
-        # the reduced motion automaton's first transition abbreviates the walk
-        # to the service cell; breaking one step must stop the replay, also
-        # under python -O
+        # the reduced motion automaton's longest transition out of its initial
+        # state abbreviates the walk to the service cell; breaking one step
+        # must stop the replay, also under python -O
         from syncplan.agents import GridSpec, build_grid_agent
 
         beeper = ((3, 0), frozenset(["beep"]))
@@ -334,7 +388,10 @@ class TestSynthesize:
         art = result.artifacts[1]
         product = art.motion_product.automaton
         reduced = art.reduced_motion.automaton
-        tid = reduced.out_transitions(reduced.initial)[0]
+        tid = max(
+            reduced.out_transitions(reduced.initial),
+            key=lambda tid: len(reduced.tr_witness[tid][0].steps),
+        )
         (witness,) = reduced.tr_witness[tid]
         assert len(witness.steps) >= 2
         arrived = product.transitions[witness.steps[0]].dst

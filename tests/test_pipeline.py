@@ -17,7 +17,7 @@ from syncplan.pipeline import format_stats, run_synthesis
 from syncplan.scenario_io import load_bundled, scenario_from_dict
 from syncplan.translate import translate
 from tests import reference_globalprod as ref_gp
-from tests.conftest import benchmark_workloads, pairs
+from tests.conftest import benchmark_workloads, mark_entering, pairs
 from tests.reference_buchi import accepting_lasso
 
 
@@ -43,34 +43,25 @@ def test_stats_block_complete_and_consistent(three_robots_result):
     assert "reduction ratio" in text and "globally assisting" in text
 
 
-TWO_PAIRS_BASELINE = (20480, "4 * 4 * 4 * 4 * 1 * 2 * 1 * 2 * 1 * 2 * 1 * 2 * 5", 20480 / 8)
+TWO_PAIRS_BASELINE = (256, "4 * 4 * 4 * 4 * 1 * 1 * 1 * 1 * 1 * 1 * 1 * 1", 256 / 2)
+BASELINES = [
+    ("three_robots", 5760000, "96 * 100 * 100 * 1 * 3 * 1 * 1 * 1 * 2", 5760000 / 10),
+    ("two_pairs", *TWO_PAIRS_BASELINE),
+    ("asymmetry", 1, "1 * 1 * 1 * 1 * 1 * 1", 1 / 1),
+    ("three_robots_13x13", 27932658, "163 * 169 * 169 * 1 * 3 * 1 * 1 * 1 * 2", 27932658 / 10),
+    ("two_pairs_team", *TWO_PAIRS_BASELINE),
+    ("wide_guards", 108, "9 * 12 * 1 * 1 * 1 * 1", 108 / 18),
+]
 
 
 @pytest.mark.parametrize(
-    "name, estimate, formula, ratio",
-    [
-        (
-            "three_robots",
-            241920000,
-            "96 * 100 * 100 * 1 * 3 * 1 * 2 * 3 * 2 * 7",
-            241920000 / 27,
-        ),
-        ("two_pairs", *TWO_PAIRS_BASELINE),
-        ("asymmetry", 3, "1 * 1 * 1 * 1 * 1 * 1 * 3", 3 / 1),
-        (
-            "three_robots_13x13",
-            1173171636,
-            "163 * 169 * 169 * 1 * 3 * 1 * 2 * 3 * 2 * 7",
-            1173171636 / 27,
-        ),
-        ("two_pairs_team", *TWO_PAIRS_BASELINE),
-        ("wide_guards", 3240, "9 * 12 * 1 * 2 * 1 * 5 * 3", 3240 / 135),
-    ],
+    "name, estimate, formula, ratio", BASELINES, ids=[case[0] for case in BASELINES]
 )
 def test_centralized_baseline_values(name, estimate, formula, ratio, three_robots_result):
-    """The baseline is the estimate read from the per-agent automata, and
-    the ratio divides it by the global products' tuples, which the
-    unmemoized reference product counts too."""
+    """The baseline is the estimate read from the per-agent automata, the
+    product of the transition-system and automaton sizes and no counter
+    factor, and the ratio divides it by the global products' tuples, which
+    the unmemoized reference product counts too."""
     if name == "three_robots":
         result = three_robots_result
     elif name in ("two_pairs", "asymmetry"):
@@ -79,6 +70,11 @@ def test_centralized_baseline_values(name, estimate, formula, ratio, three_robot
         workloads = benchmark_workloads()
         result = run_synthesis(scenario_from_dict(workloads.generate(name)))
     stats = result.stats
+    sizes = [len(agent.ts.states) for agent in result.scenario.agents]
+    for agent in result.scenario.agents:
+        art = result.artifacts[agent.agent_id]
+        sizes += [art.motion_spec.n_states, art.task_spec.n_states]
+    assert " * ".join(map(str, sizes)) == formula
     assert stats["centralized_estimate"] == estimate
     assert stats["centralized_formula"] == formula
     assert stats["reduction_ratio"] == ratio
@@ -122,30 +118,34 @@ def test_globally_assisting_pattern(three_robots_result):
 
 def test_one_global_product_per_dependency_class(two_pairs):
     # `cap` and `per_class` are the benchmark's keywords and have no effect;
-    # each pair's agents have two reduced states, one per significant
-    # (motion, task) pair, and the pair's product reaches all four tuples
+    # each agent's task automaton, G F of a pair of services, has one state
+    # and so does its reduced product, so each pair's product has one tuple
     for result in (
         run_synthesis(two_pairs),
         run_synthesis(two_pairs, cap=1, per_class=False),
     ):
         assert [(g, gp.automaton.n_states) for g, gp in result.global_products] == [
-            ((1, 2), 4),
-            ((3, 4), 4),
+            ((1, 2), 1),
+            ((3, 4), 1),
         ]
+        assert [result.artifacts[aid].task_spec.n_states for aid in (1, 2, 3, 4)] == [1] * 4
         assert [result.artifacts[aid].reduced_task.automaton.n_states for aid in (1, 2, 3, 4)] == [
-            2, 2, 2, 2
+            1, 1, 1, 1
         ]
+        for _g, gp in result.global_products:
+            reference = ref_gp.build_global_product(gp.products).automaton
+            assert gp.automaton.n_states == reference.n_states
 
 
 def test_independent_pairs_synthesize_like_one_pair(two_pairs):
-    # eight renamed copies of two_pairs' first pair: eight classes of 4
-    # global states each, every pair with the first pair's strategies
+    # eight renamed copies of two_pairs' first pair: eight classes of one
+    # global state each, every pair with the first pair's strategies
     first = run_synthesis(two_pairs).strategies
     result = run_synthesis(pairs(8))
     assert result.dependency_classes == [
         frozenset({2 * k - 1, 2 * k}) for k in range(1, 9)
     ]
-    assert [gp.automaton.n_states for _g, gp in result.global_products] == [4] * 8
+    assert [gp.automaton.n_states for _g, gp in result.global_products] == [1] * 8
     for k in range(1, 9):
         ids = {1: 2 * k - 1, 2: 2 * k}
         actions = {"pick": f"pick{k}", "lift": f"lift{k}"}
@@ -171,13 +171,15 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
     whose moves meet, by the marks the product's transitions carry, each
     agent's motion and task sets (on moves of the agent whose own reduced
     transition meets them) and every L_i (a joint move of i, or a local move
-    of i keeping its word legal)."""
+    of i keeping its word legal).  Position i's slot starts where position
+    i - 1's ends, and holds its reduced sets and then L_i."""
     pairs = run_synthesis(two_pairs)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
     for gp in products:
         a = gp.automaton
-        assert a.sets == 3 * len(gp.agent_ids)
+        widths = [p.automaton.sets + 1 for p in gp.products]
+        assert a.sets == sum(widths)
         marks = [t.mask for t in a.transitions]
         lasso = _accepting_lasso(gp)
         states = lasso.states(a)
@@ -185,15 +187,16 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
             assert a.transitions[tid].src == src
         assert states[-1] == states[len(lasso.prefix)]
         for pos, aid in enumerate(gp.agent_ids):
-            for own_set in (0, 1):
-                met = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + own_set) & 1]
+            first = sum(widths[:pos])
+            for own_set in range(widths[pos] - 1):
+                met = [tid for tid in lasso.cycle if marks[tid] >> (first + own_set) & 1]
                 assert met
                 for tid in met:
                     back = a.tr_back[tid]
                     assert aid in a.tr_dep[tid]
                     low = back[2] if back[0] == "local" else back[2][pos]
                     assert gp.products[pos].automaton.transitions[low].mask >> own_set & 1
-            legal = [tid for tid in lasso.cycle if marks[tid] >> (3 * pos + 2) & 1]
+            legal = [tid for tid in lasso.cycle if marks[tid] >> (first + widths[pos] - 1) & 1]
             assert legal and all(aid in a.tr_dep[tid] for tid in legal)
             joint = [tid for tid in lasso.cycle if a.tr_back[tid][0] == "joint"]
             assert all(tid in legal for tid in joint if aid in a.tr_dep[tid])
@@ -257,7 +260,7 @@ def test_lasso_absence_matches_pruned_reachability():
         for s in range(n):
             for _ in range(rng.randrange(0, 3)):
                 a.add_transition(s, Silent(1), rng.randrange(n))
-        a.accepting = {s for s in range(n) if rng.random() < 0.3}
+        mark_entering(a, {s for s in range(n) if rng.random() < 0.3})
         pruned = prune_non_coaccessible(a)
         reach = {pruned.initial}
         queue = [pruned.initial]
@@ -269,8 +272,8 @@ def test_lasso_absence_matches_pruned_reachability():
                     reach.add(w)
                     queue.append(w)
         # pruning preserves the language, so lasso existence must agree; a
-        # reachable accepting state off every cycle hosts no lasso on either side
+        # reachable marked edge off every cycle hosts no lasso on either side
         has_lasso = accepting_lasso(a) is not None
         assert has_lasso == (accepting_lasso(pruned) is not None)
         if has_lasso:
-            assert any(s in pruned.accepting for s in reach)
+            assert any(t.mask and t.src in reach for t in pruned.transitions)

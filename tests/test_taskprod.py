@@ -128,21 +128,34 @@ class TestProduct:
 
     def test_transitions_carry_motion_and_task_marks(self):
         # states are (motion, task) pairs, and a transition meets the
-        # motion set when its reduced motion transition does, and the task
-        # set when the task automaton enters (a silent move: rests in) an
-        # accepting state
-        _agent, rm, tm = hauler_products()
-        a = tm.automaton
-        assert a.sets == 2 and not a.accepting
-        assert all(len(tag) == 2 for tag in a.state_tags)
-        assert len(set(a.state_tags)) == a.n_states
-        spec = tm.task_spec
-        for tid, t in enumerate(a.transitions):
-            m_tid, p_tid = a.tr_back[tid]
-            mt = rm.automaton.transitions[m_tid]
-            q2 = a.state_tags[t.dst][1] if p_tid is None else spec.transitions[p_tid].dst
-            assert a.state_tags[t.src][0] == mt.src and a.state_tags[t.dst][0] == mt.dst
-            assert t.mask == mt.mask | (2 if q2 in spec.accepting else 0)
+        # motion sets its reduced motion transition meets and, above them,
+        # the task sets its task transition meets; a silent move rests at
+        # its task state and meets the sets every transition entering that
+        # state meets, all of them where none enters
+        for _agent, rm, tm in (hauler_products(), surveyor_products(), helper_products()):
+            a = tm.automaton
+            spec = tm.task_spec
+            motion_sets = rm.automaton.sets
+            assert a.sets == motion_sets + spec.sets
+            assert all(len(tag) == 2 for tag in a.state_tags)
+            assert len(set(a.state_tags)) == a.n_states
+            for tid, t in enumerate(a.transitions):
+                m_tid, p_tid = a.tr_back[tid]
+                mt = rm.automaton.transitions[m_tid]
+                assert a.state_tags[t.src][0] == mt.src and a.state_tags[t.dst][0] == mt.dst
+                assert t.mask & ((1 << motion_sets) - 1) == mt.mask
+                if p_tid is None:
+                    q2 = a.state_tags[t.src][1]
+                    assert a.state_tags[t.dst][1] == q2
+                    task = (1 << spec.sets) - 1
+                    for u in spec.transitions:
+                        if u.dst == q2:
+                            task &= u.mask
+                else:
+                    pt = spec.transitions[p_tid]
+                    assert (a.state_tags[t.src][1], a.state_tags[t.dst][1]) == (pt.src, pt.dst)
+                    task = pt.mask
+                assert t.mask >> motion_sets == task
 
 
 class TestAssisting:
@@ -177,13 +190,37 @@ class TestAssisting:
     def test_xor_characterization(self):
         _agent, _rm, tm = hauler_products()
         keys = tm.joint_keys()
+        joint = [t for t in tm.automaton.transitions if not isinstance(t.label, Silent)]
+        assert keys == {(t.src, t.label, t.dst, t.mask) for t in joint}
         for tid, t in enumerate(tm.automaton.transitions):
             if isinstance(t.label, Silent):
                 continue
             for service in sorted(tm.foreign_syntactic):
-                with_s = (t.src, t.label | {service}, t.dst) in keys
-                without_s = (t.src, t.label - {service}, t.dst) in keys
+                with_s = (t.src, t.label | {service}, t.dst, t.mask) in keys
+                without_s = (t.src, t.label - {service}, t.dst, t.mask) in keys
                 assert compute_assisting(tm, tid, service) == (with_s != without_s)
+
+
+    def test_parallel_edges_differing_in_marks_alone(self):
+        # G F (pick && lift) has one task state, with a `true` loop and a
+        # `lift & pick` loop meeting the task set.  A {pick, lift} step takes
+        # both, so it has two parallel transitions that differ in their mask
+        # alone: lift assists the marked one, as the {pick} step has no
+        # marked twin, and not the unmarked one
+        agent = explicit_agent(1, ["P"], {"pick": ["pick"]}, [(0, "pick", 0)])
+        rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
+        spec = translate(ltl.parse("G F (pick && lift)", {"pick", "lift"}))
+        assert spec.n_states == 1
+        tm = build_task_motion_product(rm, spec, 1, agent.services, {"pick": 1, "lift": 2})
+        both = frozenset({"pick", "lift"})
+        twins = [tid for tid, t in enumerate(tm.automaton.transitions) if t.label == both]
+        masks = sorted(tm.automaton.transitions[tid].mask >> rm.automaton.sets for tid in twins)
+        assert masks == [0, 1]
+        for tid in twins:
+            marked = tm.automaton.transitions[tid].mask >> rm.automaton.sets
+            assert compute_assisting(tm, tid, "lift") == bool(marked)
+        deps = compute_dep(tm)
+        assert {deps[tid] for tid in twins} == {frozenset({1}), frozenset({1, 2})}
 
 
 class TestDep:
@@ -374,14 +411,13 @@ def test_random_reduction_suite():
 
 def _accepts_silence_by_emptiness(spec, state):
     """Per-state reference: language of the spec cut to empty-set guards."""
-    sub = BuchiAutomaton(spec.mode)
+    sub = BuchiAutomaton(spec.mode, spec.sets)
     for _ in range(spec.n_states):
         sub.add_state()
     sub.initial = state
-    sub.accepting = set(spec.accepting)
     for t in spec.transitions:
         if t.label.accepts(frozenset()):
-            sub.add_transition(t.src, t.label, t.dst)
+            sub.add_transition(t.src, t.label, t.dst, t.mask)
     return not language_empty(sub)
 
 

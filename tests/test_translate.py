@@ -9,13 +9,13 @@ from tests.reference_buchi import accepting_lasso
 
 
 def test_true_gives_single_state_universal_loop():
+    # no liveness obligation: one set, which the one loop meets
     ba = translate(ltl.TRUE_F)
-    assert ba.n_states == 1
-    assert ba.accepting == {0}
+    assert ba.n_states == 1 and ba.sets == 1
     assert len(ba.transitions) == 1
     t = ba.transitions[0]
-    assert t.src == t.dst == 0
-    assert t.label.accepts(frozenset())
+    assert t.src == t.dst == 0 and t.mask == 1
+    assert t.label.accepts(frozenset()) and t.label.text() == "true"
 
 
 def test_safety_avoidance_language():
@@ -57,14 +57,18 @@ def test_empty_language_implies_every_word_rejected_by_oracle():
 
 
 def test_satisfiable_formula_has_accepting_lasso():
+    # one state and one set, met by the edges that read `a`
     ba = translate(ltl.parse("G F a", {"a"}))
+    assert ba.n_states == 1 and ba.sets == 1
+    for t in ba.transitions:
+        assert t.mask == int("a" in t.label.pos)
     lasso = accepting_lasso(ba)
     assert lasso is not None and lasso.cycle
     states = lasso.states(ba)
     for tid, src in zip(lasso.prefix + lasso.cycle, states):
         assert ba.transitions[tid].src == src
     assert states[-1] == states[len(lasso.prefix)]
-    assert any(s in ba.accepting for s in states[len(lasso.prefix):])
+    assert any(ba.transitions[tid].mask for tid in lasso.cycle)
 
 
 def test_guards_stay_symbolic():
