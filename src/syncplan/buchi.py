@@ -97,9 +97,6 @@ class Witness:
     src: int
     dst: int
 
-    def rank(self):
-        return (len(self.steps), self.steps)
-
 
 class BuchiAutomaton:
     """Nondeterministic automaton over infinite words, state ids are dense ints.
@@ -535,7 +532,8 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
     acceptance.  So each state but the absorbing one stands for one state
     of `a`, the one witness of a transition leaving it starts there, and
     each variant of the absorbing loop runs from its anchor back to it: one
-    pass over a cycle of the result replays a cycle of `a`.
+    pass over a cycle of the result replays a cycle of `a`.  Coalition
+    ranks and label sort keys are worked out once per call.
     """
     if not significant[a.initial]:
         raise ValueError("the initial state must be significant")
@@ -544,41 +542,53 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
     coalitions = bool(a.tr_dep)
     sink_target = (1,)
     served = 1 << a.sets  # a bit above the sets: the witness provides a service
-
-    def serves(witness):
-        return any(not isinstance(a.transitions[step].label, Silent) for step in witness.steps)
+    provides = [not isinstance(t.label, Silent) for t in a.transitions]
 
     def coalition(label, tid):
         if not coalitions:
             return None
         return frozenset((label.agent,)) if isinstance(label, Silent) else a.tr_dep[tid]
 
+    ranks, sort_keys = {}, {}  # per coalition and per label, worked out once
+
+    def coalition_rank(dep):
+        if dep not in ranks:
+            ranks[dep] = () if dep is None else (len(dep), tuple(sorted(dep)))
+        return ranks[dep]
+
+    def sort_key(label):
+        if label not in sort_keys:
+            sort_keys[label] = label_sort_key(label)
+        return sort_keys[label]
+
     def edges_from(u):
-        variants = {}  # (label, target) -> [(rank, mask, coalition, witness)]
+        # (label, target) -> [(rank, mask, coalition, steps, end)]; a witness
+        # is made for the kept variants only
+        variants = {}
         for tid in a.out_transitions(u):
             label = a.transitions[tid].label if relabel is None else relabel(tid)
             dep = coalition(label, tid)
-            dep_rank = () if dep is None else (len(dep), tuple(sorted(dep)))
+            dep_rank = coalition_rank(dep)
             for v, mask, steps in segments(tid):
-                witness = Witness(steps, u, v)
                 variants.setdefault((label, (0, v)), []).append(
-                    ((dep_rank, witness.rank()), mask, dep, witness)
+                    ((dep_rank, (len(steps), steps)), mask, dep, steps, v)
                 )
             route = reach.get(a.transitions[tid].dst)
             if route is not None:
                 _dist, steps, anchor = route
-                witness = Witness((tid,) + steps, u, anchor)
+                steps = (tid,) + steps
                 variants.setdefault((label, sink_target), []).append(
-                    ((dep_rank, witness.rank()), 0, dep, witness)
+                    ((dep_rank, (len(steps), steps)), 0, dep, steps, anchor)
                 )
         edges = []
-        for label, target in sorted(variants, key=lambda k: (label_sort_key(k[0]), k[1])):
+        for label, target in sorted(variants, key=lambda k: (sort_key(k[0]), k[1])):
             kept = []  # masks and service bits of the variants kept, none ranking higher
-            for _rank, mask, dep, witness in sorted(variants[(label, target)], key=itemgetter(0)):
-                key = mask | served if serves(witness) else mask
+            ranked = sorted(variants[(label, target)], key=itemgetter(0))
+            for _rank, mask, dep, steps, end in ranked:
+                key = mask | served if any(provides[step] for step in steps) else mask
                 if all(k | key != k for k in kept):
                     kept.append(key)
-                    edges.append((label, target, mask, dep, witness))
+                    edges.append((label, target, mask, dep, Witness(steps, u, end)))
         return edges
 
     b = BuchiAutomaton(a.mode, a.sets)

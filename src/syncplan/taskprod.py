@@ -12,7 +12,10 @@ sets, or rests there forever, and then whether its task tolerates silence
 decides (L_i in the global product).  Joint labels range over the agent's
 own service sets extended by foreign services that actually occur in the
 task automaton's guards; services outside every guard can never flip a
-transition, which the assisting-service test below makes checkable.
+transition, which the assisting-service test below makes checkable.  Each
+foreign service is one bit, and one index of the joint transitions by
+endpoints, marks and own part answers the assisting and strip tests by
+toggling bits.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
@@ -29,7 +32,7 @@ loop keeps every agent's word legal whichever cycle it replays.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .buchi import (
@@ -50,6 +53,14 @@ class TaskMotionProduct:
     `automaton.tr_back[tid]` is a pair (reduced-motion transition id, task
     automaton transition id or None for silent moves).  Dependency coalitions
     live in `automaton.tr_dep` once `compute_dep` has run.
+
+    Foreign service i of `foreign_syntactic`, in sorted order, is bit
+    `1 << i`.  `label_parts` splits each joint label into its own part (the
+    services outside `foreign_syntactic`) and its foreign bits, one label
+    object per such pair, and `joint_index` maps (source, target, mask, own
+    part) to the foreign bits of every joint transition with those
+    endpoints, marks and own part: parallel transitions that differ in
+    their marks alone are told apart.
     """
 
     automaton: BuchiAutomaton
@@ -59,25 +70,23 @@ class TaskMotionProduct:
     own_services: frozenset
     foreign_syntactic: frozenset
     service_owner: dict
-
-    def __post_init__(self):
-        self._joint_keys = None
-        self._silence_tolerant = None
+    label_parts: dict
+    joint_index: dict
+    _silence_tolerant: frozenset | None = field(default=None, init=False, repr=False)
 
     @property
     def silent(self) -> Silent:
         return Silent(self.agent_id)
 
-    def joint_keys(self):
-        """(source, label, target, mask) of every joint transition: parallel
-        transitions that differ in their marks alone are told apart."""
-        if self._joint_keys is None:
-            self._joint_keys = {
-                (t.src, t.label, t.dst, t.mask)
-                for t in self.automaton.transitions
-                if not isinstance(t.label, Silent)
-            }
-        return self._joint_keys
+    def foreign_bits(self) -> dict:
+        """Each foreign service's bit."""
+        return {s: 1 << i for i, s in enumerate(sorted(self.foreign_syntactic))}
+
+    def variants(self, t):
+        """(foreign bits of joint transition `t`, the foreign bits of every
+        joint transition sharing its endpoints, marks and own part)."""
+        own, bits = self.label_parts[t.label]
+        return bits, self.joint_index[(t.src, t.dst, t.mask, own)]
 
     def silence_tolerant(self) -> frozenset:
         """Task-spec states from which the empty service set is accepted forever.
@@ -121,10 +130,32 @@ def build_task_motion_product(
     motion label and which must satisfy a task guard.  A move's mask is its
     motion transition's, plus, shifted above the motion sets, its task
     transition's or, for a silent move, the sets its task state rests in.
+    The foreign parts are enumerated as bit sets, by size and then in the
+    order `combinations` gives, and each guard is checked on its own part
+    once per motion transition and on its foreign bits per variant.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
     foreign = sorted(_guard_atoms(task_spec) - own_services)
+    foreign_set = frozenset(foreign)
+    bit = {s: 1 << i for i, s in enumerate(foreign)}
+    subsets = [
+        sum(extra)
+        for size in range(len(foreign) + 1)
+        for extra in combinations(bit.values(), size)
+    ]
+
+    def split(atoms):
+        """(the atoms that are not foreign, the foreign ones as bits)"""
+        inside = atoms & foreign_set
+        if not inside:
+            return atoms, 0
+        return atoms - inside, sum(map(bit.__getitem__, inside))
+
+    guards = [(*split(t.label.pos), *split(t.label.neg)) for t in task_spec.transitions]
+    motion_parts = [
+        None if isinstance(t.label, Silent) else split(t.label) for t in motion.transitions
+    ]
     shift = motion.sets
     resting = [(1 << task_spec.sets) - 1] * task_spec.n_states
     for t in task_spec.transitions:
@@ -141,37 +172,65 @@ def build_task_motion_product(
     silent = Silent(agent_id)
     queue = deque()
     product.initial = state_id((motion.initial, task_spec.initial))
-    edge_seen = set()
+    labels = {}  # (own part, foreign bits) -> the one label object
+    parts = {}  # label -> (own part, foreign bits)
+    index = {}
 
-    def push(src, label, dst_key, mask, back):
-        key = (src, label, dst_key, mask)
-        if key in edge_seen:
-            return
-        edge_seen.add(key)
-        tid = product.add_transition(src, label, state_id(dst_key), mask)
-        product.tr_back[tid] = back
+    def label_of(own, bits):
+        label = labels.get((own, bits))
+        if label is None:
+            label = own | frozenset(s for s in foreign if bits & bit[s])
+            labels[(own, bits)] = label
+            parts[label] = (own, bits)
+        return label
 
     while queue:
         q1, q2 = queue.popleft()
         src = ids[(q1, q2)]
+        silent_seen = set()
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
                 mask = mt.mask | resting[q2] << shift
-                push(src, silent, (mt.dst, q2), mask, (m_tid, None))
+                dst = state_id((mt.dst, q2))
+                if (dst, mask) not in silent_seen:
+                    silent_seen.add((dst, mask))
+                    tid = product.add_transition(src, silent, dst, mask)
+                    product.tr_back[tid] = (m_tid, None)
                 continue
-            for size in range(len(foreign) + 1):
-                for extra in combinations(foreign, size):
-                    sigma = mt.label | frozenset(extra)
-                    for p_tid in task_spec.out_transitions(q2):
-                        pt = task_spec.transitions[p_tid]
-                        if not pt.label.accepts(sigma):
-                            continue
-                        mask = mt.mask | pt.mask << shift
-                        push(src, sigma, (mt.dst, pt.dst), mask, (m_tid, p_tid))
+            own, low = motion_parts[m_tid]
+            matching = []  # task transitions whose guard the own part satisfies
+            for p_tid in task_spec.out_transitions(q2):
+                pos_own, pos_bits, neg_own, neg_bits = guards[p_tid]
+                if pos_own <= own and not (neg_own & own):
+                    pt = task_spec.transitions[p_tid]
+                    mask = mt.mask | pt.mask << shift
+                    matching.append((p_tid, pos_bits, neg_bits, (mt.dst, pt.dst), mask))
+            for extra in subsets:
+                bits = low | extra
+                for p_tid, pos_bits, neg_bits, target, mask in matching:
+                    if pos_bits & ~bits or neg_bits & bits:
+                        continue
+                    dst = state_id(target)
+                    group = index.get((src, dst, mask, own))
+                    if group is None:
+                        group = index[(src, dst, mask, own)] = set()
+                    elif bits in group:
+                        continue
+                    group.add(bits)
+                    tid = product.add_transition(src, label_of(own, bits), dst, mask)
+                    product.tr_back[tid] = (m_tid, p_tid)
 
     return TaskMotionProduct(
-        product, rm, task_spec, agent_id, own_services, frozenset(foreign), dict(service_owner)
+        product,
+        rm,
+        task_spec,
+        agent_id,
+        own_services,
+        foreign_set,
+        dict(service_owner),
+        parts,
+        index,
     )
 
 
@@ -184,24 +243,22 @@ def compute_assisting(tm: TaskMotionProduct, tid: int, service: str) -> bool:
         raise ValueError("assistance is defined on service-labeled transitions only")
     if service not in tm.foreign_syntactic:
         return False
-    keys = tm.joint_keys()
-    present_with = (t.src, t.label | {service}, t.dst, t.mask) in keys
-    present_without = (t.src, t.label - {service}, t.dst, t.mask) in keys
-    return present_with != present_without
+    bits, group = tm.variants(t)
+    return bits ^ tm.foreign_bits()[service] not in group
 
 
 def compute_dep(tm: TaskMotionProduct) -> dict:
     """Coalition per transition: the agent plus owners of assisting services."""
     deps = {}
     own = frozenset((tm.agent_id,))
+    owners = [(b, tm.service_owner[s]) for s, b in tm.foreign_bits().items()]
     for tid, t in enumerate(tm.automaton.transitions):
         if isinstance(t.label, Silent):
             deps[tid] = own
             continue
+        bits, group = tm.variants(t)
         members = {tm.agent_id}
-        for service in sorted(tm.foreign_syntactic):
-            if compute_assisting(tm, tid, service):
-                members.add(tm.service_owner[service])
+        members.update(owner for b, owner in owners if bits ^ b not in group)
         deps[tid] = frozenset(members)
     tm.automaton.tr_dep = dict(deps)
     return deps
@@ -215,14 +272,15 @@ def compute_globally_assisting(tms) -> dict:
         owners |= set(tm.service_owner.values())
     result = {agent_id: set() for agent_id in owners}
     for tm in tms:
-        for service in sorted(tm.foreign_syntactic):
+        for service, b in tm.foreign_bits().items():
             owner = tm.service_owner[service]
             if service in result[owner]:
                 continue
-            for tid, t in enumerate(tm.automaton.transitions):
+            for t in tm.automaton.transitions:
                 if isinstance(t.label, Silent):
                     continue
-                if compute_assisting(tm, tid, service):
+                bits, group = tm.variants(t)
+                if bits ^ b not in group:
                     result[owner].add(service)
                     break
     return {agent_id: frozenset(v) for agent_id, v in result.items()}
@@ -285,24 +343,24 @@ def reduce_task_motion(
     silent = tm.silent
     ga_own = globally_assisting.get(tm.agent_id, frozenset())
     own_dep = frozenset((tm.agent_id,))
-    keys = tm.joint_keys()
+    bits_in_order = list(tm.foreign_bits().values())
 
     def strips_to_own(t) -> bool:
-        # peel foreign services one at a time as long as the variant without
-        # them still exists between the same endpoints with the same marks; a
-        # label that cannot be peeled bare still needs *some* companion (even
-        # when no single foreign service is pivotal on the full label)
-        sigma = t.label
-        foreign = sorted(sigma - tm.own_services)
+        # peel foreign services one at a time, in sorted order, as long as the
+        # variant without them still exists between the same endpoints with
+        # the same marks; a label that cannot be peeled bare still needs
+        # *some* companion (even when no single foreign service is pivotal on
+        # the full label).  The rest of a label is the agent's own services,
+        # as its actions provide only those
+        bits, group = tm.variants(t)
         progress = True
-        while foreign and progress:
+        while bits and progress:
             progress = False
-            for rho in list(foreign):
-                if (t.src, sigma - {rho}, t.dst, t.mask) in keys:
-                    sigma = sigma - {rho}
-                    foreign.remove(rho)
+            for b in bits_in_order:
+                if bits & b and bits ^ b in group:
+                    bits ^= b
                     progress = True
-        return not foreign
+        return not bits
 
     def planning_label(tid):
         t = a.transitions[tid]

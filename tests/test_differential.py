@@ -44,10 +44,12 @@ from tests import reference_buchi as ref_buchi
 from tests import reference_globalprod as ref_gp
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
+from tests import reference_taskprod as ref_task
 from tests.conftest import (
     ATOMS,
     benchmark_workloads,
     chain,
+    explicit_agent,
     mark_entering,
     make_scenario,
     random_formula,
@@ -1148,3 +1150,117 @@ def test_random_teams_keep_their_verdicts():
             _certify(scenario, result.strategies)
             solved += 1
     assert failures == {(0, 16): ("task", 3)} and solved == 299
+
+
+def _foreign_bit_team_cases():
+    """300 random teams, the three benchmark workloads and wide_guards(k)
+    for k = 10..12."""
+    workloads = benchmark_workloads()
+    cases = []
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        cases += [random_scenario(rng) for _ in range(100)]
+    cases += [scenario_from_dict(workloads.generate(name)) for name in sorted(workloads.WORKLOADS)]
+    cases += [scenario_from_dict(workloads.wide_guards(k)) for k in (10, 11, 12)]
+    return cases
+
+
+def _order_sensitive_instance():
+    """A task product whose strip test depends on the order services are
+    peeled in.  One task state loops on six cubes over x0, x1, x2, so the
+    {pick, x0, x1, x2} step has every one-service-less variant (its
+    coalition is the agent alone), and peeling x0 first leaves {x1, x2},
+    from which neither x1 nor x2 can go, while peeling x2 first strips the
+    label bare."""
+    agent = explicit_agent(1, ["P"], {"pick": ["pick"]}, [(0, "pick", 0)])
+    rm = motion.reduce(motion.build_motion_product(agent, translate(ltl.TRUE_F)))
+    spec = BuchiAutomaton(GUARD_MODE, 0)
+    spec.add_state()
+    xs = ("x0", "x1", "x2")
+    for kept in ("x0 x1 x2", "x1 x2", "x0 x2", "x0 x1", "x0", ""):
+        pos = frozenset(kept.split())
+        spec.add_transition(0, Guard(pos, frozenset(xs) - pos), 0)
+    owner = {"pick": 1, "x0": 2, "x1": 3, "x2": 4}
+    tm = taskprod.build_task_motion_product(rm, spec, 1, agent.services, owner)
+    taskprod.compute_dep(tm)
+    return tm, taskprod.compute_globally_assisting([tm])
+
+
+def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
+    # the product built over foreign bit sets, and the coalitions, globally
+    # assisting sets, planning labels and reduced automata read off its
+    # index, against the frozenset probes of reference_taskprod; whole teams
+    # also compare global products and strategies.  The planning labels are
+    # read off every transition through the relabel function `fold` gets
+    labels = []
+
+    def capturing_fold(a, significant, silent, relabel=None, live=None):
+        labels.append([relabel(tid) for tid in range(len(a.transitions))])
+        return buchi.fold(a, significant, silent, relabel, live)
+
+    monkeypatch.setattr(taskprod, "fold", capturing_fold)
+    counts = {"coalitions": 0, "stripped": 0, "kept": 0}
+
+    def compare_agent(tm, ga, reduced, planning):
+        a = tm.automaton
+        rm = tm.rm
+        built = ref_task.product_automaton(rm, tm.task_spec, tm.agent_id, tm.own_services)
+        assert dump(a)[:4] == dump(built)[:4] and a.tr_back == built.tr_back
+        deps = dict(a.tr_dep)
+        assert ref_task.compute_dep(tm) == deps
+        assert planning == ref_task.planning_labels(tm, ga)
+        assert dump(reduced.automaton) == dump(ref_task.reduce_task_motion(tm, ga).automaton)
+        for tid, t in enumerate(a.transitions):
+            counts["coalitions"] += len(deps[tid]) > 1
+            if not isinstance(t.label, Silent) and t.label - tm.own_services:
+                counts["stripped" if isinstance(planning[tid], Silent) else "kept"] += 1
+
+    rng = random.Random(43)
+    for draw in range(401):
+        tm, ga = _random_task_instance(rng) if draw else _order_sensitive_instance()
+        assert taskprod.compute_globally_assisting([tm]) == ref_task.compute_globally_assisting([tm])
+        keys = ref_task.joint_keys(tm)
+        for tid, t in enumerate(tm.automaton.transitions):
+            if not isinstance(t.label, Silent):
+                for service in sorted(tm.foreign_syntactic):
+                    assert taskprod.compute_assisting(tm, tid, service) == ref_task.compute_assisting(
+                        tm, keys, tid, service
+                    )
+        labels.clear()
+        reduced = taskprod.reduce_task_motion(tm, ga)
+        compare_agent(tm, ga, reduced, labels[0])
+        if not draw:
+            every = frozenset({"pick", "x0", "x1", "x2"})
+            (t,) = [t for t in tm.automaton.transitions if t.label == every]
+            tid = tm.automaton.transitions.index(t)
+            assert tm.automaton.tr_dep[tid] == {1} and labels[0][tid] == every
+            for peeled in ("x2", "x2 x1", "x2 x1 x0"):
+                assert (t.src, every - set(peeled.split()), t.dst, t.mask) in keys
+
+    solved = 0
+    for scenario in _foreign_bit_team_cases():
+        labels.clear()
+        try:
+            new = run_synthesis(scenario)
+        except EmptyLanguageError:
+            continue
+        planning = list(labels)
+        with monkeypatch.context() as m:
+            m.setattr(taskprod, "compute_dep", ref_task.compute_dep)
+            m.setattr(taskprod, "compute_globally_assisting", ref_task.compute_globally_assisting)
+            m.setattr(taskprod, "reduce_task_motion", ref_task.reduce_task_motion)
+            old = run_synthesis(scenario)
+        assert new.globally_assisting == old.globally_assisting
+        for pos, aid in enumerate(sorted(new.artifacts)):
+            art, ref_art = new.artifacts[aid], old.artifacts[aid]
+            assert ref_art.task_product.automaton.tr_dep == art.task_product.automaton.tr_dep
+            compare_agent(art.task_product, new.globally_assisting, art.reduced_task, planning[pos])
+        assert [(group, dump(gp.automaton)) for group, gp in new.global_products] == [
+            (group, dump(gp.automaton)) for group, gp in old.global_products
+        ]
+        assert new.raw_strategies == old.raw_strategies
+        assert new.strategies == old.strategies
+        assert new.stats == old.stats
+        solved += 1
+    assert solved >= 300
+    assert counts["coalitions"] >= 1500 and counts["stripped"] >= 5000 and counts["kept"] >= 5000

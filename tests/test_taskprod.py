@@ -189,9 +189,20 @@ class TestAssisting:
 
     def test_xor_characterization(self):
         _agent, _rm, tm = hauler_products()
-        keys = tm.joint_keys()
-        joint = [t for t in tm.automaton.transitions if not isinstance(t.label, Silent)]
-        assert keys == {(t.src, t.label, t.dst, t.mask) for t in joint}
+        # the oracle's keys come straight from the transitions; the index
+        # must hold exactly those, read back through the shared labels
+        keys = {
+            (t.src, t.label, t.dst, t.mask)
+            for t in tm.automaton.transitions
+            if not isinstance(t.label, Silent)
+        }
+        label_of = {parts: label for label, parts in tm.label_parts.items()}
+        indexed = {
+            (src, label_of[(own, bits)], dst, mask)
+            for (src, dst, mask, own), group in tm.joint_index.items()
+            for bits in group
+        }
+        assert indexed == keys
         for tid, t in enumerate(tm.automaton.transitions):
             if isinstance(t.label, Silent):
                 continue
