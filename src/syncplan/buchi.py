@@ -347,7 +347,10 @@ def least_segments(a: BuchiAutomaton, stop):
     when the entries into the non-stop region outnumber the stop pairs.
     Each table is read for every entry pair, a non-stop pair that a
     transition leaving a stop state enters, right after its sweep and then
-    dropped, so one table is held at a time.
+    dropped, so one table is held at a time.  A sweep ends after the layer
+    in which the last entry pair gets its distance: a pair's step can only
+    change within its own layer, so later layers would change no step that
+    a path from an entry pair follows.
 
     Returns `segments(tid)` for a transition `tid` leaving a stop state: one
     (stop state, mask, steps) per stop pair that a path starting with `tid`
@@ -357,10 +360,10 @@ def least_segments(a: BuchiAutomaton, stop):
     n = a.n_states
     width = 1 << a.sets
     masks = [t.mask for t in transitions]
-    entering = [[] for _ in range(n)]  # per state, (tid, source) from non-stop states
+    entering = [[] for _ in range(n)]  # per state, (tid, source, mask) from non-stop states
     for tid, t in enumerate(transitions):
         if not stop[t.src]:
-            entering[t.dst].append((tid, t.src))
+            entering[t.dst].append((tid, t.src, t.mask))
     # per state, the masks paths from stop states carry into it
     carried = [set() for _ in range(n)]
     pending = []
@@ -386,14 +389,14 @@ def least_segments(a: BuchiAutomaton, stop):
             dist = [None] * size
             step = [None] * size
             frontier = [y * width + my]
+            unsettled = len(tails)
             d = 0
-            while frontier:
+            while frontier and unsettled:
                 d += 1
                 found = []
                 for key in frontier:
                     x, mx = divmod(key, width)
-                    for tid, w in entering[x]:
-                        mt = masks[tid]
+                    for tid, w, mt in entering[x]:
                         if mt | mx != mx:
                             continue
                         for mw in carried[w]:
@@ -404,6 +407,8 @@ def least_segments(a: BuchiAutomaton, stop):
                                 dist[k] = d
                                 step[k] = tid
                                 found.append(k)
+                                if k in tails:
+                                    unsettled -= 1
                             elif dist[k] == d and tid < step[k]:
                                 step[k] = tid
                 frontier = found
@@ -446,14 +451,16 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     _comp, comps = strongly_connected_components(a, allowed=region)
     for members in comps:
         member_set = set(members)
-        covered = 0
+        covered, serves = 0, False
         for s in members:
             for tid in a.out_transitions(s):
-                if a.transitions[tid].dst in member_set:
-                    covered |= a.transitions[tid].mask
+                t = a.transitions[tid]
+                if t.dst in member_set:
+                    covered |= t.mask
+                    serves = serves or not isinstance(t.label, Silent)
         if covered == full:
             anchor = members[0]
-            loop = _covering_cycle(a, full, member_set, anchor)
+            loop = _covering_cycle(a, full, member_set, anchor, serves)
             if live is None or live(anchor, loop):
                 anchors[anchor] = loop
 
@@ -466,21 +473,26 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     return anchors, reach
 
 
-def _covering_cycle(a, full, members, anchor):
+def _covering_cycle(a, full, members, anchor, serves):
     """Shortest cycle through the anchor inside `members` that meets every
     set in `full`, preferring one that provides services.
 
     A silent loop only realizes stuttering acceptance.  When the component
-    offers a transition with a real service label, the chosen loop takes
-    one, so that an absorbed agent keeps producing its word.  The search is
-    breadth-first over (state, sets met) pairs, with one more bit for a
-    service step, and takes out-transitions in ascending id order.
+    offers a transition with a real service label (`serves`), the chosen
+    loop takes one, so that an absorbed agent keeps producing its word.
+    The search is breadth-first over (state, sets met) pairs, with one more
+    bit for a service step, takes out-transitions in ascending id order,
+    and stops once it discovers its goal, the anchor with every set met
+    (and the service bit when `serves`).  A pair's parent is fixed when it
+    is discovered, so the goal's path back to the start is the one a search
+    run to exhaustion would read off.
     """
     served = full + 1
     start = (anchor, 0)
+    goal = (anchor, full | served) if serves else (anchor, full)
     parent = {start: None}
     queue = deque([start])
-    while queue:
+    while goal not in parent:
         key = queue.popleft()
         for tid in a.out_transitions(key[0]):
             t = a.transitions[tid]
@@ -490,9 +502,7 @@ def _covering_cycle(a, full, members, anchor):
             if nxt not in parent:
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
-    key = (anchor, full | served)
-    if key not in parent:
-        key = (anchor, full)
+    key = goal
     loop = []
     while key != start:
         key, tid = parent[key]

@@ -15,11 +15,10 @@ service states, not the workspace.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .agents import AgentModel
-from .buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, fold
+from .buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, Transition, fold
 
 
 @dataclass
@@ -42,43 +41,74 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
     A step exists when the system allows the action and the specification
     automaton can read the current state's propositions; the step is labeled
     with the action's service set or the agent's silent symbol, and lies in
-    the acceptance sets of the specification transition taken.
+    the acceptance sets of the specification transition taken.  Per source
+    state only the first step of each (label, target, mask) is kept.
+
+    One breadth-first pass: states are numbered in discovery order, so the
+    state tags are the queue, and transitions are appended directly.  The
+    specification moves are worked out once per (specification state,
+    proposition set), and each system state's steps once, with a step
+    dropped when an earlier action of that state has an equal label and the
+    same target; a step kept is paired with every specification move, a
+    repeated (target, mask) move dropped.  So the duplicate rule costs no
+    lookup per product transition.
     """
     ts = agent.ts
     product = BuchiAutomaton(EXPLICIT_MODE, spec.sets)
-    ids = {}
+    n_ts, n_spec = len(ts.states), spec.n_states
+    ids = [None] * (n_ts * n_spec)  # s * n_spec + q -> product state
+    spec_moves = {}  # (spec state, proposition set) -> [(target, mask)]
+    ts_moves = [None] * n_ts  # system state -> [(action, label, target)]
+    labels = {}  # action -> (its label, an id shared by equal labels)
+    label_ids = {}
+    tags = product.state_tags
+    transitions = product.transitions
+    tr_back = product.tr_back
 
-    def state_id(s, q):
-        key = (s, q)
-        if key not in ids:
-            ids[key] = product.add_state(key)
-        return ids[key]
+    def moves_of(s):
+        moves, kept = [], set()
+        for action, s2 in ts.successors(s):
+            if action not in labels:
+                label = agent.label_of(action)
+                labels[action] = (label, label_ids.setdefault(label, len(label_ids)))
+            label, lid = labels[action]
+            key = lid * n_ts + s2
+            if key not in kept:
+                kept.add(key)
+                moves.append((action, label, s2))
+        return moves
+
+    def moves_in(q, props):
+        moves = []
+        for tid in spec.out_transitions(q):
+            t = spec.transitions[tid]
+            if t.label.accepts(props) and (t.dst, t.mask) not in moves:
+                moves.append((t.dst, t.mask))
+        return moves
 
     start = (ts.initial, spec.initial)
-    product.initial = state_id(*start)
-    queue = deque([start])
-    seen = {start}
-    edge_seen = set()
-    while queue:
-        s, q = queue.popleft()
-        sid = state_id(s, q)
-        spec_moves = [
-            (t.dst, t.mask)
-            for t in (spec.transitions[tid] for tid in spec.out_transitions(q))
-            if t.label.accepts(ts.labels[s])
-        ]
-        for action, s2 in ts.successors(s):
-            label = agent.label_of(action)
-            for q2, mask in spec_moves:
-                key = (sid, label, (s2, q2), mask)
-                if key in edge_seen:
-                    continue
-                edge_seen.add(key)
-                tid = product.add_transition(sid, label, state_id(s2, q2), mask)
-                product.tr_back[tid] = action
-                if (s2, q2) not in seen:
-                    seen.add((s2, q2))
-                    queue.append((s2, q2))
+    product.initial = ids[ts.initial * n_spec + spec.initial] = product.add_state(start)
+    src = 0
+    while src < len(tags):
+        s, q = tags[src]
+        props = ts.labels[s]
+        moves = spec_moves.get((q, props))
+        if moves is None:
+            moves = spec_moves[(q, props)] = moves_in(q, props)
+        steps = ts_moves[s]
+        if steps is None:
+            steps = ts_moves[s] = moves_of(s)
+        for action, label, s2 in steps:
+            base = s2 * n_spec
+            for q2, mask in moves:
+                dst = ids[base + q2]
+                if dst is None:
+                    dst = ids[base + q2] = len(tags)
+                    tags.append((s2, q2))
+                tid = len(transitions)
+                tr_back[tid] = action
+                transitions.append(Transition(src, label, dst, mask))
+        src += 1
     return MotionProduct(product, agent, spec)
 
 

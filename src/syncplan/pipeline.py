@@ -8,6 +8,11 @@ classes never synchronize, so the classes' strategies compose; a product
 over the whole team would only interleave them.  The global products are
 compared with the one-shot centralized product through its size estimate,
 read from the specification automata translated above.
+
+A stage whose automaton accepts nothing stops the run with
+`EmptyLanguageError`.  The motion stage's emptiness is read off the reduced
+motion automaton: the fold leaves it empty exactly when the full product
+is, so the full product's components are never walked.
 """
 from __future__ import annotations
 
@@ -72,9 +77,9 @@ def run_synthesis(scenario: Scenario, cap=None, per_class=None) -> PipelineResul
         motion_spec = translate(scenario.motion_formulas[aid])
         task_spec = translate(scenario.task_formulas[aid])
         mp = motion_mod.build_motion_product(agent, motion_spec)
-        if language_empty(mp.automaton):
-            raise EmptyLanguageError("motion", aid)
         rm = motion_mod.reduce(mp)
+        if language_empty(rm.automaton):
+            raise EmptyLanguageError("motion", aid)
         tm = task_mod.build_task_motion_product(rm, task_spec, aid, agent.services, owner)
         if language_empty(tm.automaton):
             raise EmptyLanguageError("task", aid)

@@ -225,6 +225,30 @@ def chain(m: int) -> Scenario:
     return make_scenario(agents, {i: "true" for i in task}, task, name=f"chain-{m}")
 
 
+def walled_room_data() -> dict:
+    """One agent on a 6x6 grid whose room R1, the corner cell (5, 5), is
+    walled off, with motion formula G F R1: the other 35 cells are
+    reachable, so the motion product is large, and no run ever visits R1,
+    so only its cycles show that it accepts nothing."""
+    return {
+        "name": "walled-room",
+        "agents": [
+            {
+                "id": 1,
+                "grid": {
+                    "width": 6,
+                    "height": 6,
+                    "initial": [0, 0],
+                    "rooms": {"R1": [5, 5, 5, 5]},
+                    "walls": [[[4, 5], [5, 5]], [[5, 4], [5, 5]]],
+                },
+            }
+        ],
+        "motion_formulas": {"1": "G F R1"},
+        "task_formulas": {"1": "true"},
+    }
+
+
 @pytest.fixture(scope="session")
 def three_robots():
     return load_bundled("three_robots")

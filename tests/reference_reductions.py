@@ -11,7 +11,9 @@ and the routes into them that `buchi.region_analysis` replaces with
 order, so it fixes distances, anchors and the length of each anchor's
 loop, and whether it provides services, not the paths.  Its components come from `region_components`, which copies the
 region into a second automaton, as the task reduction did before Tarjan
-took a state mask.
+took a state mask.  `covering_cycle` is the loop search that ran to
+exhaustion before `buchi._covering_cycle` stopped at its goal; it fixes the
+loops themselves.
 """
 from __future__ import annotations
 
@@ -190,3 +192,31 @@ def shortest_region_cycle(a, adjacency, members, anchor, full):
         layers.append(layer)
     loop = found.get(True, found.get(False))
     return (True not in found, len(loop)), loop
+
+
+def covering_cycle(a, full, members, anchor):
+    """`buchi._covering_cycle` as a full search: every (state, sets met)
+    pair of the component is discovered before the loop is read off, so
+    the early stop at the goal must give this loop exactly."""
+    served = full + 1
+    start = (anchor, 0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        for tid in a.out_transitions(key[0]):
+            t = a.transitions[tid]
+            if t.dst not in members:
+                continue
+            nxt = (t.dst, key[1] | t.mask | (0 if isinstance(t.label, Silent) else served))
+            if nxt not in parent:
+                parent[nxt] = (key, tid)
+                queue.append(nxt)
+    key = (anchor, full | served)
+    if key not in parent:
+        key = (anchor, full)
+    loop = []
+    while key != start:
+        key, tid = parent[key]
+        loop.append(tid)
+    return tuple(reversed(loop))

@@ -16,6 +16,7 @@ from syncplan.scenario_io import (
     strategy_from_dict,
     strategy_text,
 )
+from tests.conftest import walled_room_data
 
 THREE = str(bundled_scenario_path("three_robots"))
 PAIRS = str(bundled_scenario_path("two_pairs"))
@@ -117,6 +118,13 @@ class TestSynthesize:
         code = main(["synthesize", write_scenario(tmp_path, data), "--out", str(tmp_path / "s")])
         assert code == 2
         assert "motion stage of agent 1" in capsys.readouterr().err
+
+    def test_motion_empty_only_by_cycles_exits_two(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, walled_room_data())
+        code = main(["synthesize", path, "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "motion stage of agent 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_dot_dir_written(self, tmp_path):
         out = tmp_path / "strategies"

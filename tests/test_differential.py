@@ -18,6 +18,7 @@ from operator import or_
 import pytest
 
 from syncplan import buchi, globalprod, ltl, motion, pipeline, taskprod
+from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import (
     EXPLICIT_MODE,
     GUARD_MODE,
@@ -35,13 +36,14 @@ from syncplan.buchi import (
 )
 from syncplan.executor import SimulationConfig, check_local_satisfaction, check_timing, simulate
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
-from syncplan.motion import classify_significance
+from syncplan.motion import build_motion_product, classify_significance
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
 from syncplan.taskprod import _live_anchors, classify_task_significance
 from syncplan.translate import _marked_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
 from tests import reference_globalprod as ref_gp
+from tests import reference_motion as ref_motion
 from tests import reference_reductions as ref
 from tests import reference_tableau as ref_tableau
 from tests import reference_taskprod as ref_task
@@ -166,6 +168,111 @@ def test_motion_reduction_keeps_least_paths():
         absorbing += bool(anchors)
     assert nonempty >= 1500 and long_witnesses >= 1000 and absorbing >= 200
     assert rivals >= 100
+
+
+def _motion_dump(mp):
+    a = mp.automaton
+    return (a.initial, a.sets, a.state_tags, a.transitions, a.tr_back)
+
+
+def _motion_cases():
+    """(agent, motion specification) pairs: the agents of random teams, 300
+    of them, the bundled scenarios' agents, and a 20x20 grid."""
+    cases = []
+    rng = random.Random(71)
+    while len(cases) < 300:
+        scenario = random_scenario(rng)
+        cases += [(a, translate(scenario.motion_formulas[a.agent_id])) for a in scenario.agents]
+    for name in ("three_robots", "two_pairs", "asymmetry"):
+        scenario = load_bundled(name)
+        cases += [(a, translate(scenario.motion_formulas[a.agent_id])) for a in scenario.agents]
+    rooms = {(x, 19): "R1" for x in range(20)} | {(19, y): "R2" for y in range(5)}
+    grid = build_grid_agent(GridSpec(1, 20, 20, (0, 0), obstacles=frozenset({(5, 5)}), rooms=rooms))
+    cases.append((grid, translate(ltl.parse("G F R1 && G F R2 && F G !R2", {"R1", "R2"}))))
+    return cases
+
+
+def test_motion_product_matches_reference_builder():
+    # the flat pass numbers states, orders transitions and keeps back
+    # references exactly as the builder it replaced
+    transitions = 0
+    for agent, spec in _motion_cases():
+        new = build_motion_product(agent, spec)
+        old = ref_motion.build_motion_product(agent, spec)
+        assert _motion_dump(new) == _motion_dump(old)
+        assert (new.agent, new.spec) == (agent, spec)
+        transitions += len(new.automaton.transitions)
+    assert transitions >= 10000
+
+
+def test_motion_product_keeps_first_of_duplicate_steps():
+    # two guards of one specification state read R1 and lead to the same
+    # (target, mask), and two silent and two service actions of one system
+    # state lead to the same cell: only the first of each (label, target,
+    # mask) survives per source, with its action
+    agent = explicit_agent(
+        1,
+        ["a", "b"],
+        {"go": None, "walk": None, "give": ["x"], "hand": ["x"]},
+        [(0, "go", 1), (0, "walk", 1), (1, "give", 1), (1, "hand", 1), (1, "go", 0)],
+        labels={"b": ["R1"]},
+    )
+    spec = BuchiAutomaton(GUARD_MODE, 1)
+    spec.add_state()
+    spec.add_state()
+    spec.add_transition(0, Guard(frozenset({"R1"})), 1, 1)
+    spec.add_transition(0, Guard(), 0)
+    spec.add_transition(0, Guard(), 1, 1)
+    spec.add_transition(1, Guard(), 1, 1)
+    spec.add_transition(1, Guard(), 0)
+    new = build_motion_product(agent, spec)
+    old = ref_motion.build_motion_product(agent, spec)
+    assert _motion_dump(new) == _motion_dump(old)
+    a = new.automaton
+    moves = sum(
+        len(agent.ts.successors(s))
+        * sum(spec.transitions[t].label.accepts(agent.ts.labels[s]) for t in spec.out_transitions(q))
+        for s, q in a.state_tags
+    )
+    assert len(a.transitions) < moves
+    keys = [(t.src, t.label, t.dst, t.mask) for t in a.transitions]
+    assert len(set(keys)) == len(keys)
+    assert "walk" not in a.tr_back.values() and "hand" not in a.tr_back.values()
+    assert {"go", "give", "stay"} <= set(a.tr_back.values())
+
+
+def test_pipeline_motion_verdict_matches_full_product():
+    # the pipeline decides the motion stage on the reduced automaton; per
+    # agent its verdict must be the full product's, also where the full
+    # product has reachable states but no accepting cycle
+    rng = random.Random(73)
+    verdicts = []
+    by_cycles = 0
+    for _ in range(60):
+        scenario = random_scenario(rng)
+        for agent in scenario.agents:
+            aid = agent.agent_id
+            props = sorted(agent.ts.props)
+            texts = [scenario.motion_texts[aid]]
+            for p in props:
+                texts += [f"G {p}", f"F G {p} && G F !{p}"]
+            if len(props) == 2:
+                texts.append(f"F G {props[0]} && G F {props[1]}")
+            for text in texts:
+                single = make_scenario([agent], {aid: text}, {aid: "true"})
+                full = build_motion_product(agent, translate(single.motion_formulas[aid]))
+                expected = language_empty(full.automaton)
+                try:
+                    run_synthesis(single)
+                    empty = False
+                except EmptyLanguageError as e:
+                    assert (e.stage, e.agent_id) == ("motion", aid)
+                    empty = True
+                assert empty == expected
+                verdicts.append(empty)
+                by_cycles += empty and full.automaton.n_states > 1
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    assert by_cycles >= 50
 
 
 def test_task_segments_match_path_copying_walk(monkeypatch):
@@ -305,6 +412,43 @@ def test_region_analysis_matches_hand_written_searches():
             assert len(path) == dist and _chains(a, path, s, anchor, region)
         dead += len(anchors) - len(live)
     assert loops >= 500 and routes >= 500 and dead >= 100
+
+
+def _covering_components(a, sig):
+    """(members, anchor, serves) per region component whose internal edges
+    meet every set; `serves` when one of them provides a service."""
+    region = {s for s in range(a.n_states) if not sig[s]}
+    full = (1 << a.sets) - 1
+    found = []
+    for members in strongly_connected_components(a, allowed=region)[1]:
+        inside = [
+            a.transitions[tid] for s in members for tid in a.out_transitions(s)
+            if a.transitions[tid].dst in members
+        ]
+        if inside and reduce(or_, (t.mask for t in inside)) == full:
+            serves = any(not isinstance(t.label, Silent) for t in inside)
+            found.append((set(members), members[0], serves))
+    return found
+
+
+def test_covering_cycle_matches_full_search():
+    # stopping at the goal pair must give exactly the loop of the search
+    # that runs to exhaustion, with a service step inside the component and
+    # without one
+    rng = random.Random(79)
+    kinds = {True: 0, False: 0}
+    instances = [_random_task_instance(rng) for _ in range(3000)]
+    instances = [(tm.automaton, classify_task_significance(tm, ga)) for tm, ga in instances]
+    for i in range(1500):
+        mp = random_motion_product(rng, max_states=12 if i < 750 else 30)
+        instances.append((mp.automaton, classify_significance(mp)))
+    for a, sig in instances:
+        full = (1 << a.sets) - 1
+        for members, anchor, serves in _covering_components(a, sig):
+            loop = buchi._covering_cycle(a, full, members, anchor, serves)
+            assert loop == ref.covering_cycle(a, full, members, anchor)
+            kinds[serves] += 1
+    assert kinds[True] >= 100 and kinds[False] >= 300
 
 
 def _synthesize_both(scenario, monkeypatch):

@@ -30,7 +30,13 @@ from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_fr
 from syncplan.taskprod import build_task_motion_product, compute_dep
 from syncplan.translate import translate
 from tests import reference_globalprod as ref_gp
-from tests.conftest import benchmark_workloads, explicit_agent, make_scenario, random_scenario
+from tests.conftest import (
+    benchmark_workloads,
+    explicit_agent,
+    make_scenario,
+    random_scenario,
+    walled_room_data,
+)
 
 
 def single_idler():
@@ -428,6 +434,19 @@ class TestSynthesize:
             run_synthesis(sc)
         assert err.value.stage == "motion"
         assert err.value.agent_id == 1
+
+    def test_motion_emptiness_decided_by_cycles_reported_with_stage(self):
+        # the initial state has successors here: only the missing accepting
+        # cycle, read off the reduced motion automaton, empties the language
+        sc = scenario_from_dict(walled_room_data())
+        agent = sc.agent(1)
+        mp = build_motion_product(agent, translate(sc.motion_formulas[1]))
+        assert mp.automaton.n_states >= 35
+        assert mp.automaton.out_transitions(mp.automaton.initial)
+        with pytest.raises(EmptyLanguageError) as err:
+            run_synthesis(sc)
+        assert (err.value.stage, err.value.agent_id) == ("motion", 1)
+        assert "motion stage of agent 1" in str(err.value)
 
     def test_unsatisfiable_task_reported_with_stage(self):
         agent = explicit_agent(1, ["s"], {"go": ["m"]}, [(0, "go", 0)])
