@@ -68,6 +68,16 @@ class Scenario:
     def service_owner(self) -> dict:
         return {s: a.agent_id for a in self.agents for s in a.services}
 
+    @property
+    def offers(self) -> dict:
+        """Per agent, the service sets its non-silent actions provide."""
+        return {
+            a.agent_id: frozenset(
+                label for label in a.action_labels.values() if not isinstance(label, Silent)
+            )
+            for a in self.agents
+        }
+
     def agent(self, agent_id: int) -> AgentModel:
         for a in self.agents:
             if a.agent_id == agent_id:

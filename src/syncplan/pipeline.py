@@ -71,6 +71,7 @@ def run_synthesis(scenario: Scenario, cap=None, per_class=None) -> PipelineResul
         raise ValueError("invalid scenario: " + "; ".join(problems))
 
     owner = scenario.service_owner
+    offers = scenario.offers
     artifacts = {}
     for agent in scenario.agents:
         aid = agent.agent_id
@@ -80,7 +81,7 @@ def run_synthesis(scenario: Scenario, cap=None, per_class=None) -> PipelineResul
         rm = motion_mod.reduce(mp)
         if language_empty(rm.automaton):
             raise EmptyLanguageError("motion", aid)
-        tm = task_mod.build_task_motion_product(rm, task_spec, aid, agent.services, owner)
+        tm = task_mod.build_task_motion_product(rm, task_spec, aid, agent.services, owner, offers)
         if language_empty(tm.automaton):
             raise EmptyLanguageError("task", aid)
         task_mod.compute_dep(tm)

@@ -13,9 +13,14 @@ decides (L_i in the global product).  Joint labels range over the agent's
 own service sets extended by foreign services that actually occur in the
 task automaton's guards; services outside every guard can never flip a
 transition, which the assisting-service test below makes checkable.  Each
-foreign service is one bit, and one index of the joint transitions by
-endpoints, marks and own part answers the assisting and strip tests by
-toggling bits.
+foreign service is one bit.  Only the foreign parts the team can provide at
+one instant are spelled out: one service set offered by each owner (or none),
+united.  A global move fires a joint transition only when its label is the
+union of the coalition's own parts, each of them one action's service set,
+so a transition with any other foreign part could never fire.  The guard
+cubes matched between the same endpoints, with the same marks and own part,
+are indexed instead, so the assisting and strip tests, which toggle bits,
+answer for every foreign bit set as if all of them had been spelled out.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .buchi import (
     EXPLICIT_MODE,
@@ -58,9 +62,11 @@ class TaskMotionProduct:
     `1 << i`.  `label_parts` splits each joint label into its own part (the
     services outside `foreign_syntactic`) and its foreign bits, one label
     object per such pair, and `joint_index` maps (source, target, mask, own
-    part) to the foreign bits of every joint transition with those
-    endpoints, marks and own part: parallel transitions that differ in
-    their marks alone are told apart.
+    part) to the (pos bits, neg bits) cubes of the task guards matched with
+    those endpoints, marks and own part: a foreign bit set has a joint
+    transition there exactly when some cube accepts it, whether or not the
+    team can provide it.  Parallel transitions that differ in their marks
+    alone are told apart.
     """
 
     automaton: BuchiAutomaton
@@ -83,8 +89,8 @@ class TaskMotionProduct:
         return {s: 1 << i for i, s in enumerate(sorted(self.foreign_syntactic))}
 
     def variants(self, t):
-        """(foreign bits of joint transition `t`, the foreign bits of every
-        joint transition sharing its endpoints, marks and own part)."""
+        """(foreign bits of joint transition `t`, the guard cubes matched
+        with its endpoints, marks and own part)."""
         own, bits = self.label_parts[t.label]
         return bits, self.joint_index[(t.src, t.dst, t.mask, own)]
 
@@ -116,12 +122,29 @@ def _guard_atoms(spec: BuchiAutomaton) -> frozenset:
     return frozenset(atoms)
 
 
+def _accepted(cubes, bits) -> bool:
+    """Does some (pos bits, neg bits) cube accept the foreign bit set?"""
+    return any(not (pos & ~bits or neg & bits) for pos, neg in cubes)
+
+
+def _providable(bit: dict, service_owner: dict, offers: dict) -> list:
+    """The foreign bit sets the team can provide at one instant: the unions
+    of one offered service set (or none) per owner of a foreign service, by
+    size and then in the order `combinations` gives."""
+    unions = {0}
+    for owner in {service_owner[s] for s in bit}:
+        choices = {0} | {sum(bit[s] for s in label if s in bit) for label in offers[owner]}
+        unions = {u | c for u in unions for c in choices}
+    return sorted(unions, key=lambda u: (u.bit_count(), [i for i in range(len(bit)) if u >> i & 1]))
+
+
 def build_task_motion_product(
     rm: ReducedMotionProduct,
     task_spec: BuchiAutomaton,
     agent_id: int,
     own_services,
     service_owner: dict,
+    offers: dict,
 ) -> TaskMotionProduct:
     """Reachable product with silent and joint transition families.
 
@@ -130,20 +153,17 @@ def build_task_motion_product(
     motion label and which must satisfy a task guard.  A move's mask is its
     motion transition's, plus, shifted above the motion sets, its task
     transition's or, for a silent move, the sets its task state rests in.
-    The foreign parts are enumerated as bit sets, by size and then in the
-    order `combinations` gives, and each guard is checked on its own part
-    once per motion transition and on its foreign bits per variant.
+    `offers` maps each agent to the service sets its actions provide; the
+    foreign parts are the bit sets their owners can provide together
+    (`_providable`), and each guard is checked on its own part once per
+    motion transition and on its foreign bits per variant.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
     foreign = sorted(_guard_atoms(task_spec) - own_services)
     foreign_set = frozenset(foreign)
     bit = {s: 1 << i for i, s in enumerate(foreign)}
-    subsets = [
-        sum(extra)
-        for size in range(len(foreign) + 1)
-        for extra in combinations(bit.values(), size)
-    ]
+    subsets = _providable(bit, service_owner, offers)
 
     def split(atoms):
         """(the atoms that are not foreign, the foreign ones as bits)"""
@@ -174,7 +194,7 @@ def build_task_motion_product(
     product.initial = state_id((motion.initial, task_spec.initial))
     labels = {}  # (own part, foreign bits) -> the one label object
     parts = {}  # label -> (own part, foreign bits)
-    index = {}
+    cubes = {}  # (source, target tag, mask, own part) -> guard cubes
 
     def label_of(own, bits):
         label = labels.get((own, bits))
@@ -187,14 +207,14 @@ def build_task_motion_product(
     while queue:
         q1, q2 = queue.popleft()
         src = ids[(q1, q2)]
-        silent_seen = set()
+        seen = set()
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
                 mask = mt.mask | resting[q2] << shift
                 dst = state_id((mt.dst, q2))
-                if (dst, mask) not in silent_seen:
-                    silent_seen.add((dst, mask))
+                if (dst, mask) not in seen:
+                    seen.add((dst, mask))
                     tid = product.add_transition(src, silent, dst, mask)
                     product.tr_back[tid] = (m_tid, None)
                 continue
@@ -202,25 +222,31 @@ def build_task_motion_product(
             matching = []  # task transitions whose guard the own part satisfies
             for p_tid in task_spec.out_transitions(q2):
                 pos_own, pos_bits, neg_own, neg_bits = guards[p_tid]
-                if pos_own <= own and not (neg_own & own):
+                if pos_own <= own and not (neg_own & own or neg_bits & low):
                     pt = task_spec.transitions[p_tid]
                     mask = mt.mask | pt.mask << shift
-                    matching.append((p_tid, pos_bits, neg_bits, (mt.dst, pt.dst), mask))
+                    target = (mt.dst, pt.dst)
+                    cube = (pos_bits | low, neg_bits)
+                    cubes.setdefault((src, target, mask, own), set()).add(cube)
+                    matching.append((p_tid, pos_bits, neg_bits, target, mask))
             for extra in subsets:
                 bits = low | extra
                 for p_tid, pos_bits, neg_bits, target, mask in matching:
                     if pos_bits & ~bits or neg_bits & bits:
                         continue
                     dst = state_id(target)
-                    group = index.get((src, dst, mask, own))
-                    if group is None:
-                        group = index[(src, dst, mask, own)] = set()
-                    elif bits in group:
+                    if (dst, mask, own, bits) in seen:
                         continue
-                    group.add(bits)
+                    seen.add((dst, mask, own, bits))
                     tid = product.add_transition(src, label_of(own, bits), dst, mask)
                     product.tr_back[tid] = (m_tid, p_tid)
 
+    # cubes toward targets that no providable part reaches key no transition
+    index = {
+        (src, ids[target], mask, own): tuple(group)
+        for (src, target, mask, own), group in cubes.items()
+        if target in ids
+    }
     return TaskMotionProduct(
         product,
         rm,
@@ -243,8 +269,8 @@ def compute_assisting(tm: TaskMotionProduct, tid: int, service: str) -> bool:
         raise ValueError("assistance is defined on service-labeled transitions only")
     if service not in tm.foreign_syntactic:
         return False
-    bits, group = tm.variants(t)
-    return bits ^ tm.foreign_bits()[service] not in group
+    bits, cubes = tm.variants(t)
+    return not _accepted(cubes, bits ^ tm.foreign_bits()[service])
 
 
 def compute_dep(tm: TaskMotionProduct) -> dict:
@@ -256,9 +282,9 @@ def compute_dep(tm: TaskMotionProduct) -> dict:
         if isinstance(t.label, Silent):
             deps[tid] = own
             continue
-        bits, group = tm.variants(t)
+        bits, cubes = tm.variants(t)
         members = {tm.agent_id}
-        members.update(owner for b, owner in owners if bits ^ b not in group)
+        members.update(owner for b, owner in owners if not _accepted(cubes, bits ^ b))
         deps[tid] = frozenset(members)
     tm.automaton.tr_dep = dict(deps)
     return deps
@@ -279,28 +305,78 @@ def compute_globally_assisting(tms) -> dict:
             for t in tm.automaton.transitions:
                 if isinstance(t.label, Silent):
                     continue
-                bits, group = tm.variants(t)
-                if bits ^ b not in group:
+                bits, cubes = tm.variants(t)
+                if not _accepted(cubes, bits ^ b):
                     result[owner].add(service)
                     break
     return {agent_id: frozenset(v) for agent_id, v in result.items()}
 
 
-def classify_task_significance(tm: TaskMotionProduct, globally_assisting: dict):
-    """Initial, able to provide a globally assisting service, or dependent."""
+def strips_to_own(tm: TaskMotionProduct, t) -> bool:
+    """Can the foreign services of joint transition `t` be peeled away?
+
+    Peel them one at a time, in sorted order, as long as the variant without
+    them still exists between the same endpoints with the same marks; a
+    label that cannot be peeled bare still needs *some* companion (even when
+    no single foreign service is pivotal on the full label).  The rest of a
+    label is the agent's own services, as its actions provide only those.
+    """
+    bits, cubes = tm.variants(t)
+    bits_in_order = tm.foreign_bits().values()
+    progress = True
+    while bits and progress:
+        progress = False
+        for b in bits_in_order:
+            if bits & b and _accepted(cubes, bits ^ b):
+                bits ^= b
+                progress = True
+    return not bits
+
+
+def planning_labels(tm: TaskMotionProduct, globally_assisting: dict) -> list:
+    """Each transition's label for planning.
+
+    A transition counts as silent for planning when nobody's collaboration
+    hinges on it: its coalition is the agent alone, it provides no globally
+    assisting service, and the foreign parts of its label are incidental
+    (`strips_to_own`).
+    """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         raise ValueError("dependency map must be computed first")
+    silent = tm.silent
     ga_own = globally_assisting.get(tm.agent_id, frozenset())
+    own = frozenset((tm.agent_id,))
+    return [
+        silent
+        if isinstance(t.label, Silent)
+        or (a.tr_dep[tid] == own and not (t.label & ga_own) and strips_to_own(tm, t))
+        else t.label
+        for tid, t in enumerate(a.transitions)
+    ]
+
+
+def _significance(a: BuchiAutomaton, labels) -> list:
     significant = [False] * a.n_states
     significant[a.initial] = True
-    own = frozenset((tm.agent_id,))
-    for tid, t in enumerate(a.transitions):
-        if isinstance(t.label, Silent):
-            continue
-        if (t.label & ga_own) or a.tr_dep[tid] != own:
+    for t, label in zip(a.transitions, labels):
+        if not isinstance(label, Silent):
             significant[t.src] = True
     return significant
+
+
+def classify_task_significance(tm: TaskMotionProduct, globally_assisting: dict):
+    """Initial, or the source of a transition that is not silent for
+    planning: able to provide a globally assisting service, dependent, or
+    carrying a label that does not strip to the agent's own part.
+
+    With every foreign part spelled out, the last implies the second: the
+    variant where peeling gets stuck is a transition of the same source
+    whose remaining services are all pivotal.  With only the providable
+    parts spelled out, that variant may be missing, and the state must stay
+    significant by itself, or the fold would replay the label as silent.
+    """
+    return _significance(tm.automaton, planning_labels(tm, globally_assisting))
 
 
 @dataclass
@@ -330,46 +406,17 @@ def reduce_task_motion(
     """Fold insignificant stretches away (`buchi.fold`), keeping dependencies
     and witnesses.
 
-    A transition counts as silent for planning when nobody's collaboration
-    hinges on it: its coalition is the agent alone, it provides no globally
-    assisting service, and the foreign parts of its label are incidental.
-    Insignificant states only have such transitions.  Only live anchors feed
-    the absorbing state.
+    Transitions are relabeled by `planning_labels`, and the significant
+    states are the initial one and the sources of transitions not silent
+    for planning, so insignificant states only have silent ones.  Only live
+    anchors feed the absorbing state.
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    significant = classify_task_significance(tm, globally_assisting)
-    silent = tm.silent
-    ga_own = globally_assisting.get(tm.agent_id, frozenset())
-    own_dep = frozenset((tm.agent_id,))
-    bits_in_order = list(tm.foreign_bits().values())
-
-    def strips_to_own(t) -> bool:
-        # peel foreign services one at a time, in sorted order, as long as the
-        # variant without them still exists between the same endpoints with
-        # the same marks; a label that cannot be peeled bare still needs
-        # *some* companion (even when no single foreign service is pivotal on
-        # the full label).  The rest of a label is the agent's own services,
-        # as its actions provide only those
-        bits, group = tm.variants(t)
-        progress = True
-        while bits and progress:
-            progress = False
-            for b in bits_in_order:
-                if bits & b and bits ^ b in group:
-                    bits ^= b
-                    progress = True
-        return not bits
-
-    def planning_label(tid):
-        t = a.transitions[tid]
-        if isinstance(t.label, Silent):
-            return silent
-        if a.tr_dep[tid] == own_dep and not (t.label & ga_own) and strips_to_own(t):
-            return silent
-        return t.label
-
+    labels = planning_labels(tm, globally_assisting)
+    significant = _significance(a, labels)
     live = _live_anchors(a, tm.silence_tolerant())
-    reduced = fold(a, significant, silent, planning_label, live)
+    reduced = fold(a, significant, tm.silent, labels.__getitem__, live)
+    ga_own = globally_assisting.get(tm.agent_id, frozenset())
     return ReducedTaskMotionProduct(reduced, tm, significant, ga_own)

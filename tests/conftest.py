@@ -101,6 +101,15 @@ def explicit_agent(agent_id: int, states, actions, transitions, initial=0, props
     return AgentModel(agent_id, ts, services, action_labels, "stay")
 
 
+def singleton_offers(owner: dict) -> dict:
+    """Offers under which each owner provides each of its services alone, so
+    every combination of services of distinct owners can be provided."""
+    offers = {}
+    for service, agent_id in owner.items():
+        offers.setdefault(agent_id, set()).add(frozenset([service]))
+    return offers
+
+
 def benchmark_workloads():
     """The benchmark's scenario generators, perfbench/workloads.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -7,11 +7,13 @@ bit sets: each probes a toggled label, built as a frozenset, against the set
 of (source, label, target, mask) keys of the joint transitions, taken here
 straight from `tm.automaton.transitions`.  They share no code with
 `syncplan.taskprod`'s index.  `reduce_task_motion` is the task reduction with
-this strip test; the significance classifier, the live-anchor filter and
-the fold are the real ones.  `product_automaton` builds the task product's
-automaton by spelling out each foreign variant as a frozenset, checking
-every guard on it, and skipping a transition whose (source, label, target
-key, mask) was already added.
+this strip test, also in the significance classifier; the live-anchor
+filter and the fold are the real ones.  `product_automaton` builds the task product's
+automaton by spelling out each of the 2^k foreign variants as a frozenset,
+whatever the team can provide, checking every guard on it, and skipping a
+transition whose (source, label, target key, mask) was already added.
+`build_task_motion_product` wraps it with the same signature as the real
+builder, so that a pipeline run can be patched onto the full enumeration.
 """
 from __future__ import annotations
 
@@ -22,9 +24,18 @@ from syncplan import buchi
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent
 from syncplan.taskprod import (
     ReducedTaskMotionProduct,
+    TaskMotionProduct,
     _guard_atoms,
     _live_anchors,
-    classify_task_significance,
+)
+
+
+# the task stages the pipeline calls, each with its counterpart here
+STAGES = (
+    "build_task_motion_product",
+    "compute_dep",
+    "compute_globally_assisting",
+    "reduce_task_motion",
 )
 
 
@@ -74,6 +85,23 @@ def product_automaton(rm, task_spec, agent_id, own_services) -> BuchiAutomaton:
                             mask = mt.mask | pt.mask << shift
                             push(src, sigma, (mt.dst, pt.dst), mask, (m_tid, p_tid))
     return product
+
+
+def build_task_motion_product(rm, task_spec, agent_id, own_services, service_owner, _offers):
+    """The task product over every foreign variant; the offers are ignored,
+    and the index is left empty, as the probes below read the transitions."""
+    own_services = frozenset(own_services)
+    return TaskMotionProduct(
+        product_automaton(rm, task_spec, agent_id, own_services),
+        rm,
+        task_spec,
+        agent_id,
+        own_services,
+        _guard_atoms(task_spec) - own_services,
+        dict(service_owner),
+        {},
+        {},
+    )
 
 
 def joint_keys(tm):
@@ -172,8 +200,13 @@ def reduce_task_motion(tm, globally_assisting) -> ReducedTaskMotionProduct:
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    significant = classify_task_significance(tm, globally_assisting)
     labels = planning_labels(tm, globally_assisting)
+    # initial, or the source of a transition that is not silent for planning
+    significant = [False] * a.n_states
+    significant[a.initial] = True
+    for t, label in zip(a.transitions, labels):
+        if not isinstance(label, Silent):
+            significant[t.src] = True
     live = _live_anchors(a, tm.silence_tolerant())
     reduced = buchi.fold(a, significant, tm.silent, labels.__getitem__, live)
     ga_own = globally_assisting.get(tm.agent_id, frozenset())

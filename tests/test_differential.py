@@ -13,6 +13,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import or_
 
 import pytest
@@ -58,6 +59,7 @@ from tests.conftest import (
     random_motion_product,
     random_scenario,
     random_word,
+    singleton_offers,
 )
 from tests.test_motion import replay_nonsilent_labels
 from tests.test_taskprod import _random_task_instance
@@ -883,6 +885,83 @@ def _random_wide_team(rng):
     return make_scenario(agents, {aid: "true" for aid in task}, task, name="wide")
 
 
+def _joint_offer_team(rng):
+    """Agent 2 offers x1 and x2 only together, by one action, and x3 by
+    another, so some foreign parts of agent 1's guards cannot be provided,
+    and the steps that remain may not strip to agent 1's own part."""
+    w2 = rng.choice([1, 2, 3])
+    s10 = (((1, 0), frozenset(["s10"])),)
+    xs = (((w2 - 1, 0), frozenset(["x1", "x2"])), ((0, 0), frozenset(["x3"])))
+    agents = [
+        build_grid_agent(GridSpec(1, 2, 1, (0, 0), service_cells=s10)),
+        build_grid_agent(GridSpec(2, w2, 1, (0, 0), service_cells=xs)),
+    ]
+    guard = rng.choice(["x1 || x2", "x1 || x2", "x1 || x3", "x1 && x3", "x1 && !x2", "x1 && x2"])
+    task = {
+        1: rng.choice([f"G F (s10 && ({guard}))", f"F (s10 && ({guard}))", f"G (!s10 || ({guard}))"]),
+        2: rng.choice(["true", "G F x3", "G F (x1 && x2)"]),
+    }
+    return make_scenario(agents, {1: "true", 2: "true"}, task, name="joint")
+
+
+def _blocked_partner_team(rng):
+    """Agent 1's task needs agent 2's service s20, a label agent 2 offers,
+    but agent 2's motion formula `G !B` keeps it out of room B, the one cell
+    holding s20.  So the per-agent stages pass and the team fails at the
+    global stage.  Half the teams add an agent 3 with a task of its own, a
+    second dependency class."""
+    w, h = rng.choice([(2, 1), (2, 2), (3, 2)])
+    cell = rng.choice([(x, y) for x in range(w) for y in range(h) if (x, y) != (0, 0)])
+    s10 = (((0, 0), frozenset(["s10"])),)
+    s20 = ((cell, frozenset(["s20"])),)
+    agents = [
+        build_grid_agent(GridSpec(1, rng.choice([1, 2]), 1, (0, 0), service_cells=s10)),
+        build_grid_agent(GridSpec(2, w, h, (0, 0), rooms={cell: "B"}, service_cells=s20)),
+    ]
+    motion = {1: "true", 2: "G !B"}
+    task = {
+        1: rng.choice(["G F (s10 && s20)", "F (s10 && s20)", "G (!s10 || s20)", "F s20"]),
+        2: rng.choice(["true", "s20 || !s20"]),
+    }
+    if rng.random() < 0.5:
+        s30 = (((0, 0), frozenset(["s30"])),)
+        agents.append(build_grid_agent(GridSpec(3, 2, 1, (0, 0), service_cells=s30)))
+        motion[3], task[3] = "true", "G F s30"
+    return make_scenario(agents, motion, task, name="blocked")
+
+
+def test_blocked_partner_teams_fail_at_the_global_stage(monkeypatch):
+    # agent 1's task products keep their joint s20 steps, needing agent 2,
+    # so the per-agent stages pass; then every team whose task demands s20
+    # fails at the global stage, with the same error under the 2^k task
+    # product, and every other one solves
+    rng = random.Random(83)
+    failing = several = 0
+    for _ in range(30):
+        scenario = _blocked_partner_team(rng)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "synthesize", lambda gp: {})
+            result = run_synthesis(scenario)
+        deps = result.artifacts[1].task_product.automaton.tr_dep
+        assert frozenset({1, 2}) in deps.values()
+        verdicts = []
+        for patched in (False, True):
+            with monkeypatch.context() as m:
+                if patched:
+                    for name in ref_task.STAGES:
+                        m.setattr(taskprod, name, getattr(ref_task, name))
+                try:
+                    run_synthesis(scenario)
+                    verdicts.append("solved")
+                except EmptyLanguageError as e:
+                    verdicts.append(str(e))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] == "solved") == (scenario.task_texts[1] == "G (!s10 || s20)")
+        failing += verdicts[0] != "solved"
+        several += verdicts[0] != "solved" and len(result.dependency_classes) > 1
+    assert failing >= 15 and several >= 5
+
+
 def test_global_product_matches_reference_on_wide_guards(monkeypatch):
     # multi-service foreign guards: lone moves that expect a foreign service,
     # coalitions of three, and partner indexes keyed by several services;
@@ -1017,6 +1096,7 @@ def test_accepting_lasso_matches_reference(monkeypatch):
     rng = random.Random(43)
     cases += [random_scenario(rng) for _ in range(40)]
     cases += [_random_wide_team(rng) for _ in range(20)]
+    cases += [_blocked_partner_team(rng) for _ in range(10)]
     compared = []
     certified = 0
     for scenario in cases:
@@ -1073,6 +1153,7 @@ def test_class_products_agree_with_whole_team_product(monkeypatch):
     rng = random.Random(53)
     teams = [random_scenario(rng) for _ in range(60)]
     teams += [_random_wide_team(rng) for _ in range(20)]
+    teams += [_blocked_partner_team(rng) for _ in range(10)]
     verdicts = []  # (verdict, several classes?) past the per-agent stages
     for scenario in teams:
         per_class = _verdict(lambda: run_synthesis(scenario))
@@ -1297,13 +1378,18 @@ def test_random_teams_keep_their_verdicts():
 
 
 def _foreign_bit_team_cases():
-    """300 random teams, the three benchmark workloads and wide_guards(k)
-    for k = 10..12."""
+    """300 random teams, 100 random wide-guard teams, 60 teams offering two
+    services only together, the bundled scenarios,
+    the three benchmark workloads and wide_guards(k) for k = 10..12."""
     workloads = benchmark_workloads()
     cases = []
     for seed in (0, 1, 2):
         rng = random.Random(seed)
         cases += [random_scenario(rng) for _ in range(100)]
+    rng = random.Random(53)
+    cases += [_random_wide_team(rng) for _ in range(100)]
+    cases += [_joint_offer_team(rng) for _ in range(60)]
+    cases += [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
     cases += [scenario_from_dict(workloads.generate(name)) for name in sorted(workloads.WORKLOADS)]
     cases += [scenario_from_dict(workloads.wide_guards(k)) for k in (10, 11, 12)]
     return cases
@@ -1315,7 +1401,8 @@ def _order_sensitive_instance():
     {pick, x0, x1, x2} step has every one-service-less variant (its
     coalition is the agent alone), and peeling x0 first leaves {x1, x2},
     from which neither x1 nor x2 can go, while peeling x2 first strips the
-    label bare."""
+    label bare.  Each x is offered alone by its own owner, so every foreign
+    part can be provided and is spelled out."""
     agent = explicit_agent(1, ["P"], {"pick": ["pick"]}, [(0, "pick", 0)])
     rm = motion.reduce(motion.build_motion_product(agent, translate(ltl.TRUE_F)))
     spec = BuchiAutomaton(GUARD_MODE, 0)
@@ -1325,17 +1412,72 @@ def _order_sensitive_instance():
         pos = frozenset(kept.split())
         spec.add_transition(0, Guard(pos, frozenset(xs) - pos), 0)
     owner = {"pick": 1, "x0": 2, "x1": 3, "x2": 4}
-    tm = taskprod.build_task_motion_product(rm, spec, 1, agent.services, owner)
+    offers = singleton_offers(owner)
+    tm = taskprod.build_task_motion_product(rm, spec, 1, agent.services, owner, offers)
     taskprod.compute_dep(tm)
     return tm, taskprod.compute_globally_assisting([tm])
 
 
+# owners and offers for x and y in `_random_task_instance`'s products besides
+# its own (each alone, by distinct owners): only together, never together,
+# and y never
+OFFER_TABLES = (
+    ({"mine": 1, "x": 2, "y": 2}, {2: {frozenset({"x", "y"})}}),
+    ({"mine": 1, "x": 2, "y": 2}, {2: {frozenset({"x"}), frozenset({"y"})}}),
+    ({"mine": 1, "x": 2, "y": 3}, {2: {frozenset({"x"})}, 3: set()}),
+)
+
+
+def _providable_parts(tm, offers):
+    """The foreign parts the team can provide, as frozensets: one offered
+    service set (or none) per owner of a foreign service, united."""
+    foreign = tm.foreign_syntactic
+    choices = [
+        [frozenset()] + [label & foreign for label in offers[owner]]
+        for owner in sorted({tm.service_owner[s] for s in foreign})
+    ]
+    return {frozenset().union(*pick) for pick in product(*choices)}
+
+
+def _tagged(a, tids):
+    """(source tag, label, target tag, mask) -> transition id, over `tids`."""
+    return {
+        (a.state_tags[a.transitions[tid].src], a.transitions[tid].label,
+         a.state_tags[a.transitions[tid].dst], a.transitions[tid].mask): tid
+        for tid in tids
+    }
+
+
+def _restricted(a, own, providable):
+    """The transitions of the 2^k product `a` that are silent or whose
+    foreign part is providable, among the states they reach from the
+    initial state, keyed by `_tagged`."""
+    keep = {
+        tid for tid, t in enumerate(a.transitions)
+        if isinstance(t.label, Silent) or t.label - own in providable
+    }
+    reached, stack = {a.initial}, [a.initial]
+    while stack:
+        src = stack.pop()
+        for tid in a.out_transitions(src):
+            dst = a.transitions[tid].dst
+            if tid in keep and dst not in reached:
+                reached.add(dst)
+                stack.append(dst)
+    return _tagged(a, [tid for tid in keep if a.transitions[tid].src in reached])
+
+
 def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
-    # the product built over foreign bit sets, and the coalitions, globally
-    # assisting sets, planning labels and reduced automata read off its
-    # index, against the frozenset probes of reference_taskprod; whole teams
-    # also compare global products and strategies.  The planning labels are
-    # read off every transition through the relabel function `fold` gets
+    # the product built over the providable foreign bit sets, against
+    # reference_taskprod's 2^k product cut down to the providable foreign
+    # parts and the states they reach, compared by state tags; each kept
+    # transition's coalition, planning label and assisting verdict per
+    # service, read off the cube index, against the frozenset probes on the
+    # 2^k product.  Whole teams also run with the 2^k product patched into
+    # the pipeline: the same verdict and message, the same strategies, and
+    # globally assisting sets and dependency classes that can only shrink.
+    # The planning labels are read off every transition through the relabel
+    # function `fold` gets
     labels = []
 
     def capturing_fold(a, significant, silent, relabel=None, live=None):
@@ -1343,68 +1485,118 @@ def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
         return buchi.fold(a, significant, silent, relabel, live)
 
     monkeypatch.setattr(taskprod, "fold", capturing_fold)
-    counts = {"coalitions": 0, "stripped": 0, "kept": 0}
+    counts = {"coalitions": 0, "stripped": 0, "kept": 0, "dropped": 0}
 
-    def compare_agent(tm, ga, reduced, planning):
+    def compare_agent(tm, ga, planning, offers):
         a = tm.automaton
-        rm = tm.rm
-        built = ref_task.product_automaton(rm, tm.task_spec, tm.agent_id, tm.own_services)
-        assert dump(a)[:4] == dump(built)[:4] and a.tr_back == built.tr_back
-        deps = dict(a.tr_dep)
-        assert ref_task.compute_dep(tm) == deps
-        assert planning == ref_task.planning_labels(tm, ga)
-        assert dump(reduced.automaton) == dump(ref_task.reduce_task_motion(tm, ga).automaton)
-        for tid, t in enumerate(a.transitions):
-            counts["coalitions"] += len(deps[tid]) > 1
-            if not isinstance(t.label, Silent) and t.label - tm.own_services:
+        ref = ref_task.build_task_motion_product(
+            tm.rm, tm.task_spec, tm.agent_id, tm.own_services, tm.service_owner, offers
+        )
+        ref_task.compute_dep(ref)
+        ref_planning = ref_task.planning_labels(ref, ga)
+        keys = ref_task.joint_keys(ref)
+        b = ref.automaton
+        new = _tagged(a, range(len(a.transitions)))
+        kept = _restricted(b, tm.own_services, _providable_parts(tm, offers))
+        assert len(new) == len(a.transitions) and new.keys() == kept.keys()
+        reached = {b.state_tags[b.transitions[tid].dst] for tid in kept.values()}
+        assert set(a.state_tags) == reached | {b.state_tags[b.initial]}
+        counts["dropped"] += len(b.transitions) - len(kept)
+        for key, tid in new.items():
+            rid = kept[key]
+            t = a.transitions[tid]
+            assert a.tr_back[tid] == b.tr_back[rid]
+            assert a.tr_dep[tid] == b.tr_dep[rid] and planning[tid] == ref_planning[rid]
+            counts["coalitions"] += len(a.tr_dep[tid]) > 1
+            if isinstance(t.label, Silent):
+                continue
+            for service in sorted(tm.foreign_syntactic):
+                assert taskprod.compute_assisting(tm, tid, service) == ref_task.compute_assisting(
+                    ref, keys, rid, service
+                )
+            if t.label - tm.own_services:
                 counts["stripped" if isinstance(planning[tid], Silent) else "kept"] += 1
+        return ref
+
+    def reduced_labels(tm, ga):
+        labels.clear()
+        taskprod.reduce_task_motion(tm, ga)
+        return labels[0]
 
     rng = random.Random(43)
     for draw in range(401):
         tm, ga = _random_task_instance(rng) if draw else _order_sensitive_instance()
-        assert taskprod.compute_globally_assisting([tm]) == ref_task.compute_globally_assisting([tm])
-        keys = ref_task.joint_keys(tm)
-        for tid, t in enumerate(tm.automaton.transitions):
-            if not isinstance(t.label, Silent):
-                for service in sorted(tm.foreign_syntactic):
-                    assert taskprod.compute_assisting(tm, tid, service) == ref_task.compute_assisting(
-                        tm, keys, tid, service
-                    )
-        labels.clear()
-        reduced = taskprod.reduce_task_motion(tm, ga)
-        compare_agent(tm, ga, reduced, labels[0])
+        planning = reduced_labels(tm, ga)
+        ref = compare_agent(tm, ga, planning, singleton_offers(tm.service_owner))
+        # every foreign part is providable here, so nothing is dropped
+        assert len(ref.automaton.transitions) == len(tm.automaton.transitions)
+        ga_ref = ref_task.compute_globally_assisting([ref])
+        assert taskprod.compute_globally_assisting([tm]) == ga_ref
         if not draw:
+            keys = ref_task.joint_keys(tm)
             every = frozenset({"pick", "x0", "x1", "x2"})
             (t,) = [t for t in tm.automaton.transitions if t.label == every]
             tid = tm.automaton.transitions.index(t)
-            assert tm.automaton.tr_dep[tid] == {1} and labels[0][tid] == every
+            assert tm.automaton.tr_dep[tid] == {1} and planning[tid] == every
             for peeled in ("x2", "x2 x1", "x2 x1 x0"):
                 assert (t.src, every - set(peeled.split()), t.dst, t.mask) in keys
+            continue
+        for owner, offers in OFFER_TABLES:
+            cut = taskprod.build_task_motion_product(
+                tm.rm, tm.task_spec, 1, tm.own_services, owner, offers
+            )
+            taskprod.compute_dep(cut)
+            ref = compare_agent(cut, ga, reduced_labels(cut, ga), offers)
+            new_ga = taskprod.compute_globally_assisting([cut])
+            old_ga = ref_task.compute_globally_assisting([ref])
+            assert all(new_ga[aid] <= old_ga[aid] for aid in old_ga)
 
-    solved = 0
+    # wide_guards' agent 1 with each x offered alone by an owner of its own:
+    # every one of the 2^k foreign parts is providable and spelled out
+    workloads = benchmark_workloads()
+    for k in (10, 11, 12):
+        result = run_synthesis(scenario_from_dict(workloads.wide_guards(k)))
+        tm = result.artifacts[1].task_product
+        owner = dict(tm.service_owner)
+        owner.update({x: 100 + i for i, x in enumerate(sorted(tm.foreign_syntactic))})
+        offers = singleton_offers(owner)
+        spelled = taskprod.build_task_motion_product(
+            tm.rm, tm.task_spec, 1, tm.own_services, owner, offers
+        )
+        taskprod.compute_dep(spelled)
+        ga = result.globally_assisting
+        ref = compare_agent(spelled, ga, reduced_labels(spelled, ga), offers)
+        assert len(spelled.automaton.transitions) == len(ref.automaton.transitions) > 2 ** k
+
+    def outcome(scenario):
+        try:
+            return run_synthesis(scenario)
+        except (EmptyLanguageError, SynthesisError) as e:
+            return type(e).__name__, str(e)
+
+    solved = shrunk = split = 0
     for scenario in _foreign_bit_team_cases():
         labels.clear()
-        try:
-            new = run_synthesis(scenario)
-        except EmptyLanguageError:
-            continue
+        new = outcome(scenario)
         planning = list(labels)
         with monkeypatch.context() as m:
-            m.setattr(taskprod, "compute_dep", ref_task.compute_dep)
-            m.setattr(taskprod, "compute_globally_assisting", ref_task.compute_globally_assisting)
-            m.setattr(taskprod, "reduce_task_motion", ref_task.reduce_task_motion)
-            old = run_synthesis(scenario)
-        assert new.globally_assisting == old.globally_assisting
-        for pos, aid in enumerate(sorted(new.artifacts)):
-            art, ref_art = new.artifacts[aid], old.artifacts[aid]
-            assert ref_art.task_product.automaton.tr_dep == art.task_product.automaton.tr_dep
-            compare_agent(art.task_product, new.globally_assisting, art.reduced_task, planning[pos])
-        assert [(group, dump(gp.automaton)) for group, gp in new.global_products] == [
-            (group, dump(gp.automaton)) for group, gp in old.global_products
-        ]
+            for name in ref_task.STAGES:
+                m.setattr(taskprod, name, getattr(ref_task, name))
+            old = outcome(scenario)
+        if isinstance(new, tuple):
+            assert new == old
+            continue
+        assert not isinstance(old, tuple)
         assert new.raw_strategies == old.raw_strategies
         assert new.strategies == old.strategies
-        assert new.stats == old.stats
+        assert all(v <= old.globally_assisting[aid] for aid, v in new.globally_assisting.items())
+        assert all(any(c <= d for d in old.dependency_classes) for c in new.dependency_classes)
+        shrunk += new.globally_assisting != old.globally_assisting
+        split += new.dependency_classes != old.dependency_classes
+        for pos, aid in enumerate(sorted(new.artifacts)):
+            tm = new.artifacts[aid].task_product
+            compare_agent(tm, new.globally_assisting, planning[pos], scenario.offers)
         solved += 1
-    assert solved >= 300
+    assert solved >= 420 and shrunk >= 15 and split >= 15
     assert counts["coalitions"] >= 1500 and counts["stripped"] >= 5000 and counts["kept"] >= 5000
+    assert counts["dropped"] >= 10000

@@ -537,6 +537,7 @@ class TestDependencyClasses:
                 agent.agent_id,
                 agent.services,
                 owner,
+                scenario.offers,
             )
             compute_dep(tm)
             tms.append(tm)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from syncplan import ltl
+from syncplan import ltl, taskprod
+from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
@@ -14,7 +15,10 @@ from syncplan.buchi import (
     region_analysis,
     strongly_connected_components,
 )
+from syncplan.globalprod import EmptyLanguageError
 from syncplan.motion import build_motion_product, reduce as reduce_motion
+from syncplan.pipeline import run_synthesis
+from syncplan.scenario_io import scenario_from_dict
 from syncplan.taskprod import (
     _live_anchors,
     build_task_motion_product,
@@ -25,7 +29,14 @@ from syncplan.taskprod import (
     reduce_task_motion,
 )
 from syncplan.translate import translate
-from tests.conftest import explicit_agent, random_formula
+from tests import reference_taskprod as ref_task
+from tests.conftest import (
+    benchmark_workloads,
+    explicit_agent,
+    make_scenario,
+    random_formula,
+    singleton_offers,
+)
 from tests.reference_buchi import accepting_lasso
 
 OWNER = {"load": 1, "unload": 1, "help": 2, "inform": 2, "assist": 3}
@@ -47,7 +58,7 @@ def hauler_products():
     )
     rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
     spec = translate(ltl.parse(PSI1, ALL))
-    tm = build_task_motion_product(rm, spec, 1, agent.services, OWNER)
+    tm = build_task_motion_product(rm, spec, 1, agent.services, OWNER, singleton_offers(OWNER))
     compute_dep(tm)
     return agent, rm, tm
 
@@ -62,7 +73,7 @@ def surveyor_products():
     )
     rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
     spec = translate(ltl.parse("G F inform", ALL))
-    tm = build_task_motion_product(rm, spec, 2, agent.services, OWNER)
+    tm = build_task_motion_product(rm, spec, 2, agent.services, OWNER, singleton_offers(OWNER))
     compute_dep(tm)
     return agent, rm, tm
 
@@ -72,7 +83,7 @@ def helper_products():
     agent = explicit_agent(3, ["A"], {"assist": ["assist"]}, [(0, "assist", 0)])
     rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
     spec = translate(ltl.parse("assist || !assist", ALL))
-    tm = build_task_motion_product(rm, spec, 3, agent.services, OWNER)
+    tm = build_task_motion_product(rm, spec, 3, agent.services, OWNER, singleton_offers(OWNER))
     compute_dep(tm)
     return agent, rm, tm
 
@@ -110,7 +121,9 @@ class TestProduct:
     def test_trivial_task_mirrors_motion_labels(self):
         agent = explicit_agent(1, ["L"], {"load": ["load"]}, [(0, "load", 0)])
         rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
-        tm = build_task_motion_product(rm, translate(ltl.TRUE_F), 1, agent.services, OWNER)
+        tm = build_task_motion_product(
+            rm, translate(ltl.TRUE_F), 1, agent.services, OWNER, singleton_offers(OWNER)
+        )
         labels = {t.label for t in tm.automaton.transitions if not isinstance(t.label, Silent)}
         assert labels == {frozenset({"load"})}  # no foreign services occur in any guard
 
@@ -189,18 +202,23 @@ class TestAssisting:
 
     def test_xor_characterization(self):
         _agent, _rm, tm = hauler_products()
-        # the oracle's keys come straight from the transitions; the index
-        # must hold exactly those, read back through the shared labels
+        # the oracle's keys come straight from the transitions; help and
+        # assist have distinct owners, so every foreign part is spelled out,
+        # and the bit sets the index's cubes accept must be exactly those,
+        # each label split into its own part and bits once
         keys = {
             (t.src, t.label, t.dst, t.mask)
             for t in tm.automaton.transitions
             if not isinstance(t.label, Silent)
         }
-        label_of = {parts: label for label, parts in tm.label_parts.items()}
+        bits_of = tm.foreign_bits()
+        for label, (own, bits) in tm.label_parts.items():
+            assert label == own | {s for s, b in bits_of.items() if bits & b}
         indexed = {
-            (src, label_of[(own, bits)], dst, mask)
-            for (src, dst, mask, own), group in tm.joint_index.items()
-            for bits in group
+            (src, own | {s for s, b in bits_of.items() if bits & b}, dst, mask)
+            for (src, dst, mask, own), cubes in tm.joint_index.items()
+            for bits in range(1 << len(bits_of))
+            if any(not (pos & ~bits or neg & bits) for pos, neg in cubes)
         }
         assert indexed == keys
         for tid, t in enumerate(tm.automaton.transitions):
@@ -222,7 +240,8 @@ class TestAssisting:
         rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
         spec = translate(ltl.parse("G F (pick && lift)", {"pick", "lift"}))
         assert spec.n_states == 1
-        tm = build_task_motion_product(rm, spec, 1, agent.services, {"pick": 1, "lift": 2})
+        owner = {"pick": 1, "lift": 2}
+        tm = build_task_motion_product(rm, spec, 1, agent.services, owner, singleton_offers(owner))
         both = frozenset({"pick", "lift"})
         twins = [tid for tid, t in enumerate(tm.automaton.transitions) if t.label == both]
         masks = sorted(tm.automaton.transitions[tid].mask >> rm.automaton.sets for tid in twins)
@@ -232,6 +251,76 @@ class TestAssisting:
             assert compute_assisting(tm, tid, "lift") == bool(marked)
         deps = compute_dep(tm)
         assert {deps[tid] for tid in twins} == {frozenset({1}), frozenset({1, 2})}
+
+
+class TestProvidableParts:
+    @pytest.mark.parametrize("k", [9, 12, 16, 20])
+    def test_wide_guards_grow_linearly(self, k):
+        # agent 2 offers each x alone, so agent 1's foreign parts are the
+        # k singletons and none: 2k + 8 task transitions instead of 2^k
+        # variants per edge, k + 5 reduced edges, 2k global tuples, and the
+        # same 21-step plan with 2 synchronizations
+        result = run_synthesis(scenario_from_dict(benchmark_workloads().wide_guards(k)))
+        art = result.artifacts[1]
+        assert len(art.task_product.automaton.transitions) == 2 * k + 8
+        assert len(art.reduced_task.automaton.transitions) == k + 5
+        assert result.stats["global_total"] == 2 * k
+        steps = [step for st in result.strategies.values() for step in st.steps()]
+        assert len(steps) == 21 and sum(len(step.sync) > 1 for step in steps) == 2
+
+    def test_jointly_offered_services_keep_their_coalition(self):
+        # the partner's one service action provides x1 and x2 together, so
+        # {s, x1} and {s, x2} are never spelled out; the {s, x1, x2} step
+        # still has either x alone accepted by its guard cubes, so neither
+        # is pivotal and its coalition is the agent alone, as on the 2^k
+        # product
+        agent = explicit_agent(1, ["S"], {"s": ["s"]}, [(0, "s", 0)])
+        rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
+        spec = translate(ltl.parse("G F (s && (x1 || x2))", {"s", "x1", "x2"}))
+        owner = {"s": 1, "x1": 2, "x2": 2}
+        offers = {2: {frozenset({"x1", "x2"})}}
+        tm = build_task_motion_product(rm, spec, 1, agent.services, owner, offers)
+        deps = compute_dep(tm)
+        labels = {t.label for t in tm.automaton.transitions}
+        assert frozenset({"s", "x1"}) not in labels and frozenset({"s", "x2"}) not in labels
+        ref = ref_task.build_task_motion_product(rm, spec, 1, agent.services, owner, offers)
+        ref_deps = ref_task.compute_dep(ref)
+        every = frozenset({"s", "x1", "x2"})
+        ref_of = {
+            (t.src, t.label, t.dst, t.mask): tid for tid, t in enumerate(ref.automaton.transitions)
+        }
+        both = [tid for tid, t in enumerate(tm.automaton.transitions) if t.label == every]
+        assert both
+        for tid in both:
+            t = tm.automaton.transitions[tid]
+            assert deps[tid] == ref_deps[ref_of[(t.src, t.label, t.dst, t.mask)]] == {1}
+            assert not compute_assisting(tm, tid, "x1") and not compute_assisting(tm, tid, "x2")
+
+
+    def test_jointly_offered_services_keep_the_verdict(self, monkeypatch):
+        # on 2x1 grids with the services at the far cells, agent 1's only
+        # non-silent {s, x1, x2} steps do not strip to its own part, and the
+        # variants where peeling gets stuck are not spelled out; their
+        # source must stay significant, or the fold would replay the step
+        # as silent and return a plan whose word violates the task.  The
+        # verdict is the 2^k product's
+        agents = [
+            build_grid_agent(GridSpec(aid, 2, 1, (0, 0), service_cells=(((1, 0), frozenset(svcs)),)))
+            for aid, svcs in ((1, ["s"]), (2, ["x1", "x2"]))
+        ]
+        scenario = make_scenario(
+            agents, {1: "true", 2: "true"}, {1: "G F (s && (x1 || x2))", 2: "true"}
+        )
+        verdicts = []
+        for patched in (False, True):
+            with monkeypatch.context() as m:
+                if patched:
+                    for name in ref_task.STAGES:
+                        m.setattr(taskprod, name, getattr(ref_task, name))
+                with pytest.raises(EmptyLanguageError) as err:
+                    run_synthesis(scenario)
+                verdicts.append(str(err.value))
+        assert verdicts[0] == verdicts[1] == "no accepting run exists (task stage of agent 1)"
 
 
 class TestDep:
@@ -274,7 +363,7 @@ class TestGloballyAssisting:
         agent = explicit_agent(1, ["L"], {"load": ["load"]}, [(0, "load", 0)])
         rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
         tm = build_task_motion_product(
-            rm, translate(ltl.parse("G F load", {"load"})), 1, agent.services, {"load": 1}
+            rm, translate(ltl.parse("G F load", {"load"})), 1, agent.services, {"load": 1}, {}
         )
         compute_dep(tm)
         ga = compute_globally_assisting([tm])
@@ -374,7 +463,9 @@ def _random_task_instance(rng):
 
     mp = build_motion_product(agent, translate(motion_formula))
     rm = reduce_motion(mp)
-    tm = build_task_motion_product(rm, translate(task_formula), 1, agent.services, owner)
+    tm = build_task_motion_product(
+        rm, translate(task_formula), 1, agent.services, owner, singleton_offers(owner)
+    )
     compute_dep(tm)
     ga = compute_globally_assisting([tm])
     if rng.random() < 0.5:
