@@ -156,7 +156,9 @@ def build_task_motion_product(
     `offers` maps each agent to the service sets its actions provide; the
     foreign parts are the bit sets their owners can provide together
     (`_providable`), and each guard is checked on its own part once per
-    motion transition and on its foreign bits per variant.
+    motion transition and on its foreign bits per variant.  A motion label
+    holds only the agent's own services (`agents.validate`), so it is the
+    own part whole.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
@@ -173,9 +175,6 @@ def build_task_motion_product(
         return atoms - inside, sum(map(bit.__getitem__, inside))
 
     guards = [(*split(t.label.pos), *split(t.label.neg)) for t in task_spec.transitions]
-    motion_parts = [
-        None if isinstance(t.label, Silent) else split(t.label) for t in motion.transitions
-    ]
     shift = motion.sets
     resting = [(1 << task_spec.sets) - 1] * task_spec.n_states
     for t in task_spec.transitions:
@@ -218,19 +217,18 @@ def build_task_motion_product(
                     tid = product.add_transition(src, silent, dst, mask)
                     product.tr_back[tid] = (m_tid, None)
                 continue
-            own, low = motion_parts[m_tid]
+            own = mt.label
             matching = []  # task transitions whose guard the own part satisfies
             for p_tid in task_spec.out_transitions(q2):
                 pos_own, pos_bits, neg_own, neg_bits = guards[p_tid]
-                if pos_own <= own and not (neg_own & own or neg_bits & low):
+                if pos_own <= own and not neg_own & own:
                     pt = task_spec.transitions[p_tid]
                     mask = mt.mask | pt.mask << shift
                     target = (mt.dst, pt.dst)
-                    cube = (pos_bits | low, neg_bits)
+                    cube = (pos_bits, neg_bits)
                     cubes.setdefault((src, target, mask, own), set()).add(cube)
                     matching.append((p_tid, pos_bits, neg_bits, target, mask))
-            for extra in subsets:
-                bits = low | extra
+            for bits in subsets:
                 for p_tid, pos_bits, neg_bits, target, mask in matching:
                     if pos_bits & ~bits or neg_bits & bits:
                         continue

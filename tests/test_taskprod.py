@@ -15,10 +15,11 @@ from syncplan.buchi import (
     region_analysis,
     strongly_connected_components,
 )
+from syncplan.executor import SimulationConfig, check_local_satisfaction, simulate
 from syncplan.globalprod import EmptyLanguageError
 from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.pipeline import run_synthesis
-from syncplan.scenario_io import scenario_from_dict
+from syncplan.scenario_io import check_strategies_fit, scenario_from_dict
 from syncplan.taskprod import (
     _live_anchors,
     build_task_motion_product,
@@ -296,14 +297,14 @@ class TestProvidableParts:
             assert deps[tid] == ref_deps[ref_of[(t.src, t.label, t.dst, t.mask)]] == {1}
             assert not compute_assisting(tm, tid, "x1") and not compute_assisting(tm, tid, "x2")
 
-
     def test_jointly_offered_services_keep_the_verdict(self, monkeypatch):
         # on 2x1 grids with the services at the far cells, agent 1's only
         # non-silent {s, x1, x2} steps do not strip to its own part, and the
         # variants where peeling gets stuck are not spelled out; their
         # source must stay significant, or the fold would replay the step
         # as silent and return a plan whose word violates the task.  The
-        # verdict is the 2^k product's
+        # verdict is the 2^k product's, and a plan, if one is found, must
+        # satisfy every agent's task
         agents = [
             build_grid_agent(GridSpec(aid, 2, 1, (0, 0), service_cells=(((1, 0), frozenset(svcs)),)))
             for aid, svcs in ((1, ["s"]), (2, ["x1", "x2"]))
@@ -317,10 +318,17 @@ class TestProvidableParts:
                 if patched:
                     for name in ref_task.STAGES:
                         m.setattr(taskprod, name, getattr(ref_task, name))
-                with pytest.raises(EmptyLanguageError) as err:
-                    run_synthesis(scenario)
-                verdicts.append(str(err.value))
-        assert verdicts[0] == verdicts[1] == "no accepting run exists (task stage of agent 1)"
+                try:
+                    result = run_synthesis(scenario)
+                except EmptyLanguageError as e:
+                    verdicts.append(str(e))
+                    continue
+            verdicts.append("solved")
+            check_strategies_fit(scenario, result.strategies)
+            sim = simulate(scenario, result.strategies, SimulationConfig(seed=0))
+            checks = check_local_satisfaction(scenario, result.strategies, sim)
+            assert all(v.motion and v.task and v.consistent for v in checks.values())
+        assert verdicts[0] == verdicts[1]
 
 
 class TestDep:
