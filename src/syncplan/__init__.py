@@ -43,12 +43,7 @@ from .globalprod import (
     synthesize,
 )
 from .ltl import Formula, UltimatelyPeriodicWord, eval_ltl, parse, to_nnf
-from .motion import (
-    MotionProduct,
-    ReducedMotionProduct,
-    build_motion_product,
-    classify_significance,
-)
+from .motion import MotionProduct, ReducedMotionProduct, build_motion_product
 from .motion import reduce as reduce_motion_product
 from .pipeline import PipelineResult, run_synthesis
 from .scenario_io import (
@@ -62,7 +57,6 @@ from .taskprod import (
     ReducedTaskMotionProduct,
     TaskMotionProduct,
     build_task_motion_product,
-    classify_task_significance,
     compute_assisting,
     compute_dep,
     compute_globally_assisting,

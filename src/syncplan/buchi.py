@@ -510,43 +510,56 @@ def _covering_cycle(a, full, members, anchor, serves):
     return tuple(reversed(loop))
 
 
-def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> BuchiAutomaton:
+def significance(a: BuchiAutomaton, labels) -> list:
+    """Per state: initial, or the source of a transition whose label in
+    `labels` is not silent."""
+    significant = [False] * a.n_states
+    significant[a.initial] = True
+    for t, label in zip(a.transitions, labels):
+        if not isinstance(label, Silent):
+            significant[t.src] = True
+    return significant
+
+
+def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
     """Fold the insignificant states away: the significant skeleton of `a`.
 
-    `a` carries its acceptance on transitions, and so does the result.  The
-    result has one state per reachable significant state, tagged (state,),
-    and at most one shared absorbing state, tagged with the sorted anchors
-    of `region_analysis`.  A transition `tid` leaving significant state `u`
-    yields, per (v, mask) pair that a path starting with `tid` reaches
-    through insignificant states, the transition (u, label, v, mask), where
-    the mask is the sets the path meets.  Per (u, label, v) only the
-    variants no other one dominates are kept: a variant is dominated when
-    another meets a superset of its sets, and provides a service if it
-    does, at an equal or smaller rank, the rank being the least witness of
-    `least_segments` (the shortest path, ties going to the
+    `labels[tid]` is a transition's label in the result, the transition's
+    own label by default, and the significant states are read off them
+    (`significance`), so a labelled step never hides inside a silent
+    stretch.  `a` carries its acceptance on transitions, and so does the
+    result.  The result has one state per reachable significant state,
+    tagged (state,), and at most one shared absorbing state, tagged with the
+    sorted anchors of `region_analysis`.  A transition `tid` leaving
+    significant state `u` yields, per (v, mask) pair that a path starting
+    with `tid` reaches through insignificant states, the transition (u,
+    label, v, mask), where the mask is the sets the path meets.  Per (u,
+    label, v) only the variants no other one dominates are kept: a variant
+    is dominated when another meets a superset of its sets, and provides a
+    service if it does, at an equal or smaller rank, the rank being the
+    least witness of `least_segments` (the shortest path, ties going to the
     lexicographically smallest sequence of transition ids).  A witness
     providing a service keeps the agent's word alive where a shorter silent
-    one would not, which matters once `relabel` makes a service step
-    silent.  When `tid` enters a region state that can run into an anchor's
-    cycle, it also yields (u, label, absorbing state), whose witness leads
-    to that anchor; the absorbing state's `silent` self-loop meets every set
-    and keeps one witness per anchor it is entered at, that anchor's cycle.
-    The edges into the absorbing state lie on no cycle, so they meet no set.
+    one would not, which matters once `labels` makes a service step silent.
+    When `tid` enters a region state that can run into an anchor's cycle, it
+    also yields (u, label, absorbing state), whose witness leads to that
+    anchor; the absorbing state's `silent` self-loop meets every set and
+    keeps one witness per anchor it is entered at, that anchor's cycle.  The
+    edges into the absorbing state lie on no cycle, so they meet no set.
 
-    `relabel(tid)` gives a transition's label in the result, the
-    transition's own label by default.  When `a` carries coalitions
-    (`tr_dep`), so does the result: a silent edge is its agent's alone, any
-    other edge takes its first transition's coalition, and the smallest
-    coalition ranks before the witness.  `live` filters the anchors, as in
-    `region_analysis`.  The result is pruned to the states that reach
-    acceptance.  So each state but the absorbing one stands for one state
-    of `a`, the one witness of a transition leaving it starts there, and
-    each variant of the absorbing loop runs from its anchor back to it: one
-    pass over a cycle of the result replays a cycle of `a`.  Coalition
-    ranks and label sort keys are worked out once per call.
+    When `a` carries coalitions (`tr_dep`), so does the result: a silent
+    edge is its agent's alone, any other edge takes its first transition's
+    coalition, and the smallest coalition ranks before the witness.  `live`
+    filters the anchors, as in `region_analysis`.  The result is pruned to
+    the states that reach acceptance.  So each state but the absorbing one
+    stands for one state of `a`, the one witness of a transition leaving it
+    starts there, and each variant of the absorbing loop runs from its
+    anchor back to it: one pass over a cycle of the result replays a cycle
+    of `a`.  Coalition ranks and label sort keys are worked out once per call.
     """
-    if not significant[a.initial]:
-        raise ValueError("the initial state must be significant")
+    if labels is None:
+        labels = [t.label for t in a.transitions]
+    significant = significance(a, labels)
     anchors, reach = region_analysis(a, significant, live)
     segments = least_segments(a, significant)
     coalitions = bool(a.tr_dep)
@@ -576,7 +589,7 @@ def fold(a: BuchiAutomaton, significant, silent, relabel=None, live=None) -> Buc
         # is made for the kept variants only
         variants = {}
         for tid in a.out_transitions(u):
-            label = a.transitions[tid].label if relabel is None else relabel(tid)
+            label = labels[tid]
             dep = coalition(label, tid)
             dep_rank = coalition_rank(dep)
             for v, mask, steps in segments(tid):

@@ -318,27 +318,19 @@ class CentralizedEstimate:
     materialized_states: int = None  # never set; the benchmark still reads it
 
 
-def estimate_centralized(scenario: Scenario, spec_automata=None) -> CentralizedEstimate:
+def estimate_centralized(scenario: Scenario, spec_automata: dict) -> CentralizedEstimate:
     """Size bound of the one-shot team product, the baseline the global
     products are compared with.
 
     The bound multiplies the team transition-system bound with every agent's
     motion and task automaton size; their acceptance sets stay on the
-    transitions, so no counter multiplies it.  `spec_automata` maps an
-    agent to its (motion, task) automata; agents it lacks have their
-    formulas translated here.
+    transitions, so no counter multiplies it.  `spec_automata` maps every
+    agent to its (motion, task) automata.
     """
     ts_sizes = [len(agent.ts.states) for agent in scenario.agents]
-    spec_sizes = []
-    for agent in scenario.agents:
-        aid = agent.agent_id
-        motion_f = scenario.motion_formulas[aid]
-        task_f = scenario.task_formulas[aid]
-        if spec_automata is not None and aid in spec_automata:
-            motion_spec, task_spec = spec_automata[aid]
-        else:
-            motion_spec, task_spec = translate(motion_f), translate(task_f)
-        spec_sizes += [motion_spec.n_states, task_spec.n_states]
+    spec_sizes = [
+        spec.n_states for agent in scenario.agents for spec in spec_automata[agent.agent_id]
+    ]
     factors = ts_sizes + spec_sizes
     return CentralizedEstimate(
         math.prod(ts_sizes),

@@ -112,24 +112,12 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
     return MotionProduct(product, agent, spec)
 
 
-def classify_significance(mp: MotionProduct):
-    """A state matters when it is initial or can leave via a non-silent step."""
-    a = mp.automaton
-    significant = [False] * a.n_states
-    significant[a.initial] = True
-    for t in a.transitions:
-        if not isinstance(t.label, Silent):
-            significant[t.src] = True
-    return significant
-
-
 @dataclass
 class ReducedMotionProduct:
     """Elimination result; witnesses map transitions back into the product."""
 
     automaton: BuchiAutomaton
     origin: MotionProduct
-    significance: list
 
 
 def reduce(mp: MotionProduct) -> ReducedMotionProduct:
@@ -139,6 +127,5 @@ def reduce(mp: MotionProduct) -> ReducedMotionProduct:
     the absorbing state, exists only where a silent label does.
     """
     a = mp.automaton
-    significant = classify_significance(mp)
     silent = next((t.label for t in a.transitions if isinstance(t.label, Silent)), None)
-    return ReducedMotionProduct(fold(a, significant, silent), mp, significant)
+    return ReducedMotionProduct(fold(a, silent), mp)

@@ -17,16 +17,13 @@ foreign service is one bit.  Only the foreign parts the team can provide at
 one instant are spelled out: one service set offered by each owner (or none),
 united.  A global move fires a joint transition only when its label is the
 union of the coalition's own parts, each of them one action's service set,
-so a transition with any other foreign part could never fire.  The guard
-cubes matched between the same endpoints, with the same marks and own part,
-are indexed instead, so the assisting and strip tests, which toggle bits,
-answer for every foreign bit set as if all of them had been spelled out.
+so a transition with any other foreign part could never fire.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
 into a single transition that remembers its path and the sets it meets: the
 same fold, `buchi.fold`, as the motion reduction's, given the planning
-labels and the coalitions.  Each kept state exists once, and one shared
+labels, off which it reads the significant states, and the coalitions.  Each kept state exists once, and one shared
 absorbing state captures runs that end in an accepting cycle among
 insignificant states, so the result has at most one state more than there
 are significant ones.  Only live cycles feed that state: ones that provide
@@ -58,15 +55,14 @@ class TaskMotionProduct:
     automaton transition id or None for silent moves).  Dependency coalitions
     live in `automaton.tr_dep` once `compute_dep` has run.
 
-    Foreign service i of `foreign_syntactic`, in sorted order, is bit
-    `1 << i`.  `label_parts` splits each joint label into its own part (the
-    services outside `foreign_syntactic`) and its foreign bits, one label
-    object per such pair, and `joint_index` maps (source, target, mask, own
-    part) to the (pos bits, neg bits) cubes of the task guards matched with
-    those endpoints, marks and own part: a foreign bit set has a joint
-    transition there exactly when some cube accepts it, whether or not the
-    team can provide it.  Parallel transitions that differ in their marks
-    alone are told apart.
+    Per transition, `assisting[tid]` holds the foreign services whose toggle
+    makes it vanish, and `strips[tid]` whether its foreign services can be
+    peeled away one at a time (`_strips`); a silent move has none and
+    strips.  Both are settled while the product is built, against the guard
+    cubes matched between the same endpoints with the same marks and own
+    part: a foreign bit set has a joint transition there exactly when some
+    cube accepts it, whether or not the team can provide it.  Parallel
+    transitions that differ in their marks alone are told apart.
     """
 
     automaton: BuchiAutomaton
@@ -76,23 +72,13 @@ class TaskMotionProduct:
     own_services: frozenset
     foreign_syntactic: frozenset
     service_owner: dict
-    label_parts: dict
-    joint_index: dict
+    assisting: list
+    strips: list
     _silence_tolerant: frozenset | None = field(default=None, init=False, repr=False)
 
     @property
     def silent(self) -> Silent:
         return Silent(self.agent_id)
-
-    def foreign_bits(self) -> dict:
-        """Each foreign service's bit."""
-        return {s: 1 << i for i, s in enumerate(sorted(self.foreign_syntactic))}
-
-    def variants(self, t):
-        """(foreign bits of joint transition `t`, the guard cubes matched
-        with its endpoints, marks and own part)."""
-        own, bits = self.label_parts[t.label]
-        return bits, self.joint_index[(t.src, t.dst, t.mask, own)]
 
     def silence_tolerant(self) -> frozenset:
         """Task-spec states from which the empty service set is accepted forever.
@@ -127,6 +113,25 @@ def _accepted(cubes, bits) -> bool:
     return any(not (pos & ~bits or neg & bits) for pos, neg in cubes)
 
 
+def _strips(cubes, bits, bits_in_order) -> bool:
+    """Can the foreign bits be peeled away?
+
+    Peel them one at a time, in sorted order, as long as some cube accepts
+    the bit set without them; a label that cannot be peeled bare still
+    needs *some* companion (even when no single foreign service is pivotal
+    on the full label).  The rest of a label is the agent's own services, as
+    its actions provide only those.
+    """
+    progress = True
+    while bits and progress:
+        progress = False
+        for b in bits_in_order:
+            if bits & b and _accepted(cubes, bits ^ b):
+                bits ^= b
+                progress = True
+    return not bits
+
+
 def _providable(bit: dict, service_owner: dict, offers: dict) -> list:
     """The foreign bit sets the team can provide at one instant: the unions
     of one offered service set (or none) per owner of a foreign service, by
@@ -158,7 +163,9 @@ def build_task_motion_product(
     (`_providable`), and each guard is checked on its own part once per
     motion transition and on its foreign bits per variant.  A motion label
     holds only the agent's own services (`agents.validate`), so it is the
-    own part whole.
+    own part whole.  Once a state's motion edges are done, every cube
+    matched from it is known, and its joint transitions' assisting services
+    and strips are settled.
     """
     motion = rm.automaton
     own_services = frozenset(own_services)
@@ -192,21 +199,21 @@ def build_task_motion_product(
     queue = deque()
     product.initial = state_id((motion.initial, task_spec.initial))
     labels = {}  # (own part, foreign bits) -> the one label object
-    parts = {}  # label -> (own part, foreign bits)
-    cubes = {}  # (source, target tag, mask, own part) -> guard cubes
+    assisting, strips = [], []
 
     def label_of(own, bits):
         label = labels.get((own, bits))
         if label is None:
             label = own | frozenset(s for s in foreign if bits & bit[s])
             labels[(own, bits)] = label
-            parts[label] = (own, bits)
         return label
 
     while queue:
         q1, q2 = queue.popleft()
         src = ids[(q1, q2)]
         seen = set()
+        cubes = {}  # (target tag, mask, own part) -> guard cubes matched from here
+        joint = {}  # joint transition id -> (its cubes' key, foreign bits)
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
@@ -225,8 +232,7 @@ def build_task_motion_product(
                     pt = task_spec.transitions[p_tid]
                     mask = mt.mask | pt.mask << shift
                     target = (mt.dst, pt.dst)
-                    cube = (pos_bits, neg_bits)
-                    cubes.setdefault((src, target, mask, own), set()).add(cube)
+                    cubes.setdefault((target, mask, own), set()).add((pos_bits, neg_bits))
                     matching.append((p_tid, pos_bits, neg_bits, target, mask))
             for bits in subsets:
                 for p_tid, pos_bits, neg_bits, target, mask in matching:
@@ -238,13 +244,16 @@ def build_task_motion_product(
                     seen.add((dst, mask, own, bits))
                     tid = product.add_transition(src, label_of(own, bits), dst, mask)
                     product.tr_back[tid] = (m_tid, p_tid)
-
-    # cubes toward targets that no providable part reaches key no transition
-    index = {
-        (src, ids[target], mask, own): tuple(group)
-        for (src, target, mask, own), group in cubes.items()
-        if target in ids
-    }
+                    joint[tid] = ((target, mask, own), bits)
+        for tid in range(len(assisting), len(product.transitions)):
+            if tid not in joint:
+                assisting.append(frozenset())
+                strips.append(True)
+                continue
+            key, bits = joint[tid]
+            group = cubes[key]
+            assisting.append(frozenset(s for s in foreign if not _accepted(group, bits ^ bit[s])))
+            strips.append(_strips(group, bits, bit.values()))
     return TaskMotionProduct(
         product,
         rm,
@@ -253,8 +262,8 @@ def build_task_motion_product(
         own_services,
         foreign_set,
         dict(service_owner),
-        parts,
-        index,
+        assisting,
+        strips,
     )
 
 
@@ -262,28 +271,17 @@ def compute_assisting(tm: TaskMotionProduct, tid: int, service: str) -> bool:
     """Does toggling `service` in the label flip this transition's existence?"""
     if service in tm.own_services:
         raise ValueError(f"{service!r} belongs to agent {tm.agent_id} itself")
-    t = tm.automaton.transitions[tid]
-    if isinstance(t.label, Silent):
+    if isinstance(tm.automaton.transitions[tid].label, Silent):
         raise ValueError("assistance is defined on service-labeled transitions only")
-    if service not in tm.foreign_syntactic:
-        return False
-    bits, cubes = tm.variants(t)
-    return not _accepted(cubes, bits ^ tm.foreign_bits()[service])
+    return service in tm.assisting[tid]
 
 
 def compute_dep(tm: TaskMotionProduct) -> dict:
     """Coalition per transition: the agent plus owners of assisting services."""
-    deps = {}
-    own = frozenset((tm.agent_id,))
-    owners = [(b, tm.service_owner[s]) for s, b in tm.foreign_bits().items()]
-    for tid, t in enumerate(tm.automaton.transitions):
-        if isinstance(t.label, Silent):
-            deps[tid] = own
-            continue
-        bits, cubes = tm.variants(t)
-        members = {tm.agent_id}
-        members.update(owner for b, owner in owners if not _accepted(cubes, bits ^ b))
-        deps[tid] = frozenset(members)
+    deps = {
+        tid: frozenset({tm.agent_id}.union(tm.service_owner[s] for s in services))
+        for tid, services in enumerate(tm.assisting)
+    }
     tm.automaton.tr_dep = dict(deps)
     return deps
 
@@ -296,39 +294,9 @@ def compute_globally_assisting(tms) -> dict:
         owners |= set(tm.service_owner.values())
     result = {agent_id: set() for agent_id in owners}
     for tm in tms:
-        for service, b in tm.foreign_bits().items():
-            owner = tm.service_owner[service]
-            if service in result[owner]:
-                continue
-            for t in tm.automaton.transitions:
-                if isinstance(t.label, Silent):
-                    continue
-                bits, cubes = tm.variants(t)
-                if not _accepted(cubes, bits ^ b):
-                    result[owner].add(service)
-                    break
+        for service in set().union(*tm.assisting):
+            result[tm.service_owner[service]].add(service)
     return {agent_id: frozenset(v) for agent_id, v in result.items()}
-
-
-def strips_to_own(tm: TaskMotionProduct, t) -> bool:
-    """Can the foreign services of joint transition `t` be peeled away?
-
-    Peel them one at a time, in sorted order, as long as the variant without
-    them still exists between the same endpoints with the same marks; a
-    label that cannot be peeled bare still needs *some* companion (even when
-    no single foreign service is pivotal on the full label).  The rest of a
-    label is the agent's own services, as its actions provide only those.
-    """
-    bits, cubes = tm.variants(t)
-    bits_in_order = tm.foreign_bits().values()
-    progress = True
-    while bits and progress:
-        progress = False
-        for b in bits_in_order:
-            if bits & b and _accepted(cubes, bits ^ b):
-                bits ^= b
-                progress = True
-    return not bits
 
 
 def planning_labels(tm: TaskMotionProduct, globally_assisting: dict) -> list:
@@ -337,7 +305,7 @@ def planning_labels(tm: TaskMotionProduct, globally_assisting: dict) -> list:
     A transition counts as silent for planning when nobody's collaboration
     hinges on it: its coalition is the agent alone, it provides no globally
     assisting service, and the foreign parts of its label are incidental
-    (`strips_to_own`).
+    (`_strips`).
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
@@ -348,41 +316,16 @@ def planning_labels(tm: TaskMotionProduct, globally_assisting: dict) -> list:
     return [
         silent
         if isinstance(t.label, Silent)
-        or (a.tr_dep[tid] == own and not (t.label & ga_own) and strips_to_own(tm, t))
+        or (a.tr_dep[tid] == own and not (t.label & ga_own) and tm.strips[tid])
         else t.label
         for tid, t in enumerate(a.transitions)
     ]
-
-
-def _significance(a: BuchiAutomaton, labels) -> list:
-    significant = [False] * a.n_states
-    significant[a.initial] = True
-    for t, label in zip(a.transitions, labels):
-        if not isinstance(label, Silent):
-            significant[t.src] = True
-    return significant
-
-
-def classify_task_significance(tm: TaskMotionProduct, globally_assisting: dict):
-    """Initial, or the source of a transition that is not silent for
-    planning: able to provide a globally assisting service, dependent, or
-    carrying a label that does not strip to the agent's own part.
-
-    With every foreign part spelled out, the last implies the second: the
-    variant where peeling gets stuck is a transition of the same source
-    whose remaining services are all pivotal.  With only the providable
-    parts spelled out, that variant may be missing, and the state must stay
-    significant by itself, or the fold would replay the label as silent.
-    """
-    return _significance(tm.automaton, planning_labels(tm, globally_assisting))
 
 
 @dataclass
 class ReducedTaskMotionProduct:
     automaton: BuchiAutomaton
     origin: TaskMotionProduct
-    significance: list
-    globally_assisting_own: frozenset
 
 
 def _live_anchors(a: BuchiAutomaton, tolerant):
@@ -412,9 +355,6 @@ def reduce_task_motion(
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    labels = planning_labels(tm, globally_assisting)
-    significant = _significance(a, labels)
     live = _live_anchors(a, tm.silence_tolerant())
-    reduced = fold(a, significant, tm.silent, labels.__getitem__, live)
-    ga_own = globally_assisting.get(tm.agent_id, frozenset())
-    return ReducedTaskMotionProduct(reduced, tm, significant, ga_own)
+    reduced = fold(a, tm.silent, planning_labels(tm, globally_assisting), live)
+    return ReducedTaskMotionProduct(reduced, tm)

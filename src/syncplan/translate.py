@@ -39,17 +39,17 @@ class _Tableau:
     children and a literal's complement are looked up in tables by id.
     Expanding a node's `next` set into completed (old, next) leaves depends
     on that set alone, so each distinct set is expanded once (`_leaves`) and
-    the leaves are replayed for every node that has it; completed nodes are
-    found through an index on (old, next).  Node ids are those of the plain
-    depth-first expansion, which numbers every node it creates, the dropped
-    and merged ones included; they fix the order of `incoming`.  Nodes carry
-    their old and next sets as formulas.
+    its leaves are reused for every node that has it; completed nodes are
+    found through an index on (old, next).  Nodes are numbered 1, 2, ... as
+    they complete, depth first, after the virtual initial node 0; the
+    numbers fix the order of `incoming`.  Nodes carry their old and next
+    sets as formulas.
     """
 
     def __init__(self, root: ltl.Formula):
         self.nodes: list = []
         self.index: dict = {}  # (old ids, next ids) -> completed node
-        self.memo: dict = {}  # new ids -> (leaves, ids its expansion creates)
+        self.memo: dict = {}  # new ids -> its leaves
         text = {}
         stack = [root]
         while stack:
@@ -72,24 +72,19 @@ class _Tableau:
                 self.complement[i] = fid.get(ltl.lnot(g), -1)
             elif g.kind == ltl.NOT and g.children[0].kind == ltl.ATOM:
                 self.complement[i] = fid[g.children[0]]
-        self._replay(frozenset((fid[root],)))
+        self._expand(frozenset((fid[root],)))
 
-    def _leaves(self, new: frozenset):
-        """Completed leaves of one node whose pending formula ids are `new`.
-
-        Returns (leaves, ids created), counting the node itself as id 0.
-        Each leaf is ((old, next), its id, leaves completed before it was
-        created, ids created before it completed), in completion order.
-        """
+    def _leaves(self, new: frozenset) -> list:
+        """Completed (old, next) leaves of one node whose pending formula ids
+        are `new`, in completion order."""
         found = self.memo.get(new)
         if found is not None:
             return found
         kind, children, complement = self.kind, self.children, self.complement
         leaves = []
-        created = 1
-        stack = [(0, 0, set(new), set(), set())]  # (id, leaves before it, new, old, next)
+        stack = [(set(new), set(), set())]  # (new, old, next)
         while stack:
-            idx, before, pending, old, nxt = stack.pop()
+            pending, old, nxt = stack.pop()
             while pending:
                 f = min(pending)
                 pending.discard(f)
@@ -119,55 +114,44 @@ class _Tableau:
                     else:
                         left, right = {a}, {b}
                     # two alternatives, created left first and expanded left first
-                    right_new = pending | (right - old)
-                    stack.append((created + 1, len(leaves), right_new, set(old), set(nxt)))
+                    stack.append((pending | (right - old), set(old), set(nxt)))
                     if k != ltl.OR:
                         nxt.add(f)  # the left alternative postpones f
-                    stack.append((created, len(leaves), pending | (left - old), old, nxt))
-                    created += 2
+                    stack.append((pending | (left - old), old, nxt))
                     break
                 else:
                     raise ValueError(f"unexpected kind in normal form: {k}")
             else:
-                leaves.append(((frozenset(old), frozenset(nxt)), idx, before, created))
-        found = self.memo[new] = (leaves, created)
-        return found
+                leaves.append((frozenset(old), frozenset(nxt)))
+        self.memo[new] = leaves
+        return leaves
 
-    def _replay(self, root: frozenset):
-        """Depth-first expansion from the initial node, ids as if node by node.
-
-        A frame is [leaves, ids they create, parent id, first id, grown],
-        where grown[i] counts the ids the successors of leaves 0..i-1 used.
-        """
+    def _expand(self, root: frozenset):
+        """Depth-first expansion from the virtual initial node: a leaf that
+        completed before gains an incoming edge, a new one becomes the next
+        node and has its successors expanded before the following leaf."""
         formula = self.formulas.__getitem__
         index = self.index
-        leaves, created = self._leaves(root)
-        stack = [[leaves, created, 0, 1, [0]]]  # node id 0 is the virtual initial node
+        stack = [(0, iter(self._leaves(root)))]
         while stack:
-            leaves, created, parent, start, grown = stack[-1]
-            j = len(grown) - 1
-            if j == len(leaves):
+            parent, leaves = stack[-1]
+            key = next(leaves, None)
+            if key is None:
                 stack.pop()
-                if stack:
-                    outer = stack[-1][4]
-                    outer.append(outer[-1] + created + grown[-1])
                 continue
-            node = index.get(leaves[j][0])
+            node = index.get(key)
             if node is not None:
                 node.incoming.add(parent)
-                grown.append(grown[-1])
                 continue
-            key, idx, before, used = leaves[j]
             node = _Node(
-                start + idx + grown[before],
+                len(self.nodes) + 1,
                 {parent},
                 frozenset(map(formula, key[0])),
                 frozenset(map(formula, key[1])),
             )
             self.nodes.append(node)
             index[key] = node
-            successors, succ_created = self._leaves(key[1])
-            stack.append([successors, succ_created, node.nid, start + used + grown[j], [0]])
+            stack.append((node.nid, iter(self._leaves(key[1]))))
 
 
 def _liveness_obligations(f: ltl.Formula):
@@ -205,25 +189,21 @@ def translate(f: ltl.Formula) -> BuchiAutomaton:
 def _generalized(g: ltl.Formula):
     """Generalized automaton of an NNF formula and its acceptance sets.
 
-    State 0 is initial, states 1.. are tableau nodes; the tableau is local
-    here so that it is freed before the quotient is refined.  Every node has
-    an edge from the node whose successors created it, so all are reachable.
+    State 0 is initial, state i is tableau node i; the tableau is local here
+    so that it is freed before the quotient is refined.  Every node has an
+    edge from the node whose successors created it, so all are reachable.
     """
     nodes = _Tableau(g).nodes
-    ids = {0: 0}
     gba = BuchiAutomaton(GUARD_MODE)
     gba.add_state("init")
-    for node in nodes:
-        ids[node.nid] = gba.add_state(None)
+    for _node in nodes:
+        gba.add_state(None)
     guards = {}  # equal guards share one object, so later lookups hit by identity
     # transitions go straight into the list: nothing has read the index yet
     for node in nodes:
         guard = _guard_of(node)
         guard = guards.setdefault(guard, guard)
-        dst = ids[node.nid]
-        gba.transitions.extend(
-            Transition(ids[src], guard, dst) for src in sorted(node.incoming) if src in ids
-        )
+        gba.transitions.extend(Transition(src, guard, node.nid) for src in sorted(node.incoming))
 
     sets = []
     for ob in _liveness_obligations(g):
@@ -231,7 +211,7 @@ def _generalized(g: ltl.Formula):
         members = {0}
         for node in nodes:
             if ob not in node.old or fulfilled in node.old:
-                members.add(ids[node.nid])
+                members.add(node.nid)
         sets.append(members)
     return gba, sets
 

@@ -12,10 +12,11 @@ import pytest
 
 from syncplan import ltl
 from syncplan.agents import AgentModel, Scenario
-from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, TransitionSystem
+from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, TransitionSystem, significance
 from syncplan.motion import MotionProduct
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import bundled_scenario_path, load_bundled, scenario_from_dict
+from syncplan.taskprod import planning_labels
 
 ATOMS = ["a", "b", "c"]
 
@@ -52,6 +53,16 @@ def mark_entering(auto: BuchiAutomaton, accepting):
     auto.sets = 1
     auto.transitions[:] = [t._replace(mask=int(t.dst in accepting)) for t in auto.transitions]
     return auto
+
+
+def significant_states(product, globally_assisting=None) -> list:
+    """The states the reduction keeps: `buchi.significance` over the labels
+    it folds with, a motion product's own labels or, given the globally
+    assisting services, a task product's planning labels."""
+    a = product.automaton
+    if globally_assisting is None:
+        return significance(a, [t.label for t in a.transitions])
+    return significance(a, planning_labels(product, globally_assisting))
 
 
 def random_motion_product(rng: random.Random, max_states=12, services=("a", "b", "c")):

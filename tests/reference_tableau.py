@@ -2,9 +2,10 @@
 
 `_Tableau` is the node expansion that expands every node's `next` set anew,
 node by node, and looks completed nodes up by their (old, next) sets (the
-text that orders pending formulas is computed once per formula).  Node ids,
-incoming sets and the order of the nodes define what the shared-expansion
-tableau must reproduce.
+text that orders pending formulas is computed once per formula).  The order
+of the nodes and their incoming sets, with every node id renumbered by its
+position in that order, define what the shared-expansion tableau must
+reproduce.
 
 `translate` is the translator before its acceptance moved onto the
 tableau's edges: `_degeneralize` builds the counter construction, one state

@@ -5,10 +5,12 @@ These are the assisting-service, coalition, globally-assisting and strip
 tests as they read before the task product indexed its foreign services as
 bit sets: each probes a toggled label, built as a frozenset, against the set
 of (source, label, target, mask) keys of the joint transitions, taken here
-straight from `tm.automaton.transitions`.  They share no code with
-`syncplan.taskprod`'s index.  `reduce_task_motion` is the task reduction with
-this strip test, also in the significance classifier; the live-anchor
-filter and the fold are the real ones.  `product_automaton` builds the task product's
+straight from `tm.automaton.transitions`.  They share no code with the
+assisting sets and strips `syncplan.taskprod` settles while it builds.
+`reduce_task_motion` is the task reduction with this strip test in its
+planning labels; the live-anchor filter and the fold, which reads the
+significant states off those labels, are the real ones.
+`product_automaton` builds the task product's
 automaton by spelling out each of the 2^k foreign variants as a frozenset,
 whatever the team can provide, checking every guard on it, and skipping a
 transition whose (source, label, target key, mask) was already added.
@@ -89,7 +91,8 @@ def product_automaton(rm, task_spec, agent_id, own_services) -> BuchiAutomaton:
 
 def build_task_motion_product(rm, task_spec, agent_id, own_services, service_owner, _offers):
     """The task product over every foreign variant; the offers are ignored,
-    and the index is left empty, as the probes below read the transitions."""
+    and the settled assisting sets and strips are left empty, as the probes
+    below read the transitions."""
     own_services = frozenset(own_services)
     return TaskMotionProduct(
         product_automaton(rm, task_spec, agent_id, own_services),
@@ -99,8 +102,8 @@ def build_task_motion_product(rm, task_spec, agent_id, own_services, service_own
         own_services,
         _guard_atoms(task_spec) - own_services,
         dict(service_owner),
-        {},
-        {},
+        [],
+        [],
     )
 
 
@@ -200,14 +203,6 @@ def reduce_task_motion(tm, globally_assisting) -> ReducedTaskMotionProduct:
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    labels = planning_labels(tm, globally_assisting)
-    # initial, or the source of a transition that is not silent for planning
-    significant = [False] * a.n_states
-    significant[a.initial] = True
-    for t, label in zip(a.transitions, labels):
-        if not isinstance(label, Silent):
-            significant[t.src] = True
     live = _live_anchors(a, tm.silence_tolerant())
-    reduced = buchi.fold(a, significant, tm.silent, labels.__getitem__, live)
-    ga_own = globally_assisting.get(tm.agent_id, frozenset())
-    return ReducedTaskMotionProduct(reduced, tm, significant, ga_own)
+    reduced = buchi.fold(a, tm.silent, planning_labels(tm, globally_assisting), live)
+    return ReducedTaskMotionProduct(reduced, tm)

@@ -15,11 +15,16 @@ from syncplan.executor import (
     simulate,
 )
 from syncplan.globalprod import Strategy, StrategyStep
-from syncplan.motion import classify_significance
 from syncplan.motion import reduce as reduce_motion
-from syncplan.taskprod import classify_task_significance, reduce_task_motion
+from syncplan.taskprod import reduce_task_motion
 from syncplan.translate import translate
-from tests.conftest import ATOMS, random_formula, random_motion_product, random_word
+from tests.conftest import (
+    ATOMS,
+    random_formula,
+    random_motion_product,
+    random_word,
+    significant_states,
+)
 from tests.reference_buchi import accepting_lasso
 from tests.test_motion import replay_nonsilent_labels
 from tests.test_taskprod import (
@@ -121,7 +126,7 @@ def test_criterion_4_reduction_soundness():
         mp = random_motion_product(rng)
         rm = reduce_motion(mp)
         motion_bound_ok = motion_bound_ok and (
-            rm.automaton.n_states <= sum(classify_significance(mp)) + 1
+            rm.automaton.n_states <= sum(significant_states(mp)) + 1
         )
         if language_empty(mp.automaton) != language_empty(rm.automaton):
             report("criterion 4: reduction soundness", False, "emptiness diverged")
@@ -139,7 +144,7 @@ def test_criterion_4_reduction_soundness():
     bound_ok = True
     for _ in range(120):
         tm, ga = _random_task_instance(rng)
-        sig = classify_task_significance(tm, ga)
+        sig = significant_states(tm, ga)
         reduced = reduce_task_motion(tm, ga)
         task_instances += 1
         bound_ok = bound_ok and reduced.automaton.n_states <= sum(sig) + 1

@@ -13,6 +13,7 @@ from syncplan.buchi import (
     Silent,
     check_lasso_membership,
     fold,
+    significance,
     language_empty,
     prune_non_coaccessible,
     to_dot,
@@ -181,7 +182,7 @@ class TestFold:
 
     def test_states_with_equal_edges_stay_apart(self):
         a = self.diamond()
-        folded = fold(a, [True] * 4, Silent(1))
+        folded = fold(a, Silent(1))
         assert folded.state_tags == [(0,), (1,), (2,), (3,)]
         assert len(folded.transitions) == 5
         for tid, t in enumerate(folded.transitions):
@@ -204,7 +205,7 @@ class TestFold:
         a.add_transition(0, frozenset("x"), 2)
         a.add_transition(1, eps, 1, 1)
         a.add_transition(2, eps, 2, 1)
-        folded = fold(a, [True, False, False], eps)
+        folded = fold(a, eps)
         assert folded.state_tags == [(0,), (1, 2)]
         loop = next(tid for tid, t in enumerate(folded.transitions) if t.src == t.dst == 1)
         assert [(w.src, w.dst, w.steps) for w in folded.tr_witness[loop]] == [
@@ -212,6 +213,29 @@ class TestFold:
         ]
         others = [tid for tid in range(len(folded.transitions)) if tid != loop]
         assert len(others) == 2 and all(len(folded.tr_witness[tid]) == 1 for tid in others)
+
+    def test_significance_follows_the_labels_kept(self):
+        # 0 -eps-> 1 -x-> 2 -y-> 0: kept labelled, the x step keeps its
+        # source 1; made silent through `labels`, 1 folds away into one
+        # silent edge from 0 to 2 whose witness replays both steps
+        a = BuchiAutomaton(EXPLICIT_MODE, sets=1)
+        for s in range(3):
+            a.add_state((s,))
+        eps, x, y = Silent(1), frozenset("x"), frozenset("y")
+        a.add_transition(0, eps, 1)
+        a.add_transition(1, x, 2)
+        a.add_transition(2, y, 0, 1)
+        kept = fold(a, eps)
+        assert kept.state_tags == [(0,), (1,), (2,)]
+        assert [(t.src, t.label, t.dst) for t in kept.transitions] == [
+            (0, eps, 1), (1, x, 2), (2, y, 0)
+        ]
+        labels = [eps, eps, y]
+        assert significance(a, labels) == [True, False, True]
+        folded = fold(a, eps, labels)
+        assert folded.state_tags == [(0,), (2,)]
+        assert [(t.src, t.label, t.dst) for t in folded.transitions] == [(0, eps, 1), (1, y, 0)]
+        assert [w.steps for (w,) in folded.tr_witness.values()] == [(0, 1), (2,)]
 
 
 class TestMarks:

@@ -37,10 +37,10 @@ from syncplan.buchi import (
 )
 from syncplan.executor import SimulationConfig, check_local_satisfaction, check_timing, simulate
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
-from syncplan.motion import build_motion_product, classify_significance
+from syncplan.motion import build_motion_product
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
-from syncplan.taskprod import _live_anchors, classify_task_significance
+from syncplan.taskprod import _live_anchors
 from syncplan.translate import _marked_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
 from tests import reference_globalprod as ref_gp
@@ -59,6 +59,7 @@ from tests.conftest import (
     random_motion_product,
     random_scenario,
     random_word,
+    significant_states,
     singleton_offers,
 )
 from tests.test_motion import replay_nonsilent_labels
@@ -132,7 +133,7 @@ def test_motion_reduction_keeps_least_paths():
             # sparse acceptance leaves more states to bypass: longer chains
             entered = {t.dst for t in a.transitions if t.mask}
             mark_entering(a, {s for s in entered if rng.random() < 0.3})
-        sig = classify_significance(mp)
+        sig = significant_states(mp)
         reduced = motion.reduce(mp).automaton
         assert reduced.n_states <= sum(sig) + 1
         assert language_empty(reduced) == language_empty(a)
@@ -283,7 +284,7 @@ def test_task_segments_match_path_copying_walk(monkeypatch):
     for _ in range(400):
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
-        sig = classify_task_significance(tm, ga)
+        sig = significant_states(tm, ga)
         segments = least_segments(a, sig)
         for s in range(a.n_states):
             if not sig[s]:
@@ -375,7 +376,7 @@ def test_region_analysis_matches_hand_written_searches():
     for _ in range(5000):
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
-        sig = classify_task_significance(tm, ga)
+        sig = significant_states(tm, ga)
         region = {s for s in range(a.n_states) if not sig[s]}
         anchors, reach = region_analysis(a, sig)
         old_anchors, old_reach, loop_keys = ref.region_analysis(a, sig)
@@ -440,10 +441,10 @@ def test_covering_cycle_matches_full_search():
     rng = random.Random(79)
     kinds = {True: 0, False: 0}
     instances = [_random_task_instance(rng) for _ in range(3000)]
-    instances = [(tm.automaton, classify_task_significance(tm, ga)) for tm, ga in instances]
+    instances = [(tm.automaton, significant_states(tm, ga)) for tm, ga in instances]
     for i in range(1500):
         mp = random_motion_product(rng, max_states=12 if i < 750 else 30)
-        instances.append((mp.automaton, classify_significance(mp)))
+        instances.append((mp.automaton, significant_states(mp)))
     for a, sig in instances:
         full = (1 << a.sets) - 1
         for members, anchor, serves in _covering_components(a, sig):
@@ -612,9 +613,11 @@ def _agree_on_words(first, second, atoms, rng, count):
 
 
 def test_tableau_and_translation_match_node_by_node_expansion():
-    # the nodes match the node-by-node expansion exactly; the translation,
-    # transition-marked, has at most the states of the reference's counter
-    # automaton quotient and agrees with it on random words
+    # the nodes match the node-by-node expansion exactly once its ids are
+    # renumbered by completion, 1, 2, ... after the initial node 0; the
+    # translation, transition-marked, has at most the states of the
+    # reference's counter automaton quotient and agrees with it on random
+    # words
     rng = random.Random(23)
     formulas = _benchmark_formulas()
     formulas += [random_formula(rng, ATOMS, 4) for _ in range(800)]
@@ -623,8 +626,10 @@ def test_tableau_and_translation_match_node_by_node_expansion():
         g = ltl.to_nnf(f)
         old_nodes = ref_tableau.tableau_nodes(g)
         new_nodes = _Tableau(g).nodes
+        position = {0: 0} | {n.nid: i for i, n in enumerate(old_nodes, 1)}
         assert [(n.nid, sorted(n.incoming), n.old, n.next) for n in new_nodes] == [
-            (n.nid, sorted(n.incoming), frozenset(n.old), frozenset(n.next)) for n in old_nodes
+            (i, sorted(map(position.get, n.incoming)), frozenset(n.old), frozenset(n.next))
+            for i, n in enumerate(old_nodes, 1)
         ], str(f)
         new, old = translate(f), ref_tableau.translate(f, old_nodes)
         assert new.n_states <= old.n_states, str(f)
@@ -632,7 +637,7 @@ def test_tableau_and_translation_match_node_by_node_expansion():
         assert _agree_on_words(new, old, atoms, rng, 2), str(f)
         shared += len({n.next for n in new_nodes}) < len(new_nodes)
         smaller += new.n_states < old.n_states
-    assert shared >= 100  # successor expansions are replayed, not just made once
+    assert shared >= 100  # successor expansions are reused, not just made once
     assert smaller >= 100
 
 
@@ -1284,13 +1289,13 @@ def test_reduced_states_stand_for_one_lower_state(monkeypatch):
     rng = random.Random(67)
     motion_counts, task_counts = [0, 0, 0], [0, 0, 0]
 
-    def add(counts, lower, reduced):
-        found = _assert_one_lower_state_each(lower, reduced.automaton, reduced.significance)
+    def add(counts, lower, reduced, significant):
+        found = _assert_one_lower_state_each(lower.automaton, reduced.automaton, significant)
         counts[:] = map(sum, zip(counts, found))
 
     for i in range(1200):
         mp = random_motion_product(rng, max_states=12 if i < 600 else 30)
-        add(motion_counts, mp.automaton, motion.reduce(mp))
+        add(motion_counts, mp, motion.reduce(mp), significant_states(mp))
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     teams = 0
     for _ in range(250):
@@ -1299,9 +1304,11 @@ def test_reduced_states_stand_for_one_lower_state(monkeypatch):
         except EmptyLanguageError:
             continue
         teams += 1
+        ga = result.globally_assisting
         for art in result.artifacts.values():
-            add(motion_counts, art.motion_product.automaton, art.reduced_motion)
-            add(task_counts, art.task_product.automaton, art.reduced_task)
+            mp, tm = art.motion_product, art.task_product
+            add(motion_counts, mp, art.reduced_motion, significant_states(mp))
+            add(task_counts, tm, art.reduced_task, significant_states(tm, ga))
     edges, variants, shared = motion_counts
     assert edges >= 15000 and variants >= 400 and shared >= 20
     edges, variants, shared = task_counts
@@ -1318,7 +1325,7 @@ def test_chain_team_reduces_to_one_state_per_pair():
     assert result.dependency_classes == [frozenset(range(1, 6))]
     for aid, art in result.artifacts.items():
         reduced = art.reduced_task.automaton
-        significant = art.reduced_task.significance
+        significant = significant_states(art.task_product, result.globally_assisting)
         tm = art.task_product.automaton
         assert len(set(tm.state_tags)) == tm.n_states  # states are distinct pairs
         kept = [tag for tag in reduced.state_tags if all(significant[s] for s in tag)]
@@ -1453,21 +1460,21 @@ def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
     # reference_taskprod's 2^k product cut down to the providable foreign
     # parts and the states they reach, compared by state tags; each kept
     # transition's coalition, planning label and assisting verdict per
-    # service, read off the cube index, against the frozenset probes on the
-    # 2^k product.  Where every foreign part is providable, the product
+    # service, settled while the product is built, against the frozenset
+    # probes on the 2^k product.  Where every foreign part is providable, the product
     # is the 2^k one transition for transition, ids included, and so is its
     # reduced automaton with witnesses.  Whole teams also run with the 2^k
     # product patched into the pipeline: the same verdict and message, the
     # same strategies, and globally assisting sets and dependency classes
     # that can only shrink; where they do not, the same global products and
     # stats, and where no task product changes, the same reduced products.
-    # The planning labels are read off every transition through the relabel
-    # function `fold` gets
+    # The planning labels are read off every transition through the labels
+    # `fold` gets
     labels = []
 
-    def capturing_fold(a, significant, silent, relabel=None, live=None):
-        labels.append([relabel(tid) for tid in range(len(a.transitions))])
-        return buchi.fold(a, significant, silent, relabel, live)
+    def capturing_fold(a, silent, planning, live=None):
+        labels.append(list(planning))
+        return buchi.fold(a, silent, planning, live)
 
     monkeypatch.setattr(taskprod, "fold", capturing_fold)
     counts = {"coalitions": 0, "stripped": 0, "kept": 0, "dropped": 0}

@@ -4,9 +4,14 @@ import random
 from syncplan import ltl
 from syncplan.agents import GridSpec, build_grid_agent
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, language_empty
-from syncplan.motion import MotionProduct, build_motion_product, classify_significance, reduce
+from syncplan.motion import MotionProduct, build_motion_product, reduce
 from syncplan.translate import translate
-from tests.conftest import explicit_agent, mark_entering, random_motion_product
+from tests.conftest import (
+    explicit_agent,
+    mark_entering,
+    random_motion_product,
+    significant_states,
+)
 from tests.reference_buchi import accepting_lasso
 
 
@@ -84,15 +89,15 @@ class TestSignificance:
         return MotionProduct(a)
 
     def test_initial_always_significant(self):
-        sig = classify_significance(self.build())
+        sig = significant_states(self.build())
         assert sig[0] is True
 
     def test_nonsilent_outgoing_is_significant(self):
-        sig = classify_significance(self.build())
+        sig = significant_states(self.build())
         assert sig[1] is True
 
     def test_silent_only_noninitial_is_insignificant(self):
-        sig = classify_significance(self.build())
+        sig = significant_states(self.build())
         assert sig[2] is False
 
 
@@ -139,7 +144,7 @@ class TestReductionSoundness:
         for _ in range(120):
             mp = random_motion_product(rng)
             rm = reduce(mp)
-            assert rm.automaton.n_states <= sum(classify_significance(mp)) + 1
+            assert rm.automaton.n_states <= sum(significant_states(mp)) + 1
             empty_before = language_empty(mp.automaton)
             empty_after = language_empty(rm.automaton)
             assert empty_before == empty_after

@@ -23,7 +23,6 @@ from syncplan.scenario_io import check_strategies_fit, scenario_from_dict
 from syncplan.taskprod import (
     _live_anchors,
     build_task_motion_product,
-    classify_task_significance,
     compute_assisting,
     compute_dep,
     compute_globally_assisting,
@@ -36,6 +35,7 @@ from tests.conftest import (
     explicit_agent,
     make_scenario,
     random_formula,
+    significant_states,
     singleton_offers,
 )
 from tests.reference_buchi import accepting_lasso
@@ -204,31 +204,29 @@ class TestAssisting:
     def test_xor_characterization(self):
         _agent, _rm, tm = hauler_products()
         # the oracle's keys come straight from the transitions; help and
-        # assist have distinct owners, so every foreign part is spelled out,
-        # and the bit sets the index's cubes accept must be exactly those,
-        # each label split into its own part and bits once
+        # assist have distinct owners, so every foreign part is spelled out.
+        # A service assists exactly when the variant with it and the one
+        # without it differ in existence, and the coalition is the agent
+        # plus the owners of the services assisting
         keys = {
             (t.src, t.label, t.dst, t.mask)
             for t in tm.automaton.transitions
             if not isinstance(t.label, Silent)
         }
-        bits_of = tm.foreign_bits()
-        for label, (own, bits) in tm.label_parts.items():
-            assert label == own | {s for s, b in bits_of.items() if bits & b}
-        indexed = {
-            (src, own | {s for s, b in bits_of.items() if bits & b}, dst, mask)
-            for (src, dst, mask, own), cubes in tm.joint_index.items()
-            for bits in range(1 << len(bits_of))
-            if any(not (pos & ~bits or neg & bits) for pos, neg in cubes)
-        }
-        assert indexed == keys
+        deps = compute_dep(tm)
         for tid, t in enumerate(tm.automaton.transitions):
             if isinstance(t.label, Silent):
+                assert deps[tid] == {1}
                 continue
+            members = {1}
             for service in sorted(tm.foreign_syntactic):
                 with_s = (t.src, t.label | {service}, t.dst, t.mask) in keys
                 without_s = (t.src, t.label - {service}, t.dst, t.mask) in keys
                 assert compute_assisting(tm, tid, service) == (with_s != without_s)
+                if with_s != without_s:
+                    members.add(tm.service_owner[service])
+            assert deps[tid] == members
+        assert any(len(dep) > 1 for dep in deps.values())
 
 
     def test_parallel_edges_differing_in_marks_alone(self):
@@ -385,7 +383,7 @@ class TestReduce:
         # force universal significance by treating every own service as assisting
         ga_forced = dict(ga)
         ga_forced[1] = frozenset({"load", "unload"})
-        sig = classify_task_significance(tm, ga_forced)
+        sig = significant_states(tm, ga_forced)
         reachable_sig = sum(1 for s in sig if s)
         reduced = reduce_task_motion(tm, ga_forced)
         assert reduced.automaton.n_states <= reachable_sig + 1
@@ -394,7 +392,7 @@ class TestReduce:
         products = [hauler_products()[2], surveyor_products()[2], helper_products()[2]]
         ga = compute_globally_assisting(products)
         for tm in products:
-            sig = classify_task_significance(tm, ga)
+            sig = significant_states(tm, ga)
             reduced = reduce_task_motion(tm, ga)
             assert reduced.automaton.n_states <= sum(sig) + 1
 
@@ -403,7 +401,7 @@ class TestReduce:
         ga = compute_globally_assisting(products)
         for tm in products:
             reduced = reduce_task_motion(tm, ga)
-            sig = classify_task_significance(tm, ga)
+            sig = significant_states(tm, ga)
             assert empty_but_for_dead_regions(tm, sig) == language_empty(reduced.automaton)
 
     def test_only_live_anchors_keep_their_absorbing_routes(self):
@@ -493,7 +491,7 @@ def test_random_reduction_suite():
     nonempty = 0
     for _ in range(120):
         tm, ga = _random_task_instance(rng)
-        sig = classify_task_significance(tm, ga)
+        sig = significant_states(tm, ga)
         reduced = reduce_task_motion(tm, ga)
         assert reduced.automaton.n_states <= sum(sig) + 1
         assert empty_but_for_dead_regions(tm, sig) == language_empty(reduced.automaton)
