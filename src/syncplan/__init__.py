@@ -8,7 +8,7 @@ synchronization requests whose asynchronous timed execution provably
 satisfies every specification.
 """
 
-from .agents import AgentModel, GridSpec, Scenario, SyncRequest, build_grid_agent, validate
+from .agents import AgentModel, GridSpec, Scenario, build_grid_agent, validate
 from .buchi import (
     BuchiAutomaton,
     Guard,

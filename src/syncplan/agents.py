@@ -15,16 +15,6 @@ from . import ltl
 from .buchi import Silent, TransitionSystem
 
 
-@dataclass(frozen=True)
-class SyncRequest:
-    issuer: int
-    coalition: frozenset
-
-    def __post_init__(self):
-        if self.issuer not in self.coalition:
-            raise ValueError("issuer must belong to its own coalition")
-
-
 @dataclass
 class AgentModel:
     agent_id: int

@@ -116,7 +116,6 @@ def simulate(scenario: Scenario, strategies: dict, config: SimulationConfig) -> 
     requested = set()  # steps whose request event was already logged
     events = []
     behaviors = {aid: [] for aid in scripts}
-    barrier_counter = 0
 
     def finish_step(aid, step, release, event):
         rng = rngs[aid]
@@ -175,7 +174,6 @@ def simulate(scenario: Scenario, strategies: dict, config: SimulationConfig) -> 
                 barrier["arrivals"][aid] = t_req
                 if set(barrier["arrivals"]) == set(step.sync):
                     release = max(barrier["arrivals"].values())
-                    barrier_counter += 1
                     event = ("barrier", key)
                     for member in sorted(step.sync):
                         events.append(

@@ -5,18 +5,13 @@ a coalition consists of exactly the agents pulled in transitively by the
 dependency sets of the chosen per-agent transitions, so nobody synchronizes
 without a reason.  The joint label is the union of the members' own service
 contributions and every member's transition must agree with that label on the
-services its own task automaton can distinguish.  Two things keep this
-cheap without changing the product.  Each agent's candidate transitions are
-filtered once per state: one whose label holds a service the agent cannot
-see, or that depends on an agent outside the product, never joins, and a
-partnerless one providing own services only is a complete move by itself.
-Extending a partial coalition by a needed agent is a hash join: that agent's
-candidates are indexed by the services both sides must agree on (its own
-services the members' guards mention, and the members' own services its
-guards mention), and only the matching bucket is tried; the full agreement
-test still decides every complete assignment.  The pipeline builds one
-product per dependency class; agents of different classes never
-synchronize, so a product over several classes would only interleave them.
+services its own task automaton can distinguish.  A partial coalition
+grows by its least still-needed agent, trying only those of that agent's
+transitions that provide every own service the chosen members' labels name;
+the agreement test decides every complete assignment.  The pipeline builds
+one product per dependency class, which is closed under dependency; agents
+of different classes never synchronize, so a product over several classes
+would only interleave them.
 
 The product carries its acceptance on its transitions, like every other
 automaton: generalized, with a slot of bits per position, one after the
@@ -46,7 +41,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate
-from operator import itemgetter, or_
+from operator import or_
 from types import MappingProxyType
 
 from .buchi import (
@@ -95,7 +90,8 @@ class Strategy:
 @dataclass
 class GlobalProduct:
     """Product over the reduced task-and-motion automata of one dependency
-    class (or of any agents given).
+    class, or of any agents closed under dependency: a coalition naming an
+    agent outside them is a `SynthesisError`.
 
     State tags are the reachable component state tuples, plain tuples with
     one reduced state per position.  `tr_back[tid]` is ("local", position,
@@ -124,166 +120,89 @@ def build_global_product(products) -> GlobalProduct:
     n = len(products)
     autos = [p.automaton for p in products]
     own = [p.origin.own_services for p in products]
-    fsyn = [p.origin.foreign_syntactic for p in products]
-    visible = [o | f for o, f in zip(own, fsyn)]
+    visible = [p.origin.own_services | p.origin.foreign_syntactic for p in products]
     slots = _slots(products)
-    legal_bit = [1 << a.sets for a in autos]
 
     silent = [Silent(aid) for aid in agent_ids]
     solo = [frozenset((aid,)) for aid in agent_ids]
-    # per position, keyed by state:
-    # - silent_out: [(target, back reference, mask)] of its silent moves;
-    # - cands: ids of the joint transitions some assignment may make
-    #   consistent; a label outside what the agent can see, or a dependency
-    #   on an agent outside the product, rules a transition out for good;
-    # - seeds: those of them with partners, which start a coalition;
-    # - lone: the partnerless ones providing own services only, as complete
-    #   joint moves (see joint_moves), keeping the first transition of each
-    #   (label, target, mask) triple; a partnerless transition expecting a
-    #   foreign service is consistent only in a coalition some other member
-    #   pulls it into.
-    # Per position and candidate id: its partner positions, the own services
-    # it provides and the foreign services it expects, in flat lists of
-    # shared sets, which leave the garbage collector few objects to trace.
-    silent_out, cands, seeds, lone = [], [], [], []
-    partners, gives, wants = [], [], []
+    # per position, keyed by state: its silent moves as (target, back
+    # reference, mask), and its other transitions as (id, transition,
+    # partner positions, mask, own part)
+    silent_out, joint_out = [], []
     for pos, a in enumerate(autos):
-        s_out, c_out, seed_out, lone_out = {}, {}, {}, {}
-        partners_at = [None] * len(a.transitions)
-        gives_at = [None] * len(a.transitions)
-        wants_at = [None] * len(a.transitions)
-        dep_partners = {}  # dependency set -> partner positions, None if outside
-        parts = {}  # label -> (own part, foreign part), None if partly invisible
-        lone_seen = set()
+        s_out, j_out = {}, {}
+        legal = 1 << a.sets
         for tid, t in enumerate(a.transitions):
-            label = t.label
-            if isinstance(label, Silent):
-                legal = legal_bit[pos] if _keeps_word_legal(products[pos], tid) else 0
-                mask = (t.mask | legal) << slots[pos]
+            if isinstance(t.label, Silent):
+                keeps = _keeps_word_legal(products[pos], tid)
+                mask = (t.mask | (legal if keeps else 0)) << slots[pos]
                 s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), mask))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
-            if dep not in dep_partners:
-                dep_pos = {id2pos.get(aid) for aid in dep}
-                dep_partners[dep] = None if None in dep_pos else frozenset(dep_pos - {pos})
-            if label not in parts:
-                parts[label] = (
-                    (label & own[pos], label & fsyn[pos]) if label <= visible[pos] else None
+            outside = dep.difference(id2pos)
+            if outside:
+                raise SynthesisError(
+                    f"agent {agent_ids[pos]} needs agent {min(outside)}, "
+                    "which is outside the global product"
                 )
-            partners_at[tid] = dep_partners[dep]
-            part = parts[label]
-            if partners_at[tid] is None or part is None:
-                continue
-            gives_at[tid], wants_at[tid] = part
-            c_out.setdefault(t.src, []).append(tid)
-            if partners_at[tid]:
-                seed_out.setdefault(t.src, []).append(tid)
-            elif not wants_at[tid] and t not in lone_seen:
-                lone_seen.add(t)
-                back = ("joint", solo[pos], MappingProxyType({pos: tid}))
-                mask = (t.mask | legal_bit[pos]) << slots[pos]
-                key = (tuple(sorted(label)), (agent_ids[pos],))
-                lone_out.setdefault(t.src, []).append(
-                    (key, label, solo[pos], back, ((pos, t.dst),), mask)
-                )
+            partners = frozenset(id2pos[aid] for aid in dep) - {pos}
+            mask = (t.mask | legal) << slots[pos]
+            j_out.setdefault(t.src, []).append((tid, t, partners, mask, t.label & own[pos]))
         silent_out.append(s_out)
-        cands.append(c_out)
-        seeds.append(seed_out)
-        lone.append(lone_out)
-        partners.append(partners_at)
-        gives.append(gives_at)
-        wants.append(wants_at)
+        joint_out.append(j_out)
 
-    # (position r, its state, assigned positions) -> r's candidates keyed by
-    # the services r and the assigned members must agree on: r's own
-    # services their foreign guards mention, and their own services r's
-    # foreign guards mention
-    indexes = {}
-
-    def partner_index(r, q, members):
-        index = indexes.get((r, q, members))
-        if index is None:
-            mentioned = frozenset().union(*(fsyn[m] for m in members))
-            owned = frozenset().union(*(own[m] for m in members))
-            index = indexes[(r, q, members)] = {}
-            for tid in cands[r].get(q, ()):
-                key = (gives[r][tid] & mentioned, wants[r][tid] & owned)
-                index.setdefault(key, []).append(tid)
-        return index
-
-    def joint_moves(qs):
-        """Complete closed coalition assignments, deduplicated across seeds,
-        as (sort key prefix, sigma, coalition, back reference, (position,
-        target) changes, mask)."""
-        results = []
+    def moves_from(qs):
+        """All moves out of a component tuple as (label, dep, back, target
+        tuple, mask): the silent moves position by position, then the joint
+        moves, complete closed coalition assignments grown from every seed
+        transition, in (label, coalition, targets, mask) order."""
+        out = []
         for pos in range(n):
-            results += lone[pos].get(qs[pos], ())
-        seen = set()
+            for dst, back, mask in silent_out[pos].get(qs[pos], ()):
+                out.append((silent[pos], solo[pos], back, qs[:pos] + (dst,) + qs[pos + 1:], mask))
+        seen = {}  # (coalition, sigma, targets, mask) -> first assignment found
         for seed_pos in range(n):
-            for seed in seeds[seed_pos].get(qs[seed_pos], ()):
-                # (chosen (position, transition id) pairs, assigned positions,
-                # positions still needed, own services provided, foreign
-                # services expected)
+            for seed in joint_out[seed_pos].get(qs[seed_pos], ()):
+                # (chosen (position, move) pairs, assigned positions, positions
+                # still needed, own services provided, services the chosen
+                # labels name)
                 stack = [
-                    (
-                        ((seed_pos, seed),),
-                        frozenset((seed_pos,)),
-                        partners[seed_pos][seed],
-                        gives[seed_pos][seed],
-                        wants[seed_pos][seed],
-                    )
+                    (((seed_pos, seed),), frozenset((seed_pos,)), seed[2], seed[4], seed[1].label)
                 ]
                 while stack:
                     chosen, assigned, need, sigma, wanted = stack.pop()
                     if need:
+                        # r must provide what the chosen labels name of its
+                        # own services: a transition providing less can
+                        # never pass the agreement test below
                         r = min(need)
                         grown = assigned | {r}
-                        index = partner_index(r, qs[r], assigned)
-                        for tid in index.get((wanted & own[r], sigma & fsyn[r]), ()):
-                            stack.append(
-                                (
-                                    chosen + ((r, tid),),
-                                    grown,
-                                    (need | partners[r][tid]) - grown,
-                                    sigma | gives[r][tid],
-                                    wanted | wants[r][tid],
+                        expected = wanted & own[r]
+                        for move in joint_out[r].get(qs[r], ()):
+                            if expected <= move[4]:
+                                stack.append(
+                                    (
+                                        chosen + ((r, move),),
+                                        grown,
+                                        (need | move[2]) - grown,
+                                        sigma | move[4],
+                                        wanted | move[1].label,
+                                    )
                                 )
-                            )
                         continue
-                    moved = [(p, tid, autos[p].transitions[tid]) for p, tid in chosen]
-                    if not all(t.label == sigma & visible[p] for p, _tid, t in moved):
+                    if not all(move[1].label == sigma & visible[p] for p, move in chosen):
                         continue
-                    coalition = frozenset(agent_ids[p] for p, _tid in chosen)
-                    changes = tuple(sorted((p, t.dst) for p, _tid, t in moved))
+                    targets = list(qs)
                     mask = 0
-                    for p, _tid, t in moved:
-                        mask |= (t.mask | legal_bit[p]) << slots[p]
-                    if (coalition, sigma, changes, mask) in seen:
-                        continue
-                    seen.add((coalition, sigma, changes, mask))
-                    back = ("joint", coalition, MappingProxyType(dict(chosen)))
-                    key = (tuple(sorted(sigma)), tuple(sorted(coalition)))
-                    results.append((key, sigma, coalition, back, changes, mask))
-        return results
-
-    def moves_from(qs):
-        """All moves out of a component tuple as (label, dep, back, target
-        tuple, mask)."""
-        out = []
-        for pos in range(n):
-            for dst, back, mask in silent_out[pos].get(qs[pos], ()):
-                targets = qs[:pos] + (dst,) + qs[pos + 1:]
-                out.append((silent[pos], solo[pos], back, targets, mask))
-        joint = []
-        for key, sigma, coalition, back, changes, mask in joint_moves(qs):
-            targets = list(qs)
-            for p, dst in changes:
-                targets[p] = dst
-            targets = tuple(targets)
-            joint.append((key + (targets, mask), sigma, coalition, back, targets, mask))
-        joint.sort(key=itemgetter(0))
-        for _key, sigma, coalition, back, targets, mask in joint:
-            out.append((sigma, coalition, back, targets, mask))
+                    for p, move in chosen:
+                        targets[p] = move[1].dst
+                        mask |= move[3]
+                    coalition = frozenset(agent_ids[p] for p, _move in chosen)
+                    seen.setdefault((coalition, sigma, tuple(targets), mask), chosen)
+        for key in sorted(seen, key=lambda k: (sorted(k[1]), sorted(k[0]), k[2], k[3])):
+            coalition, sigma, targets, mask = key
+            assignment = MappingProxyType({p: move[0] for p, move in seen[key]})
+            out.append((sigma, coalition, ("joint", coalition, assignment), targets, mask))
         return out
 
     product = BuchiAutomaton(EXPLICIT_MODE, slots[-1])

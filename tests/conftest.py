@@ -245,6 +245,27 @@ def chain(m: int) -> Scenario:
     return make_scenario(agents, {i: "true" for i in task}, task, name=f"chain-{m}")
 
 
+def response_chain(m: int) -> Scenario:
+    """`m` agents on 4x1 grids with `true` motion formulas, agent i offering
+    s{i} at (0, 0) and t{i} at (3, 0).  Agent i < m must answer each t{i}
+    with a joint s{i} && s{i+1} step, G (!t{i} || X (!t{i} U (s{i} &&
+    s{i+1}))) && G F t{i}, and agent m's task is G F s{m}: one dependency
+    class whose reduced task automata have two states each (agent m's one),
+    so the global product has 2^(m-1) tuples."""
+    from syncplan.agents import GridSpec, build_grid_agent
+
+    def cells(i):
+        return ((0, 0), frozenset([f"s{i}"])), ((3, 0), frozenset([f"t{i}"]))
+
+    agents = [
+        build_grid_agent(GridSpec(i, 4, 1, (0, 0), service_cells=cells(i)))
+        for i in range(1, m + 1)
+    ]
+    task = {i: f"G (!t{i} || X (!t{i} U (s{i} && s{i + 1}))) && G F t{i}" for i in range(1, m)}
+    task[m] = f"G F s{m}"
+    return make_scenario(agents, {i: "true" for i in task}, task, name=f"response-chain-{m}")
+
+
 def walled_room_data() -> dict:
     """One agent on a 6x6 grid whose room R1, the corner cell (5, 5), is
     walled off, with motion formula G F R1: the other 35 cells are

@@ -1,11 +1,11 @@
 """Unmemoized product, full-scan lasso search and plain least-cost search,
 kept as the references for the differential tests.
 
-`build_global_product` builds the product with no candidate filters,
-indexes or shared sets: the joint moves are enumerated anew at every
-component tuple, by trying every transition of every needed agent.  A
-move's mask is `acceptance_marks`' for its back reference.  It must give
-the optimized product's states, moves, marks and annotations.
+`build_global_product` builds the product with no pre-filter or per-state
+move lists: the joint moves are enumerated anew at every component tuple,
+by trying every transition of every needed agent.  A move's mask is
+`acceptance_marks`' for its back reference.  It must give the optimized
+product's states, moves, marks and annotations.
 
 `acceptance_marks` reads each move's marks off its back reference: the OR
 of its moving components' reduced masks and L bits, each in its position's

@@ -2,7 +2,7 @@
 import pytest
 
 from syncplan import ltl
-from syncplan.agents import GridSpec, SyncRequest, build_grid_agent, validate
+from syncplan.agents import GridSpec, build_grid_agent, validate
 from syncplan.buchi import Silent
 from tests.conftest import explicit_agent, make_scenario
 
@@ -102,12 +102,6 @@ class TestValidate:
         sc.task_formulas[1] = ltl.parse("F ghost", {"ghost"})
         problems = validate(sc)
         assert any("undeclared services" in p for p in problems)
-
-
-def test_sync_request_issuer_membership():
-    SyncRequest(1, frozenset({1, 2}))
-    with pytest.raises(ValueError):
-        SyncRequest(3, frozenset({1, 2}))
 
 
 def test_silent_label_distinct_from_empty_set():

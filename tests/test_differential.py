@@ -58,6 +58,7 @@ from tests.conftest import (
     random_formula,
     random_motion_product,
     random_scenario,
+    response_chain,
     random_word,
     significant_states,
     singleton_offers,
@@ -116,6 +117,7 @@ def _path_mask(a, steps):
     return reduce(or_, (a.transitions[tid].mask for tid in steps), 0)
 
 
+@pytest.mark.python_O
 def test_motion_reduction_keeps_least_paths():
     # the reduction keeps the language, replays its labels, stays within one
     # state per significant state plus the absorbing state, and every
@@ -195,6 +197,7 @@ def _motion_cases():
     return cases
 
 
+@pytest.mark.python_O
 def test_motion_product_matches_reference_builder():
     # the flat pass numbers states, orders transitions and keeps back
     # references exactly as the builder it replaced
@@ -208,6 +211,7 @@ def test_motion_product_matches_reference_builder():
     assert transitions >= 10000
 
 
+@pytest.mark.python_O
 def test_motion_product_keeps_first_of_duplicate_steps():
     # two guards of one specification state read R1 and lead to the same
     # (target, mask), and two silent and two service actions of one system
@@ -244,6 +248,7 @@ def test_motion_product_keeps_first_of_duplicate_steps():
     assert {"go", "give", "stay"} <= set(a.tr_back.values())
 
 
+@pytest.mark.python_O
 def test_pipeline_motion_verdict_matches_full_product():
     # the pipeline decides the motion stage on the reduced automaton; per
     # agent its verdict must be the full product's, also where the full
@@ -278,6 +283,7 @@ def test_pipeline_motion_verdict_matches_full_product():
     assert by_cycles >= 50
 
 
+@pytest.mark.python_O
 def test_task_segments_match_path_copying_walk(monkeypatch):
     rng = random.Random(5)
     compared = 0
@@ -331,6 +337,7 @@ def _shortest_path_counts(a, stop, entry):
     return {pair: c for pair, (_d, c) in arrivals.items()}
 
 
+@pytest.mark.python_O
 def test_least_segments_match_forward_walk_per_entry():
     # the backward tables must give every transition leaving a stop state
     # the forward walk's paths from the pair it enters, also where several
@@ -434,6 +441,7 @@ def _covering_components(a, sig):
     return found
 
 
+@pytest.mark.python_O
 def test_covering_cycle_matches_full_search():
     # stopping at the goal pair must give exactly the loop of the search
     # that runs to exhaustion, with a service step inside the component and
@@ -462,6 +470,7 @@ def _synthesize_both(scenario, monkeypatch):
     return new, old
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name, several_classes", [
     ("three_robots", False),
     ("two_pairs", True),
@@ -523,6 +532,7 @@ def _reach(a, source, allowed):
     return seen
 
 
+@pytest.mark.python_O
 def test_components_match_mutual_reachability():
     # each component is the set of states mutually reachable inside the
     # allowed ones, and closes after every component it reaches; `components`
@@ -641,6 +651,7 @@ def test_tableau_and_translation_match_node_by_node_expansion():
     assert smaller >= 100
 
 
+@pytest.mark.python_O
 def test_translation_agrees_with_oracle_and_reference():
     # 10,000 (formula, word) checks: the transition-marked translation
     # accepts a word exactly when the semantic evaluator holds on it and
@@ -817,9 +828,11 @@ def _reduced_products(result):
     return [result.artifacts[aid].reduced_task for aid in sorted(result.artifacts)]
 
 
+@pytest.mark.python_O
 def test_global_product_matches_per_state_joint_moves(monkeypatch):
     compared = []
     wholes = []
+    chains = []
     limit = None
 
     def both(products):
@@ -833,12 +846,14 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
     monkeypatch.setattr(pipeline, "synthesize", lambda gp: {})
     # the bundled teams are compared whatever their size (two_pairs per class
     # and, built directly from all four reduced products, as one product of
-    # one state, the product of its two classes' one); of the random teams,
-    # only products up to 1,000 tuples are compared, as a reference build
-    # takes seconds at thousands
+    # one state, the product of its two classes' one), and so is the
+    # response chain, one class of m agents with 2^(m-1) tuples; of the
+    # random teams, only products up to 1,000 tuples are compared, as a
+    # reference build takes seconds at thousands
     two_pairs = load_bundled("two_pairs")
     cases = [(load_bundled("three_robots"), None), (two_pairs, None)]
     cases.append((load_bundled("asymmetry"), None))
+    cases += [(response_chain(m), None) for m in range(3, 7)]
     rng = random.Random(29)
     cases += [(random_scenario(rng), 1000) for _ in range(40)]
     for scenario, limit in cases:
@@ -851,7 +866,11 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
             sizes = [gp.automaton.n_states for _group, gp in result.global_products]
             assert whole.automaton.n_states == sizes[0] * sizes[1] == 1
             wholes.append(whole)
-    assert len(wholes) == 1 and len(compared) >= 36
+        if scenario.name.startswith("response-chain"):
+            m = len(scenario.agents)
+            assert [gp.automaton.n_states for _g, gp in result.global_products] == [2 ** (m - 1)]
+            chains.append(m)
+    assert len(wholes) == 1 and len(compared) >= 40 and chains == [3, 4, 5, 6]
 
 
 def _random_wide_team(rng):
@@ -935,10 +954,12 @@ def _blocked_partner_team(rng):
     return make_scenario(agents, motion, task, name="blocked")
 
 
+@pytest.mark.python_O
 def test_global_product_matches_reference_on_wide_guards(monkeypatch):
-    # multi-service foreign guards: lone moves that expect a foreign service,
-    # coalitions of three, and partner indexes keyed by several services;
-    # teams are compared while n + 1 times their tuples stay at 1,500
+    # multi-service foreign guards: partnerless moves that expect a foreign
+    # service, coalitions of three, and joint offers, where a partner's one
+    # action provides more than the member's guard mentions; teams are
+    # compared while n + 1 times their tuples stay at 1,500
     compared = []
 
     def both(products):
@@ -954,17 +975,23 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
     cases = [scenario_from_dict(workloads.wide_guards(k)) for k in (3, 5)]
     rng = random.Random(41)
     cases += [_random_wide_team(rng) for _ in range(36)]
+    rng = random.Random(7)
+    cases += [_joint_offer_team(rng) for _ in range(200)]
+    joint = 0
     for scenario in cases:
+        before = len(compared)
         try:
             run_synthesis(scenario)
         except EmptyLanguageError:
             continue
+        if scenario.name == "joint":
+            joint += len(compared) - before
     trios = [
         gp
         for gp in compared
         if any(len(dep) >= 3 for dep in gp.automaton.tr_dep.values())
     ]
-    assert len(compared) >= 32 and len(trios) >= 10
+    assert len(compared) - joint >= 32 and len(trios) >= 10 and joint >= 200
 
 
 def _lasso_or_failure(search, gp, *marks):
@@ -1052,6 +1079,7 @@ def _certify(scenario, strategies):
         assert all(v.motion and v.task and v.consistent for v in verdicts.values())
 
 
+@pytest.mark.python_O
 def test_accepting_lasso_matches_reference(monkeypatch):
     # the marks every global product's transitions carry, against those read
     # off each move's back reference, and its failures (stage and agent),
@@ -1115,6 +1143,7 @@ def _verdict(run):
     return "solved"
 
 
+@pytest.mark.python_O
 def test_class_products_agree_with_whole_team_product(monkeypatch):
     # the synthesis, one global product per dependency class, against one
     # product over the whole team built directly from the same reduced
@@ -1169,6 +1198,7 @@ def _random_explicit_automaton(rng):
     return a, pool
 
 
+@pytest.mark.python_O
 def test_lasso_membership_matches_explicit_product():
     rng = random.Random(47)
     verdicts = []
@@ -1223,6 +1253,7 @@ def _good_by_cycle_search(a):
     return False
 
 
+@pytest.mark.python_O
 def test_mark_coverage_matches_cycle_search():
     # emptiness on transition marks: a run must meet every set infinitely
     # often, which some cycle through a reachable state does exactly when a
@@ -1281,6 +1312,7 @@ def _assert_one_lower_state_each(lower, reduced, significant):
     return edges, variants, shared
 
 
+@pytest.mark.python_O
 def test_reduced_states_stand_for_one_lower_state(monkeypatch):
     # the invariant that lets the synthesis replay each projected cycle
     # once, at both witness levels: the reduced motion automata of random
@@ -1315,6 +1347,7 @@ def test_reduced_states_stand_for_one_lower_state(monkeypatch):
     assert teams >= 140 and edges >= 3000 and variants >= 200 and shared >= 10
 
 
+@pytest.mark.python_O
 def test_chain_team_reduces_to_one_state_per_pair():
     # five agents in one dependency class: each reduced task automaton keeps
     # one state per significant (motion, task) pair, plus at most the
@@ -1338,6 +1371,7 @@ def test_chain_team_reduces_to_one_state_per_pair():
     _certify(scenario, result.strategies)
 
 
+@pytest.mark.python_O
 def test_random_teams_keep_their_verdicts():
     # the first 150 draws from Random(0) and Random(1): every team but one
     # solves, and every plan certifies; draw 16 from Random(0) has no
@@ -1455,6 +1489,7 @@ def _restricted(a, own, providable):
     return _tagged(a, [tid for tid in keep if a.transitions[tid].src in reached])
 
 
+@pytest.mark.python_O
 def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
     # the product built over the providable foreign bit sets, against
     # reference_taskprod's 2^k product cut down to the providable foreign

@@ -20,6 +20,7 @@ from syncplan.globalprod import (
     _accepting_lasso,
     _keeps_word_legal,
     _project_agent,
+    build_global_product,
     compute_dependency_classes,
     minimize_synchronizations,
     synthesize,
@@ -150,6 +151,13 @@ class TestGlobalProduct:
             ]
             assert len(moved) <= 1
             assert auto.tr_dep[tid] == frozenset({t.label.agent})
+
+    def test_coalition_outside_the_product_is_a_named_error(self, two_pairs):
+        # the pipeline's dependency classes are closed under dependency; agent
+        # 1 alone is not, as its joint steps need agent 2
+        result = run_synthesis(two_pairs)
+        with pytest.raises(SynthesisError, match="agent 1 needs agent 2, "):
+            build_global_product([result.artifacts[1].reduced_task])
 
     def test_joint_assignments_are_read_only(self, three_robots_result):
         ((_group, gp),) = three_robots_result.global_products
