@@ -141,14 +141,15 @@ class BuchiAutomaton:
         return len(self.transitions) - 1
 
     def _index(self):
+        """Per state, its out- and in-transition ids, kept until a change."""
         if self._out is None:
-            out = [[] for _ in range(self.n_states)]
-            inn = [[] for _ in range(self.n_states)]
-            for tid, t in enumerate(self.transitions):
-                out[t.src].append(tid)
-                inn[t.dst].append(tid)
-            self._out = out
-            self._inn = inn
+            n = self.n_states
+            out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+            for tid, (src, _label, dst, _mask) in enumerate(self.transitions):
+                out[src].append(tid)
+                inn[dst].append(tid)
+            self._out, self._inn = out, inn
+        return self._out, self._inn
 
     def out_transitions(self, state: int) -> list:
         self._index()
@@ -219,47 +220,54 @@ class TransitionSystem:
         return self._succ[state]
 
 
-def components(roots, successors):
+def components(roots, successors, size):
     """Strongly connected components reachable from `roots`, by an iterative
-    Tarjan.
+    Tarjan over dense int nodes.
 
-    Nodes are any hashable values; `successors(node)` gives a node's
-    successors.  Roots are taken in the given order and successors in the
-    order given, and each component is yielded, as a list of its nodes, as
-    soon as it closes: after every component it reaches.  A caller may stop
-    early; nodes past that point are never visited.
+    Nodes are the ints below `size`, and the visit order, the low links and
+    the on-stack flags are held in arrays indexed by node; `successors(node)`
+    gives a node's successors.  Roots are taken in the given order and
+    successors in the order given, and each component is yielded, as a list
+    of its nodes, as soon as it closes: after every component it reaches.  A
+    caller may stop early; nodes past that point are never visited.
     """
-    index, low = {}, {}
-    stack, on_stack = [], set()
+    index = [0] * size  # visit number, from 1; 0 while unvisited
+    low = [0] * size
+    on_stack = bytearray(size)
+    stack = []
+    visited = 0
     for root in roots:
-        if root in index:
+        if index[root]:
             continue
-        index[root] = low[root] = len(index)
+        visited += 1
+        index[root] = low[root] = visited
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
         work = [(root, iter(successors(root)))]
         while work:
             v, pending = work[-1]
             for w in pending:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if not index[w]:
+                    visited += 1
+                    index[w] = low[w] = visited
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = 1
                     work.append((w, iter(successors(w))))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if work:
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                 if low[v] != index[v]:
                     continue
                 members = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = 0
                     members.append(w)
                     if w == v:
                         break
@@ -269,19 +277,22 @@ def components(roots, successors):
 def strongly_connected_components(a: BuchiAutomaton, allowed=None):
     """(component id per state, component members), ids in closing order.
 
-    With `allowed`, only the subgraph induced by those states counts; roots
-    are taken in ascending order either way, and other states get no id.
+    With `allowed`, a flag per state, only the subgraph induced by the
+    flagged states counts; roots are taken in ascending order either way,
+    and other states get no id.
     """
     transitions = a.transitions
+    out, _inn = a._index()
+    n = a.n_states
 
     def successors(v):
-        targets = [transitions[tid].dst for tid in a.out_transitions(v)]
-        return targets if allowed is None else [w for w in targets if w in allowed]
+        targets = [transitions[tid].dst for tid in out[v]]
+        return targets if allowed is None else [w for w in targets if allowed[w]]
 
-    comp = [None] * a.n_states
+    comp = [None] * n
     comps = []
-    roots = range(a.n_states) if allowed is None else sorted(allowed)
-    for members in components(roots, successors):
+    roots = range(n) if allowed is None else [s for s in range(n) if allowed[s]]
+    for members in components(roots, successors, n):
         for w in members:
             comp[w] = len(comps)
         comps.append(sorted(members))
@@ -310,23 +321,22 @@ def good_components(a: BuchiAutomaton):
 
 def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
     """Deterministic BFS; returns (dist, parent transition id) arrays."""
+    out, inn = a._index()
+    transitions = a.transitions
     n = a.n_states
     dist = [None] * n
     parent = [None] * n
     if allowed is not None and source not in allowed:
         return dist, parent
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        tids = a.in_transitions(v) if reverse else a.out_transitions(v)
-        for tid in tids:
-            t = a.transitions[tid]
+    queue = [source]
+    for v in queue:
+        d = dist[v] + 1
+        for tid in (inn if reverse else out)[v]:
+            t = transitions[tid]
             w = t.src if reverse else t.dst
-            if allowed is not None and w not in allowed:
-                continue
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
+            if dist[w] is None and (allowed is None or w in allowed):
+                dist[w] = d
                 parent[w] = tid
                 queue.append(w)
     return dist, parent
@@ -357,26 +367,26 @@ def least_segments(a: BuchiAutomaton, stop):
     and running through non-stop states reaches, `steps` its least such path.
     """
     transitions = a.transitions
+    out, _inn = a._index()
     n = a.n_states
     width = 1 << a.sets
-    masks = [t.mask for t in transitions]
     entering = [[] for _ in range(n)]  # per state, (tid, source, mask) from non-stop states
-    for tid, t in enumerate(transitions):
-        if not stop[t.src]:
-            entering[t.dst].append((tid, t.src, t.mask))
+    for tid, (src, _label, dst, mask) in enumerate(transitions):
+        if not stop[src]:
+            entering[dst].append((tid, src, mask))
     # per state, the masks paths from stop states carry into it
     carried = [set() for _ in range(n)]
     pending = []
-    for t in transitions:
-        if stop[t.src] and not stop[t.dst] and t.mask not in carried[t.dst]:
-            carried[t.dst].add(t.mask)
-            pending.append((t.dst, t.mask))
+    for y, _label, z, m in transitions:
+        if stop[y] and not stop[z] and m not in carried[z]:
+            carried[z].add(m)
+            pending.append((z, m))
     tails = {x * width + m: [] for x, m in pending}  # entry pair -> (stop, mask, steps after)
     while pending:
         x, m = pending.pop()
-        for tid in a.out_transitions(x):
-            z = transitions[tid].dst
-            mz = m | masks[tid]
+        for tid in out[x]:
+            _x, _label, z, mt = transitions[tid]
+            mz = m | mt
             if mz not in carried[z]:
                 carried[z].add(mz)
                 if not stop[z]:
@@ -418,18 +428,18 @@ def least_segments(a: BuchiAutomaton, stop):
                 k = start
                 steps = []
                 while True:
+                    t = transitions[step[k]]
                     steps.append(step[k])
-                    z = transitions[step[k]].dst
-                    if stop[z]:
+                    if stop[t.dst]:
                         break
-                    k = z * width + (k % width | masks[step[k]])
+                    k = t.dst * width + (k % width | t.mask)
                 paths.append((y, my, tuple(steps)))
 
     def segments(tid):
-        x = transitions[tid].dst
+        _src, _label, x, mask = transitions[tid]
         if stop[x]:
-            return [(x, masks[tid], (tid,))]
-        return [(y, m, (tid,) + steps) for y, m, steps in tails[x * width + masks[tid]]]
+            return [(x, mask, (tid,))]
+        return [(y, m, (tid,) + steps) for y, m, steps in tails[x * width + mask]]
 
     return segments
 
@@ -437,40 +447,60 @@ def least_segments(a: BuchiAutomaton, stop):
 def region_analysis(a: BuchiAutomaton, significant, live=None):
     """Accepting cycles among insignificant states, and the routes into them.
 
-    Returns (anchors, reach): `anchors` maps an anchor state, the smallest
+    Returns (anchors, route): `anchors` maps an anchor state, the smallest
     state of a region component whose internal edges meet every acceptance
-    set, to the transition ids of its `_covering_cycle`; `reach` maps every
-    region state that can run into such a cycle to (distance, path
+    set, to the transition ids of its `_covering_cycle`; `route(s)` gives a
+    region state that can run into such a cycle its (distance, path
     transition ids, anchor), preferring the nearest anchor and then the
-    smallest one.  With `live`, an anchor is kept only if `live(anchor,
-    loop)` holds.
+    smallest one, and None to any other state.  One backward breadth-first
+    search from all anchors at once, in ascending order, records each region
+    state's distance and first step, the step a search from its anchor alone
+    would record; a path is walked only when `route` is asked for it.  With
+    `live`, an anchor is kept only if `live(anchor, loop)` holds.
     """
-    region = {s for s in range(a.n_states) if not significant[s]}
+    out, inn = a._index()
+    transitions = a.transitions
+    n = a.n_states
+    region = [not sig for sig in significant]
     full = (1 << a.sets) - 1
     anchors = {}
-    _comp, comps = strongly_connected_components(a, allowed=region)
-    for members in comps:
-        member_set = set(members)
+    comp, comps = strongly_connected_components(a, allowed=region)
+    for c, members in enumerate(comps):
         covered, serves = 0, False
         for s in members:
-            for tid in a.out_transitions(s):
-                t = a.transitions[tid]
-                if t.dst in member_set:
-                    covered |= t.mask
-                    serves = serves or not isinstance(t.label, Silent)
+            for tid in out[s]:
+                _s, label, w, mask = transitions[tid]
+                if comp[w] == c:
+                    covered |= mask
+                    serves = serves or not isinstance(label, Silent)
         if covered == full:
             anchor = members[0]
-            loop = _covering_cycle(a, full, member_set, anchor, serves)
+            loop = _covering_cycle(a, full, set(members), anchor, serves)
             if live is None or live(anchor, loop):
                 anchors[anchor] = loop
 
-    reach = {}
-    for anchor in sorted(anchors):  # ascending: equally near anchors keep the first
-        dist, parent = _bfs(a, anchor, allowed=region, reverse=True)
-        for s in region:
-            if dist[s] is not None and (s not in reach or dist[s] < reach[s][0]):
-                reach[s] = (dist[s], tuple(_walk_backward(a, parent, anchor, s)), anchor)
-    return anchors, reach
+    dist, step = [None] * n, [None] * n
+    queue = sorted(anchors)  # ascending: equally near anchors keep the first
+    for x in queue:
+        dist[x] = 0
+    for v in queue:
+        d = dist[v] + 1
+        for tid in inn[v]:
+            w = transitions[tid].src
+            if dist[w] is None and region[w]:
+                dist[w], step[w] = d, tid
+                queue.append(w)
+
+    def route(s):
+        if dist[s] is None:
+            return None
+        path, x = [], s
+        while dist[x]:  # down to the anchor, at distance 0
+            path.append(step[x])
+            x = transitions[step[x]].dst
+        return dist[s], tuple(path), x
+
+    return anchors, route
 
 
 def _covering_cycle(a, full, members, anchor, serves):
@@ -487,6 +517,8 @@ def _covering_cycle(a, full, members, anchor, serves):
     is discovered, so the goal's path back to the start is the one a search
     run to exhaustion would read off.
     """
+    out, _inn = a._index()
+    transitions = a.transitions
     served = full + 1
     start = (anchor, 0)
     goal = (anchor, full | served) if serves else (anchor, full)
@@ -494,11 +526,11 @@ def _covering_cycle(a, full, members, anchor, serves):
     queue = deque([start])
     while goal not in parent:
         key = queue.popleft()
-        for tid in a.out_transitions(key[0]):
-            t = a.transitions[tid]
-            if t.dst not in members:
+        for tid in out[key[0]]:
+            _x, label, w, mask = transitions[tid]
+            if w not in members:
                 continue
-            nxt = (t.dst, key[1] | t.mask | (0 if isinstance(t.label, Silent) else served))
+            nxt = (w, key[1] | mask | (0 if isinstance(label, Silent) else served))
             if nxt not in parent:
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
@@ -543,9 +575,10 @@ def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
     one would not, which matters once `labels` makes a service step silent.
     When `tid` enters a region state that can run into an anchor's cycle, it
     also yields (u, label, absorbing state), whose witness leads to that
-    anchor; the absorbing state's `silent` self-loop meets every set and
-    keeps one witness per anchor it is entered at, that anchor's cycle.  The
-    edges into the absorbing state lie on no cycle, so they meet no set.
+    anchor along the state's `region_analysis` route, the only routes walked;
+    the absorbing state's `silent` self-loop meets every set and keeps one
+    witness per anchor it is entered at, that anchor's cycle.  The edges
+    into the absorbing state lie on no cycle, so they meet no set.
 
     When `a` carries coalitions (`tr_dep`), so does the result: a silent
     edge is its agent's alone, any other edge takes its first transition's
@@ -560,7 +593,7 @@ def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
     if labels is None:
         labels = [t.label for t in a.transitions]
     significant = significance(a, labels)
-    anchors, reach = region_analysis(a, significant, live)
+    anchors, route = region_analysis(a, significant, live)
     segments = least_segments(a, significant)
     coalitions = bool(a.tr_dep)
     sink_target = (1,)
@@ -596,9 +629,9 @@ def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
                 variants.setdefault((label, (0, v)), []).append(
                     ((dep_rank, (len(steps), steps)), mask, dep, steps, v)
                 )
-            route = reach.get(a.transitions[tid].dst)
-            if route is not None:
-                _dist, steps, anchor = route
+            entry = route(a.transitions[tid].dst)
+            if entry is not None:
+                _dist, steps, anchor = entry
                 steps = (tid,) + steps
                 variants.setdefault((label, sink_target), []).append(
                     ((dep_rank, (len(steps), steps)), 0, dep, steps, anchor)
@@ -661,17 +694,6 @@ def _walk_forward(a, parent, source, target):
     return path
 
 
-def _walk_backward(a, parent, source, target):
-    # parent from a reverse BFS rooted at `source`: chains target -> source
-    path = []
-    cur = target
-    while cur != source:
-        tid = parent[cur]
-        path.append(tid)
-        cur = a.transitions[tid].dst
-    return path
-
-
 def language_empty(a: BuchiAutomaton) -> bool:
     """True iff no accepting run exists from the initial state."""
     comp, _comps, good = good_components(a)
@@ -712,7 +734,7 @@ def check_lasso_membership(a: BuchiAutomaton, word) -> bool:
         ]
         return [w for w, _mask in out]
 
-    for members in components([a.initial], successors):
+    for members in components([a.initial], successors, len(symbols) * size):
         inside = set(members)
         internal = [mask for v in members for w, mask in edges[v] if w in inside]
         if internal and reduce(or_, internal) == full:

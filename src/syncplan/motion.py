@@ -4,7 +4,9 @@ The motion product synchronizes an agent's transition system with its motion
 specification automaton; transition labels become the action's service sets,
 so everything the task stage needs survives while the state propositions are
 compiled away.  Its acceptance sets are the specification automaton's, and
-a step lies in the sets of the specification transition it takes.  Reduction
+a step lies in the sets of the specification transition it takes; of the
+steps with one label between two states only the maximal masks are kept, as
+a step whose sets another's strictly contain accepts nothing more.  Reduction
 keeps only the states that can still provide services, and the initial
 state, one state each, plus one shared absorbing state for runs that rest
 forever in an accepting cycle of removed states.  Each removed silent
@@ -42,16 +44,17 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
     automaton can read the current state's propositions; the step is labeled
     with the action's service set or the agent's silent symbol, and lies in
     the acceptance sets of the specification transition taken.  Per source
-    state only the first step of each (label, target, mask) is kept.
+    state only the maximal masks per (label, target) are kept, each once.
 
     One breadth-first pass: states are numbered in discovery order, so the
     state tags are the queue, and transitions are appended directly.  The
     specification moves are worked out once per (specification state,
     proposition set), and each system state's steps once, with a step
     dropped when an earlier action of that state has an equal label and the
-    same target; a step kept is paired with every specification move, a
-    repeated (target, mask) move dropped.  So the duplicate rule costs no
-    lookup per product transition.
+    same target; a step kept is paired with every specification move but a
+    repeated (target, mask) one and one whose mask another move to the same
+    target strictly contains.  So neither rule costs a lookup per product
+    transition.
     """
     ts = agent.ts
     product = BuchiAutomaton(EXPLICIT_MODE, spec.sets)
@@ -79,12 +82,16 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
         return moves
 
     def moves_in(q, props):
-        moves = []
+        found = []
         for tid in spec.out_transitions(q):
             t = spec.transitions[tid]
-            if t.label.accepts(props) and (t.dst, t.mask) not in moves:
-                moves.append((t.dst, t.mask))
-        return moves
+            if t.label.accepts(props) and (t.dst, t.mask) not in found:
+                found.append((t.dst, t.mask))
+        # drop a move when another to the same target meets a strict superset of its sets
+        return [
+            (q2, m) for q2, m in found
+            if not any(q3 == q2 and m3 != m and m3 | m == m3 for q3, m3 in found)
+        ]
 
     start = (ts.initial, spec.initial)
     product.initial = ids[ts.initial * n_spec + spec.initial] = product.add_state(start)

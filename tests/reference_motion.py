@@ -4,7 +4,9 @@ replaced with one flat pass.
 It builds the product through `add_transition`, numbers the states as they
 are discovered and keeps, per source state, the first transition of each
 (label, target, mask); the differential tests require the flat pass to
-reproduce its automaton exactly.
+reproduce its automaton but for the dominated twins the flat pass drops:
+transitions whose mask another with the same source, label, target and
+action strictly contains.
 """
 from __future__ import annotations
 

@@ -197,18 +197,53 @@ def _motion_cases():
     return cases
 
 
+def _twins(a):
+    """Transition ids a transition with the same source, label, target and
+    back reference dominates: its mask strictly contains theirs."""
+    def key(tid):
+        t = a.transitions[tid]
+        return t.src, t.label, t.dst, a.tr_back[tid]
+
+    masks = {}
+    for tid, t in enumerate(a.transitions):
+        masks.setdefault(key(tid), []).append(t.mask)
+    return {
+        tid for tid, t in enumerate(a.transitions)
+        if any(m != t.mask and m | t.mask == m for m in masks[key(tid)])
+    }
+
+
 @pytest.mark.python_O
 def test_motion_product_matches_reference_builder():
-    # the flat pass numbers states, orders transitions and keeps back
-    # references exactly as the builder it replaced
-    transitions = 0
+    # the flat pass numbers states as the builder it replaced and keeps its
+    # transitions in order, with their back references, but for dominated
+    # twins: a step whose mask another step with the same source, label,
+    # target and action strictly contains.  Without twins the products are
+    # equal transition for transition
+    transitions = twins = equal = 0
     for agent, spec in _motion_cases():
         new = build_motion_product(agent, spec)
         old = ref_motion.build_motion_product(agent, spec)
-        assert _motion_dump(new) == _motion_dump(old)
         assert (new.agent, new.spec) == (agent, spec)
-        transitions += len(new.automaton.transitions)
-    assert transitions >= 10000
+        a, b = new.automaton, old.automaton
+        assert (a.initial, a.sets, a.state_tags) == (b.initial, b.sets, b.state_tags)
+        dropped = _twins(b)
+        kept = [(t, b.tr_back[tid]) for tid, t in enumerate(b.transitions) if tid not in dropped]
+        assert [(t, a.tr_back[tid]) for tid, t in enumerate(a.transitions)] == kept
+        assert not _twins(a)
+        for tid in dropped:
+            t = b.transitions[tid]
+            assert any(
+                (u.src, u.label, u.dst, a.tr_back[uid]) == (t.src, t.label, t.dst, b.tr_back[tid])
+                and u.mask != t.mask and u.mask | t.mask == u.mask
+                for uid, u in enumerate(a.transitions)
+            )
+        if not dropped:
+            assert _motion_dump(new) == _motion_dump(old)
+            equal += 1
+        transitions += len(a.transitions)
+        twins += len(dropped)
+    assert transitions >= 10000 and twins >= 500 and equal >= 150
 
 
 @pytest.mark.python_O
@@ -374,10 +409,28 @@ def _chains(a, path, start, end, inside):
     return cur == end
 
 
+def _routes(a, route):
+    """Every state's route, asked of `region_analysis`'s accessor, for the
+    states that have one."""
+    return {s: route(s) for s in range(a.n_states) if route(s) is not None}
+
+
+def _walk_to(a, parent, s, anchor):
+    """The path a reverse search from `anchor` recorded from `s` back to it."""
+    path = []
+    while s != anchor:
+        path.append(parent[s])
+        s = a.transitions[parent[s]].dst
+    return tuple(path)
+
+
+@pytest.mark.python_O
 def test_region_analysis_matches_hand_written_searches():
-    # unfiltered, the reference's anchors and routes must all come back;
-    # with the task's own tolerance, the dead anchors go and each route
-    # leads to the nearest live anchor
+    # unfiltered, the reference's anchors and routes must all come back, for
+    # every state that has one, entered or not; with the task's own
+    # tolerance, the dead anchors go and each route leads to the nearest
+    # live anchor, the smaller one on a tie, along the path a reverse search
+    # from that anchor alone records
     rng = random.Random(11)
     loops = routes = dead = 0
     for _ in range(5000):
@@ -385,7 +438,8 @@ def test_region_analysis_matches_hand_written_searches():
         a = tm.automaton
         sig = significant_states(tm, ga)
         region = {s for s in range(a.n_states) if not sig[s]}
-        anchors, reach = region_analysis(a, sig)
+        anchors, route = region_analysis(a, sig)
+        reach = _routes(a, route)
         old_anchors, old_reach, loop_keys = ref.region_analysis(a, sig)
         assert anchors.keys() == old_anchors.keys()
         for anchor, loop in anchors.items():
@@ -409,15 +463,16 @@ def test_region_analysis_matches_hand_written_searches():
             if a.state_tags[x][1] in tolerant
             or not all(isinstance(a.transitions[t].label, Silent) for t in loop)
         }
-        live_anchors, live_reach = region_analysis(a, sig, _live_anchors(a, tolerant))
+        live_anchors, live_route = region_analysis(a, sig, _live_anchors(a, tolerant))
+        live_reach = _routes(a, live_route)
         assert live_anchors == live
         nearest = {}
         for x in sorted(live):
-            dist, _parent = _bfs(a, x, allowed=region, reverse=True)
+            dist, parent = _bfs(a, x, allowed=region, reverse=True)
             for s in region:
                 if dist[s] is not None and (s not in nearest or dist[s] < nearest[s][0]):
-                    nearest[s] = (dist[s], x)
-        assert {s: (d, x) for s, (d, _path, x) in live_reach.items()} == nearest
+                    nearest[s] = (dist[s], _walk_to(a, parent, s, x), x)
+        assert live_reach == nearest
         for s, (dist, path, anchor) in live_reach.items():
             assert len(path) == dist and _chains(a, path, s, anchor, region)
         dead += len(anchors) - len(live)
@@ -427,7 +482,7 @@ def test_region_analysis_matches_hand_written_searches():
 def _covering_components(a, sig):
     """(members, anchor, serves) per region component whose internal edges
     meet every set; `serves` when one of them provides a service."""
-    region = {s for s in range(a.n_states) if not sig[s]}
+    region = [not significant for significant in sig]
     full = (1 << a.sets) - 1
     found = []
     for members in strongly_connected_components(a, allowed=region)[1]:
@@ -491,6 +546,7 @@ def test_bundled_scenarios_match_reference(name, several_classes, monkeypatch):
         )
 
 
+@pytest.mark.python_O
 def test_region_components_match_copied_subautomaton():
     rng = random.Random(13)
     nontrivial = 0
@@ -498,7 +554,8 @@ def test_region_components_match_copied_subautomaton():
         tm, ga = _random_task_instance(rng)
         a = tm.automaton
         region = {s for s in range(a.n_states) if rng.random() < 0.7}
-        comps = strongly_connected_components(a, allowed=region)[1]
+        flags = [s in region for s in range(a.n_states)]
+        comps = strongly_connected_components(a, allowed=flags)[1]
         assert comps == ref.region_components(a, region)
         nontrivial += sum(len(c) > 1 for c in comps)
     assert nontrivial >= 100
@@ -536,15 +593,17 @@ def _reach(a, source, allowed):
 def test_components_match_mutual_reachability():
     # each component is the set of states mutually reachable inside the
     # allowed ones, and closes after every component it reaches; `components`
-    # from one root yields exactly the components reachable from it, the
-    # first of them with no edge leaving it
+    # over dense int nodes, here a shuffled numbering of the states, from one
+    # root yields exactly the components reachable from it, the first of
+    # them with no edge leaving it, and a caller that stops there has visited
+    # only that component and the nodes that lead into it
     rng = random.Random(59)
-    nontrivial = restricted = 0
+    nontrivial = restricted = stopped_early = 0
     for i in range(2000):
         a = _random_graph(rng)
         everything = set(range(a.n_states))
-        allowed = None if i % 2 else {s for s in everything if rng.random() < 0.7}
-        inside = everything if allowed is None else allowed
+        allowed = None if i % 2 else [rng.random() < 0.7 for _ in everything]
+        inside = everything if allowed is None else {s for s in everything if allowed[s]}
         reach = {s: _reach(a, s, inside) for s in inside}
         comp, comps = strongly_connected_components(a, allowed)
         assert sorted(s for members in comps for s in members) == sorted(inside)
@@ -559,25 +618,34 @@ def test_components_match_mutual_reachability():
         restricted += allowed is not None and len(inside) < a.n_states
 
         root = rng.randrange(a.n_states)
-        names = {s: f"q{s}" for s in everything}  # any hashable node works
+        nodes = list(everything)
+        rng.shuffle(nodes)  # state s is node nodes[s]
+        states = {node: s for s, node in enumerate(nodes)}
+        visited = []
 
-        def successors(name):
-            s = int(name[1:])
-            return [names[a.transitions[tid].dst] for tid in a.out_transitions(s)]
+        def successors(node):
+            visited.append(states[node])
+            return [nodes[a.transitions[tid].dst] for tid in a.out_transitions(states[node])]
 
-        found = list(components([names[root]], successors))
+        found = [
+            {states[node] for node in members}
+            for members in components([nodes[root]], successors, a.n_states)
+        ]
         everywhere = {s: _reach(a, s, everything) for s in everything}
-        assert {name for members in found for name in members} == {
-            names[s] for s in everywhere[root]
-        }
+        assert set().union(*found) == everywhere[root]
+        assert sorted(visited) == sorted(everywhere[root])
         for members in found:
-            s = int(members[0][1:])
-            assert {int(m[1:]) for m in members} == {
-                w for w in everywhere[s] if s in everywhere[w]
-            }
-        first = {int(m[1:]) for m in found[0]}
+            s = next(iter(members))
+            assert members == {w for w in everywhere[s] if s in everywhere[w]}
+        first = found[0]
         assert all(everywhere[s] <= first for s in first)
-    assert nontrivial >= 800 and restricted >= 500
+
+        visited.clear()
+        members = next(components([nodes[root]], successors, a.n_states))
+        assert {states[node] for node in members} == first
+        assert first <= set(visited) and all(everywhere[s] & first for s in visited)
+        stopped_early += len(visited) < len(everywhere[root])
+    assert nontrivial >= 800 and restricted >= 500 and stopped_early >= 300
 
 
 def _team_formulas(scenario):
@@ -1390,6 +1458,55 @@ def test_random_teams_keep_their_verdicts():
             _certify(scenario, result.strategies)
             solved += 1
     assert failures == {(0, 16): ("task", 3)} and solved == 299
+
+
+def _synthesis_outcome(scenario):
+    """(result, None) of a synthesis, or (None, (stage, agent)) of its failure."""
+    try:
+        return run_synthesis(scenario), None
+    except EmptyLanguageError as e:
+        return None, (e.stage, e.agent_id)
+
+
+@pytest.mark.python_O
+def test_twin_free_motion_products_keep_team_results(monkeypatch):
+    # against motion products built with their dominated twins (the
+    # reference builder): a team none of whose motion products has a twin
+    # gets the same strategies and stats; any other keeps its verdict, and
+    # its plans certify, changed or not
+    workloads = benchmark_workloads()
+    cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
+    cases += [scenario_from_dict(workloads.generate(name)) for name in sorted(workloads.WORKLOADS)]
+    cases += [scenario_from_dict(workloads.three_robots(n)) for n in (20, 30, 50)]
+    for seed in range(4):
+        rng = random.Random(seed)
+        cases += [random_scenario(rng) for _ in range(150)]
+    twin_free = twins = changed = 0
+    for scenario in cases:
+        built = []
+
+        def reference_builder(agent, spec):
+            built.append(ref_motion.build_motion_product(agent, spec))
+            return built[-1]
+
+        new, failure = _synthesis_outcome(scenario)
+        with monkeypatch.context() as m:
+            m.setattr(motion, "build_motion_product", reference_builder)
+            old, old_failure = _synthesis_outcome(scenario)
+        assert failure == old_failure
+        if new is None:
+            continue
+        same = (new.strategies, new.raw_strategies, new.stats) == (
+            old.strategies, old.raw_strategies, old.stats
+        )
+        if not any(_twins(mp.automaton) for mp in built):
+            assert same
+            twin_free += 1
+        else:
+            _certify(scenario, new.strategies)
+            twins += 1
+            changed += not same
+    assert twin_free >= 200 and twins >= 50 and changed >= 1
 
 
 def _foreign_bit_team_cases():

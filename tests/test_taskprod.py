@@ -96,7 +96,7 @@ def empty_but_for_dead_regions(tm, significant) -> bool:
     state that does not tolerate silence, so the run would end in silence
     its task rejects.  Runs merely passing through one still count."""
     a = tm.automaton
-    region = {s for s in range(a.n_states) if not significant[s]}
+    region = [not sig for sig in significant]
     _rcomp, rcomps = strongly_connected_components(a, allowed=region)
     tolerant = tm.silence_tolerant()
     dead = set()
@@ -420,12 +420,17 @@ class TestReduce:
         a.add_transition(0, silent, 4)
         significant = [True, False, False, False, False]
 
-        anchors, reach = region_analysis(a, significant, _live_anchors(a, {1}))
+        anchors, route = region_analysis(a, significant, _live_anchors(a, {1}))
         assert sorted(anchors) == [2, 3]  # the dead anchor 1 is gone
+        reach = {s: route(s) for s in range(a.n_states) if route(s) is not None}
         assert sorted(reach) == [2, 3, 4]
-        assert reach[4][2] == 2  # the nearest live anchor, the smaller one on a tie
-        anchors, reach = region_analysis(a, significant, _live_anchors(a, {0, 1}))
+        assert reach[2] == (0, (), 2) and reach[3] == (0, (), 3)
+        # the nearest live anchor, the smaller one on a tie
+        assert reach[4] == (1, (a.in_transitions(2)[0],), 2)
+        anchors, route = region_analysis(a, significant, _live_anchors(a, {0, 1}))
         assert sorted(anchors) == [1, 2, 3]
+        reach = {s: route(s) for s in range(a.n_states) if route(s) is not None}
+        assert sorted(reach) == [1, 2, 3, 4]
         assert reach[4] == (1, (a.in_transitions(1)[0],), 1)
 
     def test_dep_inherited_from_heads(self):
