@@ -179,6 +179,7 @@ class TransitionSystem:
 
     def __init__(self):
         self.states: list = []
+        self._index: dict = {}  # name -> first state so named
         self.initial = 0
         self.actions: list = []
         self.props: set = set()
@@ -188,6 +189,7 @@ class TransitionSystem:
         self._succ = None
 
     def add_state(self, name: str, labels=()) -> int:
+        self._index.setdefault(name, len(self.states))
         self.states.append(name)
         self.labels.append(frozenset(labels))
         self._succ = None
@@ -206,7 +208,9 @@ class TransitionSystem:
         self._succ = None
 
     def state_index(self, name: str) -> int:
-        return self.states.index(name)
+        if name not in self._index:
+            raise ValueError(f"{name!r} is not a state")
+        return self._index[name]
 
     def successors(self, state: int):
         """Outgoing (action, target) pairs in declared action order."""

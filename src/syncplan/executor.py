@@ -6,6 +6,9 @@ until every member has issued its matching request (occurrences of the same
 coalition pair up in order), then all members start their next action at the
 same instant.  Action durations are sampled per agent from a seeded stream,
 so identical seeds give bit-identical behaviors regardless of scheduling.
+Each script is compiled once per execution: its steps carry their duration
+bounds and their service and coalition payloads, and the unrolled cycle
+repeats the same entries, so the event loop looks nothing up per step.
 
 Simultaneity is tracked by event identity, not by comparing clock readings:
 only actions released by the same barrier share an instant, which is exactly
@@ -55,7 +58,7 @@ class SimulationConfig:
         return self.action_durations.get(action, (self.duration_lo, self.duration_hi))
 
 
-@dataclass
+@dataclass(slots=True)
 class TimedStep:
     state: str
     action: str
@@ -83,7 +86,7 @@ class Behavior:
         return seq
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     time: float
     agent_id: int
@@ -101,99 +104,89 @@ class SimulationResult:
         return [f"{e.time:.9f}\t{e.agent_id}\t{e.kind}\t{e.payload}" for e in ordered]
 
 
+def _compiled(step, label_of, config):
+    """One script entry: the step, its duration as `lo + span * u`, its
+    service payload (None when silent), its sorted coalition and that
+    coalition's payload."""
+    lo, hi = config.bounds_for(step.action)
+    label = label_of(step.action)
+    service = None if isinstance(label, Silent) else "{" + ",".join(sorted(label)) + "}"
+    members = tuple(sorted(step.sync))
+    return step, lo, hi - lo, service, members, "{" + ",".join(map(str, members)) + "}"
+
+
 def simulate(scenario: Scenario, strategies: dict, config: SimulationConfig) -> SimulationResult:
     """Discrete-event execution of the unrolled strategies."""
     scripts = {}
+    draws = {}
     for aid, st in strategies.items():
-        scripts[aid] = list(st.prefix) + list(st.cycle) * config.unrollings
-    rngs = {aid: random.Random(config.seed * 1_000_003 + aid) for aid in scripts}
+        label_of = scenario.agent(aid).label_of
+        cycle = [_compiled(step, label_of, config) for step in st.cycle]
+        scripts[aid] = [_compiled(step, label_of, config) for step in st.prefix]
+        scripts[aid] += cycle * config.unrollings
+        draws[aid] = random.Random(config.seed * 1_000_003 + aid).random
 
     clocks = {aid: 0.0 for aid in scripts}
     position = {aid: 0 for aid in scripts}
     occurrence = {}  # (aid, coalition) -> count issued so far
-    barriers = {}  # (coalition, k) -> {"arrivals": {aid: t}, "event": ...}
+    barriers = {}  # (coalition, k) -> {aid: request time}
     waiting = {}  # aid -> barrier key
-    requested = set()  # steps whose request event was already logged
     events = []
     behaviors = {aid: [] for aid in scripts}
 
-    def finish_step(aid, step, release, event):
-        rng = rngs[aid]
-        lo, hi = config.bounds_for(step.action)
-        duration = rng.uniform(lo, hi)
-        t_req = release if event[0] == "solo" else barriers[event[1]]["arrivals"][aid]
+    def finish_step(aid, entry, t_req, release, event):
+        step, lo, span, service, _members, _payload = entry
+        duration = lo + span * draws[aid]()  # what random.uniform(lo, hi) computes
         behaviors[aid].append(
             TimedStep(
-                step.state,
-                step.action,
-                step.sync,
-                t_req,
-                release,
-                release - t_req,
-                duration,
-                event,
+                step.state, step.action, step.sync, t_req, release, release - t_req, duration, event
             )
         )
         events.append(SimEvent(release, aid, "action-start", step.action))
-        label = scenario.agent(aid).label_of(step.action)
-        if not isinstance(label, Silent):
-            events.append(SimEvent(release, aid, "service", "{" + ",".join(sorted(label)) + "}"))
+        if service is not None:
+            events.append(SimEvent(release, aid, "service", service))
         end = release + duration
         events.append(SimEvent(end, aid, "action-end", step.action))
         clocks[aid] = end
         position[aid] += 1
 
+    # an agent visits each step once: a waiting agent is skipped until the
+    # barrier that releases it has moved it on
+    order = sorted(scripts)
     progress = True
     while progress:
         progress = False
-        for aid in sorted(scripts):
-            if aid in waiting:
-                continue
-            while position[aid] < len(scripts[aid]) and aid not in waiting:
+        for aid in order:
+            script = scripts[aid]
+            while aid not in waiting and position[aid] < len(script):
                 idx = position[aid]
-                step = scripts[aid][idx]
+                entry = script[idx]
+                step, members, payload = entry[0], entry[4], entry[5]
                 t_req = clocks[aid]
-                if (aid, idx) not in requested:
-                    requested.add((aid, idx))
-                    events.append(
-                        SimEvent(
-                            t_req,
-                            aid,
-                            "sync-request",
-                            "{" + ",".join(map(str, sorted(step.sync))) + "}",
-                        )
-                    )
-                if len(step.sync) == 1:
-                    finish_step(aid, step, t_req, ("solo", aid, idx))
+                events.append(SimEvent(t_req, aid, "sync-request", payload))
+                if len(members) == 1:
+                    finish_step(aid, entry, t_req, t_req, ("solo", aid, idx))
                     progress = True
                     continue
                 k = occurrence.get((aid, step.sync), 0)
                 occurrence[(aid, step.sync)] = k + 1
                 key = (step.sync, k)
-                barrier = barriers.setdefault(key, {"arrivals": {}})
-                barrier["arrivals"][aid] = t_req
-                if set(barrier["arrivals"]) == set(step.sync):
-                    release = max(barrier["arrivals"].values())
-                    event = ("barrier", key)
-                    for member in sorted(step.sync):
-                        events.append(
-                            SimEvent(
-                                release,
-                                member,
-                                "barrier-release",
-                                "{" + ",".join(map(str, sorted(step.sync))) + "}",
-                            )
-                        )
-                    for member in sorted(step.sync):
-                        if member == aid:
-                            continue
-                        waiting.pop(member, None)
-                        member_step = scripts[member][position[member]]
-                        finish_step(member, member_step, release, event)
-                    finish_step(aid, step, release, event)
-                    progress = True
-                else:
+                arrivals = barriers.setdefault(key, {})
+                arrivals[aid] = t_req
+                if arrivals.keys() != step.sync:
                     waiting[aid] = key
+                    continue
+                release = max(arrivals.values())
+                event = ("barrier", key)
+                for member in members:
+                    events.append(SimEvent(release, member, "barrier-release", payload))
+                for member in members:
+                    if member != aid:
+                        waiting.pop(member, None)
+                        member_entry = scripts[member][position[member]]
+                        finish_step(member, member_entry, arrivals[member], release, event)
+                finish_step(aid, entry, t_req, release, event)
+                progress = True
 
     if waiting:
         blocked = sorted((aid, key[0]) for aid, key in waiting.items())

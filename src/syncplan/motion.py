@@ -67,6 +67,7 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
     tags = product.state_tags
     transitions = product.transitions
     tr_back = product.tr_back
+    new_transition = tuple.__new__  # skips the named tuple's Python-level __new__
 
     def moves_of(s):
         moves, kept = [], set()
@@ -114,7 +115,7 @@ def build_motion_product(agent: AgentModel, spec: BuchiAutomaton) -> MotionProdu
                     tags.append((s2, q2))
                 tid = len(transitions)
                 tr_back[tid] = action
-                transitions.append(Transition(src, label, dst, mask))
+                transitions.append(new_transition(Transition, (src, label, dst, mask)))
         src += 1
     return MotionProduct(product, agent, spec)
 

@@ -11,6 +11,7 @@ from syncplan.buchi import (
     BuchiAutomaton,
     Lasso,
     Silent,
+    TransitionSystem,
     check_lasso_membership,
     fold,
     significance,
@@ -316,3 +317,17 @@ def test_transitions_are_read_only():
         with pytest.raises(AttributeError):
             setattr(t, field, 2)
     assert (t.src, t.label, t.dst) == (0, frozenset("x"), 1)
+
+
+def test_state_index_follows_later_states():
+    # names resolve to their first state, also for states added after a
+    # lookup; an unknown name raises ValueError, as list.index does
+    ts = TransitionSystem()
+    assert ts.add_state("a") == 0 and ts.add_state("b") == 1
+    assert ts.state_index("b") == 1
+    with pytest.raises(ValueError):
+        ts.state_index("c")
+    assert ts.add_state("c") == 2 and ts.add_state("a") == 3
+    assert [ts.state_index(name) for name in ("a", "b", "c")] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        ts.state_index("d")

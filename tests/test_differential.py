@@ -11,6 +11,7 @@ must cost the least that a plain search finds.
 """
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -35,7 +36,13 @@ from syncplan.buchi import (
     region_analysis,
     strongly_connected_components,
 )
-from syncplan.executor import SimulationConfig, check_local_satisfaction, check_timing, simulate
+from syncplan.executor import (
+    DeadlockError,
+    SimulationConfig,
+    check_local_satisfaction,
+    check_timing,
+    simulate,
+)
 from syncplan.globalprod import EmptyLanguageError, SynthesisError
 from syncplan.motion import build_motion_product
 from syncplan.pipeline import run_synthesis
@@ -43,6 +50,7 @@ from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_fr
 from syncplan.taskprod import _live_anchors
 from syncplan.translate import _marked_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
+from tests import reference_executor as ref_exec
 from tests import reference_globalprod as ref_gp
 from tests import reference_motion as ref_motion
 from tests import reference_reductions as ref
@@ -55,6 +63,7 @@ from tests.conftest import (
     explicit_agent,
     mark_entering,
     make_scenario,
+    pairs,
     random_formula,
     random_motion_product,
     random_scenario,
@@ -1776,3 +1785,74 @@ def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
     assert unchanged >= 400 and identical >= 350
     assert counts["coalitions"] >= 1500 and counts["stripped"] >= 5000 and counts["kept"] >= 5000
     assert counts["dropped"] >= 10000
+
+
+def _execution(result):
+    """Everything an execution shows, floats by their exact repr."""
+    return repr(result.behaviors), result.log_lines(), len(result.events), repr(result.events)
+
+
+def _deadlocking(strategies):
+    """The strategies with the first agent of the first joint step issuing
+    that step alone: its partners wait for one request more than it makes."""
+    for aid in sorted(strategies):
+        st = strategies[aid]
+        for part in ("prefix", "cycle"):
+            steps = getattr(st, part)
+            for i, step in enumerate(steps):
+                if len(step.sync) > 1:
+                    solo = replace(step, sync=frozenset({aid}))
+                    changed = replace(st, **{part: steps[:i] + (solo,) + steps[i + 1 :]})
+                    return {**strategies, aid: changed}
+    return None
+
+
+@pytest.mark.python_O
+def test_simulate_matches_reference_executor():
+    # the compiled execution against the step-by-step lookups it replaced:
+    # every timed step, event and log line, over seeds 0..4, two to four
+    # unrollings and per-action duration bounds (zero-length ones among
+    # them); strategies with one joint request turned solo deadlock with
+    # the same message
+    workloads = benchmark_workloads()
+    cases = [load_bundled(name) for name in ("three_robots", "two_pairs", "asymmetry")]
+    cases += [
+        scenario_from_dict(workloads.generate(name))
+        for name in ("three_robots_13x13", "two_pairs_team", "wide_guards")
+    ]
+    cases += [pairs(4), chain(4), response_chain(4)]
+    rng = random.Random(0)
+    cases += [random_scenario(rng) for _ in range(150)]
+    bounds = [(0.0, 0.0), (2.5, 2.5), (0.5, 7.25), (3.0, 4.0)]
+    solved = runs = deadlocks = 0
+    for scenario in cases:
+        try:
+            strategies = run_synthesis(scenario).strategies
+        except EmptyLanguageError:
+            continue
+        solved += 1
+        actions = sorted({s.action for st in strategies.values() for s in st.prefix + st.cycle})
+        durations = {a: bounds[i % len(bounds)] for i, a in enumerate(actions)}
+        for seed in range(5):
+            unrollings = 2 + seed % 3
+            for config in (
+                SimulationConfig(seed=seed, unrollings=unrollings),
+                SimulationConfig(
+                    seed=seed, duration_lo=0.0, duration_hi=2.0,
+                    action_durations=durations, unrollings=unrollings,
+                ),
+            ):
+                new = simulate(scenario, strategies, config)
+                assert _execution(new) == _execution(ref_exec.simulate(scenario, strategies, config))
+                runs += 1
+        bad = _deadlocking(strategies)
+        if bad is not None:
+            config = SimulationConfig(seed=deadlocks % 5, unrollings=2 + deadlocks % 3)
+            with pytest.raises(DeadlockError) as new_err:
+                simulate(scenario, bad, config)
+            with pytest.raises(DeadlockError) as old_err:
+                ref_exec.simulate(scenario, bad, config)
+            assert str(new_err.value) == str(old_err.value)
+            assert new_err.value.blocked == old_err.value.blocked
+            deadlocks += 1
+    assert solved >= 155 and runs == 10 * solved and deadlocks >= 50

@@ -5,8 +5,10 @@ import pytest
 
 from syncplan import executor
 from syncplan.executor import (
+    Behavior,
     DeadlockError,
     SimulationConfig,
+    TimedStep,
     check_local_satisfaction,
     check_timing,
     estimate_centralized,
@@ -139,6 +141,48 @@ class TestSimulate:
         assert times == sorted(times)
         kinds = {line.split("\t")[2] for line in lines}
         assert {"sync-request", "barrier-release", "action-start", "action-end", "service"} <= kinds
+
+
+class TestCheckTiming:
+    @staticmethod
+    def behavior(*changes):
+        """Three steps whose identities hold, with `(index, field, value)` changes."""
+        steps = [
+            TimedStep("s", "a", frozenset({1}), 0.0, 0.0, 0.0, 2.0, ("solo", 1, 0)),
+            TimedStep("s", "b", frozenset({1, 2}), 2.0, 3.0, 1.0, 1.5, ("barrier", "k")),
+            TimedStep("s", "a", frozenset({1}), 4.5, 4.5, 0.0, 1.0, ("solo", 1, 2)),
+        ]
+        for j, name, value in changes:
+            steps[j] = dataclasses.replace(steps[j], **{name: value})
+        return Behavior(1, steps, 1, 2)
+
+    def test_clean_behavior_passes(self):
+        assert check_timing(self.behavior()) == []
+
+    def test_first_request_not_at_zero(self):
+        # every reading one later: the identities and the order still hold
+        shifted = [
+            (j, name, getattr(step, name) + 1.0)
+            for j, step in enumerate(self.behavior().steps)
+            for name in ("request_time", "start_time")
+        ]
+        assert check_timing(self.behavior(*shifted)) == ["first request not at time zero"]
+
+    def test_sync_duration_mismatch(self):
+        assert check_timing(self.behavior((1, "sync_duration", 0.5))) == [
+            "step 1: start - request != sync duration"
+        ]
+
+    def test_action_duration_mismatch(self):
+        assert check_timing(self.behavior((0, "action_duration", 2.5))) == [
+            "step 0: next request - start != action duration"
+        ]
+
+    def test_time_sequence_decreases(self):
+        # step 2 starts before its request; its sync and the action before
+        # it are adjusted so that only the order is wrong
+        late = ((1, "action_duration", 2.0), (2, "request_time", 5.0), (2, "sync_duration", -0.5))
+        assert check_timing(self.behavior(*late)) == ["time sequence decreases"]
 
 
 class TestLocalWords:
