@@ -323,29 +323,6 @@ def good_components(a: BuchiAutomaton):
     return comp, comps, {c for c, mask in covered.items() if mask == full}
 
 
-def _bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
-    """Deterministic BFS; returns (dist, parent transition id) arrays."""
-    out, inn = a._index()
-    transitions = a.transitions
-    n = a.n_states
-    dist = [None] * n
-    parent = [None] * n
-    if allowed is not None and source not in allowed:
-        return dist, parent
-    dist[source] = 0
-    queue = [source]
-    for v in queue:
-        d = dist[v] + 1
-        for tid in (inn if reverse else out)[v]:
-            t = transitions[tid]
-            w = t.src if reverse else t.dst
-            if dist[w] is None and (allowed is None or w in allowed):
-                dist[w] = d
-                parent[w] = tid
-                queue.append(w)
-    return dist, parent
-
-
 def least_segments(a: BuchiAutomaton, stop):
     """Least paths from a transition leaving a stop state to the next stop
     states, read off tables built by one backward sweep per stop (state,
@@ -448,7 +425,7 @@ def least_segments(a: BuchiAutomaton, stop):
     return segments
 
 
-def region_analysis(a: BuchiAutomaton, significant, live=None):
+def region_analysis(a: BuchiAutomaton, significant):
     """Accepting cycles among insignificant states, and the routes into them.
 
     Returns (anchors, route): `anchors` maps an anchor state, the smallest
@@ -459,8 +436,7 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     smallest one, and None to any other state.  One backward breadth-first
     search from all anchors at once, in ascending order, records each region
     state's distance and first step, the step a search from its anchor alone
-    would record; a path is walked only when `route` is asked for it.  With
-    `live`, an anchor is kept only if `live(anchor, loop)` holds.
+    would record; a path is walked only when `route` is asked for it.
     """
     out, inn = a._index()
     transitions = a.transitions
@@ -470,18 +446,14 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     anchors = {}
     comp, comps = strongly_connected_components(a, allowed=region)
     for c, members in enumerate(comps):
-        covered, serves = 0, False
+        covered = 0
         for s in members:
             for tid in out[s]:
-                _s, label, w, mask = transitions[tid]
+                _s, _label, w, mask = transitions[tid]
                 if comp[w] == c:
                     covered |= mask
-                    serves = serves or not isinstance(label, Silent)
         if covered == full:
-            anchor = members[0]
-            loop = _covering_cycle(a, full, set(members), anchor, serves)
-            if live is None or live(anchor, loop):
-                anchors[anchor] = loop
+            anchors[members[0]] = _covering_cycle(a, full, set(members), members[0])
 
     dist, step = [None] * n, [None] * n
     queue = sorted(anchors)  # ascending: equally near anchors keep the first
@@ -507,34 +479,28 @@ def region_analysis(a: BuchiAutomaton, significant, live=None):
     return anchors, route
 
 
-def _covering_cycle(a, full, members, anchor, serves):
+def _covering_cycle(a, full, members, anchor):
     """Shortest cycle through the anchor inside `members` that meets every
-    set in `full`, preferring one that provides services.
+    set in `full`.
 
-    A silent loop only realizes stuttering acceptance.  When the component
-    offers a transition with a real service label (`serves`), the chosen
-    loop takes one, so that an absorbed agent keeps producing its word.
-    The search is breadth-first over (state, sets met) pairs, with one more
-    bit for a service step, takes out-transitions in ascending id order,
-    and stops once it discovers its goal, the anchor with every set met
-    (and the service bit when `serves`).  A pair's parent is fixed when it
+    The search is breadth-first over (state, sets met) pairs, takes
+    out-transitions in ascending id order, and stops once it discovers its
+    goal, the anchor with every set met.  A pair's parent is fixed when it
     is discovered, so the goal's path back to the start is the one a search
     run to exhaustion would read off.
     """
     out, _inn = a._index()
     transitions = a.transitions
-    served = full + 1
-    start = (anchor, 0)
-    goal = (anchor, full | served) if serves else (anchor, full)
+    start, goal = (anchor, 0), (anchor, full)
     parent = {start: None}
     queue = deque([start])
     while goal not in parent:
         key = queue.popleft()
         for tid in out[key[0]]:
-            _x, label, w, mask = transitions[tid]
+            _x, _label, w, mask = transitions[tid]
             if w not in members:
                 continue
-            nxt = (w, key[1] | mask | (0 if isinstance(label, Silent) else served))
+            nxt = (w, key[1] | mask)
             if nxt not in parent:
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
@@ -557,7 +523,7 @@ def significance(a: BuchiAutomaton, labels) -> list:
     return significant
 
 
-def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
+def fold(a: BuchiAutomaton, silent, labels=None) -> BuchiAutomaton:
     """Fold the insignificant states away: the significant skeleton of `a`.
 
     `labels[tid]` is a transition's label in the result, the transition's
@@ -571,38 +537,34 @@ def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
     with `tid` reaches through insignificant states, the transition (u,
     label, v, mask), where the mask is the sets the path meets.  Per (u,
     label, v) only the variants no other one dominates are kept: a variant
-    is dominated when another meets a superset of its sets, and provides a
-    service if it does, at an equal or smaller rank, the rank being the
-    least witness of `least_segments` (the shortest path, ties going to the
-    lexicographically smallest sequence of transition ids).  A witness
-    providing a service keeps the agent's word alive where a shorter silent
-    one would not, which matters once `labels` makes a service step silent.
-    When `tid` enters a region state that can run into an anchor's cycle, it
-    also yields (u, label, absorbing state), whose witness leads to that
-    anchor along the state's `region_analysis` route, the only routes walked;
-    the absorbing state's `silent` self-loop meets every set and keeps one
-    witness per anchor it is entered at, that anchor's cycle.  The edges
-    into the absorbing state lie on no cycle, so they meet no set.
+    is dominated when another meets a superset of its sets at an equal or
+    smaller rank, the rank being the least witness of `least_segments` (the
+    shortest path, ties going to the lexicographically smallest sequence of
+    transition ids).  When `tid` enters a region state that can run into an
+    anchor's cycle, it also yields (u, label, absorbing state), whose
+    witness leads to that anchor along the state's `region_analysis` route,
+    the only routes walked; the absorbing state's `silent` self-loop meets
+    every set and keeps one witness per anchor it is entered at, that
+    anchor's cycle.  The edges into the absorbing state lie on no cycle, so
+    they meet no set.
 
     When `a` carries coalitions (`tr_dep`), so does the result: a silent
     edge is its agent's alone, any other edge takes its first transition's
-    coalition, and the smallest coalition ranks before the witness.  `live`
-    filters the anchors, as in `region_analysis`.  The result is pruned to
-    the states that reach acceptance.  So each state but the absorbing one
-    stands for one state of `a`, the one witness of a transition leaving it
-    starts there, and each variant of the absorbing loop runs from its
-    anchor back to it: one pass over a cycle of the result replays a cycle
-    of `a`.  Coalition ranks and label sort keys are worked out once per call.
+    coalition, and the smallest coalition ranks before the witness.  The
+    result is pruned to the states that reach acceptance.  So each state but
+    the absorbing one stands for one state of `a`, the one witness of a
+    transition leaving it starts there, and each variant of the absorbing
+    loop runs from its anchor back to it: one pass over a cycle of the
+    result replays a cycle of `a`.  Coalition ranks and label sort keys are
+    worked out once per call.
     """
     if labels is None:
         labels = [t.label for t in a.transitions]
     significant = significance(a, labels)
-    anchors, route = region_analysis(a, significant, live)
+    anchors, route = region_analysis(a, significant)
     segments = least_segments(a, significant)
     coalitions = bool(a.tr_dep)
     sink_target = (1,)
-    served = 1 << a.sets  # a bit above the sets: the witness provides a service
-    provides = [not isinstance(t.label, Silent) for t in a.transitions]
 
     def coalition(label, tid):
         if not coalitions:
@@ -642,12 +604,11 @@ def fold(a: BuchiAutomaton, silent, labels=None, live=None) -> BuchiAutomaton:
                 )
         edges = []
         for label, target in sorted(variants, key=lambda k: (sort_key(k[0]), k[1])):
-            kept = []  # masks and service bits of the variants kept, none ranking higher
+            kept = []  # masks of the variants kept, none ranking higher
             ranked = sorted(variants[(label, target)], key=itemgetter(0))
             for _rank, mask, dep, steps, end in ranked:
-                key = mask | served if any(provides[step] for step in steps) else mask
-                if all(k | key != k for k in kept):
-                    kept.append(key)
+                if all(k | mask != k for k in kept):
+                    kept.append(mask)
                     edges.append((label, target, mask, dep, Witness(steps, u, end)))
         return edges
 
@@ -699,12 +660,26 @@ def _walk_forward(a, parent, source, target):
 
 
 def language_empty(a: BuchiAutomaton) -> bool:
-    """True iff no accepting run exists from the initial state."""
-    comp, _comps, good = good_components(a)
-    if not good:
-        return True
-    dist, _ = _bfs(a, a.initial)
-    return not any(dist[s] is not None and comp[s] in good for s in range(a.n_states))
+    """True iff no accepting run exists from the initial state.
+
+    One `components` walk from the initial state, which stops at the first
+    component whose internal edges meet every set, as
+    `check_lasso_membership` does.
+    """
+    out, _inn = a._index()
+    transitions, full = a.transitions, (1 << a.sets) - 1
+
+    def successors(v):
+        return [transitions[tid].dst for tid in out[v]]
+
+    for members in components([a.initial], successors, a.n_states):
+        inside = set(members)
+        internal = [
+            t.mask for t in (transitions[tid] for v in members for tid in out[v]) if t.dst in inside
+        ]
+        if internal and reduce(or_, internal) == full:
+            return False
+    return True
 
 
 def check_lasso_membership(a: BuchiAutomaton, word) -> bool:

@@ -16,17 +16,17 @@ would only interleave them.
 The product carries its acceptance on its transitions, like every other
 automaton: generalized, with a slot of bits per position, one after the
 other.  Position i's slot holds the sets of its reduced automaton (its
-motion sets, then its task sets), which a move lies in when the agent's own
-reduced transition does, and one more bit, L_i, for the moves that keep its
-word legal (it provides services, or rests where its task tolerates
-silence).  One pass of strongly connected components decides emptiness: a
-lasso exists iff some component's internal moves meet every set.  The lasso
-is built from least-cost legs, a move costing its synchronizing agents first
-and its transition-system steps second, after the prefix-suffix cost of
-Smith, Tumova, Belta and Rus ("Optimal path planning for surveillance with
-temporal-logic constraints", IJRR 2011); since covering every set at least
-cost is NP-hard, each leg goes to the edge that meets the sets still needed
-at the least cost per set, Chvatal's greedy rule for set cover.
+motion sets, its task sets, then L_i, which the task product marks on the
+moves that keep the agent's word legal), and a move lies in them when the
+agent's own reduced transition does.  One pass of strongly connected
+components decides emptiness: a lasso exists iff some component's internal
+moves meet every set.  The lasso is built from least-cost legs, a move
+costing its synchronizing agents first and its transition-system steps
+second, after the prefix-suffix cost of Smith, Tumova, Belta and Rus
+("Optimal path planning for surveillance with temporal-logic constraints",
+IJRR 2011); since covering every set at least cost is NP-hard, each leg goes
+to the edge that meets the sets still needed at the least cost per set,
+Chvatal's greedy rule for set cover.
 Strategy extraction projects that lasso onto each agent and replays the
 recorded witnesses down through the reduced products until plain
 transition-system steps with synchronization requests remain.  Each reduced
@@ -97,9 +97,7 @@ class GlobalProduct:
     one reduced state per position.  `tr_back[tid]` is ("local", position,
     transition id) or ("joint", coalition ids, {position: transition id});
     the assignment is read-only.  A transition's mask holds, in each moving
-    position's slot (`_slots`), that position's reduced transition mask and
-    its L bit, the slot's last: every member of a joint move sets it, a
-    silent move when it keeps the word legal (`_keeps_word_legal`).
+    position's slot (`_slots`), that position's reduced transition mask.
     """
 
     automaton: BuchiAutomaton
@@ -109,8 +107,8 @@ class GlobalProduct:
 
 def _slots(products) -> list:
     """Per position, the first bit of its slot, and the number of bits of
-    all slots last: each slot holds its reduced automaton's sets and L_i."""
-    return list(accumulate((p.automaton.sets + 1 for p in products), initial=0))
+    all slots last: each slot holds its reduced automaton's sets."""
+    return list(accumulate((p.automaton.sets for p in products), initial=0))
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -131,11 +129,9 @@ def build_global_product(products) -> GlobalProduct:
     silent_out, joint_out = [], []
     for pos, a in enumerate(autos):
         s_out, j_out = {}, {}
-        legal = 1 << a.sets
         for tid, t in enumerate(a.transitions):
+            mask = t.mask << slots[pos]
             if isinstance(t.label, Silent):
-                keeps = _keeps_word_legal(products[pos], tid)
-                mask = (t.mask | (legal if keeps else 0)) << slots[pos]
                 s_out.setdefault(t.src, []).append((t.dst, ("local", pos, tid), mask))
                 continue
             dep = a.tr_dep.get(tid, solo[pos])
@@ -146,7 +142,6 @@ def build_global_product(products) -> GlobalProduct:
                     "which is outside the global product"
                 )
             partners = frozenset(id2pos[aid] for aid in dep) - {pos}
-            mask = (t.mask | legal) << slots[pos]
             j_out.setdefault(t.src, []).append((tid, t, partners, mask, t.label & own[pos]))
         silent_out.append(s_out)
         joint_out.append(j_out)
@@ -229,19 +224,6 @@ def build_global_product(products) -> GlobalProduct:
         src += 1
 
     return GlobalProduct(product, products, agent_ids)
-
-
-def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
-    """Does every witness variant of this silent reduced transition replay a
-    service-labeled task-product step, or start where the task tolerates
-    silence?"""
-    bar = product.origin.automaton
-    tolerant = product.origin.silence_tolerant()
-    return all(
-        bar.state_tags[w.src][1] in tolerant
-        or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps)
-        for w in product.automaton.tr_witness.get(low_tid, ())
-    )
 
 
 def _move_costs(gp: GlobalProduct) -> list:
@@ -461,7 +443,8 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
 
     Returns (strategies, None) on success, or (None, agent id) naming an
     agent whose word would die even though its task does not tolerate
-    eternal silence.
+    eternal silence.  A lasso meets every agent's L_i, so neither check
+    can fire; both stay as invariants.
     """
     strategies = {}
     for pos, product in enumerate(gp.products):
@@ -472,7 +455,7 @@ def _expand_lasso(gp: GlobalProduct, lasso: Lasso):
         expander = _AgentExpander(product, aid)
         strategy, bar_state = expander.expand(hat_prefix, hat_cycle)
         silent = all(expander.agent.is_silent(step.action) for step in strategy.cycle)
-        if silent and expander.bar.state_tags[bar_state][1] not in expander.tm.silence_tolerant():
+        if silent and expander.bar.state_tags[bar_state][1] not in expander.tm.silence_tolerant:
             return None, aid
         strategies[aid] = strategy
     return strategies, None

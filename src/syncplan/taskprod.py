@@ -3,38 +3,40 @@
 The product runs the reduced motion automaton against the task specification
 automaton; its states are (motion state, task state) pairs.  Acceptance sits
 on transitions: the motion sets (the low bits), which a transition lies in
-when its reduced motion transition does, and the task sets above them,
-which it lies in when the task automaton's transition does.  A silent move
-rests at its task state and meets the task sets that every transition
-entering that state meets, or all of them when none enters: a run resting
-there infinitely often either enters it infinitely often, meeting those
-sets, or rests there forever, and then whether its task tolerates silence
-decides (L_i in the global product).  Joint labels range over the agent's
-own service sets extended by foreign services that actually occur in the
-task automaton's guards; services outside every guard can never flip a
-transition, which the assisting-service test below makes checkable.  Each
-foreign service is one bit.  Only the foreign parts the team can provide at
-one instant are spelled out: one service set offered by each owner (or none),
-united.  A global move fires a joint transition only when its label is the
-union of the coalition's own parts, each of them one action's service set,
-so a transition with any other foreign part could never fire.
+when its reduced motion transition does, the task sets above them, which it
+lies in when the task automaton's transition does, and last L_i, the moves
+that keep the agent's word legal.  A silent move rests at its task state and
+meets the task sets that every transition entering that state meets, or all
+of them when none enters: a run resting there infinitely often either enters
+it infinitely often, meeting those sets, or rests there forever.  A run
+meets L_i infinitely often exactly when it provides services infinitely
+often or ends resting where its task tolerates silence, so every joint move
+lies in L_i, and a silent move does when its task state tolerates silence.
+Joint labels range over the agent's own service sets extended by foreign
+services that actually occur in the task automaton's guards; services
+outside every guard can never flip a transition, which the assisting-service
+test below makes checkable.  Each foreign service is one bit.  Only the
+foreign parts the team can provide at one instant are spelled out: one
+service set offered by each owner (or none), united.  A global move fires a
+joint transition only when its label is the union of the coalition's own
+parts, each of them one action's service set, so a transition with any other
+foreign part could never fire.
 
 Reduction keeps the significant states (able to assist somebody, or needing
 somebody's assistance, or initial), with every stretch between them folded
 into a single transition that remembers its path and the sets it meets: the
 same fold, `buchi.fold`, as the motion reduction's, given the planning
-labels, off which it reads the significant states, and the coalitions.  Each kept state exists once, and one shared
-absorbing state captures runs that end in an accepting cycle among
-insignificant states, so the result has at most one state more than there
-are significant ones.  Only live cycles feed that state: ones that provide
-services, or rest at a task state tolerating silence.  A run ending in any
-other cycle would end in silence its task rejects, so the absorbing state's
-loop keeps every agent's word legal whichever cycle it replays.
+labels, off which it reads the significant states, and the coalitions.  Each
+kept state exists once, and one shared absorbing state captures runs that
+end in an accepting cycle among insignificant states, so the result has at
+most one state more than there are significant ones.  An accepting cycle
+meets L_i, so the absorbing state's loop keeps every agent's word legal
+whichever cycle it replays.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .buchi import (
     EXPLICIT_MODE,
@@ -53,7 +55,7 @@ class TaskMotionProduct:
 
     `automaton.tr_back[tid]` is a pair (reduced-motion transition id, task
     automaton transition id or None for silent moves).  Dependency coalitions
-    live in `automaton.tr_dep` once `compute_dep` has run.
+    sit in `automaton.tr_dep` once `compute_dep` has run.
 
     Per transition, `assisting[tid]` holds the foreign services whose toggle
     makes it vanish, and `strips[tid]` whether its foreign services can be
@@ -63,6 +65,8 @@ class TaskMotionProduct:
     part: a foreign bit set has a joint transition there exactly when some
     cube accepts it, whether or not the team can provide it.  Parallel
     transitions that differ in their marks alone are told apart.
+    `silence_tolerant` holds the task states from which the task accepts
+    silence forever (`silence_tolerant_states`).
     """
 
     automaton: BuchiAutomaton
@@ -74,31 +78,27 @@ class TaskMotionProduct:
     service_owner: dict
     assisting: list
     strips: list
-    _silence_tolerant: frozenset | None = field(default=None, init=False, repr=False)
+    silence_tolerant: frozenset
 
     @property
     def silent(self) -> Silent:
         return Silent(self.agent_id)
 
-    def silence_tolerant(self) -> frozenset:
-        """Task-spec states from which the empty service set is accepted forever.
 
-        Those are the states that reach a good component of the spec cut down
-        to the transitions whose guards accept the empty set.
-        """
-        if self._silence_tolerant is None:
-            spec = self.task_spec
-            quiet = BuchiAutomaton(spec.mode, spec.sets)
-            for _ in range(spec.n_states):
-                quiet.add_state()
-            for t in spec.transitions:
-                if t.label.accepts(frozenset()):
-                    quiet.add_transition(*t)
-            _comp, comps, good = good_components(quiet)
-            self._silence_tolerant = frozenset(
-                coreachable(quiet, [s for c in good for s in comps[c]])
-            )
-        return self._silence_tolerant
+def silence_tolerant_states(spec: BuchiAutomaton) -> frozenset:
+    """Spec states from which the empty service set is accepted forever.
+
+    Those are the states that reach a good component of the spec cut down
+    to the transitions whose guards accept the empty set.
+    """
+    quiet = BuchiAutomaton(spec.mode, spec.sets)
+    for _ in range(spec.n_states):
+        quiet.add_state()
+    for t in spec.transitions:
+        if t.label.accepts(frozenset()):
+            quiet.add_transition(*t)
+    _comp, comps, good = good_components(quiet)
+    return frozenset(coreachable(quiet, [s for c in good for s in comps[c]]))
 
 
 def _guard_atoms(spec: BuchiAutomaton) -> frozenset:
@@ -157,7 +157,8 @@ def build_task_motion_product(
     joint moves carry a full service set whose own-service part must match a
     motion label and which must satisfy a task guard.  A move's mask is its
     motion transition's, plus, shifted above the motion sets, its task
-    transition's or, for a silent move, the sets its task state rests in.
+    transition's and L or, for a silent move, the sets its task state rests
+    in, L among them where the task tolerates silence.
     `offers` maps each agent to the service sets its actions provide; the
     foreign parts are the bit sets their owners can provide together
     (`_providable`), and each guard is checked on its own part once per
@@ -183,10 +184,14 @@ def build_task_motion_product(
 
     guards = [(*split(t.label.pos), *split(t.label.neg)) for t in task_spec.transitions]
     shift = motion.sets
-    resting = [(1 << task_spec.sets) - 1] * task_spec.n_states
+    legal = 1 << task_spec.sets  # L, the last set, above the task sets
+    tolerant = silence_tolerant_states(task_spec)
+    resting = [legal - 1] * task_spec.n_states
     for t in task_spec.transitions:
         resting[t.dst] &= t.mask
-    product = BuchiAutomaton(EXPLICIT_MODE, motion.sets + task_spec.sets)
+    for q in tolerant:
+        resting[q] |= legal
+    product = BuchiAutomaton(EXPLICIT_MODE, motion.sets + task_spec.sets + 1)
     ids = {}
 
     def state_id(key):
@@ -230,7 +235,7 @@ def build_task_motion_product(
                 pos_own, pos_bits, neg_own, neg_bits = guards[p_tid]
                 if pos_own <= own and not neg_own & own:
                     pt = task_spec.transitions[p_tid]
-                    mask = mt.mask | pt.mask << shift
+                    mask = mt.mask | (pt.mask | legal) << shift
                     target = (mt.dst, pt.dst)
                     cubes.setdefault((target, mask, own), set()).add((pos_bits, neg_bits))
                     matching.append((p_tid, pos_bits, neg_bits, target, mask))
@@ -264,6 +269,7 @@ def build_task_motion_product(
         dict(service_owner),
         assisting,
         strips,
+        tolerant,
     )
 
 
@@ -328,19 +334,6 @@ class ReducedTaskMotionProduct:
     origin: TaskMotionProduct
 
 
-def _live_anchors(a: BuchiAutomaton, tolerant):
-    """An anchor is live when its loop provides services or its task state is
-    in `tolerant`: a run absorbed into any other cycle ends in silence its
-    task rejects."""
-
-    def live(anchor, loop):
-        return a.state_tags[anchor][1] in tolerant or not all(
-            isinstance(a.transitions[tid].label, Silent) for tid in loop
-        )
-
-    return live
-
-
 def reduce_task_motion(
     tm: TaskMotionProduct, globally_assisting: dict
 ) -> ReducedTaskMotionProduct:
@@ -349,12 +342,10 @@ def reduce_task_motion(
 
     Transitions are relabeled by `planning_labels`, and the significant
     states are the initial one and the sources of transitions not silent
-    for planning, so insignificant states only have silent ones.  Only live
-    anchors feed the absorbing state.
+    for planning, so insignificant states only have silent ones.
     """
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    live = _live_anchors(a, tm.silence_tolerant())
-    reduced = fold(a, tm.silent, planning_labels(tm, globally_assisting), live)
+    reduced = fold(a, tm.silent, planning_labels(tm, globally_assisting))
     return ReducedTaskMotionProduct(reduced, tm)

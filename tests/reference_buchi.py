@@ -10,6 +10,9 @@ the lasso-shaped word automaton as a `BuchiAutomaton`, then tests its
 emptiness.  It raises `AlphabetMismatchError` only once a silent symbol
 meets a guard on a reachable product state; the optimized function raises
 it for any silent symbol fed to a guard-labeled automaton.
+
+`bfs` is the plain breadth-first search the tests and the other references
+walk automata with, forward or backward and inside a set of states.
 """
 from __future__ import annotations
 
@@ -25,6 +28,29 @@ from syncplan.buchi import (
     language_empty,
     strongly_connected_components,
 )
+
+
+def bfs(a: BuchiAutomaton, source: int, allowed=None, reverse=False):
+    """Deterministic BFS; returns (dist, parent transition id) arrays."""
+    out, inn = a._index()
+    transitions = a.transitions
+    n = a.n_states
+    dist = [None] * n
+    parent = [None] * n
+    if allowed is not None and source not in allowed:
+        return dist, parent
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        d = dist[v] + 1
+        for tid in (inn if reverse else out)[v]:
+            t = transitions[tid]
+            w = t.src if reverse else t.dst
+            if dist[w] is None and (allowed is None or w in allowed):
+                dist[w] = d
+                parent[w] = tid
+                queue.append(w)
+    return dist, parent
 
 
 def _label_matches(a: BuchiAutomaton, label, symbol) -> bool:

@@ -7,15 +7,19 @@ by trying every transition of every needed agent.  A move's mask is
 `acceptance_marks`' for its back reference.  It must give the optimized
 product's states, moves, marks and annotations.
 
-`acceptance_marks` reads each move's marks off its back reference: the OR
-of its moving components' reduced masks and L bits, each in its position's
-slot, which holds the position's reduced sets and then its L bit, the slots
-following each other in position order.  It must give the marks the optimized product's
-transitions carry.  `accepting_lasso` is the lasso search before its
-searches stopped early and became least-cost: every breadth-first search
+`acceptance_marks` reads each move's marks off its back reference: the OR of
+its moving components' reduced masks, each in its position's slot, which
+holds the position's reduced sets, L_i last, the slots following each other
+in position order.  It must give the marks the optimized product's
+transitions carry.  `legality_marks` gives the L_i bits as the product set
+them before the task product marked L: on every member of a joint move, and
+on a silent move when `_keeps_word_legal` holds.  On the moves inside a
+component, the only ones acceptance reads, they must be the L_i bits the
+product's transitions carry.  `accepting_lasso` is the lasso search before
+its searches stopped early and became least-cost: every breadth-first search
 covers the whole product or component, and each cycle step scans all
-internal edges for the nearest one meeting a set still needed.  It must
-give the same failure where no lasso exists.
+internal edges for the nearest one meeting a set still needed.  It must give
+the same failure where no lasso exists.
 
 `move_costs` and `least_costs` price the optimized lasso's legs: each move
 costs the pair (synchronizing agents, expanded transition-system steps),
@@ -35,11 +39,12 @@ from syncplan.buchi import (
     BuchiAutomaton,
     Lasso,
     Silent,
-    _bfs,
     _walk_forward,
     strongly_connected_components,
 )
-from syncplan.globalprod import EmptyLanguageError, GlobalProduct, _keeps_word_legal
+from syncplan.globalprod import EmptyLanguageError, GlobalProduct
+from syncplan.taskprod import ReducedTaskMotionProduct
+from tests.reference_buchi import bfs
 
 
 def build_global_product(products) -> GlobalProduct:
@@ -141,7 +146,7 @@ def build_global_product(products) -> GlobalProduct:
     product.initial = state_id(tuple(a.initial for a in autos))
 
     def push(qs, label, targets, dep, back):
-        mask = _move_marks(products, agent_ids, back)
+        mask = _move_marks(products, back)
         tid = product.add_transition(ids[qs], label, state_id(targets), mask)
         product.tr_dep[tid] = dep
         product.tr_back[tid] = back
@@ -165,27 +170,16 @@ def slot_offsets(products) -> list:
     bits last."""
     offsets = [0]
     for p in products:
-        offsets.append(offsets[-1] + p.automaton.sets + 1)
+        offsets.append(offsets[-1] + p.automaton.sets)
     return offsets
 
 
-def _move_marks(products, agent_ids, back) -> int:
+def _move_marks(products, back) -> int:
     """The acceptance sets a move with back reference `back` lies in: in
-    position i's slot, the reduced sets its reduced transition meets, and
-    the slot's last bit for L_i (the move keeps position i's word legal)."""
+    position i's slot, the reduced sets its reduced transition meets."""
     offsets = slot_offsets(products)
-
-    def legal(pos):
-        return 1 << (offsets[pos] + products[pos].automaton.sets)
-
-    if back[0] == "joint":
-        id2pos = {aid: pos for pos, aid in enumerate(agent_ids)}
-        mask = sum(legal(id2pos[aid]) for aid in back[1])
-        moved = back[2].items()
-    else:
-        mask = legal(back[1]) if _keeps_word_legal(products[back[1]], back[2]) else 0
-        moved = [back[1:]]
-    for pos, low in moved:
+    mask = 0
+    for pos, low in back[2].items() if back[0] == "joint" else [back[1:]]:
         mask |= products[pos].automaton.transitions[low].mask << offsets[pos]
     return mask
 
@@ -194,7 +188,37 @@ def acceptance_marks(gp: GlobalProduct) -> list:
     """Per transition, the bit mask `_move_marks` reads off its back
     reference."""
     backs = gp.automaton.tr_back
-    return [_move_marks(gp.products, gp.agent_ids, backs[tid]) for tid in range(len(backs))]
+    return [_move_marks(gp.products, backs[tid]) for tid in range(len(backs))]
+
+
+def _keeps_word_legal(product: ReducedTaskMotionProduct, low_tid) -> bool:
+    """Does every witness variant of this silent reduced transition replay a
+    service-labeled task-product step, or start where the task tolerates
+    silence?"""
+    bar = product.origin.automaton
+    tolerant = product.origin.silence_tolerant
+    return all(
+        bar.state_tags[w.src][1] in tolerant
+        or any(not isinstance(bar.transitions[step].label, Silent) for step in w.steps)
+        for w in product.automaton.tr_witness.get(low_tid, ())
+    )
+
+
+def legality_marks(gp: GlobalProduct):
+    """(per transition, its L_i bits, set for every position of a joint
+    move and for a silent move's position when it keeps the word legal;
+    the mask of every L_i bit)."""
+    offsets = slot_offsets(gp.products)
+    legal = [1 << (offsets[pos + 1] - 1) for pos in range(len(gp.products))]
+    marks = []
+    for tid in range(len(gp.automaton.transitions)):
+        back = gp.automaton.tr_back[tid]
+        if back[0] == "joint":
+            marks.append(sum(legal[pos] for pos in back[2]))
+        else:
+            keeps = _keeps_word_legal(gp.products[back[1]], back[2])
+            marks.append(legal[back[1]] if keeps else 0)
+    return marks, sum(legal)
 
 
 def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
@@ -222,7 +246,7 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
         pos = max(p for p in range(len(gp.agent_ids)) if offsets[p] <= first)
         raise EmptyLanguageError("task", gp.agent_ids[pos])
 
-    dist, parent = _bfs(a, a.initial)
+    dist, parent = bfs(a, a.initial)
     entry = min((s for c in good for s in comps[c]), key=lambda s: (dist[s], s))
     members = set(comps[comp[entry]])
     internal = [
@@ -233,7 +257,7 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
     cur = entry
     need = everything
     while need:
-        reach, par = _bfs(a, cur, allowed=members)
+        reach, par = bfs(a, cur, allowed=members)
         tid = min(
             (tid for tid in internal if marks[tid] & need),
             key=lambda tid: (
@@ -244,7 +268,7 @@ def accepting_lasso(gp: GlobalProduct, marks) -> Lasso:
             cycle.append(step)
             need &= ~marks[step]
         cur = a.transitions[tid].dst
-    _reach, par = _bfs(a, cur, allowed=members)
+    _reach, par = bfs(a, cur, allowed=members)
     cycle += _walk_forward(a, par, cur, entry)
     return Lasso(tuple(_walk_forward(a, parent, a.initial, entry)), tuple(cycle))
 

@@ -6,12 +6,15 @@ the path at every queued entry and reports every arrival.  They define the
 witnesses the fold must reproduce exactly, and share no code with it.
 
 `region_analysis` is the hand-written search for silent accepting cycles
-and the routes into them that `buchi.region_analysis` replaces with
-`buchi._bfs`.  It breaks ties between equally short paths by set iteration
-order, so it fixes distances, anchors and the length of each anchor's
-loop, and whether it provides services, not the paths.  Its components come from `region_components`, which copies the
-region into a second automaton, as the task reduction did before Tarjan
-took a state mask.  `covering_cycle` is the loop search that ran to
+and the routes into them that `buchi.region_analysis` replaces with one
+backward search.  It breaks ties between equally short paths by set
+iteration order, so it fixes distances, anchors and the length of each
+anchor's shortest loop, not the paths.  Each anchor's loop is the one the
+task reduction chose before the task product marked L, one providing
+services where the component has one, which the old path's live-anchor
+filter reads.  Its components come from `region_components`, which copies
+the region into a second automaton, as the task reduction did before
+Tarjan took a state mask.  `covering_cycle` is the loop search that ran to
 exhaustion before `buchi._covering_cycle` stopped at its goal; it fixes the
 loops themselves.
 """
@@ -103,11 +106,9 @@ def segments_by_path_copying(a: BuchiAutomaton, significant, src_tid):
 
 
 def region_analysis(a: BuchiAutomaton, significant):
-    """Returns (anchors, reach, loop_keys) as `buchi.region_analysis` does
-    unfiltered.
-
-    `loop_keys` maps each anchor to the (silent, length) key of its loop:
-    whether every transition of the loop is silent, and its length.
+    """Returns (anchors, reach, shortest): the anchors with their loops,
+    and the routes, as `buchi.region_analysis` gives them, and per anchor
+    the length of the shortest loop meeting every set.
     """
     full = (1 << a.sets) - 1
     region = {s for s in range(a.n_states) if not significant[s]}
@@ -117,7 +118,7 @@ def region_analysis(a: BuchiAutomaton, significant):
             adjacency[t.src].append(tid)
 
     anchors = {}
-    loop_keys = {}
+    shortest = {}
     for members in region_components(a, region):
         member_set = set(members)
         covered = 0
@@ -128,9 +129,9 @@ def region_analysis(a: BuchiAutomaton, significant):
         if covered != full:
             continue
         anchor = min(members)
-        key, loop = shortest_region_cycle(a, adjacency, member_set, anchor, full)
-        anchors[anchor] = loop
-        loop_keys[anchor] = key
+        anchors[anchor], shortest[anchor] = shortest_region_cycle(
+            a, adjacency, member_set, anchor, full
+        )
 
     radj = {s: [] for s in region}
     for s in region:
@@ -161,15 +162,16 @@ def region_analysis(a: BuchiAutomaton, significant):
                 path.append(tid)
                 x = a.transitions[tid].dst
             reach[s] = (dist[s], tuple(path), anchor)
-    return anchors, reach, loop_keys
+    return anchors, reach, shortest
 
 
 def shortest_region_cycle(a, adjacency, members, anchor, full):
-    """`buchi._covering_cycle` by hand, returning (key, loop): layer by layer,
-    the (state, sets met, served) triples first reached by a walk of that
-    many steps from the anchor, until no new triple appears.  The loop is
-    the first walk back to the anchor meeting every set that provides a
-    service, else the first that meets every set."""
+    """The shortest loop search by hand, returning (loop, length of the
+    shortest loop): layer by layer, the (state, sets met, served) triples
+    first reached by a walk of that many steps from the anchor, until no
+    new triple appears.  The loop is the first walk back to the anchor
+    meeting every set that provides a service, else the first that meets
+    every set."""
     start = (anchor, 0, False)
     layers = [{start: ()}]  # triple -> one walk ending in it
     seen = {start}
@@ -191,14 +193,13 @@ def shortest_region_cycle(a, adjacency, members, anchor, full):
                 found[served] = walk
         layers.append(layer)
     loop = found.get(True, found.get(False))
-    return (True not in found, len(loop)), loop
+    return loop, min(len(walk) for walk in found.values())
 
 
 def covering_cycle(a, full, members, anchor):
     """`buchi._covering_cycle` as a full search: every (state, sets met)
     pair of the component is discovered before the loop is read off, so
     the early stop at the goal must give this loop exactly."""
-    served = full + 1
     start = (anchor, 0)
     parent = {start: None}
     queue = deque([start])
@@ -208,13 +209,11 @@ def covering_cycle(a, full, members, anchor):
             t = a.transitions[tid]
             if t.dst not in members:
                 continue
-            nxt = (t.dst, key[1] | t.mask | (0 if isinstance(t.label, Silent) else served))
+            nxt = (t.dst, key[1] | t.mask)
             if nxt not in parent:
                 parent[nxt] = (key, tid)
                 queue.append(nxt)
-    key = (anchor, full | served)
-    if key not in parent:
-        key = (anchor, full)
+    key = (anchor, full)
     loop = []
     while key != start:
         key, tid = parent[key]

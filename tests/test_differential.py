@@ -28,7 +28,6 @@ from syncplan.buchi import (
     BuchiAutomaton,
     Guard,
     Silent,
-    _bfs,
     check_lasso_membership,
     components,
     language_empty,
@@ -47,7 +46,6 @@ from syncplan.globalprod import EmptyLanguageError, SynthesisError
 from syncplan.motion import build_motion_product
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_from_dict
-from syncplan.taskprod import _live_anchors
 from syncplan.translate import _marked_quotient, _Tableau, translate
 from tests import reference_buchi as ref_buchi
 from tests import reference_executor as ref_exec
@@ -72,6 +70,7 @@ from tests.conftest import (
     significant_states,
     singleton_offers,
 )
+from tests.test_globalprod import assert_legal_as_before, assert_no_twin_moves
 from tests.test_motion import replay_nonsilent_labels
 from tests.test_taskprod import _random_task_instance
 
@@ -433,13 +432,25 @@ def _walk_to(a, parent, s, anchor):
     return tuple(path)
 
 
+def _without_legality(a):
+    """A copy of task product `a` with L, its last set, taken out: the
+    automaton the old path's region analysis and live-anchor filter read."""
+    bare = BuchiAutomaton(a.mode, a.sets - 1)
+    bare.initial, bare.state_tags = a.initial, a.state_tags
+    keep = (1 << bare.sets) - 1
+    bare.transitions = [t._replace(mask=t.mask & keep) for t in a.transitions]
+    return bare
+
+
 @pytest.mark.python_O
 def test_region_analysis_matches_hand_written_searches():
-    # unfiltered, the reference's anchors and routes must all come back, for
-    # every state that has one, entered or not; with the task's own
-    # tolerance, the dead anchors go and each route leads to the nearest
-    # live anchor, the smaller one on a tie, along the path a reverse search
-    # from that anchor alone records
+    # the reference's anchors and routes must all come back, for every state
+    # that has one, entered or not, each anchor's loop as short as any that
+    # meets every set, and each route leading to the nearest anchor, the
+    # smaller one on a tie, along the path a reverse search from that anchor
+    # alone records.  The anchors are exactly the old path's live ones: with
+    # L taken out of the task product, those whose loop provides services or
+    # rests where the task tolerates silence
     rng = random.Random(11)
     loops = routes = dead = 0
     for _ in range(5000):
@@ -449,42 +460,30 @@ def test_region_analysis_matches_hand_written_searches():
         region = {s for s in range(a.n_states) if not sig[s]}
         anchors, route = region_analysis(a, sig)
         reach = _routes(a, route)
-        old_anchors, old_reach, loop_keys = ref.region_analysis(a, sig)
+        old_anchors, old_reach, shortest = ref.region_analysis(a, sig)
         assert anchors.keys() == old_anchors.keys()
         for anchor, loop in anchors.items():
-            assert loop_keys[anchor] == (
-                all(isinstance(a.transitions[t].label, Silent) for t in loop), len(loop)
-            )
+            assert len(loop) == shortest[anchor]
             assert _chains(a, loop, anchor, anchor, region)
             assert _path_mask(a, loop) == (1 << a.sets) - 1
         assert reach.keys() == old_reach.keys()
-        for s, (dist, path, anchor) in reach.items():
-            assert (dist, anchor) == (old_reach[s][0], old_reach[s][2])
-            assert len(path) == dist
-            assert _chains(a, path, s, anchor, region)
-        loops += len(anchors)
-        routes += sum(dist > 0 for dist, _path, _anchor in reach.values())
-
-        tolerant = tm.silence_tolerant()
-        live = {
-            x: loop
-            for x, loop in anchors.items()
-            if a.state_tags[x][1] in tolerant
-            or not all(isinstance(a.transitions[t].label, Silent) for t in loop)
-        }
-        live_anchors, live_route = region_analysis(a, sig, _live_anchors(a, tolerant))
-        live_reach = _routes(a, live_route)
-        assert live_anchors == live
         nearest = {}
-        for x in sorted(live):
-            dist, parent = _bfs(a, x, allowed=region, reverse=True)
+        for x in sorted(anchors):
+            dist, parent = ref_buchi.bfs(a, x, allowed=region, reverse=True)
             for s in region:
                 if dist[s] is not None and (s not in nearest or dist[s] < nearest[s][0]):
                     nearest[s] = (dist[s], _walk_to(a, parent, s, x), x)
-        assert live_reach == nearest
-        for s, (dist, path, anchor) in live_reach.items():
+        assert reach == nearest
+        for s, (dist, path, anchor) in reach.items():
+            assert (dist, anchor) == (old_reach[s][0], old_reach[s][2])
             assert len(path) == dist and _chains(a, path, s, anchor, region)
-        dead += len(anchors) - len(live)
+        bare = _without_legality(a)
+        unfiltered, _reach, _shortest = ref.region_analysis(bare, sig)
+        live = ref_task._live_anchors(bare, tm.silence_tolerant)
+        assert anchors.keys() == {x for x, loop in unfiltered.items() if live(x, loop)}
+        loops += len(anchors)
+        routes += sum(dist > 0 for dist, _path, _anchor in reach.values())
+        dead += len(unfiltered) - len(anchors)
     assert loops >= 500 and routes >= 500 and dead >= 100
 
 
@@ -509,19 +508,24 @@ def _covering_components(a, sig):
 def test_covering_cycle_matches_full_search():
     # stopping at the goal pair must give exactly the loop of the search
     # that runs to exhaustion, with a service step inside the component and
-    # without one
+    # without one; in a task product every loop meets L, so it provides
+    # services or rests where the task tolerates silence
     rng = random.Random(79)
     kinds = {True: 0, False: 0}
-    instances = [_random_task_instance(rng) for _ in range(3000)]
-    instances = [(tm.automaton, significant_states(tm, ga)) for tm, ga in instances]
+    instances = []
+    for _ in range(3000):
+        tm, ga = _random_task_instance(rng)
+        live = ref_task._live_anchors(tm.automaton, tm.silence_tolerant)
+        instances.append((tm.automaton, significant_states(tm, ga), live))
     for i in range(1500):
         mp = random_motion_product(rng, max_states=12 if i < 750 else 30)
-        instances.append((mp.automaton, significant_states(mp)))
-    for a, sig in instances:
+        instances.append((mp.automaton, significant_states(mp), None))
+    for a, sig, live in instances:
         full = (1 << a.sets) - 1
         for members, anchor, serves in _covering_components(a, sig):
-            loop = buchi._covering_cycle(a, full, members, anchor, serves)
+            loop = buchi._covering_cycle(a, full, members, anchor)
             assert loop == ref.covering_cycle(a, full, members, anchor)
+            assert live is None or live(anchor, loop)
             kinds[serves] += 1
     assert kinds[True] >= 100 and kinds[False] >= 300
 
@@ -908,14 +912,17 @@ def _reduced_products(result):
 @pytest.mark.python_O
 def test_global_product_matches_per_state_joint_moves(monkeypatch):
     compared = []
+    inside = []
     wholes = []
     chains = []
     limit = None
 
     def both(products):
         new = globalprod.build_global_product(products)
+        assert_no_twin_moves(new)
         if limit is None or new.automaton.n_states <= limit:
             assert _product_moves(new) == _reference_moves(products)
+            inside.append(assert_legal_as_before(new))
             compared.append(new)
         return new
 
@@ -948,6 +955,7 @@ def test_global_product_matches_per_state_joint_moves(monkeypatch):
             assert [gp.automaton.n_states for _g, gp in result.global_products] == [2 ** (m - 1)]
             chains.append(m)
     assert len(wholes) == 1 and len(compared) >= 40 and chains == [3, 4, 5, 6]
+    assert sum(inside) >= 1000
 
 
 def _random_wide_team(rng):
@@ -1038,11 +1046,14 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
     # action provides more than the member's guard mentions; teams are
     # compared while n + 1 times their tuples stay at 1,500
     compared = []
+    inside = []
 
     def both(products):
         new = globalprod.build_global_product(products)
+        assert_no_twin_moves(new)
         if new.automaton.n_states * (len(products) + 1) <= 1500:
             assert _product_moves(new) == _reference_moves(products)
+            inside.append(assert_legal_as_before(new))
             compared.append(new)
         return new
 
@@ -1069,6 +1080,7 @@ def test_global_product_matches_reference_on_wide_guards(monkeypatch):
         if any(len(dep) >= 3 for dep in gp.automaton.tr_dep.values())
     ]
     assert len(compared) - joint >= 32 and len(trios) >= 10 and joint >= 200
+    assert sum(inside) >= 1000
 
 
 def _lasso_or_failure(search, gp, *marks):
@@ -1189,6 +1201,8 @@ def test_accepting_lasso_matches_reference(monkeypatch):
         for gp in products:
             marks = ref_gp.acceptance_marks(gp)
             assert [t.mask for t in gp.automaton.transitions] == marks
+            assert_legal_as_before(gp)
+            assert_no_twin_moves(gp)
             found = _lasso_or_failure(globalprod._accepting_lasso, gp)
             old = _lasso_or_failure(ref_gp.accepting_lasso, gp, marks)
             assert isinstance(found, tuple) == isinstance(old, tuple)
@@ -1518,6 +1532,43 @@ def test_twin_free_motion_products_keep_team_results(monkeypatch):
     assert twin_free >= 200 and twins >= 50 and changed >= 1
 
 
+# Per family of draws, the failures (stage, agent) recorded while L_i was
+# still set by the global product; every other draw solved
+LEGALITY_PIN = {
+    "random": {16: ("task", 3)},
+    "joint": dict.fromkeys((
+        0, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 19, 21, 22, 23, 27, 32, 33, 35, 36, 40,
+        42, 43, 48, 50, 51, 52, 54, 55, 57, 58, 59, 67, 68, 70, 71, 74, 75, 83, 84, 87,
+        89, 90, 91, 95, 98,
+    ), ("task", 1)),
+    "blocked": dict.fromkeys((*range(17), 19), ("task", 1)),
+}
+
+
+@pytest.mark.python_O
+def test_word_legality_in_the_task_product_keeps_verdicts():
+    # with L marked once in the task product, each draw solves or fails at
+    # the stage and agent it did when the global product set L_i; every
+    # plan certifies, and no global product holds twin moves
+    families = (
+        ("random", random.Random(0), random_scenario, 150),
+        ("joint", random.Random(7), _joint_offer_team, 100),
+        ("blocked", random.Random(53), _blocked_partner_team, 20),
+    )
+    for name, rng, draw, count in families:
+        failures = {}
+        for i in range(count):
+            scenario = draw(rng)
+            result, failure = _synthesis_outcome(scenario)
+            if failure is not None:
+                failures[i] = failure
+                continue
+            for _group, gp in result.global_products:
+                assert_no_twin_moves(gp)
+            _certify(scenario, result.strategies)
+        assert failures == LEGALITY_PIN[name]
+
+
 def _foreign_bit_team_cases():
     """300 random teams, 100 random wide-guard teams, 60 teams offering two
     services only together, 30 teams whose partner is kept away from the
@@ -1633,9 +1684,9 @@ def test_foreign_bit_index_matches_frozenset_probes(monkeypatch):
     # `fold` gets
     labels = []
 
-    def capturing_fold(a, silent, planning, live=None):
+    def capturing_fold(a, silent, planning):
         labels.append(list(planning))
-        return buchi.fold(a, silent, planning, live)
+        return buchi.fold(a, silent, planning)
 
     monkeypatch.setattr(taskprod, "fold", capturing_fold)
     counts = {"coalitions": 0, "stripped": 0, "kept": 0, "dropped": 0}

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from syncplan.agents import GridSpec, build_grid_agent
-from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, _bfs
+from syncplan.buchi import EXPLICIT_MODE, BuchiAutomaton, Silent, strongly_connected_components
 from syncplan.executor import (
     SimulationConfig,
     check_local_satisfaction,
@@ -18,7 +18,6 @@ from syncplan.globalprod import (
     GlobalProduct,
     SynthesisError,
     _accepting_lasso,
-    _keeps_word_legal,
     _project_agent,
     build_global_product,
     compute_dependency_classes,
@@ -31,6 +30,7 @@ from syncplan.scenario_io import check_strategies_fit, load_bundled, scenario_fr
 from syncplan.taskprod import build_task_motion_product, compute_dep
 from syncplan.translate import translate
 from tests import reference_globalprod as ref_gp
+from tests.reference_buchi import bfs
 from tests.conftest import (
     benchmark_workloads,
     explicit_agent,
@@ -46,22 +46,51 @@ def single_idler():
     return sc
 
 
+def assert_legal_as_before(gp):
+    """The L_i bits of every move inside a component, the only moves
+    acceptance reads, are those the old path set (`legality_marks`): every
+    member of a joint move, and a silent move that keeps its word legal.
+    Elsewhere they are a subset of those: a move into an absorbing state
+    lies on no cycle and meets no set.  Returns the moves compared inside
+    components."""
+    a = gp.automaton
+    old, every = ref_gp.legality_marks(gp)
+    comp, _comps = strongly_connected_components(a)
+    inside = 0
+    for tid, t in enumerate(a.transitions):
+        legal = t.mask & every
+        if comp[t.src] == comp[t.dst]:
+            assert legal == old[tid]
+            inside += 1
+        else:
+            assert legal | old[tid] == old[tid]
+    return inside
+
+
+def assert_no_twin_moves(gp):
+    """No two moves share source, label, target, mask and coalition."""
+    a = gp.automaton
+    keys = {(t.src, t.label, t.dst, t.mask, a.tr_dep[tid]) for tid, t in enumerate(a.transitions)}
+    assert len(keys) == len(a.transitions)
+
+
 def assert_states_are_distinct_reachable_tuples(gp):
     """One state per component tuple, all reachable; every move changes
     exactly the components its back reference names, the way their own
     transitions do.  Its mask holds, each in its position's slot, their
-    acceptance masks and L bits: every member of a joint move has its L bit,
-    a silent move when it keeps the word legal.  Position i's slot starts
-    where position i - 1's ends and holds its reduced sets, then L_i."""
+    acceptance masks, L_i their last bit, which `assert_legal_as_before`
+    checks against the old path.  Position i's slot starts where position
+    i - 1's ends and holds its reduced sets.  No two moves are twins
+    (`assert_no_twin_moves`)."""
     auto = gp.automaton
     autos = [p.automaton for p in gp.products]
     tags = auto.state_tags
     assert all(isinstance(tag, tuple) and len(tag) == len(autos) for tag in tags)
     assert len(set(tags)) == len(tags)
     assert tags[auto.initial] == tuple(a.initial for a in autos)
-    starts = [sum(a.sets + 1 for a in autos[:pos]) for pos in range(len(autos) + 1)]
+    starts = [sum(a.sets for a in autos[:pos]) for pos in range(len(autos) + 1)]
     assert auto.sets == starts[-1]
-    dist, _parent = _bfs(auto, auto.initial)
+    dist, _parent = bfs(auto, auto.initial)
     assert None not in dist
     silent_out = {}
     for tid, t in enumerate(auto.transitions):
@@ -73,8 +102,7 @@ def assert_states_are_distinct_reachable_tuples(gp):
             if pos in moved:
                 low = autos[pos].transitions[moved[pos]]
                 assert (low.src, low.dst) == (qs, dst[pos])
-                legal = back[0] == "joint" or _keeps_word_legal(gp.products[pos], moved[pos])
-                expected |= (low.mask | legal << autos[pos].sets) << starts[pos]
+                expected |= low.mask << starts[pos]
             else:
                 assert dst[pos] == qs
         assert t.mask == expected
@@ -88,6 +116,8 @@ def assert_states_are_distinct_reachable_tuples(gp):
             for tid in a.out_transitions(q)
         )
         assert silent_out.get(s, 0) == expected
+    assert_no_twin_moves(gp)
+    assert_legal_as_before(gp)
 
 
 class TestGlobalProduct:

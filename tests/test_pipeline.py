@@ -169,16 +169,17 @@ def test_independent_pairs_synthesize_like_one_pair(two_pairs):
 def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pairs):
     """The chosen lasso is a path from the initial state into a closed cycle
     whose moves meet, by the marks the product's transitions carry, each
-    agent's motion and task sets (on moves of the agent whose own reduced
-    transition meets them) and every L_i (a joint move of i, or a local move
-    of i keeping its word legal).  Position i's slot starts where position
-    i - 1's ends, and holds its reduced sets and then L_i."""
+    agent's motion and task sets and L_i, on moves of the agent whose own
+    reduced transition meets them.  A cycle move meets L_i exactly where
+    the old path set it: a joint move of i, or a local move of i keeping
+    its word legal (`_keeps_word_legal`).  Position i's slot starts where
+    position i - 1's ends, and holds its reduced sets, L_i last."""
     pairs = run_synthesis(two_pairs)
     products = [gp for _group, gp in three_robots_result.global_products]
     products += [gp for _group, gp in pairs.global_products]
     for gp in products:
         a = gp.automaton
-        widths = [p.automaton.sets + 1 for p in gp.products]
+        widths = [p.automaton.sets for p in gp.products]
         assert a.sets == sum(widths)
         marks = [t.mask for t in a.transitions]
         lasso = _accepting_lasso(gp)
@@ -188,7 +189,7 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
         assert states[-1] == states[len(lasso.prefix)]
         for pos, aid in enumerate(gp.agent_ids):
             first = sum(widths[:pos])
-            for own_set in range(widths[pos] - 1):
+            for own_set in range(widths[pos]):
                 met = [tid for tid in lasso.cycle if marks[tid] >> (first + own_set) & 1]
                 assert met
                 for tid in met:
@@ -198,8 +199,12 @@ def test_synthesis_lasso_covers_every_acceptance_set(three_robots_result, two_pa
                     assert gp.products[pos].automaton.transitions[low].mask >> own_set & 1
             legal = [tid for tid in lasso.cycle if marks[tid] >> (first + widths[pos] - 1) & 1]
             assert legal and all(aid in a.tr_dep[tid] for tid in legal)
-            joint = [tid for tid in lasso.cycle if a.tr_back[tid][0] == "joint"]
-            assert all(tid in legal for tid in joint if aid in a.tr_dep[tid])
+            for tid in lasso.cycle:
+                back = a.tr_back[tid]
+                if back[0] == "joint":
+                    assert (tid in legal) == (aid in back[1])
+                elif back[1] == pos:
+                    assert (tid in legal) == ref_gp._keeps_word_legal(gp.products[pos], back[2])
 
 
 def test_three_robot_local_word_pattern(three_robots, three_robots_result):

@@ -9,7 +9,6 @@ from syncplan.buchi import (
     EXPLICIT_MODE,
     BuchiAutomaton,
     Silent,
-    _bfs,
     good_components,
     language_empty,
     region_analysis,
@@ -21,7 +20,6 @@ from syncplan.motion import build_motion_product, reduce as reduce_motion
 from syncplan.pipeline import run_synthesis
 from syncplan.scenario_io import check_strategies_fit, scenario_from_dict
 from syncplan.taskprod import (
-    _live_anchors,
     build_task_motion_product,
     compute_assisting,
     compute_dep,
@@ -38,7 +36,7 @@ from tests.conftest import (
     significant_states,
     singleton_offers,
 )
-from tests.reference_buchi import accepting_lasso
+from tests.reference_buchi import accepting_lasso, bfs
 
 OWNER = {"load": 1, "unload": 1, "help": 2, "inform": 2, "assist": 3}
 ALL = frozenset(OWNER)
@@ -98,7 +96,7 @@ def empty_but_for_dead_regions(tm, significant) -> bool:
     a = tm.automaton
     region = [not sig for sig in significant]
     _rcomp, rcomps = strongly_connected_components(a, allowed=region)
-    tolerant = tm.silence_tolerant()
+    tolerant = tm.silence_tolerant
     dead = set()
     for members in rcomps:
         inside = set(members)
@@ -112,7 +110,7 @@ def empty_but_for_dead_regions(tm, significant) -> bool:
             if a.state_tags[members[0]][1] not in tolerant:
                 dead.add(tuple(members))
     _comp, comps, good = good_components(a)
-    dist, _parent = _bfs(a, a.initial)
+    dist, _parent = bfs(a, a.initial)
     return not any(
         dist[comps[c][0]] is not None and tuple(comps[c]) not in dead for c in good
     )
@@ -145,12 +143,17 @@ class TestProduct:
         # motion sets its reduced motion transition meets and, above them,
         # the task sets its task transition meets; a silent move rests at
         # its task state and meets the sets every transition entering that
-        # state meets, all of them where none enters
+        # state meets, all of them where none enters.  L, the last set, is
+        # met by every joint move, and by a silent move exactly when the
+        # spec accepts the empty service set forever from its task state
+        silent_legal = 0
         for _agent, rm, tm in (hauler_products(), surveyor_products(), helper_products()):
             a = tm.automaton
             spec = tm.task_spec
             motion_sets = rm.automaton.sets
-            assert a.sets == motion_sets + spec.sets
+            assert a.sets == motion_sets + spec.sets + 1
+            legal = 1 << spec.sets
+            tolerant = ref_task.silence_tolerant(spec)
             assert all(len(tag) == 2 for tag in a.state_tags)
             assert len(set(a.state_tags)) == a.n_states
             for tid, t in enumerate(a.transitions):
@@ -161,15 +164,20 @@ class TestProduct:
                 if p_tid is None:
                     q2 = a.state_tags[t.src][1]
                     assert a.state_tags[t.dst][1] == q2
-                    task = (1 << spec.sets) - 1
+                    task = legal - 1
                     for u in spec.transitions:
                         if u.dst == q2:
                             task &= u.mask
+                    if q2 in tolerant:
+                        task |= legal
+                        silent_legal += 1
                 else:
                     pt = spec.transitions[p_tid]
                     assert (a.state_tags[t.src][1], a.state_tags[t.dst][1]) == (pt.src, pt.dst)
-                    task = pt.mask
+                    task = pt.mask | legal
                 assert t.mask >> motion_sets == task
+            assert tm.silence_tolerant == tolerant
+        assert silent_legal
 
 
 class TestAssisting:
@@ -233,8 +241,8 @@ class TestAssisting:
         # G F (pick && lift) has one task state, with a `true` loop and a
         # `lift & pick` loop meeting the task set.  A {pick, lift} step takes
         # both, so it has two parallel transitions that differ in their mask
-        # alone: lift assists the marked one, as the {pick} step has no
-        # marked twin, and not the unmarked one
+        # alone, both in L as joint moves: lift assists the one meeting the
+        # task set, as the {pick} step has no such twin, and not the other
         agent = explicit_agent(1, ["P"], {"pick": ["pick"]}, [(0, "pick", 0)])
         rm = reduce_motion(build_motion_product(agent, translate(ltl.TRUE_F)))
         spec = translate(ltl.parse("G F (pick && lift)", {"pick", "lift"}))
@@ -244,9 +252,9 @@ class TestAssisting:
         both = frozenset({"pick", "lift"})
         twins = [tid for tid, t in enumerate(tm.automaton.transitions) if t.label == both]
         masks = sorted(tm.automaton.transitions[tid].mask >> rm.automaton.sets for tid in twins)
-        assert masks == [0, 1]
+        assert masks == [0b10, 0b11]
         for tid in twins:
-            marked = tm.automaton.transitions[tid].mask >> rm.automaton.sets
+            marked = tm.automaton.transitions[tid].mask >> rm.automaton.sets & 1
             assert compute_assisting(tm, tid, "lift") == bool(marked)
         deps = compute_dep(tm)
         assert {deps[tid] for tid in twins} == {frozenset({1}), frozenset({1, 2})}
@@ -406,28 +414,37 @@ class TestReduce:
 
     def test_only_live_anchors_keep_their_absorbing_routes(self):
         # from the significant initial state, silent routes lead into three
-        # self-loops among insignificant states meeting both acceptance
+        # self-loops among insignificant states meeting both task-product
         # sets: a silent one at task state 0, a silent one at task state 1,
-        # and one providing a service at task state 0; only task state 1
-        # tolerates silence
-        a = BuchiAutomaton(EXPLICIT_MODE, sets=2)
-        for q in (0, 0, 1, 0, 0):
-            a.add_state((0, q))
-        silent = Silent(1)
-        for anchor, loop in ((1, silent), (2, silent), (3, frozenset({"beep"}))):
-            a.add_transition(4, silent, anchor)
-            a.add_transition(anchor, loop, anchor, 3)
-        a.add_transition(0, silent, 4)
-        significant = [True, False, False, False, False]
+        # and one providing a service at task state 0.  L, the third set,
+        # is met by the service loop and by the silent loops whose task
+        # state tolerates silence: first task state 1 alone, then both;
+        # the anchors are exactly the old path's live ones
+        def hand_made(tolerant):
+            a = BuchiAutomaton(EXPLICIT_MODE, sets=3)
+            for q in (0, 0, 1, 0, 0):
+                a.add_state((0, q))
+            silent = Silent(1)
+            for anchor, loop in ((1, silent), (2, silent), (3, frozenset({"beep"}))):
+                a.add_transition(4, silent, anchor)
+                legal = loop != silent or a.state_tags[anchor][1] in tolerant
+                a.add_transition(anchor, loop, anchor, 7 if legal else 3)
+            a.add_transition(0, silent, 4)
+            return a
 
-        anchors, route = region_analysis(a, significant, _live_anchors(a, {1}))
+        significant = [True, False, False, False, False]
+        a = hand_made({1})
+        anchors, route = region_analysis(a, significant)
         assert sorted(anchors) == [2, 3]  # the dead anchor 1 is gone
+        live = ref_task._live_anchors(a, {1})
+        assert [x for x in (1, 2, 3) if live(x, a.out_transitions(x))] == [2, 3]
         reach = {s: route(s) for s in range(a.n_states) if route(s) is not None}
         assert sorted(reach) == [2, 3, 4]
         assert reach[2] == (0, (), 2) and reach[3] == (0, (), 3)
         # the nearest live anchor, the smaller one on a tie
         assert reach[4] == (1, (a.in_transitions(2)[0],), 2)
-        anchors, route = region_analysis(a, significant, _live_anchors(a, {0, 1}))
+        a = hand_made({0, 1})
+        anchors, route = region_analysis(a, significant)
         assert sorted(anchors) == [1, 2, 3]
         reach = {s: route(s) for s in range(a.n_states) if route(s) is not None}
         assert sorted(reach) == [1, 2, 3, 4]
@@ -541,7 +558,6 @@ def test_silence_tolerance_matches_per_state_emptiness():
         tm, _ga = _random_task_instance(rng)
         spec = tm.task_spec
         expected = {s for s in range(spec.n_states) if _accepts_silence_by_emptiness(spec, s)}
-        assert tm.silence_tolerant() == expected
-        assert tm.silence_tolerant() is tm.silence_tolerant()
+        assert tm.silence_tolerant == expected == ref_task.silence_tolerant(spec)
         mixed += 0 < len(expected) < spec.n_states
     assert mixed >= 30
